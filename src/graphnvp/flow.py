@@ -292,7 +292,7 @@ class FlowModel(Module):
         for layer in reversed(self.adjacency_layers):
             za = layer.inverse(za)
         a_cont = np.asarray(za.data)
-        conditioning = np.stack([argmax_adjacency(spec, a_cont[b]) for b in range(batch)])
+        conditioning = argmax_adjacency(spec, a_cont)
         for layer in reversed(self.node_layers):
             zx = layer.inverse(zx, conditioning)
         return a_cont, np.asarray(zx.data)

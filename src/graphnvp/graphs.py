@@ -193,25 +193,23 @@ def requantize(dq: DequantizedGraph) -> MolecularGraph:
 
 
 def argmax_adjacency(spec: GraphSpec, scores: np.ndarray) -> np.ndarray:
-    """One-hot adjacency from continuous scores.
+    """One-hot adjacency from continuous scores ``[..., N, N, R]``.
 
-    Channel scores are symmetrized as ``(a[i, j] + a[j, i]) / 2`` before the
-    argmax so the result is symmetric; diagonal pairs are forced to the
-    virtual channel.  Ties resolve to the lowest channel index.
+    Leading axes are a batch; each graph is handled independently.  Channel
+    scores are symmetrized as ``(a[i, j] + a[j, i]) / 2`` before the argmax so
+    the result is symmetric; diagonal pairs are forced to the virtual channel.
+    Ties resolve to the lowest channel index.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != spec.adjacency_shape():
-        raise GraphError(f"adjacency scores shape {scores.shape} != {spec.adjacency_shape()}")
+    if scores.shape[scores.ndim - 3 :] != spec.adjacency_shape():
+        raise GraphError(f"adjacency scores shape {scores.shape} does not end in {spec.adjacency_shape()}")
     if not np.isfinite(scores).all():
         raise GraphError("adjacency scores must be finite")
     n = spec.num_nodes
-    sym = (scores + scores.transpose(1, 0, 2)) / 2.0
-    idx = sym.argmax(axis=2)
-    idx[np.arange(n), np.arange(n)] = spec.virtual_bond
-    out = np.zeros(spec.adjacency_shape())
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    out[ii, jj, idx] = 1.0
-    return out
+    sym = (scores + np.swapaxes(scores, -3, -2)) / 2.0
+    idx = sym.argmax(axis=-1)
+    idx[..., np.arange(n), np.arange(n)] = spec.virtual_bond
+    return (idx[..., None] == np.arange(spec.num_bond_types)).astype(np.float64)
 
 
 def discretize_argmax(

@@ -170,11 +170,18 @@ class MlpNet(Module):
 
 
 class RelGraphRound(Module):
-    """One message-passing round: per-bond-channel linear + self-loop term."""
+    """One relational message-passing round in the single-sum R-GCN form.
+
+    Node ``i`` of the output is ``sum_r sum_j A[i, j, r] h_j W_r + h_i W_self + b``.
+    The sum over relations is one contraction: with the adjacency laid out as
+    ``a_rows`` [batch, N*R, N] (row ``i*R + r`` is ``A[:, i, :, r]``),
+    ``a_rows @ h`` reshapes to [batch*N, R*F], and that meets ``rel_weight``
+    viewed as [R*F, H] in a single GEMM.  Given ``row``, only that node's
+    output [batch, H] is computed.
+    """
 
     def __init__(self, n_in: int, n_out: int, num_relations: int, rng: np.random.Generator):
         super().__init__()
-        self.num_relations = num_relations
         bound = np.sqrt(6.0 / (n_in + n_out))
         self.register_parameter(
             "rel_weight", Tensor(rng.uniform(-bound, bound, size=(num_relations, n_in, n_out)))
@@ -182,14 +189,20 @@ class RelGraphRound(Module):
         self.register_parameter("self_weight", glorot(rng, n_in, n_out))
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
-    def __call__(self, h: Tensor, adjacency: np.ndarray) -> Tensor:
-        # adjacency: constant [batch, N, N, R]; h: [batch, N, F].
-        out = T.matmul(h, self._params["self_weight"])
-        for r in range(self.num_relations):
-            w_r = T.index_axis(self._params["rel_weight"], 0, r)
-            messages = T.matmul(Tensor(adjacency[..., r]), T.matmul(h, w_r))
-            out = T.add(out, messages)
-        return T.add(out, self._params["bias"])
+    def __call__(self, h: Tensor, a_rows: np.ndarray, row: int | None = None) -> Tensor:
+        # a_rows: constant [batch, N*R, N]; h: [batch, N, F].
+        batch, n, f = h.shape
+        r, _, hidden = self._params["rel_weight"].shape
+        if row is None:
+            rows, h_self = batch * n, T.reshape(h, (batch * n, f))
+        else:
+            a_rows = a_rows[:, row * r : (row + 1) * r]
+            rows, h_self = batch, T.index_axis(h, 1, row)
+        messages = T.reshape(T.matmul(Tensor(a_rows), h), (rows, r * f))
+        w_rel = T.reshape(self._params["rel_weight"], (r * f, hidden))
+        out = T.add(T.matmul(messages, w_rel), T.matmul(h_self, self._params["self_weight"]))
+        out = T.add(out, self._params["bias"])
+        return out if row is not None else T.reshape(out, (batch, n, hidden))
 
 
 class RelationalGraphConvNet(Module):
@@ -197,7 +210,9 @@ class RelationalGraphConvNet(Module):
 
     Returns the zero-initialized head applied to the embedding of a single
     target node, so the output only depends on the other nodes' features and
-    the graph structure.
+    the graph structure.  Outside training, batch norm is a fixed per-feature
+    affine map, so the last round computes the target row alone; in training
+    its batch statistics span every node, so every round stays full.
     """
 
     def __init__(
@@ -221,10 +236,15 @@ class RelationalGraphConvNet(Module):
         self.register_child("head", Linear(hidden, n_out, rng, zero_init=True))
 
     def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
+        batch, n, _, r = adjacency.shape
+        a_rows = adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
         h = x
         for k in range(self.rounds):
-            h = self._children[f"round{k}"](h, adjacency)
+            target = row if k == self.rounds - 1 and not training else None
+            h = self._children[f"round{k}"](h, a_rows, target)
             if self.batch_norm:
                 h = self._children[f"bn{k}"](h, training)
             h = T.tanh(h)
-        return self._children["head"](T.index_axis(h, 1, row))
+        if h.ndim == 3:
+            h = T.index_axis(h, 1, row)
+        return self._children["head"](h)

@@ -141,23 +141,18 @@ def reconstruction_rate(
     return hits, len(training_set)
 
 
-def compute_metrics(
+def _training_keys(training_set: Sequence[MolecularGraph]) -> set[str]:
+    return {write_smiles_canonical(from_graph(g)) for g in training_set}
+
+
+def _metrics_report(
     generated: Sequence[Molecule],
-    training_set: Sequence[MolecularGraph],
-    model: FlowModel,
-    seed: int = 0,
-    noise_scale: float = 0.9,
+    train_keys: set[str],
+    reconstruction: tuple[int, int],
+    seed: int,
 ) -> MetricsReport:
-    """Validity, novelty, uniqueness, and reconstruction percentages.
-
-    Novelty and uniqueness are fractions of the *valid* generated molecules;
-    reconstruction is the fraction of training molecules with an exact
-    encode/decode round trip.
-    """
-    if not generated:
-        raise GnvpError("compute_metrics needs at least one generated molecule")
-    train_keys = {write_smiles_canonical(from_graph(g)) for g in training_set}
-
+    """Report for non-empty ``generated``, given the canonical keys of the
+    training set and its ``(hits, total)`` reconstruction count."""
     valid_keys: list[str] = []
     for molecule in generated:
         if check_validity(molecule).ok:
@@ -166,7 +161,7 @@ def compute_metrics(
     valid = len(valid_keys)
     novel = sum(1 for key in valid_keys if key not in train_keys)
     unique = len(set(valid_keys))
-    hits, n_train = reconstruction_rate(model, training_set, make_rng(seed), noise_scale)
+    hits, n_train = reconstruction
 
     def pct(num: int, den: int) -> float:
         return 100.0 * num / den if den else 0.0
@@ -182,6 +177,29 @@ def compute_metrics(
         unique_count=unique,
         reconstructed_count=hits,
         seed=seed,
+    )
+
+
+def compute_metrics(
+    generated: Sequence[Molecule],
+    training_set: Sequence[MolecularGraph],
+    model: FlowModel,
+    seed: int = 0,
+    noise_scale: float = 0.9,
+) -> MetricsReport:
+    """Validity, novelty, uniqueness, and reconstruction percentages.
+
+    Novelty and uniqueness are fractions of the *valid* generated molecules;
+    reconstruction is the fraction of training molecules with an exact
+    encode/decode round trip.
+    """
+    if not generated:
+        raise GnvpError("compute_metrics needs at least one generated molecule")
+    return _metrics_report(
+        generated,
+        _training_keys(training_set),
+        reconstruction_rate(model, training_set, make_rng(seed), noise_scale),
+        seed,
     )
 
 
@@ -211,24 +229,27 @@ def temperature_sweep(
         raise GnvpError("temperature_sweep needs at least one temperature")
     if any(t <= 0 for t in temps):
         raise GnvpError("temperatures must be > 0")
+    train_keys = _training_keys(training_set)
+    seeds = [config.seed + k for k in range(runs)]
+    # Reconstruction depends on the seed alone, not on the temperature.
+    reconstruction = {
+        seed: reconstruction_rate(model, training_set, make_rng(seed), config.noise_scale)
+        for seed in seeds
+    }
     rows = []
     for temp in sorted(temps):
         reports = []
-        for k in range(runs):
+        for seed in seeds:
             run_cfg = SampleConfig(
                 num_samples=config.num_samples,
                 temperature=temp,
-                seed=config.seed + k,
+                seed=seed,
                 noise_scale=config.noise_scale,
             )
             samples = generate(model, run_cfg)
             reports.append(
-                compute_metrics(
-                    [s.molecule for s in samples],
-                    training_set,
-                    model,
-                    seed=run_cfg.seed,
-                    noise_scale=config.noise_scale,
+                _metrics_report(
+                    [s.molecule for s in samples], train_keys, reconstruction[seed], seed
                 )
             )
         rows.append(

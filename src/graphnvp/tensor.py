@@ -21,7 +21,6 @@ __all__ = [
     "backward",
     "finite_difference_gradient",
     "make_rng",
-    "split_rng",
     "add",
     "sub",
     "mul",
@@ -42,13 +41,8 @@ __all__ = [
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded counter-based generator (Philox); splittable via :func:`split_rng`."""
+    """Seeded counter-based generator (Philox)."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``."""
-    return rng.spawn(n)
 
 
 class Tensor:

@@ -8,6 +8,7 @@ from graphnvp.graphs import (
     DequantizedGraph,
     GraphSpec,
     MolecularGraph,
+    argmax_adjacency,
     dequantize,
     dequantize_midpoint,
     discretize_argmax,
@@ -169,6 +170,46 @@ def test_discretize_random_always_valid():
         out.validate()  # invariant-checking oracle
         # idempotent on its own output
         assert discretize_argmax(spec, out.adjacency, out.features) == out
+
+
+def argmax_adjacency_oracle(spec, scores):
+    """Pair-by-pair reference: symmetrized argmax, lowest index on ties,
+    virtual channel on the diagonal."""
+    n = spec.num_nodes
+    out = np.zeros(spec.adjacency_shape())
+    for i in range(n):
+        for j in range(n):
+            sym = [(scores[i, j, c] + scores[j, i, c]) / 2.0 for c in range(spec.num_bond_types)]
+            channel = spec.virtual_bond if i == j else sym.index(max(sym))
+            out[i, j, channel] = 1.0
+    return out
+
+
+def test_argmax_adjacency_batched_equals_per_graph():
+    spec = qm9lite_spec()
+    rng = make_rng(8)
+    scores = rng.normal(size=(12,) + spec.adjacency_shape())
+    scores[0] = 0.0  # every channel tied on every pair
+    scores[6:] = np.round(scores[6:])  # many exact ties between channels
+    batched = argmax_adjacency(spec, scores)
+    assert batched.shape == scores.shape
+    per_graph = np.stack([argmax_adjacency(spec, s) for s in scores])
+    assert np.array_equal(batched, per_graph)
+    for s, out in zip(scores, batched):
+        assert np.array_equal(out, argmax_adjacency_oracle(spec, s))
+    assert np.array_equal(batched[0][..., 0] + np.eye(spec.num_nodes), np.ones((9, 9)))
+
+
+def test_argmax_adjacency_batched_checks_shape_and_finiteness():
+    spec = qm9lite_spec()
+    with pytest.raises(GraphError):
+        argmax_adjacency(spec, np.zeros((2, 9, 9, 3)))
+    with pytest.raises(GraphError):
+        argmax_adjacency(spec, np.zeros((9, 4)))
+    scores = np.zeros((3,) + spec.adjacency_shape())
+    scores[2, 1, 4, 0] = np.nan
+    with pytest.raises(GraphError):
+        argmax_adjacency(spec, scores)
 
 
 def test_permute_identity_and_inverse():

@@ -8,6 +8,7 @@ from graphnvp.flow import FlowModel, GaussianPrior
 from graphnvp.graphs import qm9lite_spec
 from graphnvp.sampling import (
     SampleConfig,
+    SweepRow,
     compute_metrics,
     generate,
     reconstruction_rate,
@@ -229,6 +230,53 @@ def test_sweep_rows_sorted_and_averaged(tmp_path, random_toy_model):
     lines = path.read_text().splitlines()
     assert lines[0] == "temp,validity,novelty,uniqueness,reconstruction,seed_count"
     assert len(lines) == 4
+
+
+def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_model):
+    """Reconstruction depends on the seed alone, so a sweep makes ``runs``
+    passes; its rows and CSV equal those built from per-pair compute_metrics."""
+    import graphnvp.sampling as sampling
+
+    rng = make_rng(16)
+    train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
+    temps, runs = [0.9, 0.3, 0.6], 4
+    config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
+    calls = []
+    original = sampling.reconstruction_rate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "reconstruction_rate", counted)
+    rows = temperature_sweep(random_toy_model, train_graphs, temps, config, runs=runs)
+    assert len(calls) == runs
+    monkeypatch.undo()
+
+    expected = []
+    for temp in sorted(temps):
+        reports = []
+        for k in range(runs):
+            run_cfg = SampleConfig(num_samples=20, temperature=temp, seed=3 + k)
+            samples = generate(random_toy_model, run_cfg)
+            reports.append(
+                compute_metrics([s.molecule for s in samples], train_graphs, random_toy_model, seed=3 + k)
+            )
+        expected.append(
+            SweepRow(
+                temp=temp,
+                validity=float(np.mean([r.validity for r in reports])),
+                novelty=float(np.mean([r.novelty for r in reports])),
+                uniqueness=float(np.mean([r.uniqueness for r in reports])),
+                reconstruction=float(np.mean([r.reconstruction for r in reports])),
+                seed_count=runs,
+            )
+        )
+    assert rows == expected
+    assert len({r.validity for r in rows}) > 1  # the rows are not all alike
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    write_sweep_csv(expected, tmp_path / "per_pair.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "per_pair.csv").read_bytes()
 
 
 def test_sweep_rejects_empty_or_bad_temps(random_toy_model):
