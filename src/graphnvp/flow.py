@@ -27,6 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ShapeError
+from .fileio import atomic_open
 from .graphs import DequantizedGraph, GraphSpec, argmax_adjacency
 from .nets import MlpNet, Module, RelationalGraphConvNet
 from .tensor import Tensor, make_rng
@@ -141,13 +142,13 @@ class AdjacencyCouplingLayer(Module):
         row = T.index_axis(z, 1, self.row)
         new_row = T.add(T.mul(row, T.exp(s)), t)
         log_det = T.sum_axis(s, axis=(1, 2))
-        return _replace_row(z, new_row, self.row), log_det
+        return T.replace_row(z, self.row, new_row), log_det
 
     def inverse(self, z: Tensor, training: bool = False) -> Tensor:
         s, t = self._scale_translation(z, training)
         row = T.index_axis(z, 1, self.row)
         original = T.mul(T.sub(row, t), T.exp(T.mul(s, Tensor(-1.0))))
-        return _replace_row(z, original, self.row)
+        return T.replace_row(z, self.row, original)
 
 
 class NodeFeatureCouplingLayer(Module):
@@ -182,25 +183,12 @@ class NodeFeatureCouplingLayer(Module):
     def forward(self, z: Tensor, adjacency: np.ndarray, training: bool) -> Tensor:
         t = self._translation(z, adjacency, training)
         new_row = T.add(T.index_axis(z, 1, self.row), t)
-        return _replace_row(z, new_row, self.row)
+        return T.replace_row(z, self.row, new_row)
 
     def inverse(self, z: Tensor, adjacency: np.ndarray, training: bool = False) -> Tensor:
         t = self._translation(z, adjacency, training)
         original = T.sub(T.index_axis(z, 1, self.row), t)
-        return _replace_row(z, original, self.row)
-
-
-def _replace_row(z: Tensor, new_row: Tensor, row: int) -> Tensor:
-    """Swap one axis-1 slice; every other entry passes through unchanged."""
-    n = z.shape[1]
-    expanded = T.reshape(new_row, (new_row.shape[0], 1) + new_row.shape[1:])
-    parts = []
-    if row > 0:
-        parts.append(T.slice_axis(z, 1, 0, row))
-    parts.append(expanded)
-    if row + 1 < n:
-        parts.append(T.slice_axis(z, 1, row + 1, n))
-    return T.concat(parts, axis=1)
+        return T.replace_row(z, self.row, original)
 
 
 class GaussianPrior(Module):
@@ -411,7 +399,8 @@ def save_checkpoint(model: FlowModel, path) -> None:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    with atomic_open(path, "wb") as fh:
+        fh.write(bytes(blob))
 
 
 class _Reader:

@@ -214,34 +214,42 @@ def argmax_adjacency(spec: GraphSpec, scores: np.ndarray) -> np.ndarray:
 
 def discretize_argmax(
     spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray
-) -> MolecularGraph:
+) -> "MolecularGraph | list[MolecularGraph]":
     """Project continuous scores onto a valid discrete graph.
 
     Atom types are the per-node argmax; bond channels come from
     :func:`argmax_adjacency`; any pair touching a node whose argmax type is
     virtual is forced to the virtual channel so the result always satisfies
-    the graph invariants.
+    the graph invariants.  Scores ``[..., N, N, R]`` and ``[..., N, M]`` with
+    leading (batch) axes give a list of graphs in row-major order of those
+    axes, each handled independently; without them, one graph.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != spec.feature_shape():
-        raise GraphError(f"feature scores shape {features.shape} != {spec.feature_shape()}")
+    if features.shape[features.ndim - 2 :] != spec.feature_shape():
+        raise GraphError(f"feature scores shape {features.shape} does not end in {spec.feature_shape()}")
+    lead = features.shape[:-2]
+    if np.shape(adjacency)[:-3] != lead:
+        raise GraphError(
+            f"adjacency scores shape {np.shape(adjacency)} and feature scores shape "
+            f"{features.shape} have different leading axes"
+        )
     if not np.isfinite(features).all():
         raise GraphError("feature scores must be finite")
-    n = spec.num_nodes
 
-    atom_idx = features.argmax(axis=1)
-    x = np.zeros(spec.feature_shape())
-    x[np.arange(n), atom_idx] = 1.0
+    atom_idx = features.argmax(axis=-1)
+    x = (atom_idx[..., None] == np.arange(spec.num_atom_types)).astype(np.float64)
 
     a = argmax_adjacency(spec, adjacency)
     virtual = atom_idx == spec.virtual_atom
-    if virtual.any():
-        wipe = np.zeros(spec.num_bond_types)
-        wipe[spec.virtual_bond] = 1.0
-        a[virtual, :, :] = wipe
-        a[:, virtual, :] = wipe
+    wipe = np.zeros(spec.num_bond_types)
+    wipe[spec.virtual_bond] = 1.0
+    a[virtual[..., :, None] | virtual[..., None, :]] = wipe
 
-    return MolecularGraph(spec, a, x).validate()
+    if not lead:
+        return MolecularGraph(spec, a, x).validate()
+    a = a.reshape((-1,) + spec.adjacency_shape())
+    x = x.reshape((-1,) + spec.feature_shape())
+    return [MolecularGraph(spec, a[b], x[b]).validate() for b in range(x.shape[0])]
 
 
 def permute_nodes(graph: MolecularGraph, perm) -> MolecularGraph:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
 from .errors import ChemError, GnvpError
+from .fileio import atomic_open
 from .flow import FlowModel, LatentPoint, model_forward
 from .graphs import MolecularGraph, dequantize, dequantize_midpoint, discretize_argmax
 
@@ -50,11 +51,7 @@ def decode(model: FlowModel, values: np.ndarray) -> tuple[MolecularGraph, Molecu
 
 def _decode_batch(model: FlowModel, latents: np.ndarray) -> list[tuple[MolecularGraph, Molecule]]:
     a_cont, x_cont = model.inverse_batch(latents)
-    out = []
-    for b in range(latents.shape[0]):
-        graph = discretize_argmax(model.spec, a_cont[b], x_cont[b])
-        out.append((graph, from_graph(graph)))
-    return out
+    return [(graph, from_graph(graph)) for graph in discretize_argmax(model.spec, a_cont, x_cont)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,7 @@ def grid_decode(model: FlowModel, grid: GridSpec, noise_scale: float = 0.9) -> l
 
 
 def write_grid_csv(rows: Sequence[Sequence[GridCell]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "smiles"])
         for row in rows:
@@ -297,7 +294,7 @@ def optimize_along(
 
 
 def write_optimization_csv(steps: Sequence[OptimizationStep], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "smiles", "predicted_property", "realized_property"])
         for item in steps:

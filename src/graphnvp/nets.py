@@ -100,7 +100,7 @@ class Linear(Module):
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self._params["weight"]), self._params["bias"])
+        return T.linear(x, self._params["weight"], self._params["bias"])
 
 
 class BatchNorm(Module):
@@ -121,21 +121,15 @@ class BatchNorm(Module):
         self.register_buffer("running_var", np.ones(num_features))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        axes = tuple(range(x.ndim - 1))
+        running = (self._buffers["running_mean"], self._buffers["running_var"])
+        out, mean, var = T.batch_norm(
+            x, self._params["gamma"], self._params["beta"], self.eps, None if training else running
+        )
         if training:
-            mean = T.mean_axis(x, axes)
-            centered = T.sub(x, mean)
-            var = T.mean_axis(T.mul(centered, centered), axes)
             m = self.momentum
-            self._buffers["running_mean"] = (1 - m) * self._buffers["running_mean"] + m * mean.data
-            self._buffers["running_var"] = (1 - m) * self._buffers["running_var"] + m * var.data
-        else:
-            mean = Tensor(self._buffers["running_mean"])
-            centered = T.sub(x, mean)
-            var = Tensor(self._buffers["running_var"])
-        inv_std = T.power(T.add(var, Tensor(self.eps)), -0.5)
-        normed = T.mul(centered, inv_std)
-        return T.add(T.mul(normed, self._params["gamma"]), self._params["beta"])
+            self._buffers["running_mean"] = (1 - m) * running[0] + m * mean
+            self._buffers["running_var"] = (1 - m) * running[1] + m * var
+        return out
 
 
 class MlpNet(Module):

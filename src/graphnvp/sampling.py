@@ -16,6 +16,7 @@ import numpy as np
 
 from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
 from .errors import GnvpError, GraphError
+from .fileio import atomic_open
 from .flow import FlowModel, GaussianPrior
 from .graphs import MolecularGraph, discretize_argmax
 from .tensor import make_rng
@@ -37,16 +38,10 @@ class SampleConfig:
             raise GnvpError("temperature must be > 0")
 
 
-def sample_latent(prior: GaussianPrior, temperature: float, rng: np.random.Generator) -> np.ndarray:
-    """One latent draw with standard deviation ``temperature * sigma``."""
-    if temperature <= 0:
-        raise GnvpError("temperature must be > 0")
-    return rng.standard_normal(prior.dimension) * (temperature * prior.sigma)
-
-
 def sample_latent_batch(
     prior: GaussianPrior, temperature: float, rng: np.random.Generator, count: int
 ) -> np.ndarray:
+    """``count`` latent draws [count, D] with standard deviation ``temperature * sigma``."""
     if temperature <= 0:
         raise GnvpError("temperature must be > 0")
     return rng.standard_normal((count, prior.dimension)) * (temperature * prior.sigma)
@@ -66,8 +61,7 @@ def generate(model: FlowModel, config: SampleConfig) -> list[GeneratedSample]:
     latents = sample_latent_batch(model.prior, config.temperature, rng, config.num_samples)
     a_cont, x_cont = model.inverse_batch(latents)
     samples = []
-    for b in range(config.num_samples):
-        graph = discretize_argmax(model.spec, a_cont[b], x_cont[b])
+    for graph in discretize_argmax(model.spec, a_cont, x_cont):
         molecule = from_graph(graph)
         report = check_validity(molecule)
         samples.append(
@@ -90,7 +84,7 @@ def write_generated_smiles(samples: Sequence[GeneratedSample], path) -> None:
             lines.append(write_smiles_canonical(sample.molecule))
         else:
             lines.append("# invalid")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -266,7 +260,7 @@ def temperature_sweep(
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:

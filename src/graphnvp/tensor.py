@@ -5,6 +5,14 @@ Values are immutable; every operation returns a fresh ``Tensor`` and raises
 Elementwise operations broadcast only over leading (batch) axes: the shorter
 operand must match the trailing axes of the longer one exactly.  Gradients are
 recorded on an explicitly entered :class:`GradientTape`; one tape per thread.
+
+Besides the generic primitives there are three fused ones, each one tape
+record with a hand-written vjp: :func:`linear` (2-D GEMM plus bias),
+:func:`batch_norm` (batch or frozen statistics) and :func:`replace_row`
+(swap one axis-1 slice).  Each record keeps a needs-gradient mask, one flag
+per input saying whether it depends on a watched tensor; the vjp receives it
+and returns ``None`` for the inputs that do not, instead of computing a
+gradient nobody reads.
 """
 from __future__ import annotations
 
@@ -37,6 +45,9 @@ __all__ = [
     "index_axis",
     "masked_assign",
     "reshape",
+    "linear",
+    "batch_norm",
+    "replace_row",
 ]
 
 
@@ -121,12 +132,16 @@ def _wrap(arr: np.ndarray, op: str) -> Tensor:
 
 
 class _Record:
-    __slots__ = ("inputs", "output", "vjp")
+    """One recorded op.  ``vjp(g, needs)`` returns one gradient per input, or
+    ``None`` where ``needs`` (the needs-gradient mask) is False."""
 
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, vjp):
+    __slots__ = ("inputs", "output", "vjp", "needs")
+
+    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, vjp, needs: tuple[bool, ...]):
         self.inputs = inputs
         self.output = output
         self.vjp = vjp
+        self.needs = needs
 
 
 _ACTIVE = threading.local()
@@ -169,9 +184,11 @@ class GradientTape:
         return tensor
 
     def _maybe_record(self, inputs: tuple[Tensor, ...], output: Tensor, vjp) -> None:
-        if any(id(t) in self._tracked for t in inputs):
-            self.records.append(_Record(inputs, output, vjp))
-            self._tracked.add(id(output))
+        tracked = self._tracked
+        needs = tuple(id(t) in tracked for t in inputs)
+        if True in needs:
+            self.records.append(_Record(inputs, output, vjp, needs))
+            tracked.add(id(output))
 
     def gradients(self, loss: Tensor) -> dict[str, Tensor]:
         return backward(self, loss)
@@ -186,7 +203,7 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, Tensor]:
         g_out = grads.pop(id(rec.output), None)
         if g_out is None:
             continue
-        for t, g in zip(rec.inputs, rec.vjp(g_out)):
+        for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
             if g is None:
                 continue
             acc = grads.get(id(t))
@@ -237,31 +254,40 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "add")
     out = _wrap(a.data + b.data, "add")
-    return _record(
-        (a, b),
-        out,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+
+    def vjp(g: np.ndarray, needs):
+        return (
+            _unbroadcast(g, a.shape) if needs[0] else None,
+            _unbroadcast(g, b.shape) if needs[1] else None,
+        )
+
+    return _record((a, b), out, vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "sub")
     out = _wrap(a.data - b.data, "sub")
-    return _record(
-        (a, b),
-        out,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+
+    def vjp(g: np.ndarray, needs):
+        return (
+            _unbroadcast(g, a.shape) if needs[0] else None,
+            _unbroadcast(-g, b.shape) if needs[1] else None,
+        )
+
+    return _record((a, b), out, vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "mul")
     out = _wrap(a.data * b.data, "mul")
-    return _record(
-        (a, b),
-        out,
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+
+    def vjp(g: np.ndarray, needs):
+        return (
+            _unbroadcast(g * b.data, a.shape) if needs[0] else None,
+            _unbroadcast(g * a.data, b.shape) if needs[1] else None,
+        )
+
+    return _record((a, b), out, vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -279,34 +305,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: leading axes differ for {a.shape} @ {b.shape}")
     out = _wrap(np.matmul(a.data, b.data), "matmul")
 
-    def vjp(g: np.ndarray):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+    def vjp(g: np.ndarray, needs):
+        ga = gb = None
+        if needs[0]:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if needs[1]:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _record((a, b), out, vjp)
+
+
+# A unary op is recorded only when its one input is tracked, so its vjp
+# ignores the needs-gradient mask.
 
 
 def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out = _wrap(np.exp(x.data), "exp")
-    return _record((x,), out, lambda g: (g * out.data,))
+    return _record((x,), out, lambda g, needs: (g * out.data,))
 
 
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _wrap(np.log(x.data), "log")
-    return _record((x,), out, lambda g: (g / x.data,))
+    return _record((x,), out, lambda g, needs: (g / x.data,))
 
 
 def tanh(x: Tensor) -> Tensor:
     out = _wrap(np.tanh(x.data), "tanh")
-    return _record((x,), out, lambda g: (g * (1.0 - out.data * out.data),))
+
+    def vjp(g: np.ndarray, needs):
+        # In place: numpy checks every large temporary operand for reuse,
+        # and that check costs more than the arithmetic here.
+        slope = out.data * out.data
+        np.subtract(1.0, slope, out=slope)
+        slope *= g
+        return (slope,)
+
+    return _record((x,), out, vjp)
 
 
 def relu(x: Tensor) -> Tensor:
     out = _wrap(np.maximum(x.data, 0.0), "relu")
-    return _record((x,), out, lambda g: (g * (x.data > 0.0),))
+    return _record((x,), out, lambda g, needs: (g * (x.data > 0.0),))
 
 
 def power(x: Tensor, exponent: float) -> Tensor:
@@ -317,7 +359,7 @@ def power(x: Tensor, exponent: float) -> Tensor:
     return _record(
         (x,),
         out,
-        lambda g: (g * exponent * np.power(x.data, exponent - 1.0),),
+        lambda g, needs: (g * exponent * np.power(x.data, exponent - 1.0),),
     )
 
 
@@ -337,7 +379,7 @@ def sum_axis(x: Tensor, axis=None) -> Tensor:
     axes = _norm_axes(axis, x.ndim, "sum")
     out = _wrap(x.data.sum(axis=axes), "sum")
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray, needs):
         return (np.broadcast_to(np.expand_dims(g, axes), x.shape).copy(),)
 
     return _record((x,), out, vjp)
@@ -349,7 +391,7 @@ def mean_axis(x: Tensor, axis=None) -> Tensor:
     count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
     out = _wrap(x.data.mean(axis=axes), "mean")
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray, needs):
         return (np.broadcast_to(np.expand_dims(g, axes), x.shape).copy() / count,)
 
     return _record((x,), out, vjp)
@@ -371,8 +413,9 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
-    def vjp(g: np.ndarray):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+    def vjp(g: np.ndarray, needs):
+        pieces = np.split(g, splits, axis=axis)
+        return tuple(np.ascontiguousarray(p) if need else None for p, need in zip(pieces, needs))
 
     return _record(tuple(parts), out, vjp)
 
@@ -385,7 +428,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.ndim))
     out = _wrap(x.data[idx], "slice")
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray, needs):
         full = np.zeros(x.shape)
         full[idx] = g
         return (full,)
@@ -400,7 +443,7 @@ def index_axis(x: Tensor, axis: int, index: int) -> Tensor:
         raise ShapeError(f"index: {index} out of range for shape {x.shape} axis {axis}")
     out = _wrap(np.take(x.data, index, axis=axis), "index")
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray, needs):
         full = np.zeros(x.shape)
         idx = tuple(slice(None) if i != axis else index for i in range(x.ndim))
         full[idx] = g
@@ -426,10 +469,10 @@ def masked_assign(x: Tensor, mask: np.ndarray, y: Tensor) -> Tensor:
         )
     out = _wrap(np.where(keep, x.data, y.data), "masked_assign")
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray, needs):
         return (
-            _unbroadcast(np.where(keep, g, 0.0), x.shape),
-            _unbroadcast(np.where(keep, 0.0, g), y.shape),
+            _unbroadcast(np.where(keep, g, 0.0), x.shape) if needs[0] else None,
+            _unbroadcast(np.where(keep, 0.0, g), y.shape) if needs[1] else None,
         )
 
     return _record((x, y), out, vjp)
@@ -440,7 +483,109 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view shape {x.shape} as {shape}")
     out = _wrap(x.data.reshape(shape), "reshape")
-    return _record((x,), out, lambda g: (g.reshape(x.shape),))
+    return _record((x,), out, lambda g, needs: (g.reshape(x.shape),))
+
+
+# ---------------------------------------------------------------------------
+# fused primitives
+# ---------------------------------------------------------------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for ``x`` [rows, n_in], ``w`` [n_in, n_out], ``b`` [n_out]."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    out = _wrap(y, "linear")
+
+    def vjp(g: np.ndarray, needs):
+        return (
+            np.matmul(g, w.data.T) if needs[0] else None,
+            np.matmul(x.data.T, g) if needs[1] else None,
+            g.sum(axis=0) if needs[2] else None,
+        )
+
+    return _record((x, w, b), out, vjp)
+
+
+def batch_norm(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    eps: float,
+    stats: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Normalize over every axis but the last (features), then scale and shift.
+
+    With ``stats`` None the batch mean and biased variance are used and
+    differentiated through (Ioffe & Szegedy 2015); otherwise ``stats`` is a
+    constant ``(mean, var)`` pair, which makes this a fixed affine map of
+    ``x``.  Returns the output and the mean and variance that were applied.
+    """
+    if x.ndim < 2 or gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
+        raise ShapeError(f"batch_norm: shapes {x.shape}, {gamma.shape}, {beta.shape} do not fit")
+    flat = x.data.reshape(-1, x.shape[-1])  # one row per position, one column per feature
+    if stats is None:
+        mean = flat.mean(axis=0)
+        centered = flat - mean
+        var = (centered * centered).mean(axis=0)
+    else:
+        mean, var = (np.asarray(s, dtype=np.float64) for s in stats)
+        if mean.shape != gamma.shape or var.shape != gamma.shape:
+            raise ShapeError(f"batch_norm: statistics {mean.shape}, {var.shape} != {gamma.shape}")
+        centered = flat - mean
+    if not np.isfinite(var).all():
+        raise NumericError("batch_norm produced a non-finite variance")
+    inv_std = np.power(var + eps, -0.5)
+    normed = centered
+    normed *= inv_std
+    y = normed * gamma.data
+    y += beta.data
+    out = _wrap(y.reshape(x.shape), "batch_norm")
+
+    def vjp(g: np.ndarray, needs):
+        g = g.reshape(normed.shape)
+        batch_stats = stats is None and needs[0]
+        g_beta = g.sum(axis=0) if needs[2] or batch_stats else None
+        g_gamma = (g * normed).sum(axis=0) if needs[1] or batch_stats else None
+        gx = None
+        if needs[0]:
+            scale = gamma.data * inv_std
+            if batch_stats:
+                # The batch statistics move with x: remove the mean of g and
+                # its projection on the normalized input.
+                rows = normed.shape[0]
+                gx = g - g_beta / rows
+                gx -= normed * (g_gamma / rows)
+                gx *= scale
+            else:
+                gx = g * scale
+            gx = gx.reshape(x.shape)
+        return gx, (g_gamma if needs[1] else None), (g_beta if needs[2] else None)
+
+    return _record((x, gamma, beta), out, vjp), mean, var
+
+
+def replace_row(x: Tensor, row: int, value: Tensor) -> Tensor:
+    """Return ``x`` with ``x[:, row]`` replaced by ``value``; every other entry
+    passes through unchanged.  ``value`` has the shape of ``x`` without axis 1."""
+    if x.ndim < 2 or not 0 <= row < x.shape[1]:
+        raise ShapeError(f"replace_row: row {row} out of range for shape {x.shape}")
+    if value.shape != x.shape[:1] + x.shape[2:]:
+        raise ShapeError(f"replace_row: value shape {value.shape} does not fit row of {x.shape}")
+    data = x.data.copy()
+    data[:, row] = value.data
+    out = _wrap(data, "replace_row")
+
+    def vjp(g: np.ndarray, needs):
+        gx = None
+        if needs[0]:
+            gx = g.copy()
+            gx[:, row] = 0.0
+        return gx, (np.ascontiguousarray(g[:, row]) if needs[1] else None)
+
+    return _record((x, value), out, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,51 @@ def test_argmax_adjacency_batched_checks_shape_and_finiteness():
         argmax_adjacency(spec, scores)
 
 
+def discretize_oracle(spec, adjacency, features):
+    """One graph at a time: per-node atom argmax, argmax bonds, then every
+    row and column of a virtual node set to the virtual channel."""
+    atom_idx = features.argmax(axis=1)
+    x = np.zeros(spec.feature_shape())
+    x[np.arange(spec.num_nodes), atom_idx] = 1.0
+    a = argmax_adjacency(spec, adjacency)
+    for i in np.flatnonzero(atom_idx == spec.virtual_atom):
+        a[i, :, :] = 0.0
+        a[:, i, :] = 0.0
+        a[i, :, spec.virtual_bond] = 1.0
+        a[:, i, spec.virtual_bond] = 1.0
+    return MolecularGraph(spec, a, x)
+
+
+def test_discretize_batched_equals_per_sample():
+    spec = qm9lite_spec()
+    rng = make_rng(12)
+    adjacency = np.round(rng.normal(size=(3, 4) + spec.adjacency_shape()))  # exact channel ties
+    features = np.round(rng.normal(size=(3, 4) + spec.feature_shape()))  # exact atom ties
+    adjacency[0, 0] = 0.0  # every channel tied on every pair
+    features[0, 0] = 0.0  # every atom type tied on every node
+    features[1, :, :4, spec.virtual_atom] = 5.0  # several virtual atoms per graph
+    features[2, 3] = 0.0
+    features[2, 3, :, spec.virtual_atom] = 1.0  # an all-virtual graph
+    batched = discretize_argmax(spec, adjacency, features)
+    flat_a = adjacency.reshape((12,) + spec.adjacency_shape())
+    flat_x = features.reshape((12,) + spec.feature_shape())
+    per_sample = [discretize_argmax(spec, a, x) for a, x in zip(flat_a, flat_x)]
+    assert batched == per_sample
+    assert per_sample == [discretize_oracle(spec, a, x) for a, x in zip(flat_a, flat_x)]
+    assert discretize_argmax(spec, flat_a, flat_x) == per_sample
+    virtual_counts = [int(g.features[:, spec.virtual_atom].sum()) for g in batched]
+    assert min(virtual_counts[4:8]) >= 4 and virtual_counts[11] == spec.num_nodes
+    assert np.array_equal(batched[0].features.argmax(axis=1), np.zeros(9))
+
+
+def test_discretize_batched_checks_leading_axes():
+    spec = qm9lite_spec()
+    with pytest.raises(GraphError):
+        discretize_argmax(spec, np.zeros((3,) + spec.adjacency_shape()), np.zeros((2,) + spec.feature_shape()))
+    with pytest.raises(GraphError):
+        discretize_argmax(spec, np.zeros(spec.adjacency_shape()), np.zeros((9, 4)))
+
+
 def test_permute_identity_and_inverse():
     spec = qm9lite_spec()
     rng = make_rng(7)

@@ -12,7 +12,6 @@ from graphnvp.sampling import (
     compute_metrics,
     generate,
     reconstruction_rate,
-    sample_latent,
     sample_latent_batch,
     temperature_sweep,
     write_generated_smiles,
@@ -61,20 +60,24 @@ def test_sampler_scales_exactly_with_temperature():
     # same seed, two temperatures: draws are exact scalings of each other,
     # so the T -> 0 limit is exactly z = 0
     prior = GaussianPrior(64)
-    a = sample_latent(prior, 1.0, make_rng(7))
-    b = sample_latent(prior, 0.25, make_rng(7))
+    a = sample_latent_batch(prior, 1.0, make_rng(7), count=1)
+    b = sample_latent_batch(prior, 0.25, make_rng(7), count=1)
+    assert a.shape == (1, 64)
     assert np.array_equal(b, 0.25 * a)
 
 
 def test_sampler_deterministic_per_seed():
     prior = GaussianPrior(16)
-    assert np.array_equal(sample_latent(prior, 0.85, make_rng(3)), sample_latent(prior, 0.85, make_rng(3)))
+    assert np.array_equal(
+        sample_latent_batch(prior, 0.85, make_rng(3), count=1),
+        sample_latent_batch(prior, 0.85, make_rng(3), count=1),
+    )
 
 
 def test_sampler_rejects_bad_temperature():
     prior = GaussianPrior(4)
     with pytest.raises(GnvpError):
-        sample_latent(prior, 0.0, make_rng(0))
+        sample_latent_batch(prior, 0.0, make_rng(0), count=1)
     with pytest.raises(GnvpError):
         SampleConfig(num_samples=10, temperature=-1.0)
 
@@ -102,6 +105,25 @@ def test_generate_deterministic_and_structurally_valid(random_toy_model):
     again = generate(random_toy_model, config)
     assert [s.molecule.atoms for s in samples] == [s.molecule.atoms for s in again]
     assert [sorted(s.molecule.bonds) for s in samples] == [sorted(s.molecule.bonds) for s in again]
+
+
+def test_generate_discretizes_the_batch_once(monkeypatch, random_toy_model):
+    import graphnvp.flow
+    import graphnvp.graphs
+
+    calls = []
+    original = graphnvp.graphs.argmax_adjacency
+
+    def counting(spec, scores):
+        calls.append(np.shape(scores))
+        return original(spec, scores)
+
+    monkeypatch.setattr(graphnvp.graphs, "argmax_adjacency", counting)
+    monkeypatch.setattr(graphnvp.flow, "argmax_adjacency", counting)
+    samples = generate(random_toy_model, SampleConfig(num_samples=40, temperature=0.9, seed=8))
+    assert len(samples) == 40
+    # one for the node stack's conditioning, one for the output graphs
+    assert [shape[0] for shape in calls] == [40, 40]
 
 
 def test_generate_writes_annotated_smiles(tmp_path, random_toy_model):

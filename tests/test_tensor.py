@@ -4,15 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphnvp.errors import NumericError, ShapeError
+from graphnvp.nets import BatchNorm, Linear
 from graphnvp.tensor import (
     GradientTape,
     Tensor,
     add,
     backward,
+    batch_norm,
     concat,
     exp,
     finite_difference_gradient,
     index_axis,
+    linear,
     log,
     make_rng,
     masked_assign,
@@ -21,6 +24,7 @@ from graphnvp.tensor import (
     mul,
     power,
     relu,
+    replace_row,
     reshape,
     slice_axis,
     sub,
@@ -263,6 +267,155 @@ def test_backward_matches_finite_differences_concat_masked():
     analytic = tape.gradients(loss)["p"].data
     numeric = finite_difference_gradient(f, a, 1e-5).data
     assert np.abs(analytic - numeric).max() / np.abs(numeric).max() < 1e-4
+
+
+def _assert_gradients_match(f, params):
+    """Tape gradient of ``f`` against central differences, one input at a time."""
+    for k, p in enumerate(params):
+
+        def f_k(t):
+            return f(*params[:k], t, *params[k + 1 :])
+
+        with GradientTape() as tape:
+            tape.watch("p", p)
+            loss = f_k(p)
+        analytic = tape.gradients(loss)["p"].data
+        numeric = finite_difference_gradient(f_k, p, 1e-5).data
+        scale = max(np.abs(numeric).max(), 1e-8)
+        assert np.abs(analytic - numeric).max() / scale < 1e-4, k
+
+
+def test_backward_matches_finite_differences_linear():
+    rng = make_rng(31)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
+    other = Tensor(rng.normal(size=(5, 4)))
+    _assert_gradients_match(lambda x, w, b: sum_axis(mul(tanh(linear(x, w, b)), other)), [x, w, b])
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (2, 4, 3)], ids=["2d", "3d"])
+def test_backward_matches_finite_differences_batch_norm_training(shape):
+    rng = make_rng(32)
+    x = Tensor(rng.normal(size=shape))
+    gamma = Tensor(1.0 + 0.3 * rng.normal(size=3))
+    beta = Tensor(rng.normal(size=3))
+    other = Tensor(rng.normal(size=shape))
+
+    def f(x, gamma, beta):
+        return sum_axis(mul(tanh(batch_norm(x, gamma, beta, 1e-5)[0]), other))
+
+    _assert_gradients_match(f, [x, gamma, beta])
+
+
+def test_backward_matches_finite_differences_batch_norm_eval():
+    rng = make_rng(33)
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    gamma = Tensor(1.0 + 0.3 * rng.normal(size=3))
+    beta = Tensor(rng.normal(size=3))
+    stats = (rng.normal(scale=0.2, size=3), 1.0 + rng.random(3))
+    other = Tensor(rng.normal(size=x.shape))
+
+    def f(x, gamma, beta):
+        return sum_axis(mul(tanh(batch_norm(x, gamma, beta, 1e-5, stats)[0]), other))
+
+    _assert_gradients_match(f, [x, gamma, beta])
+
+
+def test_batch_norm_matches_reference_and_returns_statistics():
+    rng = make_rng(34)
+    x = rng.normal(size=(2, 5, 3))
+    gamma, beta = rng.normal(size=3), rng.normal(size=3)
+    out, mean, var = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)
+    assert np.array_equal(mean, x.mean(axis=(0, 1)))
+    assert np.array_equal(var, x.var(axis=(0, 1)))
+    expected = (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
+    assert np.abs(out.data - expected).max() < 1e-12
+    stats = (np.full(3, 0.5), np.full(3, 4.0))
+    out, mean, var = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), 0.0, stats)
+    assert np.array_equal(mean, stats[0]) and np.array_equal(var, stats[1])
+    assert np.abs(out.data - ((x - 0.5) / 2.0 * gamma + beta)).max() < 1e-12
+    with pytest.raises(ShapeError):
+        batch_norm(Tensor(x), Tensor(gamma[:2]), Tensor(beta), 1e-5)
+
+
+def test_backward_matches_finite_differences_replace_row():
+    rng = make_rng(35)
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    value = Tensor(rng.normal(size=(2, 3)))
+    other = Tensor(rng.normal(size=x.shape))
+    for row in (0, 2, 3):
+        _assert_gradients_match(
+            lambda x, v: sum_axis(mul(tanh(replace_row(mul(x, x), row, v)), other)), [x, value]
+        )
+
+
+def test_replace_row_values_and_shape_checks():
+    x = Tensor(np.arange(24, dtype=float).reshape(2, 4, 3))
+    value = Tensor(-np.ones((2, 3)))
+    out = replace_row(x, 1, value)
+    expected = x.data.copy()
+    expected[:, 1] = -1.0
+    assert np.array_equal(out.data, expected)
+    with pytest.raises(ShapeError):
+        replace_row(x, 4, value)
+    with pytest.raises(ShapeError):
+        replace_row(x, 0, Tensor(np.ones((2, 4))))
+
+
+def test_constant_operand_gradient_is_never_computed(monkeypatch):
+    rng = make_rng(36)
+    const = Tensor(rng.normal(size=(3, 4, 5)))
+    watched = Tensor(rng.normal(size=(3, 5, 2)))
+    calls = []
+    original = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    with GradientTape() as tape:
+        tape.watch("w", watched)
+        loss = sum_axis(matmul(const, watched))
+    assert tape.records[0].needs == (False, True)
+    grads = tape.gradients(loss)
+    monkeypatch.undo()
+    # one product forward, one for the watched operand's gradient
+    assert calls == [(3, 4, 5), (3, 5, 4)]
+    expected = np.swapaxes(const.data, -1, -2) @ np.ones((3, 4, 2))
+    assert np.array_equal(grads["w"].data, expected)
+
+
+def test_vjp_gets_the_needs_gradient_mask():
+    rng = make_rng(37)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(3, 2)))
+    b = Tensor(rng.normal(size=2))
+    asked = []
+    with GradientTape() as tape:
+        tape.watch("w", w)
+        loss = sum_axis(linear(x, w, b))
+        for rec in tape.records:
+            vjp = rec.vjp
+            rec.vjp = lambda g, needs, vjp=vjp: asked.append(needs) or vjp(g, needs)
+    tape.gradients(loss)
+    assert asked == [(True,), (False, True, False)]
+
+
+def test_linear_and_training_batch_norm_record_once():
+    rng = make_rng(38)
+    layer = Linear(3, 4, rng)
+    norm = BatchNorm(4)
+    x = Tensor(rng.normal(size=(5, 3)))
+    with GradientTape() as tape:
+        for name, p in layer.named_parameters():
+            tape.watch("lin." + name, p)
+        h = layer(x)
+        assert len(tape.records) == 1
+        for name, p in norm.named_parameters():
+            tape.watch("bn." + name, p)
+        norm(h, training=True)
+        assert len(tape.records) == 2
+    assert np.array_equal(dict(norm.named_buffers())["running_mean"], 0.1 * h.data.mean(axis=0))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
