@@ -27,8 +27,7 @@ from .errors import (
     SmilesParseError,
     TrainingError,
 )
-from .fileio import atomic_open
-from .flow import FlowModel, load_checkpoint
+from .flow import FlowModel, _atomic_open, load_checkpoint
 from .graphs import GraphSpec, qm9lite_spec, zinclite_spec
 from .latent import (
     GridSpec,
@@ -232,7 +231,7 @@ def _cmd_eval(args) -> int:
     samples = generate(model, config)
     report = compute_metrics([s.molecule for s in samples], dataset, model, seed=seed)
     out = _out_dir(args)
-    with atomic_open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["temp", "validity", "novelty", "uniqueness", "reconstruction", "samples", "seed"]
@@ -263,7 +262,7 @@ def _cmd_encode(args) -> int:
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     latents = encode_dataset(model, dataset)
     out = _out_dir(args)
-    with atomic_open(out / "latents.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "latents.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index"] + [f"z{k}" for k in range(latents.shape[1])])
         for idx in range(latents.shape[0]):

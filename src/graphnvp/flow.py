@@ -18,8 +18,11 @@ the node-feature stack.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import threading
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +30,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ShapeError
-from .fileio import atomic_open
 from .graphs import DequantizedGraph, GraphSpec, argmax_adjacency
 from .nets import MlpNet, Module, RelationalGraphConvNet
 from .tensor import Tensor, make_rng
@@ -369,6 +371,35 @@ def _spec_from_dict(data: dict) -> GraphSpec:
     )
 
 
+@contextmanager
+def _atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary sibling of ``path``, named for this process and
+    thread, for writing.
+
+    When the block exits cleanly the file is synced, moved over ``path`` with
+    ``os.replace`` and the directory entry is synced, so after a crash
+    ``path`` holds either the old or the new content.  When the block
+    raises, the temporary file is removed and ``path`` is left as it was.
+    Every checkpoint, CSV and SMILES writer in the package goes through it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def save_checkpoint(model: FlowModel, path) -> None:
     """Write the model to a versioned, CRC-protected binary file."""
     meta = {
@@ -399,7 +430,7 @@ def save_checkpoint(model: FlowModel, path) -> None:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    with atomic_open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(bytes(blob))
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
 from .errors import ChemError, GnvpError
-from .fileio import atomic_open
-from .flow import FlowModel, LatentPoint, model_forward
+from .flow import FlowModel, LatentPoint, _atomic_open, model_forward
 from .graphs import MolecularGraph, dequantize, dequantize_midpoint, discretize_argmax
 
 # Fixed per-atom hydrophobicity-style contributions; documented constants.
@@ -44,9 +43,7 @@ def encode(
 
 def decode(model: FlowModel, values: np.ndarray) -> tuple[MolecularGraph, Molecule]:
     """Invert one latent vector and project it onto a discrete molecule."""
-    a_cont, x_cont = model.inverse_batch(np.asarray(values, dtype=np.float64)[None, :])
-    graph = discretize_argmax(model.spec, a_cont[0], x_cont[0])
-    return graph, from_graph(graph)
+    return _decode_batch(model, np.asarray(values, dtype=np.float64)[None, :])[0]
 
 
 def _decode_batch(model: FlowModel, latents: np.ndarray) -> list[tuple[MolecularGraph, Molecule]]:
@@ -127,7 +124,7 @@ def grid_decode(model: FlowModel, grid: GridSpec, noise_scale: float = 0.9) -> l
 
 
 def write_grid_csv(rows: Sequence[Sequence[GridCell]], path) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "smiles"])
         for row in rows:
@@ -294,7 +291,7 @@ def optimize_along(
 
 
 def write_optimization_csv(steps: Sequence[OptimizationStep], path) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "smiles", "predicted_property", "realized_property"])
         for item in steps:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
 from .errors import GnvpError, GraphError
-from .fileio import atomic_open
-from .flow import FlowModel, GaussianPrior
+from .flow import FlowModel, GaussianPrior, _atomic_open
 from .graphs import MolecularGraph, discretize_argmax
 from .tensor import make_rng
 
@@ -84,7 +83,7 @@ def write_generated_smiles(samples: Sequence[GeneratedSample], path) -> None:
             lines.append(write_smiles_canonical(sample.molecule))
         else:
             lines.append("# invalid")
-    with atomic_open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -260,7 +259,7 @@ def temperature_sweep(
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:

@@ -334,16 +334,7 @@ def log(x: Tensor) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     out = _wrap(np.tanh(x.data), "tanh")
-
-    def vjp(g: np.ndarray, needs):
-        # In place: numpy checks every large temporary operand for reuse,
-        # and that check costs more than the arithmetic here.
-        slope = out.data * out.data
-        np.subtract(1.0, slope, out=slope)
-        slope *= g
-        return (slope,)
-
-    return _record((x,), out, vjp)
+    return _record((x,), out, lambda g, needs: (g * (1.0 - out.data * out.data),))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import NumericError, TrainingError
-from .fileio import atomic_open
-from .flow import FlowModel, save_checkpoint
+from .flow import FlowModel, _atomic_open, save_checkpoint
 from .graphs import MolecularGraph
 from .tensor import GradientTape, Tensor, make_rng
 
@@ -220,7 +219,7 @@ def split_dataset(
 def write_metrics_csv(records: Sequence[EpochRecord], path, include_timing: bool = False) -> None:
     """Epoch log as CSV; timing values are blank unless requested so that
     fixed-seed runs produce byte-identical files."""
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER_NOTE + "\n")
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)

@@ -1,8 +1,11 @@
 """Every writer replaces its target atomically: a write that fails partway
 leaves the previous file byte-for-byte and no temporary file behind."""
+import os
+import stat
+
 import pytest
 
-import graphnvp.fileio
+import graphnvp.flow
 from conftest import TOY_CONFIG, TOY_SPEC
 from graphnvp.chem import parse_smiles_lite
 from graphnvp.flow import FlowModel, save_checkpoint
@@ -53,7 +56,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, write):
     def failing_fsync(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(graphnvp.fileio.os, "fsync", failing_fsync)
+    monkeypatch.setattr(graphnvp.flow.os, "fsync", failing_fsync)
     with pytest.raises(OSError, match="disk full"):
         write(path, 1)
     assert path.read_bytes() == before
@@ -76,3 +79,16 @@ def test_writer_error_midway_keeps_previous_file(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
+
+
+def test_write_syncs_file_then_directory(tmp_path, monkeypatch):
+    synced = []
+    original = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        original(fd)
+
+    monkeypatch.setattr(graphnvp.flow.os, "fsync", recording_fsync)
+    _checkpoint(tmp_path / "model.gnvp", 0)
+    assert synced == [False, True]
