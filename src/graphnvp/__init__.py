@@ -20,22 +20,16 @@ from .flow import (
     AdjacencyCouplingLayer,
     FlowModel,
     GaussianPrior,
-    LatentPoint,
     ModelConfig,
     NodeFeatureCouplingLayer,
     default_model_config,
     load_checkpoint,
-    model_forward,
-    model_inverse,
-    prior_logprob,
     save_checkpoint,
 )
 from .graphs import (
-    DequantizedGraph,
     GraphSpec,
     MolecularGraph,
     dequantize,
-    dequantize_midpoint,
     discretize_argmax,
     permute_nodes,
     qm9lite_spec,
@@ -46,7 +40,8 @@ from .latent import (
     GridSpec,
     PropertyRegressor,
     compute_property,
-    encode,
+    decode,
+    encode_dataset,
     fit_regressor,
     grid_decode,
     optimize_along,
@@ -65,13 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyCouplingLayer",
-    "DequantizedGraph",
     "FlowModel",
     "GaussianPrior",
     "GradientTape",
     "GraphSpec",
     "GridSpec",
-    "LatentPoint",
     "MetricsReport",
     "ModelConfig",
     "MolecularGraph",
@@ -89,11 +82,11 @@ __all__ = [
     "check_validity",
     "compute_metrics",
     "compute_property",
+    "decode",
     "default_model_config",
     "dequantize",
-    "dequantize_midpoint",
     "discretize_argmax",
-    "encode",
+    "encode_dataset",
     "finite_difference_gradient",
     "fit_regressor",
     "from_graph",
@@ -102,13 +95,10 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "make_rng",
-    "model_forward",
-    "model_inverse",
     "nll_loss",
     "optimize_along",
     "parse_smiles_lite",
     "permute_nodes",
-    "prior_logprob",
     "qm9lite_spec",
     "requantize",
     "save_checkpoint",

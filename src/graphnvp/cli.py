@@ -78,7 +78,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="random seed (default: $GNVP_SEED or 0)")
         p.add_argument("--spec", choices=sorted(_SPECS), default="qm9lite", help="graph family (default: qm9lite)")
         p.add_argument("--config", default=None, help="key=value config file; flags override it")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (reserved; execution is single-threaded)")
         if dataset:
             p.add_argument("--dataset", default=None, help="SMILES file (default: the bundled corpus for --spec)")
         if checkpoint:
@@ -341,8 +340,6 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"gnvp:error:usage: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ShapeError
-from .graphs import DequantizedGraph, GraphSpec, argmax_adjacency
+from .graphs import GraphSpec, argmax_adjacency
 from .nets import MlpNet, Module, RelationalGraphConvNet
 from .tensor import Tensor, make_rng
 
@@ -85,23 +85,6 @@ def default_model_config(spec: GraphSpec) -> ModelConfig:
         return ModelConfig(adjacency_layers=27, node_layers=36)
     n = spec.num_nodes
     return ModelConfig(adjacency_layers=n, node_layers=n)
-
-
-@dataclass(frozen=True)
-class LatentPoint:
-    """Flattened latent vector (adjacency part first) plus its log-det."""
-
-    values: np.ndarray
-    log_det: float
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dimension(self) -> int:
-        return self.values.size
 
 
 class AdjacencyCouplingLayer(Module):
@@ -238,8 +221,6 @@ class FlowModel(Module):
             self.register_child(f"node_{k}", layer)
         self.prior = self.register_child("prior", GaussianPrior(spec.latent_dim))
 
-    # -- batched core ------------------------------------------------------
-
     def forward_batch(
         self, adjacency: np.ndarray, features: np.ndarray, training: bool = False
     ) -> tuple[Tensor, Tensor]:
@@ -289,68 +270,6 @@ class FlowModel(Module):
 
 
 # ---------------------------------------------------------------------------
-# single-graph operation surface
-# ---------------------------------------------------------------------------
-
-
-def model_forward(model: FlowModel, dq: DequantizedGraph, training: bool = False) -> tuple[LatentPoint, float]:
-    """Encode one dequantized graph; returns the latent point and its log-det."""
-    z, log_det = model.forward_batch(
-        dq.adjacency[None, ...], dq.features[None, ...], training=training
-    )
-    ld = float(log_det.data[0])
-    return LatentPoint(values=z.data[0], log_det=ld), ld
-
-
-def model_inverse(model: FlowModel, z) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one latent vector to continuous (adjacency, features) scores."""
-    values = z.values if isinstance(z, LatentPoint) else np.asarray(z, dtype=np.float64)
-    if values.shape != (model.spec.latent_dim,):
-        raise ShapeError(f"latent shape {values.shape} != ({model.spec.latent_dim},)")
-    a_cont, x_cont = model.inverse_batch(values[None, :])
-    return a_cont[0], x_cont[0]
-
-
-def adj_coupling_forward(
-    layer: AdjacencyCouplingLayer, z_in: np.ndarray, training: bool = False
-) -> tuple[np.ndarray, float]:
-    """Single-graph adjacency coupling; returns (output, log-det)."""
-    out, log_det = layer.forward(Tensor(z_in[None, ...]), training)
-    return out.data[0], float(log_det.data[0])
-
-
-def adj_coupling_inverse(
-    layer: AdjacencyCouplingLayer, z_out: np.ndarray, training: bool = False
-) -> np.ndarray:
-    return layer.inverse(Tensor(z_out[None, ...]), training).data[0]
-
-
-def node_coupling_forward(
-    layer: NodeFeatureCouplingLayer,
-    z_in: np.ndarray,
-    adjacency: np.ndarray,
-    training: bool = False,
-) -> tuple[np.ndarray, float]:
-    """Single-graph node-feature coupling; additive, so the log-det is 0."""
-    out = layer.forward(Tensor(z_in[None, ...]), adjacency[None, ...], training)
-    return out.data[0], 0.0
-
-
-def node_coupling_inverse(
-    layer: NodeFeatureCouplingLayer,
-    z_out: np.ndarray,
-    adjacency: np.ndarray,
-    training: bool = False,
-) -> np.ndarray:
-    return layer.inverse(Tensor(z_out[None, ...]), adjacency[None, ...], training).data[0]
-
-
-def prior_logprob(prior: GaussianPrior, z) -> float:
-    values = z.values if isinstance(z, LatentPoint) else np.asarray(z, dtype=np.float64)
-    return float(prior.log_prob(Tensor(values[None, :])).data[0])
-
-
-# ---------------------------------------------------------------------------
 # checkpoint serialization
 # ---------------------------------------------------------------------------
 
@@ -380,7 +299,8 @@ def _atomic_open(path, mode: str = "w", **kwargs):
     ``os.replace`` and the directory entry is synced, so after a crash
     ``path`` holds either the old or the new content.  When the block
     raises, the temporary file is removed and ``path`` is left as it was.
-    Every checkpoint, CSV and SMILES writer in the package goes through it.
+    Every checkpoint, train-state, CSV and SMILES writer in the package goes
+    through it.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")

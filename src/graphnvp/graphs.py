@@ -1,21 +1,20 @@
-"""Discrete and dequantized molecular graph representations.
+"""Discrete molecular graphs and their dequantization.
 
 A graph is an (adjacency tensor, feature matrix) pair padded to a fixed node
 count.  The adjacency tensor has one channel per bond kind including an
 explicit "virtual" (no-bond) channel, so each node pair is one-hot across
 channels; the feature matrix is one-hot across atom kinds including a virtual
-padding atom.  Adding sub-unit uniform noise turns a discrete graph into a
-continuous one and the elementwise floor recovers it exactly.
+padding atom.  Adding sub-unit uniform noise turns a batch of discrete graphs
+into continuous arrays and the elementwise floor recovers them exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import GraphError
-
-DEFAULT_NOISE_SCALE = 0.9
 
 QM9LITE_ATOMS = ("C", "N", "O", "F", "*")
 ZINCLITE_ATOMS = ("C", "N", "O", "F", "S", "Cl", "*")
@@ -134,58 +133,30 @@ class MolecularGraph:
         return hash((self.spec, self.adjacency.tobytes(), self.features.tobytes()))
 
 
-@dataclass(frozen=True)
-class DequantizedGraph:
-    """Continuous graph obtained by adding uniform noise scaled by ``c < 1``."""
-
-    spec: GraphSpec
-    adjacency: np.ndarray
-    features: np.ndarray
-    noise_scale: float = field(default=DEFAULT_NOISE_SCALE)
-
-    def __post_init__(self):
-        adj = np.ascontiguousarray(self.adjacency, dtype=np.float64)
-        feat = np.ascontiguousarray(self.features, dtype=np.float64)
-        adj.flags.writeable = False
-        feat.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "features", feat)
-
-
 def dequantize(
-    graph: MolecularGraph, c: float = DEFAULT_NOISE_SCALE, rng: np.random.Generator = None
-) -> DequantizedGraph:
-    """Add i.i.d. noise ``c * u`` with ``u ~ U[0, 1)`` to every entry.
+    graphs: Sequence[MolecularGraph], c: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack ``graphs`` into (adjacency [B, N, N, R], features [B, N, M]) and
+    add i.i.d. noise ``c * u`` with ``u ~ U[0, 1)`` to every entry.
 
-    Because ``c < 1``, the floor of the result recovers the discrete graph.
+    The adjacency block's noise is drawn first, then the feature block's.
+    Because ``c < 1``, the floor of the result recovers the discrete graphs.
     """
     if not 0.0 < c < 1.0:
         raise GraphError(f"noise scale must lie in (0, 1), got {c}")
-    if rng is None:
-        raise TypeError("dequantize requires an explicit seeded generator")
-    adj = graph.adjacency + c * rng.random(graph.adjacency.shape)
-    feat = graph.features + c * rng.random(graph.features.shape)
-    return DequantizedGraph(graph.spec, adj, feat, noise_scale=c)
+    adjacency = np.stack([g.adjacency for g in graphs])
+    features = np.stack([g.features for g in graphs])
+    adjacency = adjacency + c * rng.random(adjacency.shape)
+    features = features + c * rng.random(features.shape)
+    return adjacency, features
 
 
-def dequantize_midpoint(graph: MolecularGraph, c: float = DEFAULT_NOISE_SCALE) -> DequantizedGraph:
-    """Deterministic variant: offset every entry by c/2, the noise-cell midpoint."""
-    if not 0.0 < c < 1.0:
-        raise GraphError(f"noise scale must lie in (0, 1), got {c}")
-    return DequantizedGraph(
-        graph.spec,
-        graph.adjacency + c / 2.0,
-        graph.features + c / 2.0,
-        noise_scale=c,
-    )
-
-
-def requantize(dq: DequantizedGraph) -> MolecularGraph:
-    """Recover the discrete graph by elementwise floor; validate the result."""
-    for name, arr in (("adjacency", dq.adjacency), ("features", dq.features)):
+def requantize(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> MolecularGraph:
+    """Recover one discrete graph by elementwise floor; validate the result."""
+    for name, arr in (("adjacency", adjacency), ("features", features)):
         if (arr < 0.0).any() or (arr >= 2.0).any():
             raise GraphError(f"requantize: {name} entries must lie in [0, 2)")
-    graph = MolecularGraph(dq.spec, np.floor(dq.adjacency), np.floor(dq.features))
+    graph = MolecularGraph(spec, np.floor(adjacency), np.floor(features))
     try:
         return graph.validate()
     except GraphError as exc:

@@ -1,8 +1,8 @@
 """Latent encoding, grid decoding, proxy properties, and direction search.
 
-Encoding is deterministic by default: instead of random dequantization noise
-every entry gets the midpoint offset c/2, so a molecule always maps to the
-same latent point.  Grid and line searches decode every latent point exactly
+Encoding is deterministic: instead of random dequantization noise every
+entry gets the midpoint offset c/2, so a molecule always maps to the same
+latent point.  Grid and line searches decode every latent point exactly
 once.
 """
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
 from .errors import ChemError, GnvpError
-from .flow import FlowModel, LatentPoint, _atomic_open, model_forward
-from .graphs import MolecularGraph, dequantize, dequantize_midpoint, discretize_argmax
+from .flow import FlowModel, _atomic_open
+from .graphs import MolecularGraph, discretize_argmax
 
 # Fixed per-atom hydrophobicity-style contributions; documented constants.
 LOGP_CONTRIBUTIONS = {"C": 0.34, "N": -0.60, "O": -0.71, "F": 0.22, "S": 0.26, "Cl": 0.61}
@@ -25,28 +25,8 @@ LOGP_CONTRIBUTIONS = {"C": 0.34, "N": -0.60, "O": -0.71, "F": 0.22, "S": 0.26, "
 PROPERTY_NAMES = ("heavy_atom_count", "ring_count", "hetero_fraction", "logp_proxy")
 
 
-def encode(
-    model: FlowModel,
-    graph: MolecularGraph,
-    rng: np.random.Generator | None = None,
-    noise_scale: float = 0.9,
-) -> LatentPoint:
-    """Dequantize (random noise if ``rng`` given, midpoint otherwise) and map
-    the graph through the flow."""
-    if rng is None:
-        dq = dequantize_midpoint(graph, noise_scale)
-    else:
-        dq = dequantize(graph, noise_scale, rng)
-    point, _ = model_forward(model, dq)
-    return point
-
-
-def decode(model: FlowModel, values: np.ndarray) -> tuple[MolecularGraph, Molecule]:
-    """Invert one latent vector and project it onto a discrete molecule."""
-    return _decode_batch(model, np.asarray(values, dtype=np.float64)[None, :])[0]
-
-
-def _decode_batch(model: FlowModel, latents: np.ndarray) -> list[tuple[MolecularGraph, Molecule]]:
+def decode(model: FlowModel, latents: np.ndarray) -> list[tuple[MolecularGraph, Molecule]]:
+    """Invert latent vectors [batch, D] and project each onto a discrete molecule."""
     a_cont, x_cont = model.inverse_batch(latents)
     return [(graph, from_graph(graph)) for graph in discretize_argmax(model.spec, a_cont, x_cont)]
 
@@ -104,13 +84,13 @@ def grid_decode(model: FlowModel, grid: GridSpec, noise_scale: float = 0.9) -> l
     Each point is decoded exactly once; the (0, 0) cell reproduces the center
     molecule exactly because the flow is bijective.
     """
-    center_z = encode(model, grid.center, noise_scale=noise_scale).values
+    center_z = encode_dataset(model, [grid.center], noise_scale)[0]
     offsets = range(-grid.extent, grid.extent + 1)
     points = np.stack(
         [center_z + i * grid.step * grid.axis_u + j * grid.step * grid.axis_v
          for i in offsets for j in offsets]
     )
-    decoded = _decode_batch(model, points)
+    decoded = decode(model, points)
     rows: list[list[GridCell]] = []
     k = 0
     for i in offsets:
@@ -271,9 +251,9 @@ def optimize_along(
     if num_steps < 0:
         raise GnvpError("num_steps must be >= 0")
     direction = regressor.weights / np.linalg.norm(regressor.weights)
-    z0 = encode(model, seed_graph, noise_scale=noise_scale).values
+    z0 = encode_dataset(model, [seed_graph], noise_scale)[0]
     points = np.stack([z0 + k * step_size * direction for k in range(num_steps + 1)])
-    decoded = _decode_batch(model, points)
+    decoded = decode(model, points)
     out = []
     for k, (_, molecule) in enumerate(decoded):
         valid = check_validity(molecule).ok

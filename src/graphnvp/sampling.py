@@ -17,7 +17,7 @@ import numpy as np
 from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
 from .errors import GnvpError, GraphError
 from .flow import FlowModel, GaussianPrior, _atomic_open
-from .graphs import MolecularGraph, discretize_argmax
+from .graphs import MolecularGraph, dequantize, discretize_argmax, requantize
 from .tensor import make_rng
 
 SWEEP_COLUMNS = ("temp", "validity", "novelty", "uniqueness", "reconstruction", "seed_count")
@@ -115,18 +115,13 @@ def reconstruction_rate(
     """
     if not training_set:
         return 0, 0
-    adjacency = np.stack([g.adjacency for g in training_set])
-    features = np.stack([g.features for g in training_set])
-    adjacency = adjacency + noise_scale * rng.random(adjacency.shape)
-    features = features + noise_scale * rng.random(features.shape)
+    adjacency, features = dequantize(training_set, noise_scale, rng)
     z, _ = model.forward_batch(adjacency, features, training=False)
     a_cont, x_cont = model.inverse_batch(np.asarray(z.data))
     hits = 0
-    for idx, graph in enumerate(training_set):
+    for graph, a, x in zip(training_set, a_cont, x_cont):
         try:
-            recovered = MolecularGraph(
-                graph.spec, np.floor(a_cont[idx]), np.floor(x_cont[idx])
-            ).validate()
+            recovered = requantize(graph.spec, a, x)
         except GraphError:
             continue
         if recovered == graph:

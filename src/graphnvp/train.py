@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .errors import NumericError, TrainingError
 from .flow import FlowModel, _atomic_open, save_checkpoint
-from .graphs import MolecularGraph
+from .graphs import MolecularGraph, dequantize
 from .tensor import GradientTape, Tensor, make_rng
 
 METRICS_COLUMNS = ("epoch", "mean_nll", "sigma", "wall_seconds")
@@ -76,12 +76,6 @@ class EpochRecord:
     wall_seconds: float
 
 
-def stack_batch(graphs: Sequence[MolecularGraph]) -> tuple[np.ndarray, np.ndarray]:
-    adjacency = np.stack([g.adjacency for g in graphs])
-    features = np.stack([g.features for g in graphs])
-    return adjacency, features
-
-
 def nll_loss(
     model: FlowModel,
     batch: Sequence[MolecularGraph],
@@ -92,9 +86,7 @@ def nll_loss(
     """Mean negative log likelihood of a batch under fresh dequantization noise."""
     if not batch:
         raise TrainingError("nll_loss needs a non-empty batch")
-    adjacency, features = stack_batch(batch)
-    adjacency = adjacency + noise_scale * rng.random(adjacency.shape)
-    features = features + noise_scale * rng.random(features.shape)
+    adjacency, features = dequantize(batch, noise_scale, rng)
     z, log_det = model.forward_batch(adjacency, features, training=training)
     log_prob = model.prior.log_prob(z)
     per_graph = T.mul(T.add(log_prob, log_det), Tensor(-1.0))
@@ -250,7 +242,8 @@ def save_train_state(path, state: TrainState, model: FlowModel) -> None:
         "rng_state": _encode_rng_state(state.rng_state),
     }
     arrays["meta/json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy()
-    np.savez(path, **arrays)
+    with _atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_train_state(path, model: FlowModel) -> TrainState:

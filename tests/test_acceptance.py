@@ -81,8 +81,8 @@ def test_criterion_03_logdet_oracle():
         model = randomize_model(FlowModel(spec, TOY_CONFIG, seed=draw), seed=100 + draw)
         rng = make_rng(200 + draw)
         g = random_graph(spec, rng)
-        dq = dequantize(g, 0.9, rng)
-        conditioning = np.floor(dq.adjacency)[None]
+        adjacency, features = dequantize([g], 0.9, rng)
+        conditioning = np.floor(adjacency)
 
         def apply(flat):
             a = flat[: n * n * r].reshape(1, n, n, r)
@@ -95,7 +95,7 @@ def test_criterion_03_logdet_oracle():
                 za, _ = layer.forward(za, False)
             return np.concatenate([za.data.reshape(-1), zx.data.reshape(-1)])
 
-        base = np.concatenate([dq.adjacency.ravel(), dq.features.ravel()])
+        base = np.concatenate([adjacency.ravel(), features.ravel()])
         step = 1e-6
         jac = np.zeros((dim, dim))
         for i in range(dim):
@@ -103,7 +103,7 @@ def test_criterion_03_logdet_oracle():
             e[i] = step
             jac[:, i] = (apply(base + e) - apply(base - e)) / (2 * step)
         sign, log_abs_det = np.linalg.slogdet(jac)
-        _, analytic = model.forward_batch(dq.adjacency[None], dq.features[None], training=False)
+        _, analytic = model.forward_batch(adjacency, features, training=False)
         assert sign == 1.0
         worst = max(worst, abs(log_abs_det - float(analytic.data[0])))
     elapsed = time.perf_counter() - started
@@ -155,16 +155,14 @@ def test_criterion_05_zero_init_identity(qm9_corpus):
     started = time.perf_counter()
     model = FlowModel(qm9lite_spec(), seed=9)
     rng = make_rng(10)
-    dq = dequantize(qm9_corpus[17], 0.9, rng)
-    from graphnvp.flow import model_forward, model_inverse
-
-    point, log_det = model_forward(model, dq)
-    expected = np.concatenate([dq.adjacency.ravel(), dq.features.ravel()])
-    assert np.array_equal(point.values, expected)
-    assert log_det == 0.0
-    a_back, x_back = model_inverse(model, point)
-    assert np.array_equal(a_back, dq.adjacency)
-    assert np.array_equal(x_back, dq.features)
+    adjacency, features = dequantize([qm9_corpus[17]], 0.9, rng)
+    z, log_det = model.forward_batch(adjacency, features)
+    expected = np.concatenate([adjacency.ravel(), features.ravel()])
+    assert np.array_equal(z.data[0], expected)
+    assert log_det.data[0] == 0.0
+    a_back, x_back = model.inverse_batch(z.data)
+    assert np.array_equal(a_back, adjacency)
+    assert np.array_equal(x_back, features)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(5, "zero-init identity", "exact identity, log-det 0", elapsed, 5)

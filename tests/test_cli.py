@@ -22,7 +22,7 @@ def test_help_lists_flags(capsys):
         run(["train", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--dataset", "--out", "--seed", "--epochs", "--batch-size", "--spec", "--config", "--threads"):
+    for flag in ("--dataset", "--out", "--seed", "--epochs", "--batch-size", "--spec", "--config"):
         assert flag in text
     assert "default" in text
 
@@ -35,11 +35,6 @@ def test_unknown_flag_usage_error(capsys):
 
 def test_missing_subcommand_usage_error(capsys):
     assert run([]) == 1
-
-
-def test_bad_threads_usage_error(tmp_path, capsys):
-    code = run(["train", "--out", str(tmp_path), "--epochs", "0", "--threads", "0"])
-    assert code == 1
 
 
 def test_missing_checkpoint_is_data_error(tmp_path, capsys):

@@ -12,7 +12,7 @@ from graphnvp.flow import FlowModel, save_checkpoint
 from graphnvp.latent import GridCell, OptimizationStep, write_grid_csv, write_optimization_csv
 from graphnvp.sampling import SampleConfig, SweepRow, generate, write_generated_smiles, write_sweep_csv
 from graphnvp.tensor import Tensor
-from graphnvp.train import EpochRecord, write_metrics_csv
+from graphnvp.train import EpochRecord, TrainState, save_train_state, write_metrics_csv
 
 
 def _checkpoint(path, version):
@@ -44,7 +44,12 @@ def _optimization(path, version):
     write_optimization_csv([OptimizationStep(0, molecule, True, 1.5 + version, None)], path)
 
 
-WRITERS = [_checkpoint, _metrics, _smiles, _sweep, _grid, _optimization]
+def _train_state(path, version):
+    model = FlowModel(TOY_SPEC, TOY_CONFIG, seed=version)
+    save_train_state(path, TrainState.fresh(model), model)
+
+
+WRITERS = [_checkpoint, _metrics, _smiles, _sweep, _grid, _optimization, _train_state]
 
 
 @pytest.mark.parametrize("write", WRITERS, ids=[w.__name__[1:] for w in WRITERS])

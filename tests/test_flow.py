@@ -7,16 +7,8 @@ from graphnvp.flow import (
     AdjacencyCouplingLayer,
     FlowModel,
     GaussianPrior,
-    LatentPoint,
     NodeFeatureCouplingLayer,
-    adj_coupling_forward,
-    adj_coupling_inverse,
     load_checkpoint,
-    model_forward,
-    model_inverse,
-    node_coupling_forward,
-    node_coupling_inverse,
-    prior_logprob,
     save_checkpoint,
 )
 from graphnvp.graphs import dequantize, permute_nodes, qm9lite_spec
@@ -38,9 +30,11 @@ def stub_scale_translation(layer, scale_value, translation_value):
 
 
 def toy_dequantized(seed=3):
+    """One random toy graph and its dequantized (adjacency, features), each
+    with a batch axis of one."""
     rng = make_rng(seed)
     g = random_graph(TOY_SPEC, rng)
-    return g, dequantize(g, 0.9, rng)
+    return g, dequantize([g], 0.9, rng)
 
 
 def fixed_conditioning_forward(model, adjacency, features, conditioning):
@@ -64,32 +58,32 @@ def fixed_conditioning_forward(model, adjacency, features, conditioning):
 
 def test_adj_coupling_zero_init_identity():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, make_rng(0))
-    _, dq = toy_dequantized()
-    out, log_det = adj_coupling_forward(layer, dq.adjacency)
-    assert np.array_equal(out, dq.adjacency)
-    assert log_det == 0.0
-    assert np.array_equal(adj_coupling_inverse(layer, dq.adjacency), dq.adjacency)
+    _, (adjacency, _) = toy_dequantized()
+    out, log_det = layer.forward(Tensor(adjacency), False)
+    assert np.array_equal(out.data, adjacency)
+    assert log_det.data[0] == 0.0
+    assert np.array_equal(layer.inverse(Tensor(adjacency)).data, adjacency)
 
 
 def test_adj_coupling_stubbed_scale_doubles_row():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, make_rng(0))
     stub_scale_translation(layer, np.log(2.0), 0.0)
-    _, dq = toy_dequantized()
-    out, log_det = adj_coupling_forward(layer, dq.adjacency)
+    _, (adjacency, _) = toy_dequantized()
+    out, log_det = layer.forward(Tensor(adjacency), False)
     n, r = TOY_SPEC.num_nodes, TOY_SPEC.num_bond_types
-    assert np.allclose(out[1], 2.0 * dq.adjacency[1])
-    assert np.array_equal(out[0], dq.adjacency[0])
-    assert np.array_equal(out[2], dq.adjacency[2])
-    assert log_det == pytest.approx(n * r * np.log(2.0), abs=1e-12)
+    assert np.allclose(out.data[0, 1], 2.0 * adjacency[0, 1])
+    assert np.array_equal(out.data[0, 0], adjacency[0, 0])
+    assert np.array_equal(out.data[0, 2], adjacency[0, 2])
+    assert log_det.data[0] == pytest.approx(n * r * np.log(2.0), abs=1e-12)
 
 
 def test_adj_coupling_stubbed_inverse_halves_shifted():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 2, TOY_CONFIG, make_rng(0))
     stub_scale_translation(layer, np.log(2.0), 1.0)
-    _, dq = toy_dequantized()
-    restored = adj_coupling_inverse(layer, dq.adjacency)
-    assert np.allclose(restored[2], (dq.adjacency[2] - 1.0) / 2.0)
-    assert np.array_equal(restored[0], dq.adjacency[0])
+    _, (adjacency, _) = toy_dequantized()
+    restored = layer.inverse(Tensor(adjacency)).data
+    assert np.allclose(restored[0, 2], (adjacency[0, 2] - 1.0) / 2.0)
+    assert np.array_equal(restored[0, 0], adjacency[0, 0])
 
 
 def test_adj_coupling_round_trip_random():
@@ -98,8 +92,8 @@ def test_adj_coupling_round_trip_random():
     randomize_model(layer, seed=5)
     for _ in range(100):
         z = rng.normal(size=TOY_SPEC.adjacency_shape())
-        out, _ = adj_coupling_forward(layer, z)
-        back = adj_coupling_inverse(layer, out)
+        out, _ = layer.forward(Tensor(z[None]), False)
+        back = layer.inverse(out).data[0]
         assert np.abs(back - z).max() < 1e-6
 
 
@@ -108,7 +102,7 @@ def test_adj_coupling_changes_only_target_row():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, rng)
     randomize_model(layer, seed=6)
     z = rng.normal(size=TOY_SPEC.adjacency_shape())
-    out, _ = adj_coupling_forward(layer, z)
+    out = layer.forward(Tensor(z[None]), False)[0].data[0]
     assert np.array_equal(out[0], z[0])
     assert np.array_equal(out[2], z[2])
     assert not np.array_equal(out[1], z[1])
@@ -125,8 +119,8 @@ def test_adj_coupling_logdet_matches_brute_force_jacobian():
     step = 1e-6
 
     def apply(flat):
-        out, _ = adj_coupling_forward(layer, flat.reshape(n, n, r))
-        return out.reshape(-1)
+        out, _ = layer.forward(Tensor(flat.reshape(1, n, n, r)), False)
+        return out.data.reshape(-1)
 
     jac = np.zeros((dim, dim))
     flat0 = z0.reshape(-1)
@@ -135,9 +129,9 @@ def test_adj_coupling_logdet_matches_brute_force_jacobian():
         e[i] = step
         jac[:, i] = (apply(flat0 + e) - apply(flat0 - e)) / (2 * step)
     sign, log_abs_det = np.linalg.slogdet(jac)
-    _, log_det = adj_coupling_forward(layer, z0)
+    _, log_det = layer.forward(Tensor(z0[None]), False)
     assert sign == 1.0
-    assert abs(log_abs_det - log_det) < 1e-6
+    assert abs(log_abs_det - log_det.data[0]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +141,9 @@ def test_adj_coupling_logdet_matches_brute_force_jacobian():
 
 def test_node_coupling_zero_init_identity():
     layer = NodeFeatureCouplingLayer(TOY_SPEC, 0, TOY_CONFIG, make_rng(0))
-    g, dq = toy_dequantized()
-    out, log_det = node_coupling_forward(layer, dq.features, g.adjacency)
-    assert np.array_equal(out, dq.features)
-    assert log_det == 0.0
+    g, (_, features) = toy_dequantized()
+    out = layer.forward(Tensor(features), g.adjacency[None], False)
+    assert np.array_equal(out.data, features)
 
 
 def test_node_coupling_stubbed_constant_shift():
@@ -161,12 +154,12 @@ def test_node_coupling_stubbed_constant_shift():
         return Tensor(np.tile(shift, (z.shape[0], 1)))
 
     layer._translation = stubbed
-    g, dq = toy_dequantized()
-    out, _ = node_coupling_forward(layer, dq.features, g.adjacency)
-    assert np.allclose(out[1], dq.features[1] + shift)
-    assert np.array_equal(out[0], dq.features[0])
-    back = node_coupling_inverse(layer, out, g.adjacency)
-    assert np.allclose(back, dq.features)
+    g, (_, features) = toy_dequantized()
+    out = layer.forward(Tensor(features), g.adjacency[None], False)
+    assert np.allclose(out.data[0, 1], features[0, 1] + shift)
+    assert np.array_equal(out.data[0, 0], features[0, 0])
+    back = layer.inverse(out, g.adjacency[None])
+    assert np.allclose(back.data, features)
 
 
 def test_node_coupling_round_trip_random():
@@ -176,8 +169,8 @@ def test_node_coupling_round_trip_random():
     g, _ = toy_dequantized()
     for _ in range(100):
         z = rng.normal(size=TOY_SPEC.feature_shape())
-        out, _ = node_coupling_forward(layer, z, g.adjacency)
-        back = node_coupling_inverse(layer, out, g.adjacency)
+        out = layer.forward(Tensor(z[None]), g.adjacency[None], False)
+        back = layer.inverse(out, g.adjacency[None]).data[0]
         assert np.abs(back - z).max() < 1e-6
 
 
@@ -192,8 +185,8 @@ def test_node_coupling_jacobian_is_volume_preserving():
     step = 1e-6
 
     def apply(flat):
-        out, _ = node_coupling_forward(layer, flat.reshape(n, m), g.adjacency)
-        return out.reshape(-1)
+        out = layer.forward(Tensor(flat.reshape(1, n, m)), g.adjacency[None], False)
+        return out.data.reshape(-1)
 
     jac = np.zeros((dim, dim))
     flat0 = z0.reshape(-1)
@@ -213,10 +206,10 @@ def test_node_coupling_output_independent_of_masked_row():
     randomize_model(layer, seed=10)
     g, _ = toy_dequantized()
     z = rng.normal(size=TOY_SPEC.feature_shape())
-    out1, _ = node_coupling_forward(layer, z, g.adjacency)
+    out1 = layer.forward(Tensor(z[None]), g.adjacency[None], False).data[0]
     z2 = z.copy()
     z2[1] += 3.21  # only the updated row changes
-    out2, _ = node_coupling_forward(layer, z2, g.adjacency)
+    out2 = layer.forward(Tensor(z2[None]), g.adjacency[None], False).data[0]
     assert np.allclose(out2[1] - out1[1], z2[1] - z[1])
 
 
@@ -226,35 +219,35 @@ def test_node_coupling_output_independent_of_masked_row():
 
 
 def test_model_zero_init_is_identity(toy_model):
-    _, dq = toy_dequantized()
-    point, log_det = model_forward(toy_model, dq)
-    expected = np.concatenate([dq.adjacency.ravel(), dq.features.ravel()])
-    assert np.array_equal(point.values, expected)
-    assert log_det == 0.0
+    _, (adjacency, features) = toy_dequantized()
+    z, log_det = toy_model.forward_batch(adjacency, features)
+    expected = np.concatenate([adjacency.ravel(), features.ravel()])
+    assert np.array_equal(z.data[0], expected)
+    assert log_det.data[0] == 0.0
 
-    a_cont, x_cont = model_inverse(toy_model, point)
-    assert np.array_equal(a_cont, dq.adjacency)
-    assert np.array_equal(x_cont, dq.features)
+    a_cont, x_cont = toy_model.inverse_batch(z.data)
+    assert np.array_equal(a_cont, adjacency)
+    assert np.array_equal(x_cont, features)
 
 
 def test_model_round_trip_random_graphs(random_toy_model):
     rng = make_rng(7)
     for _ in range(100):
         g = random_graph(TOY_SPEC, rng)
-        dq = dequantize(g, 0.9, rng)
-        point, _ = model_forward(random_toy_model, dq)
-        a_cont, x_cont = model_inverse(random_toy_model, point)
-        err = max(np.abs(a_cont - dq.adjacency).max(), np.abs(x_cont - dq.features).max())
+        adjacency, features = dequantize([g], 0.9, rng)
+        z, _ = random_toy_model.forward_batch(adjacency, features)
+        a_cont, x_cont = random_toy_model.inverse_batch(z.data)
+        err = max(np.abs(a_cont - adjacency).max(), np.abs(x_cont - features).max())
         assert err < 1e-5
 
 
 def test_model_logdet_matches_full_jacobian(random_toy_model):
     model = random_toy_model
-    _, dq = toy_dequantized(seed=12)
-    conditioning = np.floor(dq.adjacency)[None]
+    _, (adjacency, features) = toy_dequantized(seed=12)
+    conditioning = np.floor(adjacency)
     dim = TOY_SPEC.latent_dim
     n, m, r = 3, 2, 2
-    base = np.concatenate([dq.adjacency.ravel(), dq.features.ravel()])
+    base = np.concatenate([adjacency.ravel(), features.ravel()])
     step = 1e-6
 
     def apply(flat):
@@ -269,9 +262,7 @@ def test_model_logdet_matches_full_jacobian(random_toy_model):
         e[i] = step
         jac[:, i] = (apply(base + e) - apply(base - e)) / (2 * step)
     sign, log_abs_det = np.linalg.slogdet(jac)
-    _, _, analytic = fixed_conditioning_forward(
-        model, dq.adjacency[None], dq.features[None], conditioning
-    )
+    _, _, analytic = fixed_conditioning_forward(model, adjacency, features, conditioning)
     assert sign == 1.0
     assert abs(log_abs_det - float(analytic[0])) < 1e-5
 
@@ -280,10 +271,9 @@ def test_model_reconstructs_training_graph(random_toy_model):
     rng = make_rng(8)
     for _ in range(20):
         g = random_graph(TOY_SPEC, rng)
-        dq = dequantize(g, 0.9, rng)
-        point, _ = model_forward(random_toy_model, dq)
-        a_cont, x_cont = model_inverse(random_toy_model, point)
-        recovered = np.floor(a_cont), np.floor(x_cont)
+        z, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, rng))
+        a_cont, x_cont = random_toy_model.inverse_batch(z.data)
+        recovered = np.floor(a_cont[0]), np.floor(x_cont[0])
         assert np.array_equal(recovered[0], g.adjacency)
         assert np.array_equal(recovered[1], g.features)
 
@@ -324,15 +314,15 @@ def test_model_not_permutation_invariant(random_toy_model):
     found_difference = False
     for _ in range(20):
         g = random_graph(spec, rng)
-        dq = dequantize(g, 0.9, rng)
+        dq = dequantize([g], 0.9, rng)
         perm = rng.permutation(spec.num_nodes)
         permuted = permute_nodes(g, perm)
-        dq_perm = dequantize(permuted, 0.9, rng)
-        point_a, _ = model_forward(random_toy_model, dq)
-        point_b, _ = model_forward(random_toy_model, dq_perm)
+        dq_perm = dequantize([permuted], 0.9, rng)
+        z_a, _ = random_toy_model.forward_batch(*dq)
+        z_b, _ = random_toy_model.forward_batch(*dq_perm)
         # compare latents after undoing the relabeling on the structured parts
-        za = point_a.values[: 18].reshape(3, 3, 2)
-        zb = point_b.values[: 18].reshape(3, 3, 2)
+        za = z_a.data[0, :18].reshape(3, 3, 2)
+        zb = z_b.data[0, :18].reshape(3, 3, 2)
         zb_undone = zb[np.argsort(perm)][:, np.argsort(perm)]
         if not np.allclose(za, zb_undone, atol=1e-8):
             found_difference = True
@@ -347,13 +337,13 @@ def test_model_not_permutation_invariant(random_toy_model):
 
 def test_prior_standard_normal_at_origin():
     prior = GaussianPrior(2)
-    assert prior_logprob(prior, np.zeros(2)) == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
+    log_prob = prior.log_prob(Tensor(np.zeros((1, 2)))).data[0]
+    assert log_prob == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
 
 
 def test_prior_unit_shift():
     prior = GaussianPrior(4)
-    at_zero = prior_logprob(prior, np.zeros(4))
-    shifted = prior_logprob(prior, np.array([1.0, 0.0, 0.0, 0.0]))
+    at_zero, shifted = prior.log_prob(Tensor(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))).data
     assert shifted - at_zero == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -371,13 +361,15 @@ def test_prior_matches_extended_precision_reference():
             -mpf(0.5) * mp.log(2 * mp.pi) - mp.log(sigma) - mpf(str(v)) ** 2 / (2 * sigma**2)
             for v in z
         )
-        assert prior_logprob(prior, z) == pytest.approx(float(reference), rel=1e-12)
+        log_prob = prior.log_prob(Tensor(z[None])).data[0]
+        assert log_prob == pytest.approx(float(reference), rel=1e-12)
 
 
-def test_latent_point_dimension():
-    point = LatentPoint(values=np.zeros(24), log_det=1.5)
-    assert point.dimension == 24
-    assert point.log_det == 1.5
+def test_latent_point_dimension(random_toy_model):
+    _, (adjacency, features) = toy_dequantized(seed=14)
+    z, log_det = random_toy_model.forward_batch(np.repeat(adjacency, 2, 0), np.repeat(features, 2, 0))
+    assert z.shape == (2, TOY_SPEC.latent_dim) == (2, 24)
+    assert log_det.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +382,11 @@ def test_checkpoint_round_trip_bitwise(tmp_path, random_toy_model):
     path = tmp_path / "toy.gnvp"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path, TOY_SPEC)
-    _, dq = toy_dequantized(seed=13)
-    z1, ld1 = model_forward(model, dq)
-    z2, ld2 = model_forward(loaded, dq)
-    assert np.array_equal(z1.values, z2.values)
-    assert ld1 == ld2
+    _, (adjacency, features) = toy_dequantized(seed=13)
+    z1, ld1 = model.forward_batch(adjacency, features)
+    z2, ld2 = loaded.forward_batch(adjacency, features)
+    assert np.array_equal(z1.data, z2.data)
+    assert np.array_equal(ld1.data, ld2.data)
     for (n1, p1), (n2, p2) in zip(
         sorted(model.named_parameters()), sorted(loaded.named_parameters())
     ):

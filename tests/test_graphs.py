@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from graphnvp.errors import GraphError
 from graphnvp.graphs import (
-    DequantizedGraph,
     GraphSpec,
     MolecularGraph,
     argmax_adjacency,
     dequantize,
-    dequantize_midpoint,
     discretize_argmax,
     permute_nodes,
     qm9lite_spec,
@@ -19,7 +17,7 @@ from graphnvp.graphs import (
 )
 from graphnvp.tensor import make_rng
 
-from conftest import random_graph
+from conftest import TOY_SPEC, random_graph
 
 
 def test_bundled_specs():
@@ -46,19 +44,36 @@ def test_dequantize_floor_recovers():
     spec = qm9lite_spec()
     rng = make_rng(0)
     g = random_graph(spec, rng)
-    dq = dequantize(g, 0.9, rng)
-    assert np.array_equal(np.floor(dq.adjacency), g.adjacency)
-    assert np.array_equal(np.floor(dq.features), g.features)
-    assert dq.adjacency.min() >= 0.0 and dq.adjacency.max() < 1.9
+    adjacency, features = dequantize([g], 0.9, rng)
+    assert np.array_equal(np.floor(adjacency[0]), g.adjacency)
+    assert np.array_equal(np.floor(features[0]), g.features)
+    assert adjacency.min() >= 0.0 and adjacency.max() < 1.9
+
+
+def test_dequantize_draws_adjacency_block_then_feature_block():
+    rng = make_rng(11)
+    graphs = [random_graph(TOY_SPEC, rng) for _ in range(3)]
+    adjacency, features = dequantize(graphs, 0.9, make_rng(12))
+    twin = make_rng(12)
+    expected_adjacency = np.stack([g.adjacency for g in graphs]) + 0.9 * twin.random(
+        (3,) + TOY_SPEC.adjacency_shape()
+    )
+    expected_features = np.stack([g.features for g in graphs]) + 0.9 * twin.random(
+        (3,) + TOY_SPEC.feature_shape()
+    )
+    assert adjacency.shape == expected_adjacency.shape
+    assert features.shape == expected_features.shape
+    assert adjacency.tobytes() == expected_adjacency.tobytes()
+    assert features.tobytes() == expected_features.tobytes()
 
 
 def test_dequantize_small_noise_limit():
     spec = qm9lite_spec()
     rng = make_rng(1)
     g = random_graph(spec, rng)
-    dq = dequantize(g, 1e-9, rng)
-    assert np.abs(dq.adjacency - g.adjacency).max() < 1e-9
-    assert np.abs(dq.features - g.features).max() < 1e-9
+    adjacency, features = dequantize([g], 1e-9, rng)
+    assert np.abs(adjacency[0] - g.adjacency).max() < 1e-9
+    assert np.abs(features[0] - g.features).max() < 1e-9
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
@@ -67,7 +82,7 @@ def test_dequantize_rejects_bad_scale(bad):
     rng = make_rng(2)
     g = random_graph(spec, rng)
     with pytest.raises(GraphError):
-        dequantize(g, bad, rng)
+        dequantize([g], bad, rng)
 
 
 def test_dequantize_noise_mean():
@@ -77,8 +92,8 @@ def test_dequantize_noise_mean():
     g = random_graph(spec, rng)
     total, count = 0.0, 0
     while count < 100_000:
-        dq = dequantize(g, 0.9, rng)
-        noise = dq.adjacency - g.adjacency
+        adjacency, _ = dequantize([g], 0.9, rng)
+        noise = adjacency[0] - g.adjacency
         total += noise.sum()
         count += noise.size
     assert abs(total / count - 0.45) < 0.01
@@ -89,7 +104,8 @@ def test_requantize_round_trip_many():
     rng = make_rng(4)
     for _ in range(1000):
         g = random_graph(spec, rng)
-        assert requantize(dequantize(g, 0.9, rng)) == g
+        adjacency, features = dequantize([g], 0.9, rng)
+        assert requantize(spec, adjacency[0], features[0]) == g
 
 
 def test_requantize_floor_boundary():
@@ -103,8 +119,7 @@ def test_requantize_floor_boundary():
     adjacency = np.zeros((1, 1, 4))
     adjacency[0, 0, 3] = 1.0  # exactly 1.0 floors to 1
     features = np.array([[0.999, 1.0]])  # 0.999 floors to 0
-    dq = DequantizedGraph(spec, adjacency, features, 0.9)
-    out = requantize(dq)
+    out = requantize(spec, adjacency, features)
     assert out.adjacency[0, 0, 3] == 1.0
     assert np.array_equal(out.features, [[0.0, 1.0]])
 
@@ -114,10 +129,10 @@ def test_requantize_rejects_out_of_range_and_corrupt():
     ok_adj = np.zeros((1, 1, 4))
     ok_adj[0, 0, 3] = 1.2
     with pytest.raises(GraphError):
-        requantize(DequantizedGraph(spec, ok_adj, np.array([[2.5, 0.0]]), 0.9))
+        requantize(spec, ok_adj, np.array([[2.5, 0.0]]))
     # all-zero features floor to no atom type at all -> corrupted
     with pytest.raises(GraphError) as err:
-        requantize(DequantizedGraph(spec, ok_adj, np.array([[0.4, 0.6]]), 0.9))
+        requantize(spec, ok_adj, np.array([[0.4, 0.6]]))
     assert "corrupted" in str(err.value)
 
 
@@ -127,7 +142,8 @@ def test_dequantize_requantize_inverse_property(seed, c):
     spec = GraphSpec(num_nodes=4, atom_vocab=("C", "N", "*"))
     rng = make_rng(seed)
     g = random_graph(spec, rng)
-    assert requantize(dequantize(g, c, rng)) == g
+    adjacency, features = dequantize([g], c, rng)
+    assert requantize(spec, adjacency[0], features[0]) == g
 
 
 def test_discretize_identity_on_one_hot():
@@ -290,12 +306,19 @@ def test_permute_preserves_degree_multiset_per_channel():
 
 
 def test_midpoint_dequantize_deterministic():
+    # the noise-free encoder offsets every entry by c/2; a zero-initialized
+    # flow is the identity, so its latents expose the offset directly
+    from graphnvp.flow import FlowModel
+    from graphnvp.latent import encode_dataset
+
     spec = qm9lite_spec()
     g = random_graph(spec, make_rng(10))
-    a = dequantize_midpoint(g, 0.9)
-    b = dequantize_midpoint(g, 0.9)
-    assert np.array_equal(a.adjacency, b.adjacency)
-    assert np.array_equal(a.adjacency, g.adjacency + 0.45)
+    model = FlowModel(spec, seed=0)
+    a = encode_dataset(model, [g], 0.9)
+    b = encode_dataset(model, [g], 0.9)
+    split = g.adjacency.size
+    assert np.array_equal(a, b)
+    assert np.array_equal(a[0, :split], (g.adjacency + 0.45).ravel())
 
 
 def test_molecular_graph_invariant_checks():

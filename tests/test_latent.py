@@ -5,12 +5,12 @@ from conftest import TOY_SPEC, random_graph, randomize_model
 from graphnvp.chem import from_graph, parse_smiles_lite, to_graph, write_smiles_canonical
 from graphnvp.errors import ChemError, GnvpError
 from graphnvp.flow import FlowModel
-from graphnvp.graphs import qm9lite_spec
+from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.latent import (
     GridSpec,
     PropertyRegressor,
     compute_property,
-    encode,
+    decode,
     encode_dataset,
     fit_regressor,
     grid_decode,
@@ -39,32 +39,29 @@ def toy_training_graphs(count, seed=0):
 
 def test_encode_zero_init_midpoint(toy_model):
     g = toy_training_graphs(1)[0]
-    point = encode(toy_model, g)
+    z = encode_dataset(toy_model, [g])[0]
     expected = np.concatenate([(g.adjacency + 0.45).ravel(), (g.features + 0.45).ravel()])
-    assert np.array_equal(point.values, expected)
+    assert np.array_equal(z, expected)
 
 
 def test_encode_noise_free_deterministic(random_toy_model):
     g = toy_training_graphs(1, seed=1)[0]
-    a = encode(random_toy_model, g)
-    b = encode(random_toy_model, g)
-    assert np.array_equal(a.values, b.values)
+    a = encode_dataset(random_toy_model, [g])
+    b = encode_dataset(random_toy_model, [g])
+    assert np.array_equal(a, b)
 
 
 def test_encode_decode_recovers_molecule(random_toy_model):
-    from graphnvp.latent import decode
-
     for g in toy_training_graphs(20, seed=2):
-        point = encode(random_toy_model, g)
-        graph, _ = decode(random_toy_model, point.values)
+        [(graph, _)] = decode(random_toy_model, encode_dataset(random_toy_model, [g]))
         assert graph == g
 
 
 def test_encode_with_rng_uses_noise(random_toy_model):
     g = toy_training_graphs(1, seed=3)[0]
-    a = encode(random_toy_model, g, rng=make_rng(0))
-    b = encode(random_toy_model, g, rng=make_rng(1))
-    assert not np.array_equal(a.values, b.values)
+    a, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, make_rng(0)))
+    b, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, make_rng(1)))
+    assert not np.array_equal(a.data, b.data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -190,7 +192,7 @@ _UNARY_OPS = [
 
 @pytest.mark.parametrize("name,op,sampler", _UNARY_OPS, ids=[t[0] for t in _UNARY_OPS])
 def test_backward_matches_finite_differences_unary(name, op, sampler):
-    rng = make_rng(hash(name) % 2**32)
+    rng = make_rng(zlib.crc32(name.encode()))
     for trial in range(4):
         p = Tensor(sampler(rng, _random_shape(rng)))
         other = Tensor(rng.normal(size=op(p).shape))
@@ -212,7 +214,7 @@ _BINARY_OPS = [("add", add), ("sub", sub), ("mul", mul)]
 
 @pytest.mark.parametrize("name,op", _BINARY_OPS, ids=[t[0] for t in _BINARY_OPS])
 def test_backward_matches_finite_differences_binary(name, op):
-    rng = make_rng(hash(name) % 2**32)
+    rng = make_rng(zlib.crc32(name.encode()))
     for trial in range(4):
         shape = _random_shape(rng)
         a = Tensor(rng.normal(size=(3,) + shape))  # leading batch axis

@@ -4,6 +4,7 @@ import pytest
 from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
 from graphnvp.errors import TrainingError
 from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
+from graphnvp.graphs import dequantize
 from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
 from graphnvp.train import (
     TrainConfig,
@@ -50,6 +51,20 @@ def test_nll_zero_init_closed_form():
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
 
+def test_nll_is_mean_negative_log_likelihood_of_the_dequantized_batch():
+    """The loss is built from ``dequantize``, ``forward_batch`` and the prior,
+    bit for bit."""
+    model = randomize_model(toy_model(), seed=22, scale=0.2)
+    batch = toy_batch(count=3, seed=4)
+    loss = nll_loss(model, batch, make_rng(6), 0.9, training=True)
+
+    adjacency, features = dequantize(batch, 0.9, make_rng(6))
+    z, log_det = model.forward_batch(adjacency, features, training=True)
+    log_prob = model.prior.log_prob(z)
+    expected = ((log_prob.data + log_det.data) * -1.0).mean(axis=0)
+    assert loss.data.tobytes() == np.float64(expected).tobytes()
+
+
 def test_nll_requires_non_empty_batch():
     with pytest.raises(TrainingError):
         nll_loss(toy_model(), [], make_rng(0))
@@ -60,11 +75,10 @@ def test_nll_sigma_doubling_shifts_loss_by_d_log2_at_origin():
     D*log 2 (the -D log sigma term)."""
     model = toy_model()
     d = TOY_SPEC.latent_dim
-    from graphnvp.flow import prior_logprob
-
-    base = prior_logprob(model.prior, np.zeros(d))
+    origin = Tensor(np.zeros((1, d)))
+    base = model.prior.log_prob(origin).data[0]
     model.prior.set_parameter("log_sigma", Tensor(np.log(2.0)))
-    doubled = prior_logprob(model.prior, np.zeros(d))
+    doubled = model.prior.log_prob(origin).data[0]
     assert base - doubled == pytest.approx(d * np.log(2.0), abs=1e-9)
 
 
@@ -235,6 +249,32 @@ def test_train_resume_matches_uninterrupted(tmp_path):
         assert np.array_equal(p.data, model_resumed.get_parameter(name).data), name
     merged = records_half + records_rest
     assert [r.mean_nll for r in merged] == [r.mean_nll for r in records_full]
+
+
+def test_train_state_round_trip_at_path_without_suffix(tmp_path):
+    dataset = toy_batch(count=4, seed=8)
+    model = toy_model(seed=3)
+    state, _ = train(model, dataset, TrainConfig(epochs=1, batch_size=4, seed=9))
+    path = tmp_path / "state"
+    save_train_state(path, state, model)
+    assert [p.name for p in tmp_path.iterdir()] == ["state"]
+
+    restored_model = toy_model(seed=4)
+    restored = load_train_state(path, restored_model)
+    assert (restored.step, restored.epoch) == (state.step, state.epoch)
+    before, after = make_rng(0), make_rng(0)
+    before.bit_generator.state = state.rng_state
+    after.bit_generator.state = restored.rng_state
+    assert np.array_equal(before.random(8), after.random(8))
+    for name, p in state.params.items():
+        assert np.array_equal(restored.params[name].data, p.data), name
+        assert np.array_equal(restored_model.get_parameter(name).data, p.data), name
+        assert np.array_equal(restored.first_moment[name], state.first_moment[name]), name
+        assert np.array_equal(restored.second_moment[name], state.second_moment[name]), name
+    for (name, saved), (_, loaded) in zip(
+        sorted(model.named_buffers()), sorted(restored_model.named_buffers())
+    ):
+        assert np.array_equal(saved, loaded), name
 
 
 def test_train_writes_checkpoints(tmp_path):
