@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, NumericError, ShapeError
 from .graphs import GraphSpec, argmax_adjacency
 from .nets import MlpNet, Module, RelationalGraphConvNet
 from .tensor import Tensor, make_rng
@@ -233,13 +233,16 @@ class FlowModel(Module):
             )
         conditioning = np.floor(adjacency)
         zx = Tensor(features)
-        for layer in self.node_layers:
-            zx = layer.forward(zx, conditioning, training)
         za = Tensor(adjacency)
         log_det = Tensor(np.zeros(batch))
-        for layer in self.adjacency_layers:
-            za, ld = layer.forward(za, training)
-            log_det = T.add(log_det, ld)
+        try:
+            for layer in self.node_layers:
+                zx = layer.forward(zx, conditioning, training)
+            for layer in self.adjacency_layers:
+                za, ld = layer.forward(za, training)
+                log_det = T.add(log_det, ld)
+        except NumericError as err:
+            raise self._layer_error(layer, err) from err
         n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
         z = T.concat(
             [T.reshape(za, (batch, n * n * r)), T.reshape(zx, (batch, n * m))], axis=1
@@ -260,13 +263,21 @@ class FlowModel(Module):
         split = n * n * r
         za = Tensor(z[:, :split].reshape(batch, n, n, r))
         zx = Tensor(z[:, split:].reshape(batch, n, m))
-        for layer in reversed(self.adjacency_layers):
-            za = layer.inverse(za)
-        a_cont = np.asarray(za.data)
-        conditioning = argmax_adjacency(spec, a_cont)
-        for layer in reversed(self.node_layers):
-            zx = layer.inverse(zx, conditioning)
+        try:
+            for layer in reversed(self.adjacency_layers):
+                za = layer.inverse(za)
+            a_cont = np.asarray(za.data)
+            conditioning = argmax_adjacency(spec, a_cont)
+            for layer in reversed(self.node_layers):
+                zx = layer.inverse(zx, conditioning)
+        except NumericError as err:
+            raise self._layer_error(layer, err) from err
         return a_cont, np.asarray(zx.data)
+
+    def _layer_error(self, layer: Module, err: NumericError) -> NumericError:
+        """``err`` with the name of the coupling layer it came from prefixed."""
+        name = next(name for name, child in self._children.items() if child is layer)
+        return NumericError(f"{name}: {err}")
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ class MolecularGraph:
         if self.features.shape != spec.feature_shape():
             raise GraphError(f"features shape {self.features.shape} != {spec.feature_shape()}")
         a, x = self.adjacency, self.features
-        if not np.isin(a, (0.0, 1.0)).all() or not np.isin(x, (0.0, 1.0)).all():
+        if not ((a == 0.0) | (a == 1.0)).all() or not ((x == 0.0) | (x == 1.0)).all():
             raise GraphError("graph entries must be 0 or 1")
         if not (x.sum(axis=1) == 1.0).all():
             raise GraphError("each node needs exactly one atom type")

@@ -120,10 +120,16 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, activation: str | None = None) -> Tensor:
+        """``activation`` ("tanh" or "relu") is fused into the same record."""
         running = (self._buffers["running_mean"], self._buffers["running_var"])
         out, mean, var = T.batch_norm(
-            x, self._params["gamma"], self._params["beta"], self.eps, None if training else running
+            x,
+            self._params["gamma"],
+            self._params["beta"],
+            self.eps,
+            None if training else running,
+            activation,
         )
         if training:
             m = self.momentum
@@ -158,20 +164,18 @@ class MlpNet(Module):
         for k in range(self.n_hidden):
             h = self._children[f"lin{k}"](h)
             if self.batch_norm:
-                h = self._children[f"bn{k}"](h, training)
-            h = T.relu(h)
+                h = self._children[f"bn{k}"](h, training, "relu")
+            else:
+                h = T.relu(h)
         return self._children["head"](h)
 
 
 class RelGraphRound(Module):
-    """One relational message-passing round in the single-sum R-GCN form.
+    """One relational message-passing round in the single-sum R-GCN form,
+    computed by :func:`~graphnvp.tensor.graph_conv` as one tape record.
 
     Node ``i`` of the output is ``sum_r sum_j A[i, j, r] h_j W_r + h_i W_self + b``.
-    The sum over relations is one contraction: with the adjacency laid out as
-    ``a_rows`` [batch, N*R, N] (row ``i*R + r`` is ``A[:, i, :, r]``),
-    ``a_rows @ h`` reshapes to [batch*N, R*F], and that meets ``rel_weight``
-    viewed as [R*F, H] in a single GEMM.  Given ``row``, only that node's
-    output [batch, H] is computed.
+    Given ``row``, only that node's output [batch, H] is computed.
     """
 
     def __init__(self, n_in: int, n_out: int, num_relations: int, rng: np.random.Generator):
@@ -184,19 +188,9 @@ class RelGraphRound(Module):
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
     def __call__(self, h: Tensor, a_rows: np.ndarray, row: int | None = None) -> Tensor:
-        # a_rows: constant [batch, N*R, N]; h: [batch, N, F].
-        batch, n, f = h.shape
-        r, _, hidden = self._params["rel_weight"].shape
-        if row is None:
-            rows, h_self = batch * n, T.reshape(h, (batch * n, f))
-        else:
-            a_rows = a_rows[:, row * r : (row + 1) * r]
-            rows, h_self = batch, T.index_axis(h, 1, row)
-        messages = T.reshape(T.matmul(Tensor(a_rows), h), (rows, r * f))
-        w_rel = T.reshape(self._params["rel_weight"], (r * f, hidden))
-        out = T.add(T.matmul(messages, w_rel), T.matmul(h_self, self._params["self_weight"]))
-        out = T.add(out, self._params["bias"])
-        return out if row is not None else T.reshape(out, (batch, n, hidden))
+        # a_rows: constant [batch, N*R, N], row i*R + r is A[:, i, :, r]; h: [batch, N, F].
+        p = self._params
+        return T.graph_conv(h, a_rows, p["rel_weight"], p["self_weight"], p["bias"], row)
 
 
 class RelationalGraphConvNet(Module):
@@ -237,8 +231,9 @@ class RelationalGraphConvNet(Module):
             target = row if k == self.rounds - 1 and not training else None
             h = self._children[f"round{k}"](h, a_rows, target)
             if self.batch_norm:
-                h = self._children[f"bn{k}"](h, training)
-            h = T.tanh(h)
+                h = self._children[f"bn{k}"](h, training, "tanh")
+            else:
+                h = T.tanh(h)
         if h.ndim == 3:
             h = T.index_axis(h, 1, row)
         return self._children["head"](h)

@@ -6,13 +6,20 @@ Elementwise operations broadcast only over leading (batch) axes: the shorter
 operand must match the trailing axes of the longer one exactly.  Gradients are
 recorded on an explicitly entered :class:`GradientTape`; one tape per thread.
 
-Besides the generic primitives there are three fused ones, each one tape
-record with a hand-written vjp: :func:`linear` (2-D GEMM plus bias),
-:func:`batch_norm` (batch or frozen statistics) and :func:`replace_row`
-(swap one axis-1 slice).  Each record keeps a needs-gradient mask, one flag
-per input saying whether it depends on a watched tensor; the vjp receives it
-and returns ``None`` for the inputs that do not, instead of computing a
-gradient nobody reads.
+Besides the generic primitives there are five fused ones, each one tape
+record with a hand-written vjp:
+
+* :func:`linear`: a 2-D GEMM plus bias;
+* :func:`graph_conv`: one relational graph-convolution round, relation
+  messages and self-loop in two GEMMs plus bias;
+* :func:`batch_norm`: batch or frozen statistics, then scale and shift;
+* ``batch_norm(..., activation="tanh" | "relu")``: the same with the
+  activation applied in place to its output;
+* :func:`replace_row`: swap one axis-1 slice.
+
+Each record keeps a needs-gradient mask, one flag per input saying whether it
+depends on a watched tensor; the vjp receives it and returns ``None`` for the
+inputs that do not, instead of computing a gradient nobody reads.
 """
 from __future__ import annotations
 
@@ -46,6 +53,7 @@ __all__ = [
     "masked_assign",
     "reshape",
     "linear",
+    "graph_conv",
     "batch_norm",
     "replace_row",
 ]
@@ -122,8 +130,17 @@ def _as_tensor(x) -> Tensor:
 
 
 def _wrap(arr: np.ndarray, op: str) -> Tensor:
+    _check_finite(arr, op)
+    return _frozen(arr)
+
+
+def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced a non-finite value")
+
+
+def _frozen(arr: np.ndarray) -> Tensor:
+    """Wrap an array already known to be finite."""
     out = Tensor.__new__(Tensor)
     arr = np.asarray(arr, dtype=np.float64)
     arr.flags.writeable = False
@@ -500,22 +517,96 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record((x, w, b), out, vjp)
 
 
+def graph_conv(
+    h: Tensor,
+    a_rows: np.ndarray,
+    w_rel: Tensor,
+    w_self: Tensor,
+    b: Tensor,
+    row: int | None = None,
+) -> Tensor:
+    """One relational graph-convolution round (Schlichtkrull et al. 2018).
+
+    Node ``i`` of the output is ``sum_r sum_j A[i, j, r] h_j W_r + h_i W_self + b``
+    for ``h`` [batch, N, F], ``w_rel`` [R, F, H], ``w_self`` [F, H] and ``b`` [H].
+    The constant ``a_rows`` [batch, N*R, N] lays the adjacency out so that row
+    ``i*R + r`` is ``A[:, i, :, r]``; then ``a_rows @ h`` reshapes to
+    [batch*N, R*F] and meets ``w_rel`` viewed as [R*F, H] in a single GEMM.
+    The self-loop product and the bias are added in place into that product.
+    Returns [batch, N, H], or only node ``row``'s output [batch, H].
+    """
+    batch, n, f = h.shape
+    r, f_rel, hidden = w_rel.shape
+    if (
+        a_rows.shape != (batch, n * r, n)
+        or f_rel != f
+        or w_self.shape != (f, hidden)
+        or b.shape != (hidden,)
+    ):
+        raise ShapeError(
+            f"graph_conv: shapes {h.shape}, {a_rows.shape}, {w_rel.shape}, {w_self.shape},"
+            f" {b.shape} do not fit"
+        )
+    if row is None:
+        rows, h_self = batch * n, h.data.reshape(batch * n, f)
+    else:
+        if not 0 <= row < n:
+            raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
+        a_rows = a_rows[:, row * r : (row + 1) * r]
+        rows, h_self = batch, h.data[:, row]
+    messages = np.matmul(a_rows, h.data).reshape(rows, r * f)
+    w_flat = w_rel.data.reshape(r * f, hidden)
+    y = np.matmul(messages, w_flat)
+    y += np.matmul(h_self, w_self.data)
+    y += b.data
+    out = _wrap(y if row is not None else y.reshape(batch, n, hidden), "graph_conv")
+
+    def vjp(g: np.ndarray, needs):
+        g = g.reshape(rows, hidden)
+        gh = None
+        if needs[0]:
+            g_messages = np.matmul(g, w_flat.T).reshape(a_rows.shape[:2] + (f,))
+            gh = np.matmul(np.swapaxes(a_rows, -1, -2), g_messages)
+            g_self = np.matmul(g, w_self.data.T)
+            if row is None:
+                gh += g_self.reshape(h.shape)
+            else:
+                gh[:, row] += g_self
+        return (
+            gh,
+            np.matmul(messages.T, g).reshape(w_rel.shape) if needs[1] else None,
+            np.matmul(h_self.T, g) if needs[2] else None,
+            g.sum(axis=0) if needs[3] else None,
+        )
+
+    return _record((h, w_rel, w_self, b), out, vjp)
+
+
+_ACTIVATIONS = (None, "tanh", "relu")
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
     eps: float,
     stats: tuple[np.ndarray, np.ndarray] | None = None,
+    activation: str | None = None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize over every axis but the last (features), then scale and shift.
 
     With ``stats`` None the batch mean and biased variance are used and
     differentiated through (Ioffe & Szegedy 2015); otherwise ``stats`` is a
     constant ``(mean, var)`` pair, which makes this a fixed affine map of
-    ``x``.  Returns the output and the mean and variance that were applied.
+    ``x``.  ``activation`` ("tanh" or "relu") is then applied in place; the
+    finiteness check runs before it, because tanh would turn an overflow
+    into a plain 1.  Returns the output and the mean and variance that were
+    applied.
     """
     if x.ndim < 2 or gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
         raise ShapeError(f"batch_norm: shapes {x.shape}, {gamma.shape}, {beta.shape} do not fit")
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"batch_norm: activation must be one of {_ACTIVATIONS}, got {activation!r}")
     flat = x.data.reshape(-1, x.shape[-1])  # one row per position, one column per feature
     if stats is None:
         mean = flat.mean(axis=0)
@@ -525,21 +616,38 @@ def batch_norm(
         mean, var = (np.asarray(s, dtype=np.float64) for s in stats)
         if mean.shape != gamma.shape or var.shape != gamma.shape:
             raise ShapeError(f"batch_norm: statistics {mean.shape}, {var.shape} != {gamma.shape}")
-        centered = flat - mean
     if not np.isfinite(var).all():
         raise NumericError("batch_norm produced a non-finite variance")
     inv_std = np.power(var + eps, -0.5)
-    normed = centered
-    normed *= inv_std
-    y = normed * gamma.data
+    if stats is None:
+        # The vjp needs the normalized input for the batch statistics.
+        normed = centered
+        normed *= inv_std
+        y = normed * gamma.data
+    else:
+        y = flat - mean
+        y *= inv_std
+        y *= gamma.data
     y += beta.data
-    out = _wrap(y.reshape(x.shape), "batch_norm")
+    _check_finite(y, "batch_norm")
+    if activation == "tanh":
+        np.tanh(y, out=y)
+    elif activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    out = _frozen(y.reshape(x.shape))
 
     def vjp(g: np.ndarray, needs):
-        g = g.reshape(normed.shape)
+        if activation == "tanh":
+            g = g * (1.0 - out.data * out.data)
+        elif activation == "relu":
+            g = g * (out.data > 0.0)
+        g = g.reshape(flat.shape)
         batch_stats = stats is None and needs[0]
         g_beta = g.sum(axis=0) if needs[2] or batch_stats else None
-        g_gamma = (g * normed).sum(axis=0) if needs[1] or batch_stats else None
+        g_gamma = None
+        if needs[1] or batch_stats:
+            normed_x = normed if stats is None else (flat - mean) * inv_std
+            g_gamma = (g * normed_x).sum(axis=0)
         gx = None
         if needs[0]:
             scale = gamma.data * inv_std

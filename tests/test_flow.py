@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
-from graphnvp.errors import CheckpointError
+from graphnvp.errors import CheckpointError, NumericError
 from graphnvp.flow import (
     AdjacencyCouplingLayer,
     FlowModel,
     GaussianPrior,
+    ModelConfig,
     NodeFeatureCouplingLayer,
     load_checkpoint,
     save_checkpoint,
@@ -239,6 +240,23 @@ def test_model_round_trip_random_graphs(random_toy_model):
         a_cont, x_cont = random_toy_model.inverse_batch(z.data)
         err = max(np.abs(a_cont - adjacency).max(), np.abs(x_cont - features).max())
         assert err < 1e-5
+
+
+def test_numeric_error_names_the_coupling_layer():
+    config = ModelConfig(adjacency_layers=3, node_layers=6, mlp_hidden=(8, 8), gcn_hidden=6)
+    model = FlowModel(TOY_SPEC, config, seed=2)
+    _, (adjacency, features) = toy_dequantized()
+    z, _ = model.forward_batch(adjacency, features)
+    model.set_buffer("node_5.translate_net.bn0.running_var", -np.ones(6))
+    for run in (lambda: model.inverse_batch(z.data), lambda: model.forward_batch(adjacency, features)):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+            run()
+        assert str(err.value) == "node_5: batch_norm produced a non-finite value"
+        assert isinstance(err.value.__cause__, NumericError)
+    model.set_buffer("node_5.translate_net.bn0.running_var", np.ones(6))
+    model.set_buffer("adjacency_1.scale_net.bn1.running_var", -np.ones(8))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^adjacency_1: batch_norm"):
+        model.inverse_batch(z.data)
 
 
 def test_model_logdet_matches_full_jacobian(random_toy_model):

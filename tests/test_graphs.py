@@ -344,3 +344,32 @@ def test_molecular_graph_invariant_checks():
     linked[1, 0] = [1, 0, 0, 0]
     with pytest.raises(GraphError):
         MolecularGraph(spec, linked, x).validate()
+
+
+def _two_node_graph_arrays():
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    a = np.zeros((2, 2, 4))
+    a[:, :, 3] = 1.0
+    return a, x
+
+
+@pytest.mark.parametrize("array", ["adjacency", "features"])
+@pytest.mark.parametrize(
+    "value,accepted",
+    [(np.nan, False), (np.inf, False), (-np.inf, False), (0.5, False), (2.0, False),
+     (-1.0, False), (-0.0, True)],
+    ids=["nan", "inf", "-inf", "0.5", "2", "-1", "-0.0"],
+)
+def test_validate_entries_must_be_zero_or_one(array, value, accepted):
+    spec = GraphSpec(num_nodes=2, atom_vocab=("C", "*"))
+    a, x = _two_node_graph_arrays()
+    if array == "adjacency":
+        a[0, 1, 0] = a[1, 0, 0] = value  # an unset bond channel, kept symmetric
+    else:
+        x[0, 1] = value  # an unset atom type
+    graph = MolecularGraph(spec, a, x)
+    if accepted:
+        assert graph.validate() is graph
+    else:
+        with pytest.raises(GraphError, match="entries must be 0 or 1"):
+            graph.validate()

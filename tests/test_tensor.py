@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphnvp.chem import bundled_corpus_path, load_dataset
 from graphnvp.errors import NumericError, ShapeError
-from graphnvp.nets import BatchNorm, Linear
+from graphnvp.flow import FlowModel
+from graphnvp.graphs import qm9lite_spec
+from graphnvp.nets import BatchNorm, Linear, RelGraphRound
 from graphnvp.tensor import (
     GradientTape,
     Tensor,
@@ -16,6 +19,7 @@ from graphnvp.tensor import (
     concat,
     exp,
     finite_difference_gradient,
+    graph_conv,
     index_axis,
     linear,
     log,
@@ -33,6 +37,7 @@ from graphnvp.tensor import (
     sum_axis,
     tanh,
 )
+from graphnvp.train import nll_loss
 
 
 def test_exp_of_zeros_is_ones():
@@ -418,6 +423,195 @@ def test_linear_and_training_batch_norm_record_once():
         norm(h, training=True)
         assert len(tape.records) == 2
     assert np.array_equal(dict(norm.named_buffers())["running_mean"], 0.1 * h.data.mean(axis=0))
+
+
+def _round_parameters(rng, r, f, hidden):
+    """Random ``w_rel`` [R, F, H], ``w_self`` [F, H] and bias [H]."""
+    return (
+        Tensor(rng.normal(scale=0.5, size=(r, f, hidden))),
+        Tensor(rng.normal(scale=0.5, size=(f, hidden))),
+        Tensor(rng.normal(size=hidden)),
+    )
+
+
+def _relational_input(rng, batch, n, r, f, hidden):
+    """Features [batch, N, F], a 0/1 adjacency laid out as ``a_rows``
+    [batch, N*R, N], and random round parameters."""
+    h = Tensor(rng.normal(size=(batch, n, f)))
+    adjacency = (rng.random((batch, n, n, r)) < 0.4).astype(np.float64)
+    a_rows = adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
+    return (h, a_rows) + _round_parameters(rng, r, f, hidden)
+
+
+def _unfused_graph_conv(h, a_rows, w_rel, w_self, b, row=None):
+    """The generic-op R-GCN round that ``graph_conv`` fuses."""
+    batch, n, f = h.shape
+    r, _, hidden = w_rel.shape
+    if row is None:
+        rows, h_self = batch * n, reshape(h, (batch * n, f))
+    else:
+        a_rows = a_rows[:, row * r : (row + 1) * r]
+        rows, h_self = batch, index_axis(h, 1, row)
+    messages = reshape(matmul(Tensor(a_rows), h), (rows, r * f))
+    out = add(matmul(messages, reshape(w_rel, (r * f, hidden))), matmul(h_self, w_self))
+    out = add(out, b)
+    return out if row is not None else reshape(out, (batch, n, hidden))
+
+
+@pytest.mark.parametrize("row", [None, 1], ids=["full", "target_row"])
+def test_backward_matches_finite_differences_graph_conv(row):
+    rng = make_rng(39)
+    h, a_rows, w_rel, w_self, b = _relational_input(rng, batch=2, n=3, r=2, f=3, hidden=4)
+    out_shape = (2, 4) if row is not None else (2, 3, 4)
+    other = Tensor(rng.normal(size=out_shape))
+
+    def f(h, w_rel, w_self, b):
+        return sum_axis(mul(tanh(graph_conv(h, a_rows, w_rel, w_self, b, row)), other))
+
+    _assert_gradients_match(f, [h, w_rel, w_self, b])
+
+
+def test_graph_conv_values_and_shape_checks():
+    rng = make_rng(40)
+    h, a_rows, w_rel, w_self, b = _relational_input(rng, batch=2, n=3, r=2, f=3, hidden=4)
+    full = graph_conv(h, a_rows, w_rel, w_self, b)
+    assert full.shape == (2, 3, 4)
+    assert np.array_equal(full.data, _unfused_graph_conv(h, a_rows, w_rel, w_self, b).data)
+    for row in range(3):
+        only = graph_conv(h, a_rows, w_rel, w_self, b, row)
+        assert np.array_equal(only.data, _unfused_graph_conv(h, a_rows, w_rel, w_self, b, row).data)
+    with pytest.raises(ShapeError):
+        graph_conv(h, a_rows[:, :4], w_rel, w_self, b)
+    with pytest.raises(ShapeError):
+        graph_conv(h, a_rows, w_rel, w_self, Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        graph_conv(h, a_rows, w_rel, w_self, b, row=3)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_backward_matches_finite_differences_batch_norm_activation(activation, training):
+    rng = make_rng(zlib.crc32(f"{activation}-{training}".encode()))
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    gamma = Tensor(1.0 + 0.3 * rng.normal(size=3))
+    beta = Tensor(rng.normal(size=3))
+    stats = None if training else (rng.normal(scale=0.2, size=3), 1.0 + rng.random(3))
+    other = Tensor(rng.normal(size=x.shape))
+
+    def f(x, gamma, beta):
+        return sum_axis(mul(batch_norm(x, gamma, beta, 1e-5, stats, activation)[0], other))
+
+    _assert_gradients_match(f, [x, gamma, beta])
+
+
+def _conv_stack_loss(fused, training, h, a_rows, params, stats, other, row):
+    """Two R-GCN rounds with batch norm and tanh, the target row, then a
+    linear layer with batch norm and relu: the node-feature conditioner and
+    an MLP hidden layer, fused or as the generic-op composition."""
+    conv = graph_conv if fused else _unfused_graph_conv
+
+    def norm(x, k, activation):
+        st = None if training else stats[k]
+        gamma, beta = params[f"gamma{k}"], params[f"beta{k}"]
+        if fused:
+            return batch_norm(x, gamma, beta, 1e-5, st, activation)[0]
+        return {"tanh": tanh, "relu": relu}[activation](batch_norm(x, gamma, beta, 1e-5, st)[0])
+
+    x = h
+    for k in range(2):
+        target = row if k == 1 and not training else None
+        x = conv(x, a_rows, params[f"rel{k}"], params[f"self{k}"], params[f"bias{k}"], target)
+        x = norm(x, k, "tanh")
+    if x.ndim == 3:
+        x = index_axis(x, 1, row)
+    x = norm(linear(x, params["weight"], params["bias"]), 2, "relu")
+    return sum_axis(mul(x, other))
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+def test_fused_round_and_activation_are_bit_identical_to_generic_ops(training):
+    """A qm9lite-shaped batch: 64 graphs, 9 nodes, 4 bond channels, 5 atom
+    types, 64 hidden features."""
+    rng = make_rng(41)
+    batch, n, r, f, hidden = 64, 9, 4, 5, 64
+    h, a_rows, *_ = _relational_input(rng, batch, n, r, f, hidden)
+    params, stats = {}, []
+    for k in range(2):
+        params[f"rel{k}"], params[f"self{k}"], params[f"bias{k}"] = _round_parameters(
+            rng, r, f if k == 0 else hidden, hidden
+        )
+    params["weight"] = Tensor(rng.normal(scale=0.2, size=(hidden, hidden)))
+    params["bias"] = Tensor(rng.normal(size=hidden))
+    for k in range(3):
+        params[f"gamma{k}"] = Tensor(1.0 + 0.3 * rng.normal(size=hidden))
+        params[f"beta{k}"] = Tensor(rng.normal(size=hidden))
+        stats.append((rng.normal(scale=0.2, size=hidden), 1.0 + rng.random(hidden)))
+    other = Tensor(rng.normal(size=(batch, hidden)))
+
+    results = []
+    for fused in (True, False):
+        with GradientTape() as tape:
+            tape.watch("h", h)
+            for name, p in params.items():
+                tape.watch(name, p)
+            loss = _conv_stack_loss(fused, training, h, a_rows, params, stats, other, row=4)
+        results.append((loss.item(), tape.gradients(loss)))
+    (fused_loss, fused_grads), (plain_loss, plain_grads) = results
+    assert fused_loss == plain_loss
+    assert fused_grads.keys() == plain_grads.keys()
+    for name in plain_grads:
+        assert np.array_equal(fused_grads[name].data, plain_grads[name].data), name
+
+
+@pytest.mark.parametrize("activation", [None, "tanh", "relu"])
+def test_batch_norm_checks_finiteness_before_the_activation(activation):
+    # -inf before the activation; tanh would map it to -1 and relu to 0.
+    x = Tensor([[-1e200, 0.0], [1.0, 2.0]])
+    gamma, beta = Tensor([1e200, 1.0]), Tensor([0.0, 0.0])
+    stats = (np.zeros(2), np.ones(2))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="batch_norm"):
+        batch_norm(x, gamma, beta, 0.0, stats, activation)
+    with pytest.raises(ValueError):
+        batch_norm(x, Tensor([1.0, 1.0]), beta, 0.0, stats, "sigmoid")
+
+
+def test_training_graph_round_and_batch_norm_activation_record_once():
+    rng = make_rng(42)
+    layer = RelGraphRound(3, 4, 2, rng)
+    norm = BatchNorm(4)
+    h, a_rows, *_ = _relational_input(rng, batch=2, n=3, r=2, f=3, hidden=4)
+    with GradientTape() as tape:
+        for name, p in layer.named_parameters():
+            tape.watch("round." + name, p)
+        tape.watch("h", h)
+        out = layer(h, a_rows)
+        assert len(tape.records) == 1
+        for name, p in norm.named_parameters():
+            tape.watch("bn." + name, p)
+        norm(out, training=True, activation="tanh")
+        assert len(tape.records) == 2
+        norm(out, training=True, activation="relu")
+        assert len(tape.records) == 3
+
+
+def test_qm9lite_training_step_tape_length():
+    """Per node-feature layer: masked_assign, two rounds of graph_conv and
+    batch_norm, the target row, the head, the feature row, add and
+    replace_row (10).  Per adjacency layer: masked_assign, reshape, two MLPs
+    of 5 records (linear and batch_norm twice, head), tanh and mul on the
+    scale, two reshapes, the row, exp, mul, add, sum_axis, replace_row and
+    the log-det add (23).  The first layer of each stack sees a constant
+    input, so 2 and 3 of those are not recorded; the latent concat, prior
+    and mean add 15."""
+    spec = qm9lite_spec()
+    batch = load_dataset(bundled_corpus_path("qm9lite"), spec)[:64]
+    model = FlowModel(spec, seed=0)
+    with GradientTape() as tape:
+        for name, p in model.named_parameters():
+            tape.watch(name, p)
+        nll_loss(model, batch, make_rng(0))
+    assert len(model.node_layers) == 36 and len(model.adjacency_layers) == 27
+    assert len(tape.records) == 36 * 10 - 2 + 27 * 23 - 3 + 15 == 991
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
