@@ -31,7 +31,7 @@ import numpy as np
 from . import tensor as T
 from .errors import CheckpointError, NumericError, ShapeError
 from .graphs import GraphSpec, argmax_adjacency
-from .nets import MlpNet, Module, RelationalGraphConvNet
+from .nets import MlpNet, Module, RelationalGraphConvNet, relation_major
 from .tensor import Tensor, make_rng
 
 CHECKPOINT_MAGIC = b"GNVP"
@@ -231,7 +231,7 @@ class FlowModel(Module):
             raise ShapeError(
                 f"batch shapes {adjacency.shape} / {features.shape} do not match the spec"
             )
-        conditioning = np.floor(adjacency)
+        conditioning = relation_major(np.floor(adjacency))
         zx = Tensor(features)
         za = Tensor(adjacency)
         log_det = Tensor(np.zeros(batch))
@@ -267,7 +267,7 @@ class FlowModel(Module):
             for layer in reversed(self.adjacency_layers):
                 za = layer.inverse(za)
             a_cont = np.asarray(za.data)
-            conditioning = argmax_adjacency(spec, a_cont)
+            conditioning = relation_major(argmax_adjacency(spec, a_cont))
             for layer in reversed(self.node_layers):
                 zx = layer.inverse(zx, conditioning)
         except NumericError as err:
@@ -310,8 +310,8 @@ def _atomic_open(path, mode: str = "w", **kwargs):
     ``os.replace`` and the directory entry is synced, so after a crash
     ``path`` holds either the old or the new content.  When the block
     raises, the temporary file is removed and ``path`` is left as it was.
-    Every checkpoint, train-state, CSV and SMILES writer in the package goes
-    through it.
+    Every checkpoint (train states included), CSV and SMILES writer in the
+    package goes through it.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -331,20 +331,29 @@ def _atomic_open(path, mode: str = "w", **kwargs):
         os.close(dir_fd)
 
 
-def save_checkpoint(model: FlowModel, path) -> None:
-    """Write the model to a versioned, CRC-protected binary file."""
+def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> None:
+    """Write the model to a versioned, CRC-protected binary file.
+
+    A train state adds ``optimizer = (block, moments)``: ``block`` goes into
+    the meta, and ``moments`` maps ``m:``/``v:`` + parameter name to arrays.
+    """
     meta = {
         "version": CHECKPOINT_VERSION,
         "forward_order": FORWARD_ORDER,
         "spec": _spec_to_dict(model.spec),
         "model": model.config.to_dict(),
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     entries: list[tuple[str, np.ndarray]] = []
     for name, value in sorted(model.named_parameters()):
         entries.append(("p:" + name, value.data))
     for name, value in sorted(model.named_buffers()):
         entries.append(("b:" + name, value))
+    if optimizer is not None:
+        block, moments = optimizer
+        meta["optimizer"] = block
+        entries += sorted(moments.items())
+    # The generator state holds numpy arrays; JSON stores them as lists.
+    meta_bytes = json.dumps(meta, sort_keys=True, default=np.ndarray.tolist).encode("utf-8")
 
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
@@ -382,7 +391,18 @@ class _Reader:
 
 
 def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
-    """Rebuild a model from file; the stored spec must match ``spec`` exactly."""
+    """Rebuild a model from file; the stored spec must match ``spec`` exactly.
+
+    A train-state file loads as the model it holds.
+    """
+    return _read_checkpoint(path, spec)[0]
+
+
+def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
+    """Parse a model or train-state file into ``model``, or into a new model
+    built from the stored config when ``model`` is None.  Returns the model
+    and the ``optimizer`` section as :func:`save_checkpoint` takes it, or None.
+    """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint")
@@ -400,9 +420,12 @@ def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
         raise CheckpointError(
             f"{path}: checkpoint spec {stored_spec} does not match requested spec {spec}"
         )
-    model = FlowModel(spec, ModelConfig.from_dict(meta["model"]), seed=0)
-    expected = {("p:" + n) for n, _ in model.named_parameters()}
+    if model is None:
+        model = FlowModel(spec, ModelConfig.from_dict(meta["model"]), seed=0)
+    kinds = ("p:", "m:", "v:") if "optimizer" in meta else ("p:",)
+    expected = {kind + n for n, _ in model.named_parameters() for kind in kinds}
     expected |= {("b:" + n) for n, _ in model.named_buffers()}
+    moments = {}
     n_entries = reader.u32()
     seen = set()
     for _ in range(n_entries):
@@ -416,9 +439,11 @@ def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
         seen.add(name)
         if name.startswith("p:"):
             model.set_parameter(name[2:], Tensor(arr))
-        else:
+        elif name.startswith("b:"):
             model.set_buffer(name[2:], arr)
+        else:
+            moments[name] = arr
     missing = expected - seen
     if missing:
         raise CheckpointError(f"{path}: missing entries {sorted(missing)[:3]}")
-    return model
+    return model, (meta["optimizer"], moments) if "optimizer" in meta else None

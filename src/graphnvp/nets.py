@@ -79,12 +79,19 @@ class Module:
             raise KeyError(f"no parameter or buffer named {name!r}")
         return module, leaf
 
-    def parameter_dict(self) -> dict[str, Tensor]:
-        return dict(self.named_parameters())
-
     def load_parameters(self, values: dict[str, Tensor]) -> None:
         for name, value in values.items():
             self.set_parameter(name, value)
+
+
+def relation_major(adjacency: np.ndarray) -> np.ndarray:
+    """The same [batch, N, N, R] values stored relation-major.
+
+    :class:`RelationalGraphConvNet` lays the adjacency out as ``a_rows``
+    [batch, N*R, N]; on an array from this function that layout is a view, so
+    a flow pass copies the conditioning once instead of once per layer.
+    """
+    return np.ascontiguousarray(adjacency.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
 
 
 def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
@@ -225,6 +232,7 @@ class RelationalGraphConvNet(Module):
 
     def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
         batch, n, _, r = adjacency.shape
+        # A copy, unless ``adjacency`` comes from :func:`relation_major`.
         a_rows = adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
         h = x
         for k in range(self.rounds):

@@ -65,7 +65,12 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class Tensor:
-    """Immutable dense array of float64 scalars."""
+    """Immutable dense array of float64 scalars.
+
+    Parameter tensors are the exception while :func:`~graphnvp.train.train`
+    runs: they are read-only views of the optimizer's flat parameter vector,
+    which :func:`~graphnvp.train.adam_step` updates in place between steps.
+    """
 
     __slots__ = ("data",)
 

@@ -8,7 +8,6 @@ parameters and is excluded from reported values (see the metrics CSV header).
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, TrainingError
-from .flow import FlowModel, _atomic_open, save_checkpoint
+from .errors import CheckpointError, NumericError, TrainingError
+from .flow import FlowModel, _atomic_open, _read_checkpoint, save_checkpoint
 from .graphs import MolecularGraph, dequantize
 from .tensor import GradientTape, Tensor, make_rng
 
@@ -49,23 +48,33 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Optimizer state: parameters, Adam moments, counters, generator state."""
+    """Optimizer state: parameter values and the two Adam moments as flat
+    vectors laid out in ``sorted(model.named_parameters())`` order, plus
+    counters and the generator state."""
 
-    params: dict[str, Tensor]
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    params: np.ndarray
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int = 0
     epoch: int = 0
     rng_state: dict = field(default_factory=dict)
 
     @staticmethod
     def fresh(model: FlowModel) -> "TrainState":
-        params = model.parameter_dict()
-        return TrainState(
-            params=params,
-            first_moment={n: np.zeros(p.shape) for n, p in params.items()},
-            second_moment={n: np.zeros(p.shape) for n, p in params.items()},
-        )
+        """A copy of the model's current parameter values and zero moments."""
+        params = np.concatenate([p.data.ravel() for _, p in sorted(model.named_parameters())])
+        return TrainState(params, np.zeros(params.size), np.zeros(params.size))
+
+
+def _views(model: FlowModel, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each parameter's slice of a :class:`TrainState` vector, shaped like it."""
+    views, lo = {}, 0
+    for name, p in sorted(model.named_parameters()):
+        views[name] = flat[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
+    if lo != flat.size:
+        raise TrainingError(f"state vector holds {flat.size} values, the model {lo}")
+    return views
 
 
 @dataclass(frozen=True)
@@ -93,36 +102,27 @@ def nll_loss(
     return T.mean_axis(per_graph, axis=0)
 
 
-def adam_step(state: TrainState, gradients: dict[str, Tensor], config: TrainConfig) -> TrainState:
-    """One bias-corrected Adam update; returns the advanced state."""
-    if set(gradients) != set(state.params):
-        missing = set(state.params) ^ set(gradients)
-        raise TrainingError(f"gradient names do not match parameters: {sorted(missing)[:3]}")
+def adam_step(state: TrainState, gradients: dict[str, Tensor], config: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``state``'s three vectors, in place,
+    one parameter at a time.  In sorted name order the ``gradients`` tile the
+    vectors.  Each element keeps the operation order of ``(alpha*m_hat) /
+    (sqrt(v_hat) + eps)`` with ``v = b2*v + ((1-b2)*g)*g``."""
+    names = sorted(gradients)
+    size = sum(gradients[name].size for name in names)
+    if size != state.params.size:
+        raise TrainingError(f"gradients {names[:3]}... hold {size} values, the state {state.params.size}")
     b1, b2 = config.adam_beta1, config.adam_beta2
-    step = state.step + 1
-    params: dict[str, Tensor] = {}
-    m_out: dict[str, np.ndarray] = {}
-    v_out: dict[str, np.ndarray] = {}
-    for name in sorted(state.params):
-        g = gradients[name].data
-        if g.shape != state.params[name].shape:
-            raise TrainingError(f"gradient shape mismatch for {name}")
-        m = b1 * state.first_moment[name] + (1.0 - b1) * g
-        v = b2 * state.second_moment[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**step)
-        v_hat = v / (1.0 - b2**step)
-        update = config.adam_alpha * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-        params[name] = Tensor(state.params[name].data - update)
-        m_out[name] = m
-        v_out[name] = v
-    return TrainState(
-        params=params,
-        first_moment=m_out,
-        second_moment=v_out,
-        step=step,
-        epoch=state.epoch,
-        rng_state=state.rng_state,
-    )
+    state.step += 1
+    c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    lo = 0
+    for name in names:
+        g = gradients[name].data.ravel()
+        hi = lo + g.size
+        m, v = state.first_moment[lo:hi], state.second_moment[lo:hi]
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * g * g
+        state.params[lo:hi] -= config.adam_alpha * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        lo = hi
 
 
 def train(
@@ -134,22 +134,22 @@ def train(
 ) -> tuple[TrainState, list[EpochRecord]]:
     """Minibatch NLL minimization; per-epoch shuffling from the seeded generator.
 
-    The model is updated in place; the final-epoch parameters are the
+    The model's parameters become read-only views of ``state.params``, which
+    :func:`adam_step` updates in place; the final-epoch parameters are the
     evaluation model.  With ``checkpoint_dir`` set, a checkpoint is written
     every ``config.checkpoint_every`` epochs (if nonzero) and always at the
-    end.  Passing the state saved from an interrupted run resumes it
-    bit-exactly.
+    end.  Passing the state of an interrupted run, in memory or from
+    :func:`load_train_state`, resumes it bit-exactly in ``model``.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
-    if resume_state is not None:
-        state = resume_state
-        model.load_parameters(state.params)
-        rng = make_rng(config.seed)
-        rng.bit_generator.state = state.rng_state
-    else:
+    rng = make_rng(config.seed)
+    if resume_state is None:
         state = TrainState.fresh(model)
-        rng = make_rng(config.seed)
+    else:
+        state = resume_state
+        rng.bit_generator.state = state.rng_state
+    model.load_parameters({name: T._frozen(v) for name, v in _views(model, state.params).items()})
 
     records: list[EpochRecord] = []
     n = len(dataset)
@@ -172,10 +172,8 @@ def train(
                     f"non-finite loss at epoch {epoch} step {state.step + 1}: {exc}"
                 ) from exc
             total_nll += loss.item() * len(batch)
-            state = adam_step(state, grads, config)
-            model.load_parameters(state.params)
+            adam_step(state, grads, config)
         state.epoch = epoch
-        state.rng_state = rng.bit_generator.state
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -226,71 +224,30 @@ def write_metrics_csv(records: Sequence[EpochRecord], path, include_timing: bool
 
 
 def save_train_state(path, state: TrainState, model: FlowModel) -> None:
-    """Write optimizer state plus model buffers for bit-exact resumption."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in state.params.items():
-        arrays["p/" + name] = p.data
-    for name, m in state.first_moment.items():
-        arrays["m/" + name] = m
-    for name, v in state.second_moment.items():
-        arrays["v/" + name] = v
-    for name, b in model.named_buffers():
-        arrays["b/" + name] = b
-    meta = {
-        "step": state.step,
-        "epoch": state.epoch,
-        "rng_state": _encode_rng_state(state.rng_state),
-    }
-    arrays["meta/json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy()
-    with _atomic_open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    """Write ``model`` as a checkpoint plus an optimizer section: the Adam
+    moments as ``m:``/``v:`` entries, and step, epoch and generator state.
+    ``model`` holds ``state``'s parameters after :func:`train` returns."""
+    block = {"step": state.step, "epoch": state.epoch, "rng_state": state.rng_state}
+    moments = {}
+    for kind, flat in (("m:", state.first_moment), ("v:", state.second_moment)):
+        moments.update((kind + name, view) for name, view in _views(model, flat).items())
+    save_checkpoint(model, path, (block, moments))
 
 
 def load_train_state(path, model: FlowModel) -> TrainState:
-    """Restore optimizer state saved by :func:`save_train_state` into ``model``."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(bytes(data["meta/json"]).decode("utf-8"))
-        params, m, v = {}, {}, {}
-        for key in data.files:
-            kind, _, name = key.partition("/")
-            if kind == "p":
-                params[name] = Tensor(data[key])
-            elif kind == "m":
-                m[name] = np.asarray(data[key], dtype=np.float64)
-            elif kind == "v":
-                v[name] = np.asarray(data[key], dtype=np.float64)
-            elif kind == "b":
-                model.set_buffer(name, data[key])
-    model.load_parameters(params)
-    return TrainState(
-        params=params,
-        first_moment=m,
-        second_moment=v,
-        step=int(meta["step"]),
-        epoch=int(meta["epoch"]),
-        rng_state=_decode_rng_state(meta["rng_state"]),
-    )
-
-
-def _encode_rng_state(state: dict) -> dict:
-    def convert(value):
-        if isinstance(value, dict):
-            return {k: convert(v) for k, v in value.items()}
-        if isinstance(value, np.ndarray):
-            return {"__array__": value.tolist(), "dtype": str(value.dtype)}
-        if isinstance(value, (np.integer,)):
-            return int(value)
-        return value
-
-    return convert(state)
-
-
-def _decode_rng_state(state: dict) -> dict:
-    def convert(value):
-        if isinstance(value, dict):
-            if "__array__" in value:
-                return np.array(value["__array__"], dtype=value["dtype"])
-            return {k: convert(v) for k, v in value.items()}
-        return value
-
-    return convert(state)
+    """Restore a file written by :func:`save_train_state` into ``model``.
+    Raises :class:`CheckpointError` for a plain checkpoint, or a moment entry
+    of the wrong shape, non-finite, or negative in the second moment."""
+    _, optimizer = _read_checkpoint(path, model.spec, model)
+    if optimizer is None:
+        raise CheckpointError(f"{path}: no optimizer section")
+    block, moments = optimizer
+    state = TrainState.fresh(model)
+    for kind, flat in (("m:", state.first_moment), ("v:", state.second_moment)):
+        for name, view in _views(model, flat).items():
+            arr = moments[kind + name]
+            if arr.shape != view.shape or not np.isfinite(arr).all() or (kind == "v:" and (arr < 0).any()):
+                raise CheckpointError(f"{path}: entry {kind + name!r} is not a valid Adam moment")
+            view[...] = arr
+    state.step, state.epoch, state.rng_state = int(block["step"]), int(block["epoch"]), block["rng_state"]
+    return state

@@ -14,6 +14,7 @@ from graphnvp.flow import (
 )
 from graphnvp.graphs import dequantize, permute_nodes, qm9lite_spec
 from graphnvp.tensor import Tensor, make_rng
+from graphnvp.train import TrainState, load_train_state, save_train_state
 
 
 def stub_scale_translation(layer, scale_value, translation_value):
@@ -423,40 +424,49 @@ def test_checkpoint_spec_mismatch(tmp_path, toy_model):
     assert "spec" in str(err.value)
 
 
+def saved_files(model, tmp_path):
+    """A model checkpoint and a train-state file of ``model``, each with the
+    loader that reads it."""
+    checkpoint, state = tmp_path / "toy.gnvp", tmp_path / "state.gnvp"
+    save_checkpoint(model, checkpoint)
+    save_train_state(state, TrainState.fresh(model), model)
+    return [
+        (checkpoint, lambda path: load_checkpoint(path, TOY_SPEC)),
+        (state, lambda path: load_train_state(path, FlowModel(TOY_SPEC, TOY_CONFIG))),
+    ]
+
+
 def test_checkpoint_truncated(tmp_path, toy_model):
-    path = tmp_path / "toy.gnvp"
-    save_checkpoint(toy_model, path)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, TOY_SPEC)
+    for path, load in saved_files(toy_model, tmp_path):
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CheckpointError):
+            load(path)
 
 
 def test_checkpoint_corrupted_crc(tmp_path, toy_model):
-    path = tmp_path / "toy.gnvp"
-    save_checkpoint(toy_model, path)
-    data = bytearray(path.read_bytes())
-    data[30] ^= 0xFF
-    path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError) as err:
-        load_checkpoint(path, TOY_SPEC)
-    assert "CRC" in str(err.value) or "truncated" in str(err.value)
+    for path, load in saved_files(toy_model, tmp_path):
+        data = bytearray(path.read_bytes())
+        data[30] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError) as err:
+            load(path)
+        assert "CRC" in str(err.value) or "truncated" in str(err.value)
 
 
 def test_checkpoint_version_mismatch(tmp_path, toy_model):
     import struct
     import zlib
 
-    path = tmp_path / "toy.gnvp"
-    save_checkpoint(toy_model, path)
-    data = bytearray(path.read_bytes())
-    data[4:8] = struct.pack("<I", 99)
-    payload = bytes(data[:-4])
-    data[-4:] = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError) as err:
-        load_checkpoint(path, TOY_SPEC)
-    assert "version" in str(err.value)
+    for path, load in saved_files(toy_model, tmp_path):
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 99)
+        payload = bytes(data[:-4])
+        data[-4:] = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError) as err:
+            load(path)
+        assert "version" in str(err.value)
 
 
 def test_checkpoint_not_a_checkpoint(tmp_path):

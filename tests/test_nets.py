@@ -4,7 +4,7 @@ import numpy as np
 
 from conftest import TOY_CONFIG, TOY_SPEC
 from graphnvp.flow import CHECKPOINT_VERSION, FlowModel, load_checkpoint, save_checkpoint
-from graphnvp.nets import RelationalGraphConvNet, RelGraphRound
+from graphnvp.nets import RelationalGraphConvNet, RelGraphRound, relation_major
 from graphnvp import tensor as T
 from graphnvp.tensor import Tensor, make_rng
 
@@ -90,6 +90,21 @@ def test_training_mode_uses_batch_statistics_over_all_nodes():
     expected = net._children["head"](T.index_axis(full, 1, 2)).data
     out = net(Tensor(h), adjacency, 2, training=True).data
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_relation_major_conditioning_is_laid_out_without_a_copy():
+    """On relation-major conditioning the R-GCN's [batch, N*R, N] layout is a
+    view, and the net's output is bitwise the same as on the plain array."""
+    h, adjacency = random_relational_input(seed=12)
+    conditioning = relation_major(adjacency)
+    assert np.array_equal(conditioning, adjacency)
+    assert np.shares_memory(a_rows_of(conditioning), conditioning)
+    assert np.array_equal(a_rows_of(conditioning), a_rows_of(adjacency))
+    net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(13))
+    randomize_net(net, make_rng(14))
+    for training in (False, True):
+        plain = net(Tensor(h), adjacency, 1, training).data
+        assert net(Tensor(h), conditioning, 1, training).data.tobytes() == plain.tobytes()
 
 
 def test_checkpoint_written_before_stacked_contraction_still_loads(tmp_path):

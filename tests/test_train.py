@@ -1,10 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
-from graphnvp.errors import TrainingError
+from graphnvp.errors import CheckpointError, TrainingError
 from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
 from graphnvp.graphs import dequantize
+from graphnvp.nets import Module
 from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
 from graphnvp.train import (
     TrainConfig,
@@ -139,23 +142,19 @@ def test_nll_invariant_under_checkpoint_round_trip(tmp_path):
 def test_adam_zero_gradient_keeps_parameters():
     model = toy_model()
     state = TrainState.fresh(model)
-    grads = {n: Tensor(np.zeros(p.shape)) for n, p in state.params.items()}
-    new_state = adam_step(state, grads, TrainConfig(epochs=1, batch_size=1))
-    for name, p in state.params.items():
-        assert np.array_equal(new_state.params[name].data, p.data)
+    before = state.params.copy()
+    grads = {n: Tensor(np.zeros(p.shape)) for n, p in model.named_parameters()}
+    adam_step(state, grads, TrainConfig(epochs=1, batch_size=1))
+    assert np.array_equal(state.params, before)
+    assert state.step == 1
 
 
 def test_adam_first_step_magnitude():
     # bias-corrected first step with unit gradient moves by ~alpha
     config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.001)
-    params = {"w": Tensor(np.array(5.0))}
-    state = TrainState(
-        params=params,
-        first_moment={"w": np.zeros(())},
-        second_moment={"w": np.zeros(())},
-    )
-    new_state = adam_step(state, {"w": Tensor(np.array(1.0))}, config)
-    delta = float(new_state.params["w"].data) - 5.0
+    state = TrainState(params=np.array([5.0]), first_moment=np.zeros(1), second_moment=np.zeros(1))
+    adam_step(state, {"w": Tensor(np.array(1.0))}, config)
+    delta = float(state.params[0]) - 5.0
     assert delta == pytest.approx(-0.001, rel=1e-6)
 
 
@@ -164,24 +163,49 @@ def test_adam_reaches_quadratic_minimum():
     # magnitude stays near alpha, so the target sits within 100 * alpha.
     config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.001)
     target = np.array([0.05, 0.03, 0.04])
-    params = {"w": Tensor(np.zeros(3))}
-    state = TrainState(
-        params=params,
-        first_moment={"w": np.zeros(3)},
-        second_moment={"w": np.zeros(3)},
-    )
+    state = TrainState(params=np.zeros(3), first_moment=np.zeros(3), second_moment=np.zeros(3))
     for _ in range(100):
-        w = state.params["w"].data
-        grads = {"w": Tensor(2.0 * (w - target))}
-        state = adam_step(state, grads, config)
-    assert np.abs(state.params["w"].data - target).max() < 1e-3
+        grads = {"w": Tensor(2.0 * (state.params - target))}
+        adam_step(state, grads, config)
+    assert np.abs(state.params - target).max() < 1e-3
 
 
 def test_adam_rejects_mismatched_names():
     model = toy_model()
     state = TrainState.fresh(model)
+    before = state.params.copy()
     with pytest.raises(TrainingError):
         adam_step(state, {"nope": Tensor(np.zeros(1))}, TrainConfig(epochs=1, batch_size=1))
+    assert np.array_equal(state.params, before) and state.step == 0
+
+
+def test_adam_in_place_equals_out_of_place_formula_bitwise():
+    """Three in-place steps over two parameters equal the out-of-place
+    per-parameter update, bit for bit."""
+    config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.003, adam_beta1=0.8, adam_eps=1e-7)
+    rng = make_rng(40)
+    shapes = {"a": (3, 4), "b": (5,)}  # "a" comes first in the flat layout
+    # Values near the size of one update and a small second moment, so that
+    # a change in any rounding shows in the last bits instead of being absorbed.
+    params = {n: 1e-3 * rng.normal(size=s) for n, s in shapes.items()}
+    m = {n: 0.1 * rng.normal(size=s) for n, s in shapes.items()}
+    v = {n: 1e-6 * rng.random(s) for n, s in shapes.items()}
+    flat = [np.concatenate([d[n].ravel() for n in ("a", "b")]) for d in (params, m, v)]
+    state = TrainState(*flat, step=4)
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    for step in range(5, 8):
+        grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+        adam_step(state, {n: Tensor(g) for n, g in grads.items()}, config)
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * g * g
+            m_hat = m[n] / (1.0 - b1**step)
+            v_hat = v[n] / (1.0 - b2**step)
+            params[n] = params[n] - config.adam_alpha * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    assert state.step == 7
+    for got, want in zip((state.params, state.first_moment, state.second_moment), (params, m, v)):
+        expected = np.concatenate([want[n].ravel() for n in ("a", "b")])
+        assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +258,10 @@ def test_train_resume_matches_uninterrupted(tmp_path):
 
     model_half = toy_model(seed=3)
     state_half, records_half = train(model_half, dataset, TrainConfig(epochs=3, batch_size=4, seed=9))
-    save_train_state(tmp_path / "state.npz", state_half, model_half)
+    save_train_state(tmp_path / "state.gnvp", state_half, model_half)
 
     model_resumed = toy_model(seed=3)
-    resumed_state = load_train_state(tmp_path / "state.npz", model_resumed)
+    resumed_state = load_train_state(tmp_path / "state.gnvp", model_resumed)
     _, records_rest = train(
         model_resumed,
         dataset,
@@ -266,15 +290,110 @@ def test_train_state_round_trip_at_path_without_suffix(tmp_path):
     before.bit_generator.state = state.rng_state
     after.bit_generator.state = restored.rng_state
     assert np.array_equal(before.random(8), after.random(8))
-    for name, p in state.params.items():
-        assert np.array_equal(restored.params[name].data, p.data), name
+    assert np.array_equal(restored.params, state.params)
+    assert np.array_equal(restored.first_moment, state.first_moment)
+    assert np.array_equal(restored.second_moment, state.second_moment)
+    assert np.array_equal(TrainState.fresh(restored_model).params, state.params)
+    for name, p in model.named_parameters():
         assert np.array_equal(restored_model.get_parameter(name).data, p.data), name
-        assert np.array_equal(restored.first_moment[name], state.first_moment[name]), name
-        assert np.array_equal(restored.second_moment[name], state.second_moment[name]), name
     for (name, saved), (_, loaded) in zip(
         sorted(model.named_buffers()), sorted(restored_model.named_buffers())
     ):
         assert np.array_equal(saved, loaded), name
+
+
+def test_train_updates_the_same_parameter_views_in_place(monkeypatch):
+    """During an epoch of three steps the model's parameter tensors and the
+    three state vectors stay the same objects; the tensors view the state."""
+    model = toy_model(seed=3)
+    seen = []
+
+    def snapshot(state):
+        tensors = [p for _, p in model.named_parameters()]
+        return tensors + [state.params, state.first_moment, state.second_moment]
+
+    def recording_adam_step(state, gradients, config):
+        seen.append(snapshot(state))
+        adam_step(state, gradients, config)
+
+    monkeypatch.setattr(importlib.import_module("graphnvp.train"), "adam_step", recording_adam_step)
+    initial = TrainState.fresh(model).params
+    state, _ = train(model, toy_batch(count=12, seed=8), TrainConfig(epochs=1, batch_size=4, seed=9))
+    assert len(seen) == state.step == 3
+    for objects in seen[1:] + [snapshot(state)]:
+        assert all(a is b for a, b in zip(seen[0], objects))
+    assert all(np.shares_memory(p.data, state.params) for _, p in model.named_parameters())
+    assert not np.array_equal(state.params, initial)
+    assert np.array_equal(TrainState.fresh(model).params, state.params)
+
+
+def test_load_parameters_runs_once_per_train_call(monkeypatch):
+    calls = []
+    original = Module.load_parameters
+
+    def counting(self, values):
+        calls.append(self)
+        original(self, values)
+
+    monkeypatch.setattr(Module, "load_parameters", counting)
+    dataset = toy_batch(count=12, seed=8)
+    model = toy_model(seed=3)
+    state, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=4, seed=9))
+    assert calls == [model] and state.step == 6
+    train(model, dataset, TrainConfig(epochs=3, batch_size=4, seed=9), resume_state=state)
+    assert calls == [model, model] and state.step == 9
+
+
+def test_train_resumes_in_memory_state_into_another_model():
+    """A state held by one model resumes bit-exactly in a fresh model built
+    with other parameter values."""
+    dataset = toy_batch(count=12, seed=8)
+    model_full = toy_model(seed=3)
+    _, records_full = train(model_full, dataset, TrainConfig(epochs=4, batch_size=4, seed=9))
+
+    state, records_half = train(toy_model(seed=3), dataset, TrainConfig(epochs=2, batch_size=4, seed=9))
+    model_other = toy_model(seed=5)
+    _, records_rest = train(
+        model_other, dataset, TrainConfig(epochs=4, batch_size=4, seed=9), resume_state=state
+    )
+    for name, p in model_full.named_parameters():
+        assert np.array_equal(p.data, model_other.get_parameter(name).data), name
+    assert [r.mean_nll for r in records_half + records_rest] == [r.mean_nll for r in records_full]
+
+
+def test_train_state_file_loads_as_a_model(tmp_path):
+    dataset = toy_batch(count=8, seed=8)
+    model = toy_model(seed=3)
+    state, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=4, seed=9))
+    save_train_state(tmp_path / "state.gnvp", state, model)
+    loaded = load_checkpoint(tmp_path / "state.gnvp", TOY_SPEC)
+    adjacency, features = dequantize(dataset, 0.9, make_rng(1))
+    z1, ld1 = model.forward_batch(adjacency, features)
+    z2, ld2 = loaded.forward_batch(adjacency, features)
+    assert z1.data.tobytes() == z2.data.tobytes()
+    assert ld1.data.tobytes() == ld2.data.tobytes()
+
+
+def test_plain_checkpoint_is_not_a_train_state(tmp_path):
+    save_checkpoint(toy_model(), tmp_path / "model.gnvp")
+    with pytest.raises(CheckpointError, match="no optimizer section"):
+        load_train_state(tmp_path / "model.gnvp", toy_model())
+
+
+@pytest.mark.parametrize(
+    "moment, value",
+    [("first_moment", np.nan), ("first_moment", np.inf), ("second_moment", -np.inf), ("second_moment", -1e-300)],
+)
+def test_load_train_state_rejects_invalid_moments(tmp_path, moment, value):
+    model = toy_model(seed=3)
+    state = TrainState.fresh(model)
+    name, p = sorted(model.named_parameters())[1]
+    offset = sorted(model.named_parameters())[0][1].size
+    getattr(state, moment)[offset + p.size - 1] = value
+    save_train_state(tmp_path / "state.gnvp", state, model)
+    kind = "m:" if moment == "first_moment" else "v:"
+    with pytest.raises(CheckpointError, match=f"'{kind}{name}'"):
+        load_train_state(tmp_path / "state.gnvp", toy_model())
 
 
 def test_train_writes_checkpoints(tmp_path):
