@@ -198,10 +198,12 @@ def _cmd_train(args) -> int:
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     out = _out_dir(args)
     model = FlowModel(spec, seed=seed)
-    _, records = train(model, dataset, config, checkpoint_dir=out)
+
+    def show(rec) -> None:
+        print(f"epoch {rec.epoch}: mean_nll={rec.mean_nll:.6f} sigma={rec.sigma:.6f}", flush=True)
+
+    _, records = train(model, dataset, config, checkpoint_dir=out, on_epoch=show)
     write_metrics_csv(records, out / "metrics.csv", include_timing=args.timing)
-    for rec in records:
-        print(f"epoch {rec.epoch}: mean_nll={rec.mean_nll:.6f} sigma={rec.sigma:.6f}")
     print(f"wrote {out / 'model.gnvp'} and {out / 'metrics.csv'}")
     return 0
 

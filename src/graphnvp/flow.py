@@ -355,23 +355,24 @@ def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> N
     # The generator state holds numpy arrays; JSON stores them as lists.
     meta_bytes = json.dumps(meta, sort_keys=True, default=np.ndarray.tolist).encode("utf-8")
 
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    blob += struct.pack("<I", len(entries))
-    for name, arr in entries:
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<I", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<I", arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<I", dim)
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+    # Streamed: each chunk goes to the file and into a running CRC, so no
+    # copy of the whole file is ever held.
+    crc = 0
     with _atomic_open(path, "wb") as fh:
-        fh.write(bytes(blob))
+
+        def write(chunk) -> None:
+            nonlocal crc
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+
+        write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)) + meta_bytes)
+        write(struct.pack("<I", len(entries)))
+        for name, arr in entries:
+            name_bytes = name.encode("utf-8")
+            write(struct.pack("<I", len(name_bytes)) + name_bytes)
+            write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
+            write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1))
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 class _Reader:

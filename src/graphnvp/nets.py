@@ -4,16 +4,34 @@ Networks live inside coupling layers and compute scale/translation values from
 the masked part of the input, so they never need to be inverted themselves.
 Every output head is zero-initialized, which makes a freshly built model the
 exact identity map.
+
+Outside training, batch norm is a fixed per-feature affine map, so the nets
+fold it into the weights of the layer before it (Jacob et al. 2018, §3.2) and
+run each pair as one op.  A fold is cached on its net, tagged with a
+module-level version counter that every parameter or buffer change bumps.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .tensor import Tensor
+
+_versions = itertools.count(1)
+_version = 0
+
+
+def parameters_changed() -> None:
+    """Invalidate every cached batch-norm fold.  The :class:`Module` setters
+    call it; code that updates parameter values in place must call it too.
+    Each call publishes a value never used before, so a bump racing another
+    thread's is not lost the way ``_version += 1`` could be."""
+    global _version
+    _version = next(_versions)
 
 
 class Module:
@@ -26,10 +44,12 @@ class Module:
 
     def register_parameter(self, name: str, value: Tensor) -> Tensor:
         self._params[name] = value
+        parameters_changed()
         return value
 
     def register_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
         self._buffers[name] = np.asarray(value, dtype=np.float64)
+        parameters_changed()
         return self._buffers[name]
 
     def register_child(self, name: str, child: "Module") -> "Module":
@@ -58,6 +78,7 @@ class Module:
         if old.shape != value.shape:
             raise ShapeError(f"parameter {name}: shape {value.shape} != {old.shape}")
         module._params[leaf] = value
+        parameters_changed()
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
         module, leaf = self._resolve(name)
@@ -66,6 +87,7 @@ class Module:
         if old.shape != value.shape:
             raise ShapeError(f"buffer {name}: shape {value.shape} != {old.shape}")
         module._buffers[leaf] = value
+        parameters_changed()
 
     def _resolve(self, name: str) -> tuple["Module", str]:
         module = self
@@ -106,8 +128,8 @@ class Linear(Module):
         self.register_parameter("weight", weight)
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, self._params["weight"], self._params["bias"])
+    def __call__(self, x: Tensor, activation: str | None = None) -> Tensor:
+        return T.linear(x, self._params["weight"], self._params["bias"], activation)
 
 
 class BatchNorm(Module):
@@ -142,10 +164,47 @@ class BatchNorm(Module):
             m = self.momentum
             self._buffers["running_mean"] = (1 - m) * running[0] + m * mean
             self._buffers["running_var"] = (1 - m) * running[1] + m * var
+            parameters_changed()
         return out
 
+    def fold(self, layer: Module) -> tuple[Tensor, ...]:
+        """``layer``'s parameters, in registration order, with this module's
+        eval map folded in: with ``s = gamma * (running_var + eps) ** -0.5``,
+        each weight is scaled by ``s`` along its output (last) axis and the
+        bias becomes ``(bias - running_mean) * s + beta``."""
+        mean, var = self._buffers["running_mean"], self._buffers["running_var"]
+        if not np.isfinite(var).all():
+            raise NumericError("batch_norm produced a non-finite variance")
+        s = self._params["gamma"].data * np.power(var + self.eps, -0.5)
+        folded = []
+        for name, p in layer._params.items():
+            arr = (p.data - mean) * s + self._params["beta"].data if name == "bias" else p.data * s
+            folded.append(T._wrap(arr, "batch_norm"))
+        return tuple(folded)
 
-class MlpNet(Module):
+
+class _ConditionerNet(Module):
+    """Hidden layers ``{layer}{k}``, each followed by ``bn{k}`` when batch
+    norm is on; caches their folds (see the module docstring)."""
+
+    def __init__(self, batch_norm: bool):
+        super().__init__()
+        self.batch_norm = batch_norm
+        self._fold: tuple[int, list[tuple[Tensor, ...]]] = (-1, [])
+
+    def _folded_layers(self, layer: str, count: int, training: bool) -> list[tuple[Tensor, ...]] | None:
+        """Per hidden layer, its folded parameters; None in training, and
+        while a tape records: to the tape folded parameters are constants, so
+        the gradients of the weights, gamma and beta would be lost."""
+        if training or not self.batch_norm or T.is_recording():
+            return None
+        if self._fold[0] != _version:
+            ch = self._children
+            self._fold = (_version, [ch[f"bn{k}"].fold(ch[f"{layer}{k}"]) for k in range(count)])
+        return self._fold[1]
+
+
+class MlpNet(_ConditionerNet):
     """Fully connected net; hidden relu layers, zero-initialized output head."""
 
     def __init__(
@@ -156,8 +215,7 @@ class MlpNet(Module):
         rng: np.random.Generator,
         batch_norm: bool = True,
     ):
-        super().__init__()
-        self.batch_norm = batch_norm
+        super().__init__(batch_norm)
         widths = [n_in, *hidden]
         for k in range(len(hidden)):
             self.register_child(f"lin{k}", Linear(widths[k], widths[k + 1], rng))
@@ -168,12 +226,15 @@ class MlpNet(Module):
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         h = x
+        folds = self._folded_layers("lin", self.n_hidden, training)
         for k in range(self.n_hidden):
-            h = self._children[f"lin{k}"](h)
-            if self.batch_norm:
-                h = self._children[f"bn{k}"](h, training, "relu")
+            lin = self._children[f"lin{k}"]
+            if folds is not None:
+                h = T.linear(h, *folds[k], "relu")
+            elif self.batch_norm:
+                h = self._children[f"bn{k}"](lin(h), training, "relu")
             else:
-                h = T.relu(h)
+                h = lin(h, "relu")
         return self._children["head"](h)
 
 
@@ -194,13 +255,15 @@ class RelGraphRound(Module):
         self.register_parameter("self_weight", glorot(rng, n_in, n_out))
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
-    def __call__(self, h: Tensor, a_rows: np.ndarray, row: int | None = None) -> Tensor:
+    def __call__(
+        self, h: Tensor, a_rows: np.ndarray, row: int | None = None, activation: str | None = None
+    ) -> Tensor:
         # a_rows: constant [batch, N*R, N], row i*R + r is A[:, i, :, r]; h: [batch, N, F].
         p = self._params
-        return T.graph_conv(h, a_rows, p["rel_weight"], p["self_weight"], p["bias"], row)
+        return T.graph_conv(h, a_rows, p["rel_weight"], p["self_weight"], p["bias"], row, activation)
 
 
-class RelationalGraphConvNet(Module):
+class RelationalGraphConvNet(_ConditionerNet):
     """Message passing over the discrete adjacency tensor, one output row.
 
     Returns the zero-initialized head applied to the embedding of a single
@@ -220,9 +283,8 @@ class RelationalGraphConvNet(Module):
         rng: np.random.Generator,
         batch_norm: bool = True,
     ):
-        super().__init__()
+        super().__init__(batch_norm)
         self.rounds = rounds
-        self.batch_norm = batch_norm
         widths = [n_in] + [hidden] * rounds
         for k in range(rounds):
             self.register_child(f"round{k}", RelGraphRound(widths[k], widths[k + 1], num_relations, rng))
@@ -235,13 +297,16 @@ class RelationalGraphConvNet(Module):
         # A copy, unless ``adjacency`` comes from :func:`relation_major`.
         a_rows = adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
         h = x
+        folds = self._folded_layers("round", self.rounds, training)
         for k in range(self.rounds):
             target = row if k == self.rounds - 1 and not training else None
-            h = self._children[f"round{k}"](h, a_rows, target)
-            if self.batch_norm:
-                h = self._children[f"bn{k}"](h, training, "tanh")
+            conv = self._children[f"round{k}"]
+            if folds is not None:
+                h = T.graph_conv(h, a_rows, *folds[k], target, "tanh")
+            elif self.batch_norm:
+                h = self._children[f"bn{k}"](conv(h, a_rows, target), training, "tanh")
             else:
-                h = T.tanh(h)
+                h = conv(h, a_rows, target, "tanh")
         if h.ndim == 3:
             h = T.index_axis(h, 1, row)
         return self._children["head"](h)

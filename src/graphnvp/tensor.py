@@ -6,16 +6,17 @@ Elementwise operations broadcast only over leading (batch) axes: the shorter
 operand must match the trailing axes of the longer one exactly.  Gradients are
 recorded on an explicitly entered :class:`GradientTape`; one tape per thread.
 
-Besides the generic primitives there are five fused ones, each one tape
+Besides the generic primitives there are four fused ones, each one tape
 record with a hand-written vjp:
 
 * :func:`linear`: a 2-D GEMM plus bias;
 * :func:`graph_conv`: one relational graph-convolution round, relation
   messages and self-loop in two GEMMs plus bias;
 * :func:`batch_norm`: batch or frozen statistics, then scale and shift;
-* ``batch_norm(..., activation="tanh" | "relu")``: the same with the
-  activation applied in place to its output;
 * :func:`replace_row`: swap one axis-1 slice.
+
+The first three take ``activation=None | "tanh" | "relu"``, applied in place
+to their output after its finiteness check.
 
 Each record keeps a needs-gradient mask, one flag per input saying whether it
 depends on a watched tensor; the vjp receives it and returns ``None`` for the
@@ -34,6 +35,7 @@ __all__ = [
     "Tensor",
     "GradientTape",
     "backward",
+    "is_recording",
     "finite_difference_gradient",
     "make_rng",
     "add",
@@ -235,6 +237,11 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, Tensor]:
         g = grads.get(id(p))
         out[name] = _wrap(np.zeros(p.shape) if g is None else g, "backward")
     return out
+
+
+def is_recording() -> bool:
+    """Whether a :class:`GradientTape` is active on this thread."""
+    return bool(_tape_stack())
 
 
 def _record(inputs: tuple[Tensor, ...], output: Tensor, vjp) -> Tensor:
@@ -504,15 +511,41 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for ``x`` [rows, n_in], ``w`` [n_in, n_out], ``b`` [n_out]."""
+_ACTIVATIONS = (None, "tanh", "relu")
+
+
+def _activate(y: np.ndarray, activation: str | None, op: str) -> Tensor:
+    """Check ``y`` for finiteness, then apply ``activation`` to it in place.
+    The check comes first because tanh would turn an overflow into a plain 1."""
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"{op}: activation must be one of {_ACTIVATIONS}, got {activation!r}")
+    _check_finite(y, op)
+    if activation == "tanh":
+        np.tanh(y, out=y)
+    elif activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    return _frozen(y)
+
+
+def _activation_vjp(g: np.ndarray, activation: str | None, out: np.ndarray) -> np.ndarray:
+    """``g`` times the derivative of ``activation``, given its output ``out``."""
+    if activation == "tanh":
+        return g * (1.0 - out * out)
+    if activation == "relu":
+        return g * (out > 0.0)
+    return g
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
+    """``activation(x @ w + b)`` for ``x`` [rows, n_in], ``w`` [n_in, n_out], ``b`` [n_out]."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
     y = np.matmul(x.data, w.data)
     y += b.data
-    out = _wrap(y, "linear")
+    out = _activate(y, activation, "linear")
 
     def vjp(g: np.ndarray, needs):
+        g = _activation_vjp(g, activation, out.data)
         return (
             np.matmul(g, w.data.T) if needs[0] else None,
             np.matmul(x.data.T, g) if needs[1] else None,
@@ -529,11 +562,13 @@ def graph_conv(
     w_self: Tensor,
     b: Tensor,
     row: int | None = None,
+    activation: str | None = None,
 ) -> Tensor:
     """One relational graph-convolution round (Schlichtkrull et al. 2018).
 
-    Node ``i`` of the output is ``sum_r sum_j A[i, j, r] h_j W_r + h_i W_self + b``
-    for ``h`` [batch, N, F], ``w_rel`` [R, F, H], ``w_self`` [F, H] and ``b`` [H].
+    Node ``i`` of the output is ``activation(sum_r sum_j A[i, j, r] h_j W_r +
+    h_i W_self + b)`` for ``h`` [batch, N, F], ``w_rel`` [R, F, H], ``w_self``
+    [F, H] and ``b`` [H].
     The constant ``a_rows`` [batch, N*R, N] lays the adjacency out so that row
     ``i*R + r`` is ``A[:, i, :, r]``; then ``a_rows @ h`` reshapes to
     [batch*N, R*F] and meets ``w_rel`` viewed as [R*F, H] in a single GEMM.
@@ -564,10 +599,10 @@ def graph_conv(
     y = np.matmul(messages, w_flat)
     y += np.matmul(h_self, w_self.data)
     y += b.data
-    out = _wrap(y if row is not None else y.reshape(batch, n, hidden), "graph_conv")
+    out = _activate(y if row is not None else y.reshape(batch, n, hidden), activation, "graph_conv")
 
     def vjp(g: np.ndarray, needs):
-        g = g.reshape(rows, hidden)
+        g = _activation_vjp(g, activation, out.data).reshape(rows, hidden)
         gh = None
         if needs[0]:
             g_messages = np.matmul(g, w_flat.T).reshape(a_rows.shape[:2] + (f,))
@@ -587,9 +622,6 @@ def graph_conv(
     return _record((h, w_rel, w_self, b), out, vjp)
 
 
-_ACTIVATIONS = (None, "tanh", "relu")
-
-
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -603,15 +635,11 @@ def batch_norm(
     With ``stats`` None the batch mean and biased variance are used and
     differentiated through (Ioffe & Szegedy 2015); otherwise ``stats`` is a
     constant ``(mean, var)`` pair, which makes this a fixed affine map of
-    ``x``.  ``activation`` ("tanh" or "relu") is then applied in place; the
-    finiteness check runs before it, because tanh would turn an overflow
-    into a plain 1.  Returns the output and the mean and variance that were
-    applied.
+    ``x``.  ``activation`` is then applied in place.  Returns the output and
+    the mean and variance that were applied.
     """
     if x.ndim < 2 or gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
         raise ShapeError(f"batch_norm: shapes {x.shape}, {gamma.shape}, {beta.shape} do not fit")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"batch_norm: activation must be one of {_ACTIVATIONS}, got {activation!r}")
     flat = x.data.reshape(-1, x.shape[-1])  # one row per position, one column per feature
     if stats is None:
         mean = flat.mean(axis=0)
@@ -634,19 +662,10 @@ def batch_norm(
         y *= inv_std
         y *= gamma.data
     y += beta.data
-    _check_finite(y, "batch_norm")
-    if activation == "tanh":
-        np.tanh(y, out=y)
-    elif activation == "relu":
-        np.maximum(y, 0.0, out=y)
-    out = _frozen(y.reshape(x.shape))
+    out = _activate(y.reshape(x.shape), activation, "batch_norm")
 
     def vjp(g: np.ndarray, needs):
-        if activation == "tanh":
-            g = g * (1.0 - out.data * out.data)
-        elif activation == "relu":
-            g = g * (out.data > 0.0)
-        g = g.reshape(flat.shape)
+        g = _activation_vjp(g, activation, out.data).reshape(flat.shape)
         batch_stats = stats is None and needs[0]
         g_beta = g.sum(axis=0) if needs[2] or batch_stats else None
         g_gamma = None

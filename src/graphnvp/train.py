@@ -11,7 +11,7 @@ import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from . import tensor as T
 from .errors import CheckpointError, NumericError, TrainingError
 from .flow import FlowModel, _atomic_open, _read_checkpoint, save_checkpoint
 from .graphs import MolecularGraph, dequantize
+from .nets import parameters_changed
 from .tensor import GradientTape, Tensor, make_rng
 
 METRICS_COLUMNS = ("epoch", "mean_nll", "sigma", "wall_seconds")
@@ -123,6 +124,7 @@ def adam_step(state: TrainState, gradients: dict[str, Tensor], config: TrainConf
         v[...] = b2 * v + (1.0 - b2) * g * g
         state.params[lo:hi] -= config.adam_alpha * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
         lo = hi
+    parameters_changed()
 
 
 def train(
@@ -131,6 +133,7 @@ def train(
     config: TrainConfig,
     checkpoint_dir=None,
     resume_state: TrainState | None = None,
+    on_epoch: Callable[[EpochRecord], None] | None = None,
 ) -> tuple[TrainState, list[EpochRecord]]:
     """Minibatch NLL minimization; per-epoch shuffling from the seeded generator.
 
@@ -140,6 +143,7 @@ def train(
     every ``config.checkpoint_every`` epochs (if nonzero) and always at the
     end.  Passing the state of an interrupted run, in memory or from
     :func:`load_train_state`, resumes it bit-exactly in ``model``.
+    ``on_epoch`` is called with each epoch's record when that epoch ends.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -188,6 +192,8 @@ def train(
             and epoch % config.checkpoint_every == 0
         ):
             save_checkpoint(model, checkpoint_dir / f"epoch_{epoch:04d}.gnvp")
+        if on_epoch is not None:
+            on_epoch(records[-1])
     state.rng_state = rng.bit_generator.state
     if checkpoint_dir is not None:
         save_checkpoint(model, checkpoint_dir / "model.gnvp")

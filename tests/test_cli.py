@@ -1,3 +1,5 @@
+import importlib
+import re
 import struct
 import zlib
 
@@ -81,6 +83,28 @@ def test_train_zero_epochs_writes_zero_init_checkpoint(zero_checkpoint):
     lines = metrics.read_text().splitlines()
     assert lines[1] == "epoch,mean_nll,sigma,wall_seconds"
     assert len(lines) == 2  # no epochs -> no rows
+
+
+def test_train_prints_each_epoch_line_when_the_epoch_ends(tmp_path, capsys, monkeypatch):
+    dataset = tmp_path / "four.smi"
+    dataset.write_text("C\nCC\nCO\nCN\n")
+    train_module = importlib.import_module("graphnvp.train")
+    nll_loss = train_module.nll_loss
+    before_step = []  # what was printed before each training step
+
+    def watched(*args, **kwargs):
+        before_step.append(capsys.readouterr().out)
+        return nll_loss(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "nll_loss", watched)
+    out = tmp_path / "out"
+    argv = ["train", "--out", str(out), "--dataset", str(dataset), "--epochs", "2", "--batch-size", "4"]
+    assert run(argv) == 0
+    rest = capsys.readouterr().out
+    assert before_step[0] == ""
+    assert re.fullmatch(r"epoch 1: mean_nll=-?\d+\.\d{6} sigma=\d+\.\d{6}\n", before_step[1])
+    assert len(before_step) == 2 and rest.startswith("epoch 2: ")
+    assert rest.endswith(f"wrote {out / 'model.gnvp'} and {out / 'metrics.csv'}\n")
 
 
 def test_generate_deterministic_bytes(tmp_path, zero_checkpoint):

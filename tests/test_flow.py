@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,25 @@ def test_checkpoint_round_trip_bitwise(tmp_path, random_toy_model):
         sorted(model.named_buffers()), sorted(loaded.named_buffers())
     ):
         assert n1 == n2 and np.array_equal(b1, b2)
+
+
+def test_checkpoint_save_streams_to_disk(tmp_path):
+    """A save never holds a copy of the whole file: its traced allocations
+    peak well under the file size."""
+    config = ModelConfig(adjacency_layers=3, node_layers=3, mlp_hidden=(256, 256), gcn_hidden=6)
+    model = FlowModel(TOY_SPEC, config, seed=1)
+    path = tmp_path / "big.gnvp"
+    tracemalloc.start()
+    try:
+        save_checkpoint(model, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak < 1.5 * size
+    loaded = dict(load_checkpoint(path, TOY_SPEC).named_parameters())
+    assert all(np.array_equal(loaded[name].data, p.data) for name, p in model.named_parameters())
 
 
 def test_checkpoint_spec_mismatch(tmp_path, toy_model):

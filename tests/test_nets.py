@@ -1,12 +1,24 @@
+import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from conftest import TOY_CONFIG, TOY_SPEC
-from graphnvp.flow import CHECKPOINT_VERSION, FlowModel, load_checkpoint, save_checkpoint
-from graphnvp.nets import RelationalGraphConvNet, RelGraphRound, relation_major
+from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
+from graphnvp.flow import (
+    CHECKPOINT_VERSION,
+    AdjacencyCouplingLayer,
+    FlowModel,
+    NodeFeatureCouplingLayer,
+    load_checkpoint,
+    save_checkpoint,
+)
+from graphnvp.graphs import dequantize
+from graphnvp.nets import BatchNorm, Linear, MlpNet, RelationalGraphConvNet, RelGraphRound, relation_major
+from graphnvp import nets
 from graphnvp import tensor as T
-from graphnvp.tensor import Tensor, make_rng
+from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
+from graphnvp.train import TrainConfig, TrainState, load_train_state, nll_loss, save_train_state, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,3 +140,212 @@ def test_checkpoint_written_before_stacked_contraction_still_loads(tmp_path):
     adjacency, features = model.inverse_batch(io["latents"])
     assert np.array_equal(np.floor(adjacency), np.floor(io["adjacency"]))
     assert np.array_equal(np.floor(features), np.floor(io["features"]))
+
+
+# ---------------------------------------------------------------------------
+# batch norm folded into the layer before it (eval only)
+# ---------------------------------------------------------------------------
+
+
+def assert_close(out, expected, rel=1e-12):
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() <= rel * np.abs(expected).max()
+
+
+def test_fold_is_the_layer_then_frozen_batch_norm():
+    rng = make_rng(20)
+    h, adjacency = random_relational_input(seed=21, f=4)
+    a_rows = a_rows_of(adjacency)
+    lin, conv, norm = Linear(4, 6, rng), RelGraphRound(4, 6, 3, rng), BatchNorm(6)
+    for module in (lin, conv, norm):
+        randomize_net(module, rng)
+    x = Tensor(rng.normal(size=(7, 4)))
+    for act in ("relu", "tanh"):
+        assert_close(T.linear(x, *norm.fold(lin), act).data, norm(lin(x), False, act).data)
+        for row in (None, 2):
+            expected = norm(conv(Tensor(h), a_rows, row), False, act).data
+            assert_close(T.graph_conv(Tensor(h), a_rows, *norm.fold(conv), row, act).data, expected)
+
+
+def test_folded_mlp_matches_unfolded_composition():
+    rng = make_rng(22)
+    net = MlpNet(10, (8, 8), 5, rng)
+    randomize_net(net, rng)
+    x = Tensor(rng.normal(size=(6, 10)))
+    h = x
+    for k in range(2):
+        h = T.linear(h, net.get_parameter(f"lin{k}.weight"), net.get_parameter(f"lin{k}.bias"))
+        bn = net._children[f"bn{k}"]
+        stats = (bn._buffers["running_mean"], bn._buffers["running_var"])
+        h = T.batch_norm(h, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, stats, "relu")[0]
+    expected = net._children["head"](h).data
+    assert_close(net(x, training=False).data, expected)
+
+
+@pytest.mark.parametrize("path", ["full", "target_row"])
+def test_folded_graph_conv_net_matches_unfolded_composition(path):
+    """The unfolded oracle computes every round for all nodes ("full") or,
+    like eval, only the target row in the last round."""
+    h, adjacency = random_relational_input(seed=23)
+    net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(24))
+    randomize_net(net, make_rng(25))
+    a_rows = a_rows_of(adjacency)
+    for row in range(5):
+        x = Tensor(h)
+        for k in range(2):
+            p = lambda name: net.get_parameter(f"round{k}.{name}")
+            target = row if path == "target_row" and k == 1 else None
+            x = T.graph_conv(x, a_rows, p("rel_weight"), p("self_weight"), p("bias"), target)
+            bn = net._children[f"bn{k}"]
+            stats = (bn._buffers["running_mean"], bn._buffers["running_var"])
+            x = T.batch_norm(x, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, stats, "tanh")[0]
+        if x.ndim == 3:
+            x = T.index_axis(x, 1, row)
+        expected = net._children["head"](x).data
+        assert_close(net(Tensor(h), adjacency, row, training=False).data, expected)
+
+
+def test_folded_coupling_layers_match_unfolded(monkeypatch):
+    rng = make_rng(26)
+    adj_layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, rng)
+    node_layer = NodeFeatureCouplingLayer(TOY_SPEC, 2, TOY_CONFIG, rng)
+    for layer in (adj_layer, node_layer):
+        randomize_net(layer, rng)
+    graphs = [random_graph(TOY_SPEC, make_rng(27 + k)) for k in range(4)]
+    adjacency, features = dequantize(graphs, 0.9, rng)
+    za, zx, conditioning = Tensor(adjacency), Tensor(features), np.floor(adjacency)
+
+    def run():
+        out, log_det = adj_layer.forward(za, False)
+        return [
+            out.data,
+            log_det.data,
+            adj_layer.inverse(za).data,
+            node_layer.forward(zx, conditioning, False).data,
+            node_layer.inverse(zx, conditioning).data,
+        ]
+
+    folded = run()
+    # Every net takes the unfolded eval path: layer, then batch norm.
+    monkeypatch.setattr(nets._ConditionerNet, "_folded_layers", lambda self, *args: None)
+    for out, expected in zip(folded, run()):
+        assert_close(out, expected)
+    # The coupling layers only change their target row.
+    assert not np.array_equal(folded[0], adjacency) and not np.array_equal(folded[3], features)
+
+
+def _toy_batch(seed, size=4):
+    rng = make_rng(seed)
+    return [random_graph(TOY_SPEC, rng) for _ in range(size)]
+
+
+def _eval(model, seed=40):
+    adjacency, features = dequantize(_toy_batch(seed), 0.9, make_rng(seed))
+    z, log_det = model.forward_batch(adjacency, features)
+    decoded = model.inverse_batch(z.data)
+    return [z.data, log_det.data, *decoded]
+
+
+def _assert_eval_matches_fresh_copy(model):
+    # ``model`` first: building the copy changes the version counter.
+    outputs = _eval(model)
+    fresh = FlowModel(TOY_SPEC, TOY_CONFIG, seed=99)
+    for name, p in model.named_parameters():
+        fresh.set_parameter(name, Tensor(p.data))
+    for name, buf in model.named_buffers():
+        fresh.set_buffer(name, buf.copy())
+    for out, expected in zip(outputs, _eval(fresh)):
+        assert out.tobytes() == expected.tobytes()
+
+
+def _used_model():
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=5), seed=6)
+    _eval(model)  # fills every fold cache
+    return model
+
+
+def test_fold_follows_set_parameter_set_buffer_and_load_parameters():
+    rng = make_rng(41)
+    model = _used_model()
+    model.set_parameter("adjacency_1.scale_net.lin1.weight", Tensor(rng.normal(size=(8, 8))))
+    _assert_eval_matches_fresh_copy(model)
+    model.set_parameter("node_2.translate_net.bn0.gamma", Tensor(1.0 + rng.random(6)))
+    _assert_eval_matches_fresh_copy(model)
+    model.set_buffer("adjacency_2.translate_net.bn0.running_mean", rng.normal(size=8))
+    _assert_eval_matches_fresh_copy(model)
+    model.load_parameters(
+        {
+            "node_0.translate_net.round1.self_weight": Tensor(rng.normal(size=(6, 6))),
+            "adjacency_0.translate_net.bn1.beta": Tensor(rng.normal(size=8)),
+        }
+    )
+    _assert_eval_matches_fresh_copy(model)
+
+
+def test_fold_follows_training_mode_forward():
+    model = _used_model()
+    adjacency, features = dequantize(_toy_batch(42), 0.9, make_rng(42))
+    name = "adjacency_0.scale_net.bn0.running_mean"
+    before = dict(model.named_buffers())[name]
+    model.forward_batch(adjacency, features, training=True)
+    assert not np.array_equal(dict(model.named_buffers())[name], before)
+    _assert_eval_matches_fresh_copy(model)
+
+
+def test_fold_follows_adam_step_inside_train(monkeypatch):
+    """Each in-place Adam update runs right after an eval filled the caches."""
+    model = _used_model()
+    train_module = importlib.import_module("graphnvp.train")
+    adam_step = train_module.adam_step
+    steps = []
+
+    def checked(state, gradients, config):
+        before = _eval(model)
+        adam_step(state, gradients, config)
+        assert not np.array_equal(_eval(model)[0], before[0])
+        _assert_eval_matches_fresh_copy(model)
+        steps.append(state.step)
+
+    monkeypatch.setattr(train_module, "adam_step", checked)
+    train(model, _toy_batch(43, size=6), TrainConfig(epochs=2, batch_size=4, seed=1))
+    assert steps == [1, 2, 3, 4]
+
+
+def test_fold_follows_checkpoint_loaded_into_used_model(tmp_path):
+    source = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=5), seed=7)
+    path = tmp_path / "state.gnvp"
+    save_train_state(path, TrainState.fresh(source), source)
+    model = _used_model()
+    load_train_state(path, model)
+    _assert_eval_matches_fresh_copy(model)
+    for out, expected in zip(_eval(model), _eval(source)):
+        assert out.tobytes() == expected.tobytes()
+
+
+def test_eval_loss_on_a_tape_differentiates_batch_norm_and_linear_weights():
+    """While a tape records, eval runs unfolded, so the gradients of gamma,
+    beta and a Linear weight are those of the eval loss."""
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=8), seed=9)
+    batch = _toy_batch(44)
+    _eval(model)
+    names = [
+        "adjacency_1.scale_net.bn1.gamma",
+        "node_2.translate_net.bn0.beta",
+        "adjacency_0.translate_net.lin1.weight",
+    ]
+    with GradientTape() as tape:
+        for name in names:
+            tape.watch(name, model.get_parameter(name))
+        loss = nll_loss(model, batch, make_rng(3), training=False)
+    grads = tape.gradients(loss)
+    for name in names:
+
+        def f(value, name=name):
+            model.set_parameter(name, value)
+            return nll_loss(model, batch, make_rng(3), training=False)
+
+        original = model.get_parameter(name)
+        expected = finite_difference_gradient(f, original).data
+        model.set_parameter(name, original)
+        assert np.abs(expected).max() > 1e-3, name
+        assert np.abs(grads[name].data - expected).max() <= 1e-5 * (1.0 + np.abs(expected).max()), name

@@ -575,6 +575,54 @@ def test_batch_norm_checks_finiteness_before_the_activation(activation):
         batch_norm(x, Tensor([1.0, 1.0]), beta, 0.0, stats, "sigmoid")
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_linear_and_graph_conv_activation_is_bit_identical_to_the_separate_op(activation):
+    """Forward values and every input's gradient: the op with ``activation``
+    against the op followed by ``tanh`` or ``relu``."""
+    rng = make_rng(zlib.crc32(activation.encode()))
+    h, a_rows, w_rel, w_self, b = _relational_input(rng, batch=3, n=4, r=2, f=3, hidden=5)
+    x, w = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(3, 5)))
+    separate = {"tanh": tanh, "relu": relu}[activation]
+    cases = [
+        ([x, w, b], lambda x, w, b, act=None: linear(x, w, b, act)),
+        ([h, w_rel, w_self, b], lambda h, wr, ws, b, act=None: graph_conv(h, a_rows, wr, ws, b, None, act)),
+        ([h, w_rel, w_self, b], lambda h, wr, ws, b, act=None: graph_conv(h, a_rows, wr, ws, b, 2, act)),
+    ]
+    for inputs, op in cases:
+        outputs, grads = [], []
+        for fused in (True, False):
+            with GradientTape() as tape:
+                for k, t in enumerate(inputs):
+                    tape.watch(str(k), t)
+                out = op(*inputs, activation) if fused else separate(op(*inputs))
+                loss = sum_axis(mul(out, Tensor(make_rng(1).normal(size=out.shape))))
+            assert len(tape.records) == (3 if fused else 4)
+            outputs.append(out.data)
+            grads.append(tape.gradients(loss))
+        assert np.array_equal(outputs[0], outputs[1])
+        if activation == "relu":
+            assert (outputs[0] == 0.0).any()  # some gradients are masked
+        for k in grads[1]:
+            assert np.array_equal(grads[0][k].data, grads[1][k].data), k
+
+
+@pytest.mark.parametrize("activation", [None, "tanh", "relu"])
+def test_linear_and_graph_conv_check_finiteness_before_the_activation(activation):
+    # -inf before the activation; tanh would map it to -1 and relu to 0.
+    x, w, b = Tensor([[1e200, 1.0]]), Tensor([[-1e200, 0.0], [0.0, 1.0]]), Tensor([0.0, 0.0])
+    h, a_rows, w_rel = Tensor([[[1e200, 0.0], [1.0, 1.0]]]), np.zeros((1, 2, 2)), Tensor(np.zeros((1, 2, 2)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="^linear produced a non-finite value"):
+            linear(x, w, b, activation)
+        for row in (None, 0):
+            with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
+                graph_conv(h, a_rows, w_rel, w, b, row, activation)
+    with pytest.raises(ValueError):
+        linear(x, Tensor(np.eye(2)), b, "sigmoid")
+    with pytest.raises(ValueError):
+        graph_conv(h, a_rows, w_rel, Tensor(np.eye(2)), b, None, "sigmoid")
+
+
 def test_training_graph_round_and_batch_norm_activation_record_once():
     rng = make_rng(42)
     layer = RelGraphRound(3, 4, 2, rng)
