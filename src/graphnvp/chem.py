@@ -16,11 +16,12 @@ import logging
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ChemError, DatasetError, SmilesParseError
-from .graphs import GraphSpec, MolecularGraph
+from .errors import ChemError, DatasetError, GraphError, SmilesParseError
+from .graphs import GraphSpec, MolecularGraph, check_graphs
 
 log = logging.getLogger(__name__)
 
@@ -419,6 +420,11 @@ def write_smiles_canonical(molecule: Molecule) -> str:
 
 def to_graph(molecule: Molecule, spec: GraphSpec) -> MolecularGraph:
     """Pad a molecule to the spec's node count with virtual atoms and bonds."""
+    return _padded(molecule, spec).validate()
+
+
+def _padded(molecule: Molecule, spec: GraphSpec) -> MolecularGraph:
+    """:func:`to_graph` without the final graph-invariant check."""
     molecule.validate()
     n = spec.num_nodes
     if len(molecule.atoms) > n:
@@ -442,26 +448,54 @@ def to_graph(molecule: Molecule, spec: GraphSpec) -> MolecularGraph:
         adjacency[j, i, :] = 0.0
         adjacency[i, j, channel] = 1.0
         adjacency[j, i, channel] = 1.0
-    return MolecularGraph(spec, adjacency, features).validate()
+    return MolecularGraph(spec, adjacency, features)
+
+
+def from_graphs(graphs: Sequence[MolecularGraph]) -> list[Molecule]:
+    """Drop virtual padding from each graph of one spec; a molecule may come
+    out empty or invalid.  Raises :class:`GraphError` if a graph breaks an
+    invariant.
+
+    Atom indices are compacted in node order, and each graph's bonds are
+    listed in row-major order of their upper-triangle node pairs.
+    """
+    if not graphs:
+        return []
+    spec = graphs[0].spec
+    if any(g.spec != spec for g in graphs):
+        raise GraphError("from_graphs needs graphs of one spec")
+    adjacency = np.stack([g.adjacency for g in graphs])
+    features = np.stack([g.features for g in graphs])
+    check_graphs(spec, adjacency, features)
+    kinds = features.argmax(axis=-1)
+    real = kinds != spec.virtual_atom
+    compact = np.cumsum(real, axis=-1) - 1
+    # Virtual nodes carry only virtual bonds, so every real bond joins two
+    # real atoms.
+    rows, cols = np.triu_indices(spec.num_nodes, k=1)
+    channels = adjacency[:, rows, cols].argmax(axis=-1)
+    owner, pair = np.nonzero(channels != spec.virtual_bond)
+    bonds = list(
+        zip(
+            compact[owner, rows[pair]].tolist(),
+            compact[owner, cols[pair]].tolist(),
+            (channels[owner, pair] + 1).tolist(),
+        )
+    )
+    atoms = np.array(spec.atom_vocab, dtype=object)[kinds[real]].tolist()
+    atom_ends = np.cumsum(real.sum(axis=-1)).tolist()
+    bond_ends = np.cumsum(np.bincount(owner, minlength=len(graphs))).tolist()
+    molecules = []
+    atom_start = bond_start = 0
+    for atom_end, bond_end in zip(atom_ends, bond_ends):
+        molecules.append(Molecule(atoms[atom_start:atom_end], bonds[bond_start:bond_end]))
+        atom_start, bond_start = atom_end, bond_end
+    return molecules
 
 
 def from_graph(graph: MolecularGraph) -> Molecule:
-    """Drop virtual padding; may return an empty or invalid molecule."""
-    graph.validate()
-    spec = graph.spec
-    kinds = graph.features.argmax(axis=1)
-    real = [i for i in range(spec.num_nodes) if kinds[i] != spec.virtual_atom]
-    compact = {node: idx for idx, node in enumerate(real)}
-    atoms = [spec.atom_vocab[kinds[i]] for i in real]
-    bonds = []
-    for a in real:
-        for b in real:
-            if a >= b:
-                continue
-            channel = int(graph.adjacency[a, b].argmax())
-            if channel != spec.virtual_bond:
-                bonds.append((compact[a], compact[b], channel + 1))
-    return Molecule(atoms, bonds)
+    """:func:`from_graphs` for one graph."""
+    return from_graphs([graph])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +525,15 @@ def load_dataset(path, spec: GraphSpec, strict: bool = True) -> list[MolecularGr
             report = check_validity(molecule)
             if not report.ok:
                 raise ChemError("; ".join(report.violations))
-            graphs.append(to_graph(molecule, spec))
+            graphs.append(_padded(molecule, spec))
         except (ChemError, SmilesParseError) as exc:
             if strict:
                 raise DatasetError(f"{path.name} line {lineno}: {exc}") from exc
             log.warning("%s line %d skipped: %s", path.name, lineno, exc)
+    if graphs:
+        check_graphs(
+            spec, np.stack([g.adjacency for g in graphs]), np.stack([g.features for g in graphs])
+        )
     return graphs
 
 

@@ -376,11 +376,13 @@ def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> N
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads fields off a :class:`memoryview`; slices share its buffer."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError("checkpoint file is truncated")
         out = self.data[self.pos : self.pos + n]
@@ -389,6 +391,10 @@ class _Reader:
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
+
+    def text(self) -> str:
+        """A length-prefixed UTF-8 field."""
+        return str(self.take(self.u32()), "utf-8")
 
 
 def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
@@ -407,7 +413,7 @@ def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint")
-    payload, trailer = data[:-4], data[-4:]
+    payload, trailer = memoryview(data)[:-4], data[-4:]
     if struct.unpack("<I", trailer)[0] != (zlib.crc32(payload) & 0xFFFFFFFF):
         raise CheckpointError(f"{path}: CRC mismatch (corrupt or truncated file)")
     reader = _Reader(payload)
@@ -415,7 +421,7 @@ def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    meta = json.loads(reader.text())
     stored_spec = _spec_from_dict(meta["spec"])
     if stored_spec != spec:
         raise CheckpointError(
@@ -430,7 +436,7 @@ def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
     n_entries = reader.u32()
     seen = set()
     for _ in range(n_entries):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = reader.text()
         ndim = reader.u32()
         shape = tuple(reader.u32() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1

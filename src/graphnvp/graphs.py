@@ -77,6 +77,58 @@ def zinclite_spec() -> GraphSpec:
     return GraphSpec(num_nodes=38, atom_vocab=ZINCLITE_ATOMS)
 
 
+# The structural invariants of a discrete graph, in the order they are
+# checked; each text is the GraphError message of a graph failing it first.
+INVARIANT_ERRORS = (
+    "graph entries must be 0 or 1",
+    "each node needs exactly one atom type",
+    "each node pair needs exactly one bond channel",
+    "adjacency must be symmetric per channel",
+    "diagonal pairs must use the virtual bond channel",
+    "virtual nodes may only carry virtual bonds",
+)
+
+
+def first_failures(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Index into :data:`INVARIANT_ERRORS` of each graph's first failing
+    invariant, or -1 where all hold, over the leading (batch) axes of
+    ``[..., N, N, R]`` and ``[..., N, M]``.
+
+    A shape that does not fit the spec raises :class:`GraphError`.
+    """
+    a = np.asarray(adjacency)
+    x = np.asarray(features)
+    lead = a.shape[:-3]
+    if a.shape[len(lead):] != spec.adjacency_shape():
+        raise GraphError(f"adjacency shape {a.shape} != {spec.adjacency_shape()}")
+    if x.shape != lead + spec.feature_shape():
+        raise GraphError(f"features shape {x.shape} != {spec.feature_shape()}")
+    pairs, nodes = (-3, -2, -1), (-2, -1)
+    a_one, x_one = a == 1.0, x == 1.0
+    # One column per invariant, then an always-false sentinel, so argmin
+    # finds the first failure.  Past the first column only graphs with 0/1
+    # entries count, so the later columns read the ones alone.
+    holds = np.zeros(lead + (len(INVARIANT_ERRORS) + 1,), dtype=bool)
+    holds[..., 0] = (a_one | (a == 0.0)).all(axis=pairs) & (x_one | (x == 0.0)).all(axis=nodes)
+    holds[..., 1] = (x_one.sum(axis=-1) == 1).all(axis=-1)
+    holds[..., 2] = (a_one.sum(axis=-1) == 1).all(axis=nodes)
+    holds[..., 3] = (a_one == np.swapaxes(a_one, -3, -2)).all(axis=pairs)
+    virtual_bonds = a_one[..., spec.virtual_bond]
+    holds[..., 4] = np.diagonal(virtual_bonds, axis1=-2, axis2=-1).all(axis=-1)
+    holds[..., 5] = (virtual_bonds | ~x_one[..., spec.virtual_atom, None]).all(axis=nodes)
+    first = holds.argmin(axis=-1)
+    return np.where(first < len(INVARIANT_ERRORS), first, -1)
+
+
+def check_graphs(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> None:
+    """Raise :class:`GraphError` for the first graph, in row-major order of
+    the leading axes, that breaks an invariant (see :func:`first_failures`)."""
+    failures = first_failures(spec, adjacency, features).ravel()
+    bad = np.flatnonzero(failures >= 0)
+    if bad.size:
+        raise GraphError(INVARIANT_ERRORS[failures[bad[0]]])
+
+
 @dataclass(frozen=True)
 class MolecularGraph:
     """Discrete graph: binary adjacency [N, N, R] and features [N, M]."""
@@ -95,30 +147,7 @@ class MolecularGraph:
 
     def validate(self) -> "MolecularGraph":
         """Raise :class:`GraphError` unless every structural invariant holds."""
-        spec = self.spec
-        if self.adjacency.shape != spec.adjacency_shape():
-            raise GraphError(
-                f"adjacency shape {self.adjacency.shape} != {spec.adjacency_shape()}"
-            )
-        if self.features.shape != spec.feature_shape():
-            raise GraphError(f"features shape {self.features.shape} != {spec.feature_shape()}")
-        a, x = self.adjacency, self.features
-        if not ((a == 0.0) | (a == 1.0)).all() or not ((x == 0.0) | (x == 1.0)).all():
-            raise GraphError("graph entries must be 0 or 1")
-        if not (x.sum(axis=1) == 1.0).all():
-            raise GraphError("each node needs exactly one atom type")
-        if not (a.sum(axis=2) == 1.0).all():
-            raise GraphError("each node pair needs exactly one bond channel")
-        if not np.array_equal(a, a.transpose(1, 0, 2)):
-            raise GraphError("adjacency must be symmetric per channel")
-        diag = a[np.arange(spec.num_nodes), np.arange(spec.num_nodes)]
-        if not (diag[:, spec.virtual_bond] == 1.0).all():
-            raise GraphError("diagonal pairs must use the virtual bond channel")
-        virtual_nodes = x[:, spec.virtual_atom] == 1.0
-        if virtual_nodes.any():
-            rows = a[virtual_nodes]
-            if not (rows[:, :, spec.virtual_bond] == 1.0).all():
-                raise GraphError("virtual nodes may only carry virtual bonds")
+        check_graphs(self.spec, self.adjacency, self.features)
         return self
 
     def __eq__(self, other) -> bool:
@@ -216,11 +245,12 @@ def discretize_argmax(
     wipe[spec.virtual_bond] = 1.0
     a[virtual[..., :, None] | virtual[..., None, :]] = wipe
 
+    check_graphs(spec, a, x)
     if not lead:
-        return MolecularGraph(spec, a, x).validate()
+        return MolecularGraph(spec, a, x)
     a = a.reshape((-1,) + spec.adjacency_shape())
     x = x.reshape((-1,) + spec.feature_shape())
-    return [MolecularGraph(spec, a[b], x[b]).validate() for b in range(x.shape[0])]
+    return [MolecularGraph(spec, a[b], x[b]) for b in range(x.shape[0])]
 
 
 def permute_nodes(graph: MolecularGraph, perm) -> MolecularGraph:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
+from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
 from .errors import ChemError, GnvpError
 from .flow import FlowModel, _atomic_open
 from .graphs import MolecularGraph, discretize_argmax
@@ -28,7 +28,8 @@ PROPERTY_NAMES = ("heavy_atom_count", "ring_count", "hetero_fraction", "logp_pro
 def decode(model: FlowModel, latents: np.ndarray) -> list[tuple[MolecularGraph, Molecule]]:
     """Invert latent vectors [batch, D] and project each onto a discrete molecule."""
     a_cont, x_cont = model.inverse_batch(latents)
-    return [(graph, from_graph(graph)) for graph in discretize_argmax(model.spec, a_cont, x_cont)]
+    graphs = discretize_argmax(model.spec, a_cont, x_cont)
+    return list(zip(graphs, from_graphs(graphs)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ def fit_regressor(
     if len(dataset) < 2:
         raise GnvpError("fit_regressor needs at least two molecules")
     targets = np.array(
-        [compute_property(from_graph(g), property_name) for g in dataset], dtype=np.float64
+        [compute_property(m, property_name) for m in from_graphs(dataset)], dtype=np.float64
     )
     latents = encode_dataset(model, dataset, noise_scale)
     return fit_linear_latent_model(latents, targets, property_name, ridge_lambda)

@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chem import Molecule, check_validity, from_graph, write_smiles_canonical
-from .errors import GnvpError, GraphError
+from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
+from .errors import GnvpError
 from .flow import FlowModel, GaussianPrior, _atomic_open
-from .graphs import MolecularGraph, dequantize, discretize_argmax, requantize
+from .graphs import MolecularGraph, dequantize, discretize_argmax, first_failures
 from .tensor import make_rng
 
 SWEEP_COLUMNS = ("temp", "validity", "novelty", "uniqueness", "reconstruction", "seed_count")
@@ -59,9 +59,9 @@ def generate(model: FlowModel, config: SampleConfig) -> list[GeneratedSample]:
     rng = make_rng(config.seed)
     latents = sample_latent_batch(model.prior, config.temperature, rng, config.num_samples)
     a_cont, x_cont = model.inverse_batch(latents)
+    graphs = discretize_argmax(model.spec, a_cont, x_cont)
     samples = []
-    for graph in discretize_argmax(model.spec, a_cont, x_cont):
-        molecule = from_graph(graph)
+    for graph, molecule in zip(graphs, from_graphs(graphs)):
         report = check_validity(molecule)
         samples.append(
             GeneratedSample(
@@ -111,41 +111,41 @@ def reconstruction_rate(
 
     Dequantization noise is drawn once per graph; the decoded continuous
     tensors are floored back and compared discretely, so the result is an
-    exact yes/no per molecule.
+    exact yes/no per molecule.  A hit is a floor equal to its input graph,
+    where that input keeps every graph invariant; such a floor lies in
+    [0, 2) and is a valid graph, so this is what :func:`requantize` accepts.
     """
     if not training_set:
         return 0, 0
     adjacency, features = dequantize(training_set, noise_scale, rng)
     z, _ = model.forward_batch(adjacency, features, training=False)
     a_cont, x_cont = model.inverse_batch(np.asarray(z.data))
-    hits = 0
-    for graph, a, x in zip(training_set, a_cont, x_cont):
-        try:
-            recovered = requantize(graph.spec, a, x)
-        except GraphError:
-            continue
-        if recovered == graph:
-            hits += 1
-    return hits, len(training_set)
+    a_in = np.stack([g.adjacency for g in training_set])
+    x_in = np.stack([g.features for g in training_set])
+    batch = len(training_set)
+    hits = (
+        (np.floor(a_cont) == a_in).reshape(batch, -1).all(axis=1)
+        & (np.floor(x_cont) == x_in).reshape(batch, -1).all(axis=1)
+        & (first_failures(model.spec, a_in, x_in) < 0)
+    )
+    return int(hits.sum()), batch
 
 
 def _training_keys(training_set: Sequence[MolecularGraph]) -> set[str]:
-    return {write_smiles_canonical(from_graph(g)) for g in training_set}
+    return {write_smiles_canonical(m) for m in from_graphs(training_set)}
 
 
 def _metrics_report(
-    generated: Sequence[Molecule],
+    valid_molecules: Sequence[Molecule],
+    total: int,
     train_keys: set[str],
     reconstruction: tuple[int, int],
     seed: int,
 ) -> MetricsReport:
-    """Report for non-empty ``generated``, given the canonical keys of the
-    training set and its ``(hits, total)`` reconstruction count."""
-    valid_keys: list[str] = []
-    for molecule in generated:
-        if check_validity(molecule).ok:
-            valid_keys.append(write_smiles_canonical(molecule))
-    total = len(generated)
+    """Report for ``total`` generated molecules of which ``valid_molecules``
+    pass the valence check, given the canonical keys of the training set and
+    its ``(hits, total)`` reconstruction count."""
+    valid_keys = [write_smiles_canonical(m) for m in valid_molecules]
     valid = len(valid_keys)
     novel = sum(1 for key in valid_keys if key not in train_keys)
     unique = len(set(valid_keys))
@@ -184,7 +184,8 @@ def compute_metrics(
     if not generated:
         raise GnvpError("compute_metrics needs at least one generated molecule")
     return _metrics_report(
-        generated,
+        [m for m in generated if check_validity(m).ok],
+        len(generated),
         _training_keys(training_set),
         reconstruction_rate(model, training_set, make_rng(seed), noise_scale),
         seed,
@@ -237,7 +238,11 @@ def temperature_sweep(
             samples = generate(model, run_cfg)
             reports.append(
                 _metrics_report(
-                    [s.molecule for s in samples], train_keys, reconstruction[seed], seed
+                    [s.molecule for s in samples if s.valid],
+                    len(samples),
+                    train_keys,
+                    reconstruction[seed],
+                    seed,
                 )
             )
         rows.append(

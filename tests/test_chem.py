@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from graphnvp.chem import (
@@ -6,13 +7,14 @@ from graphnvp.chem import (
     bundled_corpus_path,
     check_validity,
     from_graph,
+    from_graphs,
     load_dataset,
     parse_smiles_lite,
     to_graph,
     write_smiles_canonical,
 )
-from graphnvp.errors import ChemError, DatasetError, SmilesParseError
-from graphnvp.graphs import permute_nodes, qm9lite_spec, zinclite_spec
+from graphnvp.errors import ChemError, DatasetError, GraphError, SmilesParseError
+from graphnvp.graphs import MolecularGraph, discretize_argmax, permute_nodes, qm9lite_spec, zinclite_spec
 from graphnvp.tensor import make_rng
 
 
@@ -284,6 +286,66 @@ def test_graph_round_trip_respects_node_permutation():
         perm = rng.permutation(spec.num_nodes)
         shuffled = permute_nodes(g, perm)
         assert write_smiles_canonical(from_graph(shuffled)) == write_smiles_canonical(m)
+
+
+def from_graph_oracle(graph: MolecularGraph) -> Molecule:
+    """One graph at a time: compact the real nodes, then visit every node
+    pair above the diagonal in row-major order."""
+    graph.validate()
+    spec = graph.spec
+    kinds = graph.features.argmax(axis=1)
+    real = [i for i in range(spec.num_nodes) if kinds[i] != spec.virtual_atom]
+    compact = {node: idx for idx, node in enumerate(real)}
+    atoms = [spec.atom_vocab[kinds[i]] for i in real]
+    bonds = []
+    for a in real:
+        for b in real:
+            if a >= b:
+                continue
+            channel = int(graph.adjacency[a, b].argmax())
+            if channel != spec.virtual_bond:
+                bonds.append((compact[a], compact[b], channel + 1))
+    return Molecule(atoms, bonds)
+
+
+def random_discretized_batch(spec, rng, batch):
+    """Decoded-looking graphs: random scores, with every fourth graph forced
+    all-virtual (empty) and every fourth, offset by one, fully occupied."""
+    adjacency = rng.normal(size=(batch,) + spec.adjacency_shape())
+    features = rng.normal(size=(batch,) + spec.feature_shape())
+    features[0::4, :, spec.virtual_atom] = 10.0
+    features[1::4, :, spec.virtual_atom] = -10.0
+    return discretize_argmax(spec, adjacency, features)
+
+
+@pytest.mark.parametrize("spec", [qm9lite_spec(), zinclite_spec()], ids=["qm9lite", "zinclite"])
+def test_from_graphs_equals_per_graph_oracle(spec):
+    graphs = random_discretized_batch(spec, make_rng(21), 40)
+    molecules = from_graphs(graphs)
+    expected = [from_graph_oracle(g) for g in graphs]
+    assert molecules == expected
+    for got, want in zip(molecules, expected):
+        assert [type(a) for a in got.atoms] == [type(a) for a in want.atoms]
+        assert [tuple(map(type, b)) for b in got.bonds] == [tuple(map(type, b)) for b in want.bonds]
+    sizes = [len(m.atoms) for m in molecules]
+    assert sizes[0::4] == [0] * 10 and sizes[1::4] == [spec.num_nodes] * 10
+    assert {order for m in molecules for _, _, order in m.bonds} == {1, 2, 3}
+    assert [from_graph(g) for g in graphs[:6]] == expected[:6]
+    assert from_graphs([]) == []
+
+
+def test_from_graphs_rejects_a_corrupt_graph_in_the_batch():
+    spec = qm9lite_spec()
+    graphs = random_discretized_batch(spec, make_rng(22), 6)
+    a = np.array(graphs[3].adjacency)
+    a[0, 1] = a[1, 0] = 0.0  # a pair with no bond channel
+    corrupt = MolecularGraph(spec, a, graphs[3].features)
+    with pytest.raises(GraphError, match="exactly one bond channel"):
+        from_graphs(graphs[:3] + [corrupt] + graphs[4:])
+    with pytest.raises(GraphError, match="exactly one bond channel"):
+        from_graph(corrupt)
+    with pytest.raises(GraphError, match="one spec"):
+        from_graphs([graphs[0], to_graph(parse_smiles_lite("C"), zinclite_spec())])
 
 
 # ---------------------------------------------------------------------------

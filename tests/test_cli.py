@@ -1,13 +1,19 @@
 import importlib
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphnvp
+from conftest import randomize_model
 from graphnvp.cli import run
-from graphnvp.flow import FlowModel, load_checkpoint
+from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
 from graphnvp.graphs import qm9lite_spec
 
 
@@ -105,6 +111,30 @@ def test_train_prints_each_epoch_line_when_the_epoch_ends(tmp_path, capsys, monk
     assert re.fullmatch(r"epoch 1: mean_nll=-?\d+\.\d{6} sigma=\d+\.\d{6}\n", before_step[1])
     assert len(before_step) == 2 and rest.startswith("epoch 2: ")
     assert rest.endswith(f"wrote {out / 'model.gnvp'} and {out / 'metrics.csv'}\n")
+
+
+def test_generate_bytes_equal_across_processes(tmp_path):
+    """The reproducibility promise across fresh processes: the same
+    checkpoint, seed and BLAS thread count give the same generated.smi,
+    whatever the string-hash seed."""
+    checkpoint = tmp_path / "random.gnvp"
+    save_checkpoint(randomize_model(FlowModel(qm9lite_spec(), seed=3), seed=13, scale=0.2), checkpoint)
+    src = str(Path(graphnvp.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"hash{hash_seed}"
+        argv = ["generate", "--checkpoint", str(checkpoint), "--out", str(out), "--samples", "500",
+                "--temp", "0.3", "--seed", "4"]
+        done = subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append((out / "generated.smi").read_bytes())
+    lines = outputs[0].decode().splitlines()
+    assert len(lines) == 500
+    assert sum(1 for line in lines if not line.startswith("#")) >= 5  # valid molecules, canonicalized
+    assert outputs[0] == outputs[1]
 
 
 def test_generate_deterministic_bytes(tmp_path, zero_checkpoint):

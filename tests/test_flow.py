@@ -437,6 +437,26 @@ def test_checkpoint_save_streams_to_disk(tmp_path):
     assert all(np.array_equal(loaded[name].data, p.data) for name, p in model.named_parameters())
 
 
+def test_checkpoint_load_reads_without_copying_the_file(tmp_path):
+    """A load checks the CRC and parses the entries over the bytes read from
+    disk, without a second copy of the file."""
+    config = ModelConfig(adjacency_layers=3, node_layers=3, mlp_hidden=(256, 256), gcn_hidden=6)
+    model = FlowModel(TOY_SPEC, config, seed=1)
+    path = tmp_path / "big.gnvp"
+    save_checkpoint(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path, TOY_SPEC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak < 2.6 * size
+    params = dict(loaded.named_parameters())
+    assert all(np.array_equal(params[name].data, p.data) for name, p in model.named_parameters())
+
+
 def test_checkpoint_spec_mismatch(tmp_path, toy_model):
     path = tmp_path / "toy.gnvp"
     save_checkpoint(toy_model, path)

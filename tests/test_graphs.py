@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from graphnvp.errors import GraphError
 from graphnvp.graphs import (
+    INVARIANT_ERRORS,
     GraphSpec,
     MolecularGraph,
     argmax_adjacency,
+    check_graphs,
     dequantize,
     discretize_argmax,
+    first_failures,
     permute_nodes,
     qm9lite_spec,
     requantize,
@@ -265,6 +268,37 @@ def test_discretize_batched_equals_per_sample():
     assert np.array_equal(batched[0].features.argmax(axis=1), np.zeros(9))
 
 
+def test_discretize_checks_the_batch_once(monkeypatch):
+    import graphnvp.graphs as graphs
+
+    spec = qm9lite_spec()
+    rng = make_rng(24)
+    adjacency = rng.normal(size=(12,) + spec.adjacency_shape())
+    features = rng.normal(size=(12,) + spec.feature_shape())
+    features[..., spec.virtual_atom] = -10.0  # no virtual atoms, so no pair is wiped
+    calls = []
+    original = graphs.first_failures
+
+    def counted(spec, a, x):
+        calls.append(np.shape(x)[:-2])
+        return original(spec, a, x)
+
+    monkeypatch.setattr(graphs, "first_failures", counted)
+    assert len(discretize_argmax(spec, adjacency, features)) == 12
+    assert calls == [(12,)]
+
+    argmax = graphs.argmax_adjacency
+
+    def one_sided(spec, scores):
+        a = argmax(spec, scores)
+        a[5, 0, 1] = np.roll(a[5, 0, 1], 1)  # another channel, on one side only
+        return a
+
+    monkeypatch.setattr(graphs, "argmax_adjacency", one_sided)
+    with pytest.raises(GraphError, match="symmetric"):
+        discretize_argmax(spec, adjacency, features)
+
+
 def test_discretize_batched_checks_leading_axes():
     spec = qm9lite_spec()
     with pytest.raises(GraphError):
@@ -373,3 +407,73 @@ def test_validate_entries_must_be_zero_or_one(array, value, accepted):
     else:
         with pytest.raises(GraphError, match="entries must be 0 or 1"):
             graph.validate()
+
+
+def _corruptions():
+    """(name, adjacency, features, index of the invariant that fails first)
+    for every corruption above, plus one for each invariant they miss."""
+    cases = []
+    a, x = _two_node_graph_arrays()
+    bad = a.copy()
+    bad[0, 1, 0] = 1.0  # two channels set on one pair
+    cases.append(("two channels", bad, x, 2))
+    asym = a.copy()
+    asym[0, 1] = [1, 0, 0, 0]
+    cases.append(("asymmetric", asym, x, 3))
+    linked = a.copy()
+    linked[0, 1] = linked[1, 0] = [1, 0, 0, 0]
+    cases.append(("virtual node bonded", linked, x, 5))
+    for value in (np.nan, np.inf, -np.inf, 0.5, 2.0, -1.0):
+        a_bad = a.copy()
+        a_bad[0, 1, 0] = a_bad[1, 0, 0] = value
+        cases.append((f"adjacency {value}", a_bad, x, 0))
+        x_bad = x.copy()
+        x_bad[0, 1] = value
+        cases.append((f"features {value}", a, x_bad, 0))
+    two_atoms = x.copy()
+    two_atoms[0] = [1.0, 1.0]
+    cases.append(("two atom types", a, two_atoms, 1))
+    self_bond = a.copy()
+    self_bond[0, 0] = [1, 0, 0, 0]
+    cases.append(("bonded diagonal", self_bond, x, 4))
+    both = asym.copy()
+    both[0, 1, 3] = np.nan  # an entry and the symmetry both broken
+    cases.append(("entry before symmetry", both, x, 0))
+    return cases
+
+
+@pytest.mark.parametrize("case", _corruptions(), ids=lambda case: case[0])
+def test_batched_check_flags_exactly_the_corrupt_graph(case):
+    _, bad_a, bad_x, code = case
+    spec = GraphSpec(num_nodes=2, atom_vocab=("C", "*"))
+    a, x = _two_node_graph_arrays()
+    with pytest.raises(GraphError) as single:
+        MolecularGraph(spec, bad_a, bad_x).validate()
+    assert str(single.value) == INVARIANT_ERRORS[code]
+    for position in (0, 3, 5):
+        adjacency = np.stack([a] * 6)
+        features = np.stack([x] * 6)
+        adjacency[position], features[position] = bad_a, bad_x
+        expected = np.full(6, -1)
+        expected[position] = code
+        assert np.array_equal(first_failures(spec, adjacency, features), expected)
+        grid = first_failures(spec, adjacency.reshape((2, 3, 2, 2, 4)), features.reshape((2, 3, 2, 2)))
+        assert np.array_equal(grid, expected.reshape(2, 3))
+        with pytest.raises(GraphError) as batched:
+            check_graphs(spec, adjacency, features)
+        assert str(batched.value) == str(single.value)
+
+
+def test_batched_check_accepts_valid_graphs_and_checks_shapes():
+    spec = qm9lite_spec()
+    rng = make_rng(23)
+    graphs = [random_graph(spec, rng) for _ in range(10)]
+    adjacency = np.stack([g.adjacency for g in graphs])
+    features = np.stack([g.features for g in graphs])
+    assert np.array_equal(first_failures(spec, adjacency, features), np.full(10, -1))
+    assert first_failures(spec, adjacency[0], features[0]) == -1
+    check_graphs(spec, adjacency, features)
+    with pytest.raises(GraphError, match="adjacency shape"):
+        first_failures(spec, adjacency[..., :3], features)
+    with pytest.raises(GraphError, match="features shape"):
+        first_failures(spec, adjacency, features[:9])

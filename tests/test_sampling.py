@@ -3,9 +3,9 @@ import pytest
 
 from conftest import TOY_SPEC, random_graph, randomize_model
 from graphnvp.chem import Molecule, parse_smiles_lite, to_graph
-from graphnvp.errors import GnvpError
+from graphnvp.errors import GnvpError, GraphError
 from graphnvp.flow import FlowModel, GaussianPrior
-from graphnvp.graphs import qm9lite_spec
+from graphnvp.graphs import MolecularGraph, qm9lite_spec, requantize
 from graphnvp.sampling import (
     SampleConfig,
     SweepRow,
@@ -214,6 +214,47 @@ def test_reconstruction_on_corpus_random_qm9_model(qm9_corpus):
     assert (hits, total) == (64, 64)
 
 
+def reconstruction_oracle(graphs, a_cont, x_cont):
+    """Hits counted one graph at a time through ``requantize``."""
+    hits = 0
+    for graph, a, x in zip(graphs, a_cont, x_cont):
+        try:
+            recovered = requantize(graph.spec, a, x)
+        except GraphError:
+            continue
+        if recovered == graph:
+            hits += 1
+    return hits
+
+
+def test_reconstruction_equals_requantize_oracle_with_planted_misses(monkeypatch, random_toy_model):
+    rng = make_rng(17)
+    graphs = [random_graph(TOY_SPEC, rng) for _ in range(12)]
+    a = np.array(graphs[9].adjacency)
+    a[0, 0] = [1.0, 0.0]  # a bonded diagonal pair
+    graphs[9] = MolecularGraph(TOY_SPEC, a, graphs[9].features)  # an invalid input graph
+    decoded = []
+    original = random_toy_model.inverse_batch
+
+    def planted(z):
+        a_cont, x_cont = original(z)
+        a_cont, x_cont = a_cont.copy(), x_cont.copy()
+        a_cont[1, 0, 1, 0] += 1.0  # a shifted entry: 0 -> 1 or 1 -> 2
+        a_cont[3, 2, 2, 1] += 1.0
+        x_cont[4, 0, 0] = -0.25  # outside [0, 2)
+        x_cont[6, 2, 1] = 2.5
+        a_cont[7, 1, 0, 1] = np.nan
+        a_cont[8, 0, 0, 0] = -0.0  # floors to -0.0 == 0.0: still a hit
+        decoded.append((a_cont, x_cont))
+        return a_cont, x_cont
+
+    monkeypatch.setattr(random_toy_model, "inverse_batch", planted)
+    hits, total = reconstruction_rate(random_toy_model, graphs, make_rng(0))
+    assert total == 12
+    assert hits == reconstruction_oracle(graphs, *decoded[0]) == 12 - 6
+    assert np.array_equal(np.floor(decoded[0][0][9]), graphs[9].adjacency)  # missed as invalid
+
+
 # ---------------------------------------------------------------------------
 # temperature sweep
 # ---------------------------------------------------------------------------
@@ -299,6 +340,25 @@ def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_mode
     write_sweep_csv(rows, tmp_path / "sweep.csv")
     write_sweep_csv(expected, tmp_path / "per_pair.csv")
     assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "per_pair.csv").read_bytes()
+
+
+def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
+    """The sweep's metrics take each sample's valid flag from ``generate``."""
+    import graphnvp.sampling as sampling
+
+    rng = make_rng(18)
+    train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
+    calls = []
+    original = sampling.check_validity
+
+    def counted(molecule, *args):
+        calls.append(1)
+        return original(molecule, *args)
+
+    monkeypatch.setattr(sampling, "check_validity", counted)
+    config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
+    temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config, runs=4)
+    assert len(calls) == 3 * 4 * 20
 
 
 def test_sweep_rejects_empty_or_bad_temps(random_toy_model):
