@@ -40,7 +40,6 @@ from .latent import (
     GridSpec,
     PropertyRegressor,
     compute_property,
-    decode,
     encode_dataset,
     fit_regressor,
     grid_decode,
@@ -50,6 +49,7 @@ from .sampling import (
     MetricsReport,
     SampleConfig,
     compute_metrics,
+    decode,
     generate,
     temperature_sweep,
 )

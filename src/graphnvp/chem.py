@@ -107,14 +107,13 @@ class ValidityReport:
     ok: bool
     atom_count: int
     violations: tuple[str, ...]
-    connected: bool
 
 
 def check_validity(molecule: Molecule, table: ValenceTable | None = None) -> ValidityReport:
     """Valence check: every atom's summed bond order within its table limit.
 
-    Disconnected molecules count as valid; connectivity is reported
-    separately.  An empty molecule is invalid.
+    Connectivity does not affect validity: a disconnected molecule within
+    its valences is valid.  An empty molecule is invalid.
     """
     table = table or ValenceTable()
     violations = []
@@ -128,12 +127,10 @@ def check_validity(molecule: Molecule, table: ValenceTable | None = None) -> Val
         limit = table.limit(symbol)
         if totals[idx] > limit:
             violations.append(f"atom {idx} ({symbol}) has bond order {totals[idx]} > {limit}")
-    connected = len(molecule.components()) <= 1
     return ValidityReport(
         ok=not violations,
         atom_count=len(molecule.atoms),
         violations=tuple(violations),
-        connected=connected,
     )
 
 
@@ -467,6 +464,12 @@ def from_graphs(graphs: Sequence[MolecularGraph]) -> list[Molecule]:
     adjacency = np.stack([g.adjacency for g in graphs])
     features = np.stack([g.features for g in graphs])
     check_graphs(spec, adjacency, features)
+    return _molecules(spec, adjacency, features)
+
+
+def _molecules(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> list[Molecule]:
+    """:func:`from_graphs` on stacked [B, N, N, R] / [B, N, M] arrays that
+    already keep every graph invariant; they are not checked again."""
     kinds = features.argmax(axis=-1)
     real = kinds != spec.virtual_atom
     compact = np.cumsum(real, axis=-1) - 1
@@ -484,7 +487,7 @@ def from_graphs(graphs: Sequence[MolecularGraph]) -> list[Molecule]:
     )
     atoms = np.array(spec.atom_vocab, dtype=object)[kinds[real]].tolist()
     atom_ends = np.cumsum(real.sum(axis=-1)).tolist()
-    bond_ends = np.cumsum(np.bincount(owner, minlength=len(graphs))).tolist()
+    bond_ends = np.cumsum(np.bincount(owner, minlength=len(features))).tolist()
     molecules = []
     atom_start = bond_start = 0
     for atom_end, bond_end in zip(atom_ends, bond_ends):

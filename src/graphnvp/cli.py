@@ -313,12 +313,14 @@ def _cmd_sweep(args) -> int:
     file_values = _load_config_file(args.config)
     spec = _spec(args)
     seed = _resolve_seed(args, file_values)
-    model = load_checkpoint(args.checkpoint, spec)
-    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     try:
         temps = [float(t) for t in args.temps.split(",") if t.strip()]
     except ValueError:
         raise _UsageError(f"--temps must be comma-separated numbers, got {args.temps!r}")
+    if not temps:
+        raise _UsageError(f"--temps needs at least one temperature, got {args.temps!r}")
+    model = load_checkpoint(args.checkpoint, spec)
+    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     config = SampleConfig(num_samples=args.samples, temperature=max(temps), seed=seed)
     rows = temperature_sweep(model, dataset, temps, config)
     out = _out_dir(args)

@@ -52,9 +52,9 @@ class ModelConfig:
     gcn_hidden: int = 64
     gcn_rounds: int = 2
     scale_cap: float = 5.0
-    batch_norm: bool = True
 
     def to_dict(self) -> dict:
+        # Every model has batch norm; the key keeps the checkpoint format.
         return {
             "adjacency_layers": self.adjacency_layers,
             "node_layers": self.node_layers,
@@ -62,11 +62,15 @@ class ModelConfig:
             "gcn_hidden": self.gcn_hidden,
             "gcn_rounds": self.gcn_rounds,
             "scale_cap": self.scale_cap,
-            "batch_norm": self.batch_norm,
+            "batch_norm": True,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "ModelConfig":
+        if data["batch_norm"] is not True:
+            raise CheckpointError(
+                f"model config batch_norm is {data['batch_norm']!r}; only true is supported"
+            )
         return ModelConfig(
             adjacency_layers=int(data["adjacency_layers"]),
             node_layers=int(data["node_layers"]),
@@ -74,7 +78,6 @@ class ModelConfig:
             gcn_hidden=int(data["gcn_hidden"]),
             gcn_rounds=int(data["gcn_rounds"]),
             scale_cap=float(data["scale_cap"]),
-            batch_norm=bool(data["batch_norm"]),
         )
 
 
@@ -102,12 +105,8 @@ class AdjacencyCouplingLayer(Module):
         mask[row] = 1.0
         self._row_mask = mask  # 1 on the updated slice
         self._zero = Tensor(0.0)
-        self.register_child(
-            "scale_net", MlpNet(flat_in, config.mlp_hidden, slice_out, rng, config.batch_norm)
-        )
-        self.register_child(
-            "translate_net", MlpNet(flat_in, config.mlp_hidden, slice_out, rng, config.batch_norm)
-        )
+        self.register_child("scale_net", MlpNet(flat_in, config.mlp_hidden, slice_out, rng))
+        self.register_child("translate_net", MlpNet(flat_in, config.mlp_hidden, slice_out, rng))
 
     def _scale_translation(self, z: Tensor, training: bool) -> tuple[Tensor, Tensor]:
         batch = z.shape[0]
@@ -157,7 +156,6 @@ class NodeFeatureCouplingLayer(Module):
                 num_relations=spec.num_bond_types,
                 rounds=config.gcn_rounds,
                 rng=rng,
-                batch_norm=config.batch_norm,
             ),
         )
 

@@ -3,7 +3,8 @@
 Encoding is deterministic: instead of random dequantization noise every
 entry gets the midpoint offset c/2, so a molecule always maps to the same
 latent point.  Grid and line searches decode every latent point exactly
-once.
+once, through :func:`graphnvp.sampling.decode`, and take each point's
+validity from it.
 """
 from __future__ import annotations
 
@@ -17,19 +18,13 @@ import numpy as np
 from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
 from .errors import ChemError, GnvpError
 from .flow import FlowModel, _atomic_open
-from .graphs import MolecularGraph, discretize_argmax
+from .graphs import MolecularGraph
+from .sampling import decode
 
 # Fixed per-atom hydrophobicity-style contributions; documented constants.
 LOGP_CONTRIBUTIONS = {"C": 0.34, "N": -0.60, "O": -0.71, "F": 0.22, "S": 0.26, "Cl": 0.61}
 
 PROPERTY_NAMES = ("heavy_atom_count", "ring_count", "hetero_fraction", "logp_proxy")
-
-
-def decode(model: FlowModel, latents: np.ndarray) -> list[tuple[MolecularGraph, Molecule]]:
-    """Invert latent vectors [batch, D] and project each onto a discrete molecule."""
-    a_cont, x_cont = model.inverse_batch(latents)
-    graphs = discretize_argmax(model.spec, a_cont, x_cont)
-    return list(zip(graphs, from_graphs(graphs)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +82,16 @@ def grid_decode(model: FlowModel, grid: GridSpec, noise_scale: float = 0.9) -> l
     """
     center_z = encode_dataset(model, [grid.center], noise_scale)[0]
     offsets = range(-grid.extent, grid.extent + 1)
+    pairs = [(i, j) for i in offsets for j in offsets]
     points = np.stack(
-        [center_z + i * grid.step * grid.axis_u + j * grid.step * grid.axis_v
-         for i in offsets for j in offsets]
+        [center_z + i * grid.step * grid.axis_u + j * grid.step * grid.axis_v for i, j in pairs]
     )
-    decoded = decode(model, points)
-    rows: list[list[GridCell]] = []
-    k = 0
-    for i in offsets:
-        row = []
-        for j in offsets:
-            _, molecule = decoded[k]
-            row.append(GridCell(i=i, j=j, molecule=molecule, valid=check_validity(molecule).ok))
-            k += 1
-        rows.append(row)
-    return rows
+    cells = [
+        GridCell(i=i, j=j, molecule=sample.molecule, valid=sample.valid)
+        for (i, j), sample in zip(pairs, decode(model, points))
+    ]
+    side = len(offsets)
+    return [cells[k : k + side] for k in range(0, len(cells), side)]
 
 
 def write_grid_csv(rows: Sequence[Sequence[GridCell]], path) -> None:
@@ -121,11 +111,15 @@ def write_grid_csv(rows: Sequence[Sequence[GridCell]], path) -> None:
 
 def compute_property(molecule: Molecule, name: str) -> float:
     """Exact proxy properties; permutation-invariant over atom ordering."""
+    if name in PROPERTY_NAMES and not check_validity(molecule).ok:
+        raise ChemError("property requested for an invalid molecule")
+    return _property(molecule, name)
+
+
+def _property(molecule: Molecule, name: str) -> float:
+    """:func:`compute_property` of a molecule already known to be valid."""
     if name not in PROPERTY_NAMES:
         raise ChemError(f"unknown property {name!r}; choose from {PROPERTY_NAMES}")
-    report = check_validity(molecule)
-    if not report.ok:
-        raise ChemError("property requested for an invalid molecule")
     if name == "heavy_atom_count":
         return float(len(molecule.atoms))
     if name == "ring_count":
@@ -254,21 +248,16 @@ def optimize_along(
     direction = regressor.weights / np.linalg.norm(regressor.weights)
     z0 = encode_dataset(model, [seed_graph], noise_scale)[0]
     points = np.stack([z0 + k * step_size * direction for k in range(num_steps + 1)])
-    decoded = decode(model, points)
-    out = []
-    for k, (_, molecule) in enumerate(decoded):
-        valid = check_validity(molecule).ok
-        realized = compute_property(molecule, regressor.property_name) if valid else None
-        out.append(
-            OptimizationStep(
-                step=k,
-                molecule=molecule,
-                valid=valid,
-                predicted=regressor.predict(points[k]),
-                realized=realized,
-            )
+    return [
+        OptimizationStep(
+            step=k,
+            molecule=sample.molecule,
+            valid=sample.valid,
+            predicted=regressor.predict(points[k]),
+            realized=_property(sample.molecule, regressor.property_name) if sample.valid else None,
         )
-    return out
+        for k, sample in enumerate(decode(model, points))
+    ]
 
 
 def write_optimization_csv(steps: Sequence[OptimizationStep], path) -> None:

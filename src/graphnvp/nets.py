@@ -128,8 +128,8 @@ class Linear(Module):
         self.register_parameter("weight", weight)
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
-    def __call__(self, x: Tensor, activation: str | None = None) -> Tensor:
-        return T.linear(x, self._params["weight"], self._params["bias"], activation)
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.linear(x, self._params["weight"], self._params["bias"])
 
 
 class BatchNorm(Module):
@@ -184,19 +184,18 @@ class BatchNorm(Module):
 
 
 class _ConditionerNet(Module):
-    """Hidden layers ``{layer}{k}``, each followed by ``bn{k}`` when batch
-    norm is on; caches their folds (see the module docstring)."""
+    """Hidden layers ``{layer}{k}``, each followed by batch norm ``bn{k}``;
+    caches their folds (see the module docstring)."""
 
-    def __init__(self, batch_norm: bool):
+    def __init__(self):
         super().__init__()
-        self.batch_norm = batch_norm
         self._fold: tuple[int, list[tuple[Tensor, ...]]] = (-1, [])
 
     def _folded_layers(self, layer: str, count: int, training: bool) -> list[tuple[Tensor, ...]] | None:
         """Per hidden layer, its folded parameters; None in training, and
         while a tape records: to the tape folded parameters are constants, so
         the gradients of the weights, gamma and beta would be lost."""
-        if training or not self.batch_norm or T.is_recording():
+        if training or T.is_recording():
             return None
         if self._fold[0] != _version:
             ch = self._children
@@ -207,20 +206,12 @@ class _ConditionerNet(Module):
 class MlpNet(_ConditionerNet):
     """Fully connected net; hidden relu layers, zero-initialized output head."""
 
-    def __init__(
-        self,
-        n_in: int,
-        hidden: tuple[int, ...],
-        n_out: int,
-        rng: np.random.Generator,
-        batch_norm: bool = True,
-    ):
-        super().__init__(batch_norm)
+    def __init__(self, n_in: int, hidden: tuple[int, ...], n_out: int, rng: np.random.Generator):
+        super().__init__()
         widths = [n_in, *hidden]
         for k in range(len(hidden)):
             self.register_child(f"lin{k}", Linear(widths[k], widths[k + 1], rng))
-            if batch_norm:
-                self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
+            self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
         self.n_hidden = len(hidden)
         self.register_child("head", Linear(widths[-1], n_out, rng, zero_init=True))
 
@@ -228,13 +219,10 @@ class MlpNet(_ConditionerNet):
         h = x
         folds = self._folded_layers("lin", self.n_hidden, training)
         for k in range(self.n_hidden):
-            lin = self._children[f"lin{k}"]
             if folds is not None:
                 h = T.linear(h, *folds[k], "relu")
-            elif self.batch_norm:
-                h = self._children[f"bn{k}"](lin(h), training, "relu")
             else:
-                h = lin(h, "relu")
+                h = self._children[f"bn{k}"](self._children[f"lin{k}"](h), training, "relu")
         return self._children["head"](h)
 
 
@@ -255,12 +243,10 @@ class RelGraphRound(Module):
         self.register_parameter("self_weight", glorot(rng, n_in, n_out))
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
-    def __call__(
-        self, h: Tensor, a_rows: np.ndarray, row: int | None = None, activation: str | None = None
-    ) -> Tensor:
+    def __call__(self, h: Tensor, a_rows: np.ndarray, row: int | None = None) -> Tensor:
         # a_rows: constant [batch, N*R, N], row i*R + r is A[:, i, :, r]; h: [batch, N, F].
         p = self._params
-        return T.graph_conv(h, a_rows, p["rel_weight"], p["self_weight"], p["bias"], row, activation)
+        return T.graph_conv(h, a_rows, p["rel_weight"], p["self_weight"], p["bias"], row)
 
 
 class RelationalGraphConvNet(_ConditionerNet):
@@ -281,15 +267,13 @@ class RelationalGraphConvNet(_ConditionerNet):
         num_relations: int,
         rounds: int,
         rng: np.random.Generator,
-        batch_norm: bool = True,
     ):
-        super().__init__(batch_norm)
+        super().__init__()
         self.rounds = rounds
         widths = [n_in] + [hidden] * rounds
         for k in range(rounds):
             self.register_child(f"round{k}", RelGraphRound(widths[k], widths[k + 1], num_relations, rng))
-            if batch_norm:
-                self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
+            self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
         self.register_child("head", Linear(hidden, n_out, rng, zero_init=True))
 
     def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
@@ -300,13 +284,11 @@ class RelationalGraphConvNet(_ConditionerNet):
         folds = self._folded_layers("round", self.rounds, training)
         for k in range(self.rounds):
             target = row if k == self.rounds - 1 and not training else None
-            conv = self._children[f"round{k}"]
             if folds is not None:
                 h = T.graph_conv(h, a_rows, *folds[k], target, "tanh")
-            elif self.batch_norm:
-                h = self._children[f"bn{k}"](conv(h, a_rows, target), training, "tanh")
             else:
-                h = conv(h, a_rows, target, "tanh")
+                conv = self._children[f"round{k}"](h, a_rows, target)
+                h = self._children[f"bn{k}"](conv, training, "tanh")
         if h.ndim == 3:
             h = T.index_axis(h, 1, row)
         return self._children["head"](h)

@@ -1,10 +1,12 @@
 """Temperature sampling, two-step generation, and quality metrics.
 
 Sampling draws latents from the prior with a temperature-scaled standard
-deviation (``z ~ N(0, (T*sigma)^2 I)``).  Generation inverts the adjacency
-stack first, discretizes, then inverts the node-feature stack; each latent is
-decoded exactly once.  Metrics follow the usual validity / novelty /
-uniqueness / reconstruction definitions with canonical strings as keys.
+deviation (``z ~ N(0, (T*sigma)^2 I)``).  :func:`decode` is the one path from
+latents to molecules: it inverts the adjacency stack first, discretizes, then
+inverts the node-feature stack, and checks each decoded batch's graph
+invariants once and each molecule's valence once.  Metrics follow the usual
+validity / novelty / uniqueness / reconstruction definitions with canonical
+strings as keys.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
+from .chem import Molecule, _molecules, check_validity, from_graphs, write_smiles_canonical
 from .errors import GnvpError
 from .flow import FlowModel, GaussianPrior, _atomic_open
 from .graphs import MolecularGraph, dequantize, discretize_argmax, first_failures
@@ -54,14 +56,16 @@ class GeneratedSample:
     violations: tuple[str, ...]
 
 
-def generate(model: FlowModel, config: SampleConfig) -> list[GeneratedSample]:
-    """Decode ``num_samples`` latents; invalid molecules are kept and flagged."""
-    rng = make_rng(config.seed)
-    latents = sample_latent_batch(model.prior, config.temperature, rng, config.num_samples)
+def decode(model: FlowModel, latents: np.ndarray) -> list[GeneratedSample]:
+    """Invert latent vectors [batch, D], project each onto a discrete graph
+    and read off its molecule; invalid molecules are kept and flagged."""
     a_cont, x_cont = model.inverse_batch(latents)
     graphs = discretize_argmax(model.spec, a_cont, x_cont)
+    # discretize_argmax has checked these graphs' invariants.
+    adjacency = np.stack([g.adjacency for g in graphs])
+    features = np.stack([g.features for g in graphs])
     samples = []
-    for graph, molecule in zip(graphs, from_graphs(graphs)):
+    for graph, molecule in zip(graphs, _molecules(model.spec, adjacency, features)):
         report = check_validity(molecule)
         samples.append(
             GeneratedSample(
@@ -72,6 +76,13 @@ def generate(model: FlowModel, config: SampleConfig) -> list[GeneratedSample]:
             )
         )
     return samples
+
+
+def generate(model: FlowModel, config: SampleConfig) -> list[GeneratedSample]:
+    """Decode ``num_samples`` latents drawn at ``temperature`` from ``seed``."""
+    rng = make_rng(config.seed)
+    latents = sample_latent_batch(model.prior, config.temperature, rng, config.num_samples)
+    return decode(model, latents)
 
 
 def write_generated_smiles(samples: Sequence[GeneratedSample], path) -> None:
@@ -216,6 +227,8 @@ def temperature_sweep(
     """
     if not temps:
         raise GnvpError("temperature_sweep needs at least one temperature")
+    if runs < 1:
+        raise GnvpError("temperature_sweep needs runs >= 1")
     if any(t <= 0 for t in temps):
         raise GnvpError("temperatures must be > 0")
     train_keys = _training_keys(training_set)

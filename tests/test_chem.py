@@ -179,9 +179,10 @@ def test_validity_empty_molecule():
     assert not report.ok
 
 
-def test_validity_reports_connectivity_separately():
-    report = check_validity(parse_smiles_lite("CC.O"))
-    assert report.ok and not report.connected
+def test_validity_does_not_depend_on_connectivity():
+    m = parse_smiles_lite("CC.O")
+    assert check_validity(m).ok
+    assert len(m.components()) == 2
 
 
 def test_validity_unknown_symbol_raises():

@@ -272,6 +272,14 @@ def test_sweep_bad_temps_usage_error(tmp_path, zero_checkpoint, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("temps", [",", ""])
+def test_sweep_empty_temps_usage_error(tmp_path, zero_checkpoint, capsys, temps):
+    code = run(["sweep", "--checkpoint", str(zero_checkpoint), "--out", str(tmp_path), "--temps", temps])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("gnvp:error:usage: --temps")
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("epochs=5\nbatch_size=16\nseed=9\n")

@@ -510,6 +510,25 @@ def test_checkpoint_version_mismatch(tmp_path, toy_model):
         assert "version" in str(err.value)
 
 
+def test_checkpoint_without_batch_norm_rejected(tmp_path, toy_model):
+    """Every model has batch norm; a file whose meta says otherwise, even
+    with a valid CRC, is refused and the key is named."""
+    import struct
+    import zlib
+
+    path = tmp_path / "toy.gnvp"
+    save_checkpoint(toy_model, path)
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    meta = data[12 : 12 + meta_len]
+    assert meta.count(b'"batch_norm": true') == 1
+    meta = meta.replace(b'"batch_norm": true', b'"batch_norm": false')
+    payload = data[:8] + struct.pack("<I", len(meta)) + meta + data[12 + meta_len : -4]
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match="batch_norm"):
+        load_checkpoint(path, TOY_SPEC)
+
+
 def test_checkpoint_not_a_checkpoint(tmp_path):
     path = tmp_path / "junk.gnvp"
     path.write_bytes(b"hello world")

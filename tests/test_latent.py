@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import TOY_SPEC, random_graph, randomize_model
-from graphnvp.chem import from_graph, parse_smiles_lite, to_graph, write_smiles_canonical
+from graphnvp.chem import check_validity, from_graph, parse_smiles_lite, to_graph, write_smiles_canonical
 from graphnvp.errors import ChemError, GnvpError
-from graphnvp.flow import FlowModel
+from graphnvp.flow import FlowModel, ModelConfig
 from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.latent import (
     GridSpec,
     PropertyRegressor,
     compute_property,
-    decode,
     encode_dataset,
     fit_regressor,
     grid_decode,
@@ -19,6 +18,7 @@ from graphnvp.latent import (
     write_grid_csv,
     write_optimization_csv,
 )
+from graphnvp.sampling import SampleConfig, decode, generate
 from graphnvp.tensor import make_rng
 
 
@@ -53,8 +53,8 @@ def test_encode_noise_free_deterministic(random_toy_model):
 
 def test_encode_decode_recovers_molecule(random_toy_model):
     for g in toy_training_graphs(20, seed=2):
-        [(graph, _)] = decode(random_toy_model, encode_dataset(random_toy_model, [g]))
-        assert graph == g
+        [sample] = decode(random_toy_model, encode_dataset(random_toy_model, [g]))
+        assert sample.graph == g
 
 
 def test_encode_with_rng_uses_noise(random_toy_model):
@@ -62,6 +62,76 @@ def test_encode_with_rng_uses_noise(random_toy_model):
     a, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, make_rng(0)))
     b, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, make_rng(1)))
     assert not np.array_equal(a.data, b.data)
+
+
+# ---------------------------------------------------------------------------
+# the one decode path
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_qm9_model():
+    """A randomized qm9lite model small enough to decode quickly; its decodes
+    include both valid and over-bonded molecules."""
+    config = ModelConfig(adjacency_layers=9, node_layers=9, mlp_hidden=(16,), gcn_hidden=8, gcn_rounds=1)
+    return randomize_model(FlowModel(qm9lite_spec(), config, seed=3), seed=5, scale=0.5)
+
+
+def _decode_runs(model):
+    """``(name, run, number of latents it decodes)`` for every decoding entry
+    point; each run decodes one batch."""
+    dataset = [to_graph(parse_smiles_lite(t), model.spec) for t in ("CCO", "C1CC1N", "FC=O")]
+    u, v = random_grid_axes(model.spec.latent_dim, make_rng(30))
+    grid = GridSpec(center=dataset[1], axis_u=u, axis_v=v, extent=2, step=1.5)
+    regressor = PropertyRegressor(
+        "heavy_atom_count", make_rng(31).normal(size=model.spec.latent_dim), 0.0, 1.0, False
+    )
+    config = SampleConfig(num_samples=40, temperature=1.0, seed=32)
+    return [
+        ("generate", lambda: generate(model, config), 40),
+        ("grid_decode", lambda: [c for row in grid_decode(model, grid) for c in row], 25),
+        ("optimize_along", lambda: optimize_along(model, regressor, dataset[0], 11, 1.5), 12),
+    ]
+
+
+def test_decode_checks_each_batch_and_each_molecule_once(monkeypatch, small_qm9_model):
+    import graphnvp.chem as chem
+    import graphnvp.graphs as graphs
+    import graphnvp.latent as latent
+    import graphnvp.sampling as sampling
+
+    batches, molecules = [], []
+    check_original, failures_original = chem.check_validity, graphs.first_failures
+
+    def counted_failures(spec, adjacency, features):
+        batches.append(np.shape(features)[:-2])
+        return failures_original(spec, adjacency, features)
+
+    def counted_check(molecule, *args):
+        molecules.append(molecule)
+        return check_original(molecule, *args)
+
+    for module in (graphs, sampling):
+        monkeypatch.setattr(module, "first_failures", counted_failures)
+    for module in (chem, sampling, latent):
+        monkeypatch.setattr(module, "check_validity", counted_check)
+    for name, run, count in _decode_runs(small_qm9_model):
+        batches.clear()
+        molecules.clear()
+        out = run()
+        assert len(out) == count, name
+        assert batches == [(count,)], name
+        assert len(molecules) == count, name
+        assert all(a is b.molecule for a, b in zip(molecules, out)), name
+
+
+def test_valid_flags_equal_the_valence_check(small_qm9_model):
+    flags = []
+    for name, run, _ in _decode_runs(small_qm9_model):
+        for item in run():
+            assert item.valid == check_validity(item.molecule).ok, name
+            flags.append(item.valid)
+    assert True in flags and False in flags
 
 
 # ---------------------------------------------------------------------------

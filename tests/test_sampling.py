@@ -367,6 +367,8 @@ def test_sweep_rejects_empty_or_bad_temps(random_toy_model):
         temperature_sweep(random_toy_model, [], [], config)
     with pytest.raises(GnvpError):
         temperature_sweep(random_toy_model, [], [0.5, -0.1], config)
+    with pytest.raises(GnvpError, match="runs"):
+        temperature_sweep(random_toy_model, [], [0.5], config, runs=0)
 
 
 # ---------------------------------------------------------------------------
