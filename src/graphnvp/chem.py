@@ -496,6 +496,41 @@ def _molecules(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> 
     return molecules
 
 
+def _validity(
+    spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray, table: ValenceTable | None = None
+) -> list[ValidityReport]:
+    """:func:`check_validity` of each molecule :func:`_molecules` builds
+    from the same arrays, computed on the arrays.
+
+    One contraction of the adjacency with each channel's bond order gives
+    every atom's valence; texts are formatted only for the atoms over their
+    limit.  Atom ``i`` of a graph is atom ``compact[i]`` of its molecule.
+    """
+    table = table or ValenceTable()
+    kinds = features.argmax(axis=-1)
+    real = kinds != spec.virtual_atom
+    known = np.array([symbol in table.max_order for symbol in spec.atom_vocab])
+    unknown = np.argwhere(real & ~known[kinds])
+    if unknown.size:
+        table.limit(spec.atom_vocab[kinds[tuple(unknown[0])]])  # raises ChemError
+    orders = np.arange(1.0, spec.num_bond_types + 1)
+    orders[spec.virtual_bond] = 0.0
+    batch, n = kinds.shape
+    valence = adjacency.reshape(batch, n, -1) @ np.tile(orders, n)
+    limits = np.array([table.max_order.get(symbol, 0) for symbol in spec.atom_vocab])
+    compact = np.cumsum(real, axis=-1) - 1
+    atom_counts = real.sum(axis=-1).tolist()
+    violations = [["molecule has no atoms"] if count < 1 else [] for count in atom_counts]
+    for b, i in zip(*np.nonzero(real & (valence > limits[kinds]))):
+        kind = kinds[b, i]
+        symbol, total = spec.atom_vocab[kind], int(valence[b, i])
+        violations[b].append(f"atom {compact[b, i]} ({symbol}) has bond order {total} > {limits[kind]}")
+    return [
+        ValidityReport(ok=not texts, atom_count=count, violations=tuple(texts))
+        for texts, count in zip(violations, atom_counts)
+    ]
+
+
 def from_graph(graph: MolecularGraph) -> Molecule:
     """:func:`from_graphs` for one graph."""
     return from_graphs([graph])[0]

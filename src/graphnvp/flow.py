@@ -14,6 +14,19 @@ Layer ``k`` in each stack targets node ``k mod N``, so every node is updated
 as long as a stack has at least N layers.  Generation runs the adjacency
 stack's inverse first, discretizes the result, and feeds it to the inverse of
 the node-feature stack.
+
+The forward pass runs on :class:`~graphnvp.tensor.Tensor` ops, so training
+can differentiate it.  The inverse is used only in eval and runs on plain
+arrays: :meth:`FlowModel.inverse_batch` copies the latent once into one
+working buffer per stack, and each layer's ``inverse`` rewrites only its
+target slice of that buffer, in place.  The node-feature layers' all-node
+R-GCN rounds write into scratch arrays made once per pass.  The conditioners
+read the buffer unmasked: the adjacency nets' first eval weights are zero on
+the target slice, and the node-feature layer zeroes its target row while
+its conditioner runs.  Finiteness is checked only where a NaN or Inf can first
+appear, each with the text the Tensor op there would raise: the latent on
+entry, every GEMM before its activation, the scale-cap product, ``exp`` and
+the row update.
 """
 from __future__ import annotations
 
@@ -105,8 +118,9 @@ class AdjacencyCouplingLayer(Module):
         mask[row] = 1.0
         self._row_mask = mask  # 1 on the updated slice
         self._zero = Tensor(0.0)
-        self.register_child("scale_net", MlpNet(flat_in, config.mlp_hidden, slice_out, rng))
-        self.register_child("translate_net", MlpNet(flat_in, config.mlp_hidden, slice_out, rng))
+        target = slice(row * slice_out, (row + 1) * slice_out)  # the slice, flattened
+        for name in ("scale_net", "translate_net"):
+            self.register_child(name, MlpNet(flat_in, config.mlp_hidden, slice_out, rng, ignored=target))
 
     def _scale_translation(self, z: Tensor, training: bool) -> tuple[Tensor, Tensor]:
         batch = z.shape[0]
@@ -128,11 +142,31 @@ class AdjacencyCouplingLayer(Module):
         log_det = T.sum_axis(s, axis=(1, 2))
         return T.replace_row(z, self.row, new_row), log_det
 
-    def inverse(self, z: Tensor, training: bool = False) -> Tensor:
-        s, t = self._scale_translation(z, training)
-        row = T.index_axis(z, 1, self.row)
-        original = T.mul(T.sub(row, t), T.exp(T.mul(s, Tensor(-1.0))))
-        return T.replace_row(z, self.row, original)
+    def _eval_scale_translation(self, za: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eval scale and translation [batch, N, R] of a finite working
+        buffer ``za``; the nets ignore the target slice, so it is not masked."""
+        batch = za.shape[0]
+        n, r = self.spec.num_nodes, self.spec.num_bond_types
+        flat = za.reshape(batch, -1)
+        s = self._children["scale_net"].eval_array(flat)
+        np.tanh(s, out=s)
+        s *= self.scale_cap
+        T._check_finite(s, "mul")
+        t = self._children["translate_net"].eval_array(flat)
+        return s.reshape(batch, n, r), t.reshape(batch, n, r)
+
+    def inverse(self, za: np.ndarray) -> None:
+        """Undo this layer on the working buffer ``za`` [batch, N, N, R] in
+        place, in eval mode: only the target slice is written.  ``za`` must
+        be finite; on a :class:`NumericError` its target slice is unchanged."""
+        s, t = self._eval_scale_translation(za)
+        original = za[:, self.row] - t
+        T._check_finite(original, "sub")
+        np.negative(s, out=s)
+        T._check_finite(np.exp(s, out=s), "exp")
+        original *= s
+        T._check_finite(original, "mul")
+        za[:, self.row] = original
 
 
 class NodeFeatureCouplingLayer(Module):
@@ -168,10 +202,18 @@ class NodeFeatureCouplingLayer(Module):
         new_row = T.add(T.index_axis(z, 1, self.row), t)
         return T.replace_row(z, self.row, new_row)
 
-    def inverse(self, z: Tensor, adjacency: np.ndarray, training: bool = False) -> Tensor:
-        t = self._translation(z, adjacency, training)
-        original = T.sub(T.index_axis(z, 1, self.row), t)
-        return T.replace_row(z, self.row, original)
+    def inverse(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict | None = None) -> None:
+        """Undo this layer on the working buffer ``zx`` [batch, N, M] in
+        place, in eval mode: only the target row is written.  ``zx`` must be
+        finite; the target row is zeroed while the conditioner reads the
+        buffer, so after a :class:`NumericError` it holds zeros.  ``scratch``
+        is passed to the conditioner's ``eval_array``."""
+        row = self.row
+        original = zx[:, row].copy()
+        zx[:, row] = 0.0
+        original -= self._children["translate_net"].eval_array(zx, adjacency, row, scratch)
+        T._check_finite(original, "sub")
+        zx[:, row] = original
 
 
 class GaussianPrior(Module):
@@ -251,26 +293,29 @@ class FlowModel(Module):
         """Invert latents [batch, D] into continuous (adjacency, features) arrays.
 
         The adjacency stack is inverted first; its output is discretized and
-        conditions the node-feature stack's inverse.
+        conditions the node-feature stack's inverse.  ``z`` is only read, so
+        it may be read-only; the two returned arrays are the working buffers.
         """
         spec = self.spec
         if z.ndim != 2 or z.shape[1] != spec.latent_dim:
             raise ShapeError(f"latent batch shape {z.shape} != (*, {spec.latent_dim})")
+        if not np.isfinite(z).all():
+            raise NumericError("tensor constructed with non-finite values")
         batch = z.shape[0]
         n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
         split = n * n * r
-        za = Tensor(z[:, :split].reshape(batch, n, n, r))
-        zx = Tensor(z[:, split:].reshape(batch, n, m))
+        za = np.array(z[:, :split], dtype=np.float64).reshape(batch, n, n, r)
+        zx = np.array(z[:, split:], dtype=np.float64).reshape(batch, n, m)
         try:
             for layer in reversed(self.adjacency_layers):
-                za = layer.inverse(za)
-            a_cont = np.asarray(za.data)
-            conditioning = relation_major(argmax_adjacency(spec, a_cont))
+                layer.inverse(za)
+            conditioning = relation_major(argmax_adjacency(spec, za))
+            scratch: dict = {}  # the node layers' all-node rounds, one allocation per pass
             for layer in reversed(self.node_layers):
-                zx = layer.inverse(zx, conditioning)
+                layer.inverse(zx, conditioning, scratch)
         except NumericError as err:
             raise self._layer_error(layer, err) from err
-        return a_cont, np.asarray(zx.data)
+        return za, zx
 
     def _layer_error(self, layer: Module, err: NumericError) -> NumericError:
         """``err`` with the name of the coupling layer it came from prefixed."""

@@ -47,8 +47,8 @@ class GridSpec:
         v = np.asarray(self.axis_v, dtype=np.float64)
         object.__setattr__(self, "axis_u", u)
         object.__setattr__(self, "axis_v", v)
-        if self.extent < 0 or self.step <= 0:
-            raise GnvpError("grid extent must be >= 0 and step > 0")
+        if self.extent < 0 or not (np.isfinite(self.step) and self.step > 0):
+            raise GnvpError("grid extent must be >= 0 and step finite and > 0")
         for name, axis in (("axis_u", u), ("axis_v", v)):
             if abs(np.linalg.norm(axis) - 1.0) > 1e-10:
                 raise GnvpError(f"{name} is not a unit vector")
@@ -241,8 +241,8 @@ def optimize_along(
     points is decoded once.  The realized property is reported only for valid
     decodes.
     """
-    if step_size <= 0:
-        raise GnvpError("step_size must be > 0")
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise GnvpError("step_size must be finite and > 0")
     if num_steps < 0:
         raise GnvpError("num_steps must be >= 0")
     direction = regressor.weights / np.linalg.norm(regressor.weights)

@@ -6,9 +6,14 @@ Every output head is zero-initialized, which makes a freshly built model the
 exact identity map.
 
 Outside training, batch norm is a fixed per-feature affine map, so the nets
-fold it into the weights of the layer before it (Jacob et al. 2018, §3.2) and
-run each pair as one op.  A fold is cached on its net, tagged with a
-module-level version counter that every parameter or buffer change bumps.
+fold it into the weights of the layer before it (Jacob et al. 2018, §3.2).
+Eval runs on plain arrays, in each net's ``eval_array``: per layer one GEMM
+(or one R-GCN round), the bias added in place, a finiteness check, then relu
+or tanh in place.  ``__call__`` in eval wraps that routine.  An MLP given
+``ignored`` input columns also zeroes their rows of its first folded weight,
+so it can read an unmasked input.  The eval arrays are cached on their net,
+tagged with a module-level version counter that every parameter or buffer
+change bumps.
 """
 from __future__ import annotations
 
@@ -184,46 +189,102 @@ class BatchNorm(Module):
 
 
 class _ConditionerNet(Module):
-    """Hidden layers ``{layer}{k}``, each followed by batch norm ``bn{k}``;
-    caches their folds (see the module docstring)."""
+    """``depth`` hidden layers ``{layer}{k}``, each followed by batch norm
+    ``bn{k}``, then a linear ``head``; caches the arrays eval runs on (see
+    the module docstring)."""
 
-    def __init__(self):
+    def __init__(self, layer: str, depth: int):
         super().__init__()
-        self._fold: tuple[int, list[tuple[Tensor, ...]]] = (-1, [])
+        self._layer, self.depth = layer, depth
+        self._cache: tuple[int, list[tuple[np.ndarray, ...]]] = (-1, [])
 
-    def _folded_layers(self, layer: str, count: int, training: bool) -> list[tuple[Tensor, ...]] | None:
-        """Per hidden layer, its folded parameters; None in training, and
-        while a tape records: to the tape folded parameters are constants, so
-        the gradients of the weights, gamma and beta would be lost."""
-        if training or T.is_recording():
-            return None
-        if self._fold[0] != _version:
-            ch = self._children
-            self._fold = (_version, [ch[f"bn{k}"].fold(ch[f"{layer}{k}"]) for k in range(count)])
-        return self._fold[1]
+    def _eval_layers(self) -> list[tuple[np.ndarray, ...]]:
+        """Per layer, the arrays eval runs it with: each hidden layer's
+        parameters with its batch norm folded in, then the head's weight and
+        bias.  Rebuilt after any parameter or buffer change."""
+        version = _version
+        if self._cache[0] != version:
+            self._cache = (version, self._fold())
+        return self._cache[1]
+
+    def _fold(self) -> list[tuple[np.ndarray, ...]]:
+        ch = self._children
+        layers = [
+            tuple(p.data for p in ch[f"bn{k}"].fold(ch[f"{self._layer}{k}"]))
+            for k in range(self.depth)
+        ]
+        head = ch["head"]._params
+        return layers + [(head["weight"].data, head["bias"].data)]
+
+    @staticmethod
+    def _folded(training: bool) -> bool:
+        """Whether ``__call__`` runs the folded eval routine.  Not in
+        training, and not while a tape records: to the tape folded
+        parameters are constants, so the gradients of the weights, gamma and
+        beta would be lost."""
+        return not training and not T.is_recording()
 
 
 class MlpNet(_ConditionerNet):
-    """Fully connected net; hidden relu layers, zero-initialized output head."""
+    """Fully connected net; hidden relu layers, zero-initialized output head.
 
-    def __init__(self, n_in: int, hidden: tuple[int, ...], n_out: int, rng: np.random.Generator):
-        super().__init__()
+    The input columns in ``ignored`` must not affect the output.  Callers of
+    ``__call__`` mask them; :meth:`eval_array` needs no mask, because the
+    rows of the first eval weight that they meet are zero.
+    """
+
+    def __init__(
+        self,
+        n_in: int,
+        hidden: tuple[int, ...],
+        n_out: int,
+        rng: np.random.Generator,
+        ignored: slice | None = None,
+    ):
+        super().__init__("lin", len(hidden))
         widths = [n_in, *hidden]
         for k in range(len(hidden)):
             self.register_child(f"lin{k}", Linear(widths[k], widths[k + 1], rng))
             self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
-        self.n_hidden = len(hidden)
+        self.ignored = ignored
         self.register_child("head", Linear(widths[-1], n_out, rng, zero_init=True))
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def _fold(self) -> list[tuple[np.ndarray, ...]]:
+        layers = super()._fold()
+        if self.ignored is not None:
+            # x * 0 is +-0, which leaves each sum as it is: the product equals
+            # that of the masked input bit for bit.
+            w, *rest = layers[0]
+            w = w.copy()
+            w[self.ignored] = 0.0
+            layers[0] = (w, *rest)
+        return layers
+
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
+        """Eval output [batch, n_out] for a finite array [batch, n_in]: one
+        GEMM per layer, checked before its relu (the head has none)."""
+        *hidden, head = self._eval_layers()
         h = x
-        folds = self._folded_layers("lin", self.n_hidden, training)
-        for k in range(self.n_hidden):
-            if folds is not None:
-                h = T.linear(h, *folds[k], "relu")
-            else:
-                h = self._children[f"bn{k}"](self._children[f"lin{k}"](h), training, "relu")
+        for w, b in hidden:
+            h = T._linear_array(h, w, b, "relu")
+        return T._linear_array(h, *head, None)
+
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
+        if self._folded(training):
+            return T._frozen(self.eval_array(x.data))
+        h = x
+        for k in range(self.depth):
+            h = self._children[f"bn{k}"](self._children[f"lin{k}"](h), training, "relu")
         return self._children["head"](h)
+
+
+def _scratch(scratch: dict, key, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of ``shape`` kept in ``scratch`` under ``key``, made on
+    first use; its values are whatever the last user left."""
+    arr = scratch.get(key)
+    if arr is None or arr.shape != shape:
+        arr = scratch[key] = np.empty(shape)
+    return arr
 
 
 class RelGraphRound(Module):
@@ -268,27 +329,56 @@ class RelationalGraphConvNet(_ConditionerNet):
         rounds: int,
         rng: np.random.Generator,
     ):
-        super().__init__()
-        self.rounds = rounds
+        super().__init__("round", rounds)
         widths = [n_in] + [hidden] * rounds
         for k in range(rounds):
             self.register_child(f"round{k}", RelGraphRound(widths[k], widths[k + 1], num_relations, rng))
             self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
         self.register_child("head", Linear(hidden, n_out, rng, zero_init=True))
 
-    def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
-        batch, n, _, r = adjacency.shape
+    @staticmethod
+    def _a_rows(adjacency: np.ndarray) -> np.ndarray:
         # A copy, unless ``adjacency`` comes from :func:`relation_major`.
-        a_rows = adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
+        batch, n, _, r = adjacency.shape
+        return adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
+
+    def eval_array(
+        self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict | None = None
+    ) -> np.ndarray:
+        """Eval output [batch, n_out] for node ``row`` of a finite array
+        [batch, N, n_in]: one :func:`~graphnvp.tensor.graph_conv` per round,
+        checked before its tanh, the last round for ``row`` alone.
+
+        The all-node rounds write into arrays kept in ``scratch``, when it
+        is given, instead of fresh ones; one dict passed to every layer of a
+        pass lets those [batch*N, H] rounds reuse their memory.
+        """
+        batch, n = x.shape[:2]
+        a_rows = self._a_rows(adjacency)
+        *rounds, head = self._eval_layers()
         h = x
-        folds = self._folded_layers("round", self.rounds, training)
-        for k in range(self.rounds):
-            target = row if k == self.rounds - 1 and not training else None
-            if folds is not None:
-                h = T.graph_conv(h, a_rows, *folds[k], target, "tanh")
-            else:
-                conv = self._children[f"round{k}"](h, a_rows, target)
-                h = self._children[f"bn{k}"](conv, training, "tanh")
+        for k, weights in enumerate(rounds):
+            target = row if k == self.depth - 1 else None
+            out = None
+            if target is None and scratch is not None:
+                # Round k reads round k-1's output, so the two alternate.
+                shape = (batch * n, weights[2].shape[0])
+                out = tuple(_scratch(scratch, key, shape) for key in (k % 2, "self_loop"))
+            y = T._graph_conv_array(h, a_rows, *weights, target, out)[0]
+            h = T._activate_array(y, "tanh", "graph_conv")
+        if h.ndim == 3:
+            h = h[:, row]
+        return T._linear_array(h, *head, None)
+
+    def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
+        if self._folded(training):
+            return T._frozen(self.eval_array(x.data, adjacency, row))
+        a_rows = self._a_rows(adjacency)
+        h = x
+        for k in range(self.depth):
+            target = row if k == self.depth - 1 and not training else None
+            conv = self._children[f"round{k}"](h, a_rows, target)
+            h = self._children[f"bn{k}"](conv, training, "tanh")
         if h.ndim == 3:
             h = T.index_axis(h, 1, row)
         return self._children["head"](h)

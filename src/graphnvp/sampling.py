@@ -4,19 +4,20 @@ Sampling draws latents from the prior with a temperature-scaled standard
 deviation (``z ~ N(0, (T*sigma)^2 I)``).  :func:`decode` is the one path from
 latents to molecules: it inverts the adjacency stack first, discretizes, then
 inverts the node-feature stack, and checks each decoded batch's graph
-invariants once and each molecule's valence once.  Metrics follow the usual
+invariants once and its valences once, on the arrays.  Metrics follow the usual
 validity / novelty / uniqueness / reconstruction definitions with canonical
 strings as keys.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chem import Molecule, _molecules, check_validity, from_graphs, write_smiles_canonical
+from .chem import Molecule, _molecules, _validity, check_validity, from_graphs, write_smiles_canonical
 from .errors import GnvpError
 from .flow import FlowModel, GaussianPrior, _atomic_open
 from .graphs import MolecularGraph, dequantize, discretize_argmax, first_failures
@@ -35,16 +36,19 @@ class SampleConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise GnvpError("num_samples must be >= 1")
-        if self.temperature <= 0:
-            raise GnvpError("temperature must be > 0")
+        _check_temperature(self.temperature)
+
+
+def _check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise GnvpError(f"temperature must be finite and > 0, got {temperature!r}")
 
 
 def sample_latent_batch(
     prior: GaussianPrior, temperature: float, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """``count`` latent draws [count, D] with standard deviation ``temperature * sigma``."""
-    if temperature <= 0:
-        raise GnvpError("temperature must be > 0")
+    _check_temperature(temperature)
     return rng.standard_normal((count, prior.dimension)) * (temperature * prior.sigma)
 
 
@@ -64,18 +68,14 @@ def decode(model: FlowModel, latents: np.ndarray) -> list[GeneratedSample]:
     # discretize_argmax has checked these graphs' invariants.
     adjacency = np.stack([g.adjacency for g in graphs])
     features = np.stack([g.features for g in graphs])
-    samples = []
-    for graph, molecule in zip(graphs, _molecules(model.spec, adjacency, features)):
-        report = check_validity(molecule)
-        samples.append(
-            GeneratedSample(
-                graph=graph,
-                molecule=molecule,
-                valid=report.ok,
-                violations=report.violations,
-            )
+    return [
+        GeneratedSample(graph=graph, molecule=molecule, valid=report.ok, violations=report.violations)
+        for graph, molecule, report in zip(
+            graphs,
+            _molecules(model.spec, adjacency, features),
+            _validity(model.spec, adjacency, features),
         )
-    return samples
+    ]
 
 
 def generate(model: FlowModel, config: SampleConfig) -> list[GeneratedSample]:
@@ -229,8 +229,8 @@ def temperature_sweep(
         raise GnvpError("temperature_sweep needs at least one temperature")
     if runs < 1:
         raise GnvpError("temperature_sweep needs runs >= 1")
-    if any(t <= 0 for t in temps):
-        raise GnvpError("temperatures must be > 0")
+    for temp in temps:
+        _check_temperature(temp)
     train_keys = _training_keys(training_set)
     seeds = [config.seed + k for k in range(runs)]
     # Reconstruction depends on the seed alone, not on the temperature.

@@ -16,7 +16,10 @@ record with a hand-written vjp:
 * :func:`replace_row`: swap one axis-1 slice.
 
 The first three take ``activation=None | "tanh" | "relu"``, applied in place
-to their output after its finiteness check.
+to their output after its finiteness check.  ``linear`` and ``graph_conv``
+compute their forward values with ``_linear_array`` and
+``_graph_conv_array``, which the conditioner nets' eval routines also run on
+plain arrays.
 
 Each record keeps a needs-gradient mask, one flag per input saying whether it
 depends on a watched tensor; the vjp receives it and returns ``None`` for the
@@ -514,9 +517,10 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
 _ACTIVATIONS = (None, "tanh", "relu")
 
 
-def _activate(y: np.ndarray, activation: str | None, op: str) -> Tensor:
-    """Check ``y`` for finiteness, then apply ``activation`` to it in place.
-    The check comes first because tanh would turn an overflow into a plain 1."""
+def _activate_array(y: np.ndarray, activation: str | None, op: str) -> np.ndarray:
+    """Check ``y`` for finiteness, then apply ``activation`` to it in place
+    and return it.  The check comes first because tanh would turn an
+    overflow into a plain 1."""
     if activation not in _ACTIVATIONS:
         raise ValueError(f"{op}: activation must be one of {_ACTIVATIONS}, got {activation!r}")
     _check_finite(y, op)
@@ -524,7 +528,11 @@ def _activate(y: np.ndarray, activation: str | None, op: str) -> Tensor:
         np.tanh(y, out=y)
     elif activation == "relu":
         np.maximum(y, 0.0, out=y)
-    return _frozen(y)
+    return y
+
+
+def _activate(y: np.ndarray, activation: str | None, op: str) -> Tensor:
+    return _frozen(_activate_array(y, activation, op))
 
 
 def _activation_vjp(g: np.ndarray, activation: str | None, out: np.ndarray) -> np.ndarray:
@@ -536,13 +544,19 @@ def _activation_vjp(g: np.ndarray, activation: str | None, out: np.ndarray) -> n
     return g
 
 
+def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str | None) -> np.ndarray:
+    """:func:`linear` on arrays whose shapes fit: the bias is added to the
+    fresh product and the activation applied in place."""
+    y = np.matmul(x, w)
+    y += b
+    return _activate_array(y, activation, "linear")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
     """``activation(x @ w + b)`` for ``x`` [rows, n_in], ``w`` [n_in, n_out], ``b`` [n_out]."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
-    y = np.matmul(x.data, w.data)
-    y += b.data
-    out = _activate(y, activation, "linear")
+    out = _frozen(_linear_array(x.data, w.data, b.data, activation))
 
     def vjp(g: np.ndarray, needs):
         g = _activation_vjp(g, activation, out.data)
@@ -553,6 +567,40 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Te
         )
 
     return _record((x, w, b), out, vjp)
+
+
+def _graph_conv_array(
+    h: np.ndarray,
+    a_rows: np.ndarray,
+    w_rel: np.ndarray,
+    w_self: np.ndarray,
+    b: np.ndarray,
+    row: int | None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`graph_conv` before its activation, on arrays whose shapes fit.
+
+    Returns the output, [batch, N, H] or [batch, H] for ``row``, followed by
+    the relation rows used (``a_rows``, cut to ``row``'s block), the messages
+    [rows, R*F] and the self-loop input [rows, F].  The output is a fresh
+    array, or the first array of ``out`` (two [rows, H] arrays, the second
+    for the self-loop product) when it is given.
+    """
+    batch, n, f = h.shape
+    r, _, hidden = w_rel.shape
+    if row is None:
+        rows, h_self = batch * n, h.reshape(batch * n, f)
+    else:
+        if not 0 <= row < n:
+            raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
+        a_rows = a_rows[:, row * r : (row + 1) * r]
+        rows, h_self = batch, h[:, row]
+    messages = np.matmul(a_rows, h).reshape(rows, r * f)
+    y_out, self_out = out or (None, None)
+    y = np.matmul(messages, w_rel.reshape(r * f, hidden), out=y_out)
+    y += np.matmul(h_self, w_self, out=self_out)
+    y += b
+    return (y if row is not None else y.reshape(batch, n, hidden)), a_rows, messages, h_self
 
 
 def graph_conv(
@@ -587,22 +635,12 @@ def graph_conv(
             f"graph_conv: shapes {h.shape}, {a_rows.shape}, {w_rel.shape}, {w_self.shape},"
             f" {b.shape} do not fit"
         )
-    if row is None:
-        rows, h_self = batch * n, h.data.reshape(batch * n, f)
-    else:
-        if not 0 <= row < n:
-            raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
-        a_rows = a_rows[:, row * r : (row + 1) * r]
-        rows, h_self = batch, h.data[:, row]
-    messages = np.matmul(a_rows, h.data).reshape(rows, r * f)
+    y, a_rows, messages, h_self = _graph_conv_array(h.data, a_rows, w_rel.data, w_self.data, b.data, row)
     w_flat = w_rel.data.reshape(r * f, hidden)
-    y = np.matmul(messages, w_flat)
-    y += np.matmul(h_self, w_self.data)
-    y += b.data
-    out = _activate(y if row is not None else y.reshape(batch, n, hidden), activation, "graph_conv")
+    out = _activate(y, activation, "graph_conv")
 
     def vjp(g: np.ndarray, needs):
-        g = _activation_vjp(g, activation, out.data).reshape(rows, hidden)
+        g = _activation_vjp(g, activation, out.data).reshape(-1, hidden)
         gh = None
         if needs[0]:
             g_messages = np.matmul(g, w_flat.T).reshape(a_rows.shape[:2] + (f,))

@@ -4,7 +4,9 @@ from hypothesis import HealthCheck, settings
 
 from graphnvp.chem import bundled_corpus_path, load_dataset
 from graphnvp.flow import FlowModel, ModelConfig
-from graphnvp.graphs import GraphSpec, MolecularGraph, qm9lite_spec
+from graphnvp import tensor as T
+from graphnvp.graphs import GraphSpec, MolecularGraph, argmax_adjacency, qm9lite_spec
+from graphnvp.nets import relation_major
 from graphnvp.tensor import Tensor, make_rng
 from graphnvp.train import TrainConfig, split_dataset, train
 
@@ -53,6 +55,47 @@ def randomize_model(model: FlowModel, seed: int, scale: float = 0.3) -> FlowMode
         elif name.endswith("running_var"):
             model.set_buffer(name, 1.0 + 0.5 * rng.random(buf.shape))
     return model
+
+
+# ---------------------------------------------------------------------------
+# the Tensor-op inverse, kept as an oracle for the in-place array inverse
+# ---------------------------------------------------------------------------
+
+
+def tensor_adj_inverse(layer, z: Tensor) -> Tensor:
+    """An adjacency coupling layer's inverse as Tensor ops on a masked copy."""
+    s, t = layer._scale_translation(z, False)
+    row = T.index_axis(z, 1, layer.row)
+    original = T.mul(T.sub(row, t), T.exp(T.mul(s, Tensor(-1.0))))
+    return T.replace_row(z, layer.row, original)
+
+
+def tensor_node_inverse(layer, z: Tensor, adjacency: np.ndarray) -> Tensor:
+    """A node-feature coupling layer's inverse as Tensor ops."""
+    t = layer._translation(z, adjacency, False)
+    return T.replace_row(z, layer.row, T.sub(T.index_axis(z, 1, layer.row), t))
+
+
+def tensor_inverse_batch(model: FlowModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``model.inverse_batch`` with every layer inverted by the oracles above."""
+    spec = model.spec
+    n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
+    split = n * n * r
+    za = Tensor(z[:, :split].reshape(-1, n, n, r))
+    zx = Tensor(z[:, split:].reshape(-1, n, m))
+    for layer in reversed(model.adjacency_layers):
+        za = tensor_adj_inverse(layer, za)
+    conditioning = relation_major(argmax_adjacency(spec, za.data))
+    for layer in reversed(model.node_layers):
+        zx = tensor_node_inverse(layer, zx, conditioning)
+    return za.data, zx.data
+
+
+def array_inverse(layer, z: np.ndarray, *conditioning) -> np.ndarray:
+    """A coupling layer's in-place array inverse, run on a copy of ``z``."""
+    buffer = np.array(z)
+    layer.inverse(buffer, *conditioning)
+    return buffer
 
 
 @pytest.fixture

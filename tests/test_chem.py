@@ -3,6 +3,7 @@ import pytest
 
 from graphnvp.chem import (
     Molecule,
+    _validity,
     ValenceTable,
     bundled_corpus_path,
     check_validity,
@@ -188,6 +189,43 @@ def test_validity_does_not_depend_on_connectivity():
 def test_validity_unknown_symbol_raises():
     with pytest.raises(ChemError):
         check_validity(Molecule(["Xx"], []), ValenceTable({"C": 4}))
+
+
+def _stacked(graphs):
+    return np.stack([g.adjacency for g in graphs]), np.stack([g.features for g in graphs])
+
+
+def test_array_valence_check_equals_check_validity(qm9_corpus):
+    """``_validity`` on stacked arrays gives each molecule's
+    ``check_validity`` report: flags, atom counts and violation texts."""
+    from conftest import random_graph
+
+    rng = make_rng(3)
+    for spec in (qm9lite_spec(), zinclite_spec()):
+        graphs = [random_graph(spec, rng) for _ in range(60)]
+        empty_a, empty_x = np.zeros(spec.adjacency_shape()), np.zeros(spec.feature_shape())
+        empty_a[..., spec.virtual_bond] = empty_x[:, spec.virtual_atom] = 1.0
+        graphs.append(MolecularGraph(spec, empty_a, empty_x))
+        for table in (None, ValenceTable({"C": 3, "N": 3, "O": 2, "F": 1, "S": 2, "Cl": 1})):
+            reports = _validity(spec, *_stacked(graphs), table)
+            expected = [check_validity(m, table) for m in from_graphs(graphs)]
+            assert reports == expected
+        assert not reports[-1].ok and reports[-1].violations == ("molecule has no atoms",)
+        assert sum(r.ok for r in reports) and sum(not r.ok for r in reports[:-1])
+    corpus = _validity(qm9lite_spec(), *_stacked(qm9_corpus))
+    assert corpus == [check_validity(m) for m in from_graphs(qm9_corpus)]
+    assert all(r.ok for r in corpus)
+
+
+def test_array_valence_check_unknown_symbol_raises_like_check_validity():
+    spec = qm9lite_spec()
+    graphs = [to_graph(parse_smiles_lite(t), spec) for t in ("CC", "CO", "NC=O")]
+    table = ValenceTable({"C": 4, "O": 2})
+    with pytest.raises(ChemError) as per_molecule:
+        [check_validity(m, table) for m in from_graphs(graphs)]
+    with pytest.raises(ChemError) as batched:
+        _validity(spec, *_stacked(graphs), table)
+    assert str(batched.value) == str(per_molecule.value) == "no valence entry for atom symbol 'N'"
 
 
 def test_validity_permutation_invariant():

@@ -280,6 +280,34 @@ def test_sweep_empty_temps_usage_error(tmp_path, zero_checkpoint, capsys, temps)
     assert line.startswith("gnvp:error:usage: --temps")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("generate", "--temp", "nan"),
+        ("generate", "--temp", "inf"),
+        ("eval", "--temp", "-inf"),
+        ("sweep", "--temps", "0.3,inf"),
+        ("sweep", "--temps", "nan"),
+        ("grid", "--step-size", "nan"),
+        ("optimize", "--step-size", "inf"),
+    ],
+)
+def test_non_finite_temperature_or_step_size_usage_error(tmp_path, zero_checkpoint, capsys, command, flag, value):
+    out = tmp_path / "out"
+    code = run([command, "--checkpoint", str(zero_checkpoint), "--out", str(out), f"{flag}={value}"])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("gnvp:error:usage:") and flag in line and value in line
+    assert not out.exists()
+
+
+def test_non_numeric_temperature_keeps_its_usage_message(tmp_path, zero_checkpoint, capsys):
+    code = run(["generate", "--checkpoint", str(zero_checkpoint), "--out", str(tmp_path), "--temp", "warm"])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "gnvp:error:usage: argument --temp: invalid float value: 'warm'"
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("epochs=5\nbatch_size=16\nseed=9\n")

@@ -1,9 +1,19 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
+from conftest import (
+    TOY_CONFIG,
+    TOY_SPEC,
+    array_inverse,
+    random_graph,
+    randomize_model,
+    tensor_adj_inverse,
+    tensor_inverse_batch,
+    tensor_node_inverse,
+)
 from graphnvp.errors import CheckpointError, NumericError
 from graphnvp.flow import (
     AdjacencyCouplingLayer,
@@ -14,23 +24,21 @@ from graphnvp.flow import (
     load_checkpoint,
     save_checkpoint,
 )
-from graphnvp.graphs import dequantize, permute_nodes, qm9lite_spec
+from graphnvp.graphs import argmax_adjacency, dequantize, permute_nodes, qm9lite_spec
 from graphnvp.tensor import Tensor, make_rng
 from graphnvp.train import TrainState, load_train_state, save_train_state
 
 
 def stub_scale_translation(layer, scale_value, translation_value):
-    """Replace the conditioner outputs with constants."""
+    """Replace the conditioner outputs with constants, in the Tensor forward
+    and in the array inverse."""
     n, r = layer.spec.num_nodes, layer.spec.num_bond_types
 
-    def stubbed(z, training):
-        batch = z.shape[0]
-        return (
-            Tensor(np.full((batch, n, r), scale_value)),
-            Tensor(np.full((batch, n, r), translation_value)),
-        )
+    def constants(batch):
+        return np.full((batch, n, r), scale_value), np.full((batch, n, r), translation_value)
 
-    layer._scale_translation = stubbed
+    layer._scale_translation = lambda z, training: tuple(map(Tensor, constants(z.shape[0])))
+    layer._eval_scale_translation = lambda za: constants(za.shape[0])
 
 
 def toy_dequantized(seed=3):
@@ -66,7 +74,7 @@ def test_adj_coupling_zero_init_identity():
     out, log_det = layer.forward(Tensor(adjacency), False)
     assert np.array_equal(out.data, adjacency)
     assert log_det.data[0] == 0.0
-    assert np.array_equal(layer.inverse(Tensor(adjacency)).data, adjacency)
+    assert np.array_equal(array_inverse(layer, adjacency), adjacency)
 
 
 def test_adj_coupling_stubbed_scale_doubles_row():
@@ -85,7 +93,7 @@ def test_adj_coupling_stubbed_inverse_halves_shifted():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 2, TOY_CONFIG, make_rng(0))
     stub_scale_translation(layer, np.log(2.0), 1.0)
     _, (adjacency, _) = toy_dequantized()
-    restored = layer.inverse(Tensor(adjacency)).data
+    restored = array_inverse(layer, adjacency)
     assert np.allclose(restored[0, 2], (adjacency[0, 2] - 1.0) / 2.0)
     assert np.array_equal(restored[0, 0], adjacency[0, 0])
 
@@ -97,7 +105,7 @@ def test_adj_coupling_round_trip_random():
     for _ in range(100):
         z = rng.normal(size=TOY_SPEC.adjacency_shape())
         out, _ = layer.forward(Tensor(z[None]), False)
-        back = layer.inverse(out).data[0]
+        back = array_inverse(layer, out.data)[0]
         assert np.abs(back - z).max() < 1e-6
 
 
@@ -158,12 +166,13 @@ def test_node_coupling_stubbed_constant_shift():
         return Tensor(np.tile(shift, (z.shape[0], 1)))
 
     layer._translation = stubbed
+    layer._children["translate_net"].eval_array = lambda zx, *conditioning: np.tile(shift, (zx.shape[0], 1))
     g, (_, features) = toy_dequantized()
     out = layer.forward(Tensor(features), g.adjacency[None], False)
     assert np.allclose(out.data[0, 1], features[0, 1] + shift)
     assert np.array_equal(out.data[0, 0], features[0, 0])
-    back = layer.inverse(out, g.adjacency[None])
-    assert np.allclose(back.data, features)
+    back = array_inverse(layer, out.data, g.adjacency[None])
+    assert np.allclose(back, features)
 
 
 def test_node_coupling_round_trip_random():
@@ -174,7 +183,7 @@ def test_node_coupling_round_trip_random():
     for _ in range(100):
         z = rng.normal(size=TOY_SPEC.feature_shape())
         out = layer.forward(Tensor(z[None]), g.adjacency[None], False)
-        back = layer.inverse(out, g.adjacency[None]).data[0]
+        back = array_inverse(layer, out.data, g.adjacency[None])[0]
         assert np.abs(back - z).max() < 1e-6
 
 
@@ -262,6 +271,115 @@ def test_numeric_error_names_the_coupling_layer():
         model.inverse_batch(z.data)
 
 
+# ---------------------------------------------------------------------------
+# the in-place array inverse against the Tensor-op oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_cases():
+    """A random toy model and a random small qm9lite model; the latter has
+    three R-GCN rounds, so two all-node rounds share the inverse's scratch."""
+    qm9_config = ModelConfig(
+        adjacency_layers=10, node_layers=11, mlp_hidden=(16, 12), gcn_hidden=8, gcn_rounds=3
+    )
+    return [
+        randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=21), seed=22),
+        randomize_model(FlowModel(qm9lite_spec(), qm9_config, seed=23), seed=24, scale=0.1),
+    ]
+
+
+def _assert_within(out, expected, rel=1e-12):
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() <= rel * max(1.0, np.abs(expected).max())
+
+
+@pytest.mark.parametrize("batch", [1, 13])
+def test_array_inverse_matches_tensor_oracle(batch):
+    for model in _oracle_cases():
+        spec = model.spec
+        rng = make_rng(25 + batch)
+        z = rng.normal(scale=0.8, size=(batch, spec.latent_dim))
+        a_cont, x_cont = model.inverse_batch(z)
+        a_ref, x_ref = tensor_inverse_batch(model, z)
+        _assert_within(a_cont, a_ref)
+        _assert_within(x_cont, x_ref)
+        assert not np.array_equal(a_cont, z[:, : a_cont[0].size].reshape(a_cont.shape))
+        # Layer by layer, on a random working buffer.
+        za = rng.normal(size=(batch,) + spec.adjacency_shape())
+        zx = rng.normal(size=(batch,) + spec.feature_shape())
+        conditioning = argmax_adjacency(spec, za)
+        for layer in model.adjacency_layers[:3]:
+            out = array_inverse(layer, za)
+            _assert_within(out, tensor_adj_inverse(layer, Tensor(za)).data)
+            others = np.arange(spec.num_nodes) != layer.row
+            assert np.array_equal(out[:, others], za[:, others])
+        for layer in model.node_layers[:3]:
+            out = array_inverse(layer, zx, conditioning)
+            _assert_within(out, tensor_node_inverse(layer, Tensor(zx), conditioning).data)
+            others = np.arange(spec.num_nodes) != layer.row
+            assert np.array_equal(out[:, others], zx[:, others])
+
+
+def test_inverse_batch_leaves_its_input_unchanged_and_takes_read_only_arrays(random_toy_model):
+    for batch in (1, 5):
+        z = Tensor(make_rng(30 + batch).normal(size=(batch, TOY_SPEC.latent_dim))).data
+        assert not z.flags.writeable
+        before = z.copy()
+        a_cont, x_cont = random_toy_model.inverse_batch(z)
+        assert np.array_equal(z, before)
+        writable = random_toy_model.inverse_batch(before.copy())
+        assert np.array_equal(a_cont, writable[0]) and np.array_equal(x_cont, writable[1])
+
+
+def _oracle_error(model, z) -> str:
+    """The text of the NumericError the Tensor-op inverse raises on ``z``,
+    prefixed with the coupling layer's name as ``inverse_batch`` does."""
+    spec = model.spec
+    n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
+    za = Tensor(z[:, : n * n * r].reshape(-1, n, n, r))
+    for k in reversed(range(len(model.adjacency_layers))):
+        try:
+            za = tensor_adj_inverse(model.adjacency_layers[k], za)
+        except NumericError as err:
+            return f"adjacency_{k}: {err}"
+    conditioning = argmax_adjacency(spec, za.data)
+    zx = Tensor(z[:, n * n * r :].reshape(-1, n, m))
+    for k in reversed(range(len(model.node_layers))):
+        try:
+            zx = tensor_node_inverse(model.node_layers[k], zx, conditioning)
+        except NumericError as err:
+            return f"node_{k}: {err}"
+    raise AssertionError("the oracle raised no NumericError")
+
+
+def test_inverse_numeric_errors_keep_their_text_and_layer():
+    z = make_rng(31).normal(size=(4, TOY_SPEC.latent_dim))
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
+    nan_z = z.copy()
+    nan_z[2, 5] = np.nan
+    with pytest.raises(NumericError) as err:
+        model.inverse_batch(nan_z)
+    assert str(err.value) == "tensor constructed with non-finite values"
+
+    huge_cap = dataclasses.replace(TOY_CONFIG, scale_cap=1e300)
+    model = randomize_model(FlowModel(TOY_SPEC, huge_cap, seed=32), seed=33)
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        model.inverse_batch(z)
+    assert str(err.value) == _oracle_error(model, z) == "adjacency_2: exp produced a non-finite value"
+
+    for name, expected in [
+        ("adjacency_1.translate_net.bn1.running_var", "adjacency_1: batch_norm produced a non-finite value"),
+        ("node_0.translate_net.bn0.running_var", "node_0: batch_norm produced a non-finite value"),
+    ]:
+        model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
+        model.set_buffer(name, -np.ones(dict(model.named_buffers())[name].shape))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+            model.inverse_batch(z)
+        assert isinstance(err.value.__cause__, NumericError)
+        with np.errstate(invalid="ignore"):
+            assert str(err.value) == _oracle_error(model, z) == expected
+
+
 def test_model_logdet_matches_full_jacobian(random_toy_model):
     model = random_toy_model
     _, (adjacency, features) = toy_dequantized(seed=12)
@@ -310,17 +428,16 @@ def test_model_two_step_order_matters(random_toy_model):
 
     def swapped_inverse(z):
         from graphnvp.graphs import argmax_adjacency
-        from graphnvp.tensor import Tensor as Tn
 
-        za = Tn(z[:, :split].reshape(-1, n, n, r))
-        zx = Tn(z[:, split:].reshape(-1, n, m))
+        za = z[:, :split].reshape(-1, n, n, r).copy()
+        zx = z[:, split:].reshape(-1, n, m).copy()
         # wrong order: condition node features on the *latent* adjacency argmax
-        conditioning = np.stack([argmax_adjacency(spec, za.data[b]) for b in range(z.shape[0])])
+        conditioning = np.stack([argmax_adjacency(spec, za[b]) for b in range(z.shape[0])])
         for layer in reversed(model.node_layers):
-            zx = layer.inverse(zx, conditioning)
+            layer.inverse(zx, conditioning)
         for layer in reversed(model.adjacency_layers):
-            za = layer.inverse(za)
-        return np.asarray(za.data), np.asarray(zx.data)
+            layer.inverse(za)
+        return za, zx
 
     z = rng.normal(size=(20, spec.latent_dim))
     a_ref, x_ref = model.inverse_batch(z)

@@ -18,7 +18,7 @@ from graphnvp.latent import (
     write_grid_csv,
     write_optimization_csv,
 )
-from graphnvp.sampling import SampleConfig, decode, generate
+from graphnvp.sampling import GeneratedSample, SampleConfig, decode, generate
 from graphnvp.tensor import make_rng
 
 
@@ -100,12 +100,17 @@ def test_decode_checks_each_batch_and_each_molecule_once(monkeypatch, small_qm9_
     import graphnvp.latent as latent
     import graphnvp.sampling as sampling
 
-    batches, molecules = [], []
+    batches, valence_batches, molecules = [], [], []
     check_original, failures_original = chem.check_validity, graphs.first_failures
+    validity_original = chem._validity
 
     def counted_failures(spec, adjacency, features):
         batches.append(np.shape(features)[:-2])
         return failures_original(spec, adjacency, features)
+
+    def counted_validity(spec, adjacency, features, *args):
+        valence_batches.append(np.shape(features)[:-2])
+        return validity_original(spec, adjacency, features, *args)
 
     def counted_check(molecule, *args):
         molecules.append(molecule)
@@ -113,16 +118,20 @@ def test_decode_checks_each_batch_and_each_molecule_once(monkeypatch, small_qm9_
 
     for module in (graphs, sampling):
         monkeypatch.setattr(module, "first_failures", counted_failures)
+    for module in (chem, sampling):
+        monkeypatch.setattr(module, "_validity", counted_validity)
     for module in (chem, sampling, latent):
         monkeypatch.setattr(module, "check_validity", counted_check)
     for name, run, count in _decode_runs(small_qm9_model):
         batches.clear()
+        valence_batches.clear()
         molecules.clear()
         out = run()
         assert len(out) == count, name
         assert batches == [(count,)], name
-        assert len(molecules) == count, name
-        assert all(a is b.molecule for a, b in zip(molecules, out)), name
+        # One valence pass over the whole batch, none per molecule.
+        assert valence_batches == [(count,)], name
+        assert molecules == [], name
 
 
 def test_valid_flags_equal_the_valence_check(small_qm9_model):
@@ -130,6 +139,8 @@ def test_valid_flags_equal_the_valence_check(small_qm9_model):
     for name, run, _ in _decode_runs(small_qm9_model):
         for item in run():
             assert item.valid == check_validity(item.molecule).ok, name
+            if isinstance(item, GeneratedSample):
+                assert item.violations == check_validity(item.molecule).violations
             flags.append(item.valid)
     assert True in flags and False in flags
 
@@ -154,8 +165,9 @@ def test_grid_spec_validates_axes():
         GridSpec(center=g, axis_u=2 * u, axis_v=v, extent=1, step=0.5)
     with pytest.raises(GnvpError):
         GridSpec(center=g, axis_u=u, axis_v=u, extent=1, step=0.5)
-    with pytest.raises(GnvpError):
-        GridSpec(center=g, axis_u=u, axis_v=v, extent=1, step=0.0)
+    for step in (0.0, float("nan"), float("inf")):
+        with pytest.raises(GnvpError):
+            GridSpec(center=g, axis_u=u, axis_v=v, extent=1, step=step)
 
 
 def test_grid_one_by_one_is_center(random_toy_model):
@@ -379,8 +391,9 @@ def test_optimize_step_zero_equals_seed_and_predictions_increase(random_toy_mode
 def test_optimize_rejects_bad_arguments(random_toy_model):
     g = toy_training_graphs(1, seed=19)[0]
     regressor = PropertyRegressor("heavy_atom_count", np.ones(TOY_SPEC.latent_dim), 0.0, 1.0, False)
-    with pytest.raises(GnvpError):
-        optimize_along(random_toy_model, regressor, g, num_steps=3, step_size=0.0)
+    for step_size in (0.0, float("nan"), float("inf")):
+        with pytest.raises(GnvpError):
+            optimize_along(random_toy_model, regressor, g, num_steps=3, step_size=step_size)
     with pytest.raises(GnvpError):
         optimize_along(random_toy_model, regressor, g, num_steps=-1, step_size=0.5)
 

@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
+from conftest import (
+    TOY_CONFIG,
+    TOY_SPEC,
+    array_inverse,
+    random_graph,
+    randomize_model,
+    tensor_adj_inverse,
+    tensor_node_inverse,
+)
 from graphnvp.flow import (
     CHECKPOINT_VERSION,
     AdjacencyCouplingLayer,
@@ -15,7 +23,6 @@ from graphnvp.flow import (
 )
 from graphnvp.graphs import dequantize
 from graphnvp.nets import BatchNorm, Linear, MlpNet, RelationalGraphConvNet, RelGraphRound, relation_major
-from graphnvp import nets
 from graphnvp import tensor as T
 from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
 from graphnvp.train import TrainConfig, TrainState, load_train_state, nll_loss, save_train_state, train
@@ -205,7 +212,9 @@ def test_folded_graph_conv_net_matches_unfolded_composition(path):
         assert_close(net(Tensor(h), adjacency, row, training=False).data, expected)
 
 
-def test_folded_coupling_layers_match_unfolded(monkeypatch):
+def test_folded_coupling_layers_match_unfolded():
+    """Folded eval (the Tensor forward and the array inverse) against the
+    unfolded eval composition, which the nets run while a tape records."""
     rng = make_rng(26)
     adj_layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, rng)
     node_layer = NodeFeatureCouplingLayer(TOY_SPEC, 2, TOY_CONFIG, rng)
@@ -215,20 +224,20 @@ def test_folded_coupling_layers_match_unfolded(monkeypatch):
     adjacency, features = dequantize(graphs, 0.9, rng)
     za, zx, conditioning = Tensor(adjacency), Tensor(features), np.floor(adjacency)
 
-    def run():
+    def forward():
         out, log_det = adj_layer.forward(za, False)
-        return [
-            out.data,
-            log_det.data,
-            adj_layer.inverse(za).data,
-            node_layer.forward(zx, conditioning, False).data,
-            node_layer.inverse(zx, conditioning).data,
-        ]
+        return [out.data, log_det.data, node_layer.forward(zx, conditioning, False).data]
 
-    folded = run()
+    folded = forward()
+    folded += [array_inverse(adj_layer, adjacency), array_inverse(node_layer, features, conditioning)]
     # Every net takes the unfolded eval path: layer, then batch norm.
-    monkeypatch.setattr(nets._ConditionerNet, "_folded_layers", lambda self, *args: None)
-    for out, expected in zip(folded, run()):
+    with GradientTape():
+        unfolded = forward()
+        unfolded += [
+            tensor_adj_inverse(adj_layer, za).data,
+            tensor_node_inverse(node_layer, zx, conditioning).data,
+        ]
+    for out, expected in zip(folded, unfolded):
         assert_close(out, expected)
     # The coupling layers only change their target row.
     assert not np.array_equal(folded[0], adjacency) and not np.array_equal(folded[3], features)
@@ -349,3 +358,44 @@ def test_eval_loss_on_a_tape_differentiates_batch_norm_and_linear_weights():
         model.set_parameter(name, original)
         assert np.abs(expected).max() > 1e-3, name
         assert np.abs(grads[name].data - expected).max() <= 1e-5 * (1.0 + np.abs(expected).max()), name
+
+
+def test_mask_folded_first_weight_follows_set_parameter_set_buffer_and_adam_step(monkeypatch):
+    """An adjacency layer's nets skip the input mask in eval: the rows of
+    their first folded weight that meet the target slice are zero.  That
+    weight is rebuilt after every kind of parameter or buffer change."""
+    model = _used_model()
+    layer = model.adjacency_layers[1]
+    n, r = TOY_SPEC.num_nodes, TOY_SPEC.num_bond_types
+    target = slice(layer.row * n * r, (layer.row + 1) * n * r)
+
+    def check():
+        for name in ("scale_net", "translate_net"):
+            net = layer._children[name]
+            expected = net._children["bn0"].fold(net._children["lin0"])[0].data.copy()
+            assert expected[target].any()
+            expected[target] = 0.0
+            assert np.array_equal(net._eval_layers()[0][0], expected)
+        _assert_eval_matches_fresh_copy(model)
+
+    check()
+    rng = make_rng(45)
+    model.set_parameter("adjacency_1.scale_net.lin0.weight", Tensor(rng.normal(size=(n * n * r, 8))))
+    check()
+    model.set_buffer("adjacency_1.translate_net.bn0.running_var", 1.0 + rng.random(8))
+    check()
+    train_module = importlib.import_module("graphnvp.train")
+    adam_step = train_module.adam_step
+    steps = []
+
+    def checked(state, gradients, config):
+        check()
+        before = layer._children["scale_net"]._eval_layers()[0][0].copy()
+        adam_step(state, gradients, config)
+        check()
+        assert not np.array_equal(layer._children["scale_net"]._eval_layers()[0][0], before)
+        steps.append(state.step)
+
+    monkeypatch.setattr(train_module, "adam_step", checked)
+    train(model, _toy_batch(46, size=6), TrainConfig(epochs=1, batch_size=4, seed=2))
+    assert steps == [1, 2]

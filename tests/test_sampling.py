@@ -82,6 +82,18 @@ def test_sampler_rejects_bad_temperature():
         SampleConfig(num_samples=10, temperature=-1.0)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_temperatures_rejected(random_toy_model, temperature):
+    prior = GaussianPrior(4)
+    with pytest.raises(GnvpError, match="temperature must be finite and > 0"):
+        sample_latent_batch(prior, temperature, make_rng(0), count=1)
+    with pytest.raises(GnvpError, match="temperature must be finite and > 0"):
+        SampleConfig(num_samples=10, temperature=temperature)
+    config = SampleConfig(num_samples=5, temperature=0.5, seed=0)
+    with pytest.raises(GnvpError, match="temperature must be finite and > 0"):
+        temperature_sweep(random_toy_model, [], [0.5, temperature], config)
+
+
 def test_sampler_honors_learned_sigma():
     from graphnvp.tensor import Tensor
 
@@ -260,6 +272,24 @@ def test_reconstruction_equals_requantize_oracle_with_planted_misses(monkeypatch
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
+def test_decoded_flags_and_texts_equal_check_validity(trained_qm9):
+    """Each sample's ``valid`` flag and ``violations`` texts, read off the
+    decoded arrays, equal ``check_validity`` of its molecule: for eval's
+    1000 samples at T = 0.85 and for a sweep's runs at 0.3, 0.6 and 0.9."""
+    from graphnvp.chem import check_validity
+
+    model = trained_qm9[0]
+    runs = [(1000, 0.85, 0)] + [(200, temp, seed) for temp in (0.3, 0.6, 0.9) for seed in (1, 2)]
+    samples = []
+    for count, temperature, seed in runs:
+        samples += generate(model, SampleConfig(num_samples=count, temperature=temperature, seed=seed))
+    for sample in samples:
+        report = check_validity(sample.molecule)
+        assert (sample.valid, sample.violations) == (report.ok, report.violations)
+    assert any(s.valid for s in samples) and any(len(s.violations) > 1 for s in samples)
+
+
 def test_sweep_single_temperature_row(random_toy_model):
     rng = make_rng(14)
     train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
@@ -343,22 +373,29 @@ def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_mode
 
 
 def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
-    """The sweep's metrics take each sample's valid flag from ``generate``."""
+    """The sweep's metrics take each sample's valid flag from ``generate``,
+    which checks the valences of each decoded batch in one array pass."""
     import graphnvp.sampling as sampling
 
     rng = make_rng(18)
     train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
-    calls = []
-    original = sampling.check_validity
+    calls, batches = [], []
+    check_original, validity_original = sampling.check_validity, sampling._validity
 
     def counted(molecule, *args):
         calls.append(1)
-        return original(molecule, *args)
+        return check_original(molecule, *args)
+
+    def counted_batch(spec, adjacency, features, *args):
+        batches.append(len(features))
+        return validity_original(spec, adjacency, features, *args)
 
     monkeypatch.setattr(sampling, "check_validity", counted)
+    monkeypatch.setattr(sampling, "_validity", counted_batch)
     config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
     temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config, runs=4)
-    assert len(calls) == 3 * 4 * 20
+    assert batches == [20] * (3 * 4)
+    assert calls == []
 
 
 def test_sweep_rejects_empty_or_bad_temps(random_toy_model):

@@ -1,13 +1,13 @@
 """The benchmark's span tracer (``perfbench/tracing.py``) wraps library
 functions and methods by name; every name it lists must still exist, and a
-traced training step must still run."""
+traced training step and a traced inverse must still run."""
 import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from conftest import TOY_CONFIG, TOY_SPEC, random_graph
+from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
 from graphnvp import tensor as T
 from graphnvp.flow import FlowModel
 from graphnvp.tensor import GradientTape, make_rng
@@ -57,3 +57,20 @@ def test_traced_training_step_runs_and_matches_untraced():
     names = {span[0] for span in tracer.spans}
     assert {"tensor.backward", "tensor.backward.linear", "tensor.backward.batch_norm"} <= names
     assert tracer.tape_records > 0
+
+
+def test_traced_inverse_matches_untraced_and_records_layer_spans():
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=4), seed=5)
+    z = make_rng(6).normal(size=(7, TOY_SPEC.latent_dim))
+    plain = model.inverse_batch(z)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        traced = model.inverse_batch(z)
+    finally:
+        tracer.uninstall()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(traced, plain))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("flow.inverse_batch") == 1
+    assert names.count("flow.adj_inverse") == TOY_CONFIG.adjacency_layers
+    assert names.count("flow.node_inverse") == TOY_CONFIG.node_layers
