@@ -496,9 +496,7 @@ def _molecules(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> 
     return molecules
 
 
-def _validity(
-    spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray, table: ValenceTable | None = None
-) -> list[ValidityReport]:
+def _validity(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> list[ValidityReport]:
     """:func:`check_validity` of each molecule :func:`_molecules` builds
     from the same arrays, computed on the arrays.
 
@@ -506,7 +504,7 @@ def _validity(
     every atom's valence; texts are formatted only for the atoms over their
     limit.  Atom ``i`` of a graph is atom ``compact[i]`` of its molecule.
     """
-    table = table or ValenceTable()
+    table = ValenceTable()
     kinds = features.argmax(axis=-1)
     real = kinds != spec.virtual_atom
     known = np.array([symbol in table.max_order for symbol in spec.atom_vocab])

@@ -20,10 +20,9 @@ can differentiate it.  The inverse is used only in eval and runs on plain
 arrays: :meth:`FlowModel.inverse_batch` copies the latent once into one
 working buffer per stack, and each layer's ``inverse`` rewrites only its
 target slice of that buffer, in place.  The node-feature layers' all-node
-R-GCN rounds write into scratch arrays made once per pass.  The conditioners
-read the buffer unmasked: the adjacency nets' first eval weights are zero on
-the target slice, and the node-feature layer zeroes its target row while
-its conditioner runs.  Finiteness is checked only where a NaN or Inf can first
+R-GCN rounds write into scratch arrays made once per pass.  Instead of a
+masked copy, each layer zeroes its target slice in the buffer while its
+conditioner reads it.  Finiteness is checked only where a NaN or Inf can first
 appear, each with the text the Tensor op there would raise: the latent on
 entry, every GEMM before its activation, the scale-cap product, ``exp`` and
 the row update.
@@ -118,9 +117,8 @@ class AdjacencyCouplingLayer(Module):
         mask[row] = 1.0
         self._row_mask = mask  # 1 on the updated slice
         self._zero = Tensor(0.0)
-        target = slice(row * slice_out, (row + 1) * slice_out)  # the slice, flattened
         for name in ("scale_net", "translate_net"):
-            self.register_child(name, MlpNet(flat_in, config.mlp_hidden, slice_out, rng, ignored=target))
+            self.register_child(name, MlpNet(flat_in, config.mlp_hidden, slice_out, rng))
 
     def _scale_translation(self, z: Tensor, training: bool) -> tuple[Tensor, Tensor]:
         batch = z.shape[0]
@@ -144,7 +142,7 @@ class AdjacencyCouplingLayer(Module):
 
     def _eval_scale_translation(self, za: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eval scale and translation [batch, N, R] of a finite working
-        buffer ``za``; the nets ignore the target slice, so it is not masked."""
+        buffer ``za`` whose target slice is zero."""
         batch = za.shape[0]
         n, r = self.spec.num_nodes, self.spec.num_bond_types
         flat = za.reshape(batch, -1)
@@ -158,15 +156,19 @@ class AdjacencyCouplingLayer(Module):
     def inverse(self, za: np.ndarray) -> None:
         """Undo this layer on the working buffer ``za`` [batch, N, N, R] in
         place, in eval mode: only the target slice is written.  ``za`` must
-        be finite; on a :class:`NumericError` its target slice is unchanged."""
+        be finite; the target slice is zeroed while the conditioner reads the
+        buffer, so after a :class:`NumericError` it holds zeros."""
+        row = self.row
+        original = za[:, row].copy()
+        za[:, row] = 0.0
         s, t = self._eval_scale_translation(za)
-        original = za[:, self.row] - t
+        original -= t
         T._check_finite(original, "sub")
         np.negative(s, out=s)
         T._check_finite(np.exp(s, out=s), "exp")
         original *= s
         T._check_finite(original, "mul")
-        za[:, self.row] = original
+        za[:, row] = original
 
 
 class NodeFeatureCouplingLayer(Module):
@@ -202,7 +204,7 @@ class NodeFeatureCouplingLayer(Module):
         new_row = T.add(T.index_axis(z, 1, self.row), t)
         return T.replace_row(z, self.row, new_row)
 
-    def inverse(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict | None = None) -> None:
+    def inverse(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> None:
         """Undo this layer on the working buffer ``zx`` [batch, N, M] in
         place, in eval mode: only the target row is written.  ``zx`` must be
         finite; the target row is zeroed while the conditioner reads the

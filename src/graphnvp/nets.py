@@ -9,11 +9,9 @@ Outside training, batch norm is a fixed per-feature affine map, so the nets
 fold it into the weights of the layer before it (Jacob et al. 2018, §3.2).
 Eval runs on plain arrays, in each net's ``eval_array``: per layer one GEMM
 (or one R-GCN round), the bias added in place, a finiteness check, then relu
-or tanh in place.  ``__call__`` in eval wraps that routine.  An MLP given
-``ignored`` input columns also zeroes their rows of its first folded weight,
-so it can read an unmasked input.  The eval arrays are cached on their net,
-tagged with a module-level version counter that every parameter or buffer
-change bumps.
+or tanh in place.  ``__call__`` in eval wraps that routine.  The eval arrays
+are cached on their net, tagged with a module-level version counter that
+every parameter or buffer change bumps.
 """
 from __future__ import annotations
 
@@ -204,17 +202,14 @@ class _ConditionerNet(Module):
         bias.  Rebuilt after any parameter or buffer change."""
         version = _version
         if self._cache[0] != version:
-            self._cache = (version, self._fold())
+            ch = self._children
+            layers = [
+                tuple(p.data for p in ch[f"bn{k}"].fold(ch[f"{self._layer}{k}"]))
+                for k in range(self.depth)
+            ]
+            head = ch["head"]._params
+            self._cache = (version, layers + [(head["weight"].data, head["bias"].data)])
         return self._cache[1]
-
-    def _fold(self) -> list[tuple[np.ndarray, ...]]:
-        ch = self._children
-        layers = [
-            tuple(p.data for p in ch[f"bn{k}"].fold(ch[f"{self._layer}{k}"]))
-            for k in range(self.depth)
-        ]
-        head = ch["head"]._params
-        return layers + [(head["weight"].data, head["bias"].data)]
 
     @staticmethod
     def _folded(training: bool) -> bool:
@@ -226,39 +221,15 @@ class _ConditionerNet(Module):
 
 
 class MlpNet(_ConditionerNet):
-    """Fully connected net; hidden relu layers, zero-initialized output head.
+    """Fully connected net; hidden relu layers, zero-initialized output head."""
 
-    The input columns in ``ignored`` must not affect the output.  Callers of
-    ``__call__`` mask them; :meth:`eval_array` needs no mask, because the
-    rows of the first eval weight that they meet are zero.
-    """
-
-    def __init__(
-        self,
-        n_in: int,
-        hidden: tuple[int, ...],
-        n_out: int,
-        rng: np.random.Generator,
-        ignored: slice | None = None,
-    ):
+    def __init__(self, n_in: int, hidden: tuple[int, ...], n_out: int, rng: np.random.Generator):
         super().__init__("lin", len(hidden))
         widths = [n_in, *hidden]
         for k in range(len(hidden)):
             self.register_child(f"lin{k}", Linear(widths[k], widths[k + 1], rng))
             self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
-        self.ignored = ignored
         self.register_child("head", Linear(widths[-1], n_out, rng, zero_init=True))
-
-    def _fold(self) -> list[tuple[np.ndarray, ...]]:
-        layers = super()._fold()
-        if self.ignored is not None:
-            # x * 0 is +-0, which leaves each sum as it is: the product equals
-            # that of the masked input bit for bit.
-            w, *rest = layers[0]
-            w = w.copy()
-            w[self.ignored] = 0.0
-            layers[0] = (w, *rest)
-        return layers
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """Eval output [batch, n_out] for a finite array [batch, n_in]: one
@@ -342,16 +313,14 @@ class RelationalGraphConvNet(_ConditionerNet):
         batch, n, _, r = adjacency.shape
         return adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
 
-    def eval_array(
-        self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict | None = None
-    ) -> np.ndarray:
+    def eval_array(self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict) -> np.ndarray:
         """Eval output [batch, n_out] for node ``row`` of a finite array
         [batch, N, n_in]: one :func:`~graphnvp.tensor.graph_conv` per round,
         checked before its tanh, the last round for ``row`` alone.
 
-        The all-node rounds write into arrays kept in ``scratch``, when it
-        is given, instead of fresh ones; one dict passed to every layer of a
-        pass lets those [batch*N, H] rounds reuse their memory.
+        The all-node rounds write into arrays kept in ``scratch``; one dict
+        passed to every layer of a pass lets those [batch*N, H] rounds reuse
+        their memory.
         """
         batch, n = x.shape[:2]
         a_rows = self._a_rows(adjacency)
@@ -360,7 +329,7 @@ class RelationalGraphConvNet(_ConditionerNet):
         for k, weights in enumerate(rounds):
             target = row if k == self.depth - 1 else None
             out = None
-            if target is None and scratch is not None:
+            if target is None:
                 # Round k reads round k-1's output, so the two alternate.
                 shape = (batch * n, weights[2].shape[0])
                 out = tuple(_scratch(scratch, key, shape) for key in (k % 2, "self_loop"))
@@ -372,7 +341,7 @@ class RelationalGraphConvNet(_ConditionerNet):
 
     def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
         if self._folded(training):
-            return T._frozen(self.eval_array(x.data, adjacency, row))
+            return T._frozen(self.eval_array(x.data, adjacency, row, {}))
         a_rows = self._a_rows(adjacency)
         h = x
         for k in range(self.depth):

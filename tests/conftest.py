@@ -7,7 +7,7 @@ from graphnvp.flow import FlowModel, ModelConfig
 from graphnvp import tensor as T
 from graphnvp.graphs import GraphSpec, MolecularGraph, argmax_adjacency, qm9lite_spec
 from graphnvp.nets import relation_major
-from graphnvp.tensor import Tensor, make_rng
+from graphnvp.tensor import GradientTape, Tensor, make_rng
 from graphnvp.train import TrainConfig, split_dataset, train
 
 settings.register_profile(
@@ -60,20 +60,26 @@ def randomize_model(model: FlowModel, seed: int, scale: float = 0.3) -> FlowMode
 # ---------------------------------------------------------------------------
 # the Tensor-op inverse, kept as an oracle for the in-place array inverse
 # ---------------------------------------------------------------------------
+# The oracle runs while a tape records, so its nets take the unfolded eval
+# path (each layer, then its frozen batch norm) and share no code with the
+# folded array routines under test.
 
 
 def tensor_adj_inverse(layer, z: Tensor) -> Tensor:
-    """An adjacency coupling layer's inverse as Tensor ops on a masked copy."""
-    s, t = layer._scale_translation(z, False)
-    row = T.index_axis(z, 1, layer.row)
-    original = T.mul(T.sub(row, t), T.exp(T.mul(s, Tensor(-1.0))))
-    return T.replace_row(z, layer.row, original)
+    """An adjacency coupling layer's inverse as unfolded Tensor ops on a
+    masked copy."""
+    with GradientTape():
+        s, t = layer._scale_translation(z, False)
+        row = T.index_axis(z, 1, layer.row)
+        original = T.mul(T.sub(row, t), T.exp(T.mul(s, Tensor(-1.0))))
+        return T.replace_row(z, layer.row, original)
 
 
 def tensor_node_inverse(layer, z: Tensor, adjacency: np.ndarray) -> Tensor:
-    """A node-feature coupling layer's inverse as Tensor ops."""
-    t = layer._translation(z, adjacency, False)
-    return T.replace_row(z, layer.row, T.sub(T.index_axis(z, 1, layer.row), t))
+    """A node-feature coupling layer's inverse as unfolded Tensor ops."""
+    with GradientTape():
+        t = layer._translation(z, adjacency, False)
+        return T.replace_row(z, layer.row, T.sub(T.index_axis(z, 1, layer.row), t))
 
 
 def tensor_inverse_batch(model: FlowModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,9 +98,10 @@ def tensor_inverse_batch(model: FlowModel, z: np.ndarray) -> tuple[np.ndarray, n
 
 
 def array_inverse(layer, z: np.ndarray, *conditioning) -> np.ndarray:
-    """A coupling layer's in-place array inverse, run on a copy of ``z``."""
+    """A coupling layer's in-place array inverse, run on a copy of ``z``;
+    a node-feature layer, given its ``conditioning``, gets fresh scratch."""
     buffer = np.array(z)
-    layer.inverse(buffer, *conditioning)
+    layer.inverse(buffer, *conditioning, *([{}] if conditioning else []))
     return buffer
 
 

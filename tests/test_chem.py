@@ -15,7 +15,7 @@ from graphnvp.chem import (
     write_smiles_canonical,
 )
 from graphnvp.errors import ChemError, DatasetError, GraphError, SmilesParseError
-from graphnvp.graphs import MolecularGraph, discretize_argmax, permute_nodes, qm9lite_spec, zinclite_spec
+from graphnvp.graphs import GraphSpec, MolecularGraph, discretize_argmax, permute_nodes, qm9lite_spec, zinclite_spec
 from graphnvp.tensor import make_rng
 
 
@@ -206,10 +206,8 @@ def test_array_valence_check_equals_check_validity(qm9_corpus):
         empty_a, empty_x = np.zeros(spec.adjacency_shape()), np.zeros(spec.feature_shape())
         empty_a[..., spec.virtual_bond] = empty_x[:, spec.virtual_atom] = 1.0
         graphs.append(MolecularGraph(spec, empty_a, empty_x))
-        for table in (None, ValenceTable({"C": 3, "N": 3, "O": 2, "F": 1, "S": 2, "Cl": 1})):
-            reports = _validity(spec, *_stacked(graphs), table)
-            expected = [check_validity(m, table) for m in from_graphs(graphs)]
-            assert reports == expected
+        reports = _validity(spec, *_stacked(graphs))
+        assert reports == [check_validity(m) for m in from_graphs(graphs)]
         assert not reports[-1].ok and reports[-1].violations == ("molecule has no atoms",)
         assert sum(r.ok for r in reports) and sum(not r.ok for r in reports[:-1])
     corpus = _validity(qm9lite_spec(), *_stacked(qm9_corpus))
@@ -218,14 +216,16 @@ def test_array_valence_check_equals_check_validity(qm9_corpus):
 
 
 def test_array_valence_check_unknown_symbol_raises_like_check_validity():
-    spec = qm9lite_spec()
-    graphs = [to_graph(parse_smiles_lite(t), spec) for t in ("CC", "CO", "NC=O")]
-    table = ValenceTable({"C": 4, "O": 2})
+    spec = GraphSpec(num_nodes=3, atom_vocab=("C", "Xx", "*"))
+    graphs = [
+        to_graph(Molecule(["C", "C"], [(0, 1, 1)]), spec),
+        to_graph(Molecule(["C", "Xx", "C"], [(0, 1, 2)]), spec),
+    ]
     with pytest.raises(ChemError) as per_molecule:
-        [check_validity(m, table) for m in from_graphs(graphs)]
+        [check_validity(m) for m in from_graphs(graphs)]
     with pytest.raises(ChemError) as batched:
-        _validity(spec, *_stacked(graphs), table)
-    assert str(batched.value) == str(per_molecule.value) == "no valence entry for atom symbol 'N'"
+        _validity(spec, *_stacked(graphs))
+    assert str(batched.value) == str(per_molecule.value) == "no valence entry for atom symbol 'Xx'"
 
 
 def test_validity_permutation_invariant():

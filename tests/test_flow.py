@@ -434,7 +434,7 @@ def test_model_two_step_order_matters(random_toy_model):
         # wrong order: condition node features on the *latent* adjacency argmax
         conditioning = np.stack([argmax_adjacency(spec, za[b]) for b in range(z.shape[0])])
         for layer in reversed(model.node_layers):
-            layer.inverse(zx, conditioning)
+            layer.inverse(zx, conditioning, {})
         for layer in reversed(model.adjacency_layers):
             layer.inverse(za)
         return za, zx

@@ -108,9 +108,9 @@ def test_decode_checks_each_batch_and_each_molecule_once(monkeypatch, small_qm9_
         batches.append(np.shape(features)[:-2])
         return failures_original(spec, adjacency, features)
 
-    def counted_validity(spec, adjacency, features, *args):
+    def counted_validity(spec, adjacency, features):
         valence_batches.append(np.shape(features)[:-2])
-        return validity_original(spec, adjacency, features, *args)
+        return validity_original(spec, adjacency, features)
 
     def counted_check(molecule, *args):
         molecules.append(molecule)

@@ -358,44 +358,3 @@ def test_eval_loss_on_a_tape_differentiates_batch_norm_and_linear_weights():
         model.set_parameter(name, original)
         assert np.abs(expected).max() > 1e-3, name
         assert np.abs(grads[name].data - expected).max() <= 1e-5 * (1.0 + np.abs(expected).max()), name
-
-
-def test_mask_folded_first_weight_follows_set_parameter_set_buffer_and_adam_step(monkeypatch):
-    """An adjacency layer's nets skip the input mask in eval: the rows of
-    their first folded weight that meet the target slice are zero.  That
-    weight is rebuilt after every kind of parameter or buffer change."""
-    model = _used_model()
-    layer = model.adjacency_layers[1]
-    n, r = TOY_SPEC.num_nodes, TOY_SPEC.num_bond_types
-    target = slice(layer.row * n * r, (layer.row + 1) * n * r)
-
-    def check():
-        for name in ("scale_net", "translate_net"):
-            net = layer._children[name]
-            expected = net._children["bn0"].fold(net._children["lin0"])[0].data.copy()
-            assert expected[target].any()
-            expected[target] = 0.0
-            assert np.array_equal(net._eval_layers()[0][0], expected)
-        _assert_eval_matches_fresh_copy(model)
-
-    check()
-    rng = make_rng(45)
-    model.set_parameter("adjacency_1.scale_net.lin0.weight", Tensor(rng.normal(size=(n * n * r, 8))))
-    check()
-    model.set_buffer("adjacency_1.translate_net.bn0.running_var", 1.0 + rng.random(8))
-    check()
-    train_module = importlib.import_module("graphnvp.train")
-    adam_step = train_module.adam_step
-    steps = []
-
-    def checked(state, gradients, config):
-        check()
-        before = layer._children["scale_net"]._eval_layers()[0][0].copy()
-        adam_step(state, gradients, config)
-        check()
-        assert not np.array_equal(layer._children["scale_net"]._eval_layers()[0][0], before)
-        steps.append(state.step)
-
-    monkeypatch.setattr(train_module, "adam_step", checked)
-    train(model, _toy_batch(46, size=6), TrainConfig(epochs=1, batch_size=4, seed=2))
-    assert steps == [1, 2]

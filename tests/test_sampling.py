@@ -386,9 +386,9 @@ def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
         calls.append(1)
         return check_original(molecule, *args)
 
-    def counted_batch(spec, adjacency, features, *args):
+    def counted_batch(spec, adjacency, features):
         batches.append(len(features))
-        return validity_original(spec, adjacency, features, *args)
+        return validity_original(spec, adjacency, features)
 
     monkeypatch.setattr(sampling, "check_validity", counted)
     monkeypatch.setattr(sampling, "_validity", counted_batch)
