@@ -70,14 +70,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither infinite nor NaN."""
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -104,12 +104,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="sample molecules into a SMILES file")
     common(p, checkpoint=True)
     p.add_argument("--samples", type=int, default=1000, help="number of latents to decode (default 1000)")
-    p.add_argument("--temp", type=_finite_float, default=None, help="sampling temperature (default per spec)")
+    p.add_argument("--temp", type=_positive_float, default=None, help="sampling temperature (default per spec)")
 
     p = sub.add_parser("eval", help="generate and score validity/novelty/uniqueness/reconstruction")
     common(p, dataset=True, checkpoint=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--temp", type=_finite_float, default=None)
+    p.add_argument("--temp", type=_positive_float, default=None)
 
     p = sub.add_parser("encode", help="write noise-free latent vectors for a dataset")
     common(p, dataset=True, checkpoint=True)
@@ -117,13 +117,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("grid", help="decode a 2-D latent neighborhood of one molecule")
     common(p, dataset=True, checkpoint=True)
     p.add_argument("--steps", type=int, default=2, help="grid extent per axis (default 2)")
-    p.add_argument("--step-size", type=_finite_float, default=0.5, help="latent grid spacing (default 0.5)")
+    p.add_argument("--step-size", type=_positive_float, default=0.5, help="latent grid spacing (default 0.5)")
 
     p = sub.add_parser("optimize", help="walk the latent space along a property direction")
     common(p, dataset=True, checkpoint=True)
     p.add_argument("--property", default="logp_proxy", help="property name (default logp_proxy)")
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--step-size", type=_finite_float, default=0.5)
+    p.add_argument("--step-size", type=_positive_float, default=0.5)
 
     p = sub.add_parser("sweep", help="average metrics over seeds for several temperatures")
     common(p, dataset=True, checkpoint=True)
@@ -331,8 +331,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--temps must be comma-separated numbers, got {args.temps!r}")
     if not temps:
         raise _UsageError(f"--temps needs at least one temperature, got {args.temps!r}")
-    if not all(math.isfinite(t) for t in temps):
-        raise _UsageError(f"--temps must be finite numbers, got {args.temps!r}")
+    if not all(math.isfinite(t) and t > 0 for t in temps):
+        raise _UsageError(f"--temps must be finite numbers > 0, got {args.temps!r}")
     model = load_checkpoint(args.checkpoint, spec)
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     config = SampleConfig(num_samples=args.samples, temperature=max(temps), seed=seed)

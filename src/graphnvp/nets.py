@@ -333,7 +333,7 @@ class RelationalGraphConvNet(_ConditionerNet):
                 # Round k reads round k-1's output, so the two alternate.
                 shape = (batch * n, weights[2].shape[0])
                 out = tuple(_scratch(scratch, key, shape) for key in (k % 2, "self_loop"))
-            y = T._graph_conv_array(h, a_rows, *weights, target, out)[0]
+            y = T._graph_conv_array(h, a_rows, *weights, target, out)
             h = T._activate_array(y, "tanh", "graph_conv")
         if h.ndim == 3:
             h = h[:, row]

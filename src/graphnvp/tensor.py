@@ -24,6 +24,16 @@ plain arrays.
 Each record keeps a needs-gradient mask, one flag per input saying whether it
 depends on a watched tensor; the vjp receives it and returns ``None`` for the
 inputs that do not, instead of computing a gradient nobody reads.
+
+Memory.  A tape is single-use: :func:`backward` drops each record as soon as
+its vjp has run, so the arrays only that record held are freed while the
+replay goes on, and a second replay raises.  Two vjps recompute an
+intermediate instead of keeping it, with the forward's own operations, so the
+gradients keep their bits: ``graph_conv`` its relation messages ``a_rows @
+h`` [rows, R*F], and ``batch_norm`` its normalized input ``(x - mean) *
+inv_std``.  The gradients come back as one flat vector holding every watched
+tensor's gradient, raveled, in watch order (:class:`Gradients`), with each
+name's entry a read-only view of it.
 """
 from __future__ import annotations
 
@@ -37,6 +47,7 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "Tensor",
     "GradientTape",
+    "Gradients",
     "backward",
     "is_recording",
     "finite_difference_gradient",
@@ -187,13 +198,15 @@ class GradientTape:
 
     Use as a context manager; while active, every op whose inputs depend on a
     watched tensor is recorded.  :meth:`gradients` replays the record backward
-    and returns one gradient per watched parameter (zeros if unused).
+    once, freeing it as it goes, and returns one gradient per watched
+    parameter (zeros if unused).
     """
 
     def __init__(self):
         self.records: list[_Record] = []
         self.parameters: dict[str, Tensor] = {}
         self._tracked: set[int] = set()
+        self._spent = False
 
     def __enter__(self) -> "GradientTape":
         _tape_stack().append(self)
@@ -217,28 +230,70 @@ class GradientTape:
             self.records.append(_Record(inputs, output, vjp, needs))
             tracked.add(id(output))
 
-    def gradients(self, loss: Tensor) -> dict[str, Tensor]:
+    def gradients(self, loss: Tensor) -> "Gradients":
         return backward(self, loss)
 
 
-def backward(tape: GradientTape, loss: Tensor) -> dict[str, Tensor]:
-    """Gradient of a scalar ``loss`` with respect to every watched parameter."""
+class Gradients(dict):
+    """Gradient by watched name, each a read-only view of :attr:`flat`: one
+    vector holding every watched tensor's gradient, raveled, in watch order."""
+
+    flat: np.ndarray
+
+
+def backward(tape: GradientTape, loss: Tensor) -> Gradients:
+    """Gradient of a scalar ``loss`` with respect to every watched parameter.
+
+    Replays ``tape`` once, dropping each record after its vjp has run, so a
+    second call raises ``RuntimeError``; a non-scalar ``loss`` raises
+    :class:`~graphnvp.errors.ShapeError` and leaves the tape as it was.
+    """
     if loss.shape != ():
         raise ShapeError(f"loss must be a scalar tensor, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for rec in reversed(tape.records):
+    if tape._spent:
+        raise RuntimeError("this gradient tape was already replayed; record a new one")
+    tape._spent = True
+    params = list(tape.parameters.values())
+    flat = np.zeros(sum(p.size for p in params))
+    # Each watched tensor's slice of ``flat`` (its first, if it was watched
+    # under several names); the first contribution is copied in, later ones
+    # are added in place.
+    views, slots, lo = [], {}, 0
+    for p in params:
+        views.append(flat[lo : lo + p.size].reshape(p.shape))
+        slots.setdefault(id(p), views[-1])
+        lo += p.size
+    filled: set[int] = set()
+    grads: dict[int, np.ndarray] = {}
+
+    def accumulate(key: int, g: np.ndarray) -> None:
+        slot = slots.get(key)
+        if slot is None:
+            acc = grads.get(key)
+            grads[key] = g if acc is None else acc + g
+        elif key in filled:
+            slot += g
+        else:
+            slot[...] = g
+            filled.add(key)
+
+    accumulate(id(loss), np.ones((), dtype=np.float64))
+    records = tape.records
+    while records:
+        rec = records.pop()
         g_out = grads.pop(id(rec.output), None)
-        if g_out is None:
-            continue
-        for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
-            if g is None:
-                continue
-            acc = grads.get(id(t))
-            grads[id(t)] = g if acc is None else acc + g
-    out: dict[str, Tensor] = {}
-    for name, p in tape.parameters.items():
-        g = grads.get(id(p))
-        out[name] = _wrap(np.zeros(p.shape) if g is None else g, "backward")
+        if g_out is not None:
+            for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
+                if g is not None:
+                    accumulate(id(t), g)
+        del rec, g_out  # frees what only this record held before the next vjp runs
+    for p, view in zip(params, views):
+        if slots[id(p)] is not view:
+            view[...] = slots[id(p)]
+    _check_finite(flat, "backward")
+    flat.flags.writeable = False
+    out = Gradients((name, _frozen(view)) for name, view in zip(tape.parameters, views))
+    out.flat = flat
     return out
 
 
@@ -569,6 +624,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Te
     return _record((x, w, b), out, vjp)
 
 
+def _graph_conv_rows(h: np.ndarray, a_rows: np.ndarray, row: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The relation rows and the self-loop input [rows, F] a :func:`graph_conv`
+    round multiplies: every node's, or node ``row``'s alone.  Both are views."""
+    batch, n, f = h.shape
+    if row is None:
+        return a_rows, h.reshape(batch * n, f)
+    if not 0 <= row < n:
+        raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
+    r = a_rows.shape[1] // n
+    return a_rows[:, row * r : (row + 1) * r], h[:, row]
+
+
 def _graph_conv_array(
     h: np.ndarray,
     a_rows: np.ndarray,
@@ -577,30 +644,22 @@ def _graph_conv_array(
     b: np.ndarray,
     row: int | None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """:func:`graph_conv` before its activation, on arrays whose shapes fit.
 
-    Returns the output, [batch, N, H] or [batch, H] for ``row``, followed by
-    the relation rows used (``a_rows``, cut to ``row``'s block), the messages
-    [rows, R*F] and the self-loop input [rows, F].  The output is a fresh
+    Returns the output, [batch, N, H] or [batch, H] for ``row``: a fresh
     array, or the first array of ``out`` (two [rows, H] arrays, the second
     for the self-loop product) when it is given.
     """
-    batch, n, f = h.shape
-    r, _, hidden = w_rel.shape
-    if row is None:
-        rows, h_self = batch * n, h.reshape(batch * n, f)
-    else:
-        if not 0 <= row < n:
-            raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
-        a_rows = a_rows[:, row * r : (row + 1) * r]
-        rows, h_self = batch, h[:, row]
-    messages = np.matmul(a_rows, h).reshape(rows, r * f)
+    batch, n, _ = h.shape
+    r, f, hidden = w_rel.shape
+    a_rows, h_self = _graph_conv_rows(h, a_rows, row)
+    messages = np.matmul(a_rows, h).reshape(-1, r * f)
     y_out, self_out = out or (None, None)
     y = np.matmul(messages, w_rel.reshape(r * f, hidden), out=y_out)
     y += np.matmul(h_self, w_self, out=self_out)
     y += b
-    return (y if row is not None else y.reshape(batch, n, hidden)), a_rows, messages, h_self
+    return y if row is not None else y.reshape(batch, n, hidden)
 
 
 def graph_conv(
@@ -635,13 +694,14 @@ def graph_conv(
             f"graph_conv: shapes {h.shape}, {a_rows.shape}, {w_rel.shape}, {w_self.shape},"
             f" {b.shape} do not fit"
         )
-    y, a_rows, messages, h_self = _graph_conv_array(h.data, a_rows, w_rel.data, w_self.data, b.data, row)
+    y = _graph_conv_array(h.data, a_rows, w_rel.data, w_self.data, b.data, row)
+    a_rows, h_self = _graph_conv_rows(h.data, a_rows, row)
     w_flat = w_rel.data.reshape(r * f, hidden)
     out = _activate(y, activation, "graph_conv")
 
     def vjp(g: np.ndarray, needs):
         g = _activation_vjp(g, activation, out.data).reshape(-1, hidden)
-        gh = None
+        gh = g_rel = None
         if needs[0]:
             g_messages = np.matmul(g, w_flat.T).reshape(a_rows.shape[:2] + (f,))
             gh = np.matmul(np.swapaxes(a_rows, -1, -2), g_messages)
@@ -650,9 +710,15 @@ def graph_conv(
                 gh += g_self.reshape(h.shape)
             else:
                 gh[:, row] += g_self
+        if needs[1]:
+            # The messages, recomputed by the forward's own product rather
+            # than kept on the tape: the same bits, without [rows, R*F] held
+            # per round until the replay.
+            messages = np.matmul(a_rows, h.data).reshape(-1, r * f)
+            g_rel = np.matmul(messages.T, g).reshape(w_rel.shape)
         return (
             gh,
-            np.matmul(messages.T, g).reshape(w_rel.shape) if needs[1] else None,
+            g_rel,
             np.matmul(h_self.T, g) if needs[2] else None,
             g.sum(axis=0) if needs[3] else None,
         )
@@ -681,24 +747,18 @@ def batch_norm(
     flat = x.data.reshape(-1, x.shape[-1])  # one row per position, one column per feature
     if stats is None:
         mean = flat.mean(axis=0)
-        centered = flat - mean
-        var = (centered * centered).mean(axis=0)
+        y = flat - mean
+        var = (y * y).mean(axis=0)
     else:
         mean, var = (np.asarray(s, dtype=np.float64) for s in stats)
         if mean.shape != gamma.shape or var.shape != gamma.shape:
             raise ShapeError(f"batch_norm: statistics {mean.shape}, {var.shape} != {gamma.shape}")
+        y = flat - mean
     if not np.isfinite(var).all():
         raise NumericError("batch_norm produced a non-finite variance")
     inv_std = np.power(var + eps, -0.5)
-    if stats is None:
-        # The vjp needs the normalized input for the batch statistics.
-        normed = centered
-        normed *= inv_std
-        y = normed * gamma.data
-    else:
-        y = flat - mean
-        y *= inv_std
-        y *= gamma.data
+    y *= inv_std
+    y *= gamma.data
     y += beta.data
     out = _activate(y.reshape(x.shape), activation, "batch_norm")
 
@@ -708,15 +768,18 @@ def batch_norm(
         g_beta = g.sum(axis=0) if needs[2] or batch_stats else None
         g_gamma = None
         if needs[1] or batch_stats:
-            normed_x = normed if stats is None else (flat - mean) * inv_std
-            g_gamma = (g * normed_x).sum(axis=0)
+            # The normalized input, recomputed by the forward's own ops
+            # rather than kept on the tape, so it has the same bits.
+            normed = flat - mean
+            normed *= inv_std
+            g_gamma = (g * normed).sum(axis=0)
         gx = None
         if needs[0]:
             scale = gamma.data * inv_std
             if batch_stats:
                 # The batch statistics move with x: remove the mean of g and
                 # its projection on the normalized input.
-                rows = normed.shape[0]
+                rows = flat.shape[0]
                 gx = g - g_beta / rows
                 gx -= normed * (g_gamma / rows)
                 gx *= scale

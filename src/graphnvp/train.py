@@ -51,7 +51,9 @@ class TrainConfig:
 class TrainState:
     """Optimizer state: parameter values and the two Adam moments as flat
     vectors laid out in ``sorted(model.named_parameters())`` order, plus
-    counters and the generator state."""
+    counters and the generator state.  :func:`train` watches the parameters
+    in that order, so the tape's flat gradient has the same layout, and
+    :func:`adam_step` pairs the four vectors element by element."""
 
     params: np.ndarray
     first_moment: np.ndarray
@@ -103,28 +105,72 @@ def nll_loss(
     return T.mean_axis(per_graph, axis=0)
 
 
-def adam_step(state: TrainState, gradients: dict[str, Tensor], config: TrainConfig) -> None:
-    """One bias-corrected Adam update of ``state``'s three vectors, in place,
-    one parameter at a time.  In sorted name order the ``gradients`` tile the
-    vectors.  Each element keeps the operation order of ``(alpha*m_hat) /
-    (sqrt(v_hat) + eps)`` with ``v = b2*v + ((1-b2)*g)*g``."""
-    names = sorted(gradients)
-    size = sum(gradients[name].size for name in names)
-    if size != state.params.size:
-        raise TrainingError(f"gradients {names[:3]}... hold {size} values, the state {state.params.size}")
-    b1, b2 = config.adam_beta1, config.adam_beta2
+# Elements per Adam block: the block's slices of the four vectors and the two
+# temporaries stay in cache while every pass over them runs.
+_ADAM_BLOCK = 32768
+
+
+def adam_step(state: TrainState, gradient: np.ndarray, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``state``'s three vectors, in place.
+
+    ``gradient`` is a flat vector in the state's layout, as
+    :attr:`~graphnvp.tensor.Gradients.flat` is when the parameters were
+    watched in sorted name order.  The update runs over blocks of
+    ``_ADAM_BLOCK`` elements.  Each element keeps the operation order of
+    ``(alpha*m_hat) / (sqrt(v_hat) + eps)`` with ``m = b1*m + (1-b1)*g`` and
+    ``v = b2*v + ((1-b2)*g)*g``, so the result does not depend on the
+    blocking.  A gradient of the wrong shape raises :class:`TrainingError`
+    and leaves the state untouched."""
+    params, m, v = state.params, state.first_moment, state.second_moment
+    if gradient.shape != params.shape:
+        raise TrainingError(f"gradient holds {gradient.shape} values, the state {params.shape}")
+    b1, b2, alpha, eps = config.adam_beta1, config.adam_beta2, config.adam_alpha, config.adam_eps
     state.step += 1
     c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
-    lo = 0
-    for name in names:
-        g = gradients[name].data.ravel()
-        hi = lo + g.size
-        m, v = state.first_moment[lo:hi], state.second_moment[lo:hi]
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        state.params[lo:hi] -= config.adam_alpha * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
-        lo = hi
+    size = params.size
+    scratch = np.empty((2, min(size, _ADAM_BLOCK)))
+    for lo in range(0, size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, size)
+        g, mb, vb = gradient[lo:hi], m[lo:hi], v[lo:hi]
+        t, u = scratch[:, : hi - lo]
+        np.multiply(g, 1.0 - b1, out=t)
+        mb *= b1
+        mb += t
+        np.multiply(g, 1.0 - b2, out=t)
+        t *= g
+        vb *= b2
+        vb += t
+        np.divide(vb, c2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        np.divide(mb, c1, out=u)
+        u *= alpha
+        u /= t
+        params[lo:hi] -= u
     parameters_changed()
+
+
+def _train_step(
+    model: FlowModel,
+    state: TrainState,
+    batch: Sequence[MolecularGraph],
+    rng: np.random.Generator,
+    config: TrainConfig,
+    epoch: int,
+) -> float:
+    """Forward, gradients and Adam for one minibatch; returns its loss.  The
+    step's tape, loss and gradients are freed when it returns, before the
+    next step's forward."""
+    try:
+        with GradientTape() as tape:
+            for name, p in sorted(model.named_parameters()):
+                tape.watch(name, p)
+            loss = nll_loss(model, batch, rng, config.dequant_noise, training=True)
+        grads = tape.gradients(loss)
+    except NumericError as exc:
+        raise TrainingError(f"non-finite loss at epoch {epoch} step {state.step + 1}: {exc}") from exc
+    adam_step(state, grads.flat, config)
+    return loss.item()
 
 
 def train(
@@ -165,18 +211,7 @@ def train(
         total_nll = 0.0
         for lo in range(0, n, config.batch_size):
             batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
-            try:
-                with GradientTape() as tape:
-                    for name, p in model.named_parameters():
-                        tape.watch(name, p)
-                    loss = nll_loss(model, batch, rng, config.dequant_noise, training=True)
-                grads = tape.gradients(loss)
-            except NumericError as exc:
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch} step {state.step + 1}: {exc}"
-                ) from exc
-            total_nll += loss.item() * len(batch)
-            adam_step(state, grads, config)
+            total_nll += _train_step(model, state, batch, rng, config, epoch) * len(batch)
         state.epoch = epoch
         records.append(
             EpochRecord(

@@ -290,9 +290,19 @@ def test_sweep_empty_temps_usage_error(tmp_path, zero_checkpoint, capsys, temps)
         ("sweep", "--temps", "nan"),
         ("grid", "--step-size", "nan"),
         ("optimize", "--step-size", "inf"),
+        ("generate", "--temp", "-1"),
+        ("generate", "--temp", "0"),
+        ("eval", "--temp", "-0.5"),
+        ("sweep", "--temps", "0.3,-0.6"),
+        ("sweep", "--temps", "0,0.9"),
+        ("grid", "--step-size", "-1"),
+        ("grid", "--step-size", "0"),
+        ("optimize", "--step-size", "-0.25"),
     ],
 )
 def test_non_finite_temperature_or_step_size_usage_error(tmp_path, zero_checkpoint, capsys, command, flag, value):
+    """Non-finite and non-positive values alike are usage errors, found
+    before any file is touched."""
     out = tmp_path / "out"
     code = run([command, "--checkpoint", str(zero_checkpoint), "--out", str(out), f"{flag}={value}"])
     assert code == 1

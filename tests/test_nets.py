@@ -308,9 +308,10 @@ def test_fold_follows_adam_step_inside_train(monkeypatch):
     adam_step = train_module.adam_step
     steps = []
 
-    def checked(state, gradients, config):
+    def checked(state, gradient, config):
+        assert gradient.shape == state.params.shape
         before = _eval(model)
-        adam_step(state, gradients, config)
+        adam_step(state, gradient, config)
         assert not np.array_equal(_eval(model)[0], before[0])
         _assert_eval_matches_fresh_copy(model)
         steps.append(state.step)

@@ -94,6 +94,35 @@ def test_backward_requires_scalar_loss():
         backward(tape, loss)
 
 
+def test_tape_is_single_use_and_its_gradients_are_read_only_views_of_one_vector():
+    p, q = Tensor([1.0, 2.0]), Tensor([[3.0, -1.0], [0.5, 2.0]])
+    with GradientTape() as tape:
+        tape.watch("q", q)
+        tape.watch("p", p)
+        tape.watch("p again", p)
+        squares = mul(p, p)
+        loss = add(sum_axis(squares), sum_axis(mul(q, q)))
+    records = list(tape.records)
+    # A non-scalar loss is refused before the replay starts: the tape is intact.
+    with pytest.raises(ShapeError):
+        tape.gradients(squares)
+    assert tape.records == records
+    grads = tape.gradients(loss)
+    assert tape.records == []
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.gradients(loss)
+    with pytest.raises(RuntimeError, match="already replayed"):
+        backward(tape, loss)
+    # Watch order lays out the vector: q's four values, then p's two, twice.
+    assert grads.flat.tolist() == [6.0, -2.0, 1.0, 4.0, 2.0, 4.0, 2.0, 4.0]
+    assert list(grads) == ["q", "p", "p again"]
+    assert grads["q"].data.tolist() == [[6.0, -2.0], [1.0, 4.0]] and grads["p"].data.tolist() == [2.0, 4.0]
+    for array in (grads.flat, grads["q"].data, grads["p"].data, grads["p again"].data):
+        assert np.shares_memory(array, grads.flat)
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_finite_difference_quadratic():
     grad = finite_difference_gradient(lambda t: sum_axis(mul(t, t)), Tensor([1.0, 0.0]), 1e-5)
     assert np.allclose(grad.data, [2.0, 0.0], atol=1e-8)
@@ -325,6 +354,36 @@ def test_backward_matches_finite_differences_batch_norm_eval():
         return sum_axis(mul(tanh(batch_norm(x, gamma, beta, 1e-5, stats)[0]), other))
 
     _assert_gradients_match(f, [x, gamma, beta])
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+def test_batch_norm_vjp_recomputes_the_forwards_normalized_input(training):
+    """With gamma 1 and beta 0 the output is the normalized input itself, so
+    the gradients built from the normalized input that the vjp recomputes
+    must have the bits of the same formulas applied to the output."""
+    rng = make_rng(44)
+    rows, features = 576, 64  # one qm9lite R-GCN round at batch 64
+    x = Tensor(3.0 * rng.normal(size=(rows, features)) + 1.0)
+    gamma, beta = Tensor(np.ones(features)), Tensor(np.zeros(features))
+    stats = None if training else (rng.normal(size=features), 1.0 + rng.random(features))
+    g = rng.normal(size=(rows, features))
+    with GradientTape() as tape:
+        for name, t in (("x", x), ("gamma", gamma), ("beta", beta)):
+            tape.watch(name, t)
+        out, _, var = batch_norm(x, gamma, beta, 1e-5, stats)
+        loss = sum_axis(mul(out, Tensor(g)))
+    grads = tape.gradients(loss)
+    normed = out.data
+    g_gamma = (g * normed).sum(axis=0)
+    assert grads["gamma"].data.tobytes() == g_gamma.tobytes()
+    scale = gamma.data * np.power(var + 1e-5, -0.5)
+    if training:
+        gx = g - g.sum(axis=0) / rows
+        gx -= normed * (g_gamma / rows)
+        gx *= scale
+    else:
+        gx = g * scale
+    assert grads["x"].data.tobytes() == gx.tobytes()
 
 
 def test_batch_norm_matches_reference_and_returns_statistics():
@@ -660,6 +719,42 @@ def test_qm9lite_training_step_tape_length():
         nll_loss(model, batch, make_rng(0))
     assert len(model.node_layers) == 36 and len(model.adjacency_layers) == 27
     assert len(tape.records) == 36 * 10 - 2 + 27 * 23 - 3 + 15 == 991
+
+
+def _replay_keeping_every_record(records, parameters, loss):
+    """The replay before the tape freed itself: every record kept until the
+    end, each gradient summed out of place into its own array."""
+    grads = {id(loss): np.ones(())}
+    for rec in reversed(records):
+        g_out = grads.pop(id(rec.output), None)
+        if g_out is None:
+            continue
+        for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
+            if g is not None:
+                acc = grads.get(id(t))
+                grads[id(t)] = g if acc is None else acc + g
+    return {name: grads.get(id(p), np.zeros(p.shape)) for name, p in parameters.items()}
+
+
+def test_qm9lite_step_gradients_equal_a_replay_that_keeps_every_record():
+    """The freeing replay and its flat vector give every parameter the bits
+    of the replay that kept the whole tape and one array per gradient.  (The
+    recomputed messages and normalized inputs are checked against the generic
+    ops in ``test_fused_round_and_activation_are_bit_identical_to_generic_ops``.)"""
+    spec = qm9lite_spec()
+    batch = load_dataset(bundled_corpus_path("qm9lite"), spec)[:64]
+    model = FlowModel(spec, seed=0)
+    with GradientTape() as tape:
+        for name, p in sorted(model.named_parameters()):
+            tape.watch(name, p)
+        loss = nll_loss(model, batch, make_rng(0))
+    expected = _replay_keeping_every_record(list(tape.records), tape.parameters, loss)
+    grads = tape.gradients(loss)
+    assert list(grads) == sorted(expected)
+    for name, g in grads.items():
+        assert g.data.tobytes() == expected[name].tobytes(), name
+    assert grads.flat.tobytes() == np.concatenate([expected[n].ravel() for n in grads]).tobytes()
+    assert np.abs(grads.flat).max() > 0.0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,4 +1,6 @@
 import importlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
 from graphnvp.errors import CheckpointError, TrainingError
 from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
-from graphnvp.graphs import dequantize
+from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.nets import Module
 from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
 from graphnvp.train import (
@@ -143,8 +145,7 @@ def test_adam_zero_gradient_keeps_parameters():
     model = toy_model()
     state = TrainState.fresh(model)
     before = state.params.copy()
-    grads = {n: Tensor(np.zeros(p.shape)) for n, p in model.named_parameters()}
-    adam_step(state, grads, TrainConfig(epochs=1, batch_size=1))
+    adam_step(state, np.zeros(state.params.size), TrainConfig(epochs=1, batch_size=1))
     assert np.array_equal(state.params, before)
     assert state.step == 1
 
@@ -153,7 +154,7 @@ def test_adam_first_step_magnitude():
     # bias-corrected first step with unit gradient moves by ~alpha
     config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.001)
     state = TrainState(params=np.array([5.0]), first_moment=np.zeros(1), second_moment=np.zeros(1))
-    adam_step(state, {"w": Tensor(np.array(1.0))}, config)
+    adam_step(state, np.array([1.0]), config)
     delta = float(state.params[0]) - 5.0
     assert delta == pytest.approx(-0.001, rel=1e-6)
 
@@ -165,37 +166,42 @@ def test_adam_reaches_quadratic_minimum():
     target = np.array([0.05, 0.03, 0.04])
     state = TrainState(params=np.zeros(3), first_moment=np.zeros(3), second_moment=np.zeros(3))
     for _ in range(100):
-        grads = {"w": Tensor(2.0 * (state.params - target))}
-        adam_step(state, grads, config)
+        adam_step(state, 2.0 * (state.params - target), config)
     assert np.abs(state.params - target).max() < 1e-3
 
 
-def test_adam_rejects_mismatched_names():
+def test_adam_rejects_mismatched_size():
     model = toy_model()
     state = TrainState.fresh(model)
-    before = state.params.copy()
-    with pytest.raises(TrainingError):
-        adam_step(state, {"nope": Tensor(np.zeros(1))}, TrainConfig(epochs=1, batch_size=1))
-    assert np.array_equal(state.params, before) and state.step == 0
+    saved = [a.copy() for a in (state.params, state.first_moment, state.second_moment)]
+    size = state.params.size
+    for gradient in (np.ones(1), np.ones(size - 1), np.ones(size + 1), np.ones((size, 1))):
+        with pytest.raises(TrainingError):
+            adam_step(state, gradient, TrainConfig(epochs=1, batch_size=1))
+        for got, want in zip((state.params, state.first_moment, state.second_moment), saved):
+            assert np.array_equal(got, want)
+        assert state.step == 0
 
 
 def test_adam_in_place_equals_out_of_place_formula_bitwise():
-    """Three in-place steps over two parameters equal the out-of-place
-    per-parameter update, bit for bit."""
+    """Three in-place steps over three parameters equal the out-of-place
+    per-parameter update, bit for bit.  "c" spans more than two Adam blocks,
+    so block boundaries fall inside a parameter."""
     config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.003, adam_beta1=0.8, adam_eps=1e-7)
     rng = make_rng(40)
-    shapes = {"a": (3, 4), "b": (5,)}  # "a" comes first in the flat layout
+    block = importlib.import_module("graphnvp.train")._ADAM_BLOCK
+    shapes = {"a": (3, 4), "b": (5,), "c": (2 * block + 11,)}  # the flat layout's order
     # Values near the size of one update and a small second moment, so that
     # a change in any rounding shows in the last bits instead of being absorbed.
     params = {n: 1e-3 * rng.normal(size=s) for n, s in shapes.items()}
     m = {n: 0.1 * rng.normal(size=s) for n, s in shapes.items()}
     v = {n: 1e-6 * rng.random(s) for n, s in shapes.items()}
-    flat = [np.concatenate([d[n].ravel() for n in ("a", "b")]) for d in (params, m, v)]
+    flat = [np.concatenate([d[n].ravel() for n in shapes]) for d in (params, m, v)]
     state = TrainState(*flat, step=4)
     b1, b2 = config.adam_beta1, config.adam_beta2
     for step in range(5, 8):
         grads = {n: rng.normal(size=s) for n, s in shapes.items()}
-        adam_step(state, {n: Tensor(g) for n, g in grads.items()}, config)
+        adam_step(state, np.concatenate([grads[n].ravel() for n in shapes]), config)
         for n, g in grads.items():
             m[n] = b1 * m[n] + (1.0 - b1) * g
             v[n] = b2 * v[n] + (1.0 - b2) * g * g
@@ -204,7 +210,7 @@ def test_adam_in_place_equals_out_of_place_formula_bitwise():
             params[n] = params[n] - config.adam_alpha * m_hat / (np.sqrt(v_hat) + config.adam_eps)
     assert state.step == 7
     for got, want in zip((state.params, state.first_moment, state.second_moment), (params, m, v)):
-        expected = np.concatenate([want[n].ravel() for n in ("a", "b")])
+        expected = np.concatenate([want[n].ravel() for n in shapes])
         assert got.tobytes() == expected.tobytes()
 
 
@@ -312,9 +318,10 @@ def test_train_updates_the_same_parameter_views_in_place(monkeypatch):
         tensors = [p for _, p in model.named_parameters()]
         return tensors + [state.params, state.first_moment, state.second_moment]
 
-    def recording_adam_step(state, gradients, config):
+    def recording_adam_step(state, gradient, config):
+        assert gradient.shape == state.params.shape and not gradient.flags.writeable
         seen.append(snapshot(state))
-        adam_step(state, gradients, config)
+        adam_step(state, gradient, config)
 
     monkeypatch.setattr(importlib.import_module("graphnvp.train"), "adam_step", recording_adam_step)
     initial = TrainState.fresh(model).params
@@ -325,6 +332,53 @@ def test_train_updates_the_same_parameter_views_in_place(monkeypatch):
     assert all(np.shares_memory(p.data, state.params) for _, p in model.named_parameters())
     assert not np.array_equal(state.params, initial)
     assert np.array_equal(TrainState.fresh(model).params, state.params)
+
+
+def test_train_frees_each_step_before_the_next_forward(monkeypatch):
+    """No gradient vector of a finished step is alive when the next step's
+    forward starts, and every step's replay emptied its tape."""
+    train_module = importlib.import_module("graphnvp.train")
+    spent, live_at_forward = [], []
+
+    def recording_adam_step(state, gradient, config):
+        spent.append(weakref.ref(gradient))
+        adam_step(state, gradient, config)
+
+    def checking_nll_loss(*args, **kwargs):
+        live_at_forward.append(sum(ref() is not None for ref in spent))
+        return nll_loss(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+    monkeypatch.setattr(train_module, "nll_loss", checking_nll_loss)
+    tapes = []
+    monkeypatch.setattr(train_module, "GradientTape", lambda: tapes.append(GradientTape()) or tapes[-1])
+    train(toy_model(seed=3), toy_batch(count=12, seed=8), TrainConfig(epochs=2, batch_size=4, seed=9))
+    assert live_at_forward == [0] * 6 and len(spent) == 6
+    assert all(tape.records == [] for tape in tapes) and len(tapes) == 6
+
+
+def test_qm9lite_training_memory(qm9_corpus):
+    """At batch 64 the tape of one training forward holds under 80 MB, and a
+    whole step (forward, gradients, Adam) peaks under 120 MB above its start:
+    the parameters, and so the flat gradient, take 34 MB."""
+    model = FlowModel(qm9lite_spec(), seed=0)
+    state = TrainState.fresh(model)
+    config = TrainConfig(epochs=1, batch_size=64)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with GradientTape() as tape:
+            for name, p in sorted(model.named_parameters()):
+                tape.watch(name, p)
+            loss = nll_loss(model, qm9_corpus[:64], make_rng(0), training=True)
+        tape_bytes = tracemalloc.get_traced_memory()[0] - start
+        adam_step(state, tape.gradients(loss).flat, config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert state.params.nbytes > 30e6
+    assert tape_bytes < 80e6, tape_bytes
+    assert peak < 120e6, peak
 
 
 def test_load_parameters_runs_once_per_train_call(monkeypatch):
