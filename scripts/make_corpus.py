@@ -100,7 +100,7 @@ def build_corpus(
         molecule = random_molecule(rng, size, symbols, list(p_sym), max_rings, table)
         if molecule is None:
             continue
-        if not check_validity(molecule, table).ok or len(molecule.components()) > 1:
+        if not check_validity(molecule).ok or len(molecule.components()) > 1:
             continue
         seen.add(write_smiles_canonical(molecule))
     ordered = sorted(seen, key=lambda s: (sum(c.isalpha() and c != "l" for c in s), s))

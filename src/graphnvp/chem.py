@@ -12,7 +12,6 @@ serialization), so isomorphic molecules always map to the same text.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import ChemError, DatasetError, GraphError, SmilesParseError
 from .graphs import GraphSpec, MolecularGraph, check_graphs
-
-log = logging.getLogger(__name__)
 
 # Maximum total bond order per atom symbol; shared by both bundled vocabularies.
 DEFAULT_VALENCES = {"C": 4, "N": 3, "O": 2, "F": 1, "S": 6, "Cl": 1}
@@ -109,13 +106,14 @@ class ValidityReport:
     violations: tuple[str, ...]
 
 
-def check_validity(molecule: Molecule, table: ValenceTable | None = None) -> ValidityReport:
-    """Valence check: every atom's summed bond order within its table limit.
+def check_validity(molecule: Molecule) -> ValidityReport:
+    """Valence check: every atom's summed bond order within its limit in the
+    default :class:`ValenceTable`.
 
     Connectivity does not affect validity: a disconnected molecule within
     its valences is valid.  An empty molecule is invalid.
     """
-    table = table or ValenceTable()
+    table = ValenceTable()
     violations = []
     if len(molecule.atoms) < 1:
         violations.append("molecule has no atoms")
@@ -539,12 +537,11 @@ def from_graph(graph: MolecularGraph) -> Molecule:
 # ---------------------------------------------------------------------------
 
 
-def load_dataset(path, spec: GraphSpec, strict: bool = True) -> list[MolecularGraph]:
+def load_dataset(path, spec: GraphSpec) -> list[MolecularGraph]:
     """Load a newline-delimited SMILES file into padded graphs.
 
-    Blank lines and lines starting with '#' are skipped.  In strict mode the
-    first bad line aborts with its line number; in lenient mode bad lines are
-    skipped with a warning.
+    Blank lines and lines starting with '#' are skipped.  The first bad line
+    raises :class:`DatasetError` with its line number.
     """
     path = Path(path)
     try:
@@ -563,9 +560,7 @@ def load_dataset(path, spec: GraphSpec, strict: bool = True) -> list[MolecularGr
                 raise ChemError("; ".join(report.violations))
             graphs.append(_padded(molecule, spec))
         except (ChemError, SmilesParseError) as exc:
-            if strict:
-                raise DatasetError(f"{path.name} line {lineno}: {exc}") from exc
-            log.warning("%s line %d skipped: %s", path.name, lineno, exc)
+            raise DatasetError(f"{path.name} line {lineno}: {exc}") from exc
     if graphs:
         check_graphs(
             spec, np.stack([g.adjacency for g in graphs]), np.stack([g.features for g in graphs])

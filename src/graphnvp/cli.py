@@ -85,11 +85,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gnvp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, *, dataset=False, checkpoint=False):
+    def common(p: _Parser, *, dataset=False, checkpoint=False, seeded=True):
         p.add_argument("--out", required=True, help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None, help="random seed (default: $GNVP_SEED or 0)")
         p.add_argument("--spec", choices=sorted(_SPECS), default="qm9lite", help="graph family (default: qm9lite)")
-        p.add_argument("--config", default=None, help="key=value config file; flags override it")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="random seed (default: $GNVP_SEED or 0)")
+            p.add_argument("--config", default=None, help="key=value config file; flags override it")
         if dataset:
             p.add_argument("--dataset", default=None, help="SMILES file (default: the bundled corpus for --spec)")
         if checkpoint:
@@ -99,7 +100,6 @@ def _build_parser() -> _Parser:
     common(p, dataset=True)
     p.add_argument("--epochs", type=int, default=None, help="training epochs (default 200)")
     p.add_argument("--batch-size", type=int, default=None, help="minibatch size (default 256 for qm9lite, 128 for zinclite)")
-    p.add_argument("--timing", action="store_true", help="record wall-clock seconds in metrics.csv (breaks byte-reproducibility)")
 
     p = sub.add_parser("generate", help="sample molecules into a SMILES file")
     common(p, checkpoint=True)
@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--temp", type=_positive_float, default=None)
 
     p = sub.add_parser("encode", help="write noise-free latent vectors for a dataset")
-    common(p, dataset=True, checkpoint=True)
+    common(p, dataset=True, checkpoint=True, seeded=False)
 
     p = sub.add_parser("grid", help="decode a 2-D latent neighborhood of one molecule")
     common(p, dataset=True, checkpoint=True)
@@ -133,7 +133,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
+# The keys a --config file may set, with the parser of each value: train
+# reads these, every other subcommand with a --config flag reads only seed.
+_TRAIN_KEYS = {
+    "epochs": int,
+    "batch_size": int,
+    "adam_alpha": _positive_float,
+    "adam_beta1": _positive_float,
+    "adam_beta2": _positive_float,
+    "adam_eps": _positive_float,
+    "checkpoint_every": int,
+    "seed": int,
+}
+_SEED_KEYS = {"seed": int}
+
+
+def _load_config_file(args, keys: dict) -> dict:
+    """Parsed ``key=value`` lines of the ``--config`` file.  A key outside
+    ``keys`` or a value its parser rejects is a usage error naming the key."""
+    path = args.config
     if path is None:
         return {}
     values = {}
@@ -147,27 +165,37 @@ def _load_config_file(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DatasetError(f"{path} line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in keys:
+            raise _UsageError(
+                f"{path} line {lineno}: {args.command} does not read config key {key!r} "
+                f"(it reads {', '.join(keys)})"
+            )
+        try:
+            values[key] = keys[key](value)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise _UsageError(f"{path} line {lineno}: bad value for config key {key!r}: {value!r}") from None
     return values
 
 
-def _resolve(args, key: str, file_values: dict[str, str], default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        return cast(file_values[key])
-    return default
-
-
-def _resolve_seed(args, file_values) -> int:
+def _resolve_seed(args, file_values: dict) -> int:
+    """``--seed``, else the config file's seed, else ``$GNVP_SEED``, else 0."""
     if args.seed is not None:
         return args.seed
     if "seed" in file_values:
-        return int(file_values["seed"])
+        return file_values["seed"]
     env = os.environ.get("GNVP_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise _UsageError(f"GNVP_SEED must be an integer, got {env!r}") from None
+
+
+def _seed(args) -> int:
+    """The seed of a subcommand whose config file may set only ``seed``."""
+    return _resolve_seed(args, _load_config_file(args, _SEED_KEYS))
 
 
 def _resolve_dataset(args, spec_name: str) -> Path:
@@ -193,37 +221,35 @@ def _default_temp(args) -> float:
 
 
 def _cmd_train(args) -> int:
-    file_values = _load_config_file(args.config)
+    file_values = _load_config_file(args, _TRAIN_KEYS)
     spec = _spec(args)
     seed = _resolve_seed(args, file_values)
-    config = TrainConfig(
-        epochs=_resolve(args, "epochs", file_values, 200, int),
-        batch_size=_resolve(args, "batch_size", file_values, _DEFAULT_BATCH[args.spec], int),
-        adam_alpha=float(file_values.get("adam_alpha", 0.001)),
-        adam_beta1=float(file_values.get("adam_beta1", 0.9)),
-        adam_beta2=float(file_values.get("adam_beta2", 0.999)),
-        adam_eps=float(file_values.get("adam_eps", 1e-8)),
-        dequant_noise=float(file_values.get("dequant_noise", 0.9)),
-        checkpoint_every=int(file_values.get("checkpoint_every", 0)),
-        seed=seed,
-    )
+    # Defaults, then the config file, then the flags.
+    values = {"epochs": 200, "batch_size": _DEFAULT_BATCH[args.spec], **file_values, "seed": seed}
+    values.update((key, getattr(args, key)) for key in ("epochs", "batch_size") if getattr(args, key) is not None)
+    try:
+        config = TrainConfig(**values)
+    except TrainingError as exc:
+        raise _UsageError(str(exc)) from None
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     out = _out_dir(args)
     model = FlowModel(spec, seed=seed)
 
     def show(rec) -> None:
-        print(f"epoch {rec.epoch}: mean_nll={rec.mean_nll:.6f} sigma={rec.sigma:.6f}", flush=True)
+        print(
+            f"epoch {rec.epoch}: mean_nll={rec.mean_nll:.6f} sigma={rec.sigma:.6f} seconds={rec.wall_seconds:.3f}",
+            flush=True,
+        )
 
     _, records = train(model, dataset, config, checkpoint_dir=out, on_epoch=show)
-    write_metrics_csv(records, out / "metrics.csv", include_timing=args.timing)
+    write_metrics_csv(records, out / "metrics.csv")
     print(f"wrote {out / 'model.gnvp'} and {out / 'metrics.csv'}")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    file_values = _load_config_file(args.config)
     spec = _spec(args)
-    seed = _resolve_seed(args, file_values)
+    seed = _seed(args)
     model = load_checkpoint(args.checkpoint, spec)
     config = SampleConfig(num_samples=args.samples, temperature=_default_temp(args), seed=seed)
     samples = generate(model, config)
@@ -235,9 +261,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    file_values = _load_config_file(args.config)
     spec = _spec(args)
-    seed = _resolve_seed(args, file_values)
+    seed = _seed(args)
     model = load_checkpoint(args.checkpoint, spec)
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     config = SampleConfig(num_samples=args.samples, temperature=_default_temp(args), seed=seed)
@@ -269,7 +294,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    file_values = _load_config_file(args.config)
     spec = _spec(args)
     model = load_checkpoint(args.checkpoint, spec)
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
@@ -285,9 +309,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    file_values = _load_config_file(args.config)
     spec = _spec(args)
-    seed = _resolve_seed(args, file_values)
+    seed = _seed(args)
     model = load_checkpoint(args.checkpoint, spec)
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     rng = make_rng(seed)
@@ -302,9 +325,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    file_values = _load_config_file(args.config)
     spec = _spec(args)
-    seed = _resolve_seed(args, file_values)
+    seed = _seed(args)
     model = load_checkpoint(args.checkpoint, spec)
     dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
     regressor = fit_regressor(model, dataset, args.property)
@@ -322,9 +344,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    file_values = _load_config_file(args.config)
     spec = _spec(args)
-    seed = _resolve_seed(args, file_values)
+    seed = _seed(args)
     try:
         temps = [float(t) for t in args.temps.split(",") if t.strip()]
     except ValueError:

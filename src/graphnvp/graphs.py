@@ -20,6 +20,10 @@ QM9LITE_ATOMS = ("C", "N", "O", "F", "*")
 ZINCLITE_ATOMS = ("C", "N", "O", "F", "S", "Cl", "*")
 BOND_SYMBOLS = ("single", "double", "triple", "virtual")
 
+# The dequantization noise scale c: training adds ``c * U[0, 1)`` to every
+# entry, and the noise-free encoder adds the midpoint ``c / 2``.
+DEQUANT_NOISE = 0.9
+
 
 @dataclass(frozen=True)
 class GraphSpec:

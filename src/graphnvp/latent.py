@@ -1,10 +1,10 @@
 """Latent encoding, grid decoding, proxy properties, and direction search.
 
 Encoding is deterministic: instead of random dequantization noise every
-entry gets the midpoint offset c/2, so a molecule always maps to the same
-latent point.  Grid and line searches decode every latent point exactly
-once, through :func:`graphnvp.sampling.decode`, and take each point's
-validity from it.
+entry gets the midpoint offset ``DEQUANT_NOISE / 2``, so a molecule always
+maps to the same latent point.  Grid and line searches decode every latent
+point exactly once, through :func:`graphnvp.sampling.decode`, and take each
+point's validity from it.
 """
 from __future__ import annotations
 
@@ -18,13 +18,16 @@ import numpy as np
 from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
 from .errors import ChemError, GnvpError
 from .flow import FlowModel, _atomic_open
-from .graphs import MolecularGraph
+from .graphs import DEQUANT_NOISE, MolecularGraph
 from .sampling import decode
 
 # Fixed per-atom hydrophobicity-style contributions; documented constants.
 LOGP_CONTRIBUTIONS = {"C": 0.34, "N": -0.60, "O": -0.71, "F": 0.22, "S": 0.26, "Cl": 0.61}
 
 PROPERTY_NAMES = ("heavy_atom_count", "ring_count", "hetero_fraction", "logp_proxy")
+
+# Ridge penalty of the fallback fit when the latent design is rank-deficient.
+RIDGE_LAMBDA = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +77,13 @@ class GridCell:
     valid: bool
 
 
-def grid_decode(model: FlowModel, grid: GridSpec, noise_scale: float = 0.9) -> list[list[GridCell]]:
+def grid_decode(model: FlowModel, grid: GridSpec) -> list[list[GridCell]]:
     """Decode the (2*extent+1)^2 lattice around the center's latent point.
 
     Each point is decoded exactly once; the (0, 0) cell reproduces the center
     molecule exactly because the flow is bijective.
     """
-    center_z = encode_dataset(model, [grid.center], noise_scale)[0]
+    center_z = encode_dataset(model, [grid.center])[0]
     offsets = range(-grid.extent, grid.extent + 1)
     pairs = [(i, j) for i in offsets for j in offsets]
     points = np.stack(
@@ -148,27 +151,23 @@ class PropertyRegressor:
         return float(self.weights @ np.asarray(values, dtype=np.float64) + self.bias)
 
 
-def encode_dataset(
-    model: FlowModel, dataset: Sequence[MolecularGraph], noise_scale: float = 0.9
-) -> np.ndarray:
-    """Noise-free latent matrix [n, D] for a list of graphs."""
-    adjacency = np.stack([g.adjacency for g in dataset]) + noise_scale / 2.0
-    features = np.stack([g.features for g in dataset]) + noise_scale / 2.0
+def encode_dataset(model: FlowModel, dataset: Sequence[MolecularGraph]) -> np.ndarray:
+    """Noise-free latent matrix [n, D] for a list of graphs: every entry is
+    offset by the midpoint ``DEQUANT_NOISE / 2``."""
+    adjacency = np.stack([g.adjacency for g in dataset]) + DEQUANT_NOISE / 2.0
+    features = np.stack([g.features for g in dataset]) + DEQUANT_NOISE / 2.0
     z, _ = model.forward_batch(adjacency, features, training=False)
     return np.asarray(z.data)
 
 
 def fit_linear_latent_model(
-    latents: np.ndarray,
-    targets: np.ndarray,
-    property_name: str,
-    ridge_lambda: float = 1e-6,
+    latents: np.ndarray, targets: np.ndarray, property_name: str
 ) -> PropertyRegressor:
     """Least squares of ``targets`` on latent rows.
 
     Exact OLS when the intercept-augmented design matrix has full column
-    rank; otherwise a small ridge penalty (intercept unpenalized) with the
-    fallback reported in the result.
+    rank; otherwise the ridge penalty :data:`RIDGE_LAMBDA` (intercept
+    unpenalized) with the fallback reported in the result.
     """
     latents = np.asarray(latents, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -183,7 +182,7 @@ def fit_linear_latent_model(
         z_mean = latents.mean(axis=0)
         y_mean = targets.mean()
         centered = latents - z_mean
-        gram = centered.T @ centered + ridge_lambda * np.eye(dim)
+        gram = centered.T @ centered + RIDGE_LAMBDA * np.eye(dim)
         weights = np.linalg.solve(gram, centered.T @ (targets - y_mean))
         bias = float(y_mean - z_mean @ weights)
     else:
@@ -202,11 +201,7 @@ def fit_linear_latent_model(
 
 
 def fit_regressor(
-    model: FlowModel,
-    dataset: Sequence[MolecularGraph],
-    property_name: str,
-    noise_scale: float = 0.9,
-    ridge_lambda: float = 1e-6,
+    model: FlowModel, dataset: Sequence[MolecularGraph], property_name: str
 ) -> PropertyRegressor:
     """Fit a property's linear model on noise-free latent vectors."""
     if len(dataset) < 2:
@@ -214,8 +209,7 @@ def fit_regressor(
     targets = np.array(
         [compute_property(m, property_name) for m in from_graphs(dataset)], dtype=np.float64
     )
-    latents = encode_dataset(model, dataset, noise_scale)
-    return fit_linear_latent_model(latents, targets, property_name, ridge_lambda)
+    return fit_linear_latent_model(encode_dataset(model, dataset), targets, property_name)
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,6 @@ def optimize_along(
     seed_graph: MolecularGraph,
     num_steps: int,
     step_size: float,
-    noise_scale: float = 0.9,
 ) -> list[OptimizationStep]:
     """Walk the latent space along the regressor's normalized weight direction.
 
@@ -246,7 +239,7 @@ def optimize_along(
     if num_steps < 0:
         raise GnvpError("num_steps must be >= 0")
     direction = regressor.weights / np.linalg.norm(regressor.weights)
-    z0 = encode_dataset(model, [seed_graph], noise_scale)[0]
+    z0 = encode_dataset(model, [seed_graph])[0]
     points = np.stack([z0 + k * step_size * direction for k in range(num_steps + 1)])
     return [
         OptimizationStep(

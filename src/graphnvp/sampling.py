@@ -20,10 +20,13 @@ import numpy as np
 from .chem import Molecule, _molecules, _validity, check_validity, from_graphs, write_smiles_canonical
 from .errors import GnvpError
 from .flow import FlowModel, GaussianPrior, _atomic_open
-from .graphs import MolecularGraph, dequantize, discretize_argmax, first_failures
+from .graphs import DEQUANT_NOISE, MolecularGraph, dequantize, discretize_argmax, first_failures
 from .tensor import make_rng
 
 SWEEP_COLUMNS = ("temp", "validity", "novelty", "uniqueness", "reconstruction", "seed_count")
+
+# Seeded repetitions per temperature in :func:`temperature_sweep`.
+SWEEP_RUNS = 5
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class SampleConfig:
     num_samples: int = 1000
     temperature: float = 0.85
     seed: int = 0
-    noise_scale: float = 0.9
 
     def __post_init__(self):
         if self.num_samples < 1:
@@ -116,19 +118,19 @@ def reconstruction_rate(
     model: FlowModel,
     training_set: Sequence[MolecularGraph],
     rng: np.random.Generator,
-    noise_scale: float = 0.9,
 ) -> tuple[int, int]:
     """Count training graphs whose encode/decode round trip is exact.
 
-    Dequantization noise is drawn once per graph; the decoded continuous
-    tensors are floored back and compared discretely, so the result is an
-    exact yes/no per molecule.  A hit is a floor equal to its input graph,
-    where that input keeps every graph invariant; such a floor lies in
-    [0, 2) and is a valid graph, so this is what :func:`requantize` accepts.
+    Dequantization noise of scale :data:`~graphnvp.graphs.DEQUANT_NOISE` is
+    drawn once per graph; the decoded continuous tensors are floored back
+    and compared discretely, so the result is an exact yes/no per molecule.
+    A hit is a floor equal to its input graph, where that input keeps every
+    graph invariant; such a floor lies in [0, 2) and is a valid graph, so
+    this is what :func:`requantize` accepts.
     """
     if not training_set:
         return 0, 0
-    adjacency, features = dequantize(training_set, noise_scale, rng)
+    adjacency, features = dequantize(training_set, DEQUANT_NOISE, rng)
     z, _ = model.forward_batch(adjacency, features, training=False)
     a_cont, x_cont = model.inverse_batch(np.asarray(z.data))
     a_in = np.stack([g.adjacency for g in training_set])
@@ -184,7 +186,6 @@ def compute_metrics(
     training_set: Sequence[MolecularGraph],
     model: FlowModel,
     seed: int = 0,
-    noise_scale: float = 0.9,
 ) -> MetricsReport:
     """Validity, novelty, uniqueness, and reconstruction percentages.
 
@@ -198,7 +199,7 @@ def compute_metrics(
         [m for m in generated if check_validity(m).ok],
         len(generated),
         _training_keys(training_set),
-        reconstruction_rate(model, training_set, make_rng(seed), noise_scale),
+        reconstruction_rate(model, training_set, make_rng(seed)),
         seed,
     )
 
@@ -218,36 +219,25 @@ def temperature_sweep(
     training_set: Sequence[MolecularGraph],
     temps: Sequence[float],
     config: SampleConfig,
-    runs: int = 5,
 ) -> list[SweepRow]:
-    """Metric means over ``runs`` seeded repetitions per temperature.
+    """Metric means over :data:`SWEEP_RUNS` seeded repetitions per temperature.
 
     Run ``k`` uses seed ``config.seed + k`` at every temperature, so rows are
     paired across temperatures.  Rows come back sorted by temperature.
     """
     if not temps:
         raise GnvpError("temperature_sweep needs at least one temperature")
-    if runs < 1:
-        raise GnvpError("temperature_sweep needs runs >= 1")
     for temp in temps:
         _check_temperature(temp)
     train_keys = _training_keys(training_set)
-    seeds = [config.seed + k for k in range(runs)]
+    seeds = [config.seed + k for k in range(SWEEP_RUNS)]
     # Reconstruction depends on the seed alone, not on the temperature.
-    reconstruction = {
-        seed: reconstruction_rate(model, training_set, make_rng(seed), config.noise_scale)
-        for seed in seeds
-    }
+    reconstruction = {seed: reconstruction_rate(model, training_set, make_rng(seed)) for seed in seeds}
     rows = []
     for temp in sorted(temps):
         reports = []
         for seed in seeds:
-            run_cfg = SampleConfig(
-                num_samples=config.num_samples,
-                temperature=temp,
-                seed=seed,
-                noise_scale=config.noise_scale,
-            )
+            run_cfg = SampleConfig(num_samples=config.num_samples, temperature=temp, seed=seed)
             samples = generate(model, run_cfg)
             reports.append(
                 _metrics_report(
@@ -265,7 +255,7 @@ def temperature_sweep(
                 novelty=float(np.mean([r.novelty for r in reports])),
                 uniqueness=float(np.mean([r.uniqueness for r in reports])),
                 reconstruction=float(np.mean([r.reconstruction for r in reports])),
-                seed_count=runs,
+                seed_count=SWEEP_RUNS,
             )
         )
     return rows

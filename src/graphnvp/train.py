@@ -8,6 +8,7 @@ parameters and is excluded from reported values (see the metrics CSV header).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,11 +19,11 @@ import numpy as np
 from . import tensor as T
 from .errors import CheckpointError, NumericError, TrainingError
 from .flow import FlowModel, _atomic_open, _read_checkpoint, save_checkpoint
-from .graphs import MolecularGraph, dequantize
+from .graphs import DEQUANT_NOISE, MolecularGraph, dequantize
 from .nets import parameters_changed
 from .tensor import GradientTape, Tensor, make_rng
 
-METRICS_COLUMNS = ("epoch", "mean_nll", "sigma", "wall_seconds")
+METRICS_COLUMNS = ("epoch", "mean_nll", "sigma")
 METRICS_HEADER_NOTE = "# mean_nll excludes the constant dequantization volume term"
 
 
@@ -35,16 +36,21 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    dequant_noise: float = 0.9
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise TrainingError("epochs must be >= 0 and batch_size >= 1")
-        if not 0.0 < self.dequant_noise < 1.0:
-            raise TrainingError("dequant_noise must lie in (0, 1)")
-        if min(self.adam_alpha, self.adam_beta1, self.adam_beta2, self.adam_eps) <= 0:
-            raise TrainingError("Adam hyperparameters must be positive")
+        # A beta of 1 zeroes Adam's bias correction at the first step.
+        if not (
+            0 < self.adam_alpha < math.inf
+            and 0 < self.adam_eps < math.inf
+            and 0 < self.adam_beta1 < 1
+            and 0 < self.adam_beta2 < 1
+        ):
+            raise TrainingError(
+                "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"
+            )
 
 
 @dataclass
@@ -92,13 +98,13 @@ def nll_loss(
     model: FlowModel,
     batch: Sequence[MolecularGraph],
     rng: np.random.Generator,
-    noise_scale: float = 0.9,
     training: bool = True,
 ) -> Tensor:
-    """Mean negative log likelihood of a batch under fresh dequantization noise."""
+    """Mean negative log likelihood of a batch under fresh dequantization
+    noise of scale :data:`~graphnvp.graphs.DEQUANT_NOISE`."""
     if not batch:
         raise TrainingError("nll_loss needs a non-empty batch")
-    adjacency, features = dequantize(batch, noise_scale, rng)
+    adjacency, features = dequantize(batch, DEQUANT_NOISE, rng)
     z, log_det = model.forward_batch(adjacency, features, training=training)
     log_prob = model.prior.log_prob(z)
     per_graph = T.mul(T.add(log_prob, log_det), Tensor(-1.0))
@@ -165,7 +171,7 @@ def _train_step(
         with GradientTape() as tape:
             for name, p in sorted(model.named_parameters()):
                 tape.watch(name, p)
-            loss = nll_loss(model, batch, rng, config.dequant_noise, training=True)
+            loss = nll_loss(model, batch, rng, training=True)
         grads = tape.gradients(loss)
     except NumericError as exc:
         raise TrainingError(f"non-finite loss at epoch {epoch} step {state.step + 1}: {exc}") from exc
@@ -247,16 +253,15 @@ def split_dataset(
     return train_part, holdout
 
 
-def write_metrics_csv(records: Sequence[EpochRecord], path, include_timing: bool = False) -> None:
-    """Epoch log as CSV; timing values are blank unless requested so that
-    fixed-seed runs produce byte-identical files."""
+def write_metrics_csv(records: Sequence[EpochRecord], path) -> None:
+    """Epoch log as CSV.  It holds no wall times, so fixed-seed runs write
+    byte-identical files."""
     with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER_NOTE + "\n")
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for rec in records:
-            wall = f"{rec.wall_seconds:.3f}" if include_timing else ""
-            writer.writerow([rec.epoch, f"{rec.mean_nll:.10g}", f"{rec.sigma:.10g}", wall])
+            writer.writerow([rec.epoch, f"{rec.mean_nll:.10g}", f"{rec.sigma:.10g}"])
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ def test_criterion_08_temperature_machinery(tmp_path, trained_qm9):
     model, _, _, train_part, _ = trained_qm9
     config = SampleConfig(num_samples=100, temperature=0.85, seed=21)
     temps = [0.3, 0.6, 0.9]
-    rows = temperature_sweep(model, train_part[:64], temps, config, runs=5)
+    rows = temperature_sweep(model, train_part[:64], temps, config)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     lines = path.read_text().splitlines()

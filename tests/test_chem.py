@@ -4,7 +4,6 @@ import pytest
 from graphnvp.chem import (
     Molecule,
     _validity,
-    ValenceTable,
     bundled_corpus_path,
     check_validity,
     from_graph,
@@ -188,7 +187,7 @@ def test_validity_does_not_depend_on_connectivity():
 
 def test_validity_unknown_symbol_raises():
     with pytest.raises(ChemError):
-        check_validity(Molecule(["Xx"], []), ValenceTable({"C": 4}))
+        check_validity(Molecule(["Xx"], []))
 
 
 def _stacked(graphs):
@@ -405,13 +404,6 @@ def test_load_dataset_reports_line_number(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_dataset(path, qm9lite_spec())
     assert "line 3" in str(err.value)
-
-
-def test_load_dataset_lenient_skips(tmp_path, caplog):
-    path = tmp_path / "bad.smi"
-    path.write_text("C\nC1CC\nO\n")
-    graphs = load_dataset(path, qm9lite_spec(), strict=False)
-    assert len(graphs) == 2
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -87,7 +87,7 @@ def test_train_zero_epochs_writes_zero_init_checkpoint(zero_checkpoint):
         assert np.array_equal(p.data, loaded.get_parameter(name).data), name
     metrics = zero_checkpoint.parent / "metrics.csv"
     lines = metrics.read_text().splitlines()
-    assert lines[1] == "epoch,mean_nll,sigma,wall_seconds"
+    assert lines[1] == "epoch,mean_nll,sigma"
     assert len(lines) == 2  # no epochs -> no rows
 
 
@@ -108,7 +108,7 @@ def test_train_prints_each_epoch_line_when_the_epoch_ends(tmp_path, capsys, monk
     assert run(argv) == 0
     rest = capsys.readouterr().out
     assert before_step[0] == ""
-    assert re.fullmatch(r"epoch 1: mean_nll=-?\d+\.\d{6} sigma=\d+\.\d{6}\n", before_step[1])
+    assert re.fullmatch(r"epoch 1: mean_nll=-?\d+\.\d{6} sigma=\d+\.\d{6} seconds=\d+\.\d{3}\n", before_step[1])
     assert len(before_step) == 2 and rest.startswith("epoch 2: ")
     assert rest.endswith(f"wrote {out / 'model.gnvp'} and {out / 'metrics.csv'}\n")
 
@@ -327,6 +327,94 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["epochs=abc", "adam_alpha=x", "adam_eps=nan", "adam_beta1=0", "batch_size=1.5", "seed=s"]
+)
+def test_config_file_bad_value_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a comment\n{line}\n")
+    out = tmp_path / "out"
+    assert run(["train", "--out", str(out), "--config", str(config)]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    key, value = line.split("=")
+    assert err == f"gnvp:error:usage: {config} line 2: bad value for config key {key!r}: {value!r}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--config", "epochs=-1"], "epochs must be >= 0 and batch_size >= 1"),
+        (["--epochs", "-1"], "epochs must be >= 0 and batch_size >= 1"),
+        (["--batch-size", "0"], "epochs must be >= 0 and batch_size >= 1"),
+        (["--config", "adam_beta1=1"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
+        (["--config", "adam_beta2=1.5"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
+    ],
+)
+def test_train_config_out_of_range_usage_error(tmp_path, capsys, argv, message):
+    """Out-of-range training settings, from flags or the config file, are
+    usage errors found before anything is written.  A beta of 1 used to
+    write a checkpoint of NaN parameters and exit 0."""
+    if argv[0] == "--config":
+        config = tmp_path / "run.cfg"
+        config.write_text(argv[1] + "\n")
+        argv = ["--config", str(config)]
+    out = tmp_path / "out"
+    assert run(["train", "--out", str(out), *argv]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"gnvp:error:usage: {message}"
+    assert not out.exists()
+
+
+def test_config_file_unknown_key_usage_error(tmp_path, capsys):
+    """A typo such as ``epoch=5`` is refused, not silently ignored."""
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=0\nepoch=5\n")
+    out = tmp_path / "out"
+    assert run(["train", "--out", str(out), "--config", str(config)]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"gnvp:error:usage: {config} line 2: train does not read config key 'epoch'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval", "grid", "optimize", "sweep"])
+def test_config_file_reads_only_seed_outside_train(tmp_path, zero_checkpoint, capsys, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=2\nepochs=5\n")
+    out = tmp_path / "out"
+    assert run([command, "--checkpoint", str(zero_checkpoint), "--out", str(out), "--config", str(config)]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"gnvp:error:usage: {config} line 2: {command} does not read config key 'epochs' (it reads seed)"
+    assert not out.exists()
+
+
+def test_config_file_seed_equals_seed_flag(tmp_path, zero_checkpoint):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=17\n")
+    base = ["eval", "--checkpoint", str(zero_checkpoint), "--samples", "5"]
+    assert run([*base, "--out", str(tmp_path / "file"), "--config", str(config)]) == 0
+    assert run([*base, "--out", str(tmp_path / "flag"), "--seed", "17"]) == 0
+    file_csv, flag_csv = ((tmp_path / name / "metrics.csv").read_text() for name in ("file", "flag"))
+    assert file_csv == flag_csv and file_csv.splitlines()[1].endswith(",17")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--config"])
+def test_encode_takes_no_seed_or_config(tmp_path, zero_checkpoint, capsys, flag):
+    out = tmp_path / "out"
+    assert run(["encode", "--checkpoint", str(zero_checkpoint), "--out", str(out), flag, "3"]) == 1
+    assert capsys.readouterr().err.startswith(f"gnvp:error:usage: unrecognized arguments: {flag}")
+    assert not out.exists()
+
+
+def test_non_integer_env_seed_usage_error(tmp_path, zero_checkpoint, monkeypatch, capsys):
+    monkeypatch.setenv("GNVP_SEED", "abc")
+    out = tmp_path / "out"
+    assert run(["generate", "--checkpoint", str(zero_checkpoint), "--out", str(out), "--samples", "5"]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == "gnvp:error:usage: GNVP_SEED must be an integer, got 'abc'"
+    assert not out.exists()
 
 
 def test_env_seed_fallback(tmp_path, zero_checkpoint, monkeypatch):

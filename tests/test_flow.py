@@ -25,7 +25,7 @@ from graphnvp.flow import (
     save_checkpoint,
 )
 from graphnvp.graphs import argmax_adjacency, dequantize, permute_nodes, qm9lite_spec
-from graphnvp.tensor import Tensor, make_rng
+from graphnvp.tensor import Tensor, add, make_rng
 from graphnvp.train import TrainState, load_train_state, save_train_state
 
 
@@ -59,7 +59,7 @@ def fixed_conditioning_forward(model, adjacency, features, conditioning):
     total = None
     for layer in model.adjacency_layers:
         za, ld = layer.forward(za, False)
-        total = ld if total is None else total + ld
+        total = ld if total is None else add(total, ld)
     return za.data, zx.data, np.asarray(total.data)
 
 

@@ -348,8 +348,8 @@ def test_midpoint_dequantize_deterministic():
     spec = qm9lite_spec()
     g = random_graph(spec, make_rng(10))
     model = FlowModel(spec, seed=0)
-    a = encode_dataset(model, [g], 0.9)
-    b = encode_dataset(model, [g], 0.9)
+    a = encode_dataset(model, [g])
+    b = encode_dataset(model, [g])
     split = g.adjacency.size
     assert np.array_equal(a, b)
     assert np.array_equal(a[0, :split], (g.adjacency + 0.45).ravel())

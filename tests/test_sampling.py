@@ -7,6 +7,7 @@ from graphnvp.errors import GnvpError, GraphError
 from graphnvp.flow import FlowModel, GaussianPrior
 from graphnvp.graphs import MolecularGraph, qm9lite_spec, requantize
 from graphnvp.sampling import (
+    SWEEP_RUNS,
     SampleConfig,
     SweepRow,
     compute_metrics,
@@ -294,23 +295,23 @@ def test_sweep_single_temperature_row(random_toy_model):
     rng = make_rng(14)
     train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
     config = SampleConfig(num_samples=30, temperature=0.5, seed=0)
-    rows = temperature_sweep(random_toy_model, train_graphs, [0.5], config, runs=5)
+    rows = temperature_sweep(random_toy_model, train_graphs, [0.5], config)
     assert len(rows) == 1
     assert rows[0].temp == 0.5
-    assert rows[0].seed_count == 5
+    assert rows[0].seed_count == SWEEP_RUNS == 5
 
 
 def test_sweep_rows_sorted_and_averaged(tmp_path, random_toy_model):
     rng = make_rng(15)
     train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
     config = SampleConfig(num_samples=20, temperature=0.5, seed=7)
-    rows = temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config, runs=3)
+    rows = temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config)
     assert [r.temp for r in rows] == [0.3, 0.6, 0.9]
     # averaging protocol: recompute one cell by hand
     from graphnvp.sampling import compute_metrics as cm
 
     values = []
-    for k in range(3):
+    for k in range(SWEEP_RUNS):
         run_cfg = SampleConfig(num_samples=20, temperature=0.3, seed=7 + k)
         samples = generate(random_toy_model, run_cfg)
         values.append(
@@ -326,13 +327,13 @@ def test_sweep_rows_sorted_and_averaged(tmp_path, random_toy_model):
 
 
 def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_model):
-    """Reconstruction depends on the seed alone, so a sweep makes ``runs``
-    passes; its rows and CSV equal those built from per-pair compute_metrics."""
+    """Reconstruction depends on the seed alone, so a sweep makes
+    ``SWEEP_RUNS`` passes; its rows and CSV equal those built from per-pair compute_metrics."""
     import graphnvp.sampling as sampling
 
     rng = make_rng(16)
     train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
-    temps, runs = [0.9, 0.3, 0.6], 4
+    temps, runs = [0.9, 0.3, 0.6], SWEEP_RUNS
     config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
     calls = []
     original = sampling.reconstruction_rate
@@ -342,7 +343,7 @@ def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_mode
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sampling, "reconstruction_rate", counted)
-    rows = temperature_sweep(random_toy_model, train_graphs, temps, config, runs=runs)
+    rows = temperature_sweep(random_toy_model, train_graphs, temps, config)
     assert len(calls) == runs
     monkeypatch.undo()
 
@@ -382,9 +383,9 @@ def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
     calls, batches = [], []
     check_original, validity_original = sampling.check_validity, sampling._validity
 
-    def counted(molecule, *args):
+    def counted(molecule):
         calls.append(1)
-        return check_original(molecule, *args)
+        return check_original(molecule)
 
     def counted_batch(spec, adjacency, features):
         batches.append(len(features))
@@ -393,8 +394,8 @@ def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
     monkeypatch.setattr(sampling, "check_validity", counted)
     monkeypatch.setattr(sampling, "_validity", counted_batch)
     config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
-    temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config, runs=4)
-    assert batches == [20] * (3 * 4)
+    temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config)
+    assert batches == [20] * (3 * SWEEP_RUNS)
     assert calls == []
 
 
@@ -404,8 +405,6 @@ def test_sweep_rejects_empty_or_bad_temps(random_toy_model):
         temperature_sweep(random_toy_model, [], [], config)
     with pytest.raises(GnvpError):
         temperature_sweep(random_toy_model, [], [0.5, -0.1], config)
-    with pytest.raises(GnvpError, match="runs"):
-        temperature_sweep(random_toy_model, [], [0.5], config, runs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_backward_matches_finite_differences_concat_masked():
     def f(t):
         joined = concat([t, b], axis=1)
         patched = masked_assign(t, mask, exp(t))
-        return sum_axis(mul(joined, joined)) + sum_axis(patched)
+        return add(sum_axis(mul(joined, joined)), sum_axis(patched))
 
     with GradientTape() as tape:
         tape.watch("p", a)

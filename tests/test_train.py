@@ -61,7 +61,7 @@ def test_nll_is_mean_negative_log_likelihood_of_the_dequantized_batch():
     bit for bit."""
     model = randomize_model(toy_model(), seed=22, scale=0.2)
     batch = toy_batch(count=3, seed=4)
-    loss = nll_loss(model, batch, make_rng(6), 0.9, training=True)
+    loss = nll_loss(model, batch, make_rng(6), training=True)
 
     adjacency, features = dequantize(batch, 0.9, make_rng(6))
     z, log_det = model.forward_batch(adjacency, features, training=True)
@@ -486,11 +486,8 @@ def test_metrics_csv_format(tmp_path):
     write_metrics_csv(records, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
-    assert lines[1] == "epoch,mean_nll,sigma,wall_seconds"
-    assert lines[2] == "1,100.5,1,"
-    write_metrics_csv(records, path, include_timing=True)
-    lines = path.read_text().splitlines()
-    assert lines[2].endswith("2.500")
+    # No wall times, so fixed-seed runs write the same bytes.
+    assert lines[1:] == ["epoch,mean_nll,sigma", "1,100.5,1", "2,90.25,0.98"]
 
 
 def test_loss_finite_on_corpus_batches(qm9_corpus):
