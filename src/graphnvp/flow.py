@@ -79,17 +79,16 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ModelConfig":
-        if data["batch_norm"] is not True:
-            raise CheckpointError(
-                f"model config batch_norm is {data['batch_norm']!r}; only true is supported"
-            )
+        """The config in a checkpoint's ``model`` block.  A missing or
+        mistyped key raises :class:`CheckpointError` naming it."""
+        _meta_field(data, "model.batch_norm", _TRUE)
         return ModelConfig(
-            adjacency_layers=int(data["adjacency_layers"]),
-            node_layers=int(data["node_layers"]),
-            mlp_hidden=tuple(int(w) for w in data["mlp_hidden"]),
-            gcn_hidden=int(data["gcn_hidden"]),
-            gcn_rounds=int(data["gcn_rounds"]),
-            scale_cap=float(data["scale_cap"]),
+            adjacency_layers=_meta_field(data, "model.adjacency_layers", _INT),
+            node_layers=_meta_field(data, "model.node_layers", _INT),
+            mlp_hidden=tuple(_meta_field(data, "model.mlp_hidden", _INTS)),
+            gcn_hidden=_meta_field(data, "model.gcn_hidden", _INT),
+            gcn_rounds=_meta_field(data, "model.gcn_rounds", _INT),
+            scale_cap=float(_meta_field(data, "model.scale_cap", _REAL)),
         )
 
 
@@ -105,7 +104,7 @@ def default_model_config(spec: GraphSpec) -> ModelConfig:
 class AdjacencyCouplingLayer(Module):
     """Affine update of adjacency slice ``row`` given all other slices."""
 
-    def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator | None):
         super().__init__()
         self.spec = spec
         self.row = row
@@ -174,7 +173,7 @@ class AdjacencyCouplingLayer(Module):
 class NodeFeatureCouplingLayer(Module):
     """Additive update of feature row ``row``; log-det is exactly zero."""
 
-    def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator | None):
         super().__init__()
         self.spec = spec
         self.row = row
@@ -246,10 +245,21 @@ class FlowModel(Module):
     """Ordered coupling stacks plus the learned prior."""
 
     def __init__(self, spec: GraphSpec, config: ModelConfig | None = None, seed: int = 0):
+        self._build(spec, config or default_model_config(spec), make_rng(seed))
+
+    @classmethod
+    def _unset(cls, spec: GraphSpec, config: ModelConfig) -> "FlowModel":
+        """The model's structure built without a draw: every randomly
+        initialized weight is a placeholder holding no memory (see
+        :mod:`~graphnvp.nets`), for a checkpoint load to replace."""
+        model = cls.__new__(cls)
+        model._build(spec, config, None)
+        return model
+
+    def _build(self, spec: GraphSpec, config: ModelConfig, rng: np.random.Generator | None) -> None:
         super().__init__()
         self.spec = spec
-        self.config = config or default_model_config(spec)
-        rng = make_rng(seed)
+        self.config = config
         n = spec.num_nodes
         self.adjacency_layers: list[AdjacencyCouplingLayer] = []
         for k in range(self.config.adjacency_layers):
@@ -340,10 +350,37 @@ def _spec_to_dict(spec: GraphSpec) -> dict:
 
 def _spec_from_dict(data: dict) -> GraphSpec:
     return GraphSpec(
-        num_nodes=int(data["num_nodes"]),
-        atom_vocab=tuple(data["atom_vocab"]),
-        bond_vocab=tuple(data["bond_vocab"]),
+        num_nodes=_meta_field(data, "spec.num_nodes", _INT),
+        atom_vocab=tuple(_meta_field(data, "spec.atom_vocab", _TEXTS)),
+        bond_vocab=tuple(_meta_field(data, "spec.bond_vocab", _TEXTS)),
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Metadata kinds: a test and what it accepts, for the error text.
+_INT = (_is_int, "an integer")
+_INTS = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+_TEXTS = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v), "a list of strings")
+_REAL = (lambda v: _is_int(v) or (isinstance(v, float) and np.isfinite(v)), "a finite number")
+_TRUE = (lambda v: v is True, "true: every model has batch norm")
+_BLOCK = (lambda v: isinstance(v, dict), "an object")
+
+
+def _meta_field(block, key: str, kind: tuple):
+    """The value of the dotted metadata ``key`` in ``block``, the object
+    that holds its last part.  A missing value, or one that fails ``kind``,
+    raises :class:`CheckpointError` naming ``key``."""
+    test, what = kind
+    leaf = key.rpartition(".")[2]
+    if not isinstance(block, dict) or leaf not in block:
+        raise CheckpointError(f"checkpoint metadata lacks {key}")
+    value = block[leaf]
+    if not test(value):
+        raise CheckpointError(f"checkpoint metadata {key} is {json.dumps(value)}, not {what}")
+    return value
 
 
 @contextmanager
@@ -420,26 +457,66 @@ def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> N
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
-class _Reader:
-    """Reads fields off a :class:`memoryview`; slices share its buffer."""
+# Bytes per read of the CRC pass.
+_CRC_CHUNK = 1 << 18
 
-    def __init__(self, data: memoryview):
-        self.data = data
+
+def _payload_size(fh, path) -> int:
+    """Check the magic and the CRC trailer of the open checkpoint ``fh`` in
+    one streaming pass, before anything is parsed.  Returns the size of the
+    payload the CRC covers and leaves ``fh`` at its start."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < 12 or fh.read(4) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a model checkpoint")
+    fh.seek(0)
+    crc, left = 0, size - 4
+    chunk = memoryview(bytearray(min(left, _CRC_CHUNK)))
+    while left:
+        n = fh.readinto(chunk[: min(left, len(chunk))])
+        if not n:
+            raise CheckpointError(f"{path}: checkpoint file is truncated")
+        crc = zlib.crc32(chunk[:n], crc)
+        left -= n
+    if fh.read(4) != struct.pack("<I", crc & 0xFFFFFFFF):
+        raise CheckpointError(f"{path}: CRC mismatch (corrupt or truncated file)")
+    fh.seek(0)
+    return size - 4
+
+
+class _Reader:
+    """Reads the fields of an open checkpoint in order, never past ``end``,
+    the start of the CRC trailer."""
+
+    def __init__(self, fh, end: int, path):
+        self.fh, self.end, self.path = fh, end, path
         self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("checkpoint file is truncated")
-        out = self.data[self.pos : self.pos + n]
+    def _claim(self, n: int) -> None:
+        if self.pos + n > self.end:
+            raise CheckpointError(f"{self.path}: checkpoint file is truncated")
         self.pos += n
-        return out
+
+    def into(self, buf):
+        """Fill the contiguous, writable ``buf`` (an array or a bytearray)
+        with the next bytes, and return it."""
+        view = memoryview(buf).cast("B")
+        self._claim(len(view))
+        if self.fh.readinto(view) != len(view):
+            raise CheckpointError(f"{self.path}: checkpoint file is truncated")
+        return buf
+
+    def take(self, n: int) -> bytes:
+        return bytes(self.into(bytearray(n)))
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def text(self) -> str:
         """A length-prefixed UTF-8 field."""
-        return str(self.take(self.u32()), "utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{self.path}: a text field is not UTF-8") from err
 
 
 def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
@@ -451,51 +528,66 @@ def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
 
 
 def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
-    """Parse a model or train-state file into ``model``, or into a new model
-    built from the stored config when ``model`` is None.  Returns the model
-    and the ``optimizer`` section as :func:`save_checkpoint` takes it, or None.
+    """Parse a model or train-state file into ``model``, or into a model
+    built from the stored config without a draw when ``model`` is None.
+    Returns the model and the ``optimizer`` section as
+    :func:`save_checkpoint` takes it, or None.
+
+    The CRC is checked first, in a pass of its own; then each entry is read
+    straight into the array that keeps it, so the file is never held whole.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    payload, trailer = memoryview(data)[:-4], data[-4:]
-    if struct.unpack("<I", trailer)[0] != (zlib.crc32(payload) & 0xFFFFFFFF):
-        raise CheckpointError(f"{path}: CRC mismatch (corrupt or truncated file)")
-    reader = _Reader(payload)
-    reader.take(4)
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    meta = json.loads(reader.text())
-    stored_spec = _spec_from_dict(meta["spec"])
-    if stored_spec != spec:
-        raise CheckpointError(
-            f"{path}: checkpoint spec {stored_spec} does not match requested spec {spec}"
-        )
-    if model is None:
-        model = FlowModel(spec, ModelConfig.from_dict(meta["model"]), seed=0)
-    kinds = ("p:", "m:", "v:") if "optimizer" in meta else ("p:",)
-    expected = {kind + n for n, _ in model.named_parameters() for kind in kinds}
-    expected |= {("b:" + n) for n, _ in model.named_buffers()}
-    moments = {}
-    n_entries = reader.u32()
-    seen = set()
-    for _ in range(n_entries):
-        name = reader.text()
-        ndim = reader.u32()
-        shape = tuple(reader.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(reader.take(count * 8), dtype="<f8").reshape(shape).astype(np.float64)
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected entry {name!r}")
-        seen.add(name)
-        if name.startswith("p:"):
-            model.set_parameter(name[2:], Tensor(arr))
-        elif name.startswith("b:"):
-            model.set_buffer(name[2:], arr)
-        else:
-            moments[name] = arr
-    missing = expected - seen
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, _payload_size(fh, path), path)
+        reader.take(4)
+        version = reader.u32()
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        try:
+            meta = json.loads(reader.text())
+        except ValueError as err:
+            raise CheckpointError(f"{path}: checkpoint metadata is not JSON") from err
+        try:
+            stored_spec = _spec_from_dict(_meta_field(meta, "spec", _BLOCK))
+            config = ModelConfig.from_dict(_meta_field(meta, "model", _BLOCK))
+            optimizer = meta.get("optimizer")
+            if optimizer is not None:
+                _meta_field(meta, "optimizer", _BLOCK)
+                for key in ("step", "epoch"):
+                    _meta_field(optimizer, f"optimizer.{key}", _INT)
+                _meta_field(optimizer, "optimizer.rng_state", _BLOCK)
+        except CheckpointError as err:
+            raise CheckpointError(f"{path}: {err}") from None
+        if stored_spec != spec:
+            raise CheckpointError(
+                f"{path}: checkpoint spec {stored_spec} does not match requested spec {spec}"
+            )
+        if model is None:
+            model = FlowModel._unset(spec, config)
+        kinds = ("p:", "m:", "v:") if optimizer is not None else ("p:",)
+        expected = {kind + n: p.shape for n, p in model.named_parameters() for kind in kinds}
+        expected |= {"b:" + n: b.shape for n, b in model.named_buffers()}
+        moments = {}
+        seen = set()
+        for _ in range(reader.u32()):
+            name = reader.text()
+            shape = tuple(reader.u32() for _ in range(reader.u32()))
+            if name not in expected:
+                raise CheckpointError(f"{path}: unexpected entry {name!r}")
+            if name in seen:
+                raise CheckpointError(f"{path}: entry {name!r} appears twice")
+            if shape != expected[name]:
+                raise CheckpointError(f"{path}: entry {name!r} has shape {shape}, the model {expected[name]}")
+            seen.add(name)
+            arr = reader.into(np.empty(shape, dtype="<f8")).astype(np.float64, copy=False)
+            if name.startswith("p:"):
+                if not np.isfinite(arr).all():
+                    raise NumericError("tensor constructed with non-finite values")
+                model.set_parameter(name[2:], T._frozen(arr))
+            elif name.startswith("b:"):
+                model.set_buffer(name[2:], arr)
+            else:
+                moments[name] = arr
+    missing = expected.keys() - seen
     if missing:
         raise CheckpointError(f"{path}: missing entries {sorted(missing)[:3]}")
-    return model, (meta["optimizer"], moments) if "optimizer" in meta else None
+    return model, (optimizer, moments) if optimizer is not None else None

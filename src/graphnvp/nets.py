@@ -5,13 +5,24 @@ the masked part of the input, so they never need to be inverted themselves.
 Every output head is zero-initialized, which makes a freshly built model the
 exact identity map.
 
-Outside training, batch norm is a fixed per-feature affine map, so the nets
-fold it into the weights of the layer before it (Jacob et al. 2018, §3.2).
-Eval runs on plain arrays, in each net's ``eval_array``: per layer one GEMM
-(or one R-GCN round), the bias added in place, a finiteness check, then relu
-or tanh in place.  ``__call__`` in eval wraps that routine.  The eval arrays
-are cached on their net, tagged with a module-level version counter that
-every parameter or buffer change bumps.
+Outside training, batch norm is a fixed per-feature affine map ``y * s +
+b'``.  Eval runs on plain arrays, in each net's ``eval_array``, and applies
+that map without a copy of any weight in :class:`MlpNet`, which holds most of
+them: per hidden layer one GEMM with the parameter's own weight, its output
+scaled by ``s`` and shifted by ``b'`` in place, one finiteness check, then
+relu in place.  :class:`RelationalGraphConvNet` folds ``s`` into copies of
+its round weights instead (Jacob et al. 2018, §3.2): those copies are small,
+while its all-node rounds have one output row per node of every sample, and
+an extra scaling pass over them measured slower.  Per round it runs one R-GCN
+round with the folded weights, the bias added in place, a finiteness check,
+then tanh in place.
+``__call__`` in eval wraps ``eval_array``.  The arrays eval runs on are
+cached on their net, tagged with a module-level version counter that every
+parameter or buffer change bumps.
+
+A module built with ``rng=None`` draws nothing: each randomly initialized
+weight is a placeholder that holds no memory, for a checkpoint load to
+replace.
 """
 from __future__ import annotations
 
@@ -119,15 +130,25 @@ def relation_major(adjacency: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(adjacency.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
 
 
-def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
+def glorot(rng: np.random.Generator, n_in: int, n_out: int, *lead: int) -> Tensor:
+    """A Glorot-uniform weight [*lead, n_in, n_out]; the bound depends on
+    ``n_in`` and ``n_out`` alone."""
     bound = np.sqrt(6.0 / (n_in + n_out))
-    return Tensor(rng.uniform(-bound, bound, size=(n_in, n_out)))
+    return Tensor(rng.uniform(-bound, bound, size=(*lead, n_in, n_out)))
+
+
+def _drawn(rng: np.random.Generator | None, n_in: int, n_out: int, *lead: int) -> Tensor:
+    """:func:`glorot`, or with ``rng`` None a zero placeholder of its shape
+    broadcast from one scalar, so it holds no memory."""
+    if rng is None:
+        return T._frozen(np.broadcast_to(np.float64(0.0), (*lead, n_in, n_out)))
+    return glorot(rng, n_in, n_out, *lead)
 
 
 class Linear(Module):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, zero_init: bool = False):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None, zero_init: bool = False):
         super().__init__()
-        weight = Tensor(np.zeros((n_in, n_out))) if zero_init else glorot(rng, n_in, n_out)
+        weight = Tensor(np.zeros((n_in, n_out))) if zero_init else _drawn(rng, n_in, n_out)
         self.register_parameter("weight", weight)
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
@@ -170,20 +191,24 @@ class BatchNorm(Module):
             parameters_changed()
         return out
 
-    def fold(self, layer: Module) -> tuple[Tensor, ...]:
-        """``layer``'s parameters, in registration order, with this module's
-        eval map folded in: with ``s = gamma * (running_var + eps) ** -0.5``,
-        each weight is scaled by ``s`` along its output (last) axis and the
-        bias becomes ``(bias - running_mean) * s + beta``."""
+    def eval_affine(self, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """This module's eval map after a layer with ``bias``, as ``y * s +
+        b'`` on the layer's product ``y`` without its bias: the scale ``s =
+        gamma * (running_var + eps) ** -0.5`` and the bias ``b' = (bias -
+        running_mean) * s + beta``.  Either may be non-finite."""
         mean, var = self._buffers["running_mean"], self._buffers["running_var"]
         if not np.isfinite(var).all():
             raise NumericError("batch_norm produced a non-finite variance")
         s = self._params["gamma"].data * np.power(var + self.eps, -0.5)
-        folded = []
-        for name, p in layer._params.items():
-            arr = (p.data - mean) * s + self._params["beta"].data if name == "bias" else p.data * s
-            folded.append(T._wrap(arr, "batch_norm"))
-        return tuple(folded)
+        return s, (bias - mean) * s + self._params["beta"].data
+
+    def fold(self, layer: Module) -> tuple[Tensor, ...]:
+        """``layer``'s parameters, in registration order, with this module's
+        eval map folded in: each weight is scaled by ``s`` along its output
+        (last) axis and the bias becomes ``b'`` (see :meth:`eval_affine`)."""
+        s, bias = self.eval_affine(layer._params["bias"].data)
+        folded = [bias if name == "bias" else p.data * s for name, p in layer._params.items()]
+        return tuple(T._wrap(arr, "batch_norm") for arr in folded)
 
 
 class _ConditionerNet(Module):
@@ -197,33 +222,35 @@ class _ConditionerNet(Module):
         self._cache: tuple[int, list[tuple[np.ndarray, ...]]] = (-1, [])
 
     def _eval_layers(self) -> list[tuple[np.ndarray, ...]]:
-        """Per layer, the arrays eval runs it with: each hidden layer's
-        parameters with its batch norm folded in, then the head's weight and
-        bias.  Rebuilt after any parameter or buffer change."""
+        """Per layer, the arrays eval runs it with: each hidden layer's from
+        :meth:`_eval_layer`, then the head's weight and bias.  Rebuilt after
+        any parameter or buffer change."""
         version = _version
         if self._cache[0] != version:
             ch = self._children
-            layers = [
-                tuple(p.data for p in ch[f"bn{k}"].fold(ch[f"{self._layer}{k}"]))
-                for k in range(self.depth)
-            ]
+            layers = [self._eval_layer(ch[f"{self._layer}{k}"], ch[f"bn{k}"]) for k in range(self.depth)]
             head = ch["head"]._params
             self._cache = (version, layers + [(head["weight"].data, head["bias"].data)])
         return self._cache[1]
 
     @staticmethod
-    def _folded(training: bool) -> bool:
-        """Whether ``__call__`` runs the folded eval routine.  Not in
-        training, and not while a tape records: to the tape folded
-        parameters are constants, so the gradients of the weights, gamma and
-        beta would be lost."""
+    def _eval_layer(layer: Module, norm: BatchNorm) -> tuple[np.ndarray, ...]:
+        """The arrays eval runs hidden ``layer`` and its batch norm with."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _array_eval(training: bool) -> bool:
+        """Whether ``__call__`` runs ``eval_array``.  Not in training, and
+        not while a tape records: to the tape the cached arrays are
+        constants, so the gradients of the weights, gamma and beta would be
+        lost."""
         return not training and not T.is_recording()
 
 
 class MlpNet(_ConditionerNet):
     """Fully connected net; hidden relu layers, zero-initialized output head."""
 
-    def __init__(self, n_in: int, hidden: tuple[int, ...], n_out: int, rng: np.random.Generator):
+    def __init__(self, n_in: int, hidden: tuple[int, ...], n_out: int, rng: np.random.Generator | None):
         super().__init__("lin", len(hidden))
         widths = [n_in, *hidden]
         for k in range(len(hidden)):
@@ -231,17 +258,37 @@ class MlpNet(_ConditionerNet):
             self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
         self.register_child("head", Linear(widths[-1], n_out, rng, zero_init=True))
 
+    @staticmethod
+    def _eval_layer(layer: Module, norm: BatchNorm) -> tuple[np.ndarray, ...]:
+        # The weight itself, not a copy: batch norm scales the product.
+        return (layer._params["weight"].data, *norm.eval_affine(layer._params["bias"].data))
+
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Eval output [batch, n_out] for a finite array [batch, n_in]: one
-        GEMM per layer, checked before its relu (the head has none)."""
+        """Eval output [batch, n_out] for a finite array [batch, n_in]: per
+        hidden layer one GEMM, scaled and shifted in place, checked before
+        its relu; then the head's GEMM and bias, checked."""
         *hidden, head = self._eval_layers()
         h = x
-        for w, b in hidden:
-            h = T._linear_array(h, w, b, "relu")
+        for k, (w, s, b) in enumerate(hidden):
+            y = np.matmul(h, w)
+            y *= s
+            y += b
+            if not np.isfinite(y).all():
+                raise self._hidden_error(k, h)
+            h = np.maximum(y, 0.0, out=y)
         return T._linear_array(h, *head, None)
 
+    def _hidden_error(self, k: int, x: np.ndarray) -> NumericError:
+        """The error the unfolded eval raises when hidden layer ``k`` maps
+        ``x`` to a non-finite value: the layer's own, if its output
+        ``x @ weight + bias`` is already non-finite, else batch norm's."""
+        p = self._children[f"lin{k}"]._params
+        y = np.matmul(x, p["weight"].data)
+        y += p["bias"].data
+        return NumericError(f"{'batch_norm' if np.isfinite(y).all() else 'linear'} produced a non-finite value")
+
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if self._folded(training):
+        if self._array_eval(training):
             return T._frozen(self.eval_array(x.data))
         h = x
         for k in range(self.depth):
@@ -266,13 +313,10 @@ class RelGraphRound(Module):
     Given ``row``, only that node's output [batch, H] is computed.
     """
 
-    def __init__(self, n_in: int, n_out: int, num_relations: int, rng: np.random.Generator):
+    def __init__(self, n_in: int, n_out: int, num_relations: int, rng: np.random.Generator | None):
         super().__init__()
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        self.register_parameter(
-            "rel_weight", Tensor(rng.uniform(-bound, bound, size=(num_relations, n_in, n_out)))
-        )
-        self.register_parameter("self_weight", glorot(rng, n_in, n_out))
+        self.register_parameter("rel_weight", _drawn(rng, n_in, n_out, num_relations))
+        self.register_parameter("self_weight", _drawn(rng, n_in, n_out))
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
     def __call__(self, h: Tensor, a_rows: np.ndarray, row: int | None = None) -> Tensor:
@@ -298,7 +342,7 @@ class RelationalGraphConvNet(_ConditionerNet):
         n_out: int,
         num_relations: int,
         rounds: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ):
         super().__init__("round", rounds)
         widths = [n_in] + [hidden] * rounds
@@ -306,6 +350,10 @@ class RelationalGraphConvNet(_ConditionerNet):
             self.register_child(f"round{k}", RelGraphRound(widths[k], widths[k + 1], num_relations, rng))
             self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
         self.register_child("head", Linear(hidden, n_out, rng, zero_init=True))
+
+    @staticmethod
+    def _eval_layer(layer: Module, norm: BatchNorm) -> tuple[np.ndarray, ...]:
+        return tuple(p.data for p in norm.fold(layer))
 
     @staticmethod
     def _a_rows(adjacency: np.ndarray) -> np.ndarray:
@@ -340,7 +388,7 @@ class RelationalGraphConvNet(_ConditionerNet):
         return T._linear_array(h, *head, None)
 
     def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
-        if self._folded(training):
+        if self._array_eval(training):
             return T._frozen(self.eval_array(x.data, adjacency, row, {}))
         a_rows = self._a_rows(adjacency)
         h = x

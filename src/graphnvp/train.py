@@ -232,13 +232,24 @@ def train(
             and config.checkpoint_every > 0
             and epoch % config.checkpoint_every == 0
         ):
-            save_checkpoint(model, checkpoint_dir / f"epoch_{epoch:04d}.gnvp")
+            _save_finite(model, state, checkpoint_dir / f"epoch_{epoch:04d}.gnvp")
         if on_epoch is not None:
             on_epoch(records[-1])
     state.rng_state = rng.bit_generator.state
     if checkpoint_dir is not None:
-        save_checkpoint(model, checkpoint_dir / "model.gnvp")
+        _save_finite(model, state, checkpoint_dir / "model.gnvp")
     return state, records
+
+
+def _save_finite(model: FlowModel, state: TrainState, path: Path) -> None:
+    """Write ``model``'s checkpoint, unless an Adam step has made ``state``'s
+    parameters non-finite: then raise :class:`TrainingError` and write
+    nothing."""
+    if not np.isfinite(state.params).all():
+        raise TrainingError(
+            f"non-finite parameters at epoch {state.epoch} step {state.step}; {path.name} not written"
+        )
+    save_checkpoint(model, path)
 
 
 def split_dataset(

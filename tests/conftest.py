@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -159,3 +163,15 @@ def trained_qm9(qm9_split):
     config = TrainConfig(epochs=30, batch_size=64, seed=0)
     state, records = train(model, train_part, config)
     return model, state, records, train_part, holdout
+
+
+def edit_checkpoint_meta(path, edit) -> None:
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its parsed
+    metadata, and a valid CRC."""
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    meta = json.loads(data[12 : 12 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    payload = data[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + data[12 + meta_len : -4]
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphnvp
-from conftest import randomize_model
+from conftest import edit_checkpoint_meta, randomize_model
 from graphnvp.cli import run
 from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
 from graphnvp.graphs import qm9lite_spec
@@ -78,6 +78,17 @@ def test_non_finite_checkpoint_is_numeric_error(tmp_path, zero_checkpoint, capsy
     code = run(["generate", "--checkpoint", str(bad), "--out", str(tmp_path), "--samples", "2"])
     assert code == 3
     assert capsys.readouterr().err.startswith("gnvp:error:numeric:")
+
+
+def test_checkpoint_missing_a_model_key_is_data_error(tmp_path, zero_checkpoint, capsys):
+    bad = tmp_path / "no_rounds.gnvp"
+    bad.write_bytes(zero_checkpoint.read_bytes())
+    edit_checkpoint_meta(bad, lambda meta: meta["model"].pop("gcn_rounds"))
+    code = run(["generate", "--checkpoint", str(bad), "--out", str(tmp_path), "--samples", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gnvp:error:data:") and "model.gcn_rounds" in err
+    assert "Traceback" not in err
 
 
 def test_train_zero_epochs_writes_zero_init_checkpoint(zero_checkpoint):

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from conftest import (
     TOY_CONFIG,
     TOY_SPEC,
     array_inverse,
+    edit_checkpoint_meta,
     random_graph,
     randomize_model,
     tensor_adj_inverse,
     tensor_inverse_batch,
     tensor_node_inverse,
 )
+from graphnvp import flow, nets
 from graphnvp.errors import CheckpointError, NumericError
 from graphnvp.flow import (
     AdjacencyCouplingLayer,
@@ -555,8 +560,9 @@ def test_checkpoint_save_streams_to_disk(tmp_path):
 
 
 def test_checkpoint_load_reads_without_copying_the_file(tmp_path):
-    """A load checks the CRC and parses the entries over the bytes read from
-    disk, without a second copy of the file."""
+    """A load checks the CRC in a streaming pass and reads each entry
+    straight into its final array: no image of the file, no second copy of
+    an entry and no weights drawn for the file to replace."""
     config = ModelConfig(adjacency_layers=3, node_layers=3, mlp_hidden=(256, 256), gcn_hidden=6)
     model = FlowModel(TOY_SPEC, config, seed=1)
     path = tmp_path / "big.gnvp"
@@ -569,9 +575,107 @@ def test_checkpoint_load_reads_without_copying_the_file(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 3_000_000
-    assert peak < 2.6 * size
+    assert peak < 1.3 * size
     params = dict(loaded.named_parameters())
     assert all(np.array_equal(params[name].data, p.data) for name, p in model.named_parameters())
+
+
+def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
+    """The loader builds the model's structure without a Glorot draw: it
+    works with every way to draw a weight made to raise."""
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=3), seed=4)
+    path = tmp_path / "toy.gnvp"
+    save_checkpoint(model, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a weight was drawn")
+
+    class NoDrawGenerator:
+        uniform = staticmethod(no_draw)
+
+    monkeypatch.setattr(nets, "glorot", no_draw)
+    monkeypatch.setattr(flow, "make_rng", lambda seed: NoDrawGenerator())
+    with pytest.raises(AssertionError, match="drawn"):
+        FlowModel(TOY_SPEC, TOY_CONFIG, seed=3)
+    loaded = load_checkpoint(path, TOY_SPEC)
+    params = dict(loaded.named_parameters())
+    assert all(np.array_equal(params[name].data, p.data) for name, p in model.named_parameters())
+    z = make_rng(5).normal(size=(3, TOY_SPEC.latent_dim))
+    for out, expected in zip(loaded.inverse_batch(z), model.inverse_batch(z)):
+        assert out.tobytes() == expected.tobytes()
+
+
+def _parameter_digest(model) -> str:
+    digest = hashlib.sha256()
+    for name, value in sorted(model.named_parameters()):
+        digest.update(name.encode() + value.data.tobytes())
+    for name, value in sorted(model.named_buffers()):
+        digest.update(name.encode() + value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (
+            lambda: FlowModel(TOY_SPEC, TOY_CONFIG, seed=3),
+            "ffea3473762099a6ba0944a72f2b295f89c350645ff9bc601ca9b17c23c3e9dc",
+        ),
+        (
+            lambda: FlowModel(qm9lite_spec(), seed=0),
+            "57f104de28ac7715eff98dfa5e1d3006f72306ddb79940994eab8c29640f2d1b",
+        ),
+    ],
+)
+def test_initialization_keeps_its_draws(build, expected):
+    """A seeded model's initial parameters, bit for bit: the digests were
+    recorded before the loader stopped drawing weights, so they guard the
+    draw order."""
+    assert _parameter_digest(build()) == expected
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(lambda meta: meta["model"].pop("gcn_rounds"), "model.gcn_rounds", id="missing"),
+        pytest.param(lambda meta: meta["model"].update(gcn_rounds="2"), "model.gcn_rounds", id="text"),
+        pytest.param(lambda meta: meta["model"].update(mlp_hidden=[8, 8.5]), "model.mlp_hidden", id="float"),
+        pytest.param(lambda meta: meta["spec"].pop("atom_vocab"), "spec.atom_vocab", id="missing_vocab"),
+        pytest.param(lambda meta: meta["spec"].update(num_nodes=True), "spec.num_nodes", id="bool"),
+        pytest.param(lambda meta: meta.update(spec=[3]), "spec", id="spec_list"),
+        pytest.param(lambda meta: meta.pop("model"), "model", id="missing_model"),
+        pytest.param(lambda meta: meta.update(optimizer={"step": 1, "epoch": 1}), "optimizer.rng_state", id="optimizer"),
+    ],
+)
+def test_checkpoint_with_malformed_metadata_names_the_key(tmp_path, toy_model, edit, key):
+    """A CRC-valid file whose metadata lacks a key, or holds a value of the
+    wrong type, is refused with the key named."""
+    path = tmp_path / "toy.gnvp"
+    save_checkpoint(toy_model, path)
+    edit_checkpoint_meta(path, edit)
+    with pytest.raises(CheckpointError, match=rf"metadata (lacks {key}$|{key} is )"):
+        load_checkpoint(path, TOY_SPEC)
+
+
+def test_checkpoint_with_an_entry_twice_is_refused(tmp_path, toy_model):
+    path = tmp_path / "toy.gnvp"
+    save_checkpoint(toy_model, path)
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    start = 12 + meta_len
+    (count,) = struct.unpack("<I", data[start : start + 4])
+    # The first entry: name, shape, float64 values.
+    (name_len,) = struct.unpack("<I", data[start + 4 : start + 8])
+    pos = start + 8 + name_len
+    (ndim,) = struct.unpack("<I", data[pos : pos + 4])
+    shape = struct.unpack(f"<{ndim}I", data[pos + 4 : pos + 4 + 4 * ndim])
+    end = pos + 4 + 4 * ndim + 8 * int(np.prod(shape))
+    first = data[start + 4 : end]
+    name = first[4 : 4 + name_len].decode()
+    payload = data[:start] + struct.pack("<I", count + 1) + first + data[start + 4 : -4]
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match=f"entry '{name}' appears twice"):
+        load_checkpoint(path, TOY_SPEC)
 
 
 def test_checkpoint_spec_mismatch(tmp_path, toy_model):

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from graphnvp.flow import (
     load_checkpoint,
     save_checkpoint,
 )
-from graphnvp.graphs import dequantize
+from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.nets import BatchNorm, Linear, MlpNet, RelationalGraphConvNet, RelGraphRound, relation_major
 from graphnvp import tensor as T
 from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
@@ -271,6 +272,42 @@ def _used_model():
     model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=5), seed=6)
     _eval(model)  # fills every fold cache
     return model
+
+
+def _mlp_nets(model):
+    for layer in model.adjacency_layers:
+        yield from (layer._children[name] for name in ("scale_net", "translate_net"))
+
+
+def test_mlp_eval_holds_no_weight_copy():
+    """After an eval pass each MLP's cached eval weights are its parameters'
+    own arrays; only the R-GCN rounds keep folded copies."""
+    model = _used_model()
+    nets = list(_mlp_nets(model))
+    assert nets
+    for net in nets:
+        *hidden, head = net._eval_layers()
+        for k, (weight, *_) in enumerate(hidden):
+            assert np.shares_memory(weight, net.get_parameter(f"lin{k}.weight").data)
+        assert np.shares_memory(head[0], net.get_parameter("head.weight").data)
+
+
+def test_loaded_qm9lite_model_retains_little_eval_cache(tmp_path):
+    """The arrays an eval pass leaves cached on a loaded qm9lite model: the
+    MLPs' scales and biases, and the R-GCN rounds' folded weights (6.1 MB)."""
+    spec = qm9lite_spec()
+    path = tmp_path / "qm9lite.gnvp"
+    save_checkpoint(FlowModel(spec, seed=0), path)
+    model = load_checkpoint(path, spec)
+    z = make_rng(45).normal(size=(2, spec.latent_dim))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.inverse_batch(z)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8_000_000
 
 
 def test_fold_follows_set_parameter_set_buffer_and_load_parameters():

@@ -497,3 +497,24 @@ def test_loss_finite_on_corpus_batches(qm9_corpus):
     rng = make_rng(0)
     loss = nll_loss(model, qm9_corpus[:64], rng, training=True)
     assert np.isfinite(loss.item())
+
+
+@pytest.mark.parametrize("checkpoint_every, epoch", [(0, 2), (1, 1)])
+def test_train_refuses_to_save_non_finite_parameters(tmp_path, monkeypatch, checkpoint_every, epoch):
+    """An Adam step that makes a parameter non-finite right before a
+    checkpoint (``model.gnvp``, or ``epoch_0001.gnvp`` when every epoch is
+    saved) raises, naming the epoch and step, and writes no file."""
+    train_module = importlib.import_module("graphnvp.train")
+    real_step = train_module.adam_step
+    poisoned_step = 2 * epoch  # six graphs at batch 4: two steps per epoch
+
+    def poisoning(state, gradient, config):
+        real_step(state, gradient, config)
+        if state.step == poisoned_step:
+            state.params[state.params.size // 2] = np.inf
+
+    monkeypatch.setattr(train_module, "adam_step", poisoning)
+    config = TrainConfig(epochs=2, batch_size=4, seed=1, checkpoint_every=checkpoint_every)
+    with pytest.raises(TrainingError, match=f"epoch {epoch} step {poisoned_step}"):
+        train(toy_model(), toy_batch(6), config, checkpoint_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
