@@ -30,8 +30,10 @@ the row update.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import sys
 import threading
 import zlib
 from contextlib import contextmanager
@@ -505,6 +507,18 @@ class _Reader:
             raise CheckpointError(f"{self.path}: checkpoint file is truncated")
         return buf
 
+    def skip(self, n: int) -> None:
+        self._claim(n)
+        self.fh.seek(n, os.SEEK_CUR)
+
+    def array(self, out: np.ndarray) -> np.ndarray:
+        """Fill the contiguous float64 array ``out`` with the next
+        little-endian values, and return it."""
+        self.into(out)
+        if sys.byteorder != "little":
+            out.byteswap(inplace=True)
+        return out
+
     def take(self, n: int) -> bytes:
         return bytes(self.into(bytearray(n)))
 
@@ -527,15 +541,19 @@ def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
     return _read_checkpoint(path, spec)[0]
 
 
-def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
+def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None, slots: dict | None = None):
     """Parse a model or train-state file into ``model``, or into a model
     built from the stored config without a draw when ``model`` is None.
-    Returns the model and the ``optimizer`` section as
-    :func:`save_checkpoint` takes it, or None.
+    Returns the model and the stored ``optimizer`` block, or None.
 
     The CRC is checked first, in a pass of its own; then each entry is read
     straight into the array that keeps it, so the file is never held whole.
+    ``slots`` maps ``p:``/``m:``/``v:`` entry names to contiguous float64
+    arrays of their shapes, such as a train state's views; those entries are
+    read into them, and each parameter is bound to its slot.  Moment entries
+    without a slot are skipped.
     """
+    slots = slots or {}
     with open(path, "rb") as fh:
         reader = _Reader(fh, _payload_size(fh, path), path)
         reader.take(4)
@@ -566,7 +584,6 @@ def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
         kinds = ("p:", "m:", "v:") if optimizer is not None else ("p:",)
         expected = {kind + n: p.shape for n, p in model.named_parameters() for kind in kinds}
         expected |= {"b:" + n: b.shape for n, b in model.named_buffers()}
-        moments = {}
         seen = set()
         for _ in range(reader.u32()):
             name = reader.text()
@@ -578,16 +595,18 @@ def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None):
             if shape != expected[name]:
                 raise CheckpointError(f"{path}: entry {name!r} has shape {shape}, the model {expected[name]}")
             seen.add(name)
-            arr = reader.into(np.empty(shape, dtype="<f8")).astype(np.float64, copy=False)
+            slot = slots.get(name)
+            if slot is None and name[:2] in ("m:", "v:"):
+                reader.skip(8 * math.prod(shape))
+                continue
+            arr = reader.array(np.empty(shape) if slot is None else slot)
             if name.startswith("p:"):
                 if not np.isfinite(arr).all():
                     raise NumericError("tensor constructed with non-finite values")
                 model.set_parameter(name[2:], T._frozen(arr))
             elif name.startswith("b:"):
                 model.set_buffer(name[2:], arr)
-            else:
-                moments[name] = arr
     missing = expected.keys() - seen
     if missing:
         raise CheckpointError(f"{path}: missing entries {sorted(missing)[:3]}")
-    return model, (optimizer, moments) if optimizer is not None else None
+    return model, optimizer

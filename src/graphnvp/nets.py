@@ -173,8 +173,12 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def __call__(self, x: Tensor, training: bool, activation: str | None = None) -> Tensor:
-        """``activation`` ("tanh" or "relu") is fused into the same record."""
+    def __call__(
+        self, x: Tensor, training: bool, activation: str | None = None, row: int | None = None
+    ) -> Tensor:
+        """``activation`` ("tanh" or "relu") is fused into the same record.
+        Given ``row``, only ``x[:, row]`` is normalized and returned (see
+        :func:`~graphnvp.tensor.batch_norm`)."""
         running = (self._buffers["running_mean"], self._buffers["running_var"])
         out, mean, var = T.batch_norm(
             x,
@@ -183,6 +187,7 @@ class BatchNorm(Module):
             self.eps,
             None if training else running,
             activation,
+            row,
         )
         if training:
             m = self.momentum
@@ -332,7 +337,8 @@ class RelationalGraphConvNet(_ConditionerNet):
     target node, so the output only depends on the other nodes' features and
     the graph structure.  Outside training, batch norm is a fixed per-feature
     affine map, so the last round computes the target row alone; in training
-    its batch statistics span every node, so every round stays full.
+    its batch statistics span every node, so every round stays full and only
+    the last batch norm keeps to the target row.
     """
 
     def __init__(
@@ -393,9 +399,7 @@ class RelationalGraphConvNet(_ConditionerNet):
         a_rows = self._a_rows(adjacency)
         h = x
         for k in range(self.depth):
-            target = row if k == self.depth - 1 and not training else None
-            conv = self._children[f"round{k}"](h, a_rows, target)
-            h = self._children[f"bn{k}"](conv, training, "tanh")
-        if h.ndim == 3:
-            h = T.index_axis(h, 1, row)
+            last = k == self.depth - 1
+            conv = self._children[f"round{k}"](h, a_rows, row if last and not training else None)
+            h = self._children[f"bn{k}"](conv, training, "tanh", row if last and training else None)
         return self._children["head"](h)

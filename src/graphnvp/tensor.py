@@ -31,9 +31,12 @@ replay goes on, and a second replay raises.  Two vjps recompute an
 intermediate instead of keeping it, with the forward's own operations, so the
 gradients keep their bits: ``graph_conv`` its relation messages ``a_rows @
 h`` [rows, R*F], and ``batch_norm`` its normalized input ``(x - mean) *
-inv_std``.  The gradients come back as one flat vector holding every watched
-tensor's gradient, raveled, in watch order (:class:`Gradients`), with each
-name's entry a read-only view of it.
+inv_std``.  Watched tensors come in groups, and each group's gradients are
+handed to the tape's consumer, then dropped, as soon as the replay has
+finished them, so a consumer that applies them at once never holds a
+gradient of every parameter.  The default consumer, :class:`Gradients`,
+collects them into one flat vector holding every watched tensor's gradient,
+raveled, in watch order, with each name's entry a read-only view of it.
 """
 from __future__ import annotations
 
@@ -169,13 +172,16 @@ class GradientTape:
 
     Use as a context manager; while active, every op whose inputs depend on a
     watched tensor is recorded.  :meth:`gradients` replays the record backward
-    once, freeing it as it goes, and returns one gradient per watched
-    parameter (zeros if unused).
+    once, freeing it as it goes, and hands each watched group's gradients to
+    ``consumer`` as soon as they are final (see :func:`backward`).  Without a
+    consumer it returns them as :class:`Gradients`, zeros where unused.
     """
 
-    def __init__(self):
+    def __init__(self, consumer: Callable[[str, list], None] | None = None):
         self.records: list[_Record] = []
         self.parameters: dict[str, Tensor] = {}
+        self.groups: dict[str, str] = {}
+        self.consumer = consumer
         self._tracked: set[int] = set()
         self._spent = False
 
@@ -189,8 +195,10 @@ class GradientTape:
             raise RuntimeError("gradient tapes must be exited in LIFO order")
         stack.pop()
 
-    def watch(self, name: str, tensor: Tensor) -> Tensor:
+    def watch(self, name: str, tensor: Tensor, group: str | None = None) -> Tensor:
+        """Track ``tensor`` under ``name``, in ``group`` (default: ``name``)."""
         self.parameters[name] = tensor
+        self.groups[name] = name if group is None else group
         self._tracked.add(id(tensor))
         return tensor
 
@@ -201,71 +209,111 @@ class GradientTape:
             self.records.append(_Record(inputs, output, vjp, needs))
             tracked.add(id(output))
 
-    def gradients(self, loss: Tensor) -> "Gradients":
+    def gradients(self, loss: Tensor) -> "Gradients | None":
         return backward(self, loss)
 
 
 class Gradients(dict):
-    """Gradient by watched name, each a read-only view of :attr:`flat`: one
-    vector holding every watched tensor's gradient, raveled, in watch order."""
+    """The default consumer of a replay: gradient by watched name, each a
+    read-only view of :attr:`flat`, one vector holding every watched tensor's
+    gradient, raveled, in watch order."""
 
-    flat: np.ndarray
+    def __init__(self, parameters: dict[str, Tensor]):
+        super().__init__()
+        self.flat = np.zeros(sum(p.size for p in parameters.values()))
+        self._slots, lo = {}, 0
+        for name, p in parameters.items():
+            self._slots[name] = self.flat[lo : lo + p.size].reshape(p.shape)
+            lo += p.size
+
+    def __call__(self, group: str, gradients: list) -> None:
+        for name, g in gradients:
+            if g is not None:
+                self._slots[name][...] = g
+
+    def _seal(self) -> None:
+        self.flat.flags.writeable = False
+        self.update((name, _frozen(slot)) for name, slot in self._slots.items())
+        del self._slots
 
 
-def backward(tape: GradientTape, loss: Tensor) -> Gradients:
+def backward(tape: GradientTape, loss: Tensor) -> Gradients | None:
     """Gradient of a scalar ``loss`` with respect to every watched parameter.
 
     Replays ``tape`` once, dropping each record after its vjp has run, so a
     second call raises ``RuntimeError``; a non-scalar ``loss`` raises
     :class:`~graphnvp.errors.ShapeError` and leaves the tape as it was.
+
+    A group's gradients are final once the earliest-recorded record that
+    reads one of its tensors has been replayed.  Right then they are checked
+    for finiteness (a NaN or Inf raises :class:`NumericError` naming the
+    group) and handed to the tape's consumer as ``consumer(group, [(name,
+    gradient), ...])`` in watch order, the gradient ``None`` for a tensor
+    nothing read, and dropped.  Groups nothing read follow after the replay.
+    Without a consumer a :class:`Gradients` collects them and is returned.
     """
     if loss.shape != ():
         raise ShapeError(f"loss must be a scalar tensor, got shape {loss.shape}")
     if tape._spent:
         raise RuntimeError("this gradient tape was already replayed; record a new one")
     tape._spent = True
-    params = list(tape.parameters.values())
-    flat = np.zeros(sum(p.size for p in params))
-    # Each watched tensor's slice of ``flat`` (its first, if it was watched
-    # under several names); the first contribution is copied in, later ones
-    # are added in place.
-    views, slots, lo = [], {}, 0
-    for p in params:
-        views.append(flat[lo : lo + p.size].reshape(p.shape))
-        slots.setdefault(id(p), views[-1])
-        lo += p.size
-    filled: set[int] = set()
+    consumer = tape.consumer
+    collected = None
+    if consumer is None:
+        collected = consumer = Gradients(tape.parameters)
+    members: dict[str, list[tuple[str, Tensor]]] = {}
+    groups_of: dict[int, list[str]] = {}
+    watchers: dict[int, int] = {}  # names watching each tensor not yet handed over
+    for name, p in tape.parameters.items():
+        group = tape.groups[name]
+        members.setdefault(group, []).append((name, p))
+        groups_of.setdefault(id(p), []).append(group)
+        watchers[id(p)] = watchers.get(id(p), 0) + 1
+    # The index of the earliest record reading each group: the group is final
+    # once that record has been replayed.
+    first: dict[str, int] = {}
+    records = tape.records
+    for i, rec in enumerate(records):
+        for t, need in zip(rec.inputs, rec.needs):
+            if need:
+                for group in groups_of.get(id(t), ()):
+                    first.setdefault(group, i)
+    final_at: dict[int, list[str]] = {}
+    for group, i in first.items():
+        final_at.setdefault(i, []).append(group)
     grads: dict[int, np.ndarray] = {}
 
-    def accumulate(key: int, g: np.ndarray) -> None:
-        slot = slots.get(key)
-        if slot is None:
-            acc = grads.get(key)
-            grads[key] = g if acc is None else acc + g
-        elif key in filled:
-            slot += g
-        else:
-            slot[...] = g
-            filled.add(key)
+    def hand_over(group: str) -> None:
+        out = []
+        for name, p in members[group]:
+            g = grads.get(id(p))
+            if g is not None:
+                _check_finite(g, f"backward of {group}")
+            out.append((name, g))
+        consumer(group, out)
+        for _, p in members[group]:
+            watchers[id(p)] -= 1
+            if not watchers[id(p)]:
+                grads.pop(id(p), None)
 
-    accumulate(id(loss), np.ones((), dtype=np.float64))
-    records = tape.records
+    grads[id(loss)] = np.ones((), dtype=np.float64)
     while records:
         rec = records.pop()
         g_out = grads.pop(id(rec.output), None)
         if g_out is not None:
             for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
                 if g is not None:
-                    accumulate(id(t), g)
+                    acc = grads.get(id(t))
+                    grads[id(t)] = g if acc is None else acc + g
         del rec, g_out  # frees what only this record held before the next vjp runs
-    for p, view in zip(params, views):
-        if slots[id(p)] is not view:
-            view[...] = slots[id(p)]
-    _check_finite(flat, "backward")
-    flat.flags.writeable = False
-    out = Gradients((name, _frozen(view)) for name, view in zip(tape.parameters, views))
-    out.flat = flat
-    return out
+        for group in final_at.pop(len(records), ()):
+            hand_over(group)
+    for group in members:
+        if group not in first:
+            hand_over(group)
+    if collected is not None:
+        collected._seal()
+    return collected
 
 
 def is_recording() -> bool:
@@ -704,37 +752,49 @@ def batch_norm(
     eps: float,
     stats: tuple[np.ndarray, np.ndarray] | None = None,
     activation: str | None = None,
+    row: int | None = None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize over every axis but the last (features), then scale and shift.
 
     With ``stats`` None the batch mean and biased variance are used and
     differentiated through (Ioffe & Szegedy 2015); otherwise ``stats`` is a
     constant ``(mean, var)`` pair, which makes this a fixed affine map of
-    ``x``.  ``activation`` is then applied in place.  Returns the output and
-    the mean and variance that were applied.
+    ``x``.  ``activation`` is then applied in place.  Given ``row``, the
+    statistics still span all of ``x``, but only ``x[:, row]`` is normalized
+    and returned; its vjp zero-pads the row's gradient, so every gradient has
+    the bits of the full output followed by :func:`index_axis`.  Returns the
+    output and the mean and variance that were applied.
     """
     if x.ndim < 2 or gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
         raise ShapeError(f"batch_norm: shapes {x.shape}, {gamma.shape}, {beta.shape} do not fit")
+    if row is not None and (x.ndim < 3 or not 0 <= row < x.shape[1]):
+        raise ShapeError(f"batch_norm: row {row} out of range for shape {x.shape}")
     flat = x.data.reshape(-1, x.shape[-1])  # one row per position, one column per feature
     if stats is None:
         mean = flat.mean(axis=0)
         y = flat - mean
         var = (y * y).mean(axis=0)
+        if row is not None:
+            y = x.data[:, row] - mean
     else:
         mean, var = (np.asarray(s, dtype=np.float64) for s in stats)
         if mean.shape != gamma.shape or var.shape != gamma.shape:
             raise ShapeError(f"batch_norm: statistics {mean.shape}, {var.shape} != {gamma.shape}")
-        y = flat - mean
+        y = (flat if row is None else x.data[:, row]) - mean
     if not np.isfinite(var).all():
         raise NumericError("batch_norm produced a non-finite variance")
     inv_std = np.power(var + eps, -0.5)
     y *= inv_std
     y *= gamma.data
     y += beta.data
-    out = _activate(y.reshape(x.shape), activation, "batch_norm")
+    out = _activate(y.reshape(x.shape if row is None else y.shape), activation, "batch_norm")
 
     def vjp(g: np.ndarray, needs):
-        g = _activation_vjp(g, activation, out.data).reshape(flat.shape)
+        g = _activation_vjp(g, activation, out.data)
+        if row is not None:
+            g_row, g = g, np.zeros(x.shape)
+            g[:, row] = g_row
+        g = g.reshape(flat.shape)
         batch_stats = stats is None and needs[0]
         g_beta = g.sum(axis=0) if needs[2] or batch_stats else None
         g_gamma = None

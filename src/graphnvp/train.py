@@ -57,9 +57,10 @@ class TrainConfig:
 class TrainState:
     """Optimizer state: parameter values and the two Adam moments as flat
     vectors laid out in ``sorted(model.named_parameters())`` order, plus
-    counters and the generator state.  :func:`train` watches the parameters
-    in that order, so the tape's flat gradient has the same layout, and
-    :func:`adam_step` pairs the four vectors element by element."""
+    counters and the generator state.  In that order each layer group's
+    parameters (one coupling layer, or the prior) are contiguous, so
+    :func:`train` can update the group's slice as soon as its gradients are
+    final; :func:`adam_step` pairs the vectors element by element."""
 
     params: np.ndarray
     first_moment: np.ndarray
@@ -116,24 +117,40 @@ def nll_loss(
 _ADAM_BLOCK = 32768
 
 
-def adam_step(state: TrainState, gradient: np.ndarray, config: TrainConfig) -> None:
+def adam_step(state: TrainState, gradient: np.ndarray, config: TrainConfig, start: int | None = None) -> None:
     """One bias-corrected Adam update of ``state``'s three vectors, in place.
 
-    ``gradient`` is a flat vector in the state's layout, as
-    :attr:`~graphnvp.tensor.Gradients.flat` is when the parameters were
-    watched in sorted name order.  The update runs over blocks of
-    ``_ADAM_BLOCK`` elements.  Each element keeps the operation order of
-    ``(alpha*m_hat) / (sqrt(v_hat) + eps)`` with ``m = b1*m + (1-b1)*g`` and
-    ``v = b2*v + ((1-b2)*g)*g``, so the result does not depend on the
-    blocking.  A gradient of the wrong shape raises :class:`TrainingError`
-    and leaves the state untouched."""
-    params, m, v = state.params, state.first_moment, state.second_moment
-    if gradient.shape != params.shape:
-        raise TrainingError(f"gradient holds {gradient.shape} values, the state {params.shape}")
+    With ``start`` None, ``gradient`` is a flat vector in the state's layout,
+    as :attr:`~graphnvp.tensor.Gradients.flat` is when the parameters were
+    watched in sorted name order: the step count goes up by one, every
+    element is updated and :func:`~graphnvp.nets.parameters_changed` runs.
+    Given ``start``, ``gradient`` covers the ``gradient.size`` elements from
+    ``start`` on, which are updated as step ``state.step``, already counted;
+    the caller notifies the change once the step is done.  :func:`train`
+    updates one layer group at a time so.
+
+    The update runs over blocks of ``_ADAM_BLOCK`` elements.  Each element
+    keeps the operation order of ``(alpha*m_hat) / (sqrt(v_hat) + eps)``
+    with ``m = b1*m + (1-b1)*g`` and ``v = b2*v + ((1-b2)*g)*g``, so the
+    result depends neither on the blocking nor on the split into slices.  A
+    gradient of the wrong shape, or a slice outside the state or before its
+    first step, raises :class:`TrainingError` and leaves the state
+    untouched."""
+    params = state.params
+    if start is None:
+        if gradient.shape != params.shape:
+            raise TrainingError(f"gradient holds {gradient.shape} values, the state {params.shape}")
+        state.step += 1
+    elif gradient.ndim != 1 or not 0 <= start <= params.size - gradient.size or state.step < 1:
+        raise TrainingError(
+            f"gradient of shape {gradient.shape} at {start} does not fit the state's"
+            f" {params.size} values at step {state.step}"
+        )
     b1, b2, alpha, eps = config.adam_beta1, config.adam_beta2, config.adam_alpha, config.adam_eps
-    state.step += 1
     c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
-    size = params.size
+    size = gradient.size
+    first = start or 0
+    params, m, v = (a[first : first + size] for a in (params, state.first_moment, state.second_moment))
     scratch = np.empty((2, min(size, _ADAM_BLOCK)))
     for lo in range(0, size, _ADAM_BLOCK):
         hi = min(lo + _ADAM_BLOCK, size)
@@ -153,7 +170,42 @@ def adam_step(state: TrainState, gradient: np.ndarray, config: TrainConfig) -> N
         u *= alpha
         u /= t
         params[lo:hi] -= u
-    parameters_changed()
+    if start is None:
+        parameters_changed()
+
+
+def _group(name: str) -> str:
+    """The layer group of a parameter: its coupling layer (``adjacency_3``,
+    ``node_0``) or the prior."""
+    return name.split(".", 1)[0]
+
+
+def _adam_by_group(model: FlowModel, state: TrainState, config: TrainConfig):
+    """A tape consumer that applies :func:`adam_step` to each layer group's
+    slice of ``state`` as soon as the group's gradients are final.  Each
+    group is contiguous in the sorted layout; its gradients are laid out in
+    one buffer of the largest group's size, reused by every group and step."""
+    slices, sizes, lo = {}, {}, 0
+    for name, p in sorted(model.named_parameters()):
+        start, size = slices.get(_group(name), (lo, 0))
+        slices[_group(name)] = (start, size + p.size)
+        sizes[name] = p.size
+        lo += p.size
+    buffer = np.empty(max(size for _, size in slices.values()))
+
+    def update(group: str, gradients: list) -> None:
+        start, size = slices[group]
+        at = 0
+        for name, g in gradients:
+            n = sizes[name]
+            if g is None:
+                buffer[at : at + n] = 0.0
+            else:
+                buffer[at : at + n] = g.reshape(-1)
+            at += n
+        adam_step(state, buffer[:size], config, start)
+
+    return update
 
 
 def _train_step(
@@ -161,21 +213,25 @@ def _train_step(
     state: TrainState,
     batch: Sequence[MolecularGraph],
     rng: np.random.Generator,
-    config: TrainConfig,
+    update: Callable,
     epoch: int,
 ) -> float:
-    """Forward, gradients and Adam for one minibatch; returns its loss.  The
-    step's tape, loss and gradients are freed when it returns, before the
-    next step's forward."""
+    """Forward, then the replay that hands each layer group's gradients to
+    ``update`` (:func:`_adam_by_group`) as it finishes them; returns the
+    batch loss.  The step's tape and loss are freed when it returns, before
+    the next step's forward."""
+    step = state.step + 1
     try:
-        with GradientTape() as tape:
+        with GradientTape(update) as tape:
             for name, p in sorted(model.named_parameters()):
-                tape.watch(name, p)
+                tape.watch(name, p, _group(name))
             loss = nll_loss(model, batch, rng, training=True)
-        grads = tape.gradients(loss)
+        state.step = step
+        tape.gradients(loss)
     except NumericError as exc:
-        raise TrainingError(f"non-finite loss at epoch {epoch} step {state.step + 1}: {exc}") from exc
-    adam_step(state, grads.flat, config)
+        raise TrainingError(f"non-finite value at epoch {epoch} step {step}: {exc}") from exc
+    finally:
+        parameters_changed()
     return loss.item()
 
 
@@ -189,13 +245,24 @@ def train(
 ) -> tuple[TrainState, list[EpochRecord]]:
     """Minibatch NLL minimization; per-epoch shuffling from the seeded generator.
 
-    The model's parameters become read-only views of ``state.params``, which
-    :func:`adam_step` updates in place; the final-epoch parameters are the
-    evaluation model.  With ``checkpoint_dir`` set, a checkpoint is written
-    every ``config.checkpoint_every`` epochs (if nonzero) and always at the
-    end.  Passing the state of an interrupted run, in memory or from
-    :func:`load_train_state`, resumes it bit-exactly in ``model``.
+    The model's parameters become read-only views of ``state.params``.  In
+    each step the gradient replay hands every coupling layer's gradients,
+    and the prior's, to :func:`adam_step` as soon as they are final, which
+    updates that layer's slice of the state in place; no full gradient
+    vector is ever held.  The final-epoch parameters are the evaluation
+    model.  With ``checkpoint_dir`` set, a checkpoint is written every
+    ``config.checkpoint_every`` epochs (if nonzero) and always at the end.
     ``on_epoch`` is called with each epoch's record when that epoch ends.
+
+    Only a state that ``train`` returned, or one :func:`load_train_state`
+    read, resumes bit-exactly, in ``model`` or another model of its
+    structure.  Every step updates the state in place, so a run that raises
+    or is interrupted leaves the state it was given part-way: its vectors
+    and step count as they were at that moment, its generator state as it
+    was at the start.  A non-finite gradient raises :class:`TrainingError`
+    naming the epoch, the step and the layer before that layer is updated,
+    and writes no file; the layers the replay updated before it stay
+    updated, and the step is counted.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -206,6 +273,7 @@ def train(
         state = resume_state
         rng.bit_generator.state = state.rng_state
     model.load_parameters({name: T._frozen(v) for name, v in _views(model, state.params).items()})
+    update = _adam_by_group(model, state, config)
 
     records: list[EpochRecord] = []
     n = len(dataset)
@@ -217,7 +285,7 @@ def train(
         total_nll = 0.0
         for lo in range(0, n, config.batch_size):
             batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
-            total_nll += _train_step(model, state, batch, rng, config, epoch) * len(batch)
+            total_nll += _train_step(model, state, batch, rng, update, epoch) * len(batch)
         state.epoch = epoch
         records.append(
             EpochRecord(
@@ -293,18 +361,22 @@ def save_train_state(path, state: TrainState, model: FlowModel) -> None:
 
 def load_train_state(path, model: FlowModel) -> TrainState:
     """Restore a file written by :func:`save_train_state` into ``model``.
-    Raises :class:`CheckpointError` for a plain checkpoint, or a moment entry
-    of the wrong shape, non-finite, or negative in the second moment."""
-    _, optimizer = _read_checkpoint(path, model.spec, model)
-    if optimizer is None:
+
+    Each ``p:``/``m:``/``v:`` entry is read straight into its slice of the
+    state's three vectors, and ``model``'s parameters become views of the
+    first, as :func:`train` binds them.  Raises :class:`CheckpointError` for
+    a plain checkpoint, or a moment entry of the wrong shape, non-finite, or
+    negative in the second moment."""
+    size = sum(p.size for _, p in model.named_parameters())
+    state = TrainState(np.empty(size), np.empty(size), np.empty(size))
+    slots = {}
+    for kind, flat in (("p:", state.params), ("m:", state.first_moment), ("v:", state.second_moment)):
+        slots.update((kind + name, view) for name, view in _views(model, flat).items())
+    _, block = _read_checkpoint(path, model.spec, model, slots)
+    if block is None:
         raise CheckpointError(f"{path}: no optimizer section")
-    block, moments = optimizer
-    state = TrainState.fresh(model)
-    for kind, flat in (("m:", state.first_moment), ("v:", state.second_moment)):
-        for name, view in _views(model, flat).items():
-            arr = moments[kind + name]
-            if arr.shape != view.shape or not np.isfinite(arr).all() or (kind == "v:" and (arr < 0).any()):
-                raise CheckpointError(f"{path}: entry {kind + name!r} is not a valid Adam moment")
-            view[...] = arr
+    for name, arr in slots.items():
+        if name[:2] != "p:" and (not np.isfinite(arr).all() or (name[:2] == "v:" and (arr < 0).any())):
+            raise CheckpointError(f"{path}: entry {name!r} is not a valid Adam moment")
     state.step, state.epoch, state.rng_state = int(block["step"]), int(block["epoch"]), block["rng_state"]
     return state

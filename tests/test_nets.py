@@ -213,6 +213,59 @@ def test_folded_graph_conv_net_matches_unfolded_composition(path):
         assert_close(net(Tensor(h), adjacency, row, training=False).data, expected)
 
 
+def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
+    """In training the last batch norm normalizes the target row alone; the
+    output and every gradient equal those of the full norm followed by
+    ``index_axis``, bit for bit, and the running statistics still come from
+    every node."""
+    h, adjacency = random_relational_input(seed=62)
+    net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(63))
+    randomize_net(net, make_rng(64))
+    weights = Tensor(make_rng(65).normal(size=(3, 2)))
+    x = Tensor(h)
+    a_rows = a_rows_of(adjacency)
+    for row in (0, 4):
+
+        def run(reference):
+            with GradientTape() as tape:
+                tape.watch("x", x)
+                for name, p in net.named_parameters():
+                    tape.watch(name, p)
+                if reference:
+                    y, stats = x, []
+                    for k in range(2):
+                        p = lambda name: net.get_parameter(f"round{k}.{name}")
+                        y = T.graph_conv(y, a_rows, p("rel_weight"), p("self_weight"), p("bias"))
+                        bn = net._children[f"bn{k}"]
+                        y, *moments = T.batch_norm(
+                            y, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, None, "tanh"
+                        )
+                        stats += moments
+                    out = net._children["head"](T.index_axis(y, 1, row))
+                else:
+                    before = dict(net.named_buffers())
+                    out = net(x, adjacency, row, training=True)
+                    after = dict(net.named_buffers())
+                    # running = 0.9 * running + 0.1 * batch statistic
+                    stats = [
+                        (after[f"bn{k}.{kind}"] - 0.9 * before[f"bn{k}.{kind}"]) / 0.1
+                        for k in range(2)
+                        for kind in ("running_mean", "running_var")
+                    ]
+                loss = T.sum_axis(T.mul(out, weights))
+            grads = tape.gradients(loss)
+            return out.data, [grads[name].data for name in grads], stats
+
+        out, grads, stats = run(False)
+        ref_out, ref_grads, ref_stats = run(True)
+        assert out.shape == (3, 2) and out.tobytes() == ref_out.tobytes()
+        assert len(grads) == len(ref_grads) and all(np.abs(g).max() > 0 for g in ref_grads)
+        for got, want in zip(grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(stats, ref_stats):
+            assert_close(got, want, rel=1e-12)
+
+
 def test_folded_coupling_layers_match_unfolded():
     """Folded eval (the Tensor forward and the array inverse) against the
     unfolded eval composition, which the nets run while a tape records."""
@@ -339,23 +392,34 @@ def test_fold_follows_training_mode_forward():
 
 
 def test_fold_follows_adam_step_inside_train(monkeypatch):
-    """Each in-place Adam update runs right after an eval filled the caches."""
+    """Each step's in-place Adam updates run right after an eval filled the
+    caches, and the eval follows them once the step is done: at the next
+    step's first update, and after ``train`` returns, where no training
+    forward has invalidated the caches since the last step's updates."""
     model = _used_model()
     train_module = importlib.import_module("graphnvp.train")
     adam_step = train_module.adam_step
-    steps = []
+    steps, evals = [], []
 
-    def checked(state, gradient, config):
-        assert gradient.shape == state.params.shape
-        before = _eval(model)
-        adam_step(state, gradient, config)
-        assert not np.array_equal(_eval(model)[0], before[0])
+    def follow(step):
+        outputs = _eval(model)
+        if evals:
+            assert not np.array_equal(outputs[0], evals[-1][0])
         _assert_eval_matches_fresh_copy(model)
-        steps.append(state.step)
+        evals.append(outputs)
+        steps.append(step)
+        _eval(model)  # refilled after the copy's construction bumped the version
+
+    def checked(state, gradient, config, start=None):
+        assert start is not None and gradient.size < state.params.size
+        if not steps or steps[-1] != state.step:
+            follow(state.step)
+        adam_step(state, gradient, config, start)
 
     monkeypatch.setattr(train_module, "adam_step", checked)
-    train(model, _toy_batch(43, size=6), TrainConfig(epochs=2, batch_size=4, seed=1))
-    assert steps == [1, 2, 3, 4]
+    state, _ = train(model, _toy_batch(43, size=6), TrainConfig(epochs=2, batch_size=4, seed=1))
+    follow(state.step)
+    assert steps == [1, 2, 3, 4, 4]
 
 
 def test_fold_follows_checkpoint_loaded_into_used_model(tmp_path):

@@ -94,6 +94,49 @@ def test_backward_requires_scalar_loss():
         backward(tape, loss)
 
 
+def test_replay_hands_each_group_to_its_consumer_once_final():
+    """A group is handed over right after the earliest record reading it has
+    been replayed, once, in watch order, with None for a tensor nothing
+    read; a group nothing read follows after the replay."""
+    a, b, c, u = Tensor([1.0, 2.0]), Tensor([3.0]), Tensor([[0.5]]), Tensor([7.0])
+    calls = []
+
+    def consumer(group, gradients):
+        copied = [(name, None if g is None else np.array(g).tolist()) for name, g in gradients]
+        calls.append((group, copied, len(tape.records)))
+
+    with GradientTape(consumer) as tape:
+        tape.watch("a", a, "first")
+        tape.watch("c", c, "second")
+        tape.watch("b", b, "first")
+        tape.watch("u", u, "third")
+        s = sum_axis(mul(a, a))  # records 0-1
+        t = sum_axis(mul(s, c))  # records 2-3
+        loss = add(t, sum_axis(b))  # records 4-5
+    assert len(tape.records) == 6
+    assert tape.gradients(loss) is None and tape.records == []
+    assert calls == [
+        ("second", [("c", [[5.0]])], 2),
+        ("first", [("a", [1.0, 2.0]), ("b", [1.0])], 0),
+        ("third", [("u", None)], 0),
+    ]
+
+
+def test_replay_refuses_a_non_finite_group_before_handing_it_over():
+    """A NaN or Inf in a group's gradient raises NumericError naming the
+    group; the groups handed over before it stay handed over, and it is not."""
+    a, c = Tensor([0.0, 1.0]), Tensor(2.0)
+    calls = []
+    with GradientTape(lambda group, gradients: calls.append(group)) as tape:
+        tape.watch("a", a, "layer_a")
+        tape.watch("c", c, "layer_c")
+        loss = sum_axis(mul(power(a, 0.5), c))  # d sqrt(a) / da is inf at 0
+    with pytest.raises(NumericError, match="backward of layer_a produced a non-finite value"):
+        with np.errstate(divide="ignore"):
+            tape.gradients(loss)
+    assert calls == ["layer_c"]
+
+
 def test_tape_is_single_use_and_its_gradients_are_read_only_views_of_one_vector():
     p, q = Tensor([1.0, 2.0]), Tensor([[3.0, -1.0], [0.5, 2.0]])
     with GradientTape() as tape:
@@ -703,8 +746,8 @@ def test_training_graph_round_and_batch_norm_activation_record_once():
 
 def test_qm9lite_training_step_tape_length():
     """Per node-feature layer: masked_assign, two rounds of graph_conv and
-    batch_norm, the target row, the head, the feature row, add and
-    replace_row (10).  Per adjacency layer: masked_assign, reshape, two MLPs
+    batch_norm (the last batch norm returns the target row alone), the head,
+    the feature row, add and replace_row (9).  Per adjacency layer: masked_assign, reshape, two MLPs
     of 5 records (linear and batch_norm twice, head), tanh and mul on the
     scale, two reshapes, the row, exp, mul, add, sum_axis, replace_row and
     the log-det add (23).  The first layer of each stack sees a constant
@@ -718,7 +761,48 @@ def test_qm9lite_training_step_tape_length():
             tape.watch(name, p)
         nll_loss(model, batch, make_rng(0))
     assert len(model.node_layers) == 36 and len(model.adjacency_layers) == 27
-    assert len(tape.records) == 36 * 10 - 2 + 27 * 23 - 3 + 15 == 991
+    assert len(tape.records) == 36 * 9 - 2 + 27 * 23 - 3 + 15 == 955
+
+
+@pytest.mark.parametrize("activation", [None, "tanh", "relu"])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("watch_x", [True, False])
+def test_batch_norm_row_equals_full_norm_then_index_axis_bitwise(activation, frozen, watch_x):
+    """Normalizing only ``x[:, row]`` (statistics over all of ``x``) gives the
+    output, statistics and gradients of the full norm followed by
+    ``index_axis``, bit for bit."""
+    rng = make_rng(61)
+    x = Tensor(rng.normal(size=(5, 4, 3)))
+    gamma, beta = Tensor(0.5 + rng.random(3)), Tensor(rng.normal(size=3))
+    stats = (rng.normal(size=3), 0.5 + rng.random(3)) if frozen else None
+    weights = Tensor(rng.normal(size=(5, 3)))  # a distinct gradient for every output entry
+    watched = {"gamma": gamma, "beta": beta} | ({"x": x} if watch_x else {})
+
+    def run(row_only):
+        with GradientTape() as tape:
+            for name, t in watched.items():
+                tape.watch(name, t)
+            if row_only:
+                out, mean, var = batch_norm(x, gamma, beta, 1e-5, stats, activation, row=2)
+            else:
+                full, mean, var = batch_norm(x, gamma, beta, 1e-5, stats, activation)
+                out = index_axis(full, 1, 2)
+            loss = sum_axis(mul(out, weights))
+        grads = tape.gradients(loss)
+        return [out.data, mean, var] + [grads[name].data for name in watched]
+
+    got, want = run(True), run(False)
+    assert got[0].shape == (5, 3)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_batch_norm_row_out_of_range():
+    x = Tensor(np.ones((2, 3, 4)))
+    gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    for bad_x, row in ((x, 3), (x, -1), (Tensor(np.ones((2, 4))), 0)):
+        with pytest.raises(ShapeError):
+            batch_norm(bad_x, gamma, beta, 1e-5, row=row)
 
 
 def _replay_keeping_every_record(records, parameters, loss):

@@ -10,6 +10,7 @@ from graphnvp.errors import CheckpointError, TrainingError
 from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
 from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.nets import Module
+from graphnvp import tensor as T
 from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
 from graphnvp.train import (
     TrainConfig,
@@ -214,6 +215,40 @@ def test_adam_in_place_equals_out_of_place_formula_bitwise():
         assert got.tobytes() == expected.tobytes()
 
 
+def test_adam_slices_equal_one_full_step_bitwise():
+    """Counting the step, then updating the state slice by slice, in any
+    order, gives the bits of one full-vector step."""
+    config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.002, adam_beta2=0.99)
+    rng = make_rng(41)
+    block = importlib.import_module("graphnvp.train")._ADAM_BLOCK
+    size = 2 * block + 7
+    full = TrainState(rng.normal(size=size), 0.1 * rng.normal(size=size), rng.random(size), step=2)
+    sliced = TrainState(full.params.copy(), full.first_moment.copy(), full.second_moment.copy(), step=2)
+    gradient = rng.normal(size=size)
+    adam_step(full, gradient, config)
+    sliced.step += 1
+    for lo, hi in ((block + 3, size), (5, block + 3), (0, 5)):
+        adam_step(sliced, gradient[lo:hi].copy(), config, lo)
+    assert sliced.step == full.step == 3
+    for got, want in zip(
+        (sliced.params, sliced.first_moment, sliced.second_moment),
+        (full.params, full.first_moment, full.second_moment),
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adam_slice_rejects_what_does_not_fit():
+    config = TrainConfig(epochs=1, batch_size=1)
+    state = TrainState(np.ones(6), np.zeros(6), np.zeros(6), step=1)
+    for gradient, start in ((np.ones(3), 4), (np.ones(3), -1), (np.ones((2, 1)), 0), (np.ones(7), 0)):
+        with pytest.raises(TrainingError):
+            adam_step(state, gradient, config, start)
+    state.step = 0  # a slice is updated as the step already counted
+    with pytest.raises(TrainingError):
+        adam_step(state, np.ones(2), config, 0)
+    assert np.array_equal(state.params, np.ones(6)) and not state.first_moment.any()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -308,25 +343,44 @@ def test_train_state_round_trip_at_path_without_suffix(tmp_path):
         assert np.array_equal(saved, loaded), name
 
 
+def _layer_slices(model):
+    """Each layer group's (start, size) in the state layout, from the model
+    alone: the coupling layers and the prior."""
+    slices, lo = {}, 0
+    for name, p in sorted(model.named_parameters()):
+        group = name.split(".")[0]
+        start, size = slices.get(group, (lo, 0))
+        assert start + size == lo, name  # each group is contiguous
+        slices[group] = (start, size + p.size)
+        lo += p.size
+    return slices
+
+
 def test_train_updates_the_same_parameter_views_in_place(monkeypatch):
     """During an epoch of three steps the model's parameter tensors and the
-    three state vectors stay the same objects; the tensors view the state."""
+    three state vectors stay the same objects; the tensors view the state.
+    Each step updates every layer group's slice once, so the slices of one
+    step tile the state."""
     model = toy_model(seed=3)
-    seen = []
+    slices = _layer_slices(model)
+    seen, updates = [], []
 
     def snapshot(state):
         tensors = [p for _, p in model.named_parameters()]
         return tensors + [state.params, state.first_moment, state.second_moment]
 
-    def recording_adam_step(state, gradient, config):
-        assert gradient.shape == state.params.shape and not gradient.flags.writeable
+    def recording_adam_step(state, gradient, config, start=None):
+        assert start is not None and (start, gradient.size) in slices.values()
         seen.append(snapshot(state))
-        adam_step(state, gradient, config)
+        updates.append((state.step, start, gradient.size))
+        adam_step(state, gradient, config, start)
 
     monkeypatch.setattr(importlib.import_module("graphnvp.train"), "adam_step", recording_adam_step)
     initial = TrainState.fresh(model).params
     state, _ = train(model, toy_batch(count=12, seed=8), TrainConfig(epochs=1, batch_size=4, seed=9))
-    assert len(seen) == state.step == 3
+    assert state.step == 3 and len(seen) == 3 * len(slices) == len(updates)
+    for step in (1, 2, 3):
+        assert sorted((lo, size) for s, lo, size in updates if s == step) == sorted(slices.values())
     for objects in seen[1:] + [snapshot(state)]:
         assert all(a is b for a, b in zip(seen[0], objects))
     assert all(np.shares_memory(p.data, state.params) for _, p in model.named_parameters())
@@ -335,50 +389,142 @@ def test_train_updates_the_same_parameter_views_in_place(monkeypatch):
 
 
 def test_train_frees_each_step_before_the_next_forward(monkeypatch):
-    """No gradient vector of a finished step is alive when the next step's
-    forward starts, and every step's replay emptied its tape."""
+    """No loss or gradient array of a finished step is alive when the next
+    step's forward starts, every step's replay emptied its tape, and every
+    update reads one buffer of the largest layer group's size."""
     train_module = importlib.import_module("graphnvp.train")
-    spent, live_at_forward = [], []
+    spent, buffers, live_at_forward = [], [], []
+    adam_by_group = train_module._adam_by_group
 
-    def recording_adam_step(state, gradient, config):
-        spent.append(weakref.ref(gradient))
-        adam_step(state, gradient, config)
+    def recording_adam_by_group(*args):
+        update = adam_by_group(*args)
+
+        def recording_update(group, gradients):
+            spent.extend(weakref.ref(g) for _, g in gradients if isinstance(g, np.ndarray))
+            update(group, gradients)
+
+        return recording_update
+
+    def recording_adam_step(state, gradient, config, start=None):
+        buffers.append(gradient.base)
+        adam_step(state, gradient, config, start)
 
     def checking_nll_loss(*args, **kwargs):
         live_at_forward.append(sum(ref() is not None for ref in spent))
-        return nll_loss(*args, **kwargs)
+        loss = nll_loss(*args, **kwargs)
+        spent.append(weakref.ref(loss.data))
+        return loss
 
+    monkeypatch.setattr(train_module, "_adam_by_group", recording_adam_by_group)
     monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
     monkeypatch.setattr(train_module, "nll_loss", checking_nll_loss)
     tapes = []
-    monkeypatch.setattr(train_module, "GradientTape", lambda: tapes.append(GradientTape()) or tapes[-1])
-    train(toy_model(seed=3), toy_batch(count=12, seed=8), TrainConfig(epochs=2, batch_size=4, seed=9))
-    assert live_at_forward == [0] * 6 and len(spent) == 6
+    monkeypatch.setattr(
+        train_module, "GradientTape", lambda *args: tapes.append(GradientTape(*args)) or tapes[-1]
+    )
+    model = toy_model(seed=3)
+    train(model, toy_batch(count=12, seed=8), TrainConfig(epochs=2, batch_size=4, seed=9))
+    assert live_at_forward == [0] * 6 and len(spent) > 6 * 2
     assert all(tape.records == [] for tape in tapes) and len(tapes) == 6
+    largest = max(size for _, size in _layer_slices(model).values())
+    assert all(b is buffers[0] for b in buffers) and buffers[0].shape == (largest,)
 
 
 def test_qm9lite_training_memory(qm9_corpus):
-    """At batch 64 the tape of one training forward holds under 80 MB, and a
-    whole step (forward, gradients, Adam) peaks under 120 MB above its start:
-    the parameters, and so the flat gradient, take 34 MB."""
+    """At batch 64 the tape of one training forward holds under 66 MB, and a
+    whole ``train`` step (forward, and a replay that updates each layer as
+    it finishes it) peaks under 70 MB above its start: less than the tape
+    plus the 34 MB a flat gradient of the parameters would take."""
     model = FlowModel(qm9lite_spec(), seed=0)
-    state = TrainState.fresh(model)
-    config = TrainConfig(epochs=1, batch_size=64)
+    batch = qm9_corpus[:64]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         with GradientTape() as tape:
             for name, p in sorted(model.named_parameters()):
                 tape.watch(name, p)
-            loss = nll_loss(model, qm9_corpus[:64], make_rng(0), training=True)
+            loss = nll_loss(model, batch, make_rng(0), training=True)
         tape_bytes = tracemalloc.get_traced_memory()[0] - start
-        adam_step(state, tape.gradients(loss).flat, config)
+        del tape, loss
+        state = TrainState.fresh(model)
+        state.rng_state = make_rng(0).bit_generator.state
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        train(model, batch, TrainConfig(epochs=1, batch_size=64), resume_state=state)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert state.params.nbytes > 30e6
-    assert tape_bytes < 80e6, tape_bytes
-    assert peak < 120e6, peak
+    assert state.step == 1 and state.params.nbytes > 30e6
+    assert tape_bytes < 66e6, tape_bytes
+    assert peak < 70e6, peak
+
+
+def test_qm9lite_train_steps_equal_tape_gradients_then_full_adam_step(qm9_corpus):
+    """Two batch-64 steps of ``train`` leave the parameters and both moments
+    byte for byte where the whole-vector path leaves them: the tape's flat
+    gradient, then one ``adam_step`` over the whole state."""
+    spec = qm9lite_spec()
+    dataset = qm9_corpus[:128]
+    config = TrainConfig(epochs=1, batch_size=64, seed=5)
+    state, _ = train(FlowModel(spec, seed=0), dataset, config)
+
+    model = FlowModel(spec, seed=0)
+    reference = TrainState.fresh(model)
+    rng = make_rng(config.seed)
+    order = rng.permutation(len(dataset))
+    for lo in (0, 64):
+        with GradientTape() as tape:
+            for name, p in sorted(model.named_parameters()):
+                tape.watch(name, p)
+            loss = nll_loss(model, [dataset[i] for i in order[lo : lo + 64]], rng, training=True)
+        adam_step(reference, tape.gradients(loss).flat, config)
+        lo_param = 0
+        for name, p in sorted(model.named_parameters()):
+            model.set_parameter(name, Tensor(reference.params[lo_param : lo_param + p.size].reshape(p.shape)))
+            lo_param += p.size
+    assert state.step == reference.step == 2
+    for got, want in zip(
+        (state.params, state.first_moment, state.second_moment),
+        (reference.params, reference.first_moment, reference.second_moment),
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_gradient_names_its_layer_before_updating_it(tmp_path, monkeypatch):
+    """A vjp that returns a NaN for one coupling layer's weight raises,
+    naming the epoch, the step and that layer, before the layer is updated;
+    the layers the replay reached first stay updated, and no file is written."""
+    train_module = importlib.import_module("graphnvp.train")
+    model = randomize_model(toy_model(seed=3), seed=12, scale=0.2)
+    name = "adjacency_1.scale_net.lin0.weight"
+
+    def poisoning_nll_loss(*args, **kwargs):
+        loss = nll_loss(*args, **kwargs)
+        poisoned = model.get_parameter(name)
+        (rec,) = [r for r in T._tape_stack()[-1].records if any(t is poisoned for t in r.inputs)]
+        vjp = rec.vjp
+
+        def nan_vjp(g, needs):
+            grads = list(vjp(g, needs))
+            grads[rec.inputs.index(poisoned)] = np.full(poisoned.shape, np.nan)
+            return tuple(grads)
+
+        rec.vjp = nan_vjp
+        return loss
+
+    monkeypatch.setattr(train_module, "nll_loss", poisoning_nll_loss)
+    state = TrainState.fresh(model)
+    state.rng_state = make_rng(2).bit_generator.state
+    before = state.params.copy()
+    config = TrainConfig(epochs=1, batch_size=4, checkpoint_every=1)
+    with pytest.raises(TrainingError, match="epoch 1 step 1: backward of adjacency_1 produced a non-finite"):
+        train(model, toy_batch(count=8, seed=9), config, checkpoint_dir=tmp_path, resume_state=state)
+    assert list(tmp_path.iterdir()) == []
+    assert state.step == 1 and np.isfinite(state.params).all()
+    slices = _layer_slices(model)
+    changed = {g for g, (lo, n) in slices.items() if not np.array_equal(state.params[lo : lo + n], before[lo : lo + n])}
+    # The replay finishes the prior and the later adjacency layer first.
+    assert changed == {"prior", "adjacency_2"}
 
 
 def test_load_parameters_runs_once_per_train_call(monkeypatch):
@@ -426,6 +572,39 @@ def test_train_state_file_loads_as_a_model(tmp_path):
     z2, ld2 = loaded.forward_batch(adjacency, features)
     assert z1.data.tobytes() == z2.data.tobytes()
     assert ld1.data.tobytes() == ld2.data.tobytes()
+
+
+def test_qm9lite_train_state_loads_in_one_pass_bit_identical(tmp_path, qm9_corpus):
+    """A qm9lite train state loads bit-identically, with the model's
+    parameters views of the loaded state, while tracing at most 1.1 times
+    the file's size: each entry is read straight into the state's vectors."""
+    spec = qm9lite_spec()
+    model = FlowModel(spec, seed=0)
+    state, _ = train(model, qm9_corpus[:64], TrainConfig(epochs=1, batch_size=64, seed=4))
+    path = tmp_path / "state.gnvp"
+    save_train_state(path, state, model)
+    del model
+    target = FlowModel(spec, seed=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_train_state(path, target)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3 * state.params.nbytes and peak < 1.1 * size, (peak, size)
+    assert (loaded.step, loaded.epoch, loaded.rng_state.keys()) == (state.step, state.epoch, state.rng_state.keys())
+    for got, want in zip(
+        (loaded.params, loaded.first_moment, loaded.second_moment),
+        (state.params, state.first_moment, state.second_moment),
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert all(np.shares_memory(p.data, loaded.params) for _, p in target.named_parameters())
+    before, after = make_rng(0), make_rng(0)
+    before.bit_generator.state = state.rng_state
+    after.bit_generator.state = loaded.rng_state
+    assert np.array_equal(before.random(4), after.random(4))
 
 
 def test_plain_checkpoint_is_not_a_train_state(tmp_path):
@@ -508,13 +687,14 @@ def test_train_refuses_to_save_non_finite_parameters(tmp_path, monkeypatch, chec
     real_step = train_module.adam_step
     poisoned_step = 2 * epoch  # six graphs at batch 4: two steps per epoch
 
-    def poisoning(state, gradient, config):
-        real_step(state, gradient, config)
+    def poisoning(state, gradient, config, start=None):
+        real_step(state, gradient, config, start)
         if state.step == poisoned_step:
-            state.params[state.params.size // 2] = np.inf
+            # The layer just updated: no vjp of this step reads it any more.
+            state.params[start + gradient.size // 2] = np.inf
 
     monkeypatch.setattr(train_module, "adam_step", poisoning)
     config = TrainConfig(epochs=2, batch_size=4, seed=1, checkpoint_every=checkpoint_every)
-    with pytest.raises(TrainingError, match=f"epoch {epoch} step {poisoned_step}"):
+    with pytest.raises(TrainingError, match=f"epoch {epoch} step {poisoned_step}; .* not written"):
         train(toy_model(), toy_batch(6), config, checkpoint_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
