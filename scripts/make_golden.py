@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Record the outputs of the ``gnvp`` workflows in ``tests/data/golden.json``.
+
+Trains a qm9lite model with ``gnvp train --epochs 2 --seed 3 --batch-size 64``,
+then runs ``generate``, ``eval``, ``encode`` and a small ``sweep`` from that
+checkpoint.  Each subcommand runs in a child process with one BLAS thread,
+since the bits of a GEMM depend on the thread count.  The file holds the
+sha256 of every artifact, the epoch NLLs as ``repr`` strings, and the build
+they were made on: the same code gives other bits on another Python, numpy,
+BLAS or CPU, so ``tests/test_golden.py`` compares only on the recorded build.
+
+    python3 scripts/make_golden.py
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_PATH = ROOT / "tests" / "data" / "golden.json"
+
+SEED = "3"
+# (subcommand, arguments after --out, artifacts it writes)
+WORKFLOWS = [
+    ("train", ["--epochs", "2", "--seed", SEED, "--batch-size", "64"], ["model.gnvp", "metrics.csv"]),
+    ("generate", ["--checkpoint", "{model}", "--seed", SEED], ["generated.smi"]),
+    ("eval", ["--checkpoint", "{model}", "--seed", SEED], ["metrics.csv"]),
+    ("encode", ["--checkpoint", "{model}"], ["latents.csv"]),
+    ("sweep", ["--checkpoint", "{model}", "--seed", SEED, "--samples", "100", "--temps", "0.5,0.9"], ["sweep.csv"]),
+]
+
+# Runs ``gnvp`` with ``train`` wrapped to print each epoch's mean NLL as a
+# ``repr``: the CLI prints six digits and ``metrics.csv`` ten.
+_CHILD = """
+import json, sys
+import graphnvp.cli as cli
+real_train = cli.train
+def train(*args, **kwargs):
+    state, records = real_train(*args, **kwargs)
+    print("epoch_nll " + json.dumps([repr(r.mean_nll) for r in records]))
+    return state, records
+cli.train = train
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def build() -> dict:
+    """What the bits of the outputs depend on besides the code."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas": [blas.get("name"), blas.get("version"), blas.get("openblas configuration")],
+        "cpu_features": config["SIMD Extensions"]["found"],
+    }
+
+
+def _env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "GNVP_SEED"}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def record(work: Path) -> dict:
+    """Run every workflow under the directory ``work`` and return what
+    ``golden.json`` holds, without the build."""
+    env = _env()
+    model = work / "train" / "model.gnvp"
+    digests, epoch_nll = {}, None
+    for command, args, artifacts in WORKFLOWS:
+        out = work / command
+        argv = [command, "--out", str(out)] + [a.format(model=model) for a in args]
+        done = subprocess.run(
+            [sys.executable, "-c", _CHILD, *argv], env=env, capture_output=True, text=True, check=False
+        )
+        if done.returncode != 0:
+            raise RuntimeError(f"gnvp {' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
+        for line in done.stdout.splitlines():
+            if line.startswith("epoch_nll "):
+                epoch_nll = json.loads(line.partition(" ")[2])
+        for name in artifacts:
+            digests[f"{command}/{name}"] = _sha256(out / name)
+    return {"sha256": digests, "epoch_nll": epoch_nll}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        golden = {"build": build(), **record(Path(work))}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
