@@ -15,17 +15,18 @@ as long as a stack has at least N layers.  Generation runs the adjacency
 stack's inverse first, discretizes the result, and feeds it to the inverse of
 the node-feature stack.
 
-The forward pass runs on :class:`~graphnvp.tensor.Tensor` ops, so training
-can differentiate it.  The inverse is used only in eval and runs on plain
-arrays: :meth:`FlowModel.inverse_batch` copies the latent once into one
-working buffer per stack, and each layer's ``inverse`` rewrites only its
+Training runs the forward pass on :class:`~graphnvp.tensor.Tensor` ops, with
+batch statistics, so it can be differentiated.  Eval runs both directions on
+plain arrays: :meth:`FlowModel.eval_forward` and
+:meth:`FlowModel.inverse_batch` copy their input once into one working buffer
+per stack, and each layer's ``eval_forward`` or ``inverse`` rewrites only its
 target slice of that buffer, in place.  The node-feature layers' all-node
 R-GCN rounds write into scratch arrays made once per pass.  Instead of a
 masked copy, each layer zeroes its target slice in the buffer while its
 conditioner reads it.  Finiteness is checked only where a NaN or Inf can first
-appear, each with the text the Tensor op there would raise: the latent on
-entry, every GEMM before its activation, the scale-cap product, ``exp`` and
-the row update.
+appear, each with the text the Tensor op there would raise: the input on
+entry, every GEMM before its activation, the scale-cap product, ``exp``, the
+row update and the log-det sums.
 """
 from __future__ import annotations
 
@@ -121,21 +122,21 @@ class AdjacencyCouplingLayer(Module):
         for name in ("scale_net", "translate_net"):
             self.register_child(name, MlpNet(flat_in, config.mlp_hidden, slice_out, rng))
 
-    def _scale_translation(self, z: Tensor, training: bool) -> tuple[Tensor, Tensor]:
+    def _scale_translation(self, z: Tensor) -> tuple[Tensor, Tensor]:
         batch = z.shape[0]
         n, r = self.spec.num_nodes, self.spec.num_bond_types
         masked = T.masked_assign(z, self._row_mask, self._zero)
         flat = T.reshape(masked, (batch, n * n * r))
-        s = T.mul(T.tanh(self._children["scale_net"](flat, training)), Tensor(self.scale_cap))
-        t = self._children["translate_net"](flat, training)
+        s = T.mul(T.tanh(self._children["scale_net"](flat)), Tensor(self.scale_cap))
+        t = self._children["translate_net"](flat)
         return (
             T.reshape(s, (batch, n, r)),
             T.reshape(t, (batch, n, r)),
         )
 
-    def forward(self, z: Tensor, training: bool) -> tuple[Tensor, Tensor]:
-        """Returns the transformed tensor and the per-sample log-det [batch]."""
-        s, t = self._scale_translation(z, training)
+    def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
+        """Training: the transformed tensor and the per-sample log-det [batch]."""
+        s, t = self._scale_translation(z)
         row = T.index_axis(z, 1, self.row)
         new_row = T.add(T.mul(row, T.exp(s)), t)
         log_det = T.sum_axis(s, axis=(1, 2))
@@ -154,22 +155,37 @@ class AdjacencyCouplingLayer(Module):
         t = self._children["translate_net"].eval_array(flat)
         return s.reshape(batch, n, r), t.reshape(batch, n, r)
 
+    def _open(self, za: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The start of both eval directions on the finite working buffer
+        ``za`` [batch, N, N, R]: a copy of the target slice, which is then
+        zeroed while the conditioner reads the buffer, and the scale and
+        translation.  After a :class:`NumericError` the slice holds zeros."""
+        original = za[:, self.row].copy()
+        za[:, self.row] = 0.0
+        return (original, *self._eval_scale_translation(za))
+
+    def eval_forward(self, za: np.ndarray) -> np.ndarray:
+        """Apply this layer to the working buffer ``za`` in place, in eval
+        mode: only the target slice is written.  Returns the per-sample
+        log-det [batch]."""
+        x, s, t = self._open(za)
+        x *= T._check_finite(np.exp(s), "exp")
+        T._check_finite(x, "mul")
+        x += t
+        T._check_finite(x, "add")
+        za[:, self.row] = x
+        return T._check_finite(s.sum(axis=(1, 2)), "sum")
+
     def inverse(self, za: np.ndarray) -> None:
-        """Undo this layer on the working buffer ``za`` [batch, N, N, R] in
-        place, in eval mode: only the target slice is written.  ``za`` must
-        be finite; the target slice is zeroed while the conditioner reads the
-        buffer, so after a :class:`NumericError` it holds zeros."""
-        row = self.row
-        original = za[:, row].copy()
-        za[:, row] = 0.0
-        s, t = self._eval_scale_translation(za)
-        original -= t
-        T._check_finite(original, "sub")
+        """Undo this layer on the working buffer ``za`` in place, in eval
+        mode: only the target slice is written."""
+        x, s, t = self._open(za)
+        x -= t
+        T._check_finite(x, "sub")
         np.negative(s, out=s)
-        T._check_finite(np.exp(s, out=s), "exp")
-        original *= s
-        T._check_finite(original, "mul")
-        za[:, row] = original
+        x *= T._check_finite(np.exp(s, out=s), "exp")
+        T._check_finite(x, "mul")
+        za[:, self.row] = x
 
 
 class NodeFeatureCouplingLayer(Module):
@@ -196,27 +212,35 @@ class NodeFeatureCouplingLayer(Module):
             ),
         )
 
-    def _translation(self, z: Tensor, adjacency: np.ndarray, training: bool) -> Tensor:
+    def forward(self, z: Tensor, adjacency: np.ndarray) -> Tensor:
+        """Training: the transformed tensor."""
         masked = T.masked_assign(z, self._row_mask, self._zero)
-        return self._children["translate_net"](masked, adjacency, self.row, training)
+        t = self._children["translate_net"](masked, adjacency, self.row)
+        return T.replace_row(z, self.row, T.add(T.index_axis(z, 1, self.row), t))
 
-    def forward(self, z: Tensor, adjacency: np.ndarray, training: bool) -> Tensor:
-        t = self._translation(z, adjacency, training)
-        new_row = T.add(T.index_axis(z, 1, self.row), t)
-        return T.replace_row(z, self.row, new_row)
+    def _open(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The start of both eval directions on the finite working buffer
+        ``zx`` [batch, N, M]: a copy of the target row, which is then zeroed
+        while the conditioner reads the buffer, and the translation.  After a
+        :class:`NumericError` the row holds zeros.  ``scratch`` is passed to
+        the conditioner's ``eval_array``."""
+        original = zx[:, self.row].copy()
+        zx[:, self.row] = 0.0
+        return original, self._children["translate_net"].eval_array(zx, adjacency, self.row, scratch)
+
+    def eval_forward(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> None:
+        """Apply this layer to the working buffer ``zx`` in place, in eval
+        mode: only the target row is written."""
+        x, t = self._open(zx, adjacency, scratch)
+        x += t
+        zx[:, self.row] = T._check_finite(x, "add")
 
     def inverse(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> None:
-        """Undo this layer on the working buffer ``zx`` [batch, N, M] in
-        place, in eval mode: only the target row is written.  ``zx`` must be
-        finite; the target row is zeroed while the conditioner reads the
-        buffer, so after a :class:`NumericError` it holds zeros.  ``scratch``
-        is passed to the conditioner's ``eval_array``."""
-        row = self.row
-        original = zx[:, row].copy()
-        zx[:, row] = 0.0
-        original -= self._children["translate_net"].eval_array(zx, adjacency, row, scratch)
-        T._check_finite(original, "sub")
-        zx[:, row] = original
+        """Undo this layer on the working buffer ``zx`` in place, in eval
+        mode: only the target row is written."""
+        x, t = self._open(zx, adjacency, scratch)
+        x -= t
+        zx[:, self.row] = T._check_finite(x, "sub")
 
 
 class GaussianPrior(Module):
@@ -275,33 +299,59 @@ class FlowModel(Module):
             self.register_child(f"node_{k}", layer)
         self.prior = self.register_child("prior", GaussianPrior(spec.latent_dim))
 
-    def forward_batch(
-        self, adjacency: np.ndarray, features: np.ndarray, training: bool = False
-    ) -> tuple[Tensor, Tensor]:
-        """Map dequantized arrays [batch, ...] to (latent [batch, D], log-det [batch])."""
-        batch = adjacency.shape[0]
+    def _check_shapes(self, adjacency: np.ndarray, features: np.ndarray) -> None:
         spec = self.spec
         if adjacency.shape[1:] != spec.adjacency_shape() or features.shape[1:] != spec.feature_shape():
             raise ShapeError(
                 f"batch shapes {adjacency.shape} / {features.shape} do not match the spec"
             )
+
+    def forward_batch(self, adjacency: np.ndarray, features: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Training: map dequantized arrays [batch, ...] to (latent [batch, D],
+        log-det [batch]) on Tensor ops.  Batch norm uses the batch statistics
+        and updates its running estimates."""
+        self._check_shapes(adjacency, features)
+        batch = adjacency.shape[0]
         conditioning = relation_major(np.floor(adjacency))
         zx = Tensor(features)
         za = Tensor(adjacency)
         log_det = Tensor(np.zeros(batch))
         try:
             for layer in self.node_layers:
-                zx = layer.forward(zx, conditioning, training)
+                zx = layer.forward(zx, conditioning)
             for layer in self.adjacency_layers:
-                za, ld = layer.forward(za, training)
+                za, ld = layer.forward(za)
                 log_det = T.add(log_det, ld)
         except NumericError as err:
             raise self._layer_error(layer, err) from err
-        n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
+        n, m, r = self.spec.num_nodes, self.spec.num_atom_types, self.spec.num_bond_types
         z = T.concat(
             [T.reshape(za, (batch, n * n * r)), T.reshape(zx, (batch, n * m))], axis=1
         )
         return z, log_det
+
+    def eval_forward(self, adjacency: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map dequantized arrays [batch, ...] to (latent [batch, D], log-det
+        [batch]) in eval, with batch norm's running statistics.
+
+        The inputs are only read; each stack runs in place on one working
+        copy, node features first, conditioned on the floor of the adjacency.
+        """
+        self._check_shapes(adjacency, features)
+        batch = adjacency.shape[0]
+        conditioning = relation_major(np.floor(adjacency))
+        zx, za = _finite_copy(features), _finite_copy(adjacency)
+        log_det = np.zeros(batch)
+        scratch: dict = {}  # the node layers' all-node rounds, one allocation per pass
+        try:
+            for layer in self.node_layers:
+                layer.eval_forward(zx, conditioning, scratch)
+            for layer in self.adjacency_layers:
+                log_det += layer.eval_forward(za)
+                T._check_finite(log_det, "add")
+        except NumericError as err:
+            raise self._layer_error(layer, err) from err
+        return np.concatenate([za.reshape(batch, -1), zx.reshape(batch, -1)], axis=1), log_det
 
     def inverse_batch(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Invert latents [batch, D] into continuous (adjacency, features) arrays.
@@ -313,13 +363,10 @@ class FlowModel(Module):
         spec = self.spec
         if z.ndim != 2 or z.shape[1] != spec.latent_dim:
             raise ShapeError(f"latent batch shape {z.shape} != (*, {spec.latent_dim})")
-        if not np.isfinite(z).all():
-            raise NumericError("tensor constructed with non-finite values")
         batch = z.shape[0]
-        n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
-        split = n * n * r
-        za = np.array(z[:, :split], dtype=np.float64).reshape(batch, n, n, r)
-        zx = np.array(z[:, split:], dtype=np.float64).reshape(batch, n, m)
+        split = spec.num_nodes * spec.num_nodes * spec.num_bond_types
+        za = _finite_copy(z[:, :split]).reshape((batch,) + spec.adjacency_shape())
+        zx = _finite_copy(z[:, split:]).reshape((batch,) + spec.feature_shape())
         try:
             for layer in reversed(self.adjacency_layers):
                 layer.inverse(za)
@@ -335,6 +382,15 @@ class FlowModel(Module):
         """``err`` with the name of the coupling layer it came from prefixed."""
         name = next(name for name, child in self._children.items() if child is layer)
         return NumericError(f"{name}: {err}")
+
+
+def _finite_copy(arr: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``arr`` to work on in place; a NaN or Inf raises as
+    constructing a :class:`~graphnvp.tensor.Tensor` does."""
+    out = np.array(arr, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise NumericError("tensor constructed with non-finite values")
+    return out
 
 
 # ---------------------------------------------------------------------------

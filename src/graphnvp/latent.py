@@ -156,8 +156,7 @@ def encode_dataset(model: FlowModel, dataset: Sequence[MolecularGraph]) -> np.nd
     offset by the midpoint ``DEQUANT_NOISE / 2``."""
     adjacency = np.stack([g.adjacency for g in dataset]) + DEQUANT_NOISE / 2.0
     features = np.stack([g.features for g in dataset]) + DEQUANT_NOISE / 2.0
-    z, _ = model.forward_batch(adjacency, features, training=False)
-    return np.asarray(z.data)
+    return model.eval_forward(adjacency, features)[0]
 
 
 def fit_linear_latent_model(

@@ -5,20 +5,20 @@ the masked part of the input, so they never need to be inverted themselves.
 Every output head is zero-initialized, which makes a freshly built model the
 exact identity map.
 
-Outside training, batch norm is a fixed per-feature affine map ``y * s +
-b'``.  Eval runs on plain arrays, in each net's ``eval_array``, and applies
-that map without a copy of any weight in :class:`MlpNet`, which holds most of
-them: per hidden layer one GEMM with the parameter's own weight, its output
-scaled by ``s`` and shifted by ``b'`` in place, one finiteness check, then
-relu in place.  :class:`RelationalGraphConvNet` folds ``s`` into copies of
-its round weights instead (Jacob et al. 2018, §3.2): those copies are small,
-while its all-node rounds have one output row per node of every sample, and
-an extra scaling pass over them measured slower.  Per round it runs one R-GCN
-round with the folded weights, the bias added in place, a finiteness check,
-then tanh in place.
-``__call__`` in eval wraps ``eval_array``.  The arrays eval runs on are
-cached on their net, tagged with a module-level version counter that every
-parameter or buffer change bumps.
+Training runs on :class:`~graphnvp.tensor.Tensor` ops, with batch norm over
+the batch statistics.  Eval runs on plain arrays, in each net's
+``eval_array``, where batch norm is a fixed per-feature affine map ``y * s +
+b'`` from the running statistics.  :class:`MlpNet`, which holds most of the
+weights, applies that map without a copy of any weight: per hidden layer one
+GEMM with the parameter's own weight, its output scaled by ``s`` and shifted
+by ``b'`` in place, one finiteness check, then relu in place.
+:class:`RelationalGraphConvNet` folds ``s`` into copies of its round weights
+instead (Jacob et al. 2018, §3.2): those copies are small, while its all-node
+rounds have one output row per node of every sample, and an extra scaling
+pass over them measured slower.  Per round it runs one R-GCN round with the
+folded weights, the bias added in place, a finiteness check, then tanh in
+place.  The arrays eval runs on are cached on their net, tagged with a
+module-level version counter that every parameter or buffer change bumps.
 
 A module built with ``rng=None`` draws nothing: each randomly initialized
 weight is a placeholder that holds no memory, for a checkpoint load to
@@ -159,9 +159,9 @@ class Linear(Module):
 class BatchNorm(Module):
     """Normalize over all axes except the last (features).
 
-    Training mode uses batch statistics and updates the running estimates;
-    evaluation mode applies the frozen running statistics, making the module
-    a fixed affine map.
+    Called, it normalizes with the batch statistics and updates the running
+    estimates; :meth:`eval_affine` gives the fixed affine map that eval
+    applies with the running statistics.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -173,27 +173,15 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def __call__(
-        self, x: Tensor, training: bool, activation: str | None = None, row: int | None = None
-    ) -> Tensor:
+    def __call__(self, x: Tensor, activation: str | None = None, row: int | None = None) -> Tensor:
         """``activation`` ("tanh" or "relu") is fused into the same record.
         Given ``row``, only ``x[:, row]`` is normalized and returned (see
         :func:`~graphnvp.tensor.batch_norm`)."""
-        running = (self._buffers["running_mean"], self._buffers["running_var"])
-        out, mean, var = T.batch_norm(
-            x,
-            self._params["gamma"],
-            self._params["beta"],
-            self.eps,
-            None if training else running,
-            activation,
-            row,
-        )
-        if training:
-            m = self.momentum
-            self._buffers["running_mean"] = (1 - m) * running[0] + m * mean
-            self._buffers["running_var"] = (1 - m) * running[1] + m * var
-            parameters_changed()
+        p, m = self._params, self.momentum
+        out, mean, var = T.batch_norm(x, p["gamma"], p["beta"], self.eps, activation=activation, row=row)
+        self._buffers["running_mean"] = (1 - m) * self._buffers["running_mean"] + m * mean
+        self._buffers["running_var"] = (1 - m) * self._buffers["running_var"] + m * var
+        parameters_changed()
         return out
 
     def eval_affine(self, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,14 +231,6 @@ class _ConditionerNet(Module):
         """The arrays eval runs hidden ``layer`` and its batch norm with."""
         raise NotImplementedError
 
-    @staticmethod
-    def _array_eval(training: bool) -> bool:
-        """Whether ``__call__`` runs ``eval_array``.  Not in training, and
-        not while a tape records: to the tape the cached arrays are
-        constants, so the gradients of the weights, gamma and beta would be
-        lost."""
-        return not training and not T.is_recording()
-
 
 class MlpNet(_ConditionerNet):
     """Fully connected net; hidden relu layers, zero-initialized output head."""
@@ -292,12 +272,10 @@ class MlpNet(_ConditionerNet):
         y += p["bias"].data
         return NumericError(f"{'batch_norm' if np.isfinite(y).all() else 'linear'} produced a non-finite value")
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if self._array_eval(training):
-            return T._frozen(self.eval_array(x.data))
+    def __call__(self, x: Tensor) -> Tensor:
         h = x
         for k in range(self.depth):
-            h = self._children[f"bn{k}"](self._children[f"lin{k}"](h), training, "relu")
+            h = self._children[f"bn{k}"](self._children[f"lin{k}"](h), "relu")
         return self._children["head"](h)
 
 
@@ -315,7 +293,6 @@ class RelGraphRound(Module):
     computed by :func:`~graphnvp.tensor.graph_conv` as one tape record.
 
     Node ``i`` of the output is ``sum_r sum_j A[i, j, r] h_j W_r + h_i W_self + b``.
-    Given ``row``, only that node's output [batch, H] is computed.
     """
 
     def __init__(self, n_in: int, n_out: int, num_relations: int, rng: np.random.Generator | None):
@@ -324,10 +301,10 @@ class RelGraphRound(Module):
         self.register_parameter("self_weight", _drawn(rng, n_in, n_out))
         self.register_parameter("bias", Tensor(np.zeros(n_out)))
 
-    def __call__(self, h: Tensor, a_rows: np.ndarray, row: int | None = None) -> Tensor:
+    def __call__(self, h: Tensor, a_rows: np.ndarray) -> Tensor:
         # a_rows: constant [batch, N*R, N], row i*R + r is A[:, i, :, r]; h: [batch, N, F].
         p = self._params
-        return T.graph_conv(h, a_rows, p["rel_weight"], p["self_weight"], p["bias"], row)
+        return T.graph_conv(h, a_rows, p["rel_weight"], p["self_weight"], p["bias"])
 
 
 class RelationalGraphConvNet(_ConditionerNet):
@@ -335,10 +312,10 @@ class RelationalGraphConvNet(_ConditionerNet):
 
     Returns the zero-initialized head applied to the embedding of a single
     target node, so the output only depends on the other nodes' features and
-    the graph structure.  Outside training, batch norm is a fixed per-feature
-    affine map, so the last round computes the target row alone; in training
-    its batch statistics span every node, so every round stays full and only
-    the last batch norm keeps to the target row.
+    the graph structure.  In training the batch statistics span every node,
+    so every round stays full and only the last batch norm keeps to the
+    target row; in eval batch norm is a fixed per-feature affine map, so the
+    last round computes the target row alone.
     """
 
     def __init__(
@@ -393,13 +370,10 @@ class RelationalGraphConvNet(_ConditionerNet):
             h = h[:, row]
         return T._linear_array(h, *head, None)
 
-    def __call__(self, x: Tensor, adjacency: np.ndarray, row: int, training: bool) -> Tensor:
-        if self._array_eval(training):
-            return T._frozen(self.eval_array(x.data, adjacency, row, {}))
+    def __call__(self, x: Tensor, adjacency: np.ndarray, row: int) -> Tensor:
         a_rows = self._a_rows(adjacency)
         h = x
         for k in range(self.depth):
-            last = k == self.depth - 1
-            conv = self._children[f"round{k}"](h, a_rows, row if last and not training else None)
-            h = self._children[f"bn{k}"](conv, training, "tanh", row if last and training else None)
+            conv = self._children[f"round{k}"](h, a_rows)
+            h = self._children[f"bn{k}"](conv, "tanh", row if k == self.depth - 1 else None)
         return self._children["head"](h)

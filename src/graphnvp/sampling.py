@@ -131,8 +131,7 @@ def reconstruction_rate(
     if not training_set:
         return 0, 0
     adjacency, features = dequantize(training_set, DEQUANT_NOISE, rng)
-    z, _ = model.forward_batch(adjacency, features, training=False)
-    a_cont, x_cont = model.inverse_batch(np.asarray(z.data))
+    a_cont, x_cont = model.inverse_batch(model.eval_forward(adjacency, features)[0])
     a_in = np.stack([g.adjacency for g in training_set])
     x_in = np.stack([g.features for g in training_set])
     batch = len(training_set)

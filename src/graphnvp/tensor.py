@@ -12,14 +12,14 @@ record with a hand-written vjp:
 * :func:`linear`: a 2-D GEMM plus bias;
 * :func:`graph_conv`: one relational graph-convolution round, relation
   messages and self-loop in two GEMMs plus bias;
-* :func:`batch_norm`: batch or frozen statistics, then scale and shift;
+* :func:`batch_norm`: batch statistics, then scale and shift;
 * :func:`replace_row`: swap one axis-1 slice.
 
 The first three take ``activation=None | "tanh" | "relu"``, applied in place
 to their output after its finiteness check.  ``linear`` and ``graph_conv``
 compute their forward values with ``_linear_array`` and
 ``_graph_conv_array``, which the conditioner nets' eval routines also run on
-plain arrays.
+plain arrays; there ``_graph_conv_array`` can compute one node's row alone.
 
 Each record keeps a needs-gradient mask, one flag per input saying whether it
 depends on a watched tensor; the vjp receives it and returns ``None`` for the
@@ -52,7 +52,6 @@ __all__ = [
     "GradientTape",
     "Gradients",
     "backward",
-    "is_recording",
     "finite_difference_gradient",
     "make_rng",
     "add",
@@ -129,9 +128,11 @@ def _wrap(arr: np.ndarray, op: str) -> Tensor:
     return _frozen(arr)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+    """``arr``, once checked to hold no NaN or Inf."""
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced a non-finite value")
+    return arr
 
 
 def _frozen(arr: np.ndarray) -> Tensor:
@@ -314,11 +315,6 @@ def backward(tape: GradientTape, loss: Tensor) -> Gradients | None:
     if collected is not None:
         collected._seal()
     return collected
-
-
-def is_recording() -> bool:
-    """Whether a :class:`GradientTape` is active on this thread."""
-    return bool(_tape_stack())
 
 
 def _record(inputs: tuple[Tensor, ...], output: Tensor, vjp) -> Tensor:
@@ -643,18 +639,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Te
     return _record((x, w, b), out, vjp)
 
 
-def _graph_conv_rows(h: np.ndarray, a_rows: np.ndarray, row: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The relation rows and the self-loop input [rows, F] a :func:`graph_conv`
-    round multiplies: every node's, or node ``row``'s alone.  Both are views."""
-    batch, n, f = h.shape
-    if row is None:
-        return a_rows, h.reshape(batch * n, f)
-    if not 0 <= row < n:
-        raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
-    r = a_rows.shape[1] // n
-    return a_rows[:, row * r : (row + 1) * r], h[:, row]
-
-
 def _graph_conv_array(
     h: np.ndarray,
     a_rows: np.ndarray,
@@ -666,13 +650,17 @@ def _graph_conv_array(
 ) -> np.ndarray:
     """:func:`graph_conv` before its activation, on arrays whose shapes fit.
 
-    Returns the output, [batch, N, H] or [batch, H] for ``row``: a fresh
-    array, or the first array of ``out`` (two [rows, H] arrays, the second
-    for the self-loop product) when it is given.
+    Returns every node's output [batch, N, H], or node ``row``'s alone
+    [batch, H]: a fresh array, or the first array of ``out`` (two [rows, H]
+    arrays, the second for the self-loop product) when it is given.
     """
-    batch, n, _ = h.shape
-    r, f, hidden = w_rel.shape
-    a_rows, h_self = _graph_conv_rows(h, a_rows, row)
+    batch, n, f = h.shape
+    r, _, hidden = w_rel.shape
+    h_self = h.reshape(batch * n, f)
+    if row is not None:
+        if not 0 <= row < n:
+            raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
+        a_rows, h_self = a_rows[:, row * r : (row + 1) * r], h[:, row]
     messages = np.matmul(a_rows, h).reshape(-1, r * f)
     y_out, self_out = out or (None, None)
     y = np.matmul(messages, w_rel.reshape(r * f, hidden), out=y_out)
@@ -687,7 +675,6 @@ def graph_conv(
     w_rel: Tensor,
     w_self: Tensor,
     b: Tensor,
-    row: int | None = None,
     activation: str | None = None,
 ) -> Tensor:
     """One relational graph-convolution round (Schlichtkrull et al. 2018).
@@ -699,7 +686,7 @@ def graph_conv(
     ``i*R + r`` is ``A[:, i, :, r]``; then ``a_rows @ h`` reshapes to
     [batch*N, R*F] and meets ``w_rel`` viewed as [R*F, H] in a single GEMM.
     The self-loop product and the bias are added in place into that product.
-    Returns [batch, N, H], or only node ``row``'s output [batch, H].
+    Returns [batch, N, H].
     """
     batch, n, f = h.shape
     r, f_rel, hidden = w_rel.shape
@@ -713,22 +700,18 @@ def graph_conv(
             f"graph_conv: shapes {h.shape}, {a_rows.shape}, {w_rel.shape}, {w_self.shape},"
             f" {b.shape} do not fit"
         )
-    y = _graph_conv_array(h.data, a_rows, w_rel.data, w_self.data, b.data, row)
-    a_rows, h_self = _graph_conv_rows(h.data, a_rows, row)
-    w_flat = w_rel.data.reshape(r * f, hidden)
+    y = _graph_conv_array(h.data, a_rows, w_rel.data, w_self.data, b.data, None)
     out = _activate(y, activation, "graph_conv")
+    w_flat = w_rel.data.reshape(r * f, hidden)
+    h_self = h.data.reshape(batch * n, f)
 
     def vjp(g: np.ndarray, needs):
         g = _activation_vjp(g, activation, out.data).reshape(-1, hidden)
         gh = g_rel = None
         if needs[0]:
-            g_messages = np.matmul(g, w_flat.T).reshape(a_rows.shape[:2] + (f,))
+            g_messages = np.matmul(g, w_flat.T).reshape(batch, n * r, f)
             gh = np.matmul(np.swapaxes(a_rows, -1, -2), g_messages)
-            g_self = np.matmul(g, w_self.data.T)
-            if row is None:
-                gh += g_self.reshape(h.shape)
-            else:
-                gh[:, row] += g_self
+            gh += np.matmul(g, w_self.data.T).reshape(h.shape)
         if needs[1]:
             # The messages, recomputed by the forward's own product rather
             # than kept on the tape: the same bits, without [rows, R*F] held
@@ -750,37 +733,28 @@ def batch_norm(
     gamma: Tensor,
     beta: Tensor,
     eps: float,
-    stats: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
     activation: str | None = None,
     row: int | None = None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Normalize over every axis but the last (features), then scale and shift.
-
-    With ``stats`` None the batch mean and biased variance are used and
-    differentiated through (Ioffe & Szegedy 2015); otherwise ``stats`` is a
-    constant ``(mean, var)`` pair, which makes this a fixed affine map of
-    ``x``.  ``activation`` is then applied in place.  Given ``row``, the
-    statistics still span all of ``x``, but only ``x[:, row]`` is normalized
-    and returned; its vjp zero-pads the row's gradient, so every gradient has
-    the bits of the full output followed by :func:`index_axis`.  Returns the
-    output and the mean and variance that were applied.
+    """Normalize over every axis but the last (features) with the batch mean
+    and biased variance, differentiated through (Ioffe & Szegedy 2015), then
+    scale and shift.  ``activation`` is then applied in place.  Given
+    ``row``, the statistics still span all of ``x``, but only ``x[:, row]``
+    is normalized and returned; its vjp zero-pads the row's gradient, so
+    every gradient has the bits of the full output followed by
+    :func:`index_axis`.  Returns the output and the batch mean and variance.
     """
     if x.ndim < 2 or gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
         raise ShapeError(f"batch_norm: shapes {x.shape}, {gamma.shape}, {beta.shape} do not fit")
     if row is not None and (x.ndim < 3 or not 0 <= row < x.shape[1]):
         raise ShapeError(f"batch_norm: row {row} out of range for shape {x.shape}")
     flat = x.data.reshape(-1, x.shape[-1])  # one row per position, one column per feature
-    if stats is None:
-        mean = flat.mean(axis=0)
-        y = flat - mean
-        var = (y * y).mean(axis=0)
-        if row is not None:
-            y = x.data[:, row] - mean
-    else:
-        mean, var = (np.asarray(s, dtype=np.float64) for s in stats)
-        if mean.shape != gamma.shape or var.shape != gamma.shape:
-            raise ShapeError(f"batch_norm: statistics {mean.shape}, {var.shape} != {gamma.shape}")
-        y = (flat if row is None else x.data[:, row]) - mean
+    mean = flat.mean(axis=0)
+    y = flat - mean
+    var = (y * y).mean(axis=0)
+    if row is not None:
+        y = x.data[:, row] - mean
     if not np.isfinite(var).all():
         raise NumericError("batch_norm produced a non-finite variance")
     inv_std = np.power(var + eps, -0.5)
@@ -795,27 +769,20 @@ def batch_norm(
             g_row, g = g, np.zeros(x.shape)
             g[:, row] = g_row
         g = g.reshape(flat.shape)
-        batch_stats = stats is None and needs[0]
-        g_beta = g.sum(axis=0) if needs[2] or batch_stats else None
-        g_gamma = None
-        if needs[1] or batch_stats:
-            # The normalized input, recomputed by the forward's own ops
-            # rather than kept on the tape, so it has the same bits.
-            normed = flat - mean
-            normed *= inv_std
-            g_gamma = (g * normed).sum(axis=0)
+        g_beta = g.sum(axis=0)
+        # The normalized input, recomputed by the forward's own ops rather
+        # than kept on the tape, so it has the same bits.
+        normed = flat - mean
+        normed *= inv_std
+        g_gamma = (g * normed).sum(axis=0)
         gx = None
         if needs[0]:
-            scale = gamma.data * inv_std
-            if batch_stats:
-                # The batch statistics move with x: remove the mean of g and
-                # its projection on the normalized input.
-                rows = flat.shape[0]
-                gx = g - g_beta / rows
-                gx -= normed * (g_gamma / rows)
-                gx *= scale
-            else:
-                gx = g * scale
+            # The batch statistics move with x: remove the mean of g and its
+            # projection on the normalized input.
+            rows = flat.shape[0]
+            gx = g - g_beta / rows
+            gx -= normed * (g_gamma / rows)
+            gx *= gamma.data * inv_std
             gx = gx.reshape(x.shape)
         return gx, (g_gamma if needs[1] else None), (g_beta if needs[2] else None)
 

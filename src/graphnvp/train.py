@@ -95,18 +95,14 @@ class EpochRecord:
     wall_seconds: float
 
 
-def nll_loss(
-    model: FlowModel,
-    batch: Sequence[MolecularGraph],
-    rng: np.random.Generator,
-    training: bool = True,
-) -> Tensor:
+def nll_loss(model: FlowModel, batch: Sequence[MolecularGraph], rng: np.random.Generator) -> Tensor:
     """Mean negative log likelihood of a batch under fresh dequantization
-    noise of scale :data:`~graphnvp.graphs.DEQUANT_NOISE`."""
+    noise of scale :data:`~graphnvp.graphs.DEQUANT_NOISE`, through the
+    training forward, which updates batch norm's running statistics."""
     if not batch:
         raise TrainingError("nll_loss needs a non-empty batch")
     adjacency, features = dequantize(batch, DEQUANT_NOISE, rng)
-    z, log_det = model.forward_batch(adjacency, features, training=training)
+    z, log_det = model.forward_batch(adjacency, features)
     log_prob = model.prior.log_prob(z)
     per_graph = T.mul(T.add(log_prob, log_det), Tensor(-1.0))
     return T.mean_axis(per_graph, axis=0)
@@ -225,7 +221,7 @@ def _train_step(
         with GradientTape(update) as tape:
             for name, p in sorted(model.named_parameters()):
                 tape.watch(name, p, _group(name))
-            loss = nll_loss(model, batch, rng, training=True)
+            loss = nll_loss(model, batch, rng)
         state.step = step
         tape.gradients(loss)
     except NumericError as exc:

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from graphnvp.chem import bundled_corpus_path, load_dataset
+from graphnvp.errors import NumericError
 from graphnvp.flow import FlowModel, ModelConfig
-from graphnvp import tensor as T
 from graphnvp.graphs import GraphSpec, MolecularGraph, argmax_adjacency, qm9lite_spec
-from graphnvp.nets import relation_major
-from graphnvp.tensor import GradientTape, Tensor, make_rng
+from graphnvp.tensor import Tensor, make_rng
 from graphnvp.train import TrainConfig, split_dataset, train
 
 settings.register_profile(
@@ -62,43 +61,127 @@ def randomize_model(model: FlowModel, seed: int, scale: float = 0.3) -> FlowMode
 
 
 # ---------------------------------------------------------------------------
-# the Tensor-op inverse, kept as an oracle for the in-place array inverse
+# plain-numpy eval oracles for the in-place array forward and inverse
 # ---------------------------------------------------------------------------
-# The oracle runs while a tape records, so its nets take the unfolded eval
-# path (each layer, then its frozen batch norm) and share no code with the
-# folded array routines under test.
+# Each net runs unfolded: per layer a GEMM, then batch norm as
+# ``(y - mean) / sqrt(var + eps) * gamma + beta`` with the running statistics,
+# then the activation.  They share no code with the folded array routines
+# under test, and raise the NumericError the first non-finite op would.
 
 
-def tensor_adj_inverse(layer, z: Tensor) -> Tensor:
-    """An adjacency coupling layer's inverse as unfolded Tensor ops on a
-    masked copy."""
-    with GradientTape():
-        s, t = layer._scale_translation(z, False)
-        row = T.index_axis(z, 1, layer.row)
-        original = T.mul(T.sub(row, t), T.exp(T.mul(s, Tensor(-1.0))))
-        return T.replace_row(z, layer.row, original)
+def _checked(arr: np.ndarray, op: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{op} produced a non-finite value")
+    return arr
 
 
-def tensor_node_inverse(layer, z: Tensor, adjacency: np.ndarray) -> Tensor:
-    """A node-feature coupling layer's inverse as unfolded Tensor ops."""
-    with GradientTape():
-        t = layer._translation(z, adjacency, False)
-        return T.replace_row(z, layer.row, T.sub(T.index_axis(z, 1, layer.row), t))
+def oracle_norm(norm, y: np.ndarray, activation: str) -> np.ndarray:
+    """Eval batch norm over the running statistics, then ``activation``."""
+    mean, var = norm._buffers["running_mean"], norm._buffers["running_var"]
+    gamma, beta = norm._params["gamma"].data, norm._params["beta"].data
+    with np.errstate(invalid="ignore"):
+        y = _checked((y - mean) / np.sqrt(var + norm.eps) * gamma + beta, "batch_norm")
+    return np.tanh(y) if activation == "tanh" else np.maximum(y, 0.0)
 
 
-def tensor_inverse_batch(model: FlowModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_head(net, h: np.ndarray) -> np.ndarray:
+    p = net._children["head"]._params
+    return _checked(h @ p["weight"].data + p["bias"].data, "linear")
+
+
+def oracle_mlp(net, x: np.ndarray) -> np.ndarray:
+    """An :class:`~graphnvp.nets.MlpNet` in eval."""
+    h = x
+    for k in range(net.depth):
+        p = net._children[f"lin{k}"]._params
+        h = oracle_norm(net._children[f"bn{k}"], _checked(h @ p["weight"].data + p["bias"].data, "linear"), "relu")
+    return _oracle_head(net, h)
+
+
+def oracle_rgcn(net, h: np.ndarray, adjacency: np.ndarray, row: int, last_row_only: bool = False) -> np.ndarray:
+    """A :class:`~graphnvp.nets.RelationalGraphConvNet` in eval for node
+    ``row``, with one relation product per bond channel; with
+    ``last_row_only`` the last round computes that node alone."""
+    for k in range(net.depth):
+        p = {name: v.data for name, v in net._children[f"round{k}"]._params.items()}
+        a, h_self = adjacency, h
+        if last_row_only and k == net.depth - 1:
+            a, h_self = adjacency[:, row : row + 1], h[:, row : row + 1]
+        y = h_self @ p["self_weight"] + p["bias"]
+        for r in range(adjacency.shape[-1]):
+            y = y + a[..., r] @ h @ p["rel_weight"][r]
+        h = oracle_norm(net._children[f"bn{k}"], _checked(y, "graph_conv"), "tanh")
+    return _oracle_head(net, h[:, 0] if last_row_only else h[:, row])
+
+
+def _oracle_masked(layer, z: np.ndarray) -> np.ndarray:
+    masked = z.copy()
+    masked[:, layer.row] = 0.0
+    return masked
+
+
+def _oracle_scale_translation(layer, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    flat = _oracle_masked(layer, z).reshape(len(z), -1)
+    s = _checked(np.tanh(oracle_mlp(layer._children["scale_net"], flat)) * layer.scale_cap, "mul")
+    t = oracle_mlp(layer._children["translate_net"], flat)
+    return s.reshape(z[:, 0].shape), t.reshape(z[:, 0].shape)
+
+
+def _with_row(z: np.ndarray, row: int, value: np.ndarray) -> np.ndarray:
+    out = z.copy()
+    out[:, row] = value
+    return out
+
+
+def oracle_adj_forward(layer, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An adjacency coupling layer's eval forward: the output and the log-det."""
+    s, t = _oracle_scale_translation(layer, z)
+    with np.errstate(over="ignore"):
+        scaled = _checked(z[:, layer.row] * _checked(np.exp(s), "exp"), "mul")
+    return _with_row(z, layer.row, _checked(scaled + t, "add")), _checked(s.sum(axis=(1, 2)), "sum")
+
+
+def oracle_adj_inverse(layer, z: np.ndarray) -> np.ndarray:
+    s, t = _oracle_scale_translation(layer, z)
+    shifted = _checked(z[:, layer.row] - t, "sub")
+    with np.errstate(over="ignore"):
+        return _with_row(z, layer.row, _checked(shifted * _checked(np.exp(-s), "exp"), "mul"))
+
+
+def oracle_node_forward(layer, z: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    t = oracle_rgcn(layer._children["translate_net"], _oracle_masked(layer, z), adjacency, layer.row)
+    return _with_row(z, layer.row, _checked(z[:, layer.row] + t, "add"))
+
+
+def oracle_node_inverse(layer, z: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    t = oracle_rgcn(layer._children["translate_net"], _oracle_masked(layer, z), adjacency, layer.row)
+    return _with_row(z, layer.row, _checked(z[:, layer.row] - t, "sub"))
+
+
+def oracle_forward_batch(model: FlowModel, adjacency: np.ndarray, features: np.ndarray):
+    """``model.eval_forward`` with every layer run by the oracles above."""
+    conditioning = np.floor(adjacency)
+    zx, za, log_det = features, adjacency, np.zeros(len(adjacency))
+    for layer in model.node_layers:
+        zx = oracle_node_forward(layer, zx, conditioning)
+    for layer in model.adjacency_layers:
+        za, ld = oracle_adj_forward(layer, za)
+        log_det = _checked(log_det + ld, "add")
+    return np.concatenate([za.reshape(len(za), -1), zx.reshape(len(zx), -1)], axis=1), log_det
+
+
+def oracle_inverse_batch(model: FlowModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``model.inverse_batch`` with every layer inverted by the oracles above."""
     spec = model.spec
-    n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
-    split = n * n * r
-    za = Tensor(z[:, :split].reshape(-1, n, n, r))
-    zx = Tensor(z[:, split:].reshape(-1, n, m))
+    split = spec.num_nodes * spec.num_nodes * spec.num_bond_types
+    za = z[:, :split].reshape((-1,) + spec.adjacency_shape())
+    zx = z[:, split:].reshape((-1,) + spec.feature_shape())
     for layer in reversed(model.adjacency_layers):
-        za = tensor_adj_inverse(layer, za)
-    conditioning = relation_major(argmax_adjacency(spec, za.data))
+        za = oracle_adj_inverse(layer, za)
+    conditioning = argmax_adjacency(spec, za)
     for layer in reversed(model.node_layers):
-        zx = tensor_node_inverse(layer, zx, conditioning)
-    return za.data, zx.data
+        zx = oracle_node_inverse(layer, zx, conditioning)
+    return za, zx
 
 
 def array_inverse(layer, z: np.ndarray, *conditioning) -> np.ndarray:
@@ -107,6 +190,14 @@ def array_inverse(layer, z: np.ndarray, *conditioning) -> np.ndarray:
     buffer = np.array(z)
     layer.inverse(buffer, *conditioning, *([{}] if conditioning else []))
     return buffer
+
+
+def array_forward(layer, z: np.ndarray, *conditioning):
+    """A coupling layer's in-place eval forward, run on a copy of ``z``: the
+    output, and for an adjacency layer also the log-det."""
+    buffer = np.array(z)
+    log_det = layer.eval_forward(buffer, *conditioning, *([{}] if conditioning else []))
+    return buffer if conditioning else (buffer, log_det)
 
 
 @pytest.fixture

@@ -61,8 +61,8 @@ def test_criterion_02_invertibility_full_model(random_qm9_model):
     graphs = [random_graph(spec, rng) for _ in range(100)]
     adjacency = np.stack([g.adjacency for g in graphs]) + 0.9 * rng.random((100,) + spec.adjacency_shape())
     features = np.stack([g.features for g in graphs]) + 0.9 * rng.random((100,) + spec.feature_shape())
-    z, _ = random_qm9_model.forward_batch(adjacency, features, training=False)
-    a_back, x_back = random_qm9_model.inverse_batch(np.asarray(z.data))
+    z, _ = random_qm9_model.eval_forward(adjacency, features)
+    a_back, x_back = random_qm9_model.inverse_batch(z)
     sup = max(np.abs(a_back - adjacency).max(), np.abs(x_back - features).max())
     elapsed = time.perf_counter() - started
     assert sup < 1e-5, f"sup-norm {sup}"
@@ -87,13 +87,12 @@ def test_criterion_03_logdet_oracle():
         def apply(flat):
             a = flat[: n * n * r].reshape(1, n, n, r)
             x = flat[n * n * r :].reshape(1, n, m)
-            zx = Tensor(x)
+            zx, za, scratch = x.copy(), a.copy(), {}
             for layer in model.node_layers:
-                zx = layer.forward(zx, conditioning, False)
-            za = Tensor(a)
+                layer.eval_forward(zx, conditioning, scratch)
             for layer in model.adjacency_layers:
-                za, _ = layer.forward(za, False)
-            return np.concatenate([za.data.reshape(-1), zx.data.reshape(-1)])
+                layer.eval_forward(za)
+            return np.concatenate([za.reshape(-1), zx.reshape(-1)])
 
         base = np.concatenate([adjacency.ravel(), features.ravel()])
         step = 1e-6
@@ -103,9 +102,9 @@ def test_criterion_03_logdet_oracle():
             e[i] = step
             jac[:, i] = (apply(base + e) - apply(base - e)) / (2 * step)
         sign, log_abs_det = np.linalg.slogdet(jac)
-        _, analytic = model.forward_batch(adjacency, features, training=False)
+        _, analytic = model.eval_forward(adjacency, features)
         assert sign == 1.0
-        worst = max(worst, abs(log_abs_det - float(analytic.data[0])))
+        worst = max(worst, abs(log_abs_det - float(analytic[0])))
     elapsed = time.perf_counter() - started
     assert worst < 1e-5, f"worst log-det gap {worst}"
     assert elapsed < 120.0
@@ -122,7 +121,7 @@ def test_criterion_04_gradient_oracle_every_tensor():
     with GradientTape() as tape:
         for name, p in model.named_parameters():
             tape.watch(name, p)
-        loss = nll_loss(model, batch, make_rng(8), training=True)
+        loss = nll_loss(model, batch, make_rng(8))
     grads = tape.gradients(loss)
 
     worst = 0.0
@@ -131,7 +130,7 @@ def test_criterion_04_gradient_oracle_every_tensor():
 
         def loss_at(t):
             model.set_parameter(name, t)
-            return nll_loss(model, batch, make_rng(8), training=True)
+            return nll_loss(model, batch, make_rng(8))
 
         numeric = finite_difference_gradient(loss_at, p0, 1e-5).data
         model.set_parameter(name, p0)
@@ -156,11 +155,11 @@ def test_criterion_05_zero_init_identity(qm9_corpus):
     model = FlowModel(qm9lite_spec(), seed=9)
     rng = make_rng(10)
     adjacency, features = dequantize([qm9_corpus[17]], 0.9, rng)
-    z, log_det = model.forward_batch(adjacency, features)
+    z, log_det = model.eval_forward(adjacency, features)
     expected = np.concatenate([adjacency.ravel(), features.ravel()])
-    assert np.array_equal(z.data[0], expected)
-    assert log_det.data[0] == 0.0
-    a_back, x_back = model.inverse_batch(z.data)
+    assert np.array_equal(z[0], expected)
+    assert log_det[0] == 0.0
+    a_back, x_back = model.inverse_batch(z)
     assert np.array_equal(a_back, adjacency)
     assert np.array_equal(x_back, features)
     elapsed = time.perf_counter() - started

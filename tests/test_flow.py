@@ -10,13 +10,17 @@ import pytest
 from conftest import (
     TOY_CONFIG,
     TOY_SPEC,
+    array_forward,
     array_inverse,
     edit_checkpoint_meta,
+    oracle_adj_forward,
+    oracle_adj_inverse,
+    oracle_forward_batch,
+    oracle_inverse_batch,
+    oracle_node_forward,
+    oracle_node_inverse,
     random_graph,
     randomize_model,
-    tensor_adj_inverse,
-    tensor_inverse_batch,
-    tensor_node_inverse,
 )
 from graphnvp import flow, nets
 from graphnvp.errors import CheckpointError, NumericError
@@ -30,20 +34,18 @@ from graphnvp.flow import (
     save_checkpoint,
 )
 from graphnvp.graphs import argmax_adjacency, dequantize, permute_nodes, qm9lite_spec
-from graphnvp.tensor import Tensor, add, make_rng
+from graphnvp.tensor import Tensor, make_rng
 from graphnvp.train import TrainState, load_train_state, save_train_state
 
 
 def stub_scale_translation(layer, scale_value, translation_value):
-    """Replace the conditioner outputs with constants, in the Tensor forward
-    and in the array inverse."""
+    """Replace the conditioner outputs with constants in both eval
+    directions."""
     n, r = layer.spec.num_nodes, layer.spec.num_bond_types
-
-    def constants(batch):
-        return np.full((batch, n, r), scale_value), np.full((batch, n, r), translation_value)
-
-    layer._scale_translation = lambda z, training: tuple(map(Tensor, constants(z.shape[0])))
-    layer._eval_scale_translation = lambda za: constants(za.shape[0])
+    layer._eval_scale_translation = lambda za: (
+        np.full((za.shape[0], n, r), scale_value),
+        np.full((za.shape[0], n, r), translation_value),
+    )
 
 
 def toy_dequantized(seed=3):
@@ -55,17 +57,16 @@ def toy_dequantized(seed=3):
 
 
 def fixed_conditioning_forward(model, adjacency, features, conditioning):
-    """Forward pass with the discrete conditioning held fixed (the flow whose
-    Jacobian the analytic log-det describes)."""
-    zx = Tensor(features)
+    """Eval forward pass with the discrete conditioning held fixed (the flow
+    whose Jacobian the analytic log-det describes)."""
+    zx = features
     for layer in model.node_layers:
-        zx = layer.forward(zx, conditioning, False)
-    za = Tensor(adjacency)
-    total = None
+        zx = array_forward(layer, zx, conditioning)
+    za, total = adjacency, 0.0
     for layer in model.adjacency_layers:
-        za, ld = layer.forward(za, False)
-        total = ld if total is None else add(total, ld)
-    return za.data, zx.data, np.asarray(total.data)
+        za, ld = array_forward(layer, za)
+        total = total + ld
+    return za, zx, total
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +77,9 @@ def fixed_conditioning_forward(model, adjacency, features, conditioning):
 def test_adj_coupling_zero_init_identity():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, make_rng(0))
     _, (adjacency, _) = toy_dequantized()
-    out, log_det = layer.forward(Tensor(adjacency), False)
-    assert np.array_equal(out.data, adjacency)
-    assert log_det.data[0] == 0.0
+    out, log_det = array_forward(layer, adjacency)
+    assert np.array_equal(out, adjacency)
+    assert log_det[0] == 0.0
     assert np.array_equal(array_inverse(layer, adjacency), adjacency)
 
 
@@ -86,12 +87,12 @@ def test_adj_coupling_stubbed_scale_doubles_row():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, make_rng(0))
     stub_scale_translation(layer, np.log(2.0), 0.0)
     _, (adjacency, _) = toy_dequantized()
-    out, log_det = layer.forward(Tensor(adjacency), False)
+    out, log_det = array_forward(layer, adjacency)
     n, r = TOY_SPEC.num_nodes, TOY_SPEC.num_bond_types
-    assert np.allclose(out.data[0, 1], 2.0 * adjacency[0, 1])
-    assert np.array_equal(out.data[0, 0], adjacency[0, 0])
-    assert np.array_equal(out.data[0, 2], adjacency[0, 2])
-    assert log_det.data[0] == pytest.approx(n * r * np.log(2.0), abs=1e-12)
+    assert np.allclose(out[0, 1], 2.0 * adjacency[0, 1])
+    assert np.array_equal(out[0, 0], adjacency[0, 0])
+    assert np.array_equal(out[0, 2], adjacency[0, 2])
+    assert log_det[0] == pytest.approx(n * r * np.log(2.0), abs=1e-12)
 
 
 def test_adj_coupling_stubbed_inverse_halves_shifted():
@@ -109,8 +110,8 @@ def test_adj_coupling_round_trip_random():
     randomize_model(layer, seed=5)
     for _ in range(100):
         z = rng.normal(size=TOY_SPEC.adjacency_shape())
-        out, _ = layer.forward(Tensor(z[None]), False)
-        back = array_inverse(layer, out.data)[0]
+        out, _ = array_forward(layer, z[None])
+        back = array_inverse(layer, out)[0]
         assert np.abs(back - z).max() < 1e-6
 
 
@@ -119,7 +120,7 @@ def test_adj_coupling_changes_only_target_row():
     layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, rng)
     randomize_model(layer, seed=6)
     z = rng.normal(size=TOY_SPEC.adjacency_shape())
-    out = layer.forward(Tensor(z[None]), False)[0].data[0]
+    out = array_forward(layer, z[None])[0][0]
     assert np.array_equal(out[0], z[0])
     assert np.array_equal(out[2], z[2])
     assert not np.array_equal(out[1], z[1])
@@ -136,8 +137,8 @@ def test_adj_coupling_logdet_matches_brute_force_jacobian():
     step = 1e-6
 
     def apply(flat):
-        out, _ = layer.forward(Tensor(flat.reshape(1, n, n, r)), False)
-        return out.data.reshape(-1)
+        out, _ = array_forward(layer, flat.reshape(1, n, n, r))
+        return out.reshape(-1)
 
     jac = np.zeros((dim, dim))
     flat0 = z0.reshape(-1)
@@ -146,9 +147,9 @@ def test_adj_coupling_logdet_matches_brute_force_jacobian():
         e[i] = step
         jac[:, i] = (apply(flat0 + e) - apply(flat0 - e)) / (2 * step)
     sign, log_abs_det = np.linalg.slogdet(jac)
-    _, log_det = layer.forward(Tensor(z0[None]), False)
+    _, log_det = array_forward(layer, z0[None])
     assert sign == 1.0
-    assert abs(log_abs_det - log_det.data[0]) < 1e-6
+    assert abs(log_abs_det - log_det[0]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -159,24 +160,19 @@ def test_adj_coupling_logdet_matches_brute_force_jacobian():
 def test_node_coupling_zero_init_identity():
     layer = NodeFeatureCouplingLayer(TOY_SPEC, 0, TOY_CONFIG, make_rng(0))
     g, (_, features) = toy_dequantized()
-    out = layer.forward(Tensor(features), g.adjacency[None], False)
-    assert np.array_equal(out.data, features)
+    assert np.array_equal(array_forward(layer, features, g.adjacency[None]), features)
 
 
 def test_node_coupling_stubbed_constant_shift():
     layer = NodeFeatureCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, make_rng(0))
     shift = np.array([0.5, -1.5])
 
-    def stubbed(z, adjacency, training):
-        return Tensor(np.tile(shift, (z.shape[0], 1)))
-
-    layer._translation = stubbed
     layer._children["translate_net"].eval_array = lambda zx, *conditioning: np.tile(shift, (zx.shape[0], 1))
     g, (_, features) = toy_dequantized()
-    out = layer.forward(Tensor(features), g.adjacency[None], False)
-    assert np.allclose(out.data[0, 1], features[0, 1] + shift)
-    assert np.array_equal(out.data[0, 0], features[0, 0])
-    back = array_inverse(layer, out.data, g.adjacency[None])
+    out = array_forward(layer, features, g.adjacency[None])
+    assert np.allclose(out[0, 1], features[0, 1] + shift)
+    assert np.array_equal(out[0, 0], features[0, 0])
+    back = array_inverse(layer, out, g.adjacency[None])
     assert np.allclose(back, features)
 
 
@@ -187,8 +183,8 @@ def test_node_coupling_round_trip_random():
     g, _ = toy_dequantized()
     for _ in range(100):
         z = rng.normal(size=TOY_SPEC.feature_shape())
-        out = layer.forward(Tensor(z[None]), g.adjacency[None], False)
-        back = array_inverse(layer, out.data, g.adjacency[None])[0]
+        out = array_forward(layer, z[None], g.adjacency[None])
+        back = array_inverse(layer, out, g.adjacency[None])[0]
         assert np.abs(back - z).max() < 1e-6
 
 
@@ -203,8 +199,7 @@ def test_node_coupling_jacobian_is_volume_preserving():
     step = 1e-6
 
     def apply(flat):
-        out = layer.forward(Tensor(flat.reshape(1, n, m)), g.adjacency[None], False)
-        return out.data.reshape(-1)
+        return array_forward(layer, flat.reshape(1, n, m), g.adjacency[None]).reshape(-1)
 
     jac = np.zeros((dim, dim))
     flat0 = z0.reshape(-1)
@@ -224,10 +219,10 @@ def test_node_coupling_output_independent_of_masked_row():
     randomize_model(layer, seed=10)
     g, _ = toy_dequantized()
     z = rng.normal(size=TOY_SPEC.feature_shape())
-    out1 = layer.forward(Tensor(z[None]), g.adjacency[None], False).data[0]
+    out1 = array_forward(layer, z[None], g.adjacency[None])[0]
     z2 = z.copy()
     z2[1] += 3.21  # only the updated row changes
-    out2 = layer.forward(Tensor(z2[None]), g.adjacency[None], False).data[0]
+    out2 = array_forward(layer, z2[None], g.adjacency[None])[0]
     assert np.allclose(out2[1] - out1[1], z2[1] - z[1])
 
 
@@ -238,12 +233,12 @@ def test_node_coupling_output_independent_of_masked_row():
 
 def test_model_zero_init_is_identity(toy_model):
     _, (adjacency, features) = toy_dequantized()
-    z, log_det = toy_model.forward_batch(adjacency, features)
+    z, log_det = toy_model.eval_forward(adjacency, features)
     expected = np.concatenate([adjacency.ravel(), features.ravel()])
-    assert np.array_equal(z.data[0], expected)
-    assert log_det.data[0] == 0.0
+    assert np.array_equal(z[0], expected)
+    assert log_det[0] == 0.0
 
-    a_cont, x_cont = toy_model.inverse_batch(z.data)
+    a_cont, x_cont = toy_model.inverse_batch(z)
     assert np.array_equal(a_cont, adjacency)
     assert np.array_equal(x_cont, features)
 
@@ -253,8 +248,8 @@ def test_model_round_trip_random_graphs(random_toy_model):
     for _ in range(100):
         g = random_graph(TOY_SPEC, rng)
         adjacency, features = dequantize([g], 0.9, rng)
-        z, _ = random_toy_model.forward_batch(adjacency, features)
-        a_cont, x_cont = random_toy_model.inverse_batch(z.data)
+        z, _ = random_toy_model.eval_forward(adjacency, features)
+        a_cont, x_cont = random_toy_model.inverse_batch(z)
         err = max(np.abs(a_cont - adjacency).max(), np.abs(x_cont - features).max())
         assert err < 1e-5
 
@@ -263,21 +258,22 @@ def test_numeric_error_names_the_coupling_layer():
     config = ModelConfig(adjacency_layers=3, node_layers=6, mlp_hidden=(8, 8), gcn_hidden=6)
     model = FlowModel(TOY_SPEC, config, seed=2)
     _, (adjacency, features) = toy_dequantized()
-    z, _ = model.forward_batch(adjacency, features)
+    z, _ = model.eval_forward(adjacency, features)
     model.set_buffer("node_5.translate_net.bn0.running_var", -np.ones(6))
-    for run in (lambda: model.inverse_batch(z.data), lambda: model.forward_batch(adjacency, features)):
+    for run in (lambda: model.inverse_batch(z), lambda: model.eval_forward(adjacency, features)):
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
             run()
         assert str(err.value) == "node_5: batch_norm produced a non-finite value"
         assert isinstance(err.value.__cause__, NumericError)
     model.set_buffer("node_5.translate_net.bn0.running_var", np.ones(6))
     model.set_buffer("adjacency_1.scale_net.bn1.running_var", -np.ones(8))
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^adjacency_1: batch_norm"):
-        model.inverse_batch(z.data)
+    for run in (lambda: model.inverse_batch(z), lambda: model.eval_forward(adjacency, features)):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^adjacency_1: batch_norm"):
+            run()
 
 
 # ---------------------------------------------------------------------------
-# the in-place array inverse against the Tensor-op oracle
+# the in-place array forward and inverse against the numpy oracle
 # ---------------------------------------------------------------------------
 
 
@@ -305,7 +301,7 @@ def test_array_inverse_matches_tensor_oracle(batch):
         rng = make_rng(25 + batch)
         z = rng.normal(scale=0.8, size=(batch, spec.latent_dim))
         a_cont, x_cont = model.inverse_batch(z)
-        a_ref, x_ref = tensor_inverse_batch(model, z)
+        a_ref, x_ref = oracle_inverse_batch(model, z)
         _assert_within(a_cont, a_ref)
         _assert_within(x_cont, x_ref)
         assert not np.array_equal(a_cont, z[:, : a_cont[0].size].reshape(a_cont.shape))
@@ -315,14 +311,116 @@ def test_array_inverse_matches_tensor_oracle(batch):
         conditioning = argmax_adjacency(spec, za)
         for layer in model.adjacency_layers[:3]:
             out = array_inverse(layer, za)
-            _assert_within(out, tensor_adj_inverse(layer, Tensor(za)).data)
+            _assert_within(out, oracle_adj_inverse(layer, za))
             others = np.arange(spec.num_nodes) != layer.row
             assert np.array_equal(out[:, others], za[:, others])
         for layer in model.node_layers[:3]:
             out = array_inverse(layer, zx, conditioning)
-            _assert_within(out, tensor_node_inverse(layer, Tensor(zx), conditioning).data)
+            _assert_within(out, oracle_node_inverse(layer, zx, conditioning))
             others = np.arange(spec.num_nodes) != layer.row
             assert np.array_equal(out[:, others], zx[:, others])
+
+
+@pytest.mark.parametrize("batch", [1, 13])
+def test_array_forward_matches_numpy_oracle(batch):
+    for model in _oracle_cases():
+        spec = model.spec
+        rng = make_rng(40 + batch)
+        graphs = [random_graph(spec, rng) for _ in range(batch)]
+        adjacency, features = dequantize(graphs, 0.9, rng)
+        z, log_det = model.eval_forward(adjacency, features)
+        z_ref, log_det_ref = oracle_forward_batch(model, adjacency, features)
+        _assert_within(z, z_ref)
+        _assert_within(log_det, log_det_ref)
+        assert np.abs(log_det).min() > 0.0
+        # Layer by layer, on a random working buffer: only the target slice changes.
+        za = rng.normal(size=(batch,) + spec.adjacency_shape())
+        zx = rng.normal(size=(batch,) + spec.feature_shape())
+        conditioning = argmax_adjacency(spec, za)
+        for layer in model.adjacency_layers[:3]:
+            out, ld = array_forward(layer, za)
+            ref, ld_ref = oracle_adj_forward(layer, za)
+            _assert_within(out, ref)
+            _assert_within(ld, ld_ref)
+            others = np.arange(spec.num_nodes) != layer.row
+            assert np.array_equal(out[:, others], za[:, others])
+            assert not np.array_equal(out[:, layer.row], za[:, layer.row])
+        for layer in model.node_layers[:3]:
+            out = array_forward(layer, zx, conditioning)
+            _assert_within(out, oracle_node_forward(layer, zx, conditioning))
+            others = np.arange(spec.num_nodes) != layer.row
+            assert np.array_equal(out[:, others], zx[:, others])
+            assert not np.array_equal(out[:, layer.row], zx[:, layer.row])
+
+
+def test_eval_forward_then_inverse_batch_round_trips():
+    for model in _oracle_cases():
+        rng = make_rng(50)
+        graphs = [random_graph(model.spec, rng) for _ in range(13)]
+        adjacency, features = dequantize(graphs, 0.9, rng)
+        a_cont, x_cont = model.inverse_batch(model.eval_forward(adjacency, features)[0])
+        assert max(np.abs(a_cont - adjacency).max(), np.abs(x_cont - features).max()) < 1e-8
+        assert np.array_equal(np.floor(a_cont), np.stack([g.adjacency for g in graphs]))
+        assert np.array_equal(np.floor(x_cont), np.stack([g.features for g in graphs]))
+
+
+def test_eval_forward_leaves_its_inputs_unchanged_and_takes_read_only_arrays(random_toy_model):
+    rng = make_rng(51)
+    adjacency, features = dequantize([random_graph(TOY_SPEC, rng) for _ in range(5)], 0.9, rng)
+    read_only = Tensor(adjacency).data, Tensor(features).data
+    assert not read_only[0].flags.writeable
+    z, log_det = random_toy_model.eval_forward(*read_only)
+    assert np.array_equal(read_only[0], adjacency) and np.array_equal(read_only[1], features)
+    writable = random_toy_model.eval_forward(adjacency.copy(), features.copy())
+    assert z.tobytes() == writable[0].tobytes() and log_det.tobytes() == writable[1].tobytes()
+
+
+def _oracle_forward_error(model, adjacency, features) -> str:
+    """The text of the NumericError the oracle forward raises, prefixed with
+    the coupling layer's name as ``eval_forward`` does."""
+    conditioning = np.floor(adjacency)
+    zx, za = features, adjacency
+    for k, layer in enumerate(model.node_layers):
+        try:
+            zx = oracle_node_forward(layer, zx, conditioning)
+        except NumericError as err:
+            return f"node_{k}: {err}"
+    for k, layer in enumerate(model.adjacency_layers):
+        try:
+            za = oracle_adj_forward(layer, za)[0]
+        except NumericError as err:
+            return f"adjacency_{k}: {err}"
+    raise AssertionError("the oracle raised no NumericError")
+
+
+def test_forward_numeric_errors_keep_their_text_and_layer():
+    rng = make_rng(52)
+    adjacency, features = dequantize([random_graph(TOY_SPEC, rng) for _ in range(4)], 0.9, rng)
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
+    for bad in (0, 1):
+        inputs = [adjacency.copy(), features.copy()]
+        inputs[bad][2, 1, 0] = np.inf
+        with pytest.raises(NumericError) as err:
+            model.eval_forward(*inputs)
+        assert str(err.value) == "tensor constructed with non-finite values"
+
+    huge_cap = dataclasses.replace(TOY_CONFIG, scale_cap=1e300)
+    model = randomize_model(FlowModel(TOY_SPEC, huge_cap, seed=32), seed=33)
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        model.eval_forward(adjacency, features)
+    expected = _oracle_forward_error(model, adjacency, features)
+    assert str(err.value) == expected == "adjacency_0: exp produced a non-finite value"
+
+    for name, expected in [
+        ("adjacency_1.translate_net.bn1.running_var", "adjacency_1: batch_norm produced a non-finite value"),
+        ("node_0.translate_net.bn0.running_var", "node_0: batch_norm produced a non-finite value"),
+    ]:
+        model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
+        model.set_buffer(name, -np.ones(dict(model.named_buffers())[name].shape))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+            model.eval_forward(adjacency, features)
+        assert isinstance(err.value.__cause__, NumericError)
+        assert str(err.value) == _oracle_forward_error(model, adjacency, features) == expected
 
 
 def test_inverse_batch_leaves_its_input_unchanged_and_takes_read_only_arrays(random_toy_model):
@@ -337,21 +435,21 @@ def test_inverse_batch_leaves_its_input_unchanged_and_takes_read_only_arrays(ran
 
 
 def _oracle_error(model, z) -> str:
-    """The text of the NumericError the Tensor-op inverse raises on ``z``,
+    """The text of the NumericError the oracle inverse raises on ``z``,
     prefixed with the coupling layer's name as ``inverse_batch`` does."""
     spec = model.spec
     n, m, r = spec.num_nodes, spec.num_atom_types, spec.num_bond_types
-    za = Tensor(z[:, : n * n * r].reshape(-1, n, n, r))
+    za = z[:, : n * n * r].reshape(-1, n, n, r)
     for k in reversed(range(len(model.adjacency_layers))):
         try:
-            za = tensor_adj_inverse(model.adjacency_layers[k], za)
+            za = oracle_adj_inverse(model.adjacency_layers[k], za)
         except NumericError as err:
             return f"adjacency_{k}: {err}"
-    conditioning = argmax_adjacency(spec, za.data)
-    zx = Tensor(z[:, n * n * r :].reshape(-1, n, m))
+    conditioning = argmax_adjacency(spec, za)
+    zx = z[:, n * n * r :].reshape(-1, n, m)
     for k in reversed(range(len(model.node_layers))):
         try:
-            zx = tensor_node_inverse(model.node_layers[k], zx, conditioning)
+            zx = oracle_node_inverse(model.node_layers[k], zx, conditioning)
         except NumericError as err:
             return f"node_{k}: {err}"
     raise AssertionError("the oracle raised no NumericError")
@@ -415,8 +513,8 @@ def test_model_reconstructs_training_graph(random_toy_model):
     rng = make_rng(8)
     for _ in range(20):
         g = random_graph(TOY_SPEC, rng)
-        z, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, rng))
-        a_cont, x_cont = random_toy_model.inverse_batch(z.data)
+        z, _ = random_toy_model.eval_forward(*dequantize([g], 0.9, rng))
+        a_cont, x_cont = random_toy_model.inverse_batch(z)
         recovered = np.floor(a_cont[0]), np.floor(x_cont[0])
         assert np.array_equal(recovered[0], g.adjacency)
         assert np.array_equal(recovered[1], g.features)
@@ -461,11 +559,11 @@ def test_model_not_permutation_invariant(random_toy_model):
         perm = rng.permutation(spec.num_nodes)
         permuted = permute_nodes(g, perm)
         dq_perm = dequantize([permuted], 0.9, rng)
-        z_a, _ = random_toy_model.forward_batch(*dq)
-        z_b, _ = random_toy_model.forward_batch(*dq_perm)
+        z_a, _ = random_toy_model.eval_forward(*dq)
+        z_b, _ = random_toy_model.eval_forward(*dq_perm)
         # compare latents after undoing the relabeling on the structured parts
-        za = z_a.data[0, :18].reshape(3, 3, 2)
-        zb = z_b.data[0, :18].reshape(3, 3, 2)
+        za = z_a[0, :18].reshape(3, 3, 2)
+        zb = z_b[0, :18].reshape(3, 3, 2)
         zb_undone = zb[np.argsort(perm)][:, np.argsort(perm)]
         if not np.allclose(za, zb_undone, atol=1e-8):
             found_difference = True
@@ -510,7 +608,7 @@ def test_prior_matches_extended_precision_reference():
 
 def test_latent_point_dimension(random_toy_model):
     _, (adjacency, features) = toy_dequantized(seed=14)
-    z, log_det = random_toy_model.forward_batch(np.repeat(adjacency, 2, 0), np.repeat(features, 2, 0))
+    z, log_det = random_toy_model.eval_forward(np.repeat(adjacency, 2, 0), np.repeat(features, 2, 0))
     assert z.shape == (2, TOY_SPEC.latent_dim) == (2, 24)
     assert log_det.shape == (2,)
 
@@ -526,10 +624,10 @@ def test_checkpoint_round_trip_bitwise(tmp_path, random_toy_model):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path, TOY_SPEC)
     _, (adjacency, features) = toy_dequantized(seed=13)
-    z1, ld1 = model.forward_batch(adjacency, features)
-    z2, ld2 = loaded.forward_batch(adjacency, features)
-    assert np.array_equal(z1.data, z2.data)
-    assert np.array_equal(ld1.data, ld2.data)
+    z1, ld1 = model.eval_forward(adjacency, features)
+    z2, ld2 = loaded.eval_forward(adjacency, features)
+    assert np.array_equal(z1, z2)
+    assert np.array_equal(ld1, ld2)
     for (n1, p1), (n2, p2) in zip(
         sorted(model.named_parameters()), sorted(loaded.named_parameters())
     ):

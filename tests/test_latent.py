@@ -59,9 +59,9 @@ def test_encode_decode_recovers_molecule(random_toy_model):
 
 def test_encode_with_rng_uses_noise(random_toy_model):
     g = toy_training_graphs(1, seed=3)[0]
-    a, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, make_rng(0)))
-    b, _ = random_toy_model.forward_batch(*dequantize([g], 0.9, make_rng(1)))
-    assert not np.array_equal(a.data, b.data)
+    a, _ = random_toy_model.eval_forward(*dequantize([g], 0.9, make_rng(0)))
+    b, _ = random_toy_model.eval_forward(*dequantize([g], 0.9, make_rng(1)))
+    assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

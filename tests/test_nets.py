@@ -8,11 +8,17 @@ import pytest
 from conftest import (
     TOY_CONFIG,
     TOY_SPEC,
+    array_forward,
     array_inverse,
+    oracle_adj_forward,
+    oracle_adj_inverse,
+    oracle_mlp,
+    oracle_node_forward,
+    oracle_node_inverse,
+    oracle_norm,
+    oracle_rgcn,
     random_graph,
     randomize_model,
-    tensor_adj_inverse,
-    tensor_node_inverse,
 )
 from graphnvp.flow import (
     CHECKPOINT_VERSION,
@@ -25,8 +31,8 @@ from graphnvp.flow import (
 from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.nets import BatchNorm, Linear, MlpNet, RelationalGraphConvNet, RelGraphRound, relation_major
 from graphnvp import tensor as T
-from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
-from graphnvp.train import TrainConfig, TrainState, load_train_state, nll_loss, save_train_state, train
+from graphnvp.tensor import GradientTape, Tensor, make_rng
+from graphnvp.train import TrainConfig, TrainState, load_train_state, save_train_state, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,11 +75,13 @@ def test_round_equals_explicit_relation_sum():
 
 
 def test_round_target_row_equals_row_of_full_output():
+    """The eval round for one target node is that node's row of the round."""
     h, adjacency = random_relational_input(seed=4)
     layer = RelGraphRound(4, 6, 3, make_rng(5))
     full = layer(Tensor(h), a_rows_of(adjacency)).data
+    weights = [p.data for p in layer._params.values()]
     for row in range(5):
-        only = layer(Tensor(h), a_rows_of(adjacency), row).data
+        only = T._graph_conv_array(h, a_rows_of(adjacency), *weights, row)
         assert only.shape == (3, 6)
         assert np.abs(only - full[:, row]).max() <= 1e-12 * np.abs(full).max()
 
@@ -84,15 +92,9 @@ def test_eval_target_row_matches_full_eval_computation():
     h, adjacency = random_relational_input(seed=6)
     net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(7))
     randomize_net(net, make_rng(8))
-    a_rows = a_rows_of(adjacency)
     for row in range(5):
-        full = Tensor(h)
-        for k in range(2):
-            full = net._children[f"round{k}"](full, a_rows)
-            full = net._children[f"bn{k}"](full, training=False)
-            full = T.tanh(full)
-        expected = net._children["head"](T.index_axis(full, 1, row)).data
-        out = net(Tensor(h), adjacency, row, training=False).data
+        expected = oracle_rgcn(net, h, adjacency, row)
+        out = net.eval_array(h, adjacency, row, {})
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -105,10 +107,10 @@ def test_training_mode_uses_batch_statistics_over_all_nodes():
     full = Tensor(h)
     for k in range(2):
         full = net._children[f"round{k}"](full, a_rows)
-        full = net._children[f"bn{k}"](full, training=True)
+        full = net._children[f"bn{k}"](full)
         full = T.tanh(full)
     expected = net._children["head"](T.index_axis(full, 1, 2)).data
-    out = net(Tensor(h), adjacency, 2, training=True).data
+    out = net(Tensor(h), adjacency, 2).data
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -122,9 +124,10 @@ def test_relation_major_conditioning_is_laid_out_without_a_copy():
     assert np.array_equal(a_rows_of(conditioning), a_rows_of(adjacency))
     net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(13))
     randomize_net(net, make_rng(14))
-    for training in (False, True):
-        plain = net(Tensor(h), adjacency, 1, training).data
-        assert net(Tensor(h), conditioning, 1, training).data.tobytes() == plain.tobytes()
+    plain = net.eval_array(h, adjacency, 1, {})
+    assert net.eval_array(h, conditioning, 1, {}).tobytes() == plain.tobytes()
+    plain = net(Tensor(h), adjacency, 1).data
+    assert net(Tensor(h), conditioning, 1).data.tobytes() == plain.tobytes()
 
 
 def test_checkpoint_written_before_stacked_contraction_still_loads(tmp_path):
@@ -142,9 +145,9 @@ def test_checkpoint_written_before_stacked_contraction_still_loads(tmp_path):
     save_checkpoint(model, resaved)
     assert resaved.read_bytes() == path.read_bytes()
 
-    z, log_det = model.forward_batch(io["adjacency"], io["features"])
-    assert np.abs(z.data - io["latents"]).max() <= 1e-12 * np.abs(io["latents"]).max()
-    assert np.abs(log_det.data - io["log_det"]).max() <= 1e-12 * np.abs(io["log_det"]).max()
+    z, log_det = model.eval_forward(io["adjacency"], io["features"])
+    assert np.abs(z - io["latents"]).max() <= 1e-12 * np.abs(io["latents"]).max()
+    assert np.abs(log_det - io["log_det"]).max() <= 1e-12 * np.abs(io["log_det"]).max()
     adjacency, features = model.inverse_batch(io["latents"])
     assert np.array_equal(np.floor(adjacency), np.floor(io["adjacency"]))
     assert np.array_equal(np.floor(features), np.floor(io["features"]))
@@ -169,25 +172,20 @@ def test_fold_is_the_layer_then_frozen_batch_norm():
         randomize_net(module, rng)
     x = Tensor(rng.normal(size=(7, 4)))
     for act in ("relu", "tanh"):
-        assert_close(T.linear(x, *norm.fold(lin), act).data, norm(lin(x), False, act).data)
-        for row in (None, 2):
-            expected = norm(conv(Tensor(h), a_rows, row), False, act).data
-            assert_close(T.graph_conv(Tensor(h), a_rows, *norm.fold(conv), row, act).data, expected)
+        assert_close(T.linear(x, *norm.fold(lin), act).data, oracle_norm(norm, lin(x).data, act))
+        full = oracle_norm(norm, conv(Tensor(h), a_rows).data, act)
+        assert_close(T.graph_conv(Tensor(h), a_rows, *norm.fold(conv), act).data, full)
+        folded = [p.data for p in norm.fold(conv)]
+        only = T._activate_array(T._graph_conv_array(h, a_rows, *folded, 2), act, "graph_conv")
+        assert_close(only, full[:, 2])
 
 
 def test_folded_mlp_matches_unfolded_composition():
     rng = make_rng(22)
     net = MlpNet(10, (8, 8), 5, rng)
     randomize_net(net, rng)
-    x = Tensor(rng.normal(size=(6, 10)))
-    h = x
-    for k in range(2):
-        h = T.linear(h, net.get_parameter(f"lin{k}.weight"), net.get_parameter(f"lin{k}.bias"))
-        bn = net._children[f"bn{k}"]
-        stats = (bn._buffers["running_mean"], bn._buffers["running_var"])
-        h = T.batch_norm(h, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, stats, "relu")[0]
-    expected = net._children["head"](h).data
-    assert_close(net(x, training=False).data, expected)
+    x = rng.normal(size=(6, 10))
+    assert_close(net.eval_array(x), oracle_mlp(net, x))
 
 
 @pytest.mark.parametrize("path", ["full", "target_row"])
@@ -197,20 +195,9 @@ def test_folded_graph_conv_net_matches_unfolded_composition(path):
     h, adjacency = random_relational_input(seed=23)
     net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(24))
     randomize_net(net, make_rng(25))
-    a_rows = a_rows_of(adjacency)
     for row in range(5):
-        x = Tensor(h)
-        for k in range(2):
-            p = lambda name: net.get_parameter(f"round{k}.{name}")
-            target = row if path == "target_row" and k == 1 else None
-            x = T.graph_conv(x, a_rows, p("rel_weight"), p("self_weight"), p("bias"), target)
-            bn = net._children[f"bn{k}"]
-            stats = (bn._buffers["running_mean"], bn._buffers["running_var"])
-            x = T.batch_norm(x, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, stats, "tanh")[0]
-        if x.ndim == 3:
-            x = T.index_axis(x, 1, row)
-        expected = net._children["head"](x).data
-        assert_close(net(Tensor(h), adjacency, row, training=False).data, expected)
+        expected = oracle_rgcn(net, h, adjacency, row, last_row_only=path == "target_row")
+        assert_close(net.eval_array(h, adjacency, row, {}), expected)
 
 
 def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
@@ -238,13 +225,13 @@ def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
                         y = T.graph_conv(y, a_rows, p("rel_weight"), p("self_weight"), p("bias"))
                         bn = net._children[f"bn{k}"]
                         y, *moments = T.batch_norm(
-                            y, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, None, "tanh"
+                            y, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, activation="tanh"
                         )
                         stats += moments
                     out = net._children["head"](T.index_axis(y, 1, row))
                 else:
                     before = dict(net.named_buffers())
-                    out = net(x, adjacency, row, training=True)
+                    out = net(x, adjacency, row)
                     after = dict(net.named_buffers())
                     # running = 0.9 * running + 0.1 * batch statistic
                     stats = [
@@ -267,8 +254,8 @@ def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
 
 
 def test_folded_coupling_layers_match_unfolded():
-    """Folded eval (the Tensor forward and the array inverse) against the
-    unfolded eval composition, which the nets run while a tape records."""
+    """Folded eval (the array forward and inverse) against the unfolded
+    numpy oracle."""
     rng = make_rng(26)
     adj_layer = AdjacencyCouplingLayer(TOY_SPEC, 1, TOY_CONFIG, rng)
     node_layer = NodeFeatureCouplingLayer(TOY_SPEC, 2, TOY_CONFIG, rng)
@@ -276,25 +263,15 @@ def test_folded_coupling_layers_match_unfolded():
         randomize_net(layer, rng)
     graphs = [random_graph(TOY_SPEC, make_rng(27 + k)) for k in range(4)]
     adjacency, features = dequantize(graphs, 0.9, rng)
-    za, zx, conditioning = Tensor(adjacency), Tensor(features), np.floor(adjacency)
-
-    def forward():
-        out, log_det = adj_layer.forward(za, False)
-        return [out.data, log_det.data, node_layer.forward(zx, conditioning, False).data]
-
-    folded = forward()
+    conditioning = np.floor(adjacency)
+    folded = [*array_forward(adj_layer, adjacency), array_forward(node_layer, features, conditioning)]
     folded += [array_inverse(adj_layer, adjacency), array_inverse(node_layer, features, conditioning)]
-    # Every net takes the unfolded eval path: layer, then batch norm.
-    with GradientTape():
-        unfolded = forward()
-        unfolded += [
-            tensor_adj_inverse(adj_layer, za).data,
-            tensor_node_inverse(node_layer, zx, conditioning).data,
-        ]
+    unfolded = [*oracle_adj_forward(adj_layer, adjacency), oracle_node_forward(node_layer, features, conditioning)]
+    unfolded += [oracle_adj_inverse(adj_layer, adjacency), oracle_node_inverse(node_layer, features, conditioning)]
     for out, expected in zip(folded, unfolded):
         assert_close(out, expected)
     # The coupling layers only change their target row.
-    assert not np.array_equal(folded[0], adjacency) and not np.array_equal(folded[3], features)
+    assert not np.array_equal(folded[0], adjacency) and not np.array_equal(folded[2], features)
 
 
 def _toy_batch(seed, size=4):
@@ -304,9 +281,8 @@ def _toy_batch(seed, size=4):
 
 def _eval(model, seed=40):
     adjacency, features = dequantize(_toy_batch(seed), 0.9, make_rng(seed))
-    z, log_det = model.forward_batch(adjacency, features)
-    decoded = model.inverse_batch(z.data)
-    return [z.data, log_det.data, *decoded]
+    z, log_det = model.eval_forward(adjacency, features)
+    return [z, log_det, *model.inverse_batch(z)]
 
 
 def _assert_eval_matches_fresh_copy(model):
@@ -386,7 +362,7 @@ def test_fold_follows_training_mode_forward():
     adjacency, features = dequantize(_toy_batch(42), 0.9, make_rng(42))
     name = "adjacency_0.scale_net.bn0.running_mean"
     before = dict(model.named_buffers())[name]
-    model.forward_batch(adjacency, features, training=True)
+    model.forward_batch(adjacency, features)
     assert not np.array_equal(dict(model.named_buffers())[name], before)
     _assert_eval_matches_fresh_copy(model)
 
@@ -431,32 +407,3 @@ def test_fold_follows_checkpoint_loaded_into_used_model(tmp_path):
     _assert_eval_matches_fresh_copy(model)
     for out, expected in zip(_eval(model), _eval(source)):
         assert out.tobytes() == expected.tobytes()
-
-
-def test_eval_loss_on_a_tape_differentiates_batch_norm_and_linear_weights():
-    """While a tape records, eval runs unfolded, so the gradients of gamma,
-    beta and a Linear weight are those of the eval loss."""
-    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=8), seed=9)
-    batch = _toy_batch(44)
-    _eval(model)
-    names = [
-        "adjacency_1.scale_net.bn1.gamma",
-        "node_2.translate_net.bn0.beta",
-        "adjacency_0.translate_net.lin1.weight",
-    ]
-    with GradientTape() as tape:
-        for name in names:
-            tape.watch(name, model.get_parameter(name))
-        loss = nll_loss(model, batch, make_rng(3), training=False)
-    grads = tape.gradients(loss)
-    for name in names:
-
-        def f(value, name=name):
-            model.set_parameter(name, value)
-            return nll_loss(model, batch, make_rng(3), training=False)
-
-        original = model.get_parameter(name)
-        expected = finite_difference_gradient(f, original).data
-        model.set_parameter(name, original)
-        assert np.abs(expected).max() > 1e-3, name
-        assert np.abs(grads[name].data - expected).max() <= 1e-5 * (1.0 + np.abs(expected).max()), name

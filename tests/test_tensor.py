@@ -12,6 +12,8 @@ from graphnvp.graphs import qm9lite_spec
 from graphnvp.nets import BatchNorm, Linear, RelGraphRound
 from graphnvp.tensor import (
     GradientTape,
+    _activate_array,
+    _graph_conv_array,
     Tensor,
     add,
     backward,
@@ -385,22 +387,7 @@ def test_backward_matches_finite_differences_batch_norm_training(shape):
     _assert_gradients_match(f, [x, gamma, beta])
 
 
-def test_backward_matches_finite_differences_batch_norm_eval():
-    rng = make_rng(33)
-    x = Tensor(rng.normal(size=(2, 4, 3)))
-    gamma = Tensor(1.0 + 0.3 * rng.normal(size=3))
-    beta = Tensor(rng.normal(size=3))
-    stats = (rng.normal(scale=0.2, size=3), 1.0 + rng.random(3))
-    other = Tensor(rng.normal(size=x.shape))
-
-    def f(x, gamma, beta):
-        return sum_axis(mul(tanh(batch_norm(x, gamma, beta, 1e-5, stats)[0]), other))
-
-    _assert_gradients_match(f, [x, gamma, beta])
-
-
-@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
-def test_batch_norm_vjp_recomputes_the_forwards_normalized_input(training):
+def test_batch_norm_vjp_recomputes_the_forwards_normalized_input():
     """With gamma 1 and beta 0 the output is the normalized input itself, so
     the gradients built from the normalized input that the vjp recomputes
     must have the bits of the same formulas applied to the output."""
@@ -408,24 +395,19 @@ def test_batch_norm_vjp_recomputes_the_forwards_normalized_input(training):
     rows, features = 576, 64  # one qm9lite R-GCN round at batch 64
     x = Tensor(3.0 * rng.normal(size=(rows, features)) + 1.0)
     gamma, beta = Tensor(np.ones(features)), Tensor(np.zeros(features))
-    stats = None if training else (rng.normal(size=features), 1.0 + rng.random(features))
     g = rng.normal(size=(rows, features))
     with GradientTape() as tape:
         for name, t in (("x", x), ("gamma", gamma), ("beta", beta)):
             tape.watch(name, t)
-        out, _, var = batch_norm(x, gamma, beta, 1e-5, stats)
+        out, _, var = batch_norm(x, gamma, beta, 1e-5)
         loss = sum_axis(mul(out, Tensor(g)))
     grads = tape.gradients(loss)
     normed = out.data
     g_gamma = (g * normed).sum(axis=0)
     assert grads["gamma"].data.tobytes() == g_gamma.tobytes()
-    scale = gamma.data * np.power(var + 1e-5, -0.5)
-    if training:
-        gx = g - g.sum(axis=0) / rows
-        gx -= normed * (g_gamma / rows)
-        gx *= scale
-    else:
-        gx = g * scale
+    gx = g - g.sum(axis=0) / rows
+    gx -= normed * (g_gamma / rows)
+    gx *= gamma.data * np.power(var + 1e-5, -0.5)
     assert grads["x"].data.tobytes() == gx.tobytes()
 
 
@@ -438,10 +420,6 @@ def test_batch_norm_matches_reference_and_returns_statistics():
     assert np.array_equal(var, x.var(axis=(0, 1)))
     expected = (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
     assert np.abs(out.data - expected).max() < 1e-12
-    stats = (np.full(3, 0.5), np.full(3, 4.0))
-    out, mean, var = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), 0.0, stats)
-    assert np.array_equal(mean, stats[0]) and np.array_equal(var, stats[1])
-    assert np.abs(out.data - ((x - 0.5) / 2.0 * gamma + beta)).max() < 1e-12
     with pytest.raises(ShapeError):
         batch_norm(Tensor(x), Tensor(gamma[:2]), Tensor(beta), 1e-5)
 
@@ -522,7 +500,7 @@ def test_linear_and_training_batch_norm_record_once():
         assert len(tape.records) == 1
         for name, p in norm.named_parameters():
             tape.watch("bn." + name, p)
-        norm(h, training=True)
+        norm(h)
         assert len(tape.records) == 2
     assert np.array_equal(dict(norm.named_buffers())["running_mean"], 0.1 * h.data.mean(axis=0))
 
@@ -560,15 +538,13 @@ def _unfused_graph_conv(h, a_rows, w_rel, w_self, b, row=None):
     return out if row is not None else reshape(out, (batch, n, hidden))
 
 
-@pytest.mark.parametrize("row", [None, 1], ids=["full", "target_row"])
-def test_backward_matches_finite_differences_graph_conv(row):
+def test_backward_matches_finite_differences_graph_conv():
     rng = make_rng(39)
     h, a_rows, w_rel, w_self, b = _relational_input(rng, batch=2, n=3, r=2, f=3, hidden=4)
-    out_shape = (2, 4) if row is not None else (2, 3, 4)
-    other = Tensor(rng.normal(size=out_shape))
+    other = Tensor(rng.normal(size=(2, 3, 4)))
 
     def f(h, w_rel, w_self, b):
-        return sum_axis(mul(tanh(graph_conv(h, a_rows, w_rel, w_self, b, row)), other))
+        return sum_axis(mul(tanh(graph_conv(h, a_rows, w_rel, w_self, b)), other))
 
     _assert_gradients_match(f, [h, w_rel, w_self, b])
 
@@ -579,65 +555,60 @@ def test_graph_conv_values_and_shape_checks():
     full = graph_conv(h, a_rows, w_rel, w_self, b)
     assert full.shape == (2, 3, 4)
     assert np.array_equal(full.data, _unfused_graph_conv(h, a_rows, w_rel, w_self, b).data)
+    weights = (w_rel.data, w_self.data, b.data)
     for row in range(3):
-        only = graph_conv(h, a_rows, w_rel, w_self, b, row)
-        assert np.array_equal(only.data, _unfused_graph_conv(h, a_rows, w_rel, w_self, b, row).data)
+        only = _graph_conv_array(h.data, a_rows, *weights, row)
+        assert np.array_equal(only, _unfused_graph_conv(h, a_rows, w_rel, w_self, b, row).data)
     with pytest.raises(ShapeError):
         graph_conv(h, a_rows[:, :4], w_rel, w_self, b)
     with pytest.raises(ShapeError):
         graph_conv(h, a_rows, w_rel, w_self, Tensor(np.zeros(3)))
     with pytest.raises(ShapeError):
-        graph_conv(h, a_rows, w_rel, w_self, b, row=3)
+        _graph_conv_array(h.data, a_rows, *weights, 3)
 
 
-@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_backward_matches_finite_differences_batch_norm_activation(activation, training):
-    rng = make_rng(zlib.crc32(f"{activation}-{training}".encode()))
+def test_backward_matches_finite_differences_batch_norm_activation(activation):
+    rng = make_rng(zlib.crc32(f"batch_norm-{activation}".encode()))
     x = Tensor(rng.normal(size=(2, 4, 3)))
     gamma = Tensor(1.0 + 0.3 * rng.normal(size=3))
     beta = Tensor(rng.normal(size=3))
-    stats = None if training else (rng.normal(scale=0.2, size=3), 1.0 + rng.random(3))
     other = Tensor(rng.normal(size=x.shape))
 
     def f(x, gamma, beta):
-        return sum_axis(mul(batch_norm(x, gamma, beta, 1e-5, stats, activation)[0], other))
+        return sum_axis(mul(batch_norm(x, gamma, beta, 1e-5, activation=activation)[0], other))
 
     _assert_gradients_match(f, [x, gamma, beta])
 
 
-def _conv_stack_loss(fused, training, h, a_rows, params, stats, other, row):
+def _conv_stack_loss(fused, h, a_rows, params, other, row):
     """Two R-GCN rounds with batch norm and tanh, the target row, then a
     linear layer with batch norm and relu: the node-feature conditioner and
     an MLP hidden layer, fused or as the generic-op composition."""
     conv = graph_conv if fused else _unfused_graph_conv
 
     def norm(x, k, activation):
-        st = None if training else stats[k]
         gamma, beta = params[f"gamma{k}"], params[f"beta{k}"]
         if fused:
-            return batch_norm(x, gamma, beta, 1e-5, st, activation)[0]
-        return {"tanh": tanh, "relu": relu}[activation](batch_norm(x, gamma, beta, 1e-5, st)[0])
+            return batch_norm(x, gamma, beta, 1e-5, activation=activation)[0]
+        return {"tanh": tanh, "relu": relu}[activation](batch_norm(x, gamma, beta, 1e-5)[0])
 
     x = h
     for k in range(2):
-        target = row if k == 1 and not training else None
-        x = conv(x, a_rows, params[f"rel{k}"], params[f"self{k}"], params[f"bias{k}"], target)
+        x = conv(x, a_rows, params[f"rel{k}"], params[f"self{k}"], params[f"bias{k}"])
         x = norm(x, k, "tanh")
-    if x.ndim == 3:
-        x = index_axis(x, 1, row)
+    x = index_axis(x, 1, row)
     x = norm(linear(x, params["weight"], params["bias"]), 2, "relu")
     return sum_axis(mul(x, other))
 
 
-@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
-def test_fused_round_and_activation_are_bit_identical_to_generic_ops(training):
+def test_fused_round_and_activation_are_bit_identical_to_generic_ops():
     """A qm9lite-shaped batch: 64 graphs, 9 nodes, 4 bond channels, 5 atom
     types, 64 hidden features."""
     rng = make_rng(41)
     batch, n, r, f, hidden = 64, 9, 4, 5, 64
     h, a_rows, *_ = _relational_input(rng, batch, n, r, f, hidden)
-    params, stats = {}, []
+    params = {}
     for k in range(2):
         params[f"rel{k}"], params[f"self{k}"], params[f"bias{k}"] = _round_parameters(
             rng, r, f if k == 0 else hidden, hidden
@@ -647,7 +618,6 @@ def test_fused_round_and_activation_are_bit_identical_to_generic_ops(training):
     for k in range(3):
         params[f"gamma{k}"] = Tensor(1.0 + 0.3 * rng.normal(size=hidden))
         params[f"beta{k}"] = Tensor(rng.normal(size=hidden))
-        stats.append((rng.normal(scale=0.2, size=hidden), 1.0 + rng.random(hidden)))
     other = Tensor(rng.normal(size=(batch, hidden)))
 
     results = []
@@ -656,7 +626,7 @@ def test_fused_round_and_activation_are_bit_identical_to_generic_ops(training):
             tape.watch("h", h)
             for name, p in params.items():
                 tape.watch(name, p)
-            loss = _conv_stack_loss(fused, training, h, a_rows, params, stats, other, row=4)
+            loss = _conv_stack_loss(fused, h, a_rows, params, other, row=4)
         results.append((loss.item(), tape.gradients(loss)))
     (fused_loss, fused_grads), (plain_loss, plain_grads) = results
     assert fused_loss == plain_loss
@@ -667,14 +637,16 @@ def test_fused_round_and_activation_are_bit_identical_to_generic_ops(training):
 
 @pytest.mark.parametrize("activation", [None, "tanh", "relu"])
 def test_batch_norm_checks_finiteness_before_the_activation(activation):
-    # -inf before the activation; tanh would map it to -1 and relu to 0.
-    x = Tensor([[-1e200, 0.0], [1.0, 2.0]])
-    gamma, beta = Tensor([1e200, 1.0]), Tensor([0.0, 0.0])
-    stats = (np.zeros(2), np.ones(2))
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="batch_norm"):
-        batch_norm(x, gamma, beta, 0.0, stats, activation)
+    # The first column normalizes to [-1, 1] and becomes [-inf, 0] before the
+    # activation; tanh would map -inf to -1 and relu to 0.
+    x = Tensor([[0.0, 0.0], [2.0, 2.0]])
+    gamma, beta = Tensor([1e308, 1.0]), Tensor([-1e308, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^batch_norm produced a non-finite value"):
+        batch_norm(x, gamma, beta, 0.0, activation=activation)
     with pytest.raises(ValueError):
-        batch_norm(x, Tensor([1.0, 1.0]), beta, 0.0, stats, "sigmoid")
+        batch_norm(x, Tensor([1.0, 1.0]), beta, 0.0, activation="sigmoid")
+    with pytest.raises(TypeError):
+        batch_norm(x, gamma, beta, 0.0, None)  # the statistics argument is gone
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -687,8 +659,7 @@ def test_linear_and_graph_conv_activation_is_bit_identical_to_the_separate_op(ac
     separate = {"tanh": tanh, "relu": relu}[activation]
     cases = [
         ([x, w, b], lambda x, w, b, act=None: linear(x, w, b, act)),
-        ([h, w_rel, w_self, b], lambda h, wr, ws, b, act=None: graph_conv(h, a_rows, wr, ws, b, None, act)),
-        ([h, w_rel, w_self, b], lambda h, wr, ws, b, act=None: graph_conv(h, a_rows, wr, ws, b, 2, act)),
+        ([h, w_rel, w_self, b], lambda h, wr, ws, b, act=None: graph_conv(h, a_rows, wr, ws, b, act)),
     ]
     for inputs, op in cases:
         outputs, grads = [], []
@@ -716,13 +687,16 @@ def test_linear_and_graph_conv_check_finiteness_before_the_activation(activation
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="^linear produced a non-finite value"):
             linear(x, w, b, activation)
-        for row in (None, 0):
-            with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
-                graph_conv(h, a_rows, w_rel, w, b, row, activation)
+        with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
+            graph_conv(h, a_rows, w_rel, w, b, activation)
+        # The eval round of one target row.
+        with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
+            y = _graph_conv_array(h.data, a_rows, w_rel.data, w.data, b.data, 0)
+            _activate_array(y, activation, "graph_conv")
     with pytest.raises(ValueError):
         linear(x, Tensor(np.eye(2)), b, "sigmoid")
     with pytest.raises(ValueError):
-        graph_conv(h, a_rows, w_rel, Tensor(np.eye(2)), b, None, "sigmoid")
+        graph_conv(h, a_rows, w_rel, Tensor(np.eye(2)), b, "sigmoid")
 
 
 def test_training_graph_round_and_batch_norm_activation_record_once():
@@ -738,9 +712,9 @@ def test_training_graph_round_and_batch_norm_activation_record_once():
         assert len(tape.records) == 1
         for name, p in norm.named_parameters():
             tape.watch("bn." + name, p)
-        norm(out, training=True, activation="tanh")
+        norm(out, activation="tanh")
         assert len(tape.records) == 2
-        norm(out, training=True, activation="relu")
+        norm(out, activation="relu")
         assert len(tape.records) == 3
 
 
@@ -765,30 +739,29 @@ def test_qm9lite_training_step_tape_length():
 
 
 @pytest.mark.parametrize("activation", [None, "tanh", "relu"])
-@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("watch_affine", [False, True])
 @pytest.mark.parametrize("watch_x", [True, False])
-def test_batch_norm_row_equals_full_norm_then_index_axis_bitwise(activation, frozen, watch_x):
+def test_batch_norm_row_equals_full_norm_then_index_axis_bitwise(activation, watch_affine, watch_x):
     """Normalizing only ``x[:, row]`` (statistics over all of ``x``) gives the
     output, statistics and gradients of the full norm followed by
-    ``index_axis``, bit for bit."""
+    ``index_axis``, bit for bit, whichever inputs need a gradient."""
     rng = make_rng(61)
     x = Tensor(rng.normal(size=(5, 4, 3)))
     gamma, beta = Tensor(0.5 + rng.random(3)), Tensor(rng.normal(size=3))
-    stats = (rng.normal(size=3), 0.5 + rng.random(3)) if frozen else None
     weights = Tensor(rng.normal(size=(5, 3)))  # a distinct gradient for every output entry
-    watched = {"gamma": gamma, "beta": beta} | ({"x": x} if watch_x else {})
+    watched = ({"gamma": gamma, "beta": beta} if watch_affine else {}) | ({"x": x} if watch_x else {})
 
     def run(row_only):
         with GradientTape() as tape:
             for name, t in watched.items():
                 tape.watch(name, t)
             if row_only:
-                out, mean, var = batch_norm(x, gamma, beta, 1e-5, stats, activation, row=2)
+                out, mean, var = batch_norm(x, gamma, beta, 1e-5, activation=activation, row=2)
             else:
-                full, mean, var = batch_norm(x, gamma, beta, 1e-5, stats, activation)
+                full, mean, var = batch_norm(x, gamma, beta, 1e-5, activation=activation)
                 out = index_axis(full, 1, 2)
             loss = sum_axis(mul(out, weights))
-        grads = tape.gradients(loss)
+        grads = tape.gradients(loss) if watched else {}
         return [out.data, mean, var] + [grads[name].data for name in watched]
 
     got, want = run(True), run(False)

@@ -44,7 +44,7 @@ def test_nll_zero_init_closed_form():
     dequantized inputs."""
     model = toy_model()
     batch = toy_batch()
-    loss = nll_loss(model, batch, make_rng(5), training=True)
+    loss = nll_loss(model, batch, make_rng(5))
 
     rng = make_rng(5)
     adjacency = np.stack([g.adjacency for g in batch])
@@ -62,10 +62,10 @@ def test_nll_is_mean_negative_log_likelihood_of_the_dequantized_batch():
     bit for bit."""
     model = randomize_model(toy_model(), seed=22, scale=0.2)
     batch = toy_batch(count=3, seed=4)
-    loss = nll_loss(model, batch, make_rng(6), training=True)
+    loss = nll_loss(model, batch, make_rng(6))
 
     adjacency, features = dequantize(batch, 0.9, make_rng(6))
-    z, log_det = model.forward_batch(adjacency, features, training=True)
+    z, log_det = model.forward_batch(adjacency, features)
     log_prob = model.prior.log_prob(z)
     expected = ((log_prob.data + log_det.data) * -1.0).mean(axis=0)
     assert loss.data.tobytes() == np.float64(expected).tobytes()
@@ -108,13 +108,13 @@ def test_nll_gradient_matches_finite_differences():
 
         def loss_at(values):
             model.set_parameter(name, values if isinstance(values, Tensor) else Tensor(values.data))
-            out = nll_loss(model, batch, make_rng(9), training=True)
+            out = nll_loss(model, batch, make_rng(9))
             return out
 
         with GradientTape() as tape:
             tape.watch(name, p0)
             model.set_parameter(name, p0)
-            loss = nll_loss(model, batch, make_rng(9), training=True)
+            loss = nll_loss(model, batch, make_rng(9))
         analytic = tape.gradients(loss)[name].data
         numeric = finite_difference_gradient(lambda t: loss_at(t), p0, 1e-5).data
         model.set_parameter(name, p0)
@@ -130,11 +130,13 @@ def test_nll_invariant_under_checkpoint_round_trip(tmp_path):
     model = toy_model()
     randomize_model(model, seed=22, scale=0.2)
     batch = toy_batch(count=3, seed=4)
-    before = nll_loss(model, batch, make_rng(11), training=False).item()
+    adjacency, features = dequantize(batch, 0.9, make_rng(11))
+    before = model.eval_forward(adjacency, features)
     save_checkpoint(model, tmp_path / "m.gnvp")
     loaded = load_checkpoint(tmp_path / "m.gnvp", TOY_SPEC)
-    after = nll_loss(loaded, batch, make_rng(11), training=False).item()
-    assert before == after
+    after = loaded.eval_forward(adjacency, features)
+    assert all(b.tobytes() == a.tobytes() for b, a in zip(before, after))
+    assert nll_loss(model, batch, make_rng(11)).item() == nll_loss(loaded, batch, make_rng(11)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,7 @@ def test_qm9lite_training_memory(qm9_corpus):
         with GradientTape() as tape:
             for name, p in sorted(model.named_parameters()):
                 tape.watch(name, p)
-            loss = nll_loss(model, batch, make_rng(0), training=True)
+            loss = nll_loss(model, batch, make_rng(0))
         tape_bytes = tracemalloc.get_traced_memory()[0] - start
         del tape, loss
         state = TrainState.fresh(model)
@@ -476,7 +478,7 @@ def test_qm9lite_train_steps_equal_tape_gradients_then_full_adam_step(qm9_corpus
         with GradientTape() as tape:
             for name, p in sorted(model.named_parameters()):
                 tape.watch(name, p)
-            loss = nll_loss(model, [dataset[i] for i in order[lo : lo + 64]], rng, training=True)
+            loss = nll_loss(model, [dataset[i] for i in order[lo : lo + 64]], rng)
         adam_step(reference, tape.gradients(loss).flat, config)
         lo_param = 0
         for name, p in sorted(model.named_parameters()):
@@ -568,10 +570,10 @@ def test_train_state_file_loads_as_a_model(tmp_path):
     save_train_state(tmp_path / "state.gnvp", state, model)
     loaded = load_checkpoint(tmp_path / "state.gnvp", TOY_SPEC)
     adjacency, features = dequantize(dataset, 0.9, make_rng(1))
-    z1, ld1 = model.forward_batch(adjacency, features)
-    z2, ld2 = loaded.forward_batch(adjacency, features)
-    assert z1.data.tobytes() == z2.data.tobytes()
-    assert ld1.data.tobytes() == ld2.data.tobytes()
+    z1, ld1 = model.eval_forward(adjacency, features)
+    z2, ld2 = loaded.eval_forward(adjacency, features)
+    assert z1.tobytes() == z2.tobytes()
+    assert ld1.tobytes() == ld2.tobytes()
 
 
 def test_qm9lite_train_state_loads_in_one_pass_bit_identical(tmp_path, qm9_corpus):
@@ -674,7 +676,7 @@ def test_loss_finite_on_corpus_batches(qm9_corpus):
 
     model = FlowModel(qm9lite_spec(), seed=0)
     rng = make_rng(0)
-    loss = nll_loss(model, qm9_corpus[:64], rng, training=True)
+    loss = nll_loss(model, qm9_corpus[:64], rng)
     assert np.isfinite(loss.item())
 
 
