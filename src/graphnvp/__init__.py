@@ -31,7 +31,6 @@ from .graphs import (
     MolecularGraph,
     dequantize,
     discretize_argmax,
-    permute_nodes,
     qm9lite_spec,
     requantize,
     zinclite_spec,
@@ -53,8 +52,8 @@ from .sampling import (
     generate,
     temperature_sweep,
 )
-from .tensor import GradientTape, Tensor, backward, finite_difference_gradient, make_rng
-from .train import TrainConfig, TrainState, adam_step, nll_loss, split_dataset, train
+from .tensor import GradientTape, Tensor, backward, make_rng
+from .train import TrainConfig, TrainState, adam_step, nll_loss, train
 
 __version__ = "0.1.0"
 
@@ -87,7 +86,6 @@ __all__ = [
     "dequantize",
     "discretize_argmax",
     "encode_dataset",
-    "finite_difference_gradient",
     "fit_regressor",
     "from_graph",
     "generate",
@@ -98,11 +96,9 @@ __all__ = [
     "nll_loss",
     "optimize_along",
     "parse_smiles_lite",
-    "permute_nodes",
     "qm9lite_spec",
     "requantize",
     "save_checkpoint",
-    "split_dataset",
     "temperature_sweep",
     "to_graph",
     "train",

@@ -255,14 +255,3 @@ def discretize_argmax(
     a = a.reshape((-1,) + spec.adjacency_shape())
     x = x.reshape((-1,) + spec.feature_shape())
     return [MolecularGraph(spec, a[b], x[b]) for b in range(x.shape[0])]
-
-
-def permute_nodes(graph: MolecularGraph, perm) -> MolecularGraph:
-    """Reindex nodes: row ``i`` of the result is node ``perm[i]`` of the input."""
-    perm = np.asarray(perm, dtype=np.int64)
-    n = graph.spec.num_nodes
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise GraphError(f"perm must be a bijection on 0..{n - 1}")
-    adj = graph.adjacency[perm][:, perm]
-    feat = graph.features[perm]
-    return MolecularGraph(graph.spec, adj, feat)

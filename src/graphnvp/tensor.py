@@ -35,8 +35,7 @@ inv_std``.  Watched tensors come in groups, and each group's gradients are
 handed to the tape's consumer, then dropped, as soon as the replay has
 finished them, so a consumer that applies them at once never holds a
 gradient of every parameter.  The default consumer, :class:`Gradients`,
-collects them into one flat vector holding every watched tensor's gradient,
-raveled, in watch order, with each name's entry a read-only view of it.
+collects them by watched name.
 """
 from __future__ import annotations
 
@@ -52,7 +51,6 @@ __all__ = [
     "GradientTape",
     "Gradients",
     "backward",
-    "finite_difference_gradient",
     "make_rng",
     "add",
     "sub",
@@ -215,27 +213,17 @@ class GradientTape:
 
 
 class Gradients(dict):
-    """The default consumer of a replay: gradient by watched name, each a
-    read-only view of :attr:`flat`, one vector holding every watched tensor's
-    gradient, raveled, in watch order."""
+    """The default consumer of a replay: the gradient of each watched name,
+    in watch order, as a read-only :class:`Tensor` of the watched tensor's
+    shape; zeros where nothing read it."""
 
     def __init__(self, parameters: dict[str, Tensor]):
-        super().__init__()
-        self.flat = np.zeros(sum(p.size for p in parameters.values()))
-        self._slots, lo = {}, 0
-        for name, p in parameters.items():
-            self._slots[name] = self.flat[lo : lo + p.size].reshape(p.shape)
-            lo += p.size
+        super().__init__((name, _frozen(np.zeros(p.shape))) for name, p in parameters.items())
 
     def __call__(self, group: str, gradients: list) -> None:
         for name, g in gradients:
             if g is not None:
-                self._slots[name][...] = g
-
-    def _seal(self) -> None:
-        self.flat.flags.writeable = False
-        self.update((name, _frozen(slot)) for name, slot in self._slots.items())
-        del self._slots
+                self[name] = _frozen(np.array(g))
 
 
 def backward(tape: GradientTape, loss: Tensor) -> Gradients | None:
@@ -312,8 +300,6 @@ def backward(tape: GradientTape, loss: Tensor) -> Gradients | None:
     for group in members:
         if group not in first:
             hand_over(group)
-    if collected is not None:
-        collected._seal()
     return collected
 
 
@@ -808,41 +794,3 @@ def replace_row(x: Tensor, row: int, value: Tensor) -> Tensor:
         return gx, (np.ascontiguousarray(g[:, row]) if needs[1] else None)
 
     return _record((x, value), out, vjp)
-
-
-# ---------------------------------------------------------------------------
-# gradient oracle
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_gradient(
-    f: Callable[[Tensor], "Tensor | float"], p: Tensor, step: float = 1e-5
-) -> Tensor:
-    """Central-difference estimate of d f / d p, one coordinate at a time.
-
-    ``f`` must be deterministic and return a scalar; evaluations yielding
-    non-finite values raise :class:`NumericError`.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    def evaluate(values: np.ndarray) -> float:
-        r = f(Tensor(values))
-        v = r.item() if isinstance(r, Tensor) else float(r)
-        if not np.isfinite(v):
-            raise NumericError("finite_difference_gradient: function value is non-finite")
-        return v
-
-    base = p.data.copy()
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = evaluate(base)
-        flat[i] = orig - step
-        lo = evaluate(base)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return Tensor(grad)

@@ -113,40 +113,30 @@ def nll_loss(model: FlowModel, batch: Sequence[MolecularGraph], rng: np.random.G
 _ADAM_BLOCK = 32768
 
 
-def adam_step(state: TrainState, gradient: np.ndarray, config: TrainConfig, start: int | None = None) -> None:
-    """One bias-corrected Adam update of ``state``'s three vectors, in place.
-
-    With ``start`` None, ``gradient`` is a flat vector in the state's layout,
-    as :attr:`~graphnvp.tensor.Gradients.flat` is when the parameters were
-    watched in sorted name order: the step count goes up by one, every
-    element is updated and :func:`~graphnvp.nets.parameters_changed` runs.
-    Given ``start``, ``gradient`` covers the ``gradient.size`` elements from
-    ``start`` on, which are updated as step ``state.step``, already counted;
-    the caller notifies the change once the step is done.  :func:`train`
-    updates one layer group at a time so.
+def adam_step(state: TrainState, gradient: np.ndarray, config: TrainConfig, start: int) -> None:
+    """One bias-corrected Adam update of a slice of ``state``'s three
+    vectors, in place: ``gradient`` covers the ``gradient.size`` elements
+    from ``start`` on, which are updated as step ``state.step``, already
+    counted.  The caller counts the step and calls
+    :func:`~graphnvp.nets.parameters_changed` once the step is done;
+    :func:`train` updates one layer group at a time so.
 
     The update runs over blocks of ``_ADAM_BLOCK`` elements.  Each element
     keeps the operation order of ``(alpha*m_hat) / (sqrt(v_hat) + eps)``
     with ``m = b1*m + (1-b1)*g`` and ``v = b2*v + ((1-b2)*g)*g``, so the
     result depends neither on the blocking nor on the split into slices.  A
-    gradient of the wrong shape, or a slice outside the state or before its
-    first step, raises :class:`TrainingError` and leaves the state
-    untouched."""
-    params = state.params
-    if start is None:
-        if gradient.shape != params.shape:
-            raise TrainingError(f"gradient holds {gradient.shape} values, the state {params.shape}")
-        state.step += 1
-    elif gradient.ndim != 1 or not 0 <= start <= params.size - gradient.size or state.step < 1:
+    gradient that is not one-dimensional, or a slice outside the state or
+    before its first step, raises :class:`TrainingError` and leaves the
+    state untouched."""
+    size = gradient.size
+    if gradient.ndim != 1 or not 0 <= start <= state.params.size - size or state.step < 1:
         raise TrainingError(
             f"gradient of shape {gradient.shape} at {start} does not fit the state's"
-            f" {params.size} values at step {state.step}"
+            f" {state.params.size} values at step {state.step}"
         )
     b1, b2, alpha, eps = config.adam_beta1, config.adam_beta2, config.adam_alpha, config.adam_eps
     c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
-    size = gradient.size
-    first = start or 0
-    params, m, v = (a[first : first + size] for a in (params, state.first_moment, state.second_moment))
+    params, m, v = (a[start : start + size] for a in (state.params, state.first_moment, state.second_moment))
     scratch = np.empty((2, min(size, _ADAM_BLOCK)))
     for lo in range(0, size, _ADAM_BLOCK):
         hi = min(lo + _ADAM_BLOCK, size)
@@ -166,8 +156,6 @@ def adam_step(state: TrainState, gradient: np.ndarray, config: TrainConfig, star
         u *= alpha
         u /= t
         params[lo:hi] -= u
-    if start is None:
-        parameters_changed()
 
 
 def _group(name: str) -> str:
@@ -314,18 +302,6 @@ def _save_finite(model: FlowModel, state: TrainState, path: Path) -> None:
             f"non-finite parameters at epoch {state.epoch} step {state.step}; {path.name} not written"
         )
     save_checkpoint(model, path)
-
-
-def split_dataset(
-    dataset: Sequence[MolecularGraph], seed: int, holdout_fraction: float = 0.1
-) -> tuple[list[MolecularGraph], list[MolecularGraph]]:
-    """Deterministic train/holdout split by seeded shuffle."""
-    order = make_rng(seed).permutation(len(dataset))
-    n_holdout = int(round(len(dataset) * holdout_fraction))
-    holdout_idx = set(order[:n_holdout].tolist())
-    train_part = [dataset[i] for i in range(len(dataset)) if i not in holdout_idx]
-    holdout = [dataset[i] for i in sorted(holdout_idx)]
-    return train_part, holdout
 
 
 def write_metrics_csv(records: Sequence[EpochRecord], path) -> None:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from graphnvp.chem import bundled_corpus_path, load_dataset
-from graphnvp.errors import NumericError
+from graphnvp.errors import GraphError, NumericError
 from graphnvp.flow import FlowModel, ModelConfig
 from graphnvp.graphs import GraphSpec, MolecularGraph, argmax_adjacency, qm9lite_spec
 from graphnvp.tensor import Tensor, make_rng
-from graphnvp.train import TrainConfig, split_dataset, train
+from graphnvp.train import TrainConfig, train
 
 settings.register_profile(
     "ci",
@@ -42,6 +42,62 @@ def toy_spec():
 @pytest.fixture
 def toy_model():
     return FlowModel(TOY_SPEC, TOY_CONFIG, seed=7)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+# ---------------------------------------------------------------------------
+
+
+def finite_difference_gradient(f, p: Tensor, step: float = 1e-5) -> Tensor:
+    """Central-difference estimate of d f / d p, one coordinate at a time.
+
+    ``f`` must be deterministic and return a scalar (a Tensor or a float);
+    evaluations yielding non-finite values raise :class:`NumericError`.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+
+    def evaluate(values: np.ndarray) -> float:
+        r = f(Tensor(values))
+        v = r.item() if isinstance(r, Tensor) else float(r)
+        if not np.isfinite(v):
+            raise NumericError("finite_difference_gradient: function value is non-finite")
+        return v
+
+    base = p.data.copy()
+    grad = np.zeros_like(base)
+    flat = base.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = evaluate(base)
+        flat[i] = orig - step
+        lo = evaluate(base)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * step)
+    return Tensor(grad)
+
+
+def split_dataset(dataset, seed: int, holdout_fraction: float = 0.1):
+    """Deterministic (train, holdout) split of a list of graphs by seeded
+    shuffle."""
+    order = make_rng(seed).permutation(len(dataset))
+    n_holdout = int(round(len(dataset) * holdout_fraction))
+    holdout_idx = set(order[:n_holdout].tolist())
+    train_part = [dataset[i] for i in range(len(dataset)) if i not in holdout_idx]
+    holdout = [dataset[i] for i in sorted(holdout_idx)]
+    return train_part, holdout
+
+
+def permute_nodes(graph: MolecularGraph, perm) -> MolecularGraph:
+    """Reindex nodes: row ``i`` of the result is node ``perm[i]`` of the input."""
+    perm = np.asarray(perm, dtype=np.int64)
+    n = graph.spec.num_nodes
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise GraphError(f"perm must be a bijection on 0..{n - 1}")
+    return MolecularGraph(graph.spec, graph.adjacency[perm][:, perm], graph.features[perm])
 
 
 def randomize_model(model: FlowModel, seed: int, scale: float = 0.3) -> FlowModel:

@@ -15,13 +15,15 @@ from conftest import (
     REG_SPEC,
     TOY_CONFIG,
     TOY_SPEC,
+    finite_difference_gradient,
+    permute_nodes,
     random_graph,
     random_nonempty_graph,
     randomize_model,
 )
 from graphnvp.chem import from_graph, parse_smiles_lite, to_graph, write_smiles_canonical
 from graphnvp.flow import FlowModel, GaussianPrior
-from graphnvp.graphs import dequantize, permute_nodes, qm9lite_spec
+from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.latent import encode_dataset, fit_linear_latent_model
 from graphnvp.sampling import (
     SampleConfig,
@@ -32,7 +34,7 @@ from graphnvp.sampling import (
     temperature_sweep,
     write_sweep_csv,
 )
-from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
+from graphnvp.tensor import GradientTape, make_rng
 from graphnvp.train import TrainConfig, nll_loss, train
 
 

@@ -14,8 +14,10 @@ from graphnvp.chem import (
     write_smiles_canonical,
 )
 from graphnvp.errors import ChemError, DatasetError, GraphError, SmilesParseError
-from graphnvp.graphs import GraphSpec, MolecularGraph, discretize_argmax, permute_nodes, qm9lite_spec, zinclite_spec
+from graphnvp.graphs import GraphSpec, MolecularGraph, discretize_argmax, qm9lite_spec, zinclite_spec
 from graphnvp.tensor import make_rng
+
+from conftest import permute_nodes
 
 
 def bonds_as_set(molecule):

@@ -19,6 +19,7 @@ from conftest import (
     oracle_inverse_batch,
     oracle_node_forward,
     oracle_node_inverse,
+    permute_nodes,
     random_graph,
     randomize_model,
 )
@@ -33,7 +34,7 @@ from graphnvp.flow import (
     load_checkpoint,
     save_checkpoint,
 )
-from graphnvp.graphs import argmax_adjacency, dequantize, permute_nodes, qm9lite_spec
+from graphnvp.graphs import argmax_adjacency, dequantize, qm9lite_spec
 from graphnvp.tensor import Tensor, make_rng
 from graphnvp.train import TrainState, load_train_state, save_train_state
 

@@ -13,14 +13,13 @@ from graphnvp.graphs import (
     dequantize,
     discretize_argmax,
     first_failures,
-    permute_nodes,
     qm9lite_spec,
     requantize,
     zinclite_spec,
 )
 from graphnvp.tensor import make_rng
 
-from conftest import TOY_SPEC, random_graph
+from conftest import TOY_SPEC, permute_nodes, random_graph
 
 
 def test_bundled_specs():

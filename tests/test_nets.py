@@ -386,8 +386,8 @@ def test_fold_follows_adam_step_inside_train(monkeypatch):
         steps.append(step)
         _eval(model)  # refilled after the copy's construction bumped the version
 
-    def checked(state, gradient, config, start=None):
-        assert start is not None and gradient.size < state.params.size
+    def checked(state, gradient, config, start):
+        assert gradient.size < state.params.size
         if not steps or steps[-1] != state.step:
             follow(state.step)
         adam_step(state, gradient, config, start)

@@ -1,4 +1,6 @@
-"""The package's public surface: one batched model API."""
+"""The package's public surface: one batched model API, without the
+helpers only tests use (``finite_difference_gradient``, ``split_dataset`` and
+``permute_nodes`` live in ``tests/conftest.py``)."""
 import types
 
 import graphnvp
@@ -11,10 +13,10 @@ EXPORTS = {
     "NodeFeatureCouplingLayer", "PropertyRegressor", "SampleConfig", "Tensor", "TrainConfig",
     "TrainState", "ValenceTable", "adam_step", "backward", "bundled_corpus_path",
     "check_validity", "compute_metrics", "compute_property", "decode", "default_model_config",
-    "dequantize", "discretize_argmax", "encode_dataset", "finite_difference_gradient",
+    "dequantize", "discretize_argmax", "encode_dataset",
     "fit_regressor", "from_graph", "generate", "grid_decode", "load_checkpoint",
     "load_dataset", "make_rng", "nll_loss", "optimize_along", "parse_smiles_lite",
-    "permute_nodes", "qm9lite_spec", "requantize", "save_checkpoint", "split_dataset",
+    "qm9lite_spec", "requantize", "save_checkpoint",
     "temperature_sweep", "to_graph", "train", "write_smiles_canonical", "zinclite_spec",
 }
 
@@ -31,3 +33,5 @@ def test_every_export_resolves_and_nothing_else_is_public():
     }
     assert public == EXPORTS
     assert not hasattr(graphnvp, "encode")
+    for name in ("finite_difference_gradient", "split_dataset", "permute_nodes"):
+        assert not hasattr(graphnvp, name), name

@@ -5,13 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import TOY_CONFIG, TOY_SPEC, random_graph, randomize_model
+from conftest import TOY_CONFIG, TOY_SPEC, finite_difference_gradient, random_graph, randomize_model, split_dataset
 from graphnvp.errors import CheckpointError, TrainingError
 from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
 from graphnvp.graphs import dequantize, qm9lite_spec
-from graphnvp.nets import Module
+from graphnvp.nets import Module, parameters_changed
 from graphnvp import tensor as T
-from graphnvp.tensor import GradientTape, Tensor, finite_difference_gradient, make_rng
+from graphnvp.tensor import GradientTape, Tensor, make_rng
 from graphnvp.train import (
     TrainConfig,
     TrainState,
@@ -19,7 +19,6 @@ from graphnvp.train import (
     load_train_state,
     nll_loss,
     save_train_state,
-    split_dataset,
     train,
     write_metrics_csv,
 )
@@ -144,11 +143,19 @@ def test_nll_invariant_under_checkpoint_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def full_adam_step(state, gradient, config):
+    """One Adam step over the whole state, made as ``train`` makes each
+    step: count it, update, then invalidate the eval caches."""
+    state.step += 1
+    adam_step(state, gradient, config, 0)
+    parameters_changed()
+
+
 def test_adam_zero_gradient_keeps_parameters():
     model = toy_model()
     state = TrainState.fresh(model)
     before = state.params.copy()
-    adam_step(state, np.zeros(state.params.size), TrainConfig(epochs=1, batch_size=1))
+    full_adam_step(state, np.zeros(state.params.size), TrainConfig(epochs=1, batch_size=1))
     assert np.array_equal(state.params, before)
     assert state.step == 1
 
@@ -157,7 +164,7 @@ def test_adam_first_step_magnitude():
     # bias-corrected first step with unit gradient moves by ~alpha
     config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.001)
     state = TrainState(params=np.array([5.0]), first_moment=np.zeros(1), second_moment=np.zeros(1))
-    adam_step(state, np.array([1.0]), config)
+    full_adam_step(state, np.array([1.0]), config)
     delta = float(state.params[0]) - 5.0
     assert delta == pytest.approx(-0.001, rel=1e-6)
 
@@ -169,21 +176,22 @@ def test_adam_reaches_quadratic_minimum():
     target = np.array([0.05, 0.03, 0.04])
     state = TrainState(params=np.zeros(3), first_moment=np.zeros(3), second_moment=np.zeros(3))
     for _ in range(100):
-        adam_step(state, 2.0 * (state.params - target), config)
+        full_adam_step(state, 2.0 * (state.params - target), config)
     assert np.abs(state.params - target).max() < 1e-3
 
 
 def test_adam_rejects_mismatched_size():
     model = toy_model()
     state = TrainState.fresh(model)
+    state.step = 1
     saved = [a.copy() for a in (state.params, state.first_moment, state.second_moment)]
     size = state.params.size
-    for gradient in (np.ones(1), np.ones(size - 1), np.ones(size + 1), np.ones((size, 1))):
+    for gradient, start in ((np.ones(1), size), (np.ones(size - 1), 2), (np.ones(size + 1), 0), (np.ones((size, 1)), 0)):
         with pytest.raises(TrainingError):
-            adam_step(state, gradient, TrainConfig(epochs=1, batch_size=1))
+            adam_step(state, gradient, TrainConfig(epochs=1, batch_size=1), start)
         for got, want in zip((state.params, state.first_moment, state.second_moment), saved):
             assert np.array_equal(got, want)
-        assert state.step == 0
+        assert state.step == 1
 
 
 def test_adam_in_place_equals_out_of_place_formula_bitwise():
@@ -204,7 +212,7 @@ def test_adam_in_place_equals_out_of_place_formula_bitwise():
     b1, b2 = config.adam_beta1, config.adam_beta2
     for step in range(5, 8):
         grads = {n: rng.normal(size=s) for n, s in shapes.items()}
-        adam_step(state, np.concatenate([grads[n].ravel() for n in shapes]), config)
+        full_adam_step(state, np.concatenate([grads[n].ravel() for n in shapes]), config)
         for n, g in grads.items():
             m[n] = b1 * m[n] + (1.0 - b1) * g
             v[n] = b2 * v[n] + (1.0 - b2) * g * g
@@ -219,7 +227,7 @@ def test_adam_in_place_equals_out_of_place_formula_bitwise():
 
 def test_adam_slices_equal_one_full_step_bitwise():
     """Counting the step, then updating the state slice by slice, in any
-    order, gives the bits of one full-vector step."""
+    order, gives the bits of one step over the whole vector."""
     config = TrainConfig(epochs=1, batch_size=1, adam_alpha=0.002, adam_beta2=0.99)
     rng = make_rng(41)
     block = importlib.import_module("graphnvp.train")._ADAM_BLOCK
@@ -227,7 +235,7 @@ def test_adam_slices_equal_one_full_step_bitwise():
     full = TrainState(rng.normal(size=size), 0.1 * rng.normal(size=size), rng.random(size), step=2)
     sliced = TrainState(full.params.copy(), full.first_moment.copy(), full.second_moment.copy(), step=2)
     gradient = rng.normal(size=size)
-    adam_step(full, gradient, config)
+    full_adam_step(full, gradient, config)
     sliced.step += 1
     for lo, hi in ((block + 3, size), (5, block + 3), (0, 5)):
         adam_step(sliced, gradient[lo:hi].copy(), config, lo)
@@ -371,8 +379,8 @@ def test_train_updates_the_same_parameter_views_in_place(monkeypatch):
         tensors = [p for _, p in model.named_parameters()]
         return tensors + [state.params, state.first_moment, state.second_moment]
 
-    def recording_adam_step(state, gradient, config, start=None):
-        assert start is not None and (start, gradient.size) in slices.values()
+    def recording_adam_step(state, gradient, config, start):
+        assert (start, gradient.size) in slices.values()
         seen.append(snapshot(state))
         updates.append((state.step, start, gradient.size))
         adam_step(state, gradient, config, start)
@@ -407,7 +415,7 @@ def test_train_frees_each_step_before_the_next_forward(monkeypatch):
 
         return recording_update
 
-    def recording_adam_step(state, gradient, config, start=None):
+    def recording_adam_step(state, gradient, config, start):
         buffers.append(gradient.base)
         adam_step(state, gradient, config, start)
 
@@ -463,8 +471,9 @@ def test_qm9lite_training_memory(qm9_corpus):
 
 def test_qm9lite_train_steps_equal_tape_gradients_then_full_adam_step(qm9_corpus):
     """Two batch-64 steps of ``train`` leave the parameters and both moments
-    byte for byte where the whole-vector path leaves them: the tape's flat
-    gradient, then one ``adam_step`` over the whole state."""
+    byte for byte where the whole-vector path leaves them: the tape's
+    gradients laid out in the state's order, then one Adam step over the
+    whole state."""
     spec = qm9lite_spec()
     dataset = qm9_corpus[:128]
     config = TrainConfig(epochs=1, batch_size=64, seed=5)
@@ -479,7 +488,8 @@ def test_qm9lite_train_steps_equal_tape_gradients_then_full_adam_step(qm9_corpus
             for name, p in sorted(model.named_parameters()):
                 tape.watch(name, p)
             loss = nll_loss(model, [dataset[i] for i in order[lo : lo + 64]], rng)
-        adam_step(reference, tape.gradients(loss).flat, config)
+        grads = tape.gradients(loss)
+        full_adam_step(reference, np.concatenate([g.data.ravel() for g in grads.values()]), config)
         lo_param = 0
         for name, p in sorted(model.named_parameters()):
             model.set_parameter(name, Tensor(reference.params[lo_param : lo_param + p.size].reshape(p.shape)))
@@ -689,7 +699,7 @@ def test_train_refuses_to_save_non_finite_parameters(tmp_path, monkeypatch, chec
     real_step = train_module.adam_step
     poisoned_step = 2 * epoch  # six graphs at batch 4: two steps per epoch
 
-    def poisoning(state, gradient, config, start=None):
+    def poisoning(state, gradient, config, start):
         real_step(state, gradient, config, start)
         if state.step == poisoned_step:
             # The layer just updated: no vjp of this step reads it any more.
