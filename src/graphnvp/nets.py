@@ -195,13 +195,14 @@ class BatchNorm(Module):
         s = self._params["gamma"].data * np.power(var + self.eps, -0.5)
         return s, (bias - mean) * s + self._params["beta"].data
 
-    def fold(self, layer: Module) -> tuple[Tensor, ...]:
-        """``layer``'s parameters, in registration order, with this module's
-        eval map folded in: each weight is scaled by ``s`` along its output
-        (last) axis and the bias becomes ``b'`` (see :meth:`eval_affine`)."""
+    def fold(self, layer: Module) -> tuple[np.ndarray, ...]:
+        """``layer``'s parameter arrays, in registration order, with this
+        module's eval map folded in: each weight is scaled by ``s`` along its
+        output (last) axis and the bias becomes ``b'`` (see
+        :meth:`eval_affine`).  A non-finite result raises as batch norm."""
         s, bias = self.eval_affine(layer._params["bias"].data)
         folded = [bias if name == "bias" else p.data * s for name, p in layer._params.items()]
-        return tuple(T._wrap(arr, "batch_norm") for arr in folded)
+        return tuple(T._check_finite(arr, "batch_norm") for arr in folded)
 
 
 class _ConditionerNet(Module):
@@ -336,7 +337,7 @@ class RelationalGraphConvNet(_ConditionerNet):
 
     @staticmethod
     def _eval_layer(layer: Module, norm: BatchNorm) -> tuple[np.ndarray, ...]:
-        return tuple(p.data for p in norm.fold(layer))
+        return norm.fold(layer)
 
     @staticmethod
     def _a_rows(adjacency: np.ndarray) -> np.ndarray:
