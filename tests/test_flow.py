@@ -354,6 +354,31 @@ def test_array_forward_matches_numpy_oracle(batch):
             assert not np.array_equal(out[:, layer.row], zx[:, layer.row])
 
 
+def test_training_forward_equals_eval_forward_under_its_own_batch_statistics():
+    """With momentum 1 every running statistic becomes the batch statistic
+    the training forward just used, so the eval forward of the same batch
+    recomputes the training latents and log-dets: the two paths share no
+    coupling code, and the eval one is checked against the Jacobian and the
+    numpy oracle."""
+    def modules(module):
+        yield module
+        for child in module._children.values():
+            yield from modules(child)
+
+    for model in _oracle_cases():
+        norms = [m for m in modules(model) if isinstance(m, nets.BatchNorm)]
+        assert len(norms) == 2 * 2 * len(model.adjacency_layers) + model.config.gcn_rounds * len(model.node_layers)
+        for norm in norms:
+            norm.momentum = 1.0
+        rng = make_rng(53)
+        adjacency, features = dequantize([random_graph(model.spec, rng) for _ in range(13)], 0.9, rng)
+        z, log_det = model.forward_batch(adjacency, features)
+        z_eval, log_det_eval = model.eval_forward(adjacency, features)
+        _assert_within(z_eval, z.data, rel=1e-10)
+        _assert_within(log_det_eval, log_det.data, rel=1e-10)
+        assert np.abs(log_det.data).min() > 0.0
+
+
 def test_eval_forward_then_inverse_batch_round_trips():
     for model in _oracle_cases():
         rng = make_rng(50)
