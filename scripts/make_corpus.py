@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from graphnvp.chem import Molecule, ValenceTable, check_validity, write_smiles_canonical
+from graphnvp.chem import DEFAULT_VALENCES, Molecule, check_validity, write_smiles_canonical
 from graphnvp.tensor import make_rng
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "graphnvp" / "data"
@@ -27,10 +27,9 @@ def random_molecule(
     symbols: list[str],
     weights: list[float],
     max_rings: int,
-    table: ValenceTable,
 ) -> Molecule | None:
     atoms = list(rng.choice(symbols, size=size, p=weights))
-    limits = [table.limit(a) for a in atoms]
+    limits = [DEFAULT_VALENCES[a] for a in atoms]
     used = [0] * size
     bonds: list[tuple[int, int, int]] = []
     bonded = set()
@@ -85,7 +84,6 @@ def build_corpus(
     max_rings: int,
 ) -> list[str]:
     rng = make_rng(seed)
-    table = ValenceTable()
     p_size = np.array(size_weights, dtype=float)
     p_size /= p_size.sum()
     p_sym = np.array(symbol_weights, dtype=float)
@@ -97,7 +95,7 @@ def build_corpus(
         if attempts > 200_000:
             raise RuntimeError("corpus generation did not converge")
         size = int(rng.choice(sizes, p=p_size))
-        molecule = random_molecule(rng, size, symbols, list(p_sym), max_rings, table)
+        molecule = random_molecule(rng, size, symbols, list(p_sym), max_rings)
         if molecule is None:
             continue
         if not check_validity(molecule).ok or len(molecule.components()) > 1:

@@ -7,7 +7,6 @@ tooling, with a small numpy-backed autodiff core.
 
 from .chem import (
     Molecule,
-    ValenceTable,
     bundled_corpus_path,
     check_validity,
     from_graph,
@@ -74,7 +73,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "TrainState",
-    "ValenceTable",
     "adam_step",
     "backward",
     "bundled_corpus_path",

@@ -12,7 +12,7 @@ serialization), so isomorphic molecules always map to the same text.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -29,17 +29,12 @@ _BOND_TEXT = {1: "", 2: "=", 3: "#"}
 _ATOM_TOKENS = ("Cl", "C", "N", "O", "F", "S")  # two-character symbols first
 
 
-@dataclass(frozen=True)
-class ValenceTable:
-    """Map from atom symbol to its maximum total bond order."""
-
-    max_order: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_VALENCES))
-
-    def limit(self, symbol: str) -> int:
-        try:
-            return self.max_order[symbol]
-        except KeyError:
-            raise ChemError(f"no valence entry for atom symbol {symbol!r}") from None
+def _valence_limit(symbol: str) -> int:
+    """The maximum total bond order of ``symbol`` in :data:`DEFAULT_VALENCES`."""
+    try:
+        return DEFAULT_VALENCES[symbol]
+    except KeyError:
+        raise ChemError(f"no valence entry for atom symbol {symbol!r}") from None
 
 
 @dataclass
@@ -107,13 +102,12 @@ class ValidityReport:
 
 
 def check_validity(molecule: Molecule) -> ValidityReport:
-    """Valence check: every atom's summed bond order within its limit in the
-    default :class:`ValenceTable`.
+    """Valence check: every atom's summed bond order within its limit in
+    :data:`DEFAULT_VALENCES`.
 
     Connectivity does not affect validity: a disconnected molecule within
     its valences is valid.  An empty molecule is invalid.
     """
-    table = ValenceTable()
     violations = []
     if len(molecule.atoms) < 1:
         violations.append("molecule has no atoms")
@@ -122,7 +116,7 @@ def check_validity(molecule: Molecule) -> ValidityReport:
         totals[i] += order
         totals[j] += order
     for idx, symbol in enumerate(molecule.atoms):
-        limit = table.limit(symbol)
+        limit = _valence_limit(symbol)
         if totals[idx] > limit:
             violations.append(f"atom {idx} ({symbol}) has bond order {totals[idx]} > {limit}")
     return ValidityReport(
@@ -502,18 +496,16 @@ def _validity(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> l
     every atom's valence; texts are formatted only for the atoms over their
     limit.  Atom ``i`` of a graph is atom ``compact[i]`` of its molecule.
     """
-    table = ValenceTable()
     kinds = features.argmax(axis=-1)
     real = kinds != spec.virtual_atom
-    known = np.array([symbol in table.max_order for symbol in spec.atom_vocab])
-    unknown = np.argwhere(real & ~known[kinds])
+    limits = np.array([DEFAULT_VALENCES.get(symbol, -1) for symbol in spec.atom_vocab])
+    unknown = np.argwhere(real & (limits[kinds] < 0))
     if unknown.size:
-        table.limit(spec.atom_vocab[kinds[tuple(unknown[0])]])  # raises ChemError
+        _valence_limit(spec.atom_vocab[kinds[tuple(unknown[0])]])  # raises ChemError
     orders = np.arange(1.0, spec.num_bond_types + 1)
     orders[spec.virtual_bond] = 0.0
     batch, n = kinds.shape
     valence = adjacency.reshape(batch, n, -1) @ np.tile(orders, n)
-    limits = np.array([table.max_order.get(symbol, 0) for symbol in spec.atom_vocab])
     compact = np.cumsum(real, axis=-1) - 1
     atom_counts = real.sum(axis=-1).tolist()
     violations = [["molecule has no atoms"] if count < 1 else [] for count in atom_counts]

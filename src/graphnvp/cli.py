@@ -81,6 +81,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed_value(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gnvp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +100,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--spec", choices=sorted(_SPECS), default="qm9lite", help="graph family (default: qm9lite)")
         if seeded:
-            p.add_argument("--seed", type=int, default=None, help="random seed (default: $GNVP_SEED or 0)")
+            p.add_argument("--seed", type=_seed_value, default=None, help="random seed (default: $GNVP_SEED or 0)")
             p.add_argument("--config", default=None, help="key=value config file; flags override it")
         if dataset:
             p.add_argument("--dataset", default=None, help="SMILES file (default: the bundled corpus for --spec)")
@@ -143,9 +154,9 @@ _TRAIN_KEYS = {
     "adam_beta2": _positive_float,
     "adam_eps": _positive_float,
     "checkpoint_every": int,
-    "seed": int,
+    "seed": _seed_value,
 }
-_SEED_KEYS = {"seed": int}
+_SEED_KEYS = {"seed": _seed_value}
 
 
 def _load_config_file(args, keys: dict) -> dict:
@@ -188,9 +199,9 @@ def _resolve_seed(args, file_values: dict) -> int:
     if not env:
         return 0
     try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"GNVP_SEED must be an integer, got {env!r}") from None
+        return _seed_value(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"GNVP_SEED {exc}") from None
 
 
 def _seed(args) -> int:

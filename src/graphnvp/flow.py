@@ -483,11 +483,8 @@ def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> N
         "spec": _spec_to_dict(model.spec),
         "model": model.config.to_dict(),
     }
-    entries: list[tuple[str, np.ndarray]] = []
-    for name, value in sorted(model.named_parameters()):
-        entries.append(("p:" + name, value.data))
-    for name, value in sorted(model.named_buffers()):
-        entries.append(("b:" + name, value))
+    entries = [("p:" + name, p.data) for name, (_, p) in _layout(model)[0].items()]
+    entries += [("b:" + name, value) for name, value in sorted(model.named_buffers())]
     if optimizer is not None:
         block, moments = optimizer
         meta["optimizer"] = block
@@ -594,22 +591,34 @@ def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
 
     A train-state file loads as the model it holds.
     """
-    return _read_checkpoint(path, spec)[0]
+    return _read_checkpoint(path, spec, moments=False)[0]
 
 
-def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None, slots: dict | None = None):
-    """Parse a model or train-state file into ``model``, or into a model
-    built from the stored config without a draw when ``model`` is None.
-    Returns the model and the stored ``optimizer`` block, or None.
+def _layout(model: Module) -> tuple[dict[str, tuple[int, Tensor]], int]:
+    """The parameter layout that checkpoint entries and train-state vectors
+    follow: each parameter with its offset, by name in sorted order and
+    packed end to end, so each layer group (one coupling layer, or the
+    prior) is contiguous; and the total size."""
+    layout, size = {}, 0
+    for name, p in sorted(model.named_parameters()):
+        layout[name] = (size, p)
+        size += p.size
+    return layout, size
+
+
+def _read_checkpoint(path, spec: GraphSpec, moments: bool):
+    """Parse a model or train-state file into a model built from the stored
+    config without a draw.  Returns the model, the flat vectors read (the
+    parameters, then with ``moments`` the first and second Adam moments,
+    each in :func:`_layout`), and the stored ``optimizer`` block or None.
 
     The CRC is checked first, in a pass of its own; then each entry is read
-    straight into the array that keeps it, so the file is never held whole.
-    ``slots`` maps ``p:``/``m:``/``v:`` entry names to contiguous float64
-    arrays of their shapes, such as a train state's views; those entries are
-    read into them, and each parameter is bound to its slot.  Moment entries
-    without a slot are skipped.
+    straight into its slice of its vector, or a buffer into an array of its
+    own, so the file is never held whole.  Each parameter is bound to a
+    read-only view of its slice.  Without ``moments``, moment entries are
+    skipped; with it, a file without an optimizer section, a non-finite
+    moment or a negative second moment raises :class:`CheckpointError`.
     """
-    slots = slots or {}
     with open(path, "rb") as fh:
         reader = _Reader(fh, _payload_size(fh, path), path)
         reader.take(4)
@@ -635,10 +644,13 @@ def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None, slot
             raise CheckpointError(
                 f"{path}: checkpoint spec {stored_spec} does not match requested spec {spec}"
             )
-        if model is None:
-            model = FlowModel._unset(spec, config)
+        if moments and optimizer is None:
+            raise CheckpointError(f"{path}: no optimizer section")
+        model = FlowModel._unset(spec, config)
+        layout, size = _layout(model)
         kinds = ("p:", "m:", "v:") if optimizer is not None else ("p:",)
-        expected = {kind + n: p.shape for n, p in model.named_parameters() for kind in kinds}
+        vectors = {kind: np.empty(size) for kind in (kinds if moments else ("p:",))}
+        expected = {kind + n: p.shape for n, (_, p) in layout.items() for kind in kinds}
         expected |= {"b:" + n: b.shape for n, b in model.named_buffers()}
         seen = set()
         for _ in range(reader.u32()):
@@ -651,18 +663,21 @@ def _read_checkpoint(path, spec: GraphSpec, model: FlowModel | None = None, slot
             if shape != expected[name]:
                 raise CheckpointError(f"{path}: entry {name!r} has shape {shape}, the model {expected[name]}")
             seen.add(name)
-            slot = slots.get(name)
-            if slot is None and name[:2] in ("m:", "v:"):
+            kind, key = name[:2], name[2:]
+            if kind == "b:":
+                model.set_buffer(key, reader.array(np.empty(shape)))
+            elif kind not in vectors:
                 reader.skip(8 * math.prod(shape))
-                continue
-            arr = reader.array(np.empty(shape) if slot is None else slot)
-            if name.startswith("p:"):
-                if not np.isfinite(arr).all():
-                    raise NumericError("tensor constructed with non-finite values")
-                model.set_parameter(name[2:], T._frozen(arr))
-            elif name.startswith("b:"):
-                model.set_buffer(name[2:], arr)
+            else:
+                lo, p = layout[key]
+                arr = reader.array(vectors[kind][lo : lo + p.size]).reshape(shape)
+                if kind == "p:":
+                    if not np.isfinite(arr).all():
+                        raise NumericError("tensor constructed with non-finite values")
+                    model.set_parameter(key, T._frozen(arr))
+                elif not np.isfinite(arr).all() or (kind == "v:" and (arr < 0).any()):
+                    raise CheckpointError(f"{path}: entry {name!r} is not a valid Adam moment")
     missing = expected.keys() - seen
     if missing:
         raise CheckpointError(f"{path}: missing entries {sorted(missing)[:3]}")
-    return model, optimizer
+    return model, tuple(vectors.values()), optimizer

@@ -36,8 +36,8 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise GnvpError("num_samples must be >= 1")
+        if self.num_samples < 1 or self.seed < 0:
+            raise GnvpError("num_samples must be >= 1 and seed >= 0")
         _check_temperature(self.temperature)
 
 

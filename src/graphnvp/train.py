@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, NumericError, TrainingError
-from .flow import FlowModel, _atomic_open, _read_checkpoint, save_checkpoint
-from .graphs import DEQUANT_NOISE, MolecularGraph, dequantize
+from .errors import NumericError, TrainingError
+from .flow import FlowModel, _atomic_open, _layout, _read_checkpoint, save_checkpoint
+from .graphs import DEQUANT_NOISE, GraphSpec, MolecularGraph, dequantize
 from .nets import parameters_changed
 from .tensor import GradientTape, Tensor, make_rng
 
@@ -41,6 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise TrainingError("epochs must be >= 0 and batch_size >= 1")
+        if self.seed < 0 or self.checkpoint_every < 0:
+            raise TrainingError("seed and checkpoint_every must be >= 0")
         # A beta of 1 zeroes Adam's bias correction at the first step.
         if not (
             0 < self.adam_alpha < math.inf
@@ -56,11 +58,10 @@ class TrainConfig:
 @dataclass
 class TrainState:
     """Optimizer state: parameter values and the two Adam moments as flat
-    vectors laid out in ``sorted(model.named_parameters())`` order, plus
-    counters and the generator state.  In that order each layer group's
-    parameters (one coupling layer, or the prior) are contiguous, so
-    :func:`train` can update the group's slice as soon as its gradients are
-    final; :func:`adam_step` pairs the vectors element by element."""
+    vectors in :func:`~graphnvp.flow._layout`, where each layer group is
+    contiguous, so :func:`train` updates a group's slice as soon as its
+    gradients are final; plus counters and the generator state.
+    :func:`adam_step` pairs the vectors element by element."""
 
     params: np.ndarray
     first_moment: np.ndarray
@@ -72,19 +73,16 @@ class TrainState:
     @staticmethod
     def fresh(model: FlowModel) -> "TrainState":
         """A copy of the model's current parameter values and zero moments."""
-        params = np.concatenate([p.data.ravel() for _, p in sorted(model.named_parameters())])
+        params = np.concatenate([p.data.ravel() for _, p in _layout(model)[0].values()])
         return TrainState(params, np.zeros(params.size), np.zeros(params.size))
 
 
 def _views(model: FlowModel, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Each parameter's slice of a :class:`TrainState` vector, shaped like it."""
-    views, lo = {}, 0
-    for name, p in sorted(model.named_parameters()):
-        views[name] = flat[lo : lo + p.size].reshape(p.shape)
-        lo += p.size
-    if lo != flat.size:
-        raise TrainingError(f"state vector holds {flat.size} values, the model {lo}")
-    return views
+    layout, size = _layout(model)
+    if size != flat.size:
+        raise TrainingError(f"state vector holds {flat.size} values, the model {size}")
+    return {name: flat[lo : lo + p.size].reshape(p.shape) for name, (lo, p) in layout.items()}
 
 
 @dataclass(frozen=True)
@@ -169,23 +167,18 @@ def _adam_by_group(model: FlowModel, state: TrainState, config: TrainConfig):
     slice of ``state`` as soon as the group's gradients are final.  Each
     group is contiguous in the sorted layout; its gradients are laid out in
     one buffer of the largest group's size, reused by every group and step."""
-    slices, sizes, lo = {}, {}, 0
-    for name, p in sorted(model.named_parameters()):
+    layout, slices = _layout(model)[0], {}
+    for name, (lo, p) in layout.items():
         start, size = slices.get(_group(name), (lo, 0))
         slices[_group(name)] = (start, size + p.size)
-        sizes[name] = p.size
-        lo += p.size
     buffer = np.empty(max(size for _, size in slices.values()))
 
     def update(group: str, gradients: list) -> None:
         start, size = slices[group]
         at = 0
         for name, g in gradients:
-            n = sizes[name]
-            if g is None:
-                buffer[at : at + n] = 0.0
-            else:
-                buffer[at : at + n] = g.reshape(-1)
+            n = layout[name][1].size
+            buffer[at : at + n] = 0.0 if g is None else g.reshape(-1)
             at += n
         adam_step(state, buffer[:size], config, start)
 
@@ -331,24 +324,14 @@ def save_train_state(path, state: TrainState, model: FlowModel) -> None:
     save_checkpoint(model, path, (block, moments))
 
 
-def load_train_state(path, model: FlowModel) -> TrainState:
-    """Restore a file written by :func:`save_train_state` into ``model``.
+def load_train_state(path, spec: GraphSpec) -> tuple[FlowModel, TrainState]:
+    """The model and the state in a file written by :func:`save_train_state`,
+    built from the file alone: the stored spec must match ``spec`` exactly.
 
     Each ``p:``/``m:``/``v:`` entry is read straight into its slice of the
-    state's three vectors, and ``model``'s parameters become views of the
+    state's three vectors, and the model's parameters are views of the
     first, as :func:`train` binds them.  Raises :class:`CheckpointError` for
     a plain checkpoint, or a moment entry of the wrong shape, non-finite, or
     negative in the second moment."""
-    size = sum(p.size for _, p in model.named_parameters())
-    state = TrainState(np.empty(size), np.empty(size), np.empty(size))
-    slots = {}
-    for kind, flat in (("p:", state.params), ("m:", state.first_moment), ("v:", state.second_moment)):
-        slots.update((kind + name, view) for name, view in _views(model, flat).items())
-    _, block = _read_checkpoint(path, model.spec, model, slots)
-    if block is None:
-        raise CheckpointError(f"{path}: no optimizer section")
-    for name, arr in slots.items():
-        if name[:2] != "p:" and (not np.isfinite(arr).all() or (name[:2] == "v:" and (arr < 0).any())):
-            raise CheckpointError(f"{path}: entry {name!r} is not a valid Adam moment")
-    state.step, state.epoch, state.rng_state = int(block["step"]), int(block["epoch"]), block["rng_state"]
-    return state
+    model, vectors, block = _read_checkpoint(path, spec, moments=True)
+    return model, TrainState(*vectors, block["step"], block["epoch"], block["rng_state"])

@@ -362,16 +362,22 @@ def test_config_file_bad_value_usage_error(tmp_path, capsys, line):
         (["--batch-size", "0"], "epochs must be >= 0 and batch_size >= 1"),
         (["--config", "adam_beta1=1"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
         (["--config", "adam_beta2=1.5"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
+        (["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
+        (["--config", "seed=-1"], "{config} line 1: bad value for config key 'seed': '-1'"),
+        (["--config", "checkpoint_every=-2"], "seed and checkpoint_every must be >= 0"),
     ],
 )
 def test_train_config_out_of_range_usage_error(tmp_path, capsys, argv, message):
     """Out-of-range training settings, from flags or the config file, are
     usage errors found before anything is written.  A beta of 1 used to
-    write a checkpoint of NaN parameters and exit 0."""
+    write a checkpoint of NaN parameters and exit 0; a negative seed ended
+    in a traceback, and a negative ``checkpoint_every`` trained and wrote
+    no intermediate checkpoint."""
     if argv[0] == "--config":
         config = tmp_path / "run.cfg"
         config.write_text(argv[1] + "\n")
         argv = ["--config", str(config)]
+        message = message.format(config=config)
     out = tmp_path / "out"
     assert run(["train", "--out", str(out), *argv]) == 1
     [err] = capsys.readouterr().err.splitlines()
@@ -425,6 +431,25 @@ def test_non_integer_env_seed_usage_error(tmp_path, zero_checkpoint, monkeypatch
     assert run(["generate", "--checkpoint", str(zero_checkpoint), "--out", str(out), "--samples", "5"]) == 1
     [err] = capsys.readouterr().err.splitlines()
     assert err == "gnvp:error:usage: GNVP_SEED must be an integer, got 'abc'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--seed", "-5"], None, "argument --seed: must be >= 0, got '-5'"),
+        ([], "-2", "GNVP_SEED must be >= 0, got '-2'"),
+    ],
+)
+def test_negative_seed_usage_error(tmp_path, zero_checkpoint, monkeypatch, capsys, argv, env, message):
+    """A negative seed, from the flag or ``GNVP_SEED``, is a usage error
+    found before anything is written; it used to end in a traceback."""
+    if env is not None:
+        monkeypatch.setenv("GNVP_SEED", env)
+    out = tmp_path / "out"
+    assert run(["generate", "--checkpoint", str(zero_checkpoint), "--out", str(out), "--samples", "5", *argv]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"gnvp:error:usage: {message}"
     assert not out.exists()
 
 

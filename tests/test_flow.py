@@ -296,7 +296,7 @@ def _assert_within(out, expected, rel=1e-12):
 
 
 @pytest.mark.parametrize("batch", [1, 13])
-def test_array_inverse_matches_tensor_oracle(batch):
+def test_array_inverse_matches_numpy_oracle(batch):
     for model in _oracle_cases():
         spec = model.spec
         rng = make_rng(25 + batch)
@@ -705,11 +705,15 @@ def test_checkpoint_load_reads_without_copying_the_file(tmp_path):
 
 
 def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
-    """The loader builds the model's structure without a Glorot draw: it
-    works with every way to draw a weight made to raise."""
+    """The loader builds the model's structure without a Glorot draw, for a
+    checkpoint and for a train state: both work with every way to draw a
+    weight made to raise."""
     model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=3), seed=4)
-    path = tmp_path / "toy.gnvp"
+    path, state_path = tmp_path / "toy.gnvp", tmp_path / "state.gnvp"
     save_checkpoint(model, path)
+    state = TrainState.fresh(model)
+    state.first_moment[:] = make_rng(6).normal(size=state.params.size)
+    save_train_state(state_path, state, model)
 
     def no_draw(*args, **kwargs):
         raise AssertionError("a weight was drawn")
@@ -721,12 +725,14 @@ def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
     monkeypatch.setattr(flow, "make_rng", lambda seed: NoDrawGenerator())
     with pytest.raises(AssertionError, match="drawn"):
         FlowModel(TOY_SPEC, TOY_CONFIG, seed=3)
-    loaded = load_checkpoint(path, TOY_SPEC)
-    params = dict(loaded.named_parameters())
-    assert all(np.array_equal(params[name].data, p.data) for name, p in model.named_parameters())
+    from_state, loaded_state = load_train_state(state_path, TOY_SPEC)
+    assert loaded_state.first_moment.tobytes() == state.first_moment.tobytes()
     z = make_rng(5).normal(size=(3, TOY_SPEC.latent_dim))
-    for out, expected in zip(loaded.inverse_batch(z), model.inverse_batch(z)):
-        assert out.tobytes() == expected.tobytes()
+    for loaded in (load_checkpoint(path, TOY_SPEC), from_state):
+        params = dict(loaded.named_parameters())
+        assert all(np.array_equal(params[name].data, p.data) for name, p in model.named_parameters())
+        for out, expected in zip(loaded.inverse_batch(z), model.inverse_batch(z)):
+            assert out.tobytes() == expected.tobytes()
 
 
 def _parameter_digest(model) -> str:
@@ -818,7 +824,7 @@ def saved_files(model, tmp_path):
     save_train_state(state, TrainState.fresh(model), model)
     return [
         (checkpoint, lambda path: load_checkpoint(path, TOY_SPEC)),
-        (state, lambda path: load_train_state(path, FlowModel(TOY_SPEC, TOY_CONFIG))),
+        (state, lambda path: load_train_state(path, TOY_SPEC)),
     ]
 
 

@@ -398,11 +398,19 @@ def test_fold_follows_adam_step_inside_train(monkeypatch):
 
 
 def test_fold_follows_checkpoint_loaded_into_used_model(tmp_path):
+    """A loaded train state resumed in a used model, whose fold caches are
+    full: ``train`` binds the state's parameters and the eval follows."""
     source = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=5), seed=7)
     path = tmp_path / "state.gnvp"
-    save_train_state(path, TrainState.fresh(source), source)
+    fresh = TrainState.fresh(source)
+    fresh.rng_state = make_rng(1).bit_generator.state
+    save_train_state(path, fresh, source)
+    loaded, state = load_train_state(path, TOY_SPEC)
     model = _used_model()
-    load_train_state(path, model)
+    for name, buf in loaded.named_buffers():
+        model.set_buffer(name, buf)
+    _eval(model)  # fills every fold cache again
+    train(model, _toy_batch(44), TrainConfig(epochs=0), resume_state=state)
     _assert_eval_matches_fresh_copy(model)
     for out, expected in zip(_eval(model), _eval(source)):
         assert out.tobytes() == expected.tobytes()

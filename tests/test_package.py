@@ -11,7 +11,7 @@ EXPORTS = {
     "AdjacencyCouplingLayer", "FlowModel", "GaussianPrior", "GradientTape", "GraphSpec",
     "GridSpec", "MetricsReport", "ModelConfig", "MolecularGraph", "Molecule",
     "NodeFeatureCouplingLayer", "PropertyRegressor", "SampleConfig", "Tensor", "TrainConfig",
-    "TrainState", "ValenceTable", "adam_step", "backward", "bundled_corpus_path",
+    "TrainState", "adam_step", "backward", "bundled_corpus_path",
     "check_validity", "compute_metrics", "compute_property", "decode", "default_model_config",
     "dequantize", "discretize_argmax", "encode_dataset",
     "fit_regressor", "from_graph", "generate", "grid_decode", "load_checkpoint",

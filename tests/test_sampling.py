@@ -83,6 +83,11 @@ def test_sampler_rejects_bad_temperature():
         SampleConfig(num_samples=10, temperature=-1.0)
 
 
+def test_sample_config_rejects_a_negative_seed():
+    with pytest.raises(GnvpError, match="seed >= 0"):
+        SampleConfig(num_samples=10, seed=-1)
+
+
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_temperatures_rejected(random_toy_model, temperature):
     prior = GaussianPrior(4)

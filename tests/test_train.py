@@ -247,6 +247,12 @@ def test_adam_slices_equal_one_full_step_bitwise():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("field", ["seed", "checkpoint_every"])
+def test_train_config_rejects_a_negative_seed_or_checkpoint_interval(field):
+    with pytest.raises(TrainingError, match="seed and checkpoint_every must be >= 0"):
+        TrainConfig(**{field: -1})
+
+
 def test_adam_slice_rejects_what_does_not_fit():
     config = TrainConfig(epochs=1, batch_size=1)
     state = TrainState(np.ones(6), np.zeros(6), np.zeros(6), step=1)
@@ -311,8 +317,7 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     state_half, records_half = train(model_half, dataset, TrainConfig(epochs=3, batch_size=4, seed=9))
     save_train_state(tmp_path / "state.gnvp", state_half, model_half)
 
-    model_resumed = toy_model(seed=3)
-    resumed_state = load_train_state(tmp_path / "state.gnvp", model_resumed)
+    model_resumed, resumed_state = load_train_state(tmp_path / "state.gnvp", TOY_SPEC)
     _, records_rest = train(
         model_resumed,
         dataset,
@@ -334,17 +339,19 @@ def test_train_state_round_trip_at_path_without_suffix(tmp_path):
     save_train_state(path, state, model)
     assert [p.name for p in tmp_path.iterdir()] == ["state"]
 
-    restored_model = toy_model(seed=4)
-    restored = load_train_state(path, restored_model)
+    restored_model, restored = load_train_state(path, TOY_SPEC)
     assert (restored.step, restored.epoch) == (state.step, state.epoch)
     before, after = make_rng(0), make_rng(0)
     before.bit_generator.state = state.rng_state
     after.bit_generator.state = restored.rng_state
     assert np.array_equal(before.random(8), after.random(8))
-    assert np.array_equal(restored.params, state.params)
-    assert np.array_equal(restored.first_moment, state.first_moment)
-    assert np.array_equal(restored.second_moment, state.second_moment)
+    assert restored.params.tobytes() == state.params.tobytes()
+    assert restored.first_moment.tobytes() == state.first_moment.tobytes()
+    assert restored.second_moment.tobytes() == state.second_moment.tobytes()
     assert np.array_equal(TrainState.fresh(restored_model).params, state.params)
+    # Saved again, the state is the same file, generator state included.
+    save_train_state(tmp_path / "again", restored, restored_model)
+    assert (tmp_path / "again").read_bytes() == path.read_bytes()
     for name, p in model.named_parameters():
         assert np.array_equal(restored_model.get_parameter(name).data, p.data), name
     for (name, saved), (_, loaded) in zip(
@@ -589,18 +596,18 @@ def test_train_state_file_loads_as_a_model(tmp_path):
 def test_qm9lite_train_state_loads_in_one_pass_bit_identical(tmp_path, qm9_corpus):
     """A qm9lite train state loads bit-identically, with the model's
     parameters views of the loaded state, while tracing at most 1.1 times
-    the file's size: each entry is read straight into the state's vectors."""
+    the file's size, the model's build included: each entry is read
+    straight into the state's vectors, and no weight is drawn."""
     spec = qm9lite_spec()
     model = FlowModel(spec, seed=0)
     state, _ = train(model, qm9_corpus[:64], TrainConfig(epochs=1, batch_size=64, seed=4))
     path = tmp_path / "state.gnvp"
     save_train_state(path, state, model)
     del model
-    target = FlowModel(spec, seed=1)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        loaded = load_train_state(path, target)
+        target, loaded = load_train_state(path, spec)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -622,7 +629,7 @@ def test_qm9lite_train_state_loads_in_one_pass_bit_identical(tmp_path, qm9_corpu
 def test_plain_checkpoint_is_not_a_train_state(tmp_path):
     save_checkpoint(toy_model(), tmp_path / "model.gnvp")
     with pytest.raises(CheckpointError, match="no optimizer section"):
-        load_train_state(tmp_path / "model.gnvp", toy_model())
+        load_train_state(tmp_path / "model.gnvp", TOY_SPEC)
 
 
 @pytest.mark.parametrize(
@@ -638,7 +645,7 @@ def test_load_train_state_rejects_invalid_moments(tmp_path, moment, value):
     save_train_state(tmp_path / "state.gnvp", state, model)
     kind = "m:" if moment == "first_moment" else "v:"
     with pytest.raises(CheckpointError, match=f"'{kind}{name}'"):
-        load_train_state(tmp_path / "state.gnvp", toy_model())
+        load_train_state(tmp_path / "state.gnvp", TOY_SPEC)
 
 
 def test_train_writes_checkpoints(tmp_path):
