@@ -51,7 +51,7 @@ from .sampling import (
     generate,
     temperature_sweep,
 )
-from .tensor import GradientTape, Tensor, backward, make_rng
+from .tensor import GradientTape, Tensor, make_rng
 from .train import TrainConfig, TrainState, adam_step, nll_loss, train
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "adam_step",
-    "backward",
     "bundled_corpus_path",
     "check_validity",
     "compute_metrics",

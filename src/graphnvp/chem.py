@@ -97,7 +97,6 @@ class Molecule:
 @dataclass(frozen=True)
 class ValidityReport:
     ok: bool
-    atom_count: int
     violations: tuple[str, ...]
 
 
@@ -119,11 +118,7 @@ def check_validity(molecule: Molecule) -> ValidityReport:
         limit = _valence_limit(symbol)
         if totals[idx] > limit:
             violations.append(f"atom {idx} ({symbol}) has bond order {totals[idx]} > {limit}")
-    return ValidityReport(
-        ok=not violations,
-        atom_count=len(molecule.atoms),
-        violations=tuple(violations),
-    )
+    return ValidityReport(ok=not violations, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +502,12 @@ def _validity(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> l
     batch, n = kinds.shape
     valence = adjacency.reshape(batch, n, -1) @ np.tile(orders, n)
     compact = np.cumsum(real, axis=-1) - 1
-    atom_counts = real.sum(axis=-1).tolist()
-    violations = [["molecule has no atoms"] if count < 1 else [] for count in atom_counts]
+    violations = [["molecule has no atoms"] if count < 1 else [] for count in real.sum(axis=-1).tolist()]
     for b, i in zip(*np.nonzero(real & (valence > limits[kinds]))):
         kind = kinds[b, i]
         symbol, total = spec.atom_vocab[kind], int(valence[b, i])
         violations[b].append(f"atom {compact[b, i]} ({symbol}) has bond order {total} > {limits[kind]}")
-    return [
-        ValidityReport(ok=not texts, atom_count=count, violations=tuple(texts))
-        for texts, count in zip(violations, atom_counts)
-    ]
+    return [ValidityReport(ok=not texts, violations=tuple(texts)) for texts in violations]
 
 
 def from_graph(graph: MolecularGraph) -> Molecule:

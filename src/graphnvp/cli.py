@@ -161,7 +161,8 @@ _SEED_KEYS = {"seed": _seed_value}
 
 def _load_config_file(args, keys: dict) -> dict:
     """Parsed ``key=value`` lines of the ``--config`` file.  A key outside
-    ``keys`` or a value its parser rejects is a usage error naming the key."""
+    ``keys`` or a value its parser rejects is a usage error naming the key,
+    with the reason argparse gives for the matching flag."""
     path = args.config
     if path is None:
         return {}
@@ -182,10 +183,13 @@ def _load_config_file(args, keys: dict) -> dict:
                 f"{path} line {lineno}: {args.command} does not read config key {key!r} "
                 f"(it reads {', '.join(keys)})"
             )
+        bad = f"{path} line {lineno}: bad value for config key {key!r}"
         try:
             values[key] = keys[key](value)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise _UsageError(f"{path} line {lineno}: bad value for config key {key!r}: {value!r}") from None
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"{bad}: {exc}") from None
+        except ValueError:  # from int(), worded as argparse words it
+            raise _UsageError(f"{bad}: invalid {keys[key].__name__} value: {value!r}") from None
     return values
 
 

@@ -441,6 +441,22 @@ def _meta_field(block, key: str, kind: tuple):
     return value
 
 
+def _check_rng_state(optimizer: dict, state: dict) -> None:
+    """Refuse a stored generator state that cannot resume a run: an empty one
+    (a state saved before training, which starts the generator from the
+    config's seed) past step or epoch 0, or one numpy cannot load.  Raises
+    :class:`CheckpointError` naming ``optimizer.rng_state``."""
+    key = "checkpoint metadata optimizer.rng_state"
+    if not state:
+        if optimizer["step"] or optimizer["epoch"]:
+            raise CheckpointError(f"{key} is empty at step {optimizer['step']} epoch {optimizer['epoch']}")
+        return
+    try:
+        make_rng(0).bit_generator.state = state
+    except (ArithmeticError, LookupError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{key} is not a generator state numpy can load ({err})") from None
+
+
 @contextmanager
 def _atomic_open(path, mode: str = "w", **kwargs):
     """Open a temporary sibling of ``path``, named for this process and
@@ -637,7 +653,7 @@ def _read_checkpoint(path, spec: GraphSpec, moments: bool):
                 _meta_field(meta, "optimizer", _BLOCK)
                 for key in ("step", "epoch"):
                     _meta_field(optimizer, f"optimizer.{key}", _INT)
-                _meta_field(optimizer, "optimizer.rng_state", _BLOCK)
+                _check_rng_state(optimizer, _meta_field(optimizer, "optimizer.rng_state", _BLOCK))
         except CheckpointError as err:
             raise CheckpointError(f"{path}: {err}") from None
         if stored_spec != spec:

@@ -164,10 +164,11 @@ class BatchNorm(Module):
     applies with the running statistics.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1  # weight of the batch statistics in each running update
+    eps = 1e-5
+
+    def __init__(self, num_features: int):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.register_parameter("gamma", Tensor(np.ones(num_features)))
         self.register_parameter("beta", Tensor(np.zeros(num_features)))
         self.register_buffer("running_mean", np.zeros(num_features))
@@ -262,7 +263,7 @@ class MlpNet(_ConditionerNet):
             if not np.isfinite(y).all():
                 raise self._hidden_error(k, h)
             h = np.maximum(y, 0.0, out=y)
-        return T._linear_array(h, *head, None)
+        return T._linear_array(h, *head)
 
     def _hidden_error(self, k: int, x: np.ndarray) -> NumericError:
         """The error the unfolded eval raises when hidden layer ``k`` maps
@@ -369,7 +370,7 @@ class RelationalGraphConvNet(_ConditionerNet):
             h = T._activate_array(y, "tanh", "graph_conv")
         if h.ndim == 3:
             h = h[:, row]
-        return T._linear_array(h, *head, None)
+        return T._linear_array(h, *head)
 
     def __call__(self, x: Tensor, adjacency: np.ndarray, row: int) -> Tensor:
         a_rows = self._a_rows(adjacency)

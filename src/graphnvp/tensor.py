@@ -4,7 +4,9 @@ Values are immutable; every operation returns a fresh ``Tensor`` and raises
 :class:`~graphnvp.errors.NumericError` if it produces a NaN or Inf.
 Elementwise operations broadcast only over leading (batch) axes: the shorter
 operand must match the trailing axes of the longer one exactly.  Gradients are
-recorded on an explicitly entered :class:`GradientTape`; one tape per thread.
+recorded on an explicitly entered :class:`GradientTape`.  Each thread has one
+active-tape slot, so entering a second tape while one is active raises; and a
+tape watches each tensor under one name, so a second ``watch`` of it raises.
 
 Besides the generic primitives there are four fused ones, each one tape
 record with a hand-written vjp:
@@ -12,29 +14,29 @@ record with a hand-written vjp:
 * :func:`linear`: a 2-D GEMM plus bias;
 * :func:`graph_conv`: one relational graph-convolution round, relation
   messages and self-loop in two GEMMs plus bias;
-* :func:`batch_norm`: batch statistics, then scale and shift;
+* :func:`batch_norm`: batch statistics, then scale and shift, then
+  ``activation=None | "tanh" | "relu"`` in place after its finiteness check;
 * :func:`replace_row`: swap one axis-1 slice.
 
-The first three take ``activation=None | "tanh" | "relu"``, applied in place
-to their output after its finiteness check.  ``linear`` and ``graph_conv``
-compute their forward values with ``_linear_array`` and
-``_graph_conv_array``, which the conditioner nets' eval routines also run on
-plain arrays; there ``_graph_conv_array`` can compute one node's row alone.
+``linear`` and ``graph_conv`` compute their forward values with
+``_linear_array`` and ``_graph_conv_array``, which the conditioner nets' eval
+routines also run on plain arrays; there ``_graph_conv_array`` can compute one
+node's row alone, and ``_activate_array`` applies the activation.
 
 Each record keeps a needs-gradient mask, one flag per input saying whether it
 depends on a watched tensor; the vjp receives it and returns ``None`` for the
 inputs that do not, instead of computing a gradient nobody reads.
 
-Memory.  A tape is single-use: :func:`backward` drops each record as soon as
-its vjp has run, so the arrays only that record held are freed while the
-replay goes on, and a second replay raises.  Two vjps recompute an
-intermediate instead of keeping it, with the forward's own operations, so the
-gradients keep their bits: ``graph_conv`` its relation messages ``a_rows @
-h`` [rows, R*F], and ``batch_norm`` its normalized input ``(x - mean) *
-inv_std``.  Watched tensors come in groups, and each group's gradients are
-handed to the tape's consumer, then dropped, as soon as the replay has
-finished them, so a consumer that applies them at once never holds a
-gradient of every parameter.  The default consumer, :class:`Gradients`,
+Memory.  A tape is single-use: :meth:`GradientTape.gradients` drops each
+record as soon as its vjp has run, so the arrays only that record held are
+freed while the replay goes on, and a second replay raises.  Two vjps
+recompute an intermediate instead of keeping it, with the forward's own
+operations, so the gradients keep their bits: ``graph_conv`` its relation
+messages ``a_rows @ h`` [rows, R*F], and ``batch_norm`` its normalized input
+``(x - mean) * inv_std``.  Watched tensors come in groups, and each group's
+gradients are handed to the tape's consumer, then dropped, as soon as the
+replay has finished them, so a consumer that applies them at once never holds
+a gradient of every parameter.  The default consumer, :class:`Gradients`,
 collects them by watched name.
 """
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "Tensor",
     "GradientTape",
     "Gradients",
-    "backward",
     "make_rng",
     "add",
     "sub",
@@ -114,9 +115,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def tolist(self):
-        return self.data.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -155,15 +153,13 @@ class _Record:
         self.needs = needs
 
 
-_ACTIVE = threading.local()
+class _Active(threading.local):
+    """The thread's active tape, or None."""
+
+    tape: "GradientTape | None" = None
 
 
-def _tape_stack() -> list["GradientTape"]:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE.stack = stack
-    return stack
+_ACTIVE = _Active()
 
 
 class GradientTape:
@@ -172,8 +168,8 @@ class GradientTape:
     Use as a context manager; while active, every op whose inputs depend on a
     watched tensor is recorded.  :meth:`gradients` replays the record backward
     once, freeing it as it goes, and hands each watched group's gradients to
-    ``consumer`` as soon as they are final (see :func:`backward`).  Without a
-    consumer it returns them as :class:`Gradients`, zeros where unused.
+    ``consumer`` as soon as they are final.  Without a consumer it returns
+    them as :class:`Gradients`, zeros where unused.
     """
 
     def __init__(self, consumer: Callable[[str, list], None] | None = None):
@@ -182,20 +178,24 @@ class GradientTape:
         self.groups: dict[str, str] = {}
         self.consumer = consumer
         self._tracked: set[int] = set()
+        self._names: dict[int, str] = {}
         self._spent = False
 
     def __enter__(self) -> "GradientTape":
-        _tape_stack().append(self)
+        if _ACTIVE.tape is not None:
+            raise RuntimeError("a gradient tape is already active on this thread")
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("gradient tapes must be exited in LIFO order")
-        stack.pop()
+        _ACTIVE.tape = None
 
     def watch(self, name: str, tensor: Tensor, group: str | None = None) -> Tensor:
-        """Track ``tensor`` under ``name``, in ``group`` (default: ``name``)."""
+        """Track ``tensor`` under ``name``, in ``group`` (default: ``name``).
+        A tensor already watched under another name raises ``ValueError``."""
+        other = self._names.setdefault(id(tensor), name)
+        if other != name:
+            raise ValueError(f"tensor watched as {other!r} cannot also be watched as {name!r}")
         self.parameters[name] = tensor
         self.groups[name] = name if group is None else group
         self._tracked.add(id(tensor))
@@ -209,7 +209,73 @@ class GradientTape:
             tracked.add(id(output))
 
     def gradients(self, loss: Tensor) -> "Gradients | None":
-        return backward(self, loss)
+        """Gradient of a scalar ``loss`` with respect to every watched tensor.
+
+        Replays the tape once, dropping each record after its vjp has run, so
+        a second call raises ``RuntimeError``; a non-scalar ``loss`` raises
+        :class:`~graphnvp.errors.ShapeError` and leaves the tape as it was.
+
+        A group's gradients are final once the earliest-recorded record that
+        reads one of its tensors has been replayed.  Right then they are
+        checked for finiteness (a NaN or Inf raises :class:`NumericError`
+        naming the group) and handed to the tape's consumer as
+        ``consumer(group, [(name, gradient), ...])`` in watch order, the
+        gradient ``None`` for a tensor nothing read, and dropped.  Groups
+        nothing read follow after the replay.  Without a consumer a
+        :class:`Gradients` collects them and is returned.
+        """
+        if loss.shape != ():
+            raise ShapeError(f"loss must be a scalar tensor, got shape {loss.shape}")
+        if self._spent:
+            raise RuntimeError("this gradient tape was already replayed; record a new one")
+        self._spent = True
+        consumer = self.consumer
+        collected = None
+        if consumer is None:
+            collected = consumer = Gradients(self.parameters)
+        members: dict[str, list[tuple[str, Tensor]]] = {}
+        group_of: dict[int, str] = {}
+        for name, p in self.parameters.items():
+            group = group_of[id(p)] = self.groups[name]
+            members.setdefault(group, []).append((name, p))
+        # The index of the earliest record reading each group: the group is
+        # final once that record has been replayed.
+        first: dict[str, int] = {}
+        records = self.records
+        for i, rec in enumerate(records):
+            for t, need in zip(rec.inputs, rec.needs):
+                if need and id(t) in group_of:
+                    first.setdefault(group_of[id(t)], i)
+        final_at: dict[int, list[str]] = {}
+        for group, i in first.items():
+            final_at.setdefault(i, []).append(group)
+        grads: dict[int, np.ndarray] = {}
+
+        def hand_over(group: str) -> None:
+            out = []
+            for name, p in members[group]:
+                g = grads.pop(id(p), None)
+                if g is not None:
+                    _check_finite(g, f"backward of {group}")
+                out.append((name, g))
+            consumer(group, out)
+
+        grads[id(loss)] = np.ones((), dtype=np.float64)
+        while records:
+            rec = records.pop()
+            g_out = grads.pop(id(rec.output), None)
+            if g_out is not None:
+                for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
+                    if g is not None:
+                        acc = grads.get(id(t))
+                        grads[id(t)] = g if acc is None else acc + g
+            del rec, g_out  # frees what only this record held before the next vjp runs
+            for group in final_at.pop(len(records), ()):
+                hand_over(group)
+        for group in members:
+            if group not in first:
+                hand_over(group)
+        return collected
 
 
 class Gradients(dict):
@@ -226,87 +292,10 @@ class Gradients(dict):
                 self[name] = _frozen(np.array(g))
 
 
-def backward(tape: GradientTape, loss: Tensor) -> Gradients | None:
-    """Gradient of a scalar ``loss`` with respect to every watched parameter.
-
-    Replays ``tape`` once, dropping each record after its vjp has run, so a
-    second call raises ``RuntimeError``; a non-scalar ``loss`` raises
-    :class:`~graphnvp.errors.ShapeError` and leaves the tape as it was.
-
-    A group's gradients are final once the earliest-recorded record that
-    reads one of its tensors has been replayed.  Right then they are checked
-    for finiteness (a NaN or Inf raises :class:`NumericError` naming the
-    group) and handed to the tape's consumer as ``consumer(group, [(name,
-    gradient), ...])`` in watch order, the gradient ``None`` for a tensor
-    nothing read, and dropped.  Groups nothing read follow after the replay.
-    Without a consumer a :class:`Gradients` collects them and is returned.
-    """
-    if loss.shape != ():
-        raise ShapeError(f"loss must be a scalar tensor, got shape {loss.shape}")
-    if tape._spent:
-        raise RuntimeError("this gradient tape was already replayed; record a new one")
-    tape._spent = True
-    consumer = tape.consumer
-    collected = None
-    if consumer is None:
-        collected = consumer = Gradients(tape.parameters)
-    members: dict[str, list[tuple[str, Tensor]]] = {}
-    groups_of: dict[int, list[str]] = {}
-    watchers: dict[int, int] = {}  # names watching each tensor not yet handed over
-    for name, p in tape.parameters.items():
-        group = tape.groups[name]
-        members.setdefault(group, []).append((name, p))
-        groups_of.setdefault(id(p), []).append(group)
-        watchers[id(p)] = watchers.get(id(p), 0) + 1
-    # The index of the earliest record reading each group: the group is final
-    # once that record has been replayed.
-    first: dict[str, int] = {}
-    records = tape.records
-    for i, rec in enumerate(records):
-        for t, need in zip(rec.inputs, rec.needs):
-            if need:
-                for group in groups_of.get(id(t), ()):
-                    first.setdefault(group, i)
-    final_at: dict[int, list[str]] = {}
-    for group, i in first.items():
-        final_at.setdefault(i, []).append(group)
-    grads: dict[int, np.ndarray] = {}
-
-    def hand_over(group: str) -> None:
-        out = []
-        for name, p in members[group]:
-            g = grads.get(id(p))
-            if g is not None:
-                _check_finite(g, f"backward of {group}")
-            out.append((name, g))
-        consumer(group, out)
-        for _, p in members[group]:
-            watchers[id(p)] -= 1
-            if not watchers[id(p)]:
-                grads.pop(id(p), None)
-
-    grads[id(loss)] = np.ones((), dtype=np.float64)
-    while records:
-        rec = records.pop()
-        g_out = grads.pop(id(rec.output), None)
-        if g_out is not None:
-            for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
-                if g is not None:
-                    acc = grads.get(id(t))
-                    grads[id(t)] = g if acc is None else acc + g
-        del rec, g_out  # frees what only this record held before the next vjp runs
-        for group in final_at.pop(len(records), ()):
-            hand_over(group)
-    for group in members:
-        if group not in first:
-            hand_over(group)
-    return collected
-
-
 def _record(inputs: tuple[Tensor, ...], output: Tensor, vjp) -> Tensor:
-    stack = _tape_stack()
-    if stack:
-        stack[-1]._maybe_record(inputs, output, vjp)
+    tape = _ACTIVE.tape
+    if tape is not None:
+        tape._maybe_record(inputs, output, vjp)
     return output
 
 
@@ -587,35 +576,21 @@ def _activate_array(y: np.ndarray, activation: str | None, op: str) -> np.ndarra
     return y
 
 
-def _activate(y: np.ndarray, activation: str | None, op: str) -> Tensor:
-    return _frozen(_activate_array(y, activation, op))
-
-
-def _activation_vjp(g: np.ndarray, activation: str | None, out: np.ndarray) -> np.ndarray:
-    """``g`` times the derivative of ``activation``, given its output ``out``."""
-    if activation == "tanh":
-        return g * (1.0 - out * out)
-    if activation == "relu":
-        return g * (out > 0.0)
-    return g
-
-
-def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str | None) -> np.ndarray:
-    """:func:`linear` on arrays whose shapes fit: the bias is added to the
-    fresh product and the activation applied in place."""
+def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`linear` on arrays whose shapes fit: the bias is added in place
+    to the fresh product, which is then checked for finiteness."""
     y = np.matmul(x, w)
     y += b
-    return _activate_array(y, activation, "linear")
+    return _check_finite(y, "linear")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
-    """``activation(x @ w + b)`` for ``x`` [rows, n_in], ``w`` [n_in, n_out], ``b`` [n_out]."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for ``x`` [rows, n_in], ``w`` [n_in, n_out], ``b`` [n_out]."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
-    out = _frozen(_linear_array(x.data, w.data, b.data, activation))
+    out = _frozen(_linear_array(x.data, w.data, b.data))
 
     def vjp(g: np.ndarray, needs):
-        g = _activation_vjp(g, activation, out.data)
         return (
             np.matmul(g, w.data.T) if needs[0] else None,
             np.matmul(x.data.T, g) if needs[1] else None,
@@ -634,7 +609,7 @@ def _graph_conv_array(
     row: int | None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """:func:`graph_conv` before its activation, on arrays whose shapes fit.
+    """:func:`graph_conv` on arrays whose shapes fit, unchecked.
 
     Returns every node's output [batch, N, H], or node ``row``'s alone
     [batch, H]: a fresh array, or the first array of ``out`` (two [rows, H]
@@ -661,13 +636,12 @@ def graph_conv(
     w_rel: Tensor,
     w_self: Tensor,
     b: Tensor,
-    activation: str | None = None,
 ) -> Tensor:
     """One relational graph-convolution round (Schlichtkrull et al. 2018).
 
-    Node ``i`` of the output is ``activation(sum_r sum_j A[i, j, r] h_j W_r +
-    h_i W_self + b)`` for ``h`` [batch, N, F], ``w_rel`` [R, F, H], ``w_self``
-    [F, H] and ``b`` [H].
+    Node ``i`` of the output is ``sum_r sum_j A[i, j, r] h_j W_r + h_i W_self
+    + b`` for ``h`` [batch, N, F], ``w_rel`` [R, F, H], ``w_self`` [F, H] and
+    ``b`` [H].
     The constant ``a_rows`` [batch, N*R, N] lays the adjacency out so that row
     ``i*R + r`` is ``A[:, i, :, r]``; then ``a_rows @ h`` reshapes to
     [batch*N, R*F] and meets ``w_rel`` viewed as [R*F, H] in a single GEMM.
@@ -687,12 +661,12 @@ def graph_conv(
             f" {b.shape} do not fit"
         )
     y = _graph_conv_array(h.data, a_rows, w_rel.data, w_self.data, b.data, None)
-    out = _activate(y, activation, "graph_conv")
+    out = _wrap(y, "graph_conv")
     w_flat = w_rel.data.reshape(r * f, hidden)
     h_self = h.data.reshape(batch * n, f)
 
     def vjp(g: np.ndarray, needs):
-        g = _activation_vjp(g, activation, out.data).reshape(-1, hidden)
+        g = g.reshape(-1, hidden)
         gh = g_rel = None
         if needs[0]:
             g_messages = np.matmul(g, w_flat.T).reshape(batch, n * r, f)
@@ -747,10 +721,13 @@ def batch_norm(
     y *= inv_std
     y *= gamma.data
     y += beta.data
-    out = _activate(y.reshape(x.shape if row is None else y.shape), activation, "batch_norm")
+    out = _frozen(_activate_array(y.reshape(x.shape if row is None else y.shape), activation, "batch_norm"))
 
     def vjp(g: np.ndarray, needs):
-        g = _activation_vjp(g, activation, out.data)
+        if activation == "tanh":  # times the activation's derivative, from its output
+            g = g * (1.0 - out.data * out.data)
+        elif activation == "relu":
+            g = g * (out.data > 0.0)
         if row is not None:
             g_row, g = g, np.zeros(x.shape)
             g[:, row] = g_row

@@ -60,7 +60,9 @@ class TrainState:
     """Optimizer state: parameter values and the two Adam moments as flat
     vectors in :func:`~graphnvp.flow._layout`, where each layer group is
     contiguous, so :func:`train` updates a group's slice as soon as its
-    gradients are final; plus counters and the generator state.
+    gradients are final; plus counters and the generator state, which is
+    empty in a :meth:`fresh` state: :func:`train` then starts the generator
+    from ``config.seed``, as a run without a state does.
     :func:`adam_step` pairs the vectors element by element."""
 
     params: np.ndarray
@@ -231,15 +233,15 @@ def train(
     ``config.checkpoint_every`` epochs (if nonzero) and always at the end.
     ``on_epoch`` is called with each epoch's record when that epoch ends.
 
-    Only a state that ``train`` returned, or one :func:`load_train_state`
-    read, resumes bit-exactly, in ``model`` or another model of its
-    structure.  Every step updates the state in place, so a run that raises
-    or is interrupted leaves the state it was given part-way: its vectors
-    and step count as they were at that moment, its generator state as it
-    was at the start.  A non-finite gradient raises :class:`TrainingError`
-    naming the epoch, the step and the layer before that layer is updated,
-    and writes no file; the layers the replay updated before it stay
-    updated, and the step is counted.
+    Only a state that ``train`` returned or :meth:`TrainState.fresh` made,
+    or one :func:`load_train_state` read, resumes bit-exactly, in ``model``
+    or another model of its structure.  Every step updates the state in
+    place, so a run that raises or is interrupted leaves the state it was
+    given part-way: its vectors and step count as they were at that moment,
+    its generator state as it was at the start.  A non-finite gradient
+    raises :class:`TrainingError` naming the epoch, the step and the layer
+    before that layer is updated, and writes no file; the layers the replay
+    updated before it stay updated, and the step is counted.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -248,7 +250,8 @@ def train(
         state = TrainState.fresh(model)
     else:
         state = resume_state
-        rng.bit_generator.state = state.rng_state
+        if state.rng_state:  # empty before the first step: the seed's generator
+            rng.bit_generator.state = state.rng_state
     model.load_parameters({name: T._frozen(v) for name, v in _views(model, state.params).items()})
     update = _adam_by_group(model, state, config)
 
@@ -331,7 +334,8 @@ def load_train_state(path, spec: GraphSpec) -> tuple[FlowModel, TrainState]:
     Each ``p:``/``m:``/``v:`` entry is read straight into its slice of the
     state's three vectors, and the model's parameters are views of the
     first, as :func:`train` binds them.  Raises :class:`CheckpointError` for
-    a plain checkpoint, or a moment entry of the wrong shape, non-finite, or
-    negative in the second moment."""
+    a plain checkpoint, a moment entry of the wrong shape, non-finite, or
+    negative in the second moment, or a generator state that cannot resume
+    (empty past step 0, or one numpy cannot load)."""
     model, vectors, block = _read_checkpoint(path, spec, moments=True)
     return model, TrainState(*vectors, block["step"], block["epoch"], block["rng_state"])

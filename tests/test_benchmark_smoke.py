@@ -1,0 +1,47 @@
+"""The benchmark's untraced path runs against the package: ``perfbench/fixture.py``
+trains and saves infer-qm9's checkpoint, and ``perfbench/worker.py`` runs one
+op of each workload after its warm-up op, in child processes as
+``perfbench/run.py`` starts them.  ``tests/test_trace_contract.py`` covers the
+names the tracer wraps; this covers the calls the workloads make themselves."""
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
+
+
+def _run(script: str, *args: str) -> dict:
+    """Run a perfbench script with the package on its path; its last stdout
+    line, parsed, once the process has exited 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(BENCH / script), *args], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def bench_dir(tmp_path_factory):
+    """A directory holding infer-qm9's fixture checkpoint, built once."""
+    out = tmp_path_factory.mktemp("bench")
+    result = _run("fixture.py", "--out", str(out / "fixture.gnvp"))
+    assert result["error"] is None and len(result["mean_nll"]) == 3
+    return out
+
+
+@pytest.mark.parametrize("workload", ["train-qm9", "infer-qm9"])
+def test_worker_runs_one_untraced_op(bench_dir, workload):
+    args = ["--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0"]
+    args += ["--t0", repr(time.monotonic()), "--out-dir", str(bench_dir)]
+    if workload == "infer-qm9":
+        args += ["--fixture", str(bench_dir / "fixture.gnvp")]
+    result = _run("worker.py", *args)
+    assert (result["failed"], result["errors"]) == (0, [])
+    assert result["attempted"] == 2 and len(result["ops"]) == 1  # the warm-up op, then one timed op

@@ -340,18 +340,34 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(lines) == 2
 
 
-@pytest.mark.parametrize(
-    "line", ["epochs=abc", "adam_alpha=x", "adam_eps=nan", "adam_beta1=0", "batch_size=1.5", "seed=s"]
-)
+# Each bad config line, with the reason its flag's parser gives.
+_BAD_VALUES = {
+    "epochs=abc": "invalid int value: 'abc'",
+    "adam_alpha=x": "invalid float value: 'x'",
+    "adam_eps=nan": "must be a finite number > 0, got 'nan'",
+    "adam_beta1=0": "must be a finite number > 0, got '0'",
+    "batch_size=1.5": "invalid int value: '1.5'",
+    "seed=s": "must be an integer, got 's'",
+}
+
+
+@pytest.mark.parametrize("line", list(_BAD_VALUES))
 def test_config_file_bad_value_usage_error(tmp_path, capsys, line):
+    """A bad config value is reported with its line, its key and the reason
+    the matching flag gives, where there is one."""
+    reason = _BAD_VALUES[line]
     config = tmp_path / "run.cfg"
     config.write_text(f"# a comment\n{line}\n")
     out = tmp_path / "out"
     assert run(["train", "--out", str(out), "--config", str(config)]) == 1
     [err] = capsys.readouterr().err.splitlines()
     key, value = line.split("=")
-    assert err == f"gnvp:error:usage: {config} line 2: bad value for config key {key!r}: {value!r}"
+    assert err == f"gnvp:error:usage: {config} line 2: bad value for config key {key!r}: {reason}"
     assert not out.exists()
+    if key in ("epochs", "batch_size", "seed"):
+        flag = "--" + key.replace("_", "-")
+        assert run(["train", "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err == f"gnvp:error:usage: argument {flag}: {reason}\n"
 
 
 @pytest.mark.parametrize(
@@ -363,7 +379,7 @@ def test_config_file_bad_value_usage_error(tmp_path, capsys, line):
         (["--config", "adam_beta1=1"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
         (["--config", "adam_beta2=1.5"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
         (["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
-        (["--config", "seed=-1"], "{config} line 1: bad value for config key 'seed': '-1'"),
+        (["--config", "seed=-1"], "{config} line 1: bad value for config key 'seed': must be >= 0, got '-1'"),
         (["--config", "checkpoint_every=-2"], "seed and checkpoint_every must be >= 0"),
     ],
 )

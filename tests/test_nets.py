@@ -172,7 +172,8 @@ def test_fold_is_the_layer_then_frozen_batch_norm():
         randomize_net(module, rng)
     x = Tensor(rng.normal(size=(7, 4)))
     for act in ("relu", "tanh"):
-        assert_close(T._linear_array(x.data, *norm.fold(lin), act), oracle_norm(norm, lin(x).data, act))
+        y = T._linear_array(x.data, *norm.fold(lin))
+        assert_close(T._activate_array(y, act, "linear"), oracle_norm(norm, lin(x).data, act))
         full = oracle_norm(norm, conv(Tensor(h), a_rows).data, act)
         for row in (None, 2):
             y = T._graph_conv_array(h, a_rows, *norm.fold(conv), row)
@@ -402,9 +403,7 @@ def test_fold_follows_checkpoint_loaded_into_used_model(tmp_path):
     full: ``train`` binds the state's parameters and the eval follows."""
     source = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=5), seed=7)
     path = tmp_path / "state.gnvp"
-    fresh = TrainState.fresh(source)
-    fresh.rng_state = make_rng(1).bit_generator.state
-    save_train_state(path, fresh, source)
+    save_train_state(path, TrainState.fresh(source), source)
     loaded, state = load_train_state(path, TOY_SPEC)
     model = _used_model()
     for name, buf in loaded.named_buffers():

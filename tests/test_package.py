@@ -11,7 +11,7 @@ EXPORTS = {
     "AdjacencyCouplingLayer", "FlowModel", "GaussianPrior", "GradientTape", "GraphSpec",
     "GridSpec", "MetricsReport", "ModelConfig", "MolecularGraph", "Molecule",
     "NodeFeatureCouplingLayer", "PropertyRegressor", "SampleConfig", "Tensor", "TrainConfig",
-    "TrainState", "adam_step", "backward", "bundled_corpus_path",
+    "TrainState", "adam_step", "bundled_corpus_path",
     "check_validity", "compute_metrics", "compute_property", "decode", "default_model_config",
     "dequantize", "discretize_argmax", "encode_dataset",
     "fit_regressor", "from_graph", "generate", "grid_decode", "load_checkpoint",
@@ -33,5 +33,6 @@ def test_every_export_resolves_and_nothing_else_is_public():
     }
     assert public == EXPORTS
     assert not hasattr(graphnvp, "encode")
+    assert not hasattr(graphnvp, "backward")  # GradientTape.gradients is the one replay
     for name in ("finite_difference_gradient", "split_dataset", "permute_nodes"):
         assert not hasattr(graphnvp, name), name

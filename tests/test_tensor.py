@@ -1,3 +1,4 @@
+import threading
 import zlib
 
 import numpy as np
@@ -14,9 +15,9 @@ from graphnvp.tensor import (
     GradientTape,
     _activate_array,
     _graph_conv_array,
+    _linear_array,
     Tensor,
     add,
-    backward,
     batch_norm,
     concat,
     exp,
@@ -64,7 +65,7 @@ def test_backward_linear():
     with GradientTape() as tape:
         tape.watch("p", p)
         loss = sum_axis(p)
-    grads = backward(tape, loss)
+    grads = tape.gradients(loss)
     assert np.array_equal(grads["p"].data, [1.0, 1.0, 1.0])
 
 
@@ -94,7 +95,7 @@ def test_backward_requires_scalar_loss():
         tape.watch("p", p)
         loss = mul(p, p)
     with pytest.raises(ShapeError):
-        backward(tape, loss)
+        tape.gradients(loss)
 
 
 def test_replay_hands_each_group_to_its_consumer_once_final():
@@ -145,7 +146,6 @@ def test_tape_is_single_use_and_its_gradients_are_read_only():
     with GradientTape() as tape:
         tape.watch("q", q)
         tape.watch("p", p)
-        tape.watch("p again", p)
         squares = mul(p, p)
         loss = add(sum_axis(squares), sum_axis(mul(q, q)))
     records = list(tape.records)
@@ -157,14 +157,54 @@ def test_tape_is_single_use_and_its_gradients_are_read_only():
     assert tape.records == []
     with pytest.raises(RuntimeError, match="already replayed"):
         tape.gradients(loss)
-    with pytest.raises(RuntimeError, match="already replayed"):
-        backward(tape, loss)
-    assert list(grads) == ["q", "p", "p again"]
+    assert list(grads) == ["q", "p"]
     assert grads["q"].data.tolist() == [[6.0, -2.0], [1.0, 4.0]] and grads["p"].data.tolist() == [2.0, 4.0]
-    assert grads["p again"].data.tolist() == [2.0, 4.0]
-    for array in (grads["q"].data, grads["p"].data, grads["p again"].data):
+    for array in (grads["q"].data, grads["p"].data):
         with pytest.raises(ValueError):
             array.flat[0] = 0.0
+
+
+def test_a_tensor_is_watched_under_one_name():
+    p = Tensor([1.0, 2.0])
+    with GradientTape() as tape:
+        tape.watch("p", p)
+        with pytest.raises(ValueError, match="tensor watched as 'p' cannot also be watched as 'p again'"):
+            tape.watch("p again", p, "other")
+        loss = sum_axis(mul(p, p))
+    assert list(tape.parameters) == ["p"] and tape.groups == {"p": "p"}
+    assert tape.gradients(loss)["p"].data.tolist() == [2.0, 4.0]
+
+
+def test_one_active_tape_per_thread():
+    """Entering a second tape raises and leaves the first one recording; a
+    tape on another thread is independent; leaving the tape frees the slot."""
+    p = Tensor([1.0, 2.0])
+    with GradientTape() as tape:
+        tape.watch("p", p)
+        with pytest.raises(RuntimeError, match="already active"):
+            with GradientTape():
+                pass
+        square = mul(p, p)
+        other = []
+
+        def record_elsewhere():
+            with GradientTape() as own:
+                own.watch("p", p)
+                mul(p, p)
+            other.append(len(own.records))
+
+        worker = threading.Thread(target=record_elsewhere)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        loss = sum_axis(square)
+    assert other == [1] and len(tape.records) == 2
+    assert tape.gradients(loss)["p"].data.tolist() == [2.0, 4.0]
+    mul(p, p)  # no tape is active: nothing records
+    with GradientTape() as again:
+        again.watch("p", p)
+        mul(p, p)
+    assert len(again.records) == 1
 
 
 def test_finite_difference_quadratic():
@@ -648,54 +688,40 @@ def test_batch_norm_checks_finiteness_before_the_activation(activation):
         batch_norm(x, gamma, beta, 0.0, None)  # the statistics argument is gone
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_linear_and_graph_conv_activation_is_bit_identical_to_the_separate_op(activation):
-    """Forward values and every input's gradient: the op with ``activation``
-    against the op followed by ``tanh`` or ``relu``."""
-    rng = make_rng(zlib.crc32(activation.encode()))
-    h, a_rows, w_rel, w_self, b = _relational_input(rng, batch=3, n=4, r=2, f=3, hidden=5)
-    x, w = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(3, 5)))
-    separate = {"tanh": tanh, "relu": relu}[activation]
-    cases = [
-        ([x, w, b], lambda x, w, b, act=None: linear(x, w, b, act)),
-        ([h, w_rel, w_self, b], lambda h, wr, ws, b, act=None: graph_conv(h, a_rows, wr, ws, b, act)),
-    ]
-    for inputs, op in cases:
-        outputs, grads = [], []
-        for fused in (True, False):
-            with GradientTape() as tape:
-                for k, t in enumerate(inputs):
-                    tape.watch(str(k), t)
-                out = op(*inputs, activation) if fused else separate(op(*inputs))
-                loss = sum_axis(mul(out, Tensor(make_rng(1).normal(size=out.shape))))
-            assert len(tape.records) == (3 if fused else 4)
-            outputs.append(out.data)
-            grads.append(tape.gradients(loss))
-        assert np.array_equal(outputs[0], outputs[1])
-        if activation == "relu":
-            assert (outputs[0] == 0.0).any()  # some gradients are masked
-        for k in grads[1]:
-            assert np.array_equal(grads[0][k].data, grads[1][k].data), k
+def _overflowing_inputs():
+    """Inputs whose linear and graph_conv outputs hold -inf."""
+    x, w, b = Tensor([[1e200, 1.0]]), Tensor([[-1e200, 0.0], [0.0, 1.0]]), Tensor([0.0, 0.0])
+    h, a_rows, w_rel = Tensor([[[1e200, 0.0], [1.0, 1.0]]]), np.zeros((1, 2, 2)), Tensor(np.zeros((1, 2, 2)))
+    return x, w, b, h, a_rows, w_rel
+
+
+def test_linear_and_graph_conv_refuse_a_non_finite_output():
+    x, w, b, h, a_rows, w_rel = _overflowing_inputs()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="^linear produced a non-finite value"):
+            linear(x, w, b)
+        with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
+            graph_conv(h, a_rows, w_rel, w, b)
+    # Neither takes an activation: batch norm holds the one fused activation.
+    with pytest.raises(TypeError):
+        linear(x, Tensor(np.eye(2)), b, "tanh")
+    with pytest.raises(TypeError):
+        graph_conv(h, a_rows, w_rel, Tensor(np.eye(2)), b, "tanh")
 
 
 @pytest.mark.parametrize("activation", [None, "tanh", "relu"])
 def test_linear_and_graph_conv_check_finiteness_before_the_activation(activation):
     # -inf before the activation; tanh would map it to -1 and relu to 0.
-    x, w, b = Tensor([[1e200, 1.0]]), Tensor([[-1e200, 0.0], [0.0, 1.0]]), Tensor([0.0, 0.0])
-    h, a_rows, w_rel = Tensor([[[1e200, 0.0], [1.0, 1.0]]]), np.zeros((1, 2, 2)), Tensor(np.zeros((1, 2, 2)))
+    x, w, b, h, a_rows, w_rel = _overflowing_inputs()
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericError, match="^linear produced a non-finite value"):
-            linear(x, w, b, activation)
-        with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
-            graph_conv(h, a_rows, w_rel, w, b, activation)
         # The eval round of one target row.
         with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
             y = _graph_conv_array(h.data, a_rows, w_rel.data, w.data, b.data, 0)
             _activate_array(y, activation, "graph_conv")
+        with pytest.raises(NumericError, match="^linear produced a non-finite value"):
+            _activate_array(_linear_array(x.data, w.data, b.data), activation, "linear")
     with pytest.raises(ValueError):
-        linear(x, Tensor(np.eye(2)), b, "sigmoid")
-    with pytest.raises(ValueError):
-        graph_conv(h, a_rows, w_rel, Tensor(np.eye(2)), b, "sigmoid")
+        _activate_array(np.zeros(2), "sigmoid", "graph_conv")
 
 
 def test_training_graph_round_and_batch_norm_activation_record_once():

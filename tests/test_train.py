@@ -360,6 +360,62 @@ def test_train_state_round_trip_at_path_without_suffix(tmp_path):
         assert np.array_equal(saved, loaded), name
 
 
+def test_fresh_train_state_resumes_like_a_plain_run(tmp_path):
+    """A state saved straight from ``TrainState.fresh`` has an empty generator
+    state; loaded and trained, it gives the bytes of a run without a state."""
+    dataset = toy_batch(count=8, seed=8)
+    config = TrainConfig(epochs=2, batch_size=4, seed=9)
+    model = toy_model(seed=3)
+    save_train_state(tmp_path / "fresh.gnvp", TrainState.fresh(model), model)
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "resumed").mkdir()
+    plain_state, plain_records = train(model, dataset, config, checkpoint_dir=tmp_path / "plain")
+
+    loaded_model, loaded = load_train_state(tmp_path / "fresh.gnvp", TOY_SPEC)
+    assert (loaded.step, loaded.epoch, loaded.rng_state) == (0, 0, {})
+    state, records = train(loaded_model, dataset, config, checkpoint_dir=tmp_path / "resumed", resume_state=loaded)
+    assert [(r.mean_nll, r.sigma) for r in records] == [(r.mean_nll, r.sigma) for r in plain_records]
+    assert (tmp_path / "resumed" / "model.gnvp").read_bytes() == (tmp_path / "plain" / "model.gnvp").read_bytes()
+    for got, want in zip(
+        (state.params, state.first_moment, state.second_moment),
+        (plain_state.params, plain_state.first_moment, plain_state.second_moment),
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert (state.step, state.epoch) == (plain_state.step, plain_state.epoch) == (4, 2)
+    after, plain = make_rng(0), make_rng(0)
+    after.bit_generator.state, plain.bit_generator.state = state.rng_state, plain_state.rng_state
+    assert np.array_equal(after.random(4), plain.random(4))
+
+
+@pytest.mark.parametrize("step, epoch", [(1, 0), (0, 1)])
+def test_load_train_state_refuses_an_empty_generator_state_past_step_0(tmp_path, step, epoch):
+    model = toy_model(seed=3)
+    state = TrainState.fresh(model)
+    state.step, state.epoch = step, epoch
+    save_train_state(tmp_path / "state.gnvp", state, model)
+    with pytest.raises(CheckpointError, match=f"optimizer.rng_state is empty at step {step} epoch {epoch}"):
+        load_train_state(tmp_path / "state.gnvp", TOY_SPEC)
+
+
+@pytest.mark.parametrize(
+    "rng_state",
+    [
+        {"bit_generator": "PCG64"},
+        {"bit_generator": "Philox", "state": {}},
+        {**make_rng(0).bit_generator.state, "buffer_pos": "4"},
+        {**make_rng(0).bit_generator.state, "state": {"counter": [-1, 0, 0, 0], "key": [0, 0]}},
+    ],
+    ids=["other_generator", "no_counter", "text_position", "negative_counter"],
+)
+def test_load_train_state_refuses_a_generator_state_numpy_cannot_load(tmp_path, rng_state):
+    model = toy_model(seed=3)
+    state = TrainState.fresh(model)
+    state.rng_state = rng_state
+    save_train_state(tmp_path / "state.gnvp", state, model)
+    with pytest.raises(CheckpointError, match="optimizer.rng_state is not a generator state numpy can load"):
+        load_train_state(tmp_path / "state.gnvp", TOY_SPEC)
+
+
 def _layer_slices(model):
     """Each layer group's (start, size) in the state layout, from the model
     alone: the coupling layers and the prior."""
@@ -464,7 +520,6 @@ def test_qm9lite_training_memory(qm9_corpus):
         tape_bytes = tracemalloc.get_traced_memory()[0] - start
         del tape, loss
         state = TrainState.fresh(model)
-        state.rng_state = make_rng(0).bit_generator.state
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         train(model, batch, TrainConfig(epochs=1, batch_size=64), resume_state=state)
@@ -520,7 +575,7 @@ def test_non_finite_gradient_names_its_layer_before_updating_it(tmp_path, monkey
     def poisoning_nll_loss(*args, **kwargs):
         loss = nll_loss(*args, **kwargs)
         poisoned = model.get_parameter(name)
-        (rec,) = [r for r in T._tape_stack()[-1].records if any(t is poisoned for t in r.inputs)]
+        (rec,) = [r for r in T._ACTIVE.tape.records if any(t is poisoned for t in r.inputs)]
         vjp = rec.vjp
 
         def nan_vjp(g, needs):
