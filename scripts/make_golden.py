@@ -2,12 +2,13 @@
 """Record the outputs of the ``gnvp`` workflows in ``tests/data/golden.json``.
 
 Trains a qm9lite model with ``gnvp train --epochs 2 --seed 3 --batch-size 64``,
-then runs ``generate``, ``eval``, ``encode`` and a small ``sweep`` from that
-checkpoint.  Each subcommand runs in a child process with one BLAS thread,
-since the bits of a GEMM depend on the thread count.  The file holds the
-sha256 of every artifact, the epoch NLLs as ``repr`` strings, and the build
-they were made on: the same code gives other bits on another Python, numpy,
-BLAS or CPU, so ``tests/test_golden.py`` compares only on the recorded build.
+then runs ``generate``, ``eval``, ``encode``, ``grid``, ``optimize`` and a
+small ``sweep`` from that checkpoint.  Each subcommand runs in a child
+process with one BLAS thread, since the bits of a GEMM depend on the thread
+count.  The file holds the sha256 of every artifact, the epoch NLLs as
+``repr`` strings, and the build they were made on: the same code gives other
+bits on another Python, numpy, BLAS or CPU, so ``tests/test_golden.py``
+compares only on the recorded build.
 
     python3 scripts/make_golden.py
 """
@@ -33,6 +34,8 @@ WORKFLOWS = [
     ("generate", ["--checkpoint", "{model}", "--seed", SEED], ["generated.smi"]),
     ("eval", ["--checkpoint", "{model}", "--seed", SEED], ["metrics.csv"]),
     ("encode", ["--checkpoint", "{model}"], ["latents.csv"]),
+    ("grid", ["--checkpoint", "{model}", "--seed", SEED], ["grid.csv"]),
+    ("optimize", ["--checkpoint", "{model}", "--seed", SEED], ["optimize.csv"]),
     ("sweep", ["--checkpoint", "{model}", "--seed", SEED, "--samples", "100", "--temps", "0.5,0.9"], ["sweep.csv"]),
 ]
 
