@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChemError, DatasetError, GraphError, SmilesParseError
-from .graphs import GraphSpec, MolecularGraph, check_graphs
+from .graphs import GraphSpec, MolecularGraph, check_graphs, stack_graphs
 
 # Maximum total bond order per atom symbol; shared by both bundled vocabularies.
 DEFAULT_VALENCES = {"C": 4, "N": 3, "O": 2, "F": 1, "S": 6, "Cl": 1}
@@ -448,8 +448,7 @@ def from_graphs(graphs: Sequence[MolecularGraph]) -> list[Molecule]:
     spec = graphs[0].spec
     if any(g.spec != spec for g in graphs):
         raise GraphError("from_graphs needs graphs of one spec")
-    adjacency = np.stack([g.adjacency for g in graphs])
-    features = np.stack([g.features for g in graphs])
+    adjacency, features = stack_graphs(graphs)
     check_graphs(spec, adjacency, features)
     return _molecules(spec, adjacency, features)
 
@@ -545,9 +544,7 @@ def load_dataset(path, spec: GraphSpec) -> list[MolecularGraph]:
         except (ChemError, SmilesParseError) as exc:
             raise DatasetError(f"{path.name} line {lineno}: {exc}") from exc
     if graphs:
-        check_graphs(
-            spec, np.stack([g.adjacency for g in graphs]), np.stack([g.features for g in graphs])
-        )
+        check_graphs(spec, *stack_graphs(graphs))
     return graphs
 
 

@@ -10,7 +10,6 @@ Failures print one machine-parsable line: ``gnvp:error:<kind>: <message>``.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from .errors import (
     SmilesParseError,
     TrainingError,
 )
-from .flow import FlowModel, _atomic_open, load_checkpoint
+from .flow import FlowModel, load_checkpoint, write_csv
 from .graphs import GraphSpec, qm9lite_spec, zinclite_spec
 from .latent import (
     GridSpec,
@@ -42,6 +41,7 @@ from .latent import (
 )
 from .sampling import (
     SampleConfig,
+    _metric_fields,
     compute_metrics,
     generate,
     temperature_sweep,
@@ -208,15 +208,20 @@ def _resolve_seed(args, file_values: dict) -> int:
         raise _UsageError(f"GNVP_SEED {exc}") from None
 
 
-def _seed(args) -> int:
-    """The seed of a subcommand whose config file may set only ``seed``."""
-    return _resolve_seed(args, _load_config_file(args, _SEED_KEYS))
+def _load_dataset(args, spec: GraphSpec) -> list:
+    """The ``--dataset`` file, else the bundled corpus for ``--spec``."""
+    return load_dataset(Path(args.dataset) if args.dataset else bundled_corpus_path(args.spec), spec)
 
 
-def _resolve_dataset(args, spec_name: str) -> Path:
-    if getattr(args, "dataset", None):
-        return Path(args.dataset)
-    return bundled_corpus_path(spec_name)
+def _inputs(args) -> tuple:
+    """``(seed, model, dataset)`` of a subcommand, each None where it has no
+    flag for it: the seed first, so usage errors come before the checkpoint's
+    errors, and those before the dataset's."""
+    spec = _SPECS[args.spec]()
+    seed = _resolve_seed(args, _load_config_file(args, _SEED_KEYS)) if hasattr(args, "seed") else None
+    model = load_checkpoint(args.checkpoint, spec) if hasattr(args, "checkpoint") else None
+    dataset = _load_dataset(args, spec) if hasattr(args, "dataset") else None
+    return seed, model, dataset
 
 
 def _out_dir(args) -> Path:
@@ -225,19 +230,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _spec(args) -> GraphSpec:
-    return _SPECS[args.spec]()
-
-
 def _default_temp(args) -> float:
-    if getattr(args, "temp", None) is not None:
-        return args.temp
-    return _DEFAULT_TEMPS[args.spec]
+    return _DEFAULT_TEMPS[args.spec] if args.temp is None else args.temp
 
 
 def _cmd_train(args) -> int:
     file_values = _load_config_file(args, _TRAIN_KEYS)
-    spec = _spec(args)
+    spec = _SPECS[args.spec]()
     seed = _resolve_seed(args, file_values)
     # Defaults, then the config file, then the flags.
     values = {"epochs": 200, "batch_size": _DEFAULT_BATCH[args.spec], **file_values, "seed": seed}
@@ -246,7 +245,7 @@ def _cmd_train(args) -> int:
         config = TrainConfig(**values)
     except TrainingError as exc:
         raise _UsageError(str(exc)) from None
-    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
+    dataset = _load_dataset(args, spec)
     out = _out_dir(args)
     model = FlowModel(spec, seed=seed)
 
@@ -263,9 +262,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = _spec(args)
-    seed = _seed(args)
-    model = load_checkpoint(args.checkpoint, spec)
+    seed, model, _ = _inputs(args)
     config = SampleConfig(num_samples=args.samples, temperature=_default_temp(args), seed=seed)
     samples = generate(model, config)
     out = _out_dir(args)
@@ -276,30 +273,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    spec = _spec(args)
-    seed = _seed(args)
-    model = load_checkpoint(args.checkpoint, spec)
-    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
+    seed, model, dataset = _inputs(args)
     config = SampleConfig(num_samples=args.samples, temperature=_default_temp(args), seed=seed)
     samples = generate(model, config)
     report = compute_metrics([s.molecule for s in samples], dataset, model, seed=seed)
     out = _out_dir(args)
-    with _atomic_open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["temp", "validity", "novelty", "uniqueness", "reconstruction", "samples", "seed"]
-        )
-        writer.writerow(
-            [
-                f"{config.temperature:g}",
-                f"{report.validity:.4f}",
-                f"{report.novelty:.4f}",
-                f"{report.uniqueness:.4f}",
-                f"{report.reconstruction:.4f}",
-                report.total,
-                seed,
-            ]
-        )
+    write_csv(
+        out / "metrics.csv",
+        ["temp", "validity", "novelty", "uniqueness", "reconstruction", "samples", "seed"],
+        [_metric_fields(config.temperature, report) + [report.total, seed]],
+    )
     print("  %V      %N      %U      %R")
     print(
         f"{report.validity:6.2f}  {report.novelty:6.2f}  "
@@ -309,28 +292,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    spec = _spec(args)
-    model = load_checkpoint(args.checkpoint, spec)
-    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
+    _, model, dataset = _inputs(args)
     latents = encode_dataset(model, dataset)
     out = _out_dir(args)
-    with _atomic_open(out / "latents.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"z{k}" for k in range(latents.shape[1])])
-        for idx in range(latents.shape[0]):
-            writer.writerow([idx] + [f"{v:.12g}" for v in latents[idx]])
+    write_csv(
+        out / "latents.csv",
+        ["index"] + [f"z{k}" for k in range(latents.shape[1])],
+        ([idx] + [f"{v:.12g}" for v in row] for idx, row in enumerate(latents)),
+    )
     print(f"encoded {latents.shape[0]} molecules -> {out / 'latents.csv'}")
     return 0
 
 
 def _cmd_grid(args) -> int:
-    spec = _spec(args)
-    seed = _seed(args)
-    model = load_checkpoint(args.checkpoint, spec)
-    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
+    seed, model, dataset = _inputs(args)
     rng = make_rng(seed)
     center = dataset[int(rng.integers(len(dataset)))]
-    axis_u, axis_v = random_grid_axes(spec.latent_dim, rng)
+    axis_u, axis_v = random_grid_axes(model.spec.latent_dim, rng)
     grid = GridSpec(center=center, axis_u=axis_u, axis_v=axis_v, extent=args.steps, step=args.step_size)
     cells = grid_decode(model, grid)
     out = _out_dir(args)
@@ -340,10 +318,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    spec = _spec(args)
-    seed = _seed(args)
-    model = load_checkpoint(args.checkpoint, spec)
-    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
+    seed, model, dataset = _inputs(args)
     regressor = fit_regressor(model, dataset, args.property)
     rng = make_rng(seed)
     seed_graph = dataset[int(rng.integers(len(dataset)))]
@@ -359,8 +334,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _spec(args)
-    seed = _seed(args)
     try:
         temps = [float(t) for t in args.temps.split(",") if t.strip()]
     except ValueError:
@@ -369,8 +342,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--temps needs at least one temperature, got {args.temps!r}")
     if not all(math.isfinite(t) and t > 0 for t in temps):
         raise _UsageError(f"--temps must be finite numbers > 0, got {args.temps!r}")
-    model = load_checkpoint(args.checkpoint, spec)
-    dataset = load_dataset(_resolve_dataset(args, args.spec), spec)
+    seed, model, dataset = _inputs(args)
     config = SampleConfig(num_samples=args.samples, temperature=max(temps), seed=seed)
     rows = temperature_sweep(model, dataset, temps, config)
     out = _out_dir(args)

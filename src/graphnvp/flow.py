@@ -30,6 +30,7 @@ row update and the log-det sums.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -425,6 +426,7 @@ _TEXTS = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v), 
 _REAL = (lambda v: _is_int(v) or (isinstance(v, float) and np.isfinite(v)), "a finite number")
 _TRUE = (lambda v: v is True, "true: every model has batch norm")
 _BLOCK = (lambda v: isinstance(v, dict), "an object")
+_ORDER = (lambda v: v == FORWARD_ORDER, json.dumps(FORWARD_ORDER))
 
 
 def _meta_field(block, key: str, kind: tuple):
@@ -453,6 +455,12 @@ def _check_rng_state(optimizer: dict, state: dict) -> None:
         return
     try:
         make_rng(0).bit_generator.state = state
+        # numpy's setter takes any integer for these two fields, then reads
+        # outside the 4-word buffer or returns a stale half-word.
+        if state["buffer_pos"] not in range(5):
+            raise ValueError(f"buffer_pos {json.dumps(state['buffer_pos'])} is outside 0..4")
+        if state["has_uint32"] not in (0, 1):
+            raise ValueError(f"has_uint32 {json.dumps(state['has_uint32'])} is not 0 or 1")
     except (ArithmeticError, LookupError, TypeError, ValueError) as err:
         raise CheckpointError(f"{key} is not a generator state numpy can load ({err})") from None
 
@@ -485,6 +493,15 @@ def _atomic_open(path, mode: str = "w", **kwargs):
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows``, to ``path`` as UTF-8 CSV in
+    the default dialect, through :func:`_atomic_open`."""
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> None:
@@ -634,6 +651,7 @@ def _read_checkpoint(path, spec: GraphSpec, moments: bool):
     read-only view of its slice.  Without ``moments``, moment entries are
     skipped; with it, a file without an optimizer section, a non-finite
     moment or a negative second moment raises :class:`CheckpointError`.
+    So do bytes between the last entry and the CRC trailer.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh, _payload_size(fh, path), path)
@@ -646,6 +664,7 @@ def _read_checkpoint(path, spec: GraphSpec, moments: bool):
         except ValueError as err:
             raise CheckpointError(f"{path}: checkpoint metadata is not JSON") from err
         try:
+            _meta_field(meta, "forward_order", _ORDER)
             stored_spec = _spec_from_dict(_meta_field(meta, "spec", _BLOCK))
             config = ModelConfig.from_dict(_meta_field(meta, "model", _BLOCK))
             optimizer = meta.get("optimizer")
@@ -693,6 +712,8 @@ def _read_checkpoint(path, spec: GraphSpec, moments: bool):
                     model.set_parameter(key, T._frozen(arr))
                 elif not np.isfinite(arr).all() or (kind == "v:" and (arr < 0).any()):
                     raise CheckpointError(f"{path}: entry {name!r} is not a valid Adam moment")
+        if reader.pos != reader.end:
+            raise CheckpointError(f"{path}: {reader.end - reader.pos} bytes after the last entry")
     missing = expected.keys() - seen
     if missing:
         raise CheckpointError(f"{path}: missing entries {sorted(missing)[:3]}")

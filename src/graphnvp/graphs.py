@@ -166,6 +166,11 @@ class MolecularGraph:
         return hash((self.spec, self.adjacency.tobytes(), self.features.tobytes()))
 
 
+def stack_graphs(graphs: Sequence[MolecularGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack ``graphs`` into (adjacency [B, N, N, R], features [B, N, M])."""
+    return np.stack([g.adjacency for g in graphs]), np.stack([g.features for g in graphs])
+
+
 def dequantize(
     graphs: Sequence[MolecularGraph], c: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +182,7 @@ def dequantize(
     """
     if not 0.0 < c < 1.0:
         raise GraphError(f"noise scale must lie in (0, 1), got {c}")
-    adjacency = np.stack([g.adjacency for g in graphs])
-    features = np.stack([g.features for g in graphs])
+    adjacency, features = stack_graphs(graphs)
     adjacency = adjacency + c * rng.random(adjacency.shape)
     features = features + c * rng.random(features.shape)
     return adjacency, features
@@ -218,15 +222,15 @@ def argmax_adjacency(spec: GraphSpec, scores: np.ndarray) -> np.ndarray:
 
 def discretize_argmax(
     spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray
-) -> "MolecularGraph | list[MolecularGraph]":
-    """Project continuous scores onto a valid discrete graph.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project continuous scores ``[..., N, N, R]`` and ``[..., N, M]`` onto
+    valid one-hot (adjacency, features) arrays of the same shapes.
 
-    Atom types are the per-node argmax; bond channels come from
+    Leading axes are a batch; each graph is handled independently.  Atom
+    types are the per-node argmax; bond channels come from
     :func:`argmax_adjacency`; any pair touching a node whose argmax type is
-    virtual is forced to the virtual channel so the result always satisfies
-    the graph invariants.  Scores ``[..., N, N, R]`` and ``[..., N, M]`` with
-    leading (batch) axes give a list of graphs in row-major order of those
-    axes, each handled independently; without them, one graph.
+    virtual is forced to the virtual channel, so every graph satisfies the
+    graph invariants, which are checked once for the whole batch.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[features.ndim - 2 :] != spec.feature_shape():
@@ -250,8 +254,4 @@ def discretize_argmax(
     a[virtual[..., :, None] | virtual[..., None, :]] = wipe
 
     check_graphs(spec, a, x)
-    if not lead:
-        return MolecularGraph(spec, a, x)
-    a = a.reshape((-1,) + spec.adjacency_shape())
-    x = x.reshape((-1,) + spec.feature_shape())
-    return [MolecularGraph(spec, a[b], x[b]) for b in range(x.shape[0])]
+    return a, x

@@ -8,7 +8,6 @@ point's validity from it.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,8 +16,8 @@ import numpy as np
 
 from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
 from .errors import ChemError, GnvpError
-from .flow import FlowModel, _atomic_open
-from .graphs import DEQUANT_NOISE, MolecularGraph
+from .flow import FlowModel, write_csv
+from .graphs import DEQUANT_NOISE, MolecularGraph, stack_graphs
 from .sampling import decode
 
 # Fixed per-atom hydrophobicity-style contributions; documented constants.
@@ -97,14 +96,16 @@ def grid_decode(model: FlowModel, grid: GridSpec) -> list[list[GridCell]]:
     return [cells[k : k + side] for k in range(0, len(cells), side)]
 
 
+def _smiles_or_invalid(molecule: Molecule, valid: bool) -> str:
+    return write_smiles_canonical(molecule) if valid else "INVALID"
+
+
 def write_grid_csv(rows: Sequence[Sequence[GridCell]], path) -> None:
-    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "smiles"])
-        for row in rows:
-            for cell in row:
-                text = write_smiles_canonical(cell.molecule) if cell.valid else "INVALID"
-                writer.writerow([cell.i, cell.j, text])
+    write_csv(
+        path,
+        ["i", "j", "smiles"],
+        ([cell.i, cell.j, _smiles_or_invalid(cell.molecule, cell.valid)] for row in rows for cell in row),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +155,8 @@ class PropertyRegressor:
 def encode_dataset(model: FlowModel, dataset: Sequence[MolecularGraph]) -> np.ndarray:
     """Noise-free latent matrix [n, D] for a list of graphs: every entry is
     offset by the midpoint ``DEQUANT_NOISE / 2``."""
-    adjacency = np.stack([g.adjacency for g in dataset]) + DEQUANT_NOISE / 2.0
-    features = np.stack([g.features for g in dataset]) + DEQUANT_NOISE / 2.0
-    return model.eval_forward(adjacency, features)[0]
+    adjacency, features = stack_graphs(dataset)
+    return model.eval_forward(adjacency + DEQUANT_NOISE / 2.0, features + DEQUANT_NOISE / 2.0)[0]
 
 
 def fit_linear_latent_model(
@@ -253,10 +253,8 @@ def optimize_along(
 
 
 def write_optimization_csv(steps: Sequence[OptimizationStep], path) -> None:
-    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "smiles", "predicted_property", "realized_property"])
-        for item in steps:
-            text = write_smiles_canonical(item.molecule) if item.valid else "INVALID"
-            realized = "" if item.realized is None else f"{item.realized:.6g}"
-            writer.writerow([item.step, text, f"{item.predicted:.6g}", realized])
+    rows = []
+    for item in steps:
+        realized = "" if item.realized is None else f"{item.realized:.6g}"
+        rows.append([item.step, _smiles_or_invalid(item.molecule, item.valid), f"{item.predicted:.6g}", realized])
+    write_csv(path, ["step", "smiles", "predicted_property", "realized_property"], rows)

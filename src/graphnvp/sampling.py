@@ -10,7 +10,6 @@ strings as keys.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,8 +18,8 @@ import numpy as np
 
 from .chem import Molecule, _molecules, _validity, check_validity, from_graphs, write_smiles_canonical
 from .errors import GnvpError
-from .flow import FlowModel, GaussianPrior, _atomic_open
-from .graphs import DEQUANT_NOISE, MolecularGraph, dequantize, discretize_argmax, first_failures
+from .flow import FlowModel, GaussianPrior, _atomic_open, write_csv
+from .graphs import DEQUANT_NOISE, MolecularGraph, dequantize, discretize_argmax, first_failures, stack_graphs
 from .tensor import make_rng
 
 SWEEP_COLUMNS = ("temp", "validity", "novelty", "uniqueness", "reconstruction", "seed_count")
@@ -65,17 +64,16 @@ class GeneratedSample:
 def decode(model: FlowModel, latents: np.ndarray) -> list[GeneratedSample]:
     """Invert latent vectors [batch, D], project each onto a discrete graph
     and read off its molecule; invalid molecules are kept and flagged."""
-    a_cont, x_cont = model.inverse_batch(latents)
-    graphs = discretize_argmax(model.spec, a_cont, x_cont)
+    spec = model.spec
     # discretize_argmax has checked these graphs' invariants.
-    adjacency = np.stack([g.adjacency for g in graphs])
-    features = np.stack([g.features for g in graphs])
+    adjacency, features = discretize_argmax(spec, *model.inverse_batch(latents))
     return [
-        GeneratedSample(graph=graph, molecule=molecule, valid=report.ok, violations=report.violations)
-        for graph, molecule, report in zip(
-            graphs,
-            _molecules(model.spec, adjacency, features),
-            _validity(model.spec, adjacency, features),
+        GeneratedSample(MolecularGraph(spec, a, x), molecule, report.ok, report.violations)
+        for a, x, molecule, report in zip(
+            adjacency,
+            features,
+            _molecules(spec, adjacency, features),
+            _validity(spec, adjacency, features),
         )
     ]
 
@@ -132,8 +130,7 @@ def reconstruction_rate(
         return 0, 0
     adjacency, features = dequantize(training_set, DEQUANT_NOISE, rng)
     a_cont, x_cont = model.inverse_batch(model.eval_forward(adjacency, features)[0])
-    a_in = np.stack([g.adjacency for g in training_set])
-    x_in = np.stack([g.features for g in training_set])
+    a_in, x_in = stack_graphs(training_set)
     batch = len(training_set)
     hits = (
         (np.floor(a_cont) == a_in).reshape(batch, -1).all(axis=1)
@@ -260,18 +257,11 @@ def temperature_sweep(
     return rows
 
 
+def _metric_fields(temp: float, r) -> list[str]:
+    """The temperature and the four percentages of a :class:`MetricsReport`
+    or :class:`SweepRow`, as CSV fields."""
+    return [f"{temp:g}"] + [f"{v:.4f}" for v in (r.validity, r.novelty, r.uniqueness, r.reconstruction)]
+
+
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{row.temp:g}",
-                    f"{row.validity:.4f}",
-                    f"{row.novelty:.4f}",
-                    f"{row.uniqueness:.4f}",
-                    f"{row.reconstruction:.4f}",
-                    row.seed_count,
-                ]
-            )
+    write_csv(path, SWEEP_COLUMNS, (_metric_fields(row.temp, row) + [row.seed_count] for row in rows))

@@ -192,7 +192,10 @@ class GradientTape:
 
     def watch(self, name: str, tensor: Tensor, group: str | None = None) -> Tensor:
         """Track ``tensor`` under ``name``, in ``group`` (default: ``name``).
-        A tensor already watched under another name raises ``ValueError``."""
+        A tensor already watched under another name, or a name already
+        watched for another tensor, raises ``ValueError``."""
+        if self.parameters.get(name, tensor) is not tensor:
+            raise ValueError(f"name {name!r} is already watched for another tensor")
         other = self._names.setdefault(id(tensor), name)
         if other != name:
             raise ValueError(f"tensor watched as {other!r} cannot also be watched as {name!r}")

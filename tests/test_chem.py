@@ -14,7 +14,7 @@ from graphnvp.chem import (
     write_smiles_canonical,
 )
 from graphnvp.errors import ChemError, DatasetError, GraphError, SmilesParseError
-from graphnvp.graphs import GraphSpec, MolecularGraph, discretize_argmax, qm9lite_spec, zinclite_spec
+from graphnvp.graphs import GraphSpec, MolecularGraph, discretize_argmax, qm9lite_spec, stack_graphs, zinclite_spec
 from graphnvp.tensor import make_rng
 
 from conftest import permute_nodes
@@ -192,10 +192,6 @@ def test_validity_unknown_symbol_raises():
         check_validity(Molecule(["Xx"], []))
 
 
-def _stacked(graphs):
-    return np.stack([g.adjacency for g in graphs]), np.stack([g.features for g in graphs])
-
-
 def test_array_valence_check_equals_check_validity(qm9_corpus):
     """``_validity`` on stacked arrays gives each molecule's
     ``check_validity`` report: flags, atom counts and violation texts."""
@@ -207,11 +203,11 @@ def test_array_valence_check_equals_check_validity(qm9_corpus):
         empty_a, empty_x = np.zeros(spec.adjacency_shape()), np.zeros(spec.feature_shape())
         empty_a[..., spec.virtual_bond] = empty_x[:, spec.virtual_atom] = 1.0
         graphs.append(MolecularGraph(spec, empty_a, empty_x))
-        reports = _validity(spec, *_stacked(graphs))
+        reports = _validity(spec, *stack_graphs(graphs))
         assert reports == [check_validity(m) for m in from_graphs(graphs)]
         assert not reports[-1].ok and reports[-1].violations == ("molecule has no atoms",)
         assert sum(r.ok for r in reports) and sum(not r.ok for r in reports[:-1])
-    corpus = _validity(qm9lite_spec(), *_stacked(qm9_corpus))
+    corpus = _validity(qm9lite_spec(), *stack_graphs(qm9_corpus))
     assert corpus == [check_validity(m) for m in from_graphs(qm9_corpus)]
     assert all(r.ok for r in corpus)
 
@@ -225,7 +221,7 @@ def test_array_valence_check_unknown_symbol_raises_like_check_validity():
     with pytest.raises(ChemError) as per_molecule:
         [check_validity(m) for m in from_graphs(graphs)]
     with pytest.raises(ChemError) as batched:
-        _validity(spec, *_stacked(graphs))
+        _validity(spec, *stack_graphs(graphs))
     assert str(batched.value) == str(per_molecule.value) == "no valence entry for atom symbol 'Xx'"
 
 
@@ -355,7 +351,7 @@ def random_discretized_batch(spec, rng, batch):
     features = rng.normal(size=(batch,) + spec.feature_shape())
     features[0::4, :, spec.virtual_atom] = 10.0
     features[1::4, :, spec.virtual_atom] = -10.0
-    return discretize_argmax(spec, adjacency, features)
+    return [MolecularGraph(spec, a, x) for a, x in zip(*discretize_argmax(spec, adjacency, features))]
 
 
 @pytest.mark.parametrize("spec", [qm9lite_spec(), zinclite_spec()], ids=["qm9lite", "zinclite"])

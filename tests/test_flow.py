@@ -775,6 +775,8 @@ def test_initialization_keeps_its_draws(build, expected):
         pytest.param(lambda meta: meta.update(spec=[3]), "spec", id="spec_list"),
         pytest.param(lambda meta: meta.pop("model"), "model", id="missing_model"),
         pytest.param(lambda meta: meta.update(optimizer={"step": 1, "epoch": 1}), "optimizer.rng_state", id="optimizer"),
+        pytest.param(lambda meta: meta.pop("forward_order"), "forward_order", id="missing_order"),
+        pytest.param(lambda meta: meta.update(forward_order="adjacency_firstXXXX"), "forward_order", id="wrong_order"),
     ],
 )
 def test_checkpoint_with_malformed_metadata_names_the_key(tmp_path, toy_model, edit, key):
@@ -805,6 +807,15 @@ def test_checkpoint_with_an_entry_twice_is_refused(tmp_path, toy_model):
     payload = data[:start] + struct.pack("<I", count + 1) + first + data[start + 4 : -4]
     path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
     with pytest.raises(CheckpointError, match=f"entry '{name}' appears twice"):
+        load_checkpoint(path, TOY_SPEC)
+
+
+def test_checkpoint_with_bytes_after_the_last_entry_is_refused(tmp_path, toy_model):
+    path = tmp_path / "toy.gnvp"
+    save_checkpoint(toy_model, path)
+    payload = path.read_bytes()[:-4] + bytes(16)
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match="16 bytes after the last entry"):
         load_checkpoint(path, TOY_SPEC)
 
 

@@ -152,7 +152,7 @@ def test_discretize_identity_on_one_hot():
     spec = qm9lite_spec()
     rng = make_rng(5)
     g = random_graph(spec, rng)
-    out = discretize_argmax(spec, g.adjacency, g.features)
+    out = MolecularGraph(spec, *discretize_argmax(spec, g.adjacency, g.features))
     assert out == g
 
 
@@ -160,10 +160,10 @@ def test_discretize_tie_breaks_low_index():
     spec = GraphSpec(num_nodes=2, atom_vocab=("C", "*"))
     adjacency = np.zeros((2, 2, 4))  # all-tied scores on every pair
     features = np.zeros((2, 2))
-    out = discretize_argmax(spec, adjacency, features)
+    a, x = discretize_argmax(spec, adjacency, features)
     # atoms: tie between index 0 and 1 -> index 0 ("C"); bond (0,1): tie -> channel 0
-    assert np.array_equal(out.features.argmax(axis=1), [0, 0])
-    assert out.adjacency[0, 1, 0] == 1.0
+    assert np.array_equal(x.argmax(axis=1), [0, 0])
+    assert a[0, 1, 0] == 1.0
 
 
 def test_discretize_symmetrizes_asymmetric_scores():
@@ -173,7 +173,7 @@ def test_discretize_symmetrizes_asymmetric_scores():
     adjacency[1, 0, 2] = 1.0  # weak vote for channel 2 the other way
     features = np.zeros((2, 2))
     features[:, 0] = 1.0
-    out = discretize_argmax(spec, adjacency, features)
+    out = MolecularGraph(spec, *discretize_argmax(spec, adjacency, features))
     assert out.adjacency[0, 1, 1] == 1.0 and out.adjacency[1, 0, 1] == 1.0
     out.validate()
 
@@ -184,10 +184,10 @@ def test_discretize_random_always_valid():
     for _ in range(100):
         adjacency = rng.normal(size=spec.adjacency_shape())
         features = rng.normal(size=spec.feature_shape())
-        out = discretize_argmax(spec, adjacency, features)
+        out = MolecularGraph(spec, *discretize_argmax(spec, adjacency, features))
         out.validate()  # invariant-checking oracle
         # idempotent on its own output
-        assert discretize_argmax(spec, out.adjacency, out.features) == out
+        assert MolecularGraph(spec, *discretize_argmax(spec, out.adjacency, out.features)) == out
 
 
 def argmax_adjacency_oracle(spec, scores):
@@ -245,6 +245,13 @@ def discretize_oracle(spec, adjacency, features):
     return MolecularGraph(spec, a, x)
 
 
+def graph_list(spec, adjacency, features):
+    """The graphs of batched arrays, in row-major order of the leading axes."""
+    adjacency = adjacency.reshape((-1,) + spec.adjacency_shape())
+    features = features.reshape((-1,) + spec.feature_shape())
+    return [MolecularGraph(spec, a, x) for a, x in zip(adjacency, features)]
+
+
 def test_discretize_batched_equals_per_sample():
     spec = qm9lite_spec()
     rng = make_rng(12)
@@ -255,13 +262,15 @@ def test_discretize_batched_equals_per_sample():
     features[1, :, :4, spec.virtual_atom] = 5.0  # several virtual atoms per graph
     features[2, 3] = 0.0
     features[2, 3, :, spec.virtual_atom] = 1.0  # an all-virtual graph
-    batched = discretize_argmax(spec, adjacency, features)
+    batched_a, batched_x = discretize_argmax(spec, adjacency, features)
+    assert batched_a.shape == adjacency.shape and batched_x.shape == features.shape
     flat_a = adjacency.reshape((12,) + spec.adjacency_shape())
     flat_x = features.reshape((12,) + spec.feature_shape())
-    per_sample = [discretize_argmax(spec, a, x) for a, x in zip(flat_a, flat_x)]
+    batched = graph_list(spec, batched_a, batched_x)
+    per_sample = [MolecularGraph(spec, *discretize_argmax(spec, a, x)) for a, x in zip(flat_a, flat_x)]
     assert batched == per_sample
     assert per_sample == [discretize_oracle(spec, a, x) for a, x in zip(flat_a, flat_x)]
-    assert discretize_argmax(spec, flat_a, flat_x) == per_sample
+    assert graph_list(spec, *discretize_argmax(spec, flat_a, flat_x)) == per_sample
     virtual_counts = [int(g.features[:, spec.virtual_atom].sum()) for g in batched]
     assert min(virtual_counts[4:8]) >= 4 and virtual_counts[11] == spec.num_nodes
     assert np.array_equal(batched[0].features.argmax(axis=1), np.zeros(9))
@@ -283,7 +292,8 @@ def test_discretize_checks_the_batch_once(monkeypatch):
         return original(spec, a, x)
 
     monkeypatch.setattr(graphs, "first_failures", counted)
-    assert len(discretize_argmax(spec, adjacency, features)) == 12
+    a, x = discretize_argmax(spec, adjacency, features)
+    assert a.shape == adjacency.shape and x.shape == features.shape
     assert calls == [(12,)]
 
     argmax = graphs.argmax_adjacency

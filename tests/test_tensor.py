@@ -174,6 +174,18 @@ def test_a_tensor_is_watched_under_one_name():
     assert list(tape.parameters) == ["p"] and tape.groups == {"p": "p"}
     assert tape.gradients(loss)["p"].data.tolist() == [2.0, 4.0]
 
+    # One name for two tensors: the second watch raises, so no gradient is
+    # silently dropped.
+    a, b = Tensor([3.0]), Tensor([5.0])
+    with GradientTape() as tape:
+        tape.watch("p", a)
+        with pytest.raises(ValueError, match="name 'p' is already watched for another tensor"):
+            tape.watch("p", b)
+        assert tape.watch("p", a) is a  # the same pair again is a no-op
+        loss = add(sum_axis(mul(a, a)), sum_axis(b))
+    assert len(tape.records) == 3 and list(tape.parameters) == ["p"]
+    assert tape.gradients(loss)["p"].data.tolist() == [6.0]
+
 
 def test_one_active_tape_per_thread():
     """Entering a second tape raises and leaves the first one recording; a

@@ -404,8 +404,10 @@ def test_load_train_state_refuses_an_empty_generator_state_past_step_0(tmp_path,
         {"bit_generator": "Philox", "state": {}},
         {**make_rng(0).bit_generator.state, "buffer_pos": "4"},
         {**make_rng(0).bit_generator.state, "state": {"counter": [-1, 0, 0, 0], "key": [0, 0]}},
+        {**make_rng(0).bit_generator.state, "buffer_pos": -5},
+        {**make_rng(0).bit_generator.state, "has_uint32": 7},
     ],
-    ids=["other_generator", "no_counter", "text_position", "negative_counter"],
+    ids=["other_generator", "no_counter", "text_position", "negative_counter", "negative_position", "bad_flag"],
 )
 def test_load_train_state_refuses_a_generator_state_numpy_cannot_load(tmp_path, rng_state):
     model = toy_model(seed=3)
