@@ -5,10 +5,14 @@ Trains a qm9lite model with ``gnvp train --epochs 2 --seed 3 --batch-size 64``,
 then runs ``generate``, ``eval``, ``encode``, ``grid``, ``optimize`` and a
 small ``sweep`` from that checkpoint.  Each subcommand runs in a child
 process with one BLAS thread, since the bits of a GEMM depend on the thread
-count.  The file holds the sha256 of every artifact, the epoch NLLs as
-``repr`` strings, and the build they were made on: the same code gives other
-bits on another Python, numpy, BLAS or CPU, so ``tests/test_golden.py``
-compares only on the recorded build.
+count.  The artifacts are text, rounded or discrete, so a last-bit change in
+eval would not show in them; a further child, also with one BLAS thread,
+records the raw float64 bytes of ``inverse_batch`` on 1,000 latents drawn at
+T = 0.85 and of ``encode_dataset`` on the bundled corpus, from the same
+checkpoint.  The file holds the sha256 of every artifact and array, the epoch
+NLLs as ``repr`` strings, and the build they were made on: the same code
+gives other bits on another Python, numpy, BLAS or CPU, so
+``tests/test_golden.py`` compares only on the recorded build.
 
     python3 scripts/make_golden.py
 """
@@ -51,6 +55,27 @@ def train(*args, **kwargs):
     return state, records
 cli.train = train
 sys.exit(cli.run(sys.argv[1:]))
+"""
+
+# Prints the sha256 of the raw bytes of each continuous eval output: the two
+# arrays ``inverse_batch`` returns for ``ARRAY_SAMPLES`` latents drawn at
+# ``ARRAY_TEMP`` from seed ``SEED``, and the latents of the bundled corpus.
+ARRAY_SAMPLES, ARRAY_TEMP = 1000, 0.85
+_ARRAYS_CHILD = """
+import hashlib, json, sys
+import numpy as np
+import graphnvp as g
+from graphnvp.sampling import sample_latent_batch
+checkpoint, seed, samples, temp = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+spec = g.qm9lite_spec()
+model = g.load_checkpoint(checkpoint, spec)
+latents = sample_latent_batch(model.prior, temp, g.make_rng(seed), samples)
+adjacency, features = model.inverse_batch(latents)
+encoded = g.encode_dataset(model, g.load_dataset(g.bundled_corpus_path("qm9lite"), spec))
+arrays = {"inverse_batch/adjacency": adjacency, "inverse_batch/features": features,
+          "encode_dataset/latents": encoded}
+print(json.dumps({k: hashlib.sha256(np.ascontiguousarray(v, dtype=np.float64).tobytes()).hexdigest()
+                  for k, v in arrays.items()}))
 """
 
 
@@ -97,6 +122,13 @@ def record(work: Path) -> dict:
                 epoch_nll = json.loads(line.partition(" ")[2])
         for name in artifacts:
             digests[f"{command}/{name}"] = _sha256(out / name)
+    argv = [str(model), SEED, str(ARRAY_SAMPLES), str(ARRAY_TEMP)]
+    done = subprocess.run(
+        [sys.executable, "-c", _ARRAYS_CHILD, *argv], env=env, capture_output=True, text=True, check=False
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"eval array digests exited {done.returncode}: {done.stderr.strip()}")
+    digests.update(json.loads(done.stdout))
     return {"sha256": digests, "epoch_nll": epoch_nll}
 
 

@@ -1,6 +1,7 @@
 """The ``gnvp`` workflows reproduce the outputs recorded by
-``scripts/make_golden.py`` bit for bit: every artifact's sha256 and the epoch
-NLLs.  Generation and encoding also write the same bytes with one BLAS
+``scripts/make_golden.py`` bit for bit: every artifact's sha256, the sha256
+of the raw float64 arrays ``inverse_batch`` and ``encode_dataset`` return,
+and the epoch NLLs.  Generation and encoding also write the same bytes with one BLAS
 thread and with two.  The bits depend on the build, so on any build but the
 recorded one the tests skip and name both."""
 import importlib.util
@@ -39,6 +40,8 @@ def test_workflows_reproduce_the_golden_outputs(tmp_path):
     make_golden = _make_golden()
     golden = _golden_on_this_build(make_golden)
     got = make_golden.record(tmp_path)
+    arrays = {"inverse_batch/adjacency", "inverse_batch/features", "encode_dataset/latents"}
+    assert arrays <= golden["sha256"].keys()
     assert got["epoch_nll"] == golden["epoch_nll"]
     assert got["sha256"] == golden["sha256"]
 
