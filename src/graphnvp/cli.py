@@ -209,8 +209,13 @@ def _resolve_seed(args, file_values: dict) -> int:
 
 
 def _load_dataset(args, spec: GraphSpec) -> list:
-    """The ``--dataset`` file, else the bundled corpus for ``--spec``."""
-    return load_dataset(Path(args.dataset) if args.dataset else bundled_corpus_path(args.spec), spec)
+    """The ``--dataset`` file, else the bundled corpus for ``--spec``; a file
+    with no molecules is a data error."""
+    path = Path(args.dataset) if args.dataset else bundled_corpus_path(args.spec)
+    dataset = load_dataset(path, spec)
+    if not dataset:
+        raise DatasetError(f"dataset {path} holds no molecules")
+    return dataset
 
 
 def _inputs(args) -> tuple:

@@ -21,7 +21,9 @@ plain arrays: :meth:`FlowModel.eval_forward` and
 :meth:`FlowModel.inverse_batch` copy their input once into one working buffer
 per stack, and each layer's ``eval_forward`` or ``inverse`` rewrites only its
 target slice of that buffer, in place.  The node-feature layers' all-node
-R-GCN rounds write into scratch arrays made once per pass.  Instead of a
+R-GCN rounds write into scratch arrays made once per pass and sized for one
+block of samples (see :meth:`RelationalGraphConvNet.eval_array
+<graphnvp.nets.RelationalGraphConvNet.eval_array>`).  Instead of a
 masked copy, each layer zeroes its target slice in the buffer while its
 conditioner reads it.  Finiteness is checked only where a NaN or Inf can first
 appear, each with the text the Tensor op there would raise: the input on
@@ -361,6 +363,13 @@ class FlowModel(Module):
         conditions the node-feature stack's inverse.  ``z`` is only read, so
         it may be read-only; the two returned arrays are the working buffers.
         """
+        za, zx, _ = self._inverse(z)
+        return za, zx
+
+    def _inverse(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`inverse_batch`'s two arrays, then the one-hot adjacency
+        [batch, N, N, R] that conditioned the node-feature stack, laid out
+        by :func:`~graphnvp.nets.relation_major`."""
         spec = self.spec
         if z.ndim != 2 or z.shape[1] != spec.latent_dim:
             raise ShapeError(f"latent batch shape {z.shape} != (*, {spec.latent_dim})")
@@ -377,7 +386,7 @@ class FlowModel(Module):
                 layer.inverse(zx, conditioning, scratch)
         except NumericError as err:
             raise self._layer_error(layer, err) from err
-        return za, zx
+        return za, zx, conditioning
 
     def _layer_error(self, layer: Module, err: NumericError) -> NumericError:
         """``err`` with the name of the coupling layer it came from prefixed."""

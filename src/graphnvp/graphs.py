@@ -243,11 +243,18 @@ def discretize_argmax(
         )
     if not np.isfinite(features).all():
         raise GraphError("feature scores must be finite")
+    return _discretized(spec, argmax_adjacency(spec, adjacency), features)
 
+
+def _discretized(spec: GraphSpec, bonds: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`discretize_argmax` of finite feature scores and of the
+    adjacency scores whose :func:`argmax_adjacency` is ``bonds``.  The
+    adjacency returned is ``bonds`` itself when it is C-contiguous, else a
+    C-contiguous copy."""
     atom_idx = features.argmax(axis=-1)
     x = (atom_idx[..., None] == np.arange(spec.num_atom_types)).astype(np.float64)
 
-    a = argmax_adjacency(spec, adjacency)
+    a = np.ascontiguousarray(bonds)
     virtual = atom_idx == spec.virtual_atom
     wipe = np.zeros(spec.num_bond_types)
     wipe[spec.virtual_bond] = 1.0

@@ -17,8 +17,10 @@ instead (Jacob et al. 2018, §3.2): those copies are small, while its all-node
 rounds have one output row per node of every sample, and an extra scaling
 pass over them measured slower.  Per round it runs one R-GCN round with the
 folded weights, the bias added in place, a finiteness check, then tanh in
-place.  The arrays eval runs on are cached on their net, tagged with a
-module-level version counter that every parameter or buffer change bumps.
+place, over one block of samples at a time, so the all-node rounds' scratch
+arrays are sized for one block.  The arrays eval runs on are cached on their
+net, tagged with a module-level version counter that every parameter or
+buffer change bumps.
 
 A module built with ``rng=None`` draws nothing: each randomly initialized
 weight is a placeholder that holds no memory, for a checkpoint load to
@@ -37,6 +39,11 @@ from .tensor import Tensor
 
 _versions = itertools.count(1)
 _version = 0
+
+# Samples per block in :meth:`RelationalGraphConvNet.eval_array`: every block
+# holds SAMPLE_BLOCK to 2 * SAMPLE_BLOCK - 1 samples, which bounds the
+# all-node rounds' scratch arrays whatever the batch.
+SAMPLE_BLOCK = 128
 
 
 def parameters_changed() -> None:
@@ -281,13 +288,14 @@ class MlpNet(_ConditionerNet):
         return self._children["head"](h)
 
 
-def _scratch(scratch: dict, key, shape: tuple[int, ...]) -> np.ndarray:
-    """The array of ``shape`` kept in ``scratch`` under ``key``, made on
-    first use; its values are whatever the last user left."""
+def _scratch(scratch: dict, key, rows: int, cols: int) -> np.ndarray:
+    """The first ``rows`` rows of the [rows', cols] array kept in ``scratch``
+    under ``key``, made on first use or when it has fewer rows or other
+    columns; its values are whatever the last user left."""
     arr = scratch.get(key)
-    if arr is None or arr.shape != shape:
-        arr = scratch[key] = np.empty(shape)
-    return arr
+    if arr is None or arr.shape[0] < rows or arr.shape[1] != cols:
+        arr = scratch[key] = np.empty((rows, cols))
+    return arr[:rows]
 
 
 class RelGraphRound(Module):
@@ -351,10 +359,29 @@ class RelationalGraphConvNet(_ConditionerNet):
         [batch, N, n_in]: one :func:`~graphnvp.tensor.graph_conv` per round,
         checked before its tanh, the last round for ``row`` alone.
 
-        The all-node rounds write into arrays kept in ``scratch``; one dict
-        passed to every layer of a pass lets those [batch*N, H] rounds reuse
-        their memory.
+        The batch runs in ``batch // SAMPLE_BLOCK`` near-equal blocks of
+        samples, the larger first, each through every round and the head; a
+        batch under ``2 * SAMPLE_BLOCK`` is one block.  The all-node rounds
+        write into arrays kept in ``scratch``, sized for the first block; one
+        dict passed to every layer of a pass lets those [block*N, H] rounds
+        reuse their memory.  A non-finite value raises from the first block
+        that holds one.
         """
+        batch = x.shape[0]
+        blocks = batch // SAMPLE_BLOCK
+        if blocks < 2:
+            return self._eval_block(x, adjacency, row, scratch)
+        size, extra = divmod(batch, blocks)
+        out = np.empty((batch, self._eval_layers()[-1][1].shape[0]))
+        start = 0
+        for k in range(blocks):
+            stop = start + size + (k < extra)
+            out[start:stop] = self._eval_block(x[start:stop], adjacency[start:stop], row, scratch)
+            start = stop
+        return out
+
+    def _eval_block(self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict) -> np.ndarray:
+        """:meth:`eval_array` on one block of samples."""
         batch, n = x.shape[:2]
         a_rows = self._a_rows(adjacency)
         *rounds, head = self._eval_layers()
@@ -364,8 +391,8 @@ class RelationalGraphConvNet(_ConditionerNet):
             out = None
             if target is None:
                 # Round k reads round k-1's output, so the two alternate.
-                shape = (batch * n, weights[2].shape[0])
-                out = tuple(_scratch(scratch, key, shape) for key in (k % 2, "self_loop"))
+                cols = weights[2].shape[0]
+                out = tuple(_scratch(scratch, key, batch * n, cols) for key in (k % 2, "self_loop"))
             y = T._graph_conv_array(h, a_rows, *weights, target, out)
             h = T._activate_array(y, "tanh", "graph_conv")
         if h.ndim == 3:

@@ -19,7 +19,7 @@ import numpy as np
 from .chem import Molecule, _molecules, _validity, check_validity, from_graphs, write_smiles_canonical
 from .errors import GnvpError
 from .flow import FlowModel, GaussianPrior, _atomic_open, write_csv
-from .graphs import DEQUANT_NOISE, MolecularGraph, dequantize, discretize_argmax, first_failures, stack_graphs
+from .graphs import DEQUANT_NOISE, MolecularGraph, _discretized, dequantize, first_failures, stack_graphs
 from .tensor import make_rng
 
 SWEEP_COLUMNS = ("temp", "validity", "novelty", "uniqueness", "reconstruction", "seed_count")
@@ -65,8 +65,12 @@ def decode(model: FlowModel, latents: np.ndarray) -> list[GeneratedSample]:
     """Invert latent vectors [batch, D], project each onto a discrete graph
     and read off its molecule; invalid molecules are kept and flagged."""
     spec = model.spec
-    # discretize_argmax has checked these graphs' invariants.
-    adjacency, features = discretize_argmax(spec, *model.inverse_batch(latents))
+    # The one-hot adjacency that conditioned the node-feature stack is the
+    # argmax discretization needs; the adjacency scores are dropped at once.
+    # _discretized has checked these graphs' invariants.
+    features, bonds = model._inverse(latents)[1:]
+    adjacency, features = _discretized(spec, bonds, features)
+    del bonds  # the chemistry below reads only its C-order copy
     return [
         GeneratedSample(MolecularGraph(spec, a, x), molecule, report.ok, report.violations)
         for a, x, molecule, report in zip(

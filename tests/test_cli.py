@@ -61,6 +61,36 @@ def test_bad_dataset_is_data_error(tmp_path, zero_checkpoint, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("train", ["--epochs", "1"]),
+        ("eval", ["--checkpoint", "{checkpoint}", "--samples", "5"]),
+        ("encode", ["--checkpoint", "{checkpoint}"]),
+        ("grid", ["--checkpoint", "{checkpoint}"]),
+        ("optimize", ["--checkpoint", "{checkpoint}"]),
+        ("sweep", ["--checkpoint", "{checkpoint}", "--samples", "5"]),
+    ],
+)
+def test_dataset_with_no_molecules_is_data_error(tmp_path, zero_checkpoint, command, args):
+    """Every subcommand that takes ``--dataset`` refuses a file of comments
+    alone with one data-error line naming it, and writes nothing."""
+    empty = tmp_path / "empty.smi"
+    empty.write_text("# no molecules here\n\n")
+    out = tmp_path / "out"
+    src = str(Path(graphnvp.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [command, "--dataset", str(empty), "--out", str(out)]
+    argv += [a.format(checkpoint=zero_checkpoint) for a in args]
+    done = subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr == f"gnvp:error:data: dataset {empty} holds no molecules\n"
+    assert done.stdout == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_non_finite_checkpoint_is_numeric_error(tmp_path, zero_checkpoint, capsys):
     data = bytearray(zero_checkpoint.read_bytes())
     # overwrite the first parameter's first float with inf and fix the CRC

@@ -207,13 +207,13 @@ def test_grid_dimensions(random_toy_model):
 
 def test_grid_decodes_each_point_once(monkeypatch, random_toy_model):
     calls = []
-    original = random_toy_model.inverse_batch
+    original = random_toy_model._inverse  # inverse_batch and decode both run it
 
     def counted(z):
         calls.append(z.shape[0])
         return original(z)
 
-    monkeypatch.setattr(random_toy_model, "inverse_batch", counted)
+    monkeypatch.setattr(random_toy_model, "_inverse", counted)
     g = toy_training_graphs(1, seed=9)[0]
     u, v = random_grid_axes(TOY_SPEC.latent_dim, make_rng(9))
     grid = GridSpec(center=g, axis_u=u, axis_v=v, extent=1, step=0.5)

@@ -140,8 +140,8 @@ def test_generate_discretizes_the_batch_once(monkeypatch, random_toy_model):
     monkeypatch.setattr(graphnvp.flow, "argmax_adjacency", counting)
     samples = generate(random_toy_model, SampleConfig(num_samples=40, temperature=0.9, seed=8))
     assert len(samples) == 40
-    # one for the node stack's conditioning, one for the output graphs
-    assert [shape[0] for shape in calls] == [40, 40]
+    # the node stack's conditioning is also the output graphs' adjacency
+    assert [shape[0] for shape in calls] == [40]
 
 
 def test_generate_writes_annotated_smiles(tmp_path, random_toy_model):
