@@ -30,6 +30,7 @@ from .errors import (
 from .flow import FlowModel, load_checkpoint, write_csv
 from .graphs import GraphSpec, qm9lite_spec, zinclite_spec
 from .latent import (
+    PROPERTY_NAMES,
     GridSpec,
     encode_dataset,
     fit_regressor,
@@ -81,15 +82,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _seed_value(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+def _count(low: int):
+    """argparse type: an integer >= ``low``."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+
+    return count
+
+
+_seed_value = _count(0)
 
 
 def _build_parser() -> _Parser:
@@ -109,17 +117,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="fit a model and write checkpoint + metrics log")
     common(p, dataset=True)
-    p.add_argument("--epochs", type=int, default=None, help="training epochs (default 200)")
-    p.add_argument("--batch-size", type=int, default=None, help="minibatch size (default 256 for qm9lite, 128 for zinclite)")
+    p.add_argument("--epochs", type=_count(0), default=None, help="training epochs (default 200)")
+    p.add_argument(
+        "--batch-size", type=_count(1), default=None, help="minibatch size (default 256 for qm9lite, 128 for zinclite)"
+    )
 
     p = sub.add_parser("generate", help="sample molecules into a SMILES file")
     common(p, checkpoint=True)
-    p.add_argument("--samples", type=int, default=1000, help="number of latents to decode (default 1000)")
+    p.add_argument("--samples", type=_count(1), default=1000, help="number of latents to decode (default 1000)")
     p.add_argument("--temp", type=_positive_float, default=None, help="sampling temperature (default per spec)")
 
     p = sub.add_parser("eval", help="generate and score validity/novelty/uniqueness/reconstruction")
     common(p, dataset=True, checkpoint=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count(1), default=1000)
     p.add_argument("--temp", type=_positive_float, default=None)
 
     p = sub.add_parser("encode", help="write noise-free latent vectors for a dataset")
@@ -127,18 +137,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="decode a 2-D latent neighborhood of one molecule")
     common(p, dataset=True, checkpoint=True)
-    p.add_argument("--steps", type=int, default=2, help="grid extent per axis (default 2)")
+    p.add_argument("--steps", type=_count(0), default=2, help="grid extent per axis (default 2)")
     p.add_argument("--step-size", type=_positive_float, default=0.5, help="latent grid spacing (default 0.5)")
 
     p = sub.add_parser("optimize", help="walk the latent space along a property direction")
     common(p, dataset=True, checkpoint=True)
-    p.add_argument("--property", default="logp_proxy", help="property name (default logp_proxy)")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--property", choices=PROPERTY_NAMES, default="logp_proxy", help="(default logp_proxy)")
+    p.add_argument("--steps", type=_count(0), default=10)
     p.add_argument("--step-size", type=_positive_float, default=0.5)
 
     p = sub.add_parser("sweep", help="average metrics over seeds for several temperatures")
     common(p, dataset=True, checkpoint=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count(1), default=1000)
     p.add_argument("--temps", default="0.3,0.6,0.9", help="comma-separated temperatures")
 
     return parser
@@ -147,13 +157,13 @@ def _build_parser() -> _Parser:
 # The keys a --config file may set, with the parser of each value: train
 # reads these, every other subcommand with a --config flag reads only seed.
 _TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
+    "epochs": _count(0),
+    "batch_size": _count(1),
     "adam_alpha": _positive_float,
     "adam_beta1": _positive_float,
     "adam_beta2": _positive_float,
     "adam_eps": _positive_float,
-    "checkpoint_every": int,
+    "checkpoint_every": _count(0),
     "seed": _seed_value,
 }
 _SEED_KEYS = {"seed": _seed_value}
@@ -183,13 +193,10 @@ def _load_config_file(args, keys: dict) -> dict:
                 f"{path} line {lineno}: {args.command} does not read config key {key!r} "
                 f"(it reads {', '.join(keys)})"
             )
-        bad = f"{path} line {lineno}: bad value for config key {key!r}"
         try:
             values[key] = keys[key](value)
         except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"{bad}: {exc}") from None
-        except ValueError:  # from int(), worded as argparse words it
-            raise _UsageError(f"{bad}: invalid {keys[key].__name__} value: {value!r}") from None
+            raise _UsageError(f"{path} line {lineno}: bad value for config key {key!r}: {exc}") from None
     return values
 
 

@@ -17,15 +17,15 @@ the node-feature stack.
 
 Training runs the forward pass on :class:`~graphnvp.tensor.Tensor` ops, with
 batch statistics, so it can be differentiated.  Eval runs both directions on
-plain arrays: :meth:`FlowModel.eval_forward` and
-:meth:`FlowModel.inverse_batch` copy their input once into one working buffer
-per stack, and each layer's ``eval_forward`` or ``inverse`` rewrites only its
-target slice of that buffer, in place.  The node-feature layers' all-node
-R-GCN rounds write into scratch arrays made once per pass and sized for one
-block of samples (see :meth:`RelationalGraphConvNet.eval_array
-<graphnvp.nets.RelationalGraphConvNet.eval_array>`).  Instead of a
-masked copy, each layer zeroes its target slice in the buffer while its
-conditioner reads it.  Finiteness is checked only where a NaN or Inf can first
+plain arrays, with :mod:`~graphnvp.kernels`: :meth:`FlowModel.eval_forward`
+and :meth:`FlowModel.inverse_batch` copy their input once into one working
+buffer per stack, and each layer's ``eval_forward`` or ``inverse`` rewrites
+only its target slice of that buffer, in place.  The node-feature layers'
+all-node R-GCN rounds write into scratch arrays made once per pass and sized
+for one block of samples (see :meth:`RelationalGraphConvNet.eval_array
+<graphnvp.nets.RelationalGraphConvNet.eval_array>`).  Instead of a masked
+copy, each layer zeroes its target slice in the buffer while its conditioner
+reads it.  Finiteness is checked only where a NaN or Inf can first
 appear, each with the text the Tensor op there would raise: the input on
 entry, every GEMM before its activation, the scale-cap product, ``exp``, the
 row update and the log-det sums.
@@ -46,8 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels as K
 from . import tensor as T
-from .errors import CheckpointError, NumericError, ShapeError
+from .errors import CheckpointError, GnvpError, NumericError, ShapeError
 from .graphs import GraphSpec, argmax_adjacency
 from .nets import MlpNet, Module, RelationalGraphConvNet, relation_major
 from .tensor import Tensor, make_rng
@@ -71,6 +72,13 @@ class ModelConfig:
     gcn_rounds: int = 2
     scale_cap: float = 5.0
 
+    def __post_init__(self):
+        for key in ("adjacency_layers", "node_layers", "gcn_hidden", "gcn_rounds"):
+            if getattr(self, key) < 1:
+                raise GnvpError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if min(self.mlp_hidden, default=1) < 1:
+            raise GnvpError(f"every mlp_hidden width must be >= 1, got {list(self.mlp_hidden)}")
+
     def to_dict(self) -> dict:
         # Every model has batch norm; the key keeps the checkpoint format.
         return {
@@ -86,14 +94,15 @@ class ModelConfig:
     @staticmethod
     def from_dict(data: dict) -> "ModelConfig":
         """The config in a checkpoint's ``model`` block.  A missing or
-        mistyped key raises :class:`CheckpointError` naming it."""
+        mistyped key, or a count below 1, raises :class:`CheckpointError`
+        naming it."""
         _meta_field(data, "model.batch_norm", _TRUE)
         return ModelConfig(
-            adjacency_layers=_meta_field(data, "model.adjacency_layers", _INT),
-            node_layers=_meta_field(data, "model.node_layers", _INT),
-            mlp_hidden=tuple(_meta_field(data, "model.mlp_hidden", _INTS)),
-            gcn_hidden=_meta_field(data, "model.gcn_hidden", _INT),
-            gcn_rounds=_meta_field(data, "model.gcn_rounds", _INT),
+            adjacency_layers=_meta_field(data, "model.adjacency_layers", _COUNT),
+            node_layers=_meta_field(data, "model.node_layers", _COUNT),
+            mlp_hidden=tuple(_meta_field(data, "model.mlp_hidden", _COUNTS)),
+            gcn_hidden=_meta_field(data, "model.gcn_hidden", _COUNT),
+            gcn_rounds=_meta_field(data, "model.gcn_rounds", _COUNT),
             scale_cap=float(_meta_field(data, "model.scale_cap", _REAL)),
         )
 
@@ -107,102 +116,95 @@ def default_model_config(spec: GraphSpec) -> ModelConfig:
     return ModelConfig(adjacency_layers=n, node_layers=n)
 
 
-class AdjacencyCouplingLayer(Module):
-    """Affine update of adjacency slice ``row`` given all other slices."""
+class _CouplingLayer(Module):
+    """Updates slice ``row`` (axis 1) of its input, with a conditioner that
+    reads the rest."""
 
-    def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator | None):
+    def __init__(self, spec: GraphSpec, row: int, shape: tuple[int, ...]):
         super().__init__()
         self.spec = spec
         self.row = row
-        self.scale_cap = config.scale_cap
-        n, r = spec.num_nodes, spec.num_bond_types
-        flat_in = n * n * r
-        slice_out = n * r
-        mask = np.zeros((n, n, r))
-        mask[row] = 1.0
-        self._row_mask = mask  # 1 on the updated slice
+        self._row_mask = np.zeros(shape)  # 1 on the updated slice
+        self._row_mask[row] = 1.0
         self._zero = Tensor(0.0)
-        for name in ("scale_net", "translate_net"):
-            self.register_child(name, MlpNet(flat_in, config.mlp_hidden, slice_out, rng))
 
-    def _scale_translation(self, z: Tensor) -> tuple[Tensor, Tensor]:
-        batch = z.shape[0]
-        n, r = self.spec.num_nodes, self.spec.num_bond_types
-        masked = T.masked_assign(z, self._row_mask, self._zero)
-        flat = T.reshape(masked, (batch, n * n * r))
-        s = T.mul(T.tanh(self._children["scale_net"](flat)), Tensor(self.scale_cap))
-        t = self._children["translate_net"](flat)
-        return (
-            T.reshape(s, (batch, n, r)),
-            T.reshape(t, (batch, n, r)),
-        )
+    def _open(self, buf: np.ndarray, *args) -> tuple[np.ndarray, ...]:
+        """The start of both eval directions on the finite working buffer
+        ``buf``: a copy of the target slice, which is then zeroed while the
+        conditioner reads the buffer, and the outputs of the subclass's
+        ``_condition(buf, *args)``.  After a :class:`NumericError` the slice
+        holds zeros."""
+        original = buf[:, self.row].copy()
+        buf[:, self.row] = 0.0
+        return (original, *self._condition(buf, *args))
+
+
+class AdjacencyCouplingLayer(_CouplingLayer):
+    """Affine update of adjacency slice ``row`` given all other slices."""
+
+    def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator | None):
+        super().__init__(spec, row, spec.adjacency_shape())
+        n, r = spec.num_nodes, spec.num_bond_types
+        self.scale_cap = config.scale_cap
+        for name in ("scale_net", "translate_net"):
+            self.register_child(name, MlpNet(n * n * r, config.mlp_hidden, n * r, rng))
 
     def forward(self, z: Tensor) -> tuple[Tensor, Tensor]:
         """Training: the transformed tensor and the per-sample log-det [batch]."""
-        s, t = self._scale_translation(z)
+        batch = z.shape[0]
+        n, r = self.spec.num_nodes, self.spec.num_bond_types
+        flat = T.reshape(T.masked_assign(z, self._row_mask, self._zero), (batch, n * n * r))
+        s = T.mul(T.tanh(self._children["scale_net"](flat)), Tensor(self.scale_cap))
+        t = self._children["translate_net"](flat)
+        s, t = T.reshape(s, (batch, n, r)), T.reshape(t, (batch, n, r))
         row = T.index_axis(z, 1, self.row)
         new_row = T.add(T.mul(row, T.exp(s)), t)
         log_det = T.sum_axis(s, axis=(1, 2))
         return T.replace_row(z, self.row, new_row), log_det
 
-    def _eval_scale_translation(self, za: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _condition(self, za: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eval scale and translation [batch, N, R] of a finite working
-        buffer ``za`` whose target slice is zero."""
+        buffer ``za`` [batch, N, N, R] whose target slice is zero."""
         batch = za.shape[0]
         n, r = self.spec.num_nodes, self.spec.num_bond_types
         flat = za.reshape(batch, -1)
         s = self._children["scale_net"].eval_array(flat)
         np.tanh(s, out=s)
         s *= self.scale_cap
-        T._check_finite(s, "mul")
+        K.check_finite(s, "mul")
         t = self._children["translate_net"].eval_array(flat)
         return s.reshape(batch, n, r), t.reshape(batch, n, r)
-
-    def _open(self, za: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The start of both eval directions on the finite working buffer
-        ``za`` [batch, N, N, R]: a copy of the target slice, which is then
-        zeroed while the conditioner reads the buffer, and the scale and
-        translation.  After a :class:`NumericError` the slice holds zeros."""
-        original = za[:, self.row].copy()
-        za[:, self.row] = 0.0
-        return (original, *self._eval_scale_translation(za))
 
     def eval_forward(self, za: np.ndarray) -> np.ndarray:
         """Apply this layer to the working buffer ``za`` in place, in eval
         mode: only the target slice is written.  Returns the per-sample
         log-det [batch]."""
         x, s, t = self._open(za)
-        x *= T._check_finite(np.exp(s), "exp")
-        T._check_finite(x, "mul")
+        x *= K.check_finite(np.exp(s), "exp")
+        K.check_finite(x, "mul")
         x += t
-        T._check_finite(x, "add")
+        K.check_finite(x, "add")
         za[:, self.row] = x
-        return T._check_finite(s.sum(axis=(1, 2)), "sum")
+        return K.check_finite(s.sum(axis=(1, 2)), "sum")
 
     def inverse(self, za: np.ndarray) -> None:
         """Undo this layer on the working buffer ``za`` in place, in eval
         mode: only the target slice is written."""
         x, s, t = self._open(za)
         x -= t
-        T._check_finite(x, "sub")
+        K.check_finite(x, "sub")
         np.negative(s, out=s)
-        x *= T._check_finite(np.exp(s, out=s), "exp")
-        T._check_finite(x, "mul")
+        x *= K.check_finite(np.exp(s, out=s), "exp")
+        K.check_finite(x, "mul")
         za[:, self.row] = x
 
 
-class NodeFeatureCouplingLayer(Module):
+class NodeFeatureCouplingLayer(_CouplingLayer):
     """Additive update of feature row ``row``; log-det is exactly zero."""
 
     def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator | None):
-        super().__init__()
-        self.spec = spec
-        self.row = row
+        super().__init__(spec, row, spec.feature_shape())
         m = spec.num_atom_types
-        mask = np.zeros((spec.num_nodes, m))
-        mask[row] = 1.0
-        self._row_mask = mask
-        self._zero = Tensor(0.0)
         self.register_child(
             "translate_net",
             RelationalGraphConvNet(
@@ -221,29 +223,25 @@ class NodeFeatureCouplingLayer(Module):
         t = self._children["translate_net"](masked, adjacency, self.row)
         return T.replace_row(z, self.row, T.add(T.index_axis(z, 1, self.row), t))
 
-    def _open(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The start of both eval directions on the finite working buffer
-        ``zx`` [batch, N, M]: a copy of the target row, which is then zeroed
-        while the conditioner reads the buffer, and the translation.  After a
-        :class:`NumericError` the row holds zeros.  ``scratch`` is passed to
-        the conditioner's ``eval_array``."""
-        original = zx[:, self.row].copy()
-        zx[:, self.row] = 0.0
-        return original, self._children["translate_net"].eval_array(zx, adjacency, self.row, scratch)
+    def _condition(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> tuple[np.ndarray]:
+        """The eval translation of a finite working buffer ``zx``
+        [batch, N, M] whose target row is zero; ``scratch`` is passed to the
+        conditioner's ``eval_array``."""
+        return (self._children["translate_net"].eval_array(zx, adjacency, self.row, scratch),)
 
     def eval_forward(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> None:
         """Apply this layer to the working buffer ``zx`` in place, in eval
         mode: only the target row is written."""
         x, t = self._open(zx, adjacency, scratch)
         x += t
-        zx[:, self.row] = T._check_finite(x, "add")
+        zx[:, self.row] = K.check_finite(x, "add")
 
     def inverse(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> None:
         """Undo this layer on the working buffer ``zx`` in place, in eval
         mode: only the target row is written."""
         x, t = self._open(zx, adjacency, scratch)
         x -= t
-        zx[:, self.row] = T._check_finite(x, "sub")
+        zx[:, self.row] = K.check_finite(x, "sub")
 
 
 class GaussianPrior(Module):
@@ -351,7 +349,7 @@ class FlowModel(Module):
                 layer.eval_forward(zx, conditioning, scratch)
             for layer in self.adjacency_layers:
                 log_det += layer.eval_forward(za)
-                T._check_finite(log_det, "add")
+                K.check_finite(log_det, "add")
         except NumericError as err:
             raise self._layer_error(layer, err) from err
         return np.concatenate([za.reshape(batch, -1), zx.reshape(batch, -1)], axis=1), log_det
@@ -430,7 +428,8 @@ def _is_int(value) -> bool:
 
 # Metadata kinds: a test and what it accepts, for the error text.
 _INT = (_is_int, "an integer")
-_INTS = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_COUNTS = (lambda v: isinstance(v, list) and all(_is_int(w) and w >= 1 for w in v), "a list of integers >= 1")
 _TEXTS = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v), "a list of strings")
 _REAL = (lambda v: _is_int(v) or (isinstance(v, float) and np.isfinite(v)), "a finite number")
 _TRUE = (lambda v: v is True, "true: every model has batch norm")

@@ -7,7 +7,8 @@ exact identity map.
 
 Training runs on :class:`~graphnvp.tensor.Tensor` ops, with batch norm over
 the batch statistics.  Eval runs on plain arrays, in each net's
-``eval_array``, where batch norm is a fixed per-feature affine map ``y * s +
+``eval_array``, with the kernels of :mod:`~graphnvp.kernels` that the Tensor
+ops also call; there batch norm is a fixed per-feature affine map ``y * s +
 b'`` from the running statistics.  :class:`MlpNet`, which holds most of the
 weights, applies that map without a copy of any weight: per hidden layer one
 GEMM with the parameter's own weight, its output scaled by ``s`` and shifted
@@ -33,6 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import kernels as K
 from . import tensor as T
 from .errors import NumericError, ShapeError
 from .tensor import Tensor
@@ -137,19 +139,14 @@ def relation_major(adjacency: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(adjacency.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
 
 
-def glorot(rng: np.random.Generator, n_in: int, n_out: int, *lead: int) -> Tensor:
-    """A Glorot-uniform weight [*lead, n_in, n_out]; the bound depends on
-    ``n_in`` and ``n_out`` alone."""
-    bound = np.sqrt(6.0 / (n_in + n_out))
-    return Tensor(rng.uniform(-bound, bound, size=(*lead, n_in, n_out)))
-
-
 def _drawn(rng: np.random.Generator | None, n_in: int, n_out: int, *lead: int) -> Tensor:
-    """:func:`glorot`, or with ``rng`` None a zero placeholder of its shape
-    broadcast from one scalar, so it holds no memory."""
+    """A Glorot-uniform weight [*lead, n_in, n_out], whose bound depends on
+    ``n_in`` and ``n_out`` alone; or with ``rng`` None a zero placeholder of
+    its shape broadcast from one scalar, so it holds no memory."""
     if rng is None:
         return T._frozen(np.broadcast_to(np.float64(0.0), (*lead, n_in, n_out)))
-    return glorot(rng, n_in, n_out, *lead)
+    bound = np.sqrt(6.0 / (n_in + n_out))
+    return Tensor(rng.uniform(-bound, bound, size=(*lead, n_in, n_out)))
 
 
 class Linear(Module):
@@ -210,7 +207,7 @@ class BatchNorm(Module):
         :meth:`eval_affine`).  A non-finite result raises as batch norm."""
         s, bias = self.eval_affine(layer._params["bias"].data)
         folded = [bias if name == "bias" else p.data * s for name, p in layer._params.items()]
-        return tuple(T._check_finite(arr, "batch_norm") for arr in folded)
+        return tuple(K.check_finite(arr, "batch_norm") for arr in folded)
 
 
 class _ConditionerNet(Module):
@@ -270,7 +267,7 @@ class MlpNet(_ConditionerNet):
             if not np.isfinite(y).all():
                 raise self._hidden_error(k, h)
             h = np.maximum(y, 0.0, out=y)
-        return T._linear_array(h, *head)
+        return K.linear(h, *head)
 
     def _hidden_error(self, k: int, x: np.ndarray) -> NumericError:
         """The error the unfolded eval raises when hidden layer ``k`` maps
@@ -356,48 +353,36 @@ class RelationalGraphConvNet(_ConditionerNet):
 
     def eval_array(self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict) -> np.ndarray:
         """Eval output [batch, n_out] for node ``row`` of a finite array
-        [batch, N, n_in]: one :func:`~graphnvp.tensor.graph_conv` per round,
+        [batch, N, n_in]: one :func:`~graphnvp.kernels.graph_conv` per round,
         checked before its tanh, the last round for ``row`` alone.
 
-        The batch runs in ``batch // SAMPLE_BLOCK`` near-equal blocks of
-        samples, the larger first, each through every round and the head; a
-        batch under ``2 * SAMPLE_BLOCK`` is one block.  The all-node rounds
-        write into arrays kept in ``scratch``, sized for the first block; one
-        dict passed to every layer of a pass lets those [block*N, H] rounds
-        reuse their memory.  A non-finite value raises from the first block
-        that holds one.
+        The batch runs in ``max(1, batch // SAMPLE_BLOCK)`` near-equal blocks
+        of samples, the larger first, each through every round and the head.
+        The all-node rounds write into arrays kept in ``scratch``, sized for
+        the first block; one dict passed to every layer of a pass lets those
+        [block*N, H] rounds reuse their memory.  A non-finite value raises
+        from the first block that holds one.
         """
-        batch = x.shape[0]
-        blocks = batch // SAMPLE_BLOCK
-        if blocks < 2:
-            return self._eval_block(x, adjacency, row, scratch)
+        batch, n = x.shape[:2]
+        blocks = max(1, batch // SAMPLE_BLOCK)
         size, extra = divmod(batch, blocks)
-        out = np.empty((batch, self._eval_layers()[-1][1].shape[0]))
+        *rounds, head = self._eval_layers()
+        out = np.empty((batch, head[1].shape[0]))
         start = 0
         for k in range(blocks):
             stop = start + size + (k < extra)
-            out[start:stop] = self._eval_block(x[start:stop], adjacency[start:stop], row, scratch)
+            a_rows, h = self._a_rows(adjacency[start:stop]), x[start:stop]
+            for j, weights in enumerate(rounds):
+                target = row if j == self.depth - 1 else None
+                into = None
+                if target is None:
+                    # Round j reads round j-1's output, so the two alternate.
+                    shape = (h.shape[0] * n, weights[2].shape[0])
+                    into = tuple(_scratch(scratch, key, *shape) for key in (j % 2, "self_loop"))
+                h = K.activate(K.graph_conv(h, a_rows, *weights, target, into), "tanh", "graph_conv")
+            out[start:stop] = K.linear(h, *head)
             start = stop
         return out
-
-    def _eval_block(self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict) -> np.ndarray:
-        """:meth:`eval_array` on one block of samples."""
-        batch, n = x.shape[:2]
-        a_rows = self._a_rows(adjacency)
-        *rounds, head = self._eval_layers()
-        h = x
-        for k, weights in enumerate(rounds):
-            target = row if k == self.depth - 1 else None
-            out = None
-            if target is None:
-                # Round k reads round k-1's output, so the two alternate.
-                cols = weights[2].shape[0]
-                out = tuple(_scratch(scratch, key, batch * n, cols) for key in (k % 2, "self_loop"))
-            y = T._graph_conv_array(h, a_rows, *weights, target, out)
-            h = T._activate_array(y, "tanh", "graph_conv")
-        if h.ndim == 3:
-            h = h[:, row]
-        return T._linear_array(h, *head)
 
     def __call__(self, x: Tensor, adjacency: np.ndarray, row: int) -> Tensor:
         a_rows = self._a_rows(adjacency)

@@ -9,7 +9,7 @@ active-tape slot, so entering a second tape while one is active raises; and a
 tape watches each tensor under one name, so a second ``watch`` of it raises.
 
 Besides the generic primitives there are four fused ones, each one tape
-record with a hand-written vjp:
+record whose forward and vjp are array kernels in :mod:`~graphnvp.kernels`:
 
 * :func:`linear`: a 2-D GEMM plus bias;
 * :func:`graph_conv`: one relational graph-convolution round, relation
@@ -17,11 +17,6 @@ record with a hand-written vjp:
 * :func:`batch_norm`: batch statistics, then scale and shift, then
   ``activation=None | "tanh" | "relu"`` in place after its finiteness check;
 * :func:`replace_row`: swap one axis-1 slice.
-
-``linear`` and ``graph_conv`` compute their forward values with
-``_linear_array`` and ``_graph_conv_array``, which the conditioner nets' eval
-routines also run on plain arrays; there ``_graph_conv_array`` can compute one
-node's row alone, and ``_activate_array`` applies the activation.
 
 Each record keeps a needs-gradient mask, one flag per input saying whether it
 depends on a watched tensor; the vjp receives it and returns ``None`` for the
@@ -46,7 +41,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import kernels as K
 from .errors import NumericError, ShapeError
+from .kernels import check_finite
 
 __all__ = [
     "Tensor",
@@ -120,15 +117,8 @@ class Tensor:
 
 
 def _wrap(arr: np.ndarray, op: str) -> Tensor:
-    _check_finite(arr, op)
+    check_finite(arr, op)
     return _frozen(arr)
-
-
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    """``arr``, once checked to hold no NaN or Inf."""
-    if not np.isfinite(arr).all():
-        raise NumericError(f"{op} produced a non-finite value")
-    return arr
 
 
 def _frozen(arr: np.ndarray) -> Tensor:
@@ -259,7 +249,7 @@ class GradientTape:
             for name, p in members[group]:
                 g = grads.pop(id(p), None)
                 if g is not None:
-                    _check_finite(g, f"backward of {group}")
+                    check_finite(g, f"backward of {group}")
                 out.append((name, g))
             consumer(group, out)
 
@@ -558,79 +548,16 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused primitives
+# fused primitives: shapes checked here, array math in graphnvp.kernels
 # ---------------------------------------------------------------------------
-
-
-_ACTIVATIONS = (None, "tanh", "relu")
-
-
-def _activate_array(y: np.ndarray, activation: str | None, op: str) -> np.ndarray:
-    """Check ``y`` for finiteness, then apply ``activation`` to it in place
-    and return it.  The check comes first because tanh would turn an
-    overflow into a plain 1."""
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"{op}: activation must be one of {_ACTIVATIONS}, got {activation!r}")
-    _check_finite(y, op)
-    if activation == "tanh":
-        np.tanh(y, out=y)
-    elif activation == "relu":
-        np.maximum(y, 0.0, out=y)
-    return y
-
-
-def _linear_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`linear` on arrays whose shapes fit: the bias is added in place
-    to the fresh product, which is then checked for finiteness."""
-    y = np.matmul(x, w)
-    y += b
-    return _check_finite(y, "linear")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for ``x`` [rows, n_in], ``w`` [n_in, n_out], ``b`` [n_out]."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
-    out = _frozen(_linear_array(x.data, w.data, b.data))
-
-    def vjp(g: np.ndarray, needs):
-        return (
-            np.matmul(g, w.data.T) if needs[0] else None,
-            np.matmul(x.data.T, g) if needs[1] else None,
-            g.sum(axis=0) if needs[2] else None,
-        )
-
-    return _record((x, w, b), out, vjp)
-
-
-def _graph_conv_array(
-    h: np.ndarray,
-    a_rows: np.ndarray,
-    w_rel: np.ndarray,
-    w_self: np.ndarray,
-    b: np.ndarray,
-    row: int | None,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """:func:`graph_conv` on arrays whose shapes fit, unchecked.
-
-    Returns every node's output [batch, N, H], or node ``row``'s alone
-    [batch, H]: a fresh array, or the first array of ``out`` (two [rows, H]
-    arrays, the second for the self-loop product) when it is given.
-    """
-    batch, n, f = h.shape
-    r, _, hidden = w_rel.shape
-    h_self = h.reshape(batch * n, f)
-    if row is not None:
-        if not 0 <= row < n:
-            raise ShapeError(f"graph_conv: row {row} out of range for {n} nodes")
-        a_rows, h_self = a_rows[:, row * r : (row + 1) * r], h[:, row]
-    messages = np.matmul(a_rows, h).reshape(-1, r * f)
-    y_out, self_out = out or (None, None)
-    y = np.matmul(messages, w_rel.reshape(r * f, hidden), out=y_out)
-    y += np.matmul(h_self, w_self, out=self_out)
-    y += b
-    return y if row is not None else y.reshape(batch, n, hidden)
+    out = _frozen(K.linear(x.data, w.data, b.data))
+    return _record((x, w, b), out, lambda g, needs: K.linear_vjp(g, x.data, w.data, needs))
 
 
 def graph_conv(
@@ -663,32 +590,12 @@ def graph_conv(
             f"graph_conv: shapes {h.shape}, {a_rows.shape}, {w_rel.shape}, {w_self.shape},"
             f" {b.shape} do not fit"
         )
-    y = _graph_conv_array(h.data, a_rows, w_rel.data, w_self.data, b.data, None)
-    out = _wrap(y, "graph_conv")
-    w_flat = w_rel.data.reshape(r * f, hidden)
-    h_self = h.data.reshape(batch * n, f)
-
-    def vjp(g: np.ndarray, needs):
-        g = g.reshape(-1, hidden)
-        gh = g_rel = None
-        if needs[0]:
-            g_messages = np.matmul(g, w_flat.T).reshape(batch, n * r, f)
-            gh = np.matmul(np.swapaxes(a_rows, -1, -2), g_messages)
-            gh += np.matmul(g, w_self.data.T).reshape(h.shape)
-        if needs[1]:
-            # The messages, recomputed by the forward's own product rather
-            # than kept on the tape: the same bits, without [rows, R*F] held
-            # per round until the replay.
-            messages = np.matmul(a_rows, h.data).reshape(-1, r * f)
-            g_rel = np.matmul(messages.T, g).reshape(w_rel.shape)
-        return (
-            gh,
-            g_rel,
-            np.matmul(h_self.T, g) if needs[2] else None,
-            g.sum(axis=0) if needs[3] else None,
-        )
-
-    return _record((h, w_rel, w_self, b), out, vjp)
+    out = _wrap(K.graph_conv(h.data, a_rows, w_rel.data, w_self.data, b.data), "graph_conv")
+    return _record(
+        (h, w_rel, w_self, b),
+        out,
+        lambda g, needs: K.graph_conv_vjp(g, h.data, a_rows, w_rel.data, w_self.data, needs),
+    )
 
 
 def batch_norm(
@@ -712,47 +619,13 @@ def batch_norm(
         raise ShapeError(f"batch_norm: shapes {x.shape}, {gamma.shape}, {beta.shape} do not fit")
     if row is not None and (x.ndim < 3 or not 0 <= row < x.shape[1]):
         raise ShapeError(f"batch_norm: row {row} out of range for shape {x.shape}")
-    flat = x.data.reshape(-1, x.shape[-1])  # one row per position, one column per feature
-    mean = flat.mean(axis=0)
-    y = flat - mean
-    var = (y * y).mean(axis=0)
-    if row is not None:
-        y = x.data[:, row] - mean
-    if not np.isfinite(var).all():
-        raise NumericError("batch_norm produced a non-finite variance")
-    inv_std = np.power(var + eps, -0.5)
-    y *= inv_std
-    y *= gamma.data
-    y += beta.data
-    out = _frozen(_activate_array(y.reshape(x.shape if row is None else y.shape), activation, "batch_norm"))
-
-    def vjp(g: np.ndarray, needs):
-        if activation == "tanh":  # times the activation's derivative, from its output
-            g = g * (1.0 - out.data * out.data)
-        elif activation == "relu":
-            g = g * (out.data > 0.0)
-        if row is not None:
-            g_row, g = g, np.zeros(x.shape)
-            g[:, row] = g_row
-        g = g.reshape(flat.shape)
-        g_beta = g.sum(axis=0)
-        # The normalized input, recomputed by the forward's own ops rather
-        # than kept on the tape, so it has the same bits.
-        normed = flat - mean
-        normed *= inv_std
-        g_gamma = (g * normed).sum(axis=0)
-        gx = None
-        if needs[0]:
-            # The batch statistics move with x: remove the mean of g and its
-            # projection on the normalized input.
-            rows = flat.shape[0]
-            gx = g - g_beta / rows
-            gx -= normed * (g_gamma / rows)
-            gx *= gamma.data * inv_std
-            gx = gx.reshape(x.shape)
-        return gx, (g_gamma if needs[1] else None), (g_beta if needs[2] else None)
-
-    return _record((x, gamma, beta), out, vjp), mean, var
+    y, mean, var, inv_std = K.batch_norm(x.data, gamma.data, beta.data, eps, activation, row)
+    out = _record(
+        (x, gamma, beta),
+        _frozen(y),
+        lambda g, needs: K.batch_norm_vjp(g, x.data, gamma.data, y, mean, inv_std, activation, row, needs),
+    )
+    return out, mean, var
 
 
 def replace_row(x: Tensor, row: int, value: Tensor) -> Tensor:
@@ -762,15 +635,5 @@ def replace_row(x: Tensor, row: int, value: Tensor) -> Tensor:
         raise ShapeError(f"replace_row: row {row} out of range for shape {x.shape}")
     if value.shape != x.shape[:1] + x.shape[2:]:
         raise ShapeError(f"replace_row: value shape {value.shape} does not fit row of {x.shape}")
-    data = x.data.copy()
-    data[:, row] = value.data
-    out = _wrap(data, "replace_row")
-
-    def vjp(g: np.ndarray, needs):
-        gx = None
-        if needs[0]:
-            gx = g.copy()
-            gx[:, row] = 0.0
-        return gx, (np.ascontiguousarray(g[:, row]) if needs[1] else None)
-
-    return _record((x, value), out, vjp)
+    out = _wrap(K.replace_row(x.data, row, value.data), "replace_row")
+    return _record((x, value), out, lambda g, needs: K.replace_row_vjp(g, row, needs))

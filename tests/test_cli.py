@@ -17,6 +17,15 @@ from graphnvp.flow import FlowModel, load_checkpoint, save_checkpoint
 from graphnvp.graphs import qm9lite_spec
 
 
+def run_child(argv):
+    """``gnvp argv`` in a child process with one BLAS thread."""
+    src = str(Path(graphnvp.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.fixture(scope="module")
 def zero_checkpoint(tmp_path_factory):
     out = tmp_path_factory.mktemp("train0")
@@ -78,13 +87,8 @@ def test_dataset_with_no_molecules_is_data_error(tmp_path, zero_checkpoint, comm
     empty = tmp_path / "empty.smi"
     empty.write_text("# no molecules here\n\n")
     out = tmp_path / "out"
-    src = str(Path(graphnvp.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [command, "--dataset", str(empty), "--out", str(out)]
-    argv += [a.format(checkpoint=zero_checkpoint) for a in args]
-    done = subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_child(argv + [a.format(checkpoint=zero_checkpoint) for a in args])
     assert done.returncode == 2
     assert done.stderr == f"gnvp:error:data: dataset {empty} holds no molecules\n"
     assert done.stdout == ""
@@ -119,6 +123,19 @@ def test_checkpoint_missing_a_model_key_is_data_error(tmp_path, zero_checkpoint,
     err = capsys.readouterr().err
     assert err.startswith("gnvp:error:data:") and "model.gcn_rounds" in err
     assert "Traceback" not in err
+
+
+def test_checkpoint_with_a_zero_count_is_data_error(tmp_path, zero_checkpoint):
+    """A CRC-valid checkpoint with ``gcn_rounds`` 0 is refused at load, in
+    one data-error line naming the key, not a numpy traceback later."""
+    bad = tmp_path / "zero_rounds.gnvp"
+    bad.write_bytes(zero_checkpoint.read_bytes())
+    edit_checkpoint_meta(bad, lambda meta: meta["model"].update(gcn_rounds=0))
+    out = tmp_path / "out"
+    done = run_child(["generate", "--checkpoint", str(bad), "--out", str(out), "--samples", "2"])
+    assert done.returncode == 2
+    assert done.stderr == f"gnvp:error:data: {bad}: checkpoint metadata model.gcn_rounds is 0, not an integer >= 1\n"
+    assert done.stdout == "" and not out.exists()
 
 
 def test_train_zero_epochs_writes_zero_init_checkpoint(zero_checkpoint):
@@ -372,11 +389,11 @@ def test_config_file_with_flag_override(tmp_path):
 
 # Each bad config line, with the reason its flag's parser gives.
 _BAD_VALUES = {
-    "epochs=abc": "invalid int value: 'abc'",
+    "epochs=abc": "must be an integer, got 'abc'",
     "adam_alpha=x": "invalid float value: 'x'",
     "adam_eps=nan": "must be a finite number > 0, got 'nan'",
     "adam_beta1=0": "must be a finite number > 0, got '0'",
-    "batch_size=1.5": "invalid int value: '1.5'",
+    "batch_size=1.5": "must be an integer, got '1.5'",
     "seed=s": "must be an integer, got 's'",
 }
 
@@ -403,14 +420,17 @@ def test_config_file_bad_value_usage_error(tmp_path, capsys, line):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--config", "epochs=-1"], "epochs must be >= 0 and batch_size >= 1"),
-        (["--epochs", "-1"], "epochs must be >= 0 and batch_size >= 1"),
-        (["--batch-size", "0"], "epochs must be >= 0 and batch_size >= 1"),
+        (["--config", "epochs=-1"], "{config} line 1: bad value for config key 'epochs': must be >= 0, got '-1'"),
+        (["--epochs", "-1"], "argument --epochs: must be >= 0, got '-1'"),
+        (["--batch-size", "0"], "argument --batch-size: must be >= 1, got '0'"),
         (["--config", "adam_beta1=1"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
         (["--config", "adam_beta2=1.5"], "Adam needs finite adam_alpha, adam_eps > 0 and adam_beta1, adam_beta2 in (0, 1)"),
         (["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
         (["--config", "seed=-1"], "{config} line 1: bad value for config key 'seed': must be >= 0, got '-1'"),
-        (["--config", "checkpoint_every=-2"], "seed and checkpoint_every must be >= 0"),
+        (
+            ["--config", "checkpoint_every=-2"],
+            "{config} line 1: bad value for config key 'checkpoint_every': must be >= 0, got '-2'",
+        ),
     ],
 )
 def test_train_config_out_of_range_usage_error(tmp_path, capsys, argv, message):
@@ -428,6 +448,38 @@ def test_train_config_out_of_range_usage_error(tmp_path, capsys, argv, message):
     assert run(["train", "--out", str(out), *argv]) == 1
     [err] = capsys.readouterr().err.splitlines()
     assert err == f"gnvp:error:usage: {message}"
+    assert not out.exists()
+
+
+# Each count flag with an out-of-range or non-integer value, and the reason
+# argparse gives; every command's checkpoint is a file that does not exist.
+_BAD_FLAGS = [
+    ("train", "--epochs", "-1", "must be >= 0, got '-1'"),
+    ("train", "--batch-size", "0", "must be >= 1, got '0'"),
+    ("train", "--batch-size", "2.5", "must be an integer, got '2.5'"),
+    ("generate", "--samples", "0", "must be >= 1, got '0'"),
+    ("eval", "--samples", "0", "must be >= 1, got '0'"),
+    ("sweep", "--samples", "-3", "must be >= 1, got '-3'"),
+    ("sweep", "--samples", "many", "must be an integer, got 'many'"),
+    ("grid", "--steps", "-1", "must be >= 0, got '-1'"),
+    ("optimize", "--steps", "-1", "must be >= 0, got '-1'"),
+    ("optimize", "--property", "nope", "invalid choice: 'nope' (choose from "),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, reason", _BAD_FLAGS)
+def test_out_of_range_flag_is_a_usage_error_naming_it(tmp_path, command, flag, value, reason):
+    """An out-of-range count flag is one usage-error line that names the
+    flag, found before the checkpoint or the dataset is read."""
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), flag, value]
+    if command != "train":
+        argv += ["--checkpoint", str(tmp_path / "missing.gnvp")]
+    done = run_child(argv)
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"gnvp:error:usage: argument {flag}: {reason}")
+    assert "Traceback" not in done.stderr and done.stdout == ""
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from conftest import (
     randomize_model,
 )
 from graphnvp import flow, nets
-from graphnvp.errors import CheckpointError, NumericError
+from graphnvp.errors import CheckpointError, GnvpError, NumericError
 from graphnvp.flow import (
     AdjacencyCouplingLayer,
     FlowModel,
@@ -43,7 +43,7 @@ def stub_scale_translation(layer, scale_value, translation_value):
     """Replace the conditioner outputs with constants in both eval
     directions."""
     n, r = layer.spec.num_nodes, layer.spec.num_bond_types
-    layer._eval_scale_translation = lambda za: (
+    layer._condition = lambda za: (
         np.full((za.shape[0], n, r), scale_value),
         np.full((za.shape[0], n, r), translation_value),
     )
@@ -706,8 +706,8 @@ def test_checkpoint_load_reads_without_copying_the_file(tmp_path):
 
 def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
     """The loader builds the model's structure without a Glorot draw, for a
-    checkpoint and for a train state: both work with every way to draw a
-    weight made to raise."""
+    checkpoint and for a train state: both work with the generator that
+    draws every weight made to raise."""
     model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=3), seed=4)
     path, state_path = tmp_path / "toy.gnvp", tmp_path / "state.gnvp"
     save_checkpoint(model, path)
@@ -721,7 +721,6 @@ def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
     class NoDrawGenerator:
         uniform = staticmethod(no_draw)
 
-    monkeypatch.setattr(nets, "glorot", no_draw)
     monkeypatch.setattr(flow, "make_rng", lambda seed: NoDrawGenerator())
     with pytest.raises(AssertionError, match="drawn"):
         FlowModel(TOY_SPEC, TOY_CONFIG, seed=3)
@@ -770,6 +769,11 @@ def test_initialization_keeps_its_draws(build, expected):
         pytest.param(lambda meta: meta["model"].pop("gcn_rounds"), "model.gcn_rounds", id="missing"),
         pytest.param(lambda meta: meta["model"].update(gcn_rounds="2"), "model.gcn_rounds", id="text"),
         pytest.param(lambda meta: meta["model"].update(mlp_hidden=[8, 8.5]), "model.mlp_hidden", id="float"),
+        pytest.param(lambda meta: meta["model"].update(gcn_rounds=0), "model.gcn_rounds", id="zero_rounds"),
+        pytest.param(lambda meta: meta["model"].update(adjacency_layers=-1), "model.adjacency_layers", id="negative"),
+        pytest.param(lambda meta: meta["model"].update(node_layers=0), "model.node_layers", id="zero_layers"),
+        pytest.param(lambda meta: meta["model"].update(gcn_hidden=0), "model.gcn_hidden", id="zero_hidden"),
+        pytest.param(lambda meta: meta["model"].update(mlp_hidden=[8, 0]), "model.mlp_hidden", id="zero_width"),
         pytest.param(lambda meta: meta["spec"].pop("atom_vocab"), "spec.atom_vocab", id="missing_vocab"),
         pytest.param(lambda meta: meta["spec"].update(num_nodes=True), "spec.num_nodes", id="bool"),
         pytest.param(lambda meta: meta.update(spec=[3]), "spec", id="spec_list"),
@@ -787,6 +791,15 @@ def test_checkpoint_with_malformed_metadata_names_the_key(tmp_path, toy_model, e
     edit_checkpoint_meta(path, edit)
     with pytest.raises(CheckpointError, match=rf"metadata (lacks {key}$|{key} is )"):
         load_checkpoint(path, TOY_SPEC)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("adjacency_layers", 0), ("node_layers", -1), ("gcn_hidden", 0), ("gcn_rounds", 0), ("mlp_hidden", (8, 0))],
+)
+def test_model_config_refuses_a_count_below_one(field, value):
+    with pytest.raises(GnvpError, match=f"^(every )?{field}"):
+        dataclasses.replace(TOY_CONFIG, **{field: value})
 
 
 def test_checkpoint_with_an_entry_twice_is_refused(tmp_path, toy_model):

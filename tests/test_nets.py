@@ -38,6 +38,7 @@ from graphnvp.nets import (
     RelGraphRound,
     relation_major,
 )
+from graphnvp import kernels as K
 from graphnvp import tensor as T
 from graphnvp.tensor import GradientTape, Tensor, make_rng
 from graphnvp.train import TrainConfig, TrainState, load_train_state, save_train_state, train
@@ -89,7 +90,7 @@ def test_round_target_row_equals_row_of_full_output():
     full = layer(Tensor(h), a_rows_of(adjacency)).data
     weights = [p.data for p in layer._params.values()]
     for row in range(5):
-        only = T._graph_conv_array(h, a_rows_of(adjacency), *weights, row)
+        only = K.graph_conv(h, a_rows_of(adjacency), *weights, row)
         assert only.shape == (3, 6)
         assert np.abs(only - full[:, row]).max() <= 1e-12 * np.abs(full).max()
 
@@ -180,12 +181,12 @@ def test_fold_is_the_layer_then_frozen_batch_norm():
         randomize_net(module, rng)
     x = Tensor(rng.normal(size=(7, 4)))
     for act in ("relu", "tanh"):
-        y = T._linear_array(x.data, *norm.fold(lin))
-        assert_close(T._activate_array(y, act, "linear"), oracle_norm(norm, lin(x).data, act))
+        y = K.linear(x.data, *norm.fold(lin))
+        assert_close(K.activate(y, act, "linear"), oracle_norm(norm, lin(x).data, act))
         full = oracle_norm(norm, conv(Tensor(h), a_rows).data, act)
         for row in (None, 2):
-            y = T._graph_conv_array(h, a_rows, *norm.fold(conv), row)
-            assert_close(T._activate_array(y, act, "graph_conv"), full if row is None else full[:, 2])
+            y = K.graph_conv(h, a_rows, *norm.fold(conv), row)
+            assert_close(K.activate(y, act, "graph_conv"), full if row is None else full[:, 2])
 
 
 def test_folded_mlp_matches_unfolded_composition():

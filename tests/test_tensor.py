@@ -1,3 +1,4 @@
+import itertools
 import threading
 import zlib
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphnvp import kernels as K
+from graphnvp import tensor as T
 from graphnvp.chem import bundled_corpus_path, load_dataset
 from graphnvp.errors import NumericError, ShapeError
 from graphnvp.flow import FlowModel
@@ -13,9 +16,6 @@ from graphnvp.graphs import qm9lite_spec
 from graphnvp.nets import BatchNorm, Linear, RelGraphRound
 from graphnvp.tensor import (
     GradientTape,
-    _activate_array,
-    _graph_conv_array,
-    _linear_array,
     Tensor,
     add,
     batch_norm,
@@ -41,7 +41,7 @@ from graphnvp.tensor import (
 )
 from graphnvp.train import nll_loss
 
-from conftest import finite_difference_gradient
+from conftest import TOY_CONFIG, TOY_SPEC, finite_difference_gradient, random_graph, randomize_model
 
 
 def test_exp_of_zeros_is_ones():
@@ -608,14 +608,14 @@ def test_graph_conv_values_and_shape_checks():
     assert np.array_equal(full.data, _unfused_graph_conv(h, a_rows, w_rel, w_self, b).data)
     weights = (w_rel.data, w_self.data, b.data)
     for row in range(3):
-        only = _graph_conv_array(h.data, a_rows, *weights, row)
+        only = K.graph_conv(h.data, a_rows, *weights, row)
         assert np.array_equal(only, _unfused_graph_conv(h, a_rows, w_rel, w_self, b, row).data)
     with pytest.raises(ShapeError):
         graph_conv(h, a_rows[:, :4], w_rel, w_self, b)
     with pytest.raises(ShapeError):
         graph_conv(h, a_rows, w_rel, w_self, Tensor(np.zeros(3)))
     with pytest.raises(ShapeError):
-        _graph_conv_array(h.data, a_rows, *weights, 3)
+        K.graph_conv(h.data, a_rows, *weights, 3)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -728,12 +728,12 @@ def test_linear_and_graph_conv_check_finiteness_before_the_activation(activation
     with np.errstate(over="ignore"):
         # The eval round of one target row.
         with pytest.raises(NumericError, match="^graph_conv produced a non-finite value"):
-            y = _graph_conv_array(h.data, a_rows, w_rel.data, w.data, b.data, 0)
-            _activate_array(y, activation, "graph_conv")
+            y = K.graph_conv(h.data, a_rows, w_rel.data, w.data, b.data, 0)
+            K.activate(y, activation, "graph_conv")
         with pytest.raises(NumericError, match="^linear produced a non-finite value"):
-            _activate_array(_linear_array(x.data, w.data, b.data), activation, "linear")
+            K.activate(K.linear(x.data, w.data, b.data), activation, "linear")
     with pytest.raises(ValueError):
-        _activate_array(np.zeros(2), "sigmoid", "graph_conv")
+        K.activate(np.zeros(2), "sigmoid", "graph_conv")
 
 
 def test_training_graph_round_and_batch_norm_activation_record_once():
@@ -849,6 +849,82 @@ def test_qm9lite_step_gradients_equal_a_replay_that_keeps_every_record():
         assert g.data.shape == expected[name].shape
         assert g.data.tobytes() == expected[name].tobytes(), name
     assert max(np.abs(g.data).max() for g in grads.values()) > 0.0
+
+
+_FUSED = ("linear", "graph_conv", "batch_norm", "replace_row")
+
+# What each fused op's vjp kernel reads between ``g`` and the needs mask,
+# taken from the closure of the vjp its record holds.
+_KERNEL_ARGS = {
+    "linear": lambda c: (c["x"].data, c["w"].data),
+    "graph_conv": lambda c: (c["h"].data, c["a_rows"], c["w_rel"].data, c["w_self"].data),
+    "batch_norm": lambda c: (c["x"].data, c["gamma"].data, c["y"], c["mean"], c["inv_std"], c["activation"], c["row"]),
+    "replace_row": lambda c: (c["row"],),
+}
+
+
+def _fused_training_records(monkeypatch):
+    """One toy training step's tape and loss, and each record a fused op
+    made, with that op's name; the four ops are wrapped to tell."""
+    made = {}  # id of each fused output -> (op, the output, kept alive so ids stay unique)
+    for op in _FUSED:
+
+        def traced(*args, original=getattr(T, op), op=op, **kwargs):
+            out = original(*args, **kwargs)
+            tensor = out[0] if isinstance(out, tuple) else out
+            made[id(tensor)] = (op, tensor)
+            return out
+
+        monkeypatch.setattr(T, op, traced)
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=3), seed=4)
+    batch = [random_graph(TOY_SPEC, make_rng(k)) for k in range(4)]
+    with GradientTape() as tape:
+        for name, p in model.named_parameters():
+            tape.watch(name, p)
+        loss = nll_loss(model, batch, make_rng(0))
+    monkeypatch.undo()
+    return tape, loss, [(made[id(rec.output)][0], rec) for rec in tape.records if id(rec.output) in made]
+
+
+def test_every_fused_record_names_its_op(monkeypatch):
+    """The benchmark's tracer names each backward span after the first part
+    of ``rec.vjp.__qualname__``; every fused record of a training step
+    carries its op's name there."""
+    _, _, fused = _fused_training_records(monkeypatch)
+    assert {op for op, _ in fused} == set(_FUSED)
+    for op, rec in fused:
+        assert rec.vjp.__qualname__.split(".", 1)[0] == op
+
+
+def test_vjp_kernels_skip_exactly_the_unneeded_inputs(monkeypatch):
+    """Each fused vjp kernel, called on the arrays its record holds and the
+    gradient the replay gave it, returns the replay's bytes for every input
+    the record needed; under any needs mask it returns ``None`` exactly
+    where the mask is False and those bytes everywhere else."""
+    tape, loss, fused = _fused_training_records(monkeypatch)
+    replayed = []
+    for op, rec in fused:
+
+        def capture(g, needs, op=op, vjp=rec.vjp):
+            grads = vjp(g, needs)
+            replayed.append((op, vjp, g, needs, grads))
+            return grads
+
+        rec.vjp = capture
+    tape.gradients(loss)
+    assert {op for op, *_ in replayed} == set(_FUSED)
+    for op, vjp, g, needs, grads in replayed:
+        closure = dict(zip(vjp.__code__.co_freevars, (cell.cell_contents for cell in vjp.__closure__)))
+        kernel, args = getattr(K, f"{op}_vjp"), _KERNEL_ARGS[op](closure)
+        full = kernel(g, *args, (True,) * len(needs))
+        for want, got, need in zip(grads, full, needs):
+            assert (want is None) != need
+            assert got is not None and (not need or got.tobytes() == want.tobytes())
+        for mask in itertools.product((False, True), repeat=len(needs)):
+            out = kernel(g, *args, mask)
+            assert len(out) == len(needs)
+            for want, got, keep in zip(full, out, mask):
+                assert got is None if not keep else got.tobytes() == want.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
