@@ -50,7 +50,7 @@ from . import kernels as K
 from . import tensor as T
 from .errors import CheckpointError, GnvpError, NumericError, ShapeError
 from .graphs import GraphSpec, argmax_adjacency
-from .nets import MlpNet, Module, RelationalGraphConvNet, relation_major
+from .nets import MlpNet, Module, RelationalGraphConvNet, parameters_changed, relation_major
 from .tensor import Tensor, make_rng
 
 CHECKPOINT_MAGIC = b"GNVP"
@@ -78,6 +78,8 @@ class ModelConfig:
                 raise GnvpError(f"{key} must be >= 1, got {getattr(self, key)}")
         if min(self.mlp_hidden, default=1) < 1:
             raise GnvpError(f"every mlp_hidden width must be >= 1, got {list(self.mlp_hidden)}")
+        if not 0 < self.scale_cap < math.inf:
+            raise GnvpError(f"scale_cap must be finite and > 0, got {self.scale_cap}")
 
     def to_dict(self) -> dict:
         # Every model has batch norm; the key keeps the checkpoint format.
@@ -94,8 +96,8 @@ class ModelConfig:
     @staticmethod
     def from_dict(data: dict) -> "ModelConfig":
         """The config in a checkpoint's ``model`` block.  A missing or
-        mistyped key, or a count below 1, raises :class:`CheckpointError`
-        naming it."""
+        mistyped key, a count below 1, or a ``scale_cap`` that is not a
+        finite number > 0, raises :class:`CheckpointError` naming it."""
         _meta_field(data, "model.batch_norm", _TRUE)
         return ModelConfig(
             adjacency_layers=_meta_field(data, "model.adjacency_layers", _COUNT),
@@ -103,7 +105,7 @@ class ModelConfig:
             mlp_hidden=tuple(_meta_field(data, "model.mlp_hidden", _COUNTS)),
             gcn_hidden=_meta_field(data, "model.gcn_hidden", _COUNT),
             gcn_rounds=_meta_field(data, "model.gcn_rounds", _COUNT),
-            scale_cap=float(_meta_field(data, "model.scale_cap", _REAL)),
+            scale_cap=float(_meta_field(data, "model.scale_cap", _CAP)),
         )
 
 
@@ -269,18 +271,20 @@ class GaussianPrior(Module):
 
 
 class FlowModel(Module):
-    """Ordered coupling stacks plus the learned prior."""
+    """Ordered coupling stacks plus the learned prior.  Each parameter is a
+    read-only view of its slice of one float64 :attr:`vector`, by
+    :attr:`layout`: name to offset and shape, packed in name order, so each
+    coupling layer, and the prior, is contiguous."""
 
     def __init__(self, spec: GraphSpec, config: ModelConfig | None = None, seed: int = 0):
         self._build(spec, config or default_model_config(spec), make_rng(seed))
 
     @classmethod
     def _unset(cls, spec: GraphSpec, config: ModelConfig) -> "FlowModel":
-        """The model's structure built without a draw: every randomly
-        initialized weight is a placeholder holding no memory (see
-        :mod:`~graphnvp.nets`), for a checkpoint load to replace."""
+        """The model built without a draw, its vector unset for a load to fill."""
         model = cls.__new__(cls)
         model._build(spec, config, None)
+        model._bind(np.empty(model._size))
         return model
 
     def _build(self, spec: GraphSpec, config: ModelConfig, rng: np.random.Generator | None) -> None:
@@ -299,6 +303,33 @@ class FlowModel(Module):
             self.node_layers.append(layer)
             self.register_child(f"node_{k}", layer)
         self.prior = self.register_child("prior", GaussianPrior(spec.latent_dim))
+        shapes = sorted((name, p.shape) for name, p in self.named_parameters())
+        offsets = np.cumsum([0] + [math.prod(shape) for _, shape in shapes]).tolist()
+        self.layout = {name: (lo, shape) for (name, shape), lo in zip(shapes, offsets)}
+        self._size, self._vector = offsets[-1], None
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The flat vector every parameter views.  A seeded build's draws are
+        arrays of their own until the first read copies them in, so a model
+        built while another's train state is alive holds no second vector."""
+        if self._vector is None:
+            self._bind(np.concatenate([p.data.reshape(-1) for _, p in sorted(self.named_parameters())]))
+        return self._vector
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice of ``flat``, shaped like it, by name."""
+        return {name: flat[lo : lo + math.prod(shape)].reshape(shape) for name, (lo, shape) in self.layout.items()}
+
+    def _bind(self, vector: np.ndarray) -> None:
+        """Make ``vector`` the model's, every parameter a view of its slice."""
+        if vector.dtype != np.float64 or vector.shape != (self._size,):
+            raise ShapeError(f"a {vector.dtype} vector of shape {vector.shape} cannot hold {self._size} values")
+        for name, view in self._views(vector).items():
+            module, leaf = self._resolve(name)
+            module._params[leaf] = T._frozen(view)
+        self._vector = vector
+        parameters_changed()
 
     def _check_shapes(self, adjacency: np.ndarray, features: np.ndarray) -> None:
         spec = self.spec
@@ -431,7 +462,7 @@ _INT = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _COUNTS = (lambda v: isinstance(v, list) and all(_is_int(w) and w >= 1 for w in v), "a list of integers >= 1")
 _TEXTS = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v), "a list of strings")
-_REAL = (lambda v: _is_int(v) or (isinstance(v, float) and np.isfinite(v)), "a finite number")
+_CAP = (lambda v: (_is_int(v) or isinstance(v, float)) and 0 < v < math.inf, "a finite number > 0")
 _TRUE = (lambda v: v is True, "true: every model has batch norm")
 _BLOCK = (lambda v: isinstance(v, dict), "an object")
 _ORDER = (lambda v: v == FORWARD_ORDER, json.dumps(FORWARD_ORDER))
@@ -515,8 +546,8 @@ def write_csv(path, header, rows) -> None:
 def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> None:
     """Write the model to a versioned, CRC-protected binary file.
 
-    A train state adds ``optimizer = (block, moments)``: ``block`` goes into
-    the meta, and ``moments`` maps ``m:``/``v:`` + parameter name to arrays.
+    A train state adds ``optimizer = (block, first_moment, second_moment)``:
+    the block goes into the meta, the flat moments into ``m:``/``v:`` entries.
     """
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -524,12 +555,11 @@ def save_checkpoint(model: FlowModel, path, optimizer: tuple | None = None) -> N
         "spec": _spec_to_dict(model.spec),
         "model": model.config.to_dict(),
     }
-    entries = [("p:" + name, p.data) for name, (_, p) in _layout(model)[0].items()]
+    entries = [("p:" + name, view) for name, view in model._views(model.vector).items()]
     entries += [("b:" + name, value) for name, value in sorted(model.named_buffers())]
     if optimizer is not None:
-        block, moments = optimizer
-        meta["optimizer"] = block
-        entries += sorted(moments.items())
+        meta["optimizer"], *moments = optimizer
+        entries += [(kind + n, v) for kind, flat in zip(("m:", "v:"), moments) for n, v in model._views(flat).items()]
     # The generator state holds numpy arrays; JSON stores them as lists.
     meta_bytes = json.dumps(meta, sort_keys=True, default=np.ndarray.tolist).encode("utf-8")
 
@@ -635,31 +665,18 @@ def load_checkpoint(path, spec: GraphSpec) -> FlowModel:
     return _read_checkpoint(path, spec, moments=False)[0]
 
 
-def _layout(model: Module) -> tuple[dict[str, tuple[int, Tensor]], int]:
-    """The parameter layout that checkpoint entries and train-state vectors
-    follow: each parameter with its offset, by name in sorted order and
-    packed end to end, so each layer group (one coupling layer, or the
-    prior) is contiguous; and the total size."""
-    layout, size = {}, 0
-    for name, p in sorted(model.named_parameters()):
-        layout[name] = (size, p)
-        size += p.size
-    return layout, size
-
-
 def _read_checkpoint(path, spec: GraphSpec, moments: bool):
     """Parse a model or train-state file into a model built from the stored
     config without a draw.  Returns the model, the flat vectors read (the
-    parameters, then with ``moments`` the first and second Adam moments,
-    each in :func:`_layout`), and the stored ``optimizer`` block or None.
+    model's own, then with ``moments`` the first and second Adam moments),
+    and the stored ``optimizer`` block or None.
 
     The CRC is checked first, in a pass of its own; then each entry is read
-    straight into its slice of its vector, or a buffer into an array of its
-    own, so the file is never held whole.  Each parameter is bound to a
-    read-only view of its slice.  Without ``moments``, moment entries are
-    skipped; with it, a file without an optimizer section, a non-finite
-    moment or a negative second moment raises :class:`CheckpointError`.
-    So do bytes between the last entry and the CRC trailer.
+    straight into its slice of its vector, or into its buffer, so the file
+    is never held whole.  Without ``moments``, moment entries are skipped;
+    with it, a file without an optimizer section raises, as do a non-finite
+    value, a negative ``running_var`` or second moment, and bytes after the
+    last entry.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh, _payload_size(fh, path), path)
@@ -690,11 +707,12 @@ def _read_checkpoint(path, spec: GraphSpec, moments: bool):
         if moments and optimizer is None:
             raise CheckpointError(f"{path}: no optimizer section")
         model = FlowModel._unset(spec, config)
-        layout, size = _layout(model)
         kinds = ("p:", "m:", "v:") if optimizer is not None else ("p:",)
-        vectors = {kind: np.empty(size) for kind in (kinds if moments else ("p:",))}
-        expected = {kind + n: p.shape for n, (_, p) in layout.items() for kind in kinds}
-        expected |= {"b:" + n: b.shape for n, b in model.named_buffers()}
+        vectors = [model.vector] + [np.empty(model.vector.size) for _ in kinds[1:] if moments]
+        into = {kind + n: v for kind, flat in zip(kinds, vectors) for n, v in model._views(flat).items()}
+        into |= {"b:" + n: b for n, b in model.named_buffers()}
+        expected = {kind + n: shape for n, (_, shape) in model.layout.items() for kind in kinds}
+        expected |= {n: b.shape for n, b in into.items() if n.startswith("b:")}
         seen = set()
         for _ in range(reader.u32()):
             name = reader.text()
@@ -706,23 +724,17 @@ def _read_checkpoint(path, spec: GraphSpec, moments: bool):
             if shape != expected[name]:
                 raise CheckpointError(f"{path}: entry {name!r} has shape {shape}, the model {expected[name]}")
             seen.add(name)
-            kind, key = name[:2], name[2:]
-            if kind == "b:":
-                model.set_buffer(key, reader.array(np.empty(shape)))
-            elif kind not in vectors:
+            if name not in into:  # a moment not asked for
                 reader.skip(8 * math.prod(shape))
-            else:
-                lo, p = layout[key]
-                arr = reader.array(vectors[kind][lo : lo + p.size]).reshape(shape)
-                if kind == "p:":
-                    if not np.isfinite(arr).all():
-                        raise NumericError("tensor constructed with non-finite values")
-                    model.set_parameter(key, T._frozen(arr))
-                elif not np.isfinite(arr).all() or (kind == "v:" and (arr < 0).any()):
-                    raise CheckpointError(f"{path}: entry {name!r} is not a valid Adam moment")
+                continue
+            arr = reader.array(into[name])
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: entry {name!r} holds a non-finite value")
+            if (name.startswith("v:") or name.endswith(".running_var")) and (arr < 0).any():
+                raise CheckpointError(f"{path}: entry {name!r} holds a negative variance")
         if reader.pos != reader.end:
             raise CheckpointError(f"{path}: {reader.end - reader.pos} bytes after the last entry")
     missing = expected.keys() - seen
     if missing:
         raise CheckpointError(f"{path}: missing entries {sorted(missing)[:3]}")
-    return model, tuple(vectors.values()), optimizer
+    return model, tuple(vectors), optimizer

@@ -25,7 +25,7 @@ buffer change bumps.
 
 A module built with ``rng=None`` draws nothing: each randomly initialized
 weight is a placeholder that holds no memory, for a checkpoint load to
-replace.
+fill through :class:`~graphnvp.flow.FlowModel`'s vector.
 """
 from __future__ import annotations
 
@@ -96,11 +96,14 @@ class Module:
         return module._params[leaf]
 
     def set_parameter(self, name: str, value: Tensor) -> None:
+        """Write ``value`` into the parameter's storage, in place: in a model, its vector."""
         module, leaf = self._resolve(name)
-        old = module._params[leaf]
-        if old.shape != value.shape:
-            raise ShapeError(f"parameter {name}: shape {value.shape} != {old.shape}")
-        module._params[leaf] = value
+        arr = module._params[leaf].data
+        if arr.shape != value.shape:
+            raise ShapeError(f"parameter {name}: shape {value.shape} != {arr.shape}")
+        arr.flags.writeable = True  # allowed: it owns its memory, or views a writable array
+        arr[...] = value.data
+        arr.flags.writeable = False
         parameters_changed()
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
@@ -143,8 +146,8 @@ def _drawn(rng: np.random.Generator | None, n_in: int, n_out: int, *lead: int) -
     """A Glorot-uniform weight [*lead, n_in, n_out], whose bound depends on
     ``n_in`` and ``n_out`` alone; or with ``rng`` None a zero placeholder of
     its shape broadcast from one scalar, so it holds no memory."""
-    if rng is None:
-        return T._frozen(np.broadcast_to(np.float64(0.0), (*lead, n_in, n_out)))
+    if rng is None:  # a read-only scalar, so a write through the view raises
+        return T._frozen(np.broadcast_to(T._frozen(np.zeros(())).data, (*lead, n_in, n_out)))
     bound = np.sqrt(6.0 / (n_in + n_out))
     return Tensor(rng.uniform(-bound, bound, size=(*lead, n_in, n_out)))
 

@@ -81,9 +81,9 @@ def make_rng(seed: int) -> np.random.Generator:
 class Tensor:
     """Immutable dense array of float64 scalars.
 
-    Parameter tensors are the exception while :func:`~graphnvp.train.train`
-    runs: they are read-only views of the optimizer's flat parameter vector,
-    which :func:`~graphnvp.train.adam_step` updates in place between steps.
+    Parameters are the exception: each is a read-only view of its model's
+    vector, which :func:`~graphnvp.train.adam_step` and ``set_parameter``
+    write into in place.
     """
 
     __slots__ = ("data",)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import NumericError, TrainingError
-from .flow import FlowModel, _atomic_open, _layout, _read_checkpoint, save_checkpoint
+from .flow import FlowModel, _atomic_open, _read_checkpoint, save_checkpoint
 from .graphs import DEQUANT_NOISE, GraphSpec, MolecularGraph, dequantize
 from .nets import parameters_changed
 from .tensor import GradientTape, Tensor, make_rng
@@ -58,12 +58,13 @@ class TrainConfig:
 @dataclass
 class TrainState:
     """Optimizer state: parameter values and the two Adam moments as flat
-    vectors in :func:`~graphnvp.flow._layout`, where each layer group is
-    contiguous, so :func:`train` updates a group's slice as soon as its
-    gradients are final; plus counters and the generator state, which is
+    vectors in the model's :attr:`~graphnvp.flow.FlowModel.layout` (each
+    layer group contiguous, so :func:`train` updates a group's slice as soon
+    as its gradients are final), and ``params`` is the model's own vector
+    once :func:`train` binds it; plus counters and the generator state,
     empty in a :meth:`fresh` state: :func:`train` then starts the generator
-    from ``config.seed``, as a run without a state does.
-    :func:`adam_step` pairs the vectors element by element."""
+    from ``config.seed``, as a run without a state does.  :func:`adam_step`
+    pairs the vectors element by element."""
 
     params: np.ndarray
     first_moment: np.ndarray
@@ -74,17 +75,8 @@ class TrainState:
 
     @staticmethod
     def fresh(model: FlowModel) -> "TrainState":
-        """A copy of the model's current parameter values and zero moments."""
-        params = np.concatenate([p.data.ravel() for _, p in _layout(model)[0].values()])
-        return TrainState(params, np.zeros(params.size), np.zeros(params.size))
-
-
-def _views(model: FlowModel, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Each parameter's slice of a :class:`TrainState` vector, shaped like it."""
-    layout, size = _layout(model)
-    if size != flat.size:
-        raise TrainingError(f"state vector holds {flat.size} values, the model {size}")
-    return {name: flat[lo : lo + p.size].reshape(p.shape) for name, (lo, p) in layout.items()}
+        """The model's own vector, not a copy, and zero moments."""
+        return TrainState(model.vector, np.zeros(model.vector.size), np.zeros(model.vector.size))
 
 
 @dataclass(frozen=True)
@@ -169,19 +161,17 @@ def _adam_by_group(model: FlowModel, state: TrainState, config: TrainConfig):
     slice of ``state`` as soon as the group's gradients are final.  Each
     group is contiguous in the sorted layout; its gradients are laid out in
     one buffer of the largest group's size, reused by every group and step."""
-    layout, slices = _layout(model)[0], {}
-    for name, (lo, p) in layout.items():
+    layout, slices = model.layout, {}
+    for name, (lo, shape) in layout.items():
         start, size = slices.get(_group(name), (lo, 0))
-        slices[_group(name)] = (start, size + p.size)
+        slices[_group(name)] = (start, size + math.prod(shape))
     buffer = np.empty(max(size for _, size in slices.values()))
 
     def update(group: str, gradients: list) -> None:
         start, size = slices[group]
-        at = 0
         for name, g in gradients:
-            n = layout[name][1].size
-            buffer[at : at + n] = 0.0 if g is None else g.reshape(-1)
-            at += n
+            lo, shape = layout[name]
+            buffer[lo - start : lo - start + math.prod(shape)] = 0.0 if g is None else g.reshape(-1)
         adam_step(state, buffer[:size], config, start)
 
     return update
@@ -224,12 +214,11 @@ def train(
 ) -> tuple[TrainState, list[EpochRecord]]:
     """Minibatch NLL minimization; per-epoch shuffling from the seeded generator.
 
-    The model's parameters become read-only views of ``state.params``.  In
-    each step the gradient replay hands every coupling layer's gradients,
-    and the prior's, to :func:`adam_step` as soon as they are final, which
-    updates that layer's slice of the state in place; no full gradient
-    vector is ever held.  The final-epoch parameters are the evaluation
-    model.  With ``checkpoint_dir`` set, a checkpoint is written every
+    ``state.params`` is bound as the model's vector.  In each step the
+    gradient replay hands every coupling layer's gradients, and the prior's,
+    to :func:`adam_step` as soon as they are final, which updates that layer's
+    slice of the state (and model) in place; no full gradient vector is ever
+    held.  The final-epoch parameters are the evaluation model.  With ``checkpoint_dir`` set, a checkpoint is written every
     ``config.checkpoint_every`` epochs (if nonzero) and always at the end.
     ``on_epoch`` is called with each epoch's record when that epoch ends.
 
@@ -246,13 +235,11 @@ def train(
     if not dataset:
         raise TrainingError("training dataset is empty")
     rng = make_rng(config.seed)
-    if resume_state is None:
-        state = TrainState.fresh(model)
-    else:
-        state = resume_state
-        if state.rng_state:  # empty before the first step: the seed's generator
-            rng.bit_generator.state = state.rng_state
-    model.load_parameters({name: T._frozen(v) for name, v in _views(model, state.params).items()})
+    state = TrainState.fresh(model) if resume_state is None else resume_state
+    if state.rng_state:  # empty before the first step: the seed's generator
+        rng.bit_generator.state = state.rng_state
+    if resume_state is not None:  # a fresh state holds the model's vector already
+        model._bind(state.params)
     update = _adam_by_group(model, state, config)
 
     records: list[EpochRecord] = []
@@ -321,10 +308,7 @@ def save_train_state(path, state: TrainState, model: FlowModel) -> None:
     moments as ``m:``/``v:`` entries, and step, epoch and generator state.
     ``model`` holds ``state``'s parameters after :func:`train` returns."""
     block = {"step": state.step, "epoch": state.epoch, "rng_state": state.rng_state}
-    moments = {}
-    for kind, flat in (("m:", state.first_moment), ("v:", state.second_moment)):
-        moments.update((kind + name, view) for name, view in _views(model, flat).items())
-    save_checkpoint(model, path, (block, moments))
+    save_checkpoint(model, path, (block, state.first_moment, state.second_moment))
 
 
 def load_train_state(path, spec: GraphSpec) -> tuple[FlowModel, TrainState]:
@@ -332,10 +316,8 @@ def load_train_state(path, spec: GraphSpec) -> tuple[FlowModel, TrainState]:
     built from the file alone: the stored spec must match ``spec`` exactly.
 
     Each ``p:``/``m:``/``v:`` entry is read straight into its slice of the
-    state's three vectors, and the model's parameters are views of the
-    first, as :func:`train` binds them.  Raises :class:`CheckpointError` for
-    a plain checkpoint, a moment entry of the wrong shape, non-finite, or
-    negative in the second moment, or a generator state that cannot resume
-    (empty past step 0, or one numpy cannot load)."""
+    state's three vectors, the first the model's own.  A plain checkpoint, a
+    refused entry or a generator state that cannot resume (empty past step
+    0, or one numpy cannot load) raises :class:`CheckpointError`."""
     model, vectors, block = _read_checkpoint(path, spec, moments=True)
     return model, TrainState(*vectors, block["step"], block["epoch"], block["rng_state"])

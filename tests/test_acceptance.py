@@ -34,7 +34,7 @@ from graphnvp.sampling import (
     temperature_sweep,
     write_sweep_csv,
 )
-from graphnvp.tensor import GradientTape, make_rng
+from graphnvp.tensor import GradientTape, Tensor, make_rng
 from graphnvp.train import TrainConfig, nll_loss, train
 
 
@@ -128,7 +128,8 @@ def test_criterion_04_gradient_oracle_every_tensor():
 
     worst = 0.0
     for name in names:
-        p0 = model.get_parameter(name)
+        # A copy: the parameter is a view that set_parameter writes into.
+        p0 = Tensor(model.get_parameter(name).data)
 
         def loss_at(t):
             model.set_parameter(name, t)

@@ -1,8 +1,9 @@
-"""The benchmark's untraced path runs against the package: ``perfbench/fixture.py``
+"""The benchmark's paths run against the package: ``perfbench/fixture.py``
 trains and saves infer-qm9's checkpoint, and ``perfbench/worker.py`` runs one
 op of each workload after its warm-up op, in child processes as
-``perfbench/run.py`` starts them.  ``tests/test_trace_contract.py`` covers the
-names the tracer wraps; this covers the calls the workloads make themselves."""
+``perfbench/run.py`` starts them, and train-qm9 once more with ``--trace 1``.
+``tests/test_trace_contract.py`` covers the names the tracer wraps; this
+covers the calls the workloads make themselves."""
 import json
 import os
 import subprocess
@@ -45,3 +46,16 @@ def test_worker_runs_one_untraced_op(bench_dir, workload):
     result = _run("worker.py", *args)
     assert (result["failed"], result["errors"]) == (0, [])
     assert result["attempted"] == 2 and len(result["ops"]) == 1  # the warm-up op, then one timed op
+
+
+def test_worker_runs_one_traced_op(tmp_path):
+    """``--trace 1`` runs the warm-up op twice, then one untraced and one
+    traced op, and records both."""
+    args = ["--workload", "train-qm9", "--seed", "0", "--seconds", "0", "--trace", "1"]
+    result = _run("worker.py", *args, "--t0", repr(time.monotonic()), "--out-dir", str(tmp_path))
+    assert (result["failed"], result["errors"]) == (0, [])
+    assert result["attempted"] == 4 and len(result["ops"]) == 2
+    trace = result["trace"]
+    assert len(trace["untraced_ops"]) == 1 and len(trace["traced_ops"]) == 1
+    assert trace["ops"]["train.adam_step"]["calls"] > 0 and trace["tape_records"] > 0
+    assert (tmp_path / "spans-train-qm9.jsonl.gz").exists()

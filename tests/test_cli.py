@@ -95,7 +95,9 @@ def test_dataset_with_no_molecules_is_data_error(tmp_path, zero_checkpoint, comm
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_non_finite_checkpoint_is_numeric_error(tmp_path, zero_checkpoint, capsys):
+def test_non_finite_checkpoint_is_data_error(tmp_path, zero_checkpoint, capsys):
+    """A CRC-valid checkpoint with an Inf parameter is refused as it loads,
+    with the file and the entry named."""
     data = bytearray(zero_checkpoint.read_bytes())
     # overwrite the first parameter's first float with inf and fix the CRC
     marker = data.find(b"p:adjacency_0")
@@ -110,8 +112,9 @@ def test_non_finite_checkpoint_is_numeric_error(tmp_path, zero_checkpoint, capsy
     bad = tmp_path / "inf.gnvp"
     bad.write_bytes(bytes(data))
     code = run(["generate", "--checkpoint", str(bad), "--out", str(tmp_path), "--samples", "2"])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("gnvp:error:numeric:")
+    assert code == 2
+    name = data[marker : marker + name_len].decode()
+    assert capsys.readouterr().err == f"gnvp:error:data: {bad}: entry {name!r} holds a non-finite value\n"
 
 
 def test_checkpoint_missing_a_model_key_is_data_error(tmp_path, zero_checkpoint, capsys):

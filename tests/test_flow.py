@@ -774,6 +774,8 @@ def test_initialization_keeps_its_draws(build, expected):
         pytest.param(lambda meta: meta["model"].update(node_layers=0), "model.node_layers", id="zero_layers"),
         pytest.param(lambda meta: meta["model"].update(gcn_hidden=0), "model.gcn_hidden", id="zero_hidden"),
         pytest.param(lambda meta: meta["model"].update(mlp_hidden=[8, 0]), "model.mlp_hidden", id="zero_width"),
+        pytest.param(lambda meta: meta["model"].update(scale_cap=0), "model.scale_cap", id="zero_cap"),
+        pytest.param(lambda meta: meta["model"].update(scale_cap=-5.0), "model.scale_cap", id="negative_cap"),
         pytest.param(lambda meta: meta["spec"].pop("atom_vocab"), "spec.atom_vocab", id="missing_vocab"),
         pytest.param(lambda meta: meta["spec"].update(num_nodes=True), "spec.num_nodes", id="bool"),
         pytest.param(lambda meta: meta.update(spec=[3]), "spec", id="spec_list"),
@@ -795,7 +797,15 @@ def test_checkpoint_with_malformed_metadata_names_the_key(tmp_path, toy_model, e
 
 @pytest.mark.parametrize(
     "field, value",
-    [("adjacency_layers", 0), ("node_layers", -1), ("gcn_hidden", 0), ("gcn_rounds", 0), ("mlp_hidden", (8, 0))],
+    [
+        ("adjacency_layers", 0),
+        ("node_layers", -1),
+        ("gcn_hidden", 0),
+        ("gcn_rounds", 0),
+        ("mlp_hidden", (8, 0)),
+        ("scale_cap", 0),
+        ("scale_cap", -5.0),
+    ],
 )
 def test_model_config_refuses_a_count_below_one(field, value):
     with pytest.raises(GnvpError, match=f"^(every )?{field}"):

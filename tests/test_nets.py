@@ -385,6 +385,15 @@ def test_large_qm9lite_inverse_batch_peak_stays_bounded():
     assert peak < 12 * 2**20
 
 
+def test_set_parameter_cannot_write_through_an_undrawn_placeholder():
+    """A weight built without a draw broadcasts one scalar, so a write must
+    raise instead of storing every element into that one scalar."""
+    layer = Linear(3, 4, None)
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        layer.set_parameter("weight", Tensor(np.ones((3, 4))))
+    assert not layer.get_parameter("weight").data.any()
+
+
 def test_fold_follows_set_parameter_set_buffer_and_load_parameters():
     rng = make_rng(41)
     model = _used_model()

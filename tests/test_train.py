@@ -1,5 +1,7 @@
 import importlib
+import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -451,7 +453,7 @@ def test_train_updates_the_same_parameter_views_in_place(monkeypatch):
         adam_step(state, gradient, config, start)
 
     monkeypatch.setattr(importlib.import_module("graphnvp.train"), "adam_step", recording_adam_step)
-    initial = TrainState.fresh(model).params
+    initial = TrainState.fresh(model).params.copy()
     state, _ = train(model, toy_batch(count=12, seed=8), TrainConfig(epochs=1, batch_size=4, seed=9))
     assert state.step == 3 and len(seen) == 3 * len(slices) == len(updates)
     for step in (1, 2, 3):
@@ -603,21 +605,29 @@ def test_non_finite_gradient_names_its_layer_before_updating_it(tmp_path, monkey
     assert changed == {"prior", "adjacency_2"}
 
 
-def test_load_parameters_runs_once_per_train_call(monkeypatch):
+def test_train_binds_the_state_vector_once_per_call(monkeypatch):
+    """Each call binds its state's vector to the model once (a fresh
+    state's is the model's own, bound when the seeded model gathers its
+    draws), and no parameter is set or loaded one by one."""
     calls = []
-    original = Module.load_parameters
+    original = FlowModel._bind
 
-    def counting(self, values):
-        calls.append(self)
-        original(self, values)
+    def counting(self, vector):
+        calls.append((self, vector))
+        original(self, vector)
 
-    monkeypatch.setattr(Module, "load_parameters", counting)
+    def refuse(*args):
+        raise AssertionError("a parameter was set one by one")
+
     dataset = toy_batch(count=12, seed=8)
     model = toy_model(seed=3)
+    monkeypatch.setattr(FlowModel, "_bind", counting)
+    monkeypatch.setattr(Module, "load_parameters", refuse)
+    monkeypatch.setattr(Module, "set_parameter", refuse)
     state, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=4, seed=9))
-    assert calls == [model] and state.step == 6
+    assert [(m, v is state.params) for m, v in calls] == [(model, True)] and state.step == 6
     train(model, dataset, TrainConfig(epochs=3, batch_size=4, seed=9), resume_state=state)
-    assert calls == [model, model] and state.step == 9
+    assert [(m, v is state.params) for m, v in calls] == [(model, True)] * 2 and state.step == 9
 
 
 def test_train_resumes_in_memory_state_into_another_model():
@@ -703,6 +713,104 @@ def test_load_train_state_rejects_invalid_moments(tmp_path, moment, value):
     kind = "m:" if moment == "first_moment" else "v:"
     with pytest.raises(CheckpointError, match=f"'{kind}{name}'"):
         load_train_state(tmp_path / "state.gnvp", TOY_SPEC)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("p:prior.log_sigma", np.nan),
+        ("p:node_1.translate_net.round0.rel_weight", -np.inf),
+        ("b:adjacency_0.scale_net.bn1.running_mean", np.inf),
+        ("b:node_0.translate_net.bn0.running_var", np.nan),
+        ("b:node_0.translate_net.bn0.running_var", -1.0),
+    ],
+)
+def test_loaders_reject_invalid_parameters_and_buffers(tmp_path, entry, value):
+    """A non-finite parameter or buffer, or a negative running variance, is
+    refused as a checkpoint or a train state loads, with the file and the
+    entry named and no numpy warning."""
+    model = toy_model(seed=3)
+    kind, name = entry[:2], entry[2:]
+    if kind == "p:":
+        lo, shape = model.layout[name]
+        model.vector[lo + math.prod(shape) - 1] = value
+    else:
+        buffer = dict(model.named_buffers())[name].copy()
+        buffer.flat[-1] = value
+        model.set_buffer(name, buffer)
+    checkpoint, state = tmp_path / "model.gnvp", tmp_path / "state.gnvp"
+    save_checkpoint(model, checkpoint)
+    save_train_state(state, TrainState.fresh(model), model)
+    for path, load in ((checkpoint, load_checkpoint), (state, load_train_state)):
+        problem = "negative variance" if value == -1.0 else "non-finite value"
+        with warnings.catch_warnings(), pytest.raises(CheckpointError) as err:
+            warnings.simplefilter("error")
+            load(path, TOY_SPEC)
+        assert str(err.value) == f"{path}: entry {entry!r} holds a {problem}"
+
+
+def _assert_parameters_view_the_vector(model):
+    """Once the model's vector is read (a seeded build copies its draws in
+    then), every parameter is a read-only view of it at its layout offset,
+    the layout tiles it, and a fresh train state holds that same vector."""
+    vector = model.vector
+    start = vector.__array_interface__["data"][0]
+    params = dict(model.named_parameters())
+    assert sorted(params) == list(model.layout)
+    end = 0
+    for name, (lo, shape) in model.layout.items():
+        p = params[name].data
+        assert lo == end and p.shape == shape and not p.flags.writeable, name
+        assert np.shares_memory(p, vector) and p.__array_interface__["data"][0] == start + 8 * lo, name
+        end += p.size
+    assert end == vector.size and vector.flags.writeable
+    assert TrainState.fresh(model).params is vector
+
+
+def _set_one(model):
+    vector, name = model.vector, "adjacency_1.scale_net.lin0.weight"
+    value = Tensor(make_rng(5).normal(size=model.get_parameter(name).shape))
+    model.set_parameter(name, value)
+    lo, _ = model.layout[name]
+    assert model.vector is vector and np.array_equal(vector[lo : lo + value.size], value.data.reshape(-1))
+    return model
+
+
+def _load_all(model):
+    vector = model.vector
+    randomize_model(model, seed=6)
+    assert model.vector is vector
+    return model
+
+
+def _loaded_state(path):
+    model, state = load_train_state(path, TOY_SPEC)
+    assert state.params is model.vector
+    return model
+
+
+def _trained(model):
+    state, _ = train(model, toy_batch(count=8, seed=2), TrainConfig(epochs=1, batch_size=4, seed=1))
+    assert state.params is model.vector
+    return model
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda path: toy_model(seed=3), id="seeded"),
+        pytest.param(lambda path: load_checkpoint(path / "model.gnvp", TOY_SPEC), id="load_checkpoint"),
+        pytest.param(lambda path: _loaded_state(path / "state.gnvp"), id="load_train_state"),
+        pytest.param(lambda path: _trained(toy_model(seed=3)), id="trained"),
+        pytest.param(lambda path: _set_one(toy_model(seed=3)), id="set_parameter"),
+        pytest.param(lambda path: _load_all(toy_model(seed=3)), id="load_parameters"),
+    ],
+)
+def test_every_parameter_is_a_view_of_the_model_vector(tmp_path, make):
+    source = randomize_model(toy_model(seed=4), seed=5)
+    save_checkpoint(source, tmp_path / "model.gnvp")
+    save_train_state(tmp_path / "state.gnvp", TrainState.fresh(source), source)
+    _assert_parameters_view_the_vector(make(tmp_path))
 
 
 def test_train_writes_checkpoints(tmp_path):
