@@ -37,6 +37,17 @@ def _valence_limit(symbol: str) -> int:
         raise ChemError(f"no valence entry for atom symbol {symbol!r}") from None
 
 
+def _check_bond(i: int, j: int, order: int, count: int) -> None:
+    """Raise :class:`ChemError` unless bond ``(i, j, order)`` joins two
+    distinct atoms of ``count`` with an order in 1..3."""
+    if not (0 <= i < count and 0 <= j < count):
+        raise ChemError(f"bond ({i}, {j}) references a missing atom")
+    if i == j:
+        raise ChemError(f"atom {i} bonded to itself")
+    if order not in (1, 2, 3):
+        raise ChemError(f"bond order {order} not in 1..3")
+
+
 @dataclass
 class Molecule:
     """Atom/bond list bridging SMILES text and padded graph tensors.
@@ -54,12 +65,7 @@ class Molecule:
             raise ChemError("molecule needs at least one atom")
         seen = set()
         for i, j, order in self.bonds:
-            if not (0 <= i < len(self.atoms) and 0 <= j < len(self.atoms)):
-                raise ChemError(f"bond ({i}, {j}) references a missing atom")
-            if i == j:
-                raise ChemError(f"atom {i} bonded to itself")
-            if order not in (1, 2, 3):
-                raise ChemError(f"bond order {order} not in 1..3")
+            _check_bond(i, j, order, len(self.atoms))
             pair = (min(i, j), max(i, j))
             if pair in seen:
                 raise ChemError(f"duplicate bond between atoms {pair[0]} and {pair[1]}")
@@ -105,13 +111,17 @@ def check_validity(molecule: Molecule) -> ValidityReport:
     :data:`DEFAULT_VALENCES`.
 
     Connectivity does not affect validity: a disconnected molecule within
-    its valences is valid.  An empty molecule is invalid.
+    its valences is valid.  An empty molecule is invalid.  A bond that does
+    not join two distinct atoms with an order in 1..3, or an atom symbol with
+    no valence entry, raises :class:`ChemError`.
     """
-    violations = []
-    if len(molecule.atoms) < 1:
-        violations.append("molecule has no atoms")
-    totals = [0] * len(molecule.atoms)
+    count = len(molecule.atoms)
+    violations = [] if count else ["molecule has no atoms"]
+    totals = [0] * count
     for i, j, order in molecule.bonds:
+        # The inline test keeps a call off every bond; _check_bond words the error.
+        if not (0 <= i < count and 0 <= j < count and i != j and order in (1, 2, 3)):
+            _check_bond(i, j, order, count)
         totals[i] += order
         totals[j] += order
     for idx, symbol in enumerate(molecule.atoms):
@@ -480,33 +490,6 @@ def _molecules(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> 
         molecules.append(Molecule(atoms[atom_start:atom_end], bonds[bond_start:bond_end]))
         atom_start, bond_start = atom_end, bond_end
     return molecules
-
-
-def _validity(spec: GraphSpec, adjacency: np.ndarray, features: np.ndarray) -> list[ValidityReport]:
-    """:func:`check_validity` of each molecule :func:`_molecules` builds
-    from the same arrays, computed on the arrays.
-
-    One contraction of the adjacency with each channel's bond order gives
-    every atom's valence; texts are formatted only for the atoms over their
-    limit.  Atom ``i`` of a graph is atom ``compact[i]`` of its molecule.
-    """
-    kinds = features.argmax(axis=-1)
-    real = kinds != spec.virtual_atom
-    limits = np.array([DEFAULT_VALENCES.get(symbol, -1) for symbol in spec.atom_vocab])
-    unknown = np.argwhere(real & (limits[kinds] < 0))
-    if unknown.size:
-        _valence_limit(spec.atom_vocab[kinds[tuple(unknown[0])]])  # raises ChemError
-    orders = np.arange(1.0, spec.num_bond_types + 1)
-    orders[spec.virtual_bond] = 0.0
-    batch, n = kinds.shape
-    valence = adjacency.reshape(batch, n, -1) @ np.tile(orders, n)
-    compact = np.cumsum(real, axis=-1) - 1
-    violations = [["molecule has no atoms"] if count < 1 else [] for count in real.sum(axis=-1).tolist()]
-    for b, i in zip(*np.nonzero(real & (valence > limits[kinds]))):
-        kind = kinds[b, i]
-        symbol, total = spec.atom_vocab[kind], int(valence[b, i])
-        violations[b].append(f"atom {compact[b, i]} ({symbol}) has bond order {total} > {limits[kind]}")
-    return [ValidityReport(ok=not texts, violations=tuple(texts)) for texts in violations]
 
 
 def from_graph(graph: MolecularGraph) -> Molecule:

@@ -447,9 +447,9 @@ def _spec_to_dict(spec: GraphSpec) -> dict:
 
 def _spec_from_dict(data: dict) -> GraphSpec:
     return GraphSpec(
-        num_nodes=_meta_field(data, "spec.num_nodes", _INT),
-        atom_vocab=tuple(_meta_field(data, "spec.atom_vocab", _TEXTS)),
-        bond_vocab=tuple(_meta_field(data, "spec.bond_vocab", _TEXTS)),
+        num_nodes=_meta_field(data, "spec.num_nodes", _COUNT),
+        atom_vocab=tuple(_meta_field(data, "spec.atom_vocab", _VOCAB)),
+        bond_vocab=tuple(_meta_field(data, "spec.bond_vocab", _VOCAB)),
     )
 
 
@@ -461,7 +461,10 @@ def _is_int(value) -> bool:
 _INT = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _COUNTS = (lambda v: isinstance(v, list) and all(_is_int(w) and w >= 1 for w in v), "a list of integers >= 1")
-_TEXTS = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v), "a list of strings")
+_VOCAB = (
+    lambda v: isinstance(v, list) and len(v) >= 2 and all(isinstance(w, str) for w in v),
+    "a list of two or more strings",
+)
 _CAP = (lambda v: (_is_int(v) or isinstance(v, float)) and 0 < v < math.inf, "a finite number > 0")
 _TRUE = (lambda v: v is True, "true: every model has batch norm")
 _BLOCK = (lambda v: isinstance(v, dict), "an object")

@@ -3,10 +3,11 @@
 Sampling draws latents from the prior with a temperature-scaled standard
 deviation (``z ~ N(0, (T*sigma)^2 I)``).  :func:`decode` is the one path from
 latents to molecules: it inverts the adjacency stack first, discretizes, then
-inverts the node-feature stack, and checks each decoded batch's graph
-invariants once and its valences once, on the arrays.  Metrics follow the usual
-validity / novelty / uniqueness / reconstruction definitions with canonical
-strings as keys.
+inverts the node-feature stack, checks each decoded batch's graph invariants
+once on the arrays, and checks each decoded molecule's valences once with
+:func:`~graphnvp.chem.check_validity`.  Metrics follow the usual validity /
+novelty / uniqueness / reconstruction definitions with canonical strings as
+keys.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chem import Molecule, _molecules, _validity, check_validity, from_graphs, write_smiles_canonical
+from .chem import Molecule, _molecules, check_validity, from_graphs, write_smiles_canonical
 from .errors import GnvpError
 from .flow import FlowModel, GaussianPrior, _atomic_open, write_csv
 from .graphs import DEQUANT_NOISE, MolecularGraph, _discretized, dequantize, first_failures, stack_graphs
@@ -63,7 +64,8 @@ class GeneratedSample:
 
 def decode(model: FlowModel, latents: np.ndarray) -> list[GeneratedSample]:
     """Invert latent vectors [batch, D], project each onto a discrete graph
-    and read off its molecule; invalid molecules are kept and flagged."""
+    and read off its molecule; invalid molecules are kept and flagged with
+    the valid flag and violation texts of their :func:`check_validity`."""
     spec = model.spec
     # The one-hot adjacency that conditioned the node-feature stack is the
     # argmax discretization needs; the adjacency scores are dropped at once.
@@ -71,15 +73,11 @@ def decode(model: FlowModel, latents: np.ndarray) -> list[GeneratedSample]:
     features, bonds = model._inverse(latents)[1:]
     adjacency, features = _discretized(spec, bonds, features)
     del bonds  # the chemistry below reads only its C-order copy
-    return [
-        GeneratedSample(MolecularGraph(spec, a, x), molecule, report.ok, report.violations)
-        for a, x, molecule, report in zip(
-            adjacency,
-            features,
-            _molecules(spec, adjacency, features),
-            _validity(spec, adjacency, features),
-        )
-    ]
+    samples = []
+    for a, x, molecule in zip(adjacency, features, _molecules(spec, adjacency, features)):
+        report = check_validity(molecule)
+        samples.append(GeneratedSample(MolecularGraph(spec, a, x), molecule, report.ok, report.violations))
+    return samples
 
 
 def generate(model: FlowModel, config: SampleConfig) -> list[GeneratedSample]:
@@ -223,7 +221,9 @@ def temperature_sweep(
     """Metric means over :data:`SWEEP_RUNS` seeded repetitions per temperature.
 
     Run ``k`` uses seed ``config.seed + k`` at every temperature, so rows are
-    paired across temperatures.  Rows come back sorted by temperature.
+    paired across temperatures.  Rows come back sorted by temperature.  Only
+    ``config.num_samples`` and ``config.seed`` are read; ``temps`` sets every
+    temperature, and ``config.temperature`` is ignored.
     """
     if not temps:
         raise GnvpError("temperature_sweep needs at least one temperature")

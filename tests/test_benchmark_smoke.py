@@ -1,7 +1,8 @@
 """The benchmark's paths run against the package: ``perfbench/fixture.py``
 trains and saves infer-qm9's checkpoint, and ``perfbench/worker.py`` runs one
 op of each workload after its warm-up op, in child processes as
-``perfbench/run.py`` starts them, and train-qm9 once more with ``--trace 1``.
+``perfbench/run.py`` starts them, and each workload once more with
+``--trace 1``.
 ``tests/test_trace_contract.py`` covers the names the tracer wraps; this
 covers the calls the workloads make themselves."""
 import json
@@ -59,3 +60,15 @@ def test_worker_runs_one_traced_op(tmp_path):
     assert len(trace["untraced_ops"]) == 1 and len(trace["traced_ops"]) == 1
     assert trace["ops"]["train.adam_step"]["calls"] > 0 and trace["tape_records"] > 0
     assert (tmp_path / "spans-train-qm9.jsonl.gz").exists()
+
+
+def test_worker_runs_one_traced_infer_op(bench_dir):
+    """A traced infer-qm9 op checks every decoded molecule's valences once,
+    so the wrapped ``check_validity`` runs at least once per generated sample."""
+    args = ["--workload", "infer-qm9", "--seed", "0", "--seconds", "0", "--trace", "1"]
+    args += ["--t0", repr(time.monotonic()), "--out-dir", str(bench_dir), "--fixture", str(bench_dir / "fixture.gnvp")]
+    result = _run("worker.py", *args)
+    assert (result["failed"], result["errors"]) == (0, [])
+    trace = result["trace"]
+    assert len(trace["traced_ops"]) == 1 and trace["generated"] > 0
+    assert trace["ops"]["chem.check_validity"]["calls"] >= trace["generated"]

@@ -3,7 +3,6 @@ import pytest
 
 from graphnvp.chem import (
     Molecule,
-    _validity,
     bundled_corpus_path,
     check_validity,
     from_graph,
@@ -14,7 +13,7 @@ from graphnvp.chem import (
     write_smiles_canonical,
 )
 from graphnvp.errors import ChemError, DatasetError, GraphError, SmilesParseError
-from graphnvp.graphs import GraphSpec, MolecularGraph, discretize_argmax, qm9lite_spec, stack_graphs, zinclite_spec
+from graphnvp.graphs import MolecularGraph, discretize_argmax, qm9lite_spec, zinclite_spec
 from graphnvp.tensor import make_rng
 
 from conftest import permute_nodes
@@ -192,37 +191,24 @@ def test_validity_unknown_symbol_raises():
         check_validity(Molecule(["Xx"], []))
 
 
-def test_array_valence_check_equals_check_validity(qm9_corpus):
-    """``_validity`` on stacked arrays gives each molecule's
-    ``check_validity`` report: flags, atom counts and violation texts."""
-    from conftest import random_graph
-
-    rng = make_rng(3)
-    for spec in (qm9lite_spec(), zinclite_spec()):
-        graphs = [random_graph(spec, rng) for _ in range(60)]
-        empty_a, empty_x = np.zeros(spec.adjacency_shape()), np.zeros(spec.feature_shape())
-        empty_a[..., spec.virtual_bond] = empty_x[:, spec.virtual_atom] = 1.0
-        graphs.append(MolecularGraph(spec, empty_a, empty_x))
-        reports = _validity(spec, *stack_graphs(graphs))
-        assert reports == [check_validity(m) for m in from_graphs(graphs)]
-        assert not reports[-1].ok and reports[-1].violations == ("molecule has no atoms",)
-        assert sum(r.ok for r in reports) and sum(not r.ok for r in reports[:-1])
-    corpus = _validity(qm9lite_spec(), *stack_graphs(qm9_corpus))
-    assert corpus == [check_validity(m) for m in from_graphs(qm9_corpus)]
-    assert all(r.ok for r in corpus)
-
-
-def test_array_valence_check_unknown_symbol_raises_like_check_validity():
-    spec = GraphSpec(num_nodes=3, atom_vocab=("C", "Xx", "*"))
-    graphs = [
-        to_graph(Molecule(["C", "C"], [(0, 1, 1)]), spec),
-        to_graph(Molecule(["C", "Xx", "C"], [(0, 1, 2)]), spec),
-    ]
-    with pytest.raises(ChemError) as per_molecule:
-        [check_validity(m) for m in from_graphs(graphs)]
-    with pytest.raises(ChemError) as batched:
-        _validity(spec, *stack_graphs(graphs))
-    assert str(batched.value) == str(per_molecule.value) == "no valence entry for atom symbol 'Xx'"
+@pytest.mark.parametrize(
+    "molecule, message",
+    [
+        (Molecule(["C", "O"], [(0, -1, 2)]), "bond (0, -1) references a missing atom"),
+        (Molecule(["C"], [(0, 5, 1)]), "bond (0, 5) references a missing atom"),
+        (Molecule(["C", "C"], [(0, 0, 1)]), "atom 0 bonded to itself"),
+        (Molecule(["C", "C"], [(0, 1, 4)]), "bond order 4 not in 1..3"),
+        (Molecule(["C", "C"], [(0, 1, 0)]), "bond order 0 not in 1..3"),
+    ],
+)
+def test_validity_refuses_a_malformed_bond_like_validate(molecule, message):
+    """A bond end outside the atoms, a self-bond or an order outside 1..3 is
+    an error, worded as :meth:`Molecule.validate` words it, not a count."""
+    with pytest.raises(ChemError) as checked:
+        check_validity(molecule)
+    with pytest.raises(ChemError) as validated:
+        molecule.validate()
+    assert str(checked.value) == str(validated.value) == message
 
 
 def test_validity_permutation_invariant():

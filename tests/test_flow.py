@@ -778,6 +778,9 @@ def test_initialization_keeps_its_draws(build, expected):
         pytest.param(lambda meta: meta["model"].update(scale_cap=-5.0), "model.scale_cap", id="negative_cap"),
         pytest.param(lambda meta: meta["spec"].pop("atom_vocab"), "spec.atom_vocab", id="missing_vocab"),
         pytest.param(lambda meta: meta["spec"].update(num_nodes=True), "spec.num_nodes", id="bool"),
+        pytest.param(lambda meta: meta["spec"].update(num_nodes=0), "spec.num_nodes", id="zero_nodes"),
+        pytest.param(lambda meta: meta["spec"].update(atom_vocab=["C"]), "spec.atom_vocab", id="one_atom"),
+        pytest.param(lambda meta: meta["spec"].update(bond_vocab=["single"]), "spec.bond_vocab", id="one_bond"),
         pytest.param(lambda meta: meta.update(spec=[3]), "spec", id="spec_list"),
         pytest.param(lambda meta: meta.pop("model"), "model", id="missing_model"),
         pytest.param(lambda meta: meta.update(optimizer={"step": 1, "epoch": 1}), "optimizer.rng_state", id="optimizer"),

@@ -100,38 +100,39 @@ def test_decode_checks_each_batch_and_each_molecule_once(monkeypatch, small_qm9_
     import graphnvp.latent as latent
     import graphnvp.sampling as sampling
 
-    batches, valence_batches, molecules = [], [], []
+    batches, molecules, limits = [], [], []
     check_original, failures_original = chem.check_validity, graphs.first_failures
-    validity_original = chem._validity
+    limit_original = chem._valence_limit
 
     def counted_failures(spec, adjacency, features):
         batches.append(np.shape(features)[:-2])
         return failures_original(spec, adjacency, features)
 
-    def counted_validity(spec, adjacency, features):
-        valence_batches.append(np.shape(features)[:-2])
-        return validity_original(spec, adjacency, features)
-
     def counted_check(molecule, *args):
         molecules.append(molecule)
         return check_original(molecule, *args)
 
+    def counted_limit(symbol):
+        limits.append(symbol)
+        return limit_original(symbol)
+
     for module in (graphs, sampling):
         monkeypatch.setattr(module, "first_failures", counted_failures)
-    for module in (chem, sampling):
-        monkeypatch.setattr(module, "_validity", counted_validity)
     for module in (chem, sampling, latent):
         monkeypatch.setattr(module, "check_validity", counted_check)
+    monkeypatch.setattr(chem, "_valence_limit", counted_limit)
     for name, run, count in _decode_runs(small_qm9_model):
         batches.clear()
-        valence_batches.clear()
         molecules.clear()
+        limits.clear()
         out = run()
         assert len(out) == count, name
         assert batches == [(count,)], name
-        # One valence pass over the whole batch, none per molecule.
-        assert valence_batches == [(count,)], name
-        assert molecules == [], name
+        # One valence check per decoded molecule, on that molecule object.
+        assert len(molecules) == count, name
+        assert all(checked is item.molecule for checked, item in zip(molecules, out)), name
+        # Every valence limit read comes from those checks: no other pass.
+        assert limits == [symbol for m in molecules for symbol in m.atoms], name
 
 
 def test_valid_flags_equal_the_valence_check(small_qm9_model):

@@ -380,13 +380,14 @@ def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_mode
 
 def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
     """The sweep's metrics take each sample's valid flag from ``generate``,
-    which checks the valences of each decoded batch in one array pass."""
+    which builds each decoded batch's molecules in one array pass and checks
+    each molecule's valences once."""
     import graphnvp.sampling as sampling
 
     rng = make_rng(18)
     train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
     calls, batches = [], []
-    check_original, validity_original = sampling.check_validity, sampling._validity
+    check_original, molecules_original = sampling.check_validity, sampling._molecules
 
     def counted(molecule):
         calls.append(1)
@@ -394,14 +395,14 @@ def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
 
     def counted_batch(spec, adjacency, features):
         batches.append(len(features))
-        return validity_original(spec, adjacency, features)
+        return molecules_original(spec, adjacency, features)
 
     monkeypatch.setattr(sampling, "check_validity", counted)
-    monkeypatch.setattr(sampling, "_validity", counted_batch)
+    monkeypatch.setattr(sampling, "_molecules", counted_batch)
     config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
     temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config)
     assert batches == [20] * (3 * SWEEP_RUNS)
-    assert calls == []
+    assert len(calls) == 3 * SWEEP_RUNS * 20
 
 
 def test_sweep_rejects_empty_or_bad_temps(random_toy_model):
