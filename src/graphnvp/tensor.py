@@ -22,20 +22,28 @@ Each record keeps a needs-gradient mask, one flag per input saying whether it
 depends on a watched tensor; the vjp receives it and returns ``None`` for the
 inputs that do not, instead of computing a gradient nobody reads.
 
-Memory.  A tape is single-use: :meth:`GradientTape.gradients` drops each
-record as soon as its vjp has run, so the arrays only that record held are
-freed while the replay goes on, and a second replay raises.  Two vjps
-recompute an intermediate instead of keeping it, with the forward's own
-operations, so the gradients keep their bits: ``graph_conv`` its relation
-messages ``a_rows @ h`` [rows, R*F], and ``batch_norm`` its normalized input
-``(x - mean) * inv_std``.  Watched tensors come in groups, and each group's
-gradients are handed to the tape's consumer, then dropped, as soon as the
-replay has finished them, so a consumer that applies them at once never holds
-a gradient of every parameter.  The default consumer, :class:`Gradients`,
-collects them by watched name.
+Memory.  A record keeps only what its vjp reads.  It names its inputs and
+output by key, a serial number each tensor gets when it is made, so no record
+keeps a tensor alive; and the vjps of ``add``, ``sub``, ``reshape``,
+``index_axis``, ``masked_assign``, ``sum_axis``, ``mean_axis`` and
+``slice_axis`` keep shapes, not operands.  So an intermediate that no vjp
+reads is freed once the forward has moved past it.  Unlike ``id()``, a key is
+never handed on from a freed tensor to a new one.  A tape is single-use:
+:meth:`GradientTape.gradients` drops each record as soon as its vjp has run,
+so the arrays only that record held are freed while the replay goes on, and a
+second replay raises.  Two vjps recompute an intermediate instead of keeping
+it, with the forward's own operations, so the gradients keep their bits:
+``graph_conv`` its relation messages ``a_rows @ h`` [rows, R*F], and
+``batch_norm`` its normalized input ``(x - mean) * inv_std``.  Watched
+tensors come in groups, and each group's gradients are handed to the tape's
+consumer, then dropped, as soon as the replay has finished them, so a
+consumer that applies them at once never holds a gradient of every
+parameter.  The default consumer, :class:`Gradients`, collects them by
+watched name.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -78,15 +86,20 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+# Each tensor's key; unlike ``id()``, never reused within the process.
+_serial = itertools.count()
+
+
 class Tensor:
-    """Immutable dense array of float64 scalars.
+    """Immutable dense array of float64 scalars, and the ``key`` a tape
+    knows it by.
 
     Parameters are the exception: each is a read-only view of its model's
     vector, which :func:`~graphnvp.train.adam_step` and ``set_parameter``
     write into in place.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "key")
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64)
@@ -94,6 +107,7 @@ class Tensor:
             raise NumericError("tensor constructed with non-finite values")
         arr.flags.writeable = False
         self.data = arr
+        self.key = next(_serial)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,16 +141,20 @@ def _frozen(arr: np.ndarray) -> Tensor:
     arr = np.asarray(arr, dtype=np.float64)
     arr.flags.writeable = False
     out.data = arr
+    out.key = next(_serial)
     return out
 
 
 class _Record:
-    """One recorded op.  ``vjp(g, needs)`` returns one gradient per input, or
-    ``None`` where ``needs`` (the needs-gradient mask) is False."""
+    """One recorded op: the keys of its inputs and of its output, and its
+    vjp.  ``vjp(g, needs)`` returns one gradient per input, or ``None``
+    where ``needs`` (the needs-gradient mask) is False.  The record holds no
+    tensor, so an input or output lives only as long as the forward or a
+    vjp refers to it."""
 
     __slots__ = ("inputs", "output", "vjp", "needs")
 
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, vjp, needs: tuple[bool, ...]):
+    def __init__(self, inputs: tuple[int, ...], output: int, vjp, needs: tuple[bool, ...]):
         self.inputs = inputs
         self.output = output
         self.vjp = vjp
@@ -186,20 +204,21 @@ class GradientTape:
         watched for another tensor, raises ``ValueError``."""
         if self.parameters.get(name, tensor) is not tensor:
             raise ValueError(f"name {name!r} is already watched for another tensor")
-        other = self._names.setdefault(id(tensor), name)
+        other = self._names.setdefault(tensor.key, name)
         if other != name:
             raise ValueError(f"tensor watched as {other!r} cannot also be watched as {name!r}")
         self.parameters[name] = tensor
         self.groups[name] = name if group is None else group
-        self._tracked.add(id(tensor))
+        self._tracked.add(tensor.key)
         return tensor
 
     def _maybe_record(self, inputs: tuple[Tensor, ...], output: Tensor, vjp) -> None:
         tracked = self._tracked
-        needs = tuple(id(t) in tracked for t in inputs)
+        keys = tuple(t.key for t in inputs)
+        needs = tuple(k in tracked for k in keys)
         if True in needs:
-            self.records.append(_Record(inputs, output, vjp, needs))
-            tracked.add(id(output))
+            self.records.append(_Record(keys, output.key, vjp, needs))
+            tracked.add(output.key)
 
     def gradients(self, loss: Tensor) -> "Gradients | None":
         """Gradient of a scalar ``loss`` with respect to every watched tensor.
@@ -226,19 +245,19 @@ class GradientTape:
         collected = None
         if consumer is None:
             collected = consumer = Gradients(self.parameters)
-        members: dict[str, list[tuple[str, Tensor]]] = {}
+        members: dict[str, list[tuple[str, int]]] = {}
         group_of: dict[int, str] = {}
         for name, p in self.parameters.items():
-            group = group_of[id(p)] = self.groups[name]
-            members.setdefault(group, []).append((name, p))
+            group = group_of[p.key] = self.groups[name]
+            members.setdefault(group, []).append((name, p.key))
         # The index of the earliest record reading each group: the group is
         # final once that record has been replayed.
         first: dict[str, int] = {}
         records = self.records
         for i, rec in enumerate(records):
-            for t, need in zip(rec.inputs, rec.needs):
-                if need and id(t) in group_of:
-                    first.setdefault(group_of[id(t)], i)
+            for key, need in zip(rec.inputs, rec.needs):
+                if need and key in group_of:
+                    first.setdefault(group_of[key], i)
         final_at: dict[int, list[str]] = {}
         for group, i in first.items():
             final_at.setdefault(i, []).append(group)
@@ -246,22 +265,22 @@ class GradientTape:
 
         def hand_over(group: str) -> None:
             out = []
-            for name, p in members[group]:
-                g = grads.pop(id(p), None)
+            for name, key in members[group]:
+                g = grads.pop(key, None)
                 if g is not None:
                     check_finite(g, f"backward of {group}")
                 out.append((name, g))
             consumer(group, out)
 
-        grads[id(loss)] = np.ones((), dtype=np.float64)
+        grads[loss.key] = np.ones((), dtype=np.float64)
         while records:
             rec = records.pop()
-            g_out = grads.pop(id(rec.output), None)
+            g_out = grads.pop(rec.output, None)
             if g_out is not None:
-                for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
+                for key, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
                     if g is not None:
-                        acc = grads.get(id(t))
-                        grads[id(t)] = g if acc is None else acc + g
+                        acc = grads.get(key)
+                        grads[key] = g if acc is None else acc + g
             del rec, g_out  # frees what only this record held before the next vjp runs
             for group in final_at.pop(len(records), ()):
                 hand_over(group)
@@ -324,11 +343,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "add")
     out = _wrap(a.data + b.data, "add")
+    sa, sb = a.shape, b.shape
 
     def vjp(g: np.ndarray, needs):
         return (
-            _unbroadcast(g, a.shape) if needs[0] else None,
-            _unbroadcast(g, b.shape) if needs[1] else None,
+            _unbroadcast(g, sa) if needs[0] else None,
+            _unbroadcast(g, sb) if needs[1] else None,
         )
 
     return _record((a, b), out, vjp)
@@ -337,11 +357,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "sub")
     out = _wrap(a.data - b.data, "sub")
+    sa, sb = a.shape, b.shape
 
     def vjp(g: np.ndarray, needs):
         return (
-            _unbroadcast(g, a.shape) if needs[0] else None,
-            _unbroadcast(-g, b.shape) if needs[1] else None,
+            _unbroadcast(g, sa) if needs[0] else None,
+            _unbroadcast(-g, sb) if needs[1] else None,
         )
 
     return _record((a, b), out, vjp)
@@ -439,9 +460,10 @@ def sum_axis(x: Tensor, axis=None) -> Tensor:
     """Sum over the given axis (int, tuple, or None for all)."""
     axes = _norm_axes(axis, x.ndim, "sum")
     out = _wrap(x.data.sum(axis=axes), "sum")
+    shape = x.shape
 
     def vjp(g: np.ndarray, needs):
-        return (np.broadcast_to(np.expand_dims(g, axes), x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape).copy(),)
 
     return _record((x,), out, vjp)
 
@@ -451,9 +473,10 @@ def mean_axis(x: Tensor, axis=None) -> Tensor:
     axes = _norm_axes(axis, x.ndim, "mean")
     count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
     out = _wrap(x.data.mean(axis=axes), "mean")
+    shape = x.shape
 
     def vjp(g: np.ndarray, needs):
-        return (np.broadcast_to(np.expand_dims(g, axes), x.shape).copy() / count,)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape).copy() / count,)
 
     return _record((x,), out, vjp)
 
@@ -488,9 +511,10 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice: range [{start}, {stop}) invalid for shape {x.shape} axis {axis}")
     idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.ndim))
     out = _wrap(x.data[idx], "slice")
+    shape = x.shape
 
     def vjp(g: np.ndarray, needs):
-        full = np.zeros(x.shape)
+        full = np.zeros(shape)
         full[idx] = g
         return (full,)
 
@@ -503,10 +527,11 @@ def index_axis(x: Tensor, axis: int, index: int) -> Tensor:
     if not 0 <= index < x.shape[axis]:
         raise ShapeError(f"index: {index} out of range for shape {x.shape} axis {axis}")
     out = _wrap(np.take(x.data, index, axis=axis), "index")
+    shape = x.shape
 
     def vjp(g: np.ndarray, needs):
-        full = np.zeros(x.shape)
-        idx = tuple(slice(None) if i != axis else index for i in range(x.ndim))
+        full = np.zeros(shape)
+        idx = tuple(slice(None) if i != axis else index for i in range(len(shape)))
         full[idx] = g
         return (full,)
 
@@ -529,11 +554,12 @@ def masked_assign(x: Tensor, mask: np.ndarray, y: Tensor) -> Tensor:
             f"masked_assign: mask shape {mask.shape} does not match trailing axes of {x.shape}"
         )
     out = _wrap(np.where(keep, x.data, y.data), "masked_assign")
+    sx, sy = x.shape, y.shape
 
     def vjp(g: np.ndarray, needs):
         return (
-            _unbroadcast(np.where(keep, g, 0.0), x.shape) if needs[0] else None,
-            _unbroadcast(np.where(keep, 0.0, g), y.shape) if needs[1] else None,
+            _unbroadcast(np.where(keep, g, 0.0), sx) if needs[0] else None,
+            _unbroadcast(np.where(keep, 0.0, g), sy) if needs[1] else None,
         )
 
     return _record((x, y), out, vjp)
@@ -544,7 +570,8 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view shape {x.shape} as {shape}")
     out = _wrap(x.data.reshape(shape), "reshape")
-    return _record((x,), out, lambda g, needs: (g.reshape(x.shape),))
+    source = x.shape
+    return _record((x,), out, lambda g, needs: (g.reshape(source),))
 
 
 # ---------------------------------------------------------------------------

@@ -183,17 +183,19 @@ def _train_step(
     batch: Sequence[MolecularGraph],
     rng: np.random.Generator,
     update: Callable,
+    watched: list[tuple[str, Tensor, str]],
     epoch: int,
 ) -> float:
     """Forward, then the replay that hands each layer group's gradients to
     ``update`` (:func:`_adam_by_group`) as it finishes them; returns the
-    batch loss.  The step's tape and loss are freed when it returns, before
-    the next step's forward."""
+    batch loss.  ``watched`` lists each parameter's name, tensor and layer
+    group in sorted name order.  The step's tape and loss are freed when it
+    returns, before the next step's forward."""
     step = state.step + 1
     try:
         with GradientTape(update) as tape:
-            for name, p in sorted(model.named_parameters()):
-                tape.watch(name, p, _group(name))
+            for name, p, group in watched:
+                tape.watch(name, p, group)
             loss = nll_loss(model, batch, rng)
         state.step = step
         tape.gradients(loss)
@@ -241,6 +243,7 @@ def train(
     if resume_state is not None:  # a fresh state holds the model's vector already
         model._bind(state.params)
     update = _adam_by_group(model, state, config)
+    watched = [(name, p, _group(name)) for name, p in sorted(model.named_parameters())]
 
     records: list[EpochRecord] = []
     n = len(dataset)
@@ -252,7 +255,7 @@ def train(
         total_nll = 0.0
         for lo in range(0, n, config.batch_size):
             batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
-            total_nll += _train_step(model, state, batch, rng, update, epoch) * len(batch)
+            total_nll += _train_step(model, state, batch, rng, update, watched, epoch) * len(batch)
         state.epoch = epoch
         records.append(
             EpochRecord(

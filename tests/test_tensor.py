@@ -1,5 +1,6 @@
 import itertools
 import threading
+import weakref
 import zlib
 
 import numpy as np
@@ -11,7 +12,7 @@ from graphnvp import kernels as K
 from graphnvp import tensor as T
 from graphnvp.chem import bundled_corpus_path, load_dataset
 from graphnvp.errors import NumericError, ShapeError
-from graphnvp.flow import FlowModel
+from graphnvp.flow import AdjacencyCouplingLayer, FlowModel
 from graphnvp.graphs import qm9lite_spec
 from graphnvp.nets import BatchNorm, Linear, RelGraphRound
 from graphnvp.tensor import (
@@ -818,16 +819,16 @@ def test_batch_norm_row_out_of_range():
 def _replay_keeping_every_record(records, parameters, loss):
     """The replay before the tape freed itself: every record kept until the
     end, each gradient summed out of place into its own array."""
-    grads = {id(loss): np.ones(())}
+    grads = {loss.key: np.ones(())}
     for rec in reversed(records):
-        g_out = grads.pop(id(rec.output), None)
+        g_out = grads.pop(rec.output, None)
         if g_out is None:
             continue
-        for t, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
+        for key, g in zip(rec.inputs, rec.vjp(g_out, rec.needs)):
             if g is not None:
-                acc = grads.get(id(t))
-                grads[id(t)] = g if acc is None else acc + g
-    return {name: grads.get(id(p), np.zeros(p.shape)) for name, p in parameters.items()}
+                acc = grads.get(key)
+                grads[key] = g if acc is None else acc + g
+    return {name: grads.get(p.key, np.zeros(p.shape)) for name, p in parameters.items()}
 
 
 def test_qm9lite_step_gradients_equal_a_replay_that_keeps_every_record():
@@ -851,6 +852,58 @@ def test_qm9lite_step_gradients_equal_a_replay_that_keeps_every_record():
     assert max(np.abs(g.data).max() for g in grads.values()) > 0.0
 
 
+def test_adjacency_copies_of_z_are_freed_once_the_next_layer_has_read_them(monkeypatch):
+    """The tape keeps no tensor that no vjp reads: each adjacency layer's
+    output but the last is freed during the training forward, before the
+    replay runs, and the gradients keep the bits of a replay that kept every
+    record of an untouched forward."""
+    spec = qm9lite_spec()
+    batch = load_dataset(bundled_corpus_path("qm9lite"), spec)[:32]
+    outputs = []
+    original = AdjacencyCouplingLayer.forward
+
+    def tracked_forward(self, z):
+        out, log_det = original(self, z)
+        outputs.append(weakref.ref(out.data))
+        return out, log_det
+
+    def step(forward):
+        monkeypatch.setattr(AdjacencyCouplingLayer, "forward", forward)
+        model = randomize_model(FlowModel(spec, seed=0), seed=5)
+        with GradientTape() as tape:
+            for name, p in sorted(model.named_parameters()):
+                tape.watch(name, p)
+            loss = nll_loss(model, batch, make_rng(0))
+        return tape, loss
+
+    tape, loss = step(tracked_forward)
+    assert len(outputs) == 27
+    assert [k for k, ref in enumerate(outputs[:-1]) if ref() is not None] == []
+    grads = tape.gradients(loss)
+    untouched, untouched_loss = step(original)
+    expected = _replay_keeping_every_record(list(untouched.records), untouched.parameters, untouched_loss)
+    assert list(grads) == sorted(expected)
+    for name, g in grads.items():
+        assert g.data.tobytes() == expected[name].tobytes(), name
+
+
+def test_a_freed_input_hands_its_key_to_no_later_tensor():
+    """Once a recorded intermediate is freed, a tensor that reuses its
+    ``id()`` is still untracked: no op on it is recorded."""
+    p = Tensor(np.ones(3))
+    with GradientTape() as tape:
+        tape.watch("p", p)
+        h = add(p, p)
+        freed_id, freed_key = id(h), h.key
+        del h
+        reused = [Tensor(np.zeros(3)) for _ in range(100)]
+        for t in reused:
+            mul(t, t)
+    assert len(tape.records) == 1 and tape.records[0].output == freed_key
+    assert all(t.key > freed_key for t in reused)
+    assert any(id(t) == freed_id for t in reused)  # the case the keys exist for
+
+
 _FUSED = ("linear", "graph_conv", "batch_norm", "replace_row")
 
 # What each fused op's vjp kernel reads between ``g`` and the needs mask,
@@ -866,13 +919,13 @@ _KERNEL_ARGS = {
 def _fused_training_records(monkeypatch):
     """One toy training step's tape and loss, and each record a fused op
     made, with that op's name; the four ops are wrapped to tell."""
-    made = {}  # id of each fused output -> (op, the output, kept alive so ids stay unique)
+    made = {}  # key of each fused output -> op
     for op in _FUSED:
 
         def traced(*args, original=getattr(T, op), op=op, **kwargs):
             out = original(*args, **kwargs)
             tensor = out[0] if isinstance(out, tuple) else out
-            made[id(tensor)] = (op, tensor)
+            made[tensor.key] = op
             return out
 
         monkeypatch.setattr(T, op, traced)
@@ -883,7 +936,7 @@ def _fused_training_records(monkeypatch):
             tape.watch(name, p)
         loss = nll_loss(model, batch, make_rng(0))
     monkeypatch.undo()
-    return tape, loss, [(made[id(rec.output)][0], rec) for rec in tape.records if id(rec.output) in made]
+    return tape, loss, [(made[rec.output], rec) for rec in tape.records if rec.output in made]
 
 
 def test_every_fused_record_names_its_op(monkeypatch):
