@@ -52,7 +52,8 @@ def linear_vjp(g, x, w, needs) -> tuple:
 
 
 def graph_conv(h, a_rows, w_rel, w_self, b, row: int | None = None, out: tuple | None = None) -> np.ndarray:
-    """One R-GCN round (see :func:`~graphnvp.tensor.graph_conv`), unchecked.
+    """One R-GCN round (see :func:`~graphnvp.tensor.graph_conv`), unchecked;
+    with ``b`` None, the product alone, no bias added.
 
     Returns every node's output [batch, N, H], or node ``row``'s alone
     [batch, H]: a fresh array, or the first array of ``out`` (two [rows, H]
@@ -69,7 +70,8 @@ def graph_conv(h, a_rows, w_rel, w_self, b, row: int | None = None, out: tuple |
     y_out, self_out = out or (None, None)
     y = np.matmul(messages, w_rel.reshape(r * f, hidden), out=y_out)
     y += np.matmul(h_self, w_self, out=self_out)
-    y += b
+    if b is not None:
+        y += b
     return y if row is not None else y.reshape(batch, n, hidden)
 
 

@@ -13,15 +13,18 @@ b'`` from the running statistics.  :class:`MlpNet`, which holds most of the
 weights, applies that map without a copy of any weight: per hidden layer one
 GEMM with the parameter's own weight, its output scaled by ``s`` and shifted
 by ``b'`` in place, one finiteness check, then relu in place.
-:class:`RelationalGraphConvNet` folds ``s`` into copies of its round weights
-instead (Jacob et al. 2018, §3.2): those copies are small, while its all-node
-rounds have one output row per node of every sample, and an extra scaling
-pass over them measured slower.  Per round it runs one R-GCN round with the
-folded weights, the bias added in place, a finiteness check, then tanh in
-place, over one block of samples at a time, so the all-node rounds' scratch
-arrays are sized for one block.  The arrays eval runs on are cached on their
-net, tagged with a module-level version counter that every parameter or
-buffer change bumps.
+:class:`RelationalGraphConvNet` does the same in its last round, which
+computes the target row alone, [batch, H].  Its all-node rounds fold ``s``
+into copies of their weights instead (Jacob et al. 2018, §3.2): those copies
+are small (13 KiB a round on qm9lite), while those rounds have one output row
+per node of every sample, and an extra scaling pass over them measured
+slower.  Per all-node round it runs one R-GCN round with the folded weights,
+the bias added in place, a finiteness check, then tanh in place, over one
+block of samples at a time, so their scratch arrays are sized for one block.
+When a scaled product is non-finite, the layer's output is recomputed
+unscaled to name the op that the unfolded eval would: the layer's own, or
+``batch_norm``.  The arrays eval runs on are cached on their net, tagged with
+a module-level version counter that every parameter or buffer change bumps.
 
 A module built with ``rng=None`` draws nothing: each randomly initialized
 weight is a placeholder that holds no memory, for a checkpoint load to
@@ -229,15 +232,42 @@ class _ConditionerNet(Module):
         any parameter or buffer change."""
         version = _version
         if self._cache[0] != version:
-            ch = self._children
-            layers = [self._eval_layer(ch[f"{self._layer}{k}"], ch[f"bn{k}"]) for k in range(self.depth)]
-            head = ch["head"]._params
+            layers = [self._eval_layer(k) for k in range(self.depth)]
+            head = self._children["head"]._params
             self._cache = (version, layers + [(head["weight"].data, head["bias"].data)])
         return self._cache[1]
 
+    def _eval_layer(self, k: int) -> tuple[np.ndarray, ...]:
+        """The arrays eval runs hidden layer ``k`` and its batch norm with:
+        where :meth:`_folds` says so, the layer's arrays with batch norm
+        folded in (:meth:`BatchNorm.fold`); else the layer's own weights,
+        not copies, then the scale ``s`` and the bias ``b'`` of
+        :meth:`BatchNorm.eval_affine` for their product."""
+        layer, norm = self._children[f"{self._layer}{k}"], self._children[f"bn{k}"]
+        if self._folds(k):
+            return norm.fold(layer)
+        p = layer._params
+        return (*(v.data for name, v in p.items() if name != "bias"), *norm.eval_affine(p["bias"].data))
+
+    def _folds(self, k: int) -> bool:
+        """Whether eval runs hidden layer ``k`` on folded copies."""
+        return False
+
+    def _hidden_error(self, k: int, *inputs) -> NumericError:
+        """The error the unfolded eval raises when hidden layer ``k`` maps
+        ``inputs`` to a non-finite value: the layer's own, if its output
+        recomputed by :meth:`_layer_output` is already non-finite, else
+        batch norm's."""
+        try:
+            self._layer_output(self._children[f"{self._layer}{k}"], *inputs)
+        except NumericError as err:
+            return err
+        return NumericError("batch_norm produced a non-finite value")
+
     @staticmethod
-    def _eval_layer(layer: Module, norm: BatchNorm) -> tuple[np.ndarray, ...]:
-        """The arrays eval runs hidden ``layer`` and its batch norm with."""
+    def _layer_output(layer: Module, *inputs) -> np.ndarray:
+        """Hidden ``layer``'s output on ``inputs``, its bias added, checked
+        by its own op's name."""
         raise NotImplementedError
 
 
@@ -251,11 +281,6 @@ class MlpNet(_ConditionerNet):
             self.register_child(f"lin{k}", Linear(widths[k], widths[k + 1], rng))
             self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
         self.register_child("head", Linear(widths[-1], n_out, rng, zero_init=True))
-
-    @staticmethod
-    def _eval_layer(layer: Module, norm: BatchNorm) -> tuple[np.ndarray, ...]:
-        # The weight itself, not a copy: batch norm scales the product.
-        return (layer._params["weight"].data, *norm.eval_affine(layer._params["bias"].data))
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """Eval output [batch, n_out] for a finite array [batch, n_in]: per
@@ -272,14 +297,10 @@ class MlpNet(_ConditionerNet):
             h = np.maximum(y, 0.0, out=y)
         return K.linear(h, *head)
 
-    def _hidden_error(self, k: int, x: np.ndarray) -> NumericError:
-        """The error the unfolded eval raises when hidden layer ``k`` maps
-        ``x`` to a non-finite value: the layer's own, if its output
-        ``x @ weight + bias`` is already non-finite, else batch norm's."""
-        p = self._children[f"lin{k}"]._params
-        y = np.matmul(x, p["weight"].data)
-        y += p["bias"].data
-        return NumericError(f"{'batch_norm' if np.isfinite(y).all() else 'linear'} produced a non-finite value")
+    @staticmethod
+    def _layer_output(layer: Module, x: np.ndarray) -> np.ndarray:
+        p = layer._params
+        return K.linear(x, p["weight"].data, p["bias"].data)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = x
@@ -344,9 +365,16 @@ class RelationalGraphConvNet(_ConditionerNet):
             self.register_child(f"bn{k}", BatchNorm(widths[k + 1]))
         self.register_child("head", Linear(hidden, n_out, rng, zero_init=True))
 
+    def _folds(self, k: int) -> bool:
+        # The all-node rounds; the target round's [batch, H] product is
+        # scaled instead, so its weights are not copied.
+        return k < self.depth - 1
+
     @staticmethod
-    def _eval_layer(layer: Module, norm: BatchNorm) -> tuple[np.ndarray, ...]:
-        return norm.fold(layer)
+    def _layer_output(layer: Module, h: np.ndarray, a_rows: np.ndarray, row: int) -> np.ndarray:
+        p = layer._params
+        y = K.graph_conv(h, a_rows, p["rel_weight"].data, p["self_weight"].data, p["bias"].data, row)
+        return K.check_finite(y, "graph_conv")
 
     @staticmethod
     def _a_rows(adjacency: np.ndarray) -> np.ndarray:
@@ -357,7 +385,9 @@ class RelationalGraphConvNet(_ConditionerNet):
     def eval_array(self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict) -> np.ndarray:
         """Eval output [batch, n_out] for node ``row`` of a finite array
         [batch, N, n_in]: one :func:`~graphnvp.kernels.graph_conv` per round,
-        checked before its tanh, the last round for ``row`` alone.
+        checked before its tanh.  The all-node rounds run on folded weights;
+        the last round computes ``row`` alone, with its parameters' own
+        weights and no bias, and scales and shifts that product in place.
 
         The batch runs in ``max(1, batch // SAMPLE_BLOCK)`` near-equal blocks
         of samples, the larger first, each through every round and the head.
@@ -375,15 +405,18 @@ class RelationalGraphConvNet(_ConditionerNet):
         for k in range(blocks):
             stop = start + size + (k < extra)
             a_rows, h = self._a_rows(adjacency[start:stop]), x[start:stop]
-            for j, weights in enumerate(rounds):
-                target = row if j == self.depth - 1 else None
-                into = None
-                if target is None:
-                    # Round j reads round j-1's output, so the two alternate.
-                    shape = (h.shape[0] * n, weights[2].shape[0])
-                    into = tuple(_scratch(scratch, key, *shape) for key in (j % 2, "self_loop"))
-                h = K.activate(K.graph_conv(h, a_rows, *weights, target, into), "tanh", "graph_conv")
-            out[start:stop] = K.linear(h, *head)
+            for j, weights in enumerate(rounds[:-1]):
+                # Round j reads round j-1's output, so the two alternate.
+                shape = (h.shape[0] * n, weights[2].shape[0])
+                into = tuple(_scratch(scratch, key, *shape) for key in (j % 2, "self_loop"))
+                h = K.activate(K.graph_conv(h, a_rows, *weights, None, into), "tanh", "graph_conv")
+            w_rel, w_self, s, b = rounds[-1]
+            y = K.graph_conv(h, a_rows, w_rel, w_self, None, row)
+            y *= s
+            y += b
+            if not np.isfinite(y).all():
+                raise self._hidden_error(self.depth - 1, h, a_rows, row)
+            out[start:stop] = K.linear(np.tanh(y, out=y), *head)
             start = stop
         return out
 

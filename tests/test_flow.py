@@ -449,6 +449,40 @@ def test_forward_numeric_errors_keep_their_text_and_layer():
         assert str(err.value) == _oracle_forward_error(model, adjacency, features) == expected
 
 
+def test_target_round_numeric_errors_name_graph_conv_or_batch_norm():
+    """The R-GCN's target round scales its unfolded product: a non-finite
+    value there names ``graph_conv`` if the round's own output is already
+    non-finite, else ``batch_norm``, in the forward and in the inverse, as
+    the unfolded oracles do."""
+    rng = make_rng(53)
+    adjacency, features = dequantize([random_graph(TOY_SPEC, rng) for _ in range(4)], 0.9, rng)
+    z = make_rng(54).normal(size=(4, TOY_SPEC.latent_dim))
+    net = "node_1.translate_net"
+    # bn0 maps every node to tanh(100) = 1, so round1's self-loop product
+    # is six times 1e308 in every feature: +inf.
+    overflow = {
+        f"{net}.bn0.gamma": np.zeros(6),
+        f"{net}.bn0.beta": np.full(6, 100.0),
+        f"{net}.round1.self_weight": np.full((6, 6), 1e308),
+    }
+    for params, buffers, op in [
+        (overflow, {}, "graph_conv"),
+        ({}, {f"{net}.bn1.running_var": -np.ones(6)}, "batch_norm"),
+    ]:
+        model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
+        model.load_parameters({name: Tensor(value) for name, value in params.items()})
+        for name, value in buffers.items():
+            model.set_buffer(name, value)
+        expected = f"node_1: {op} produced a non-finite value"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as forward:
+                model.eval_forward(adjacency, features)
+            assert str(forward.value) == _oracle_forward_error(model, adjacency, features) == expected
+            with pytest.raises(NumericError) as inverse:
+                model.inverse_batch(z)
+            assert str(inverse.value) == _oracle_error(model, z) == expected
+
+
 def test_inverse_batch_leaves_its_input_unchanged_and_takes_read_only_arrays(random_toy_model):
     for batch in (1, 5):
         z = Tensor(make_rng(30 + batch).normal(size=(batch, TOY_SPEC.latent_dim))).data
