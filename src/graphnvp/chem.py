@@ -351,6 +351,17 @@ def _bond_text_between(molecule, a, b, nbrs) -> str:
 
 
 def _canonical_component(molecule: Molecule, members: list[int]) -> str:
+    """The least SMILES text over the leaves of the individualize-and-refine
+    search tree, each leaf a discrete ranking of ``members``.
+
+    Siblings that an automorphism maps onto each other have subtrees of the
+    same texts, so only one is searched (McKay & Piperno 2014).  A later
+    child is skipped when the molecule relabeled by its first leaf's ranking
+    equals the one relabeled by an explored sibling's first leaf: the two
+    rankings differ by an automorphism, which maps the parent's ordered
+    partition onto itself, and so fixes the path, and the first atom of each
+    sibling's target cell onto the other's.
+    """
     nbrs = molecule.neighbor_map()
     n = len(molecule.atoms)
     initial = {
@@ -369,24 +380,50 @@ def _canonical_component(molecule: Molecule, members: list[int]) -> str:
 
     best: list[str | None] = [None]
 
-    def search(colors: list[int]) -> None:
+    def target(colors: list[int]) -> list[int] | None:
+        """The tied cell of least color, or None for a discrete ranking."""
         cells: dict[int, list[int]] = {}
         for a in members:
             cells.setdefault(colors[a], []).append(a)
         tied = [c for c, atoms in sorted(cells.items()) if len(atoms) > 1]
-        if not tied:
-            rank = {a: colors[a] for a in members}
-            text = _serialize(molecule, members, rank, nbrs)
+        return cells[tied[0]] if tied else None
+
+    def individualize(colors: list[int], chosen: int) -> list[int]:
+        # Give the chosen atom a strictly smaller color, then re-refine.
+        branched = list(colors)
+        for a in members:
+            branched[a] = colors[a] * 2 + (0 if a == chosen else 1)
+        return _refine(branched, nbrs, members)
+
+    def relabeled(rank: list[int]) -> tuple:
+        """The molecule with each atom renumbered by the discrete ``rank``."""
+        atoms = tuple(molecule.atoms[a] for a in sorted(members, key=rank.__getitem__))
+        bonds = sorted((rank[a], rank[b], order) for a in members for b, order in nbrs[a] if rank[a] < rank[b])
+        return atoms, tuple(bonds)
+
+    def first_leaf(colors: list[int]) -> tuple:
+        while (cell := target(colors)) is not None:
+            colors = individualize(colors, cell[0])
+        return relabeled(colors)
+
+    def search(colors: list[int]) -> tuple:
+        """Search the subtree at ``colors``; return its first leaf's
+        relabeled molecule, as :func:`first_leaf` does."""
+        cell = target(colors)
+        if cell is None:
+            text = _serialize(molecule, members, {a: colors[a] for a in members}, nbrs)
             if best[0] is None or text < best[0]:
                 best[0] = text
-            return
-        cell = cells[tied[0]]
-        for chosen in cell:
-            branched = list(colors)
-            # Give the chosen atom a strictly smaller color, then re-refine.
-            for a in members:
-                branched[a] = colors[a] * 2 + (0 if a == chosen else 1)
-            search(_refine(branched, nbrs, members))
+            return relabeled(colors)
+        first = search(individualize(colors, cell[0]))
+        seen = {first}
+        for chosen in cell[1:]:
+            child = individualize(colors, chosen)
+            leaf = first_leaf(child)
+            if leaf not in seen:
+                seen.add(leaf)
+                search(child)
+        return first
 
     search(colors)
     assert best[0] is not None

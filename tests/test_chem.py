@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,46 @@ def test_canonical_highly_symmetric_ring():
     for _ in range(10):
         perm = list(rng.permutation(9))
         assert write_smiles_canonical(relabel(m, perm)) == reference
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
+        "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
+    ],
+)
+def test_canonical_prunes_automorphic_branches(text):
+    """Four and six CF3 groups: searching every tie-break, as many leaves as
+    the molecule has automorphisms, took 4.8 s for the first; with sibling
+    branches an automorphism maps together searched once, each string takes
+    milliseconds, and it does not change under relabeling."""
+    m = parse_smiles_lite(text)
+    start = time.perf_counter()
+    reference = write_smiles_canonical(m)
+    assert time.perf_counter() - start < 0.5
+    again = parse_smiles_lite(reference)
+    assert sorted(again.atoms) == sorted(m.atoms) and len(again.bonds) == len(m.bonds)
+    assert write_smiles_canonical(again) == reference
+    rng = make_rng(3)
+    for _ in range(5):
+        perm = list(rng.permutation(len(m.atoms)))
+        start = time.perf_counter()
+        assert write_smiles_canonical(relabel(m, perm)) == reference
+        assert time.perf_counter() - start < 0.5
+
+
+def test_canonical_searches_branches_no_automorphism_joins():
+    """A cubic graph on eight carbons with two triangles: refinement leaves
+    every atom in one cell, but the atoms outside the triangles have no
+    automorphism to those inside, so their branches must both be searched
+    for the string not to depend on the labels."""
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (1, 3), (2, 6), (5, 7)]
+    m = Molecule(["C"] * 8, [(a, b, 1) for a, b in edges])
+    reference = write_smiles_canonical(m)
+    rng = make_rng(4)
+    for _ in range(30):
+        assert write_smiles_canonical(relabel(m, list(rng.permutation(8)))) == reference
 
 
 # ---------------------------------------------------------------------------
