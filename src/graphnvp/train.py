@@ -229,7 +229,9 @@ def train(
     or another model of its structure.  Every step updates the state in
     place, so a run that raises or is interrupted leaves the state it was
     given part-way: its vectors and step count as they were at that moment,
-    its generator state as it was at the start.  A non-finite gradient
+    its epoch and generator state as they were at the end of the last
+    finished epoch.  So a state saved from ``on_epoch`` resumes bit-exactly
+    from that epoch.  A non-finite gradient
     raises :class:`TrainingError` naming the epoch, the step and the layer
     before that layer is updated, and writes no file; the layers the replay
     updated before it stay updated, and the step is counted.
@@ -256,7 +258,7 @@ def train(
         for lo in range(0, n, config.batch_size):
             batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
             total_nll += _train_step(model, state, batch, rng, update, watched, epoch) * len(batch)
-        state.epoch = epoch
+        state.epoch, state.rng_state = epoch, rng.bit_generator.state
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -273,7 +275,6 @@ def train(
             _save_finite(model, state, checkpoint_dir / f"epoch_{epoch:04d}.gnvp")
         if on_epoch is not None:
             on_epoch(records[-1])
-    state.rng_state = rng.bit_generator.state
     if checkpoint_dir is not None:
         _save_finite(model, state, checkpoint_dir / "model.gnvp")
     return state, records

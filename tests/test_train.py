@@ -333,6 +333,34 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     assert [r.mean_nll for r in merged] == [r.mean_nll for r in records_full]
 
 
+def test_state_saved_between_epochs_resumes_like_an_uninterrupted_run(tmp_path):
+    """The state ``train`` was given, saved from ``on_epoch`` after epoch 1
+    of 3, holds that epoch's generator state: resumed, it ends with the
+    parameters, moments and ``metrics.csv`` of the run it was saved from."""
+    dataset = toy_batch(count=12, seed=8)
+    config = TrainConfig(epochs=3, batch_size=4, seed=9)
+    model = toy_model(seed=3)
+    state = TrainState.fresh(model)
+
+    def save_after_first(record):
+        if record.epoch == 1:
+            save_train_state(tmp_path / "state.gnvp", state, model)
+
+    _, records = train(model, dataset, config, resume_state=state, on_epoch=save_after_first)
+    resumed_model, resumed = load_train_state(tmp_path / "state.gnvp", TOY_SPEC)
+    assert (resumed.epoch, resumed.step) == (1, 3)
+    _, rest = train(resumed_model, dataset, config, resume_state=resumed)
+    for got, want in [
+        (resumed.params, state.params),
+        (resumed.first_moment, state.first_moment),
+        (resumed.second_moment, state.second_moment),
+    ]:
+        assert got.tobytes() == want.tobytes()
+    write_metrics_csv(records, tmp_path / "full.csv")
+    write_metrics_csv(records[:1] + rest, tmp_path / "resumed.csv")
+    assert (tmp_path / "resumed.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
 def test_train_state_round_trip_at_path_without_suffix(tmp_path):
     dataset = toy_batch(count=4, seed=8)
     model = toy_model(seed=3)
