@@ -253,21 +253,23 @@ class _ConditionerNet(Module):
         """Whether eval runs hidden layer ``k`` on folded copies."""
         return False
 
-    def _hidden_error(self, k: int, *inputs) -> NumericError:
-        """The error the unfolded eval raises when hidden layer ``k`` maps
-        ``inputs`` to a non-finite value: the layer's own, if its output
-        recomputed by :meth:`_layer_output` is already non-finite, else
-        batch norm's."""
-        try:
+    def _normed(self, k: int, y: np.ndarray, s: np.ndarray, b: np.ndarray, *inputs) -> np.ndarray:
+        """Hidden layer ``k``'s product ``y`` on ``inputs``, without its
+        bias, scaled by ``s`` and shifted by ``b`` in place, then checked.
+        A non-finite value raises what the unfolded eval would: the layer's
+        own error, if its output recomputed by :meth:`_layer_output` is
+        already non-finite, else batch norm's."""
+        y *= s
+        y += b
+        if not np.isfinite(y).all():
             self._layer_output(self._children[f"{self._layer}{k}"], *inputs)
-        except NumericError as err:
-            return err
-        return NumericError("batch_norm produced a non-finite value")
+            raise NumericError("batch_norm produced a non-finite value")
+        return y
 
     @staticmethod
     def _layer_output(layer: Module, *inputs) -> np.ndarray:
         """Hidden ``layer``'s output on ``inputs``, its bias added, checked
-        by its own op's name."""
+        under its op's name."""
         raise NotImplementedError
 
 
@@ -289,11 +291,7 @@ class MlpNet(_ConditionerNet):
         *hidden, head = self._eval_layers()
         h = x
         for k, (w, s, b) in enumerate(hidden):
-            y = np.matmul(h, w)
-            y *= s
-            y += b
-            if not np.isfinite(y).all():
-                raise self._hidden_error(k, h)
+            y = self._normed(k, np.matmul(h, w), s, b, h)
             h = np.maximum(y, 0.0, out=y)
         return K.linear(h, *head)
 
@@ -412,10 +410,7 @@ class RelationalGraphConvNet(_ConditionerNet):
                 h = K.activate(K.graph_conv(h, a_rows, *weights, None, into), "tanh", "graph_conv")
             w_rel, w_self, s, b = rounds[-1]
             y = K.graph_conv(h, a_rows, w_rel, w_self, None, row)
-            y *= s
-            y += b
-            if not np.isfinite(y).all():
-                raise self._hidden_error(self.depth - 1, h, a_rows, row)
+            y = self._normed(self.depth - 1, y, s, b, h, a_rows, row)
             out[start:stop] = K.linear(np.tanh(y, out=y), *head)
             start = stop
         return out
