@@ -21,8 +21,8 @@ per node of every sample, and an extra scaling pass over them measured
 slower.  Per all-node round it runs one R-GCN round with the folded weights,
 the bias added in place, a finiteness check, then tanh in place, over one
 block of samples at a time, so their scratch arrays are sized for one block.
-When a scaled product is non-finite, the layer's output is recomputed
-unscaled to name the op that the unfolded eval would: the layer's own, or
+When an output is non-finite, the layer's output is recomputed unscaled to
+name the op that the unfolded eval would: the layer's own, or
 ``batch_norm``.  The arrays eval runs on are cached on their net, tagged with
 a module-level version counter that every parameter or buffer change bumps.
 
@@ -253,18 +253,22 @@ class _ConditionerNet(Module):
         """Whether eval runs hidden layer ``k`` on folded copies."""
         return False
 
-    def _normed(self, k: int, y: np.ndarray, s: np.ndarray, b: np.ndarray, *inputs) -> np.ndarray:
-        """Hidden layer ``k``'s product ``y`` on ``inputs``, without its
-        bias, scaled by ``s`` and shifted by ``b`` in place, then checked.
-        A non-finite value raises what the unfolded eval would: the layer's
-        own error, if its output recomputed by :meth:`_layer_output` is
-        already non-finite, else batch norm's."""
-        y *= s
-        y += b
+    def _checked(self, k: int, y: np.ndarray, *inputs) -> np.ndarray:
+        """``y``, hidden layer ``k``'s output on ``inputs`` with batch norm
+        applied, once checked.  A non-finite value raises what the unfolded
+        eval would: the layer's own error, if its output recomputed by
+        :meth:`_layer_output` is already non-finite, else batch norm's."""
         if not np.isfinite(y).all():
             self._layer_output(self._children[f"{self._layer}{k}"], *inputs)
             raise NumericError("batch_norm produced a non-finite value")
         return y
+
+    def _normed(self, k: int, y: np.ndarray, s: np.ndarray, b: np.ndarray, *inputs) -> np.ndarray:
+        """Hidden layer ``k``'s product ``y`` on ``inputs``, without its
+        bias, scaled by ``s`` and shifted by ``b`` in place, then checked."""
+        y *= s
+        y += b
+        return self._checked(k, y, *inputs)
 
     @staticmethod
     def _layer_output(layer: Module, *inputs) -> np.ndarray:
@@ -407,7 +411,8 @@ class RelationalGraphConvNet(_ConditionerNet):
                 # Round j reads round j-1's output, so the two alternate.
                 shape = (h.shape[0] * n, weights[2].shape[0])
                 into = tuple(_scratch(scratch, key, *shape) for key in (j % 2, "self_loop"))
-                h = K.activate(K.graph_conv(h, a_rows, *weights, None, into), "tanh", "graph_conv")
+                y = self._checked(j, K.graph_conv(h, a_rows, *weights, None, into), h, a_rows, None)
+                h = np.tanh(y, out=y)
             w_rel, w_self, s, b = rounds[-1]
             y = K.graph_conv(h, a_rows, w_rel, w_self, None, row)
             y = self._normed(self.depth - 1, y, s, b, h, a_rows, row)

@@ -449,11 +449,12 @@ def test_forward_numeric_errors_keep_their_text_and_layer():
         assert str(err.value) == _oracle_forward_error(model, adjacency, features) == expected
 
 
-def test_target_round_numeric_errors_name_graph_conv_or_batch_norm():
-    """The R-GCN's target round scales its unfolded product: a non-finite
-    value there names ``graph_conv`` if the round's own output is already
-    non-finite, else ``batch_norm``, in the forward and in the inverse, as
-    the unfolded oracles do."""
+def test_graph_conv_net_numeric_errors_name_graph_conv_or_batch_norm():
+    """A non-finite value in an R-GCN round names ``graph_conv`` if the
+    round's own output is already non-finite, else ``batch_norm``, in the
+    forward and in the inverse, as the unfolded oracles do: in the target
+    round, which scales its product, and in an all-node round, which runs
+    on folded weights."""
     rng = make_rng(53)
     adjacency, features = dequantize([random_graph(TOY_SPEC, rng) for _ in range(4)], 0.9, rng)
     z = make_rng(54).normal(size=(4, TOY_SPEC.latent_dim))
@@ -465,9 +466,17 @@ def test_target_round_numeric_errors_name_graph_conv_or_batch_norm():
         f"{net}.bn0.beta": np.full(6, 100.0),
         f"{net}.round1.self_weight": np.full((6, 6), 1e308),
     }
+    # Round0's output is finite unscaled, but its folded weights, scaled by
+    # about 1e308, overflow the product.
+    scaled_overflow = {
+        f"{net}.bn0.gamma": np.full(6, 1e308),
+        f"{net}.round0.self_weight": np.ones((2, 6)),
+        f"{net}.round0.rel_weight": np.ones((2, 2, 6)),
+    }
     for params, buffers, op in [
         (overflow, {}, "graph_conv"),
         ({}, {f"{net}.bn1.running_var": -np.ones(6)}, "batch_norm"),
+        (scaled_overflow, {}, "batch_norm"),
     ]:
         model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
         model.load_parameters({name: Tensor(value) for name, value in params.items()})
