@@ -357,10 +357,10 @@ def _canonical_component(molecule: Molecule, members: list[int]) -> str:
     Siblings that an automorphism maps onto each other have subtrees of the
     same texts, so only one is searched (McKay & Piperno 2014).  A later
     child is skipped when the molecule relabeled by its first leaf's ranking
-    equals the one relabeled by an explored sibling's first leaf: the two
-    rankings differ by an automorphism, which maps the parent's ordered
-    partition onto itself, and so fixes the path, and the first atom of each
-    sibling's target cell onto the other's.
+    equals the one relabeled by an explored sibling's first leaf.  The two
+    rankings then differ by an automorphism that maps the parent's ordered
+    partition onto itself, so it fixes every atom individualized on the
+    path, and that maps the sibling's chosen atom onto the child's.
     """
     nbrs = molecule.neighbor_map()
     n = len(molecule.atoms)

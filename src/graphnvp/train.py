@@ -231,10 +231,10 @@ def train(
     given part-way: its vectors and step count as they were at that moment,
     its epoch and generator state as they were at the end of the last
     finished epoch.  So a state saved from ``on_epoch`` resumes bit-exactly
-    from that epoch.  A non-finite gradient
-    raises :class:`TrainingError` naming the epoch, the step and the layer
-    before that layer is updated, and writes no file; the layers the replay
-    updated before it stay updated, and the step is counted.
+    from that epoch.  A non-finite gradient raises :class:`TrainingError`
+    naming the epoch, the step and the layer before that layer is updated,
+    and writes no file; the layers the replay updated before it stay
+    updated, and the step is counted.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")

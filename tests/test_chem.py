@@ -279,9 +279,10 @@ def test_canonical_highly_symmetric_ring():
 )
 def test_canonical_prunes_automorphic_branches(text):
     """Four and six CF3 groups: searching every tie-break, as many leaves as
-    the molecule has automorphisms, took 4.8 s for the first; with sibling
-    branches an automorphism maps together searched once, each string takes
-    milliseconds, and it does not change under relabeling."""
+    the molecule has automorphisms, took 4.8 s for the first on a 2-core
+    x86 VM; with sibling branches an automorphism maps together searched
+    once, each string takes milliseconds, and it does not change under
+    relabeling."""
     m = parse_smiles_lite(text)
     start = time.perf_counter()
     reference = write_smiles_canonical(m)
