@@ -373,7 +373,7 @@ class RelationalGraphConvNet(_ConditionerNet):
         return k < self.depth - 1
 
     @staticmethod
-    def _layer_output(layer: Module, h: np.ndarray, a_rows: np.ndarray, row: int) -> np.ndarray:
+    def _layer_output(layer: Module, h: np.ndarray, a_rows: np.ndarray, row: int | None) -> np.ndarray:
         p = layer._params
         y = K.graph_conv(h, a_rows, p["rel_weight"].data, p["self_weight"].data, p["bias"].data, row)
         return K.check_finite(y, "graph_conv")
