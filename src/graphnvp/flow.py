@@ -20,10 +20,11 @@ batch statistics, so it can be differentiated.  Eval runs both directions on
 plain arrays, with :mod:`~graphnvp.kernels`: :meth:`FlowModel.eval_forward`
 and :meth:`FlowModel.inverse_batch` copy their input once into one working
 buffer per stack, and each layer's ``eval_forward`` or ``inverse`` rewrites
-only its target slice of that buffer, in place.  The node-feature layers'
-all-node R-GCN rounds write into scratch arrays made once per pass and sized
-for one block of samples (see :meth:`RelationalGraphConvNet.eval_array
-<graphnvp.nets.RelationalGraphConvNet.eval_array>`).  Instead of a masked
+only its target slice of that buffer, in place.  Every pass, training
+included, makes one :class:`~graphnvp.nets.Conditioning` from the discrete
+adjacency and hands it to each node-feature layer: the R-GCN's layout of the
+adjacency, and the scratch its all-node rounds write into, both made once
+per pass and gone with it.  Instead of a masked
 copy, each layer zeroes its target slice in the buffer while its conditioner
 reads it.  Finiteness is checked only where a NaN or Inf can first
 appear, each with the text the Tensor op there would raise: the input on
@@ -50,7 +51,7 @@ from . import kernels as K
 from . import tensor as T
 from .errors import CheckpointError, GnvpError, NumericError, ShapeError
 from .graphs import GraphSpec, argmax_adjacency
-from .nets import MlpNet, Module, RelationalGraphConvNet, parameters_changed, relation_major
+from .nets import Conditioning, MlpNet, Module, RelationalGraphConvNet, parameters_changed
 from .tensor import Tensor, make_rng
 
 CHECKPOINT_MAGIC = b"GNVP"
@@ -219,29 +220,28 @@ class NodeFeatureCouplingLayer(_CouplingLayer):
             ),
         )
 
-    def forward(self, z: Tensor, adjacency: np.ndarray) -> Tensor:
+    def forward(self, z: Tensor, conditioning: Conditioning) -> Tensor:
         """Training: the transformed tensor."""
         masked = T.masked_assign(z, self._row_mask, self._zero)
-        t = self._children["translate_net"](masked, adjacency, self.row)
+        t = self._children["translate_net"](masked, conditioning, self.row)
         return T.replace_row(z, self.row, T.add(T.index_axis(z, 1, self.row), t))
 
-    def _condition(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> tuple[np.ndarray]:
+    def _condition(self, zx: np.ndarray, conditioning: Conditioning) -> tuple[np.ndarray]:
         """The eval translation of a finite working buffer ``zx``
-        [batch, N, M] whose target row is zero; ``scratch`` is passed to the
-        conditioner's ``eval_array``."""
-        return (self._children["translate_net"].eval_array(zx, adjacency, self.row, scratch),)
+        [batch, N, M] whose target row is zero."""
+        return (self._children["translate_net"].eval_array(zx, conditioning, self.row),)
 
-    def eval_forward(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> None:
+    def eval_forward(self, zx: np.ndarray, conditioning: Conditioning) -> None:
         """Apply this layer to the working buffer ``zx`` in place, in eval
         mode: only the target row is written."""
-        x, t = self._open(zx, adjacency, scratch)
+        x, t = self._open(zx, conditioning)
         x += t
         zx[:, self.row] = K.check_finite(x, "add")
 
-    def inverse(self, zx: np.ndarray, adjacency: np.ndarray, scratch: dict) -> None:
+    def inverse(self, zx: np.ndarray, conditioning: Conditioning) -> None:
         """Undo this layer on the working buffer ``zx`` in place, in eval
         mode: only the target row is written."""
-        x, t = self._open(zx, adjacency, scratch)
+        x, t = self._open(zx, conditioning)
         x -= t
         zx[:, self.row] = K.check_finite(x, "sub")
 
@@ -344,7 +344,7 @@ class FlowModel(Module):
         and updates its running estimates."""
         self._check_shapes(adjacency, features)
         batch = adjacency.shape[0]
-        conditioning = relation_major(np.floor(adjacency))
+        conditioning = Conditioning(np.floor(adjacency))
         zx = Tensor(features)
         za = Tensor(adjacency)
         log_det = Tensor(np.zeros(batch))
@@ -371,13 +371,12 @@ class FlowModel(Module):
         """
         self._check_shapes(adjacency, features)
         batch = adjacency.shape[0]
-        conditioning = relation_major(np.floor(adjacency))
+        conditioning = Conditioning(np.floor(adjacency))
         zx, za = _finite_copy(features), _finite_copy(adjacency)
         log_det = np.zeros(batch)
-        scratch: dict = {}  # the node layers' all-node rounds, one allocation per pass
         try:
             for layer in self.node_layers:
-                layer.eval_forward(zx, conditioning, scratch)
+                layer.eval_forward(zx, conditioning)
             for layer in self.adjacency_layers:
                 log_det += layer.eval_forward(za)
                 K.check_finite(log_det, "add")
@@ -397,8 +396,9 @@ class FlowModel(Module):
 
     def _inverse(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`inverse_batch`'s two arrays, then the one-hot adjacency
-        [batch, N, N, R] that conditioned the node-feature stack, laid out
-        by :func:`~graphnvp.nets.relation_major`."""
+        [batch, N, N, R] that conditioned the node-feature stack: the
+        :meth:`~graphnvp.nets.Conditioning.bonds` view, so the pass's
+        scratch dies on return."""
         spec = self.spec
         if z.ndim != 2 or z.shape[1] != spec.latent_dim:
             raise ShapeError(f"latent batch shape {z.shape} != (*, {spec.latent_dim})")
@@ -409,13 +409,12 @@ class FlowModel(Module):
         try:
             for layer in reversed(self.adjacency_layers):
                 layer.inverse(za)
-            conditioning = relation_major(argmax_adjacency(spec, za))
-            scratch: dict = {}  # the node layers' all-node rounds, one allocation per pass
+            conditioning = Conditioning(argmax_adjacency(spec, za))
             for layer in reversed(self.node_layers):
-                layer.inverse(zx, conditioning, scratch)
+                layer.inverse(zx, conditioning)
         except NumericError as err:
             raise self._layer_error(layer, err) from err
-        return za, zx, conditioning
+        return za, zx, conditioning.bonds()
 
     def _layer_error(self, layer: Module, err: NumericError) -> NumericError:
         """``err`` with the name of the coupling layer it came from prefixed."""

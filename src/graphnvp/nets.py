@@ -19,8 +19,8 @@ into copies of their weights instead (Jacob et al. 2018, §3.2): those copies
 are small (13 KiB a round on qm9lite), while those rounds have one output row
 per node of every sample, and an extra scaling pass over them measured
 slower.  Per all-node round it runs one R-GCN round with the folded weights,
-the bias added in place, a finiteness check, then tanh in place, over one
-block of samples at a time, so their scratch arrays are sized for one block.
+the bias added in place, a finiteness check, then tanh in place, one block
+of samples at a time, into the pass's :class:`Conditioning` scratch.
 When an output is non-finite, the layer's output is recomputed unscaled to
 name the op that the unfolded eval would: the layer's own, or
 ``batch_norm``.  The arrays eval runs on are cached on their net, tagged with
@@ -133,16 +133,6 @@ class Module:
     def load_parameters(self, values: dict[str, Tensor]) -> None:
         for name, value in values.items():
             self.set_parameter(name, value)
-
-
-def relation_major(adjacency: np.ndarray) -> np.ndarray:
-    """The same [batch, N, N, R] values stored relation-major.
-
-    :class:`RelationalGraphConvNet` lays the adjacency out as ``a_rows``
-    [batch, N*R, N]; on an array from this function that layout is a view, so
-    a flow pass copies the conditioning once instead of once per layer.
-    """
-    return np.ascontiguousarray(adjacency.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
 
 
 def _drawn(rng: np.random.Generator | None, n_in: int, n_out: int, *lead: int) -> Tensor:
@@ -311,14 +301,32 @@ class MlpNet(_ConditionerNet):
         return self._children["head"](h)
 
 
-def _scratch(scratch: dict, key, rows: int, cols: int) -> np.ndarray:
-    """The first ``rows`` rows of the [rows', cols] array kept in ``scratch``
-    under ``key``, made on first use or when it has fewer rows or other
-    columns; its values are whatever the last user left."""
-    arr = scratch.get(key)
-    if arr is None or arr.shape[0] < rows or arr.shape[1] != cols:
-        arr = scratch[key] = np.empty((rows, cols))
-    return arr[:rows]
+class Conditioning:
+    """One flow pass's discrete adjacency [batch, N, N, R], laid out once as
+    the R-GCN's C-contiguous ``a_rows`` [batch, N*R, N] (row ``i*R + r`` is
+    ``A[:, i, :, r]``), and the scratch its all-node rounds write into.  A
+    pass lets it die on return, so the scratch is not kept past the pass."""
+
+    def __init__(self, adjacency: np.ndarray):
+        batch, n, _, r = adjacency.shape
+        self.a_rows = np.ascontiguousarray(adjacency.transpose(0, 1, 3, 2)).reshape(batch, n * r, n)
+        self.scratch: dict = {}
+
+    def bonds(self) -> np.ndarray:
+        """The adjacency [batch, N, N, R], a view of ``a_rows``."""
+        batch, rows, n = self.a_rows.shape
+        return self.a_rows.reshape(batch, n, rows // n, n).transpose(0, 1, 3, 2)
+
+    def into(self, j: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """The [rows, cols] pair all-node round ``j`` writes its output and
+        its self-loop product into: the leading rows of scratch arrays made
+        on first use or when too small, holding what the last user left.
+        The outputs alternate between two arrays: round ``j`` reads ``j-1``'s."""
+        for key in (j % 2, "self_loop"):
+            arr = self.scratch.get(key)
+            if arr is None or arr.shape[0] < rows or arr.shape[1] != cols:
+                self.scratch[key] = np.empty((rows, cols))
+        return self.scratch[j % 2][:rows], self.scratch["self_loop"][:rows]
 
 
 class RelGraphRound(Module):
@@ -378,13 +386,7 @@ class RelationalGraphConvNet(_ConditionerNet):
         y = K.graph_conv(h, a_rows, p["rel_weight"].data, p["self_weight"].data, p["bias"].data, row)
         return K.check_finite(y, "graph_conv")
 
-    @staticmethod
-    def _a_rows(adjacency: np.ndarray) -> np.ndarray:
-        # A copy, unless ``adjacency`` comes from :func:`relation_major`.
-        batch, n, _, r = adjacency.shape
-        return adjacency.transpose(0, 1, 3, 2).reshape(batch, n * r, n)
-
-    def eval_array(self, x: np.ndarray, adjacency: np.ndarray, row: int, scratch: dict) -> np.ndarray:
+    def eval_array(self, x: np.ndarray, conditioning: Conditioning, row: int) -> np.ndarray:
         """Eval output [batch, n_out] for node ``row`` of a finite array
         [batch, N, n_in]: one :func:`~graphnvp.kernels.graph_conv` per round,
         checked before its tanh.  The all-node rounds run on folded weights;
@@ -393,10 +395,10 @@ class RelationalGraphConvNet(_ConditionerNet):
 
         The batch runs in ``max(1, batch // SAMPLE_BLOCK)`` near-equal blocks
         of samples, the larger first, each through every round and the head.
-        The all-node rounds write into arrays kept in ``scratch``, sized for
-        the first block; one dict passed to every layer of a pass lets those
-        [block*N, H] rounds reuse their memory.  A non-finite value raises
-        from the first block that holds one.
+        The all-node rounds write into ``conditioning``'s scratch, sized for
+        the first block, so every layer of a pass reuses that [block*N, H]
+        memory.  A non-finite value raises from the first block that holds
+        one.
         """
         batch, n = x.shape[:2]
         blocks = max(1, batch // SAMPLE_BLOCK)
@@ -406,11 +408,9 @@ class RelationalGraphConvNet(_ConditionerNet):
         start = 0
         for k in range(blocks):
             stop = start + size + (k < extra)
-            a_rows, h = self._a_rows(adjacency[start:stop]), x[start:stop]
+            a_rows, h = conditioning.a_rows[start:stop], x[start:stop]
             for j, weights in enumerate(rounds[:-1]):
-                # Round j reads round j-1's output, so the two alternate.
-                shape = (h.shape[0] * n, weights[2].shape[0])
-                into = tuple(_scratch(scratch, key, *shape) for key in (j % 2, "self_loop"))
+                into = conditioning.into(j, h.shape[0] * n, weights[2].shape[0])
                 y = self._checked(j, K.graph_conv(h, a_rows, *weights, None, into), h, a_rows, None)
                 h = np.tanh(y, out=y)
             w_rel, w_self, s, b = rounds[-1]
@@ -420,10 +420,9 @@ class RelationalGraphConvNet(_ConditionerNet):
             start = stop
         return out
 
-    def __call__(self, x: Tensor, adjacency: np.ndarray, row: int) -> Tensor:
-        a_rows = self._a_rows(adjacency)
+    def __call__(self, x: Tensor, conditioning: Conditioning, row: int) -> Tensor:
         h = x
         for k in range(self.depth):
-            conv = self._children[f"round{k}"](h, a_rows)
+            conv = self._children[f"round{k}"](h, conditioning.a_rows)
             h = self._children[f"bn{k}"](conv, "tanh", row if k == self.depth - 1 else None)
         return self._children["head"](h)

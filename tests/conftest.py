@@ -10,6 +10,7 @@ from graphnvp.chem import bundled_corpus_path, load_dataset
 from graphnvp.errors import GraphError, NumericError
 from graphnvp.flow import FlowModel, ModelConfig
 from graphnvp.graphs import GraphSpec, MolecularGraph, argmax_adjacency, qm9lite_spec
+from graphnvp.nets import Conditioning
 from graphnvp.tensor import Tensor, make_rng
 from graphnvp.train import TrainConfig, train
 
@@ -240,20 +241,21 @@ def oracle_inverse_batch(model: FlowModel, z: np.ndarray) -> tuple[np.ndarray, n
     return za, zx
 
 
-def array_inverse(layer, z: np.ndarray, *conditioning) -> np.ndarray:
+def array_inverse(layer, z: np.ndarray, *adjacency) -> np.ndarray:
     """A coupling layer's in-place array inverse, run on a copy of ``z``;
-    a node-feature layer, given its ``conditioning``, gets fresh scratch."""
+    a node-feature layer is conditioned on ``adjacency`` [batch, N, N, R]."""
     buffer = np.array(z)
-    layer.inverse(buffer, *conditioning, *([{}] if conditioning else []))
+    layer.inverse(buffer, *map(Conditioning, adjacency))
     return buffer
 
 
-def array_forward(layer, z: np.ndarray, *conditioning):
+def array_forward(layer, z: np.ndarray, *adjacency):
     """A coupling layer's in-place eval forward, run on a copy of ``z``: the
-    output, and for an adjacency layer also the log-det."""
+    output, and for an adjacency layer also the log-det.  A node-feature
+    layer is conditioned on ``adjacency`` [batch, N, N, R]."""
     buffer = np.array(z)
-    log_det = layer.eval_forward(buffer, *conditioning, *([{}] if conditioning else []))
-    return buffer if conditioning else (buffer, log_det)
+    log_det = layer.eval_forward(buffer, *map(Conditioning, adjacency))
+    return buffer if adjacency else (buffer, log_det)
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from graphnvp.chem import from_graph, parse_smiles_lite, to_graph, write_smiles_
 from graphnvp.flow import FlowModel, GaussianPrior
 from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.latent import encode_dataset, fit_linear_latent_model
+from graphnvp.nets import Conditioning
 from graphnvp.sampling import (
     SampleConfig,
     compute_metrics,
@@ -84,14 +85,14 @@ def test_criterion_03_logdet_oracle():
         rng = make_rng(200 + draw)
         g = random_graph(spec, rng)
         adjacency, features = dequantize([g], 0.9, rng)
-        conditioning = np.floor(adjacency)
+        conditioning = Conditioning(np.floor(adjacency))
 
         def apply(flat):
             a = flat[: n * n * r].reshape(1, n, n, r)
             x = flat[n * n * r :].reshape(1, n, m)
-            zx, za, scratch = x.copy(), a.copy(), {}
+            zx, za = x.copy(), a.copy()
             for layer in model.node_layers:
-                layer.eval_forward(zx, conditioning, scratch)
+                layer.eval_forward(zx, conditioning)
             for layer in model.adjacency_layers:
                 layer.eval_forward(za)
             return np.concatenate([za.reshape(-1), zx.reshape(-1)])

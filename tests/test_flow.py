@@ -24,6 +24,7 @@ from conftest import (
     randomize_model,
 )
 from graphnvp import flow, nets
+from graphnvp import kernels as K
 from graphnvp.errors import CheckpointError, GnvpError, NumericError
 from graphnvp.flow import (
     AdjacencyCouplingLayer,
@@ -589,6 +590,39 @@ def test_model_reconstructs_training_graph(random_toy_model):
         assert np.array_equal(recovered[1], g.features)
 
 
+def test_one_conditioning_layout_per_eval_pass(monkeypatch):
+    """During one ``inverse_batch`` and one ``eval_forward`` on a qm9lite
+    model, every ``kernels.graph_conv`` call reads an ``a_rows`` that shares
+    memory with the one :class:`~graphnvp.nets.Conditioning` layout made in
+    that pass: the adjacency is laid out once per pass, not once per layer,
+    and every sample block reads a view of it."""
+    model = randomize_model(FlowModel(qm9lite_spec(), seed=0), seed=32)
+    made, reads = [], []
+    init, graph_conv = nets.Conditioning.__init__, K.graph_conv
+
+    def recording_init(self, adjacency):
+        init(self, adjacency)
+        made.append(self.a_rows)
+
+    def recording_graph_conv(h, a_rows, *args, **kwargs):
+        reads.append(a_rows)
+        return graph_conv(h, a_rows, *args, **kwargs)
+
+    monkeypatch.setattr(nets.Conditioning, "__init__", recording_init)
+    monkeypatch.setattr(K, "graph_conv", recording_graph_conv)
+    z = make_rng(33).standard_normal((300, model.spec.latent_dim))  # two sample blocks
+    adjacency, features = model.inverse_batch(z)
+    inverse_pass = (made[:], reads[:])
+    made.clear()
+    reads.clear()
+    model.eval_forward(adjacency, features)
+    config = model.config
+    for made_in_pass, reads_in_pass in (inverse_pass, (made, reads)):
+        assert len(made_in_pass) == 1
+        assert len(reads_in_pass) == 2 * config.node_layers * config.gcn_rounds
+        assert all(np.shares_memory(a_rows, made_in_pass[0]) for a_rows in reads_in_pass)
+
+
 def test_model_two_step_order_matters(random_toy_model):
     """Decoding node features before the adjacency stack uses the wrong
     conditioning graph; at least one latent must decode differently."""
@@ -606,7 +640,7 @@ def test_model_two_step_order_matters(random_toy_model):
         # wrong order: condition node features on the *latent* adjacency argmax
         conditioning = np.stack([argmax_adjacency(spec, za[b]) for b in range(z.shape[0])])
         for layer in reversed(model.node_layers):
-            layer.inverse(zx, conditioning, {})
+            layer.inverse(zx, nets.Conditioning(conditioning))
         for layer in reversed(model.adjacency_layers):
             layer.inverse(za)
         return za, zx

@@ -35,8 +35,8 @@ from graphnvp.nets import (
     Linear,
     MlpNet,
     RelationalGraphConvNet,
+    Conditioning,
     RelGraphRound,
-    relation_major,
 )
 from graphnvp import kernels as K
 from graphnvp import tensor as T
@@ -103,7 +103,7 @@ def test_eval_target_row_matches_full_eval_computation():
     randomize_net(net, make_rng(8))
     for row in range(5):
         expected = oracle_rgcn(net, h, adjacency, row)
-        out = net.eval_array(h, adjacency, row, {})
+        out = net.eval_array(h, Conditioning(adjacency), row)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -119,24 +119,31 @@ def test_training_mode_uses_batch_statistics_over_all_nodes():
         full = net._children[f"bn{k}"](full)
         full = T.tanh(full)
     expected = net._children["head"](T.index_axis(full, 1, 2)).data
-    out = net(Tensor(h), adjacency, 2).data
+    out = net(Tensor(h), Conditioning(adjacency), 2).data
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_relation_major_conditioning_is_laid_out_without_a_copy():
-    """On relation-major conditioning the R-GCN's [batch, N*R, N] layout is a
-    view, and the net's output is bitwise the same as on the plain array."""
+def test_conditioning_lays_out_the_adjacency_once():
+    """A :class:`Conditioning` holds the R-GCN's [batch, N*R, N] layout as
+    one C-contiguous array, and its ``bonds()`` is the adjacency again, a
+    view of that array; a conditioning made from ``bonds()`` gives the same
+    bits in eval and in training."""
     h, adjacency = random_relational_input(seed=12)
-    conditioning = relation_major(adjacency)
-    assert np.array_equal(conditioning, adjacency)
-    assert np.shares_memory(a_rows_of(conditioning), conditioning)
-    assert np.array_equal(a_rows_of(conditioning), a_rows_of(adjacency))
+    conditioning = Conditioning(adjacency)
+    assert conditioning.a_rows.flags.c_contiguous
+    assert np.array_equal(conditioning.a_rows, a_rows_of(adjacency))
+    assert not np.shares_memory(conditioning.a_rows, adjacency)
+    bonds = conditioning.bonds()
+    assert bonds.shape == adjacency.shape and np.array_equal(bonds, adjacency)
+    assert np.shares_memory(bonds, conditioning.a_rows)
+    again = Conditioning(bonds)
+    assert np.shares_memory(again.a_rows, conditioning.a_rows)
     net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(13))
     randomize_net(net, make_rng(14))
-    plain = net.eval_array(h, adjacency, 1, {})
-    assert net.eval_array(h, conditioning, 1, {}).tobytes() == plain.tobytes()
-    plain = net(Tensor(h), adjacency, 1).data
-    assert net(Tensor(h), conditioning, 1).data.tobytes() == plain.tobytes()
+    plain = net.eval_array(h, conditioning, 1)
+    assert net.eval_array(h, again, 1).tobytes() == plain.tobytes()
+    plain = net(Tensor(h), conditioning, 1).data
+    assert net(Tensor(h), again, 1).data.tobytes() == plain.tobytes()
 
 
 def test_checkpoint_written_before_stacked_contraction_still_loads(tmp_path):
@@ -205,13 +212,13 @@ def test_graph_conv_net_eval_in_sample_blocks_matches_oracle(batch):
     h, adjacency = random_relational_input(seed=batch, batch=batch)
     net = RelationalGraphConvNet(4, 6, 2, 3, rounds=2, rng=make_rng(26))
     randomize_net(net, make_rng(27))
-    conditioning = relation_major(adjacency)
-    scratch = {}
+    conditioning = Conditioning(adjacency)
     for row in (0, 4):
-        assert_close(net.eval_array(h, conditioning, row, scratch), oracle_rgcn(net, h, adjacency, row))
+        assert_close(net.eval_array(h, conditioning, row), oracle_rgcn(net, h, adjacency, row))
     largest = -(-batch // max(batch // SAMPLE_BLOCK, 1))
     assert largest < 2 * SAMPLE_BLOCK
     # Round 0 is the one all-node round: its output and its self-loop product.
+    scratch = conditioning.scratch
     assert {key: arr.shape for key, arr in scratch.items()} == {0: (largest * 5, 6), "self_loop": (largest * 5, 6)}
 
 
@@ -224,7 +231,7 @@ def test_folded_graph_conv_net_matches_unfolded_composition(path):
     randomize_net(net, make_rng(25))
     for row in range(5):
         expected = oracle_rgcn(net, h, adjacency, row, last_row_only=path == "target_row")
-        assert_close(net.eval_array(h, adjacency, row, {}), expected)
+        assert_close(net.eval_array(h, Conditioning(adjacency), row), expected)
 
 
 def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
@@ -258,7 +265,7 @@ def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
                     out = net._children["head"](T.index_axis(y, 1, row))
                 else:
                     before = dict(net.named_buffers())
-                    out = net(x, adjacency, row)
+                    out = net(x, Conditioning(adjacency), row)
                     after = dict(net.named_buffers())
                     # running = 0.9 * running + 0.1 * batch statistic
                     stats = [
