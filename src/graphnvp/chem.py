@@ -20,10 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChemError, DatasetError, GraphError, SmilesParseError
-from .graphs import GraphSpec, MolecularGraph, check_graphs, stack_graphs
-
-# Maximum total bond order per atom symbol; shared by both bundled vocabularies.
-DEFAULT_VALENCES = {"C": 4, "N": 3, "O": 2, "F": 1, "S": 6, "Cl": 1}
+from .graphs import DEFAULT_VALENCES, GraphSpec, MolecularGraph, check_graphs, stack_graphs
 
 _BOND_TEXT = {1: "", 2: "=", 3: "#"}
 _ATOM_TOKENS = ("Cl", "C", "N", "O", "F", "S")  # two-character symbols first
@@ -281,7 +278,7 @@ def _serialize(
 
     # Pass 1: preorder DFS (children in rank order, matching emission order)
     # fixes the spanning tree; every non-tree edge becomes a ring closure.
-    children: dict[int, list[int]] = {a: [] for a in members}
+    children: dict[int, list[tuple[int, int]]] = {a: [] for a in members}  # (child, bond order)
     ring_bonds: dict[int, list[tuple[int, int]]] = {a: [] for a in members}
     seen_edges: set[tuple[int, int]] = set()
     visited = {root}
@@ -297,7 +294,7 @@ def _serialize(
                 ring_bonds[other].append((atom, order))
             else:
                 visited.add(other)
-                children[atom].append(other)
+                children[atom].append((other, order))
                 walk(other)
 
     walk(root)
@@ -330,24 +327,17 @@ def _serialize(
             digit_for[edge] = digit
             out.append(_BOND_TEXT[order] + digit)
         kids = children[atom]
-        for child in kids[:-1]:
-            out.append("(")
-            out.append(_bond_text_between(molecule, atom, child, nbrs))
+        for child, order in kids[:-1]:
+            out.append("(" + _BOND_TEXT[order])
             emit(child)
             out.append(")")
         if kids:
-            out.append(_bond_text_between(molecule, atom, kids[-1], nbrs))
-            emit(kids[-1])
+            child, order = kids[-1]
+            out.append(_BOND_TEXT[order])
+            emit(child)
 
     emit(root)
     return "".join(out)
-
-
-def _bond_text_between(molecule, a, b, nbrs) -> str:
-    for other, order in nbrs[a]:
-        if other == b:
-            return _BOND_TEXT[order]
-    raise ChemError(f"no bond between atoms {a} and {b}")
 
 
 def _canonical_component(molecule: Molecule, members: list[int]) -> str:
@@ -475,6 +465,8 @@ def _padded(molecule: Molecule, spec: GraphSpec) -> MolecularGraph:
     adjacency[:, :, spec.virtual_bond] = 1.0
     for i, j, order in molecule.bonds:
         channel = order - 1
+        if channel >= spec.virtual_bond:
+            raise ChemError(f"bond order {order} has no channel in bond_vocab {list(spec.bond_vocab)}")
         adjacency[i, j, :] = 0.0
         adjacency[j, i, :] = 0.0
         adjacency[i, j, channel] = 1.0

@@ -24,12 +24,12 @@ only its target slice of that buffer, in place.  Every pass, training
 included, makes one :class:`~graphnvp.nets.Conditioning` from the discrete
 adjacency and hands it to each node-feature layer: the R-GCN's layout of the
 adjacency, and the scratch its all-node rounds write into, both made once
-per pass and gone with it.  Instead of a masked
-copy, each layer zeroes its target slice in the buffer while its conditioner
-reads it.  Finiteness is checked only where a NaN or Inf can first
-appear, each with the text the Tensor op there would raise: the input on
-entry, every GEMM before its activation, the scale-cap product, ``exp``, the
-row update and the log-det sums.
+per pass and gone with it.  Instead of a masked copy, each layer zeroes its
+target slice in the buffer while its conditioner reads it.  Finiteness is
+checked only where a NaN or Inf can first appear, each with the text the
+Tensor op there would raise: the input on entry, every GEMM before its
+activation, the scale-cap product, ``exp``, the row update and the log-det
+sums.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import kernels as K
 from . import tensor as T
-from .errors import CheckpointError, GnvpError, NumericError, ShapeError
+from .errors import CheckpointError, GnvpError, GraphError, NumericError, ShapeError
 from .graphs import GraphSpec, argmax_adjacency
 from .nets import Conditioning, MlpNet, Module, RelationalGraphConvNet, parameters_changed
 from .tensor import Tensor, make_rng
@@ -445,11 +445,17 @@ def _spec_to_dict(spec: GraphSpec) -> dict:
 
 
 def _spec_from_dict(data: dict) -> GraphSpec:
-    return GraphSpec(
-        num_nodes=_meta_field(data, "spec.num_nodes", _COUNT),
-        atom_vocab=tuple(_meta_field(data, "spec.atom_vocab", _VOCAB)),
-        bond_vocab=tuple(_meta_field(data, "spec.bond_vocab", _VOCAB)),
-    )
+    """The spec in a checkpoint's ``spec`` block.  A bad key, or vocabularies
+    :class:`GraphSpec` refuses, raise :class:`CheckpointError` naming it."""
+    fields = {
+        "num_nodes": _meta_field(data, "spec.num_nodes", _COUNT),
+        "atom_vocab": tuple(_meta_field(data, "spec.atom_vocab", _VOCAB)),
+        "bond_vocab": tuple(_meta_field(data, "spec.bond_vocab", _VOCAB)),
+    }
+    try:
+        return GraphSpec(**fields)
+    except GraphError as err:
+        raise CheckpointError(f"checkpoint metadata spec is {json.dumps(data)}, not a valid spec: {err}") from None
 
 
 def _is_int(value) -> bool:

@@ -20,6 +20,9 @@ QM9LITE_ATOMS = ("C", "N", "O", "F", "*")
 ZINCLITE_ATOMS = ("C", "N", "O", "F", "S", "Cl", "*")
 BOND_SYMBOLS = ("single", "double", "triple", "virtual")
 
+# Maximum total bond order per atom symbol; shared by both bundled vocabularies.
+DEFAULT_VALENCES = {"C": 4, "N": 3, "O": 2, "F": 1, "S": 6, "Cl": 1}
+
 # The dequantization noise scale c: training adds ``c * U[0, 1)`` to every
 # entry, and the noise-free encoder adds the midpoint ``c / 2``.
 DEQUANT_NOISE = 0.9
@@ -30,7 +33,9 @@ class GraphSpec:
     """Fixed dimensions and vocabularies for one graph family.
 
     The virtual atom symbol and the virtual bond channel always occupy the
-    last index of their vocabulary.
+    last index of their vocabulary.  Real bond channel ``k`` holds bond order
+    ``k + 1``, so there are at most three, and every real atom symbol needs
+    an entry in :data:`DEFAULT_VALENCES`: decoding reads no other.
     """
 
     num_nodes: int
@@ -42,6 +47,11 @@ class GraphSpec:
             raise GraphError("num_nodes must be positive")
         if len(self.atom_vocab) < 2 or len(self.bond_vocab) < 2:
             raise GraphError("vocabularies need at least one real and one virtual symbol")
+        if len(self.bond_vocab) > 4:
+            raise GraphError(f"bond_vocab has {len(self.bond_vocab) - 1} real channels; bond orders are 1..3")
+        for symbol in self.atom_vocab[:-1]:
+            if symbol not in DEFAULT_VALENCES:
+                raise GraphError(f"atom symbol {symbol!r} in atom_vocab has no valence entry")
 
     @property
     def num_atom_types(self) -> int:
@@ -167,7 +177,10 @@ class MolecularGraph:
 
 
 def stack_graphs(graphs: Sequence[MolecularGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ``graphs`` into (adjacency [B, N, N, R], features [B, N, M])."""
+    """Stack ``graphs`` into (adjacency [B, N, N, R], features [B, N, M]).
+    An empty list raises :class:`GraphError`."""
+    if not graphs:
+        raise GraphError("no graphs to stack")
     return np.stack([g.adjacency for g in graphs]), np.stack([g.features for g in graphs])
 
 

@@ -18,7 +18,7 @@ from graphnvp.errors import ChemError, DatasetError, GraphError, SmilesParseErro
 from graphnvp.graphs import MolecularGraph, discretize_argmax, qm9lite_spec, zinclite_spec
 from graphnvp.tensor import make_rng
 
-from conftest import permute_nodes
+from conftest import TOY_SPEC, permute_nodes
 
 
 def bonds_as_set(molecule):
@@ -342,6 +342,15 @@ def test_to_graph_rejects_foreign_symbol():
         to_graph(parse_smiles_lite("CS"), qm9lite_spec())
 
 
+@pytest.mark.parametrize("text, order", [("C=C", 2), ("C#C", 3)])
+def test_to_graph_refuses_a_bond_order_without_a_real_channel(text, order):
+    """Under a spec with one real bond channel a double or triple bond has
+    nowhere to go: it is refused, not written into the virtual channel."""
+    with pytest.raises(ChemError, match=rf"bond order {order} has no channel in bond_vocab \['single', 'virtual'\]"):
+        to_graph(parse_smiles_lite(text), TOY_SPEC)
+    assert from_graph(to_graph(parse_smiles_lite("CC"), TOY_SPEC)).bonds == [(0, 1, 1)]
+
+
 def test_graph_round_trip_respects_node_permutation():
     spec = qm9lite_spec()
     rng = make_rng(3)
@@ -431,6 +440,13 @@ def test_load_dataset_reports_line_number(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_dataset(path, qm9lite_spec())
     assert "line 3" in str(err.value)
+
+
+def test_load_dataset_refuses_a_bond_order_the_spec_cannot_hold(tmp_path):
+    path = tmp_path / "double.smi"
+    path.write_text("CC\nC=C\n")
+    with pytest.raises(DatasetError, match=r"double.smi line 2: bond order 2 has no channel in bond_vocab"):
+        load_dataset(path, TOY_SPEC)
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -859,6 +859,10 @@ def test_initialization_keeps_its_draws(build, expected):
         pytest.param(lambda meta: meta["spec"].update(atom_vocab=["C"]), "spec.atom_vocab", id="one_atom"),
         pytest.param(lambda meta: meta["spec"].update(bond_vocab=["single"]), "spec.bond_vocab", id="one_bond"),
         pytest.param(lambda meta: meta.update(spec=[3]), "spec", id="spec_list"),
+        pytest.param(lambda meta: meta["spec"].update(atom_vocab=["B", "*"]), "spec", id="no_valence"),
+        pytest.param(
+            lambda meta: meta["spec"].update(bond_vocab=["1", "2", "3", "4", "virtual"]), "spec", id="bond_orders"
+        ),
         pytest.param(lambda meta: meta.pop("model"), "model", id="missing_model"),
         pytest.param(lambda meta: meta.update(optimizer={"step": 1, "epoch": 1}), "optimizer.rng_state", id="optimizer"),
         pytest.param(lambda meta: meta.pop("forward_order"), "forward_order", id="missing_order"),

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphnvp import chem
 from graphnvp.errors import GraphError
 from graphnvp.graphs import (
+    DEFAULT_VALENCES,
     INVARIANT_ERRORS,
     GraphSpec,
     MolecularGraph,
@@ -15,11 +17,12 @@ from graphnvp.graphs import (
     first_failures,
     qm9lite_spec,
     requantize,
+    stack_graphs,
     zinclite_spec,
 )
 from graphnvp.tensor import make_rng
 
-from conftest import TOY_SPEC, permute_nodes, random_graph
+from conftest import REG_SPEC, TOY_SPEC, permute_nodes, random_graph
 
 
 def test_bundled_specs():
@@ -40,6 +43,29 @@ def test_spec_rejects_bad_sizes():
         GraphSpec(num_nodes=0, atom_vocab=("C", "*"))
     with pytest.raises(GraphError):
         GraphSpec(num_nodes=3, atom_vocab=("*",))
+
+
+def test_spec_refuses_vocabularies_decode_cannot_read():
+    """At most three real bond channels (orders 1..3), and every real atom
+    symbol needs a valence entry; the bundled and test specs keep both."""
+    with pytest.raises(GraphError, match="bond_vocab has 4 real channels; bond orders are 1..3"):
+        GraphSpec(num_nodes=3, atom_vocab=("C", "*"), bond_vocab=("1", "2", "3", "4", "virtual"))
+    with pytest.raises(GraphError, match="atom symbol 'B' in atom_vocab has no valence entry"):
+        GraphSpec(num_nodes=3, atom_vocab=("C", "B", "*"))
+    # The virtual symbol is never looked up, so it needs no entry.
+    assert GraphSpec(num_nodes=3, atom_vocab=("C", "B")).virtual_atom == 1
+    for spec in (qm9lite_spec(), zinclite_spec(), TOY_SPEC, REG_SPEC):
+        assert set(spec.atom_vocab[:-1]) <= set(DEFAULT_VALENCES)
+    assert chem.DEFAULT_VALENCES is DEFAULT_VALENCES
+
+
+def test_stacking_no_graphs_is_a_graph_error():
+    """An empty list is refused inside the error hierarchy, by every caller
+    that stacks one."""
+    with pytest.raises(GraphError, match="no graphs to stack"):
+        stack_graphs([])
+    with pytest.raises(GraphError, match="no graphs to stack"):
+        dequantize([], 0.9, make_rng(0))
 
 
 def test_dequantize_floor_recovers():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import TOY_SPEC, random_graph, randomize_model
 from graphnvp.chem import check_validity, from_graph, parse_smiles_lite, to_graph, write_smiles_canonical
-from graphnvp.errors import ChemError, GnvpError
+from graphnvp.errors import ChemError, GnvpError, GraphError
 from graphnvp.flow import FlowModel, ModelConfig
 from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.latent import (
@@ -42,6 +42,11 @@ def test_encode_zero_init_midpoint(toy_model):
     z = encode_dataset(toy_model, [g])[0]
     expected = np.concatenate([(g.adjacency + 0.45).ravel(), (g.features + 0.45).ravel()])
     assert np.array_equal(z, expected)
+
+
+def test_encode_no_graphs_is_a_graph_error(toy_model):
+    with pytest.raises(GraphError, match="no graphs to stack"):
+        encode_dataset(toy_model, [])
 
 
 def test_encode_noise_free_deterministic(random_toy_model):
