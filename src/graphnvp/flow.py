@@ -447,13 +447,12 @@ def _spec_to_dict(spec: GraphSpec) -> dict:
 def _spec_from_dict(data: dict) -> GraphSpec:
     """The spec in a checkpoint's ``spec`` block.  A bad key, or vocabularies
     :class:`GraphSpec` refuses, raise :class:`CheckpointError` naming it."""
-    fields = {
-        "num_nodes": _meta_field(data, "spec.num_nodes", _COUNT),
-        "atom_vocab": tuple(_meta_field(data, "spec.atom_vocab", _VOCAB)),
-        "bond_vocab": tuple(_meta_field(data, "spec.bond_vocab", _VOCAB)),
-    }
     try:
-        return GraphSpec(**fields)
+        return GraphSpec(
+            num_nodes=_meta_field(data, "spec.num_nodes", _COUNT),
+            atom_vocab=tuple(_meta_field(data, "spec.atom_vocab", _VOCAB)),
+            bond_vocab=tuple(_meta_field(data, "spec.bond_vocab", _VOCAB)),
+        )
     except GraphError as err:
         raise CheckpointError(f"checkpoint metadata spec is {json.dumps(data)}, not a valid spec: {err}") from None
 
