@@ -22,7 +22,7 @@ from graphnvp.graphs import (
 )
 from graphnvp.tensor import make_rng
 
-from conftest import REG_SPEC, TOY_SPEC, permute_nodes, random_graph
+from conftest import TOY_SPEC, permute_nodes, random_graph
 
 
 def test_bundled_specs():
@@ -47,15 +47,13 @@ def test_spec_rejects_bad_sizes():
 
 def test_spec_refuses_vocabularies_decode_cannot_read():
     """At most three real bond channels (orders 1..3), and every real atom
-    symbol needs a valence entry; the bundled and test specs keep both."""
+    symbol needs a valence entry."""
     with pytest.raises(GraphError, match="bond_vocab has 4 real channels; bond orders are 1..3"):
         GraphSpec(num_nodes=3, atom_vocab=("C", "*"), bond_vocab=("1", "2", "3", "4", "virtual"))
     with pytest.raises(GraphError, match="atom symbol 'B' in atom_vocab has no valence entry"):
         GraphSpec(num_nodes=3, atom_vocab=("C", "B", "*"))
     # The virtual symbol is never looked up, so it needs no entry.
     assert GraphSpec(num_nodes=3, atom_vocab=("C", "B")).virtual_atom == 1
-    for spec in (qm9lite_spec(), zinclite_spec(), TOY_SPEC, REG_SPEC):
-        assert set(spec.atom_vocab[:-1]) <= set(DEFAULT_VALENCES)
     assert chem.DEFAULT_VALENCES is DEFAULT_VALENCES
 
 
