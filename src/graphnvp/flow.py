@@ -326,7 +326,9 @@ class FlowModel(Module):
         if vector.dtype != np.float64 or vector.shape != (self._size,):
             raise ShapeError(f"a {vector.dtype} vector of shape {vector.shape} cannot hold {self._size} values")
         for name, view in self._views(vector).items():
-            module, leaf = self._resolve(name)
+            module, (*path, leaf) = self, name.split(".")
+            for part in path:
+                module = module._children[part]
             module._params[leaf] = T._frozen(view)
         self._vector = vector
         parameters_changed()

@@ -52,8 +52,9 @@ SAMPLE_BLOCK = 128
 
 
 def parameters_changed() -> None:
-    """Invalidate every cached batch-norm fold.  The :class:`Module` setters
-    call it; code that updates parameter values in place must call it too.
+    """Invalidate every cached batch-norm fold.  :meth:`Module.load_parameters`
+    and each training-mode batch norm call it; other code that updates
+    parameter values in place, as an Adam step does, must call it too.
     Each call publishes a value never used before, so a bump racing another
     thread's is not lost the way ``_version += 1`` could be."""
     global _version
@@ -61,7 +62,8 @@ def parameters_changed() -> None:
 
 
 class Module:
-    """Tree of named parameters (trainable) and buffers (running state)."""
+    """Tree of named parameters (trainable) and buffers (running state).  A
+    buffer keeps its array for life: its updates and loads write into it."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -70,12 +72,10 @@ class Module:
 
     def register_parameter(self, name: str, value: Tensor) -> Tensor:
         self._params[name] = value
-        parameters_changed()
         return value
 
     def register_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
         self._buffers[name] = np.asarray(value, dtype=np.float64)
-        parameters_changed()
         return self._buffers[name]
 
     def register_child(self, name: str, child: "Module") -> "Module":
@@ -94,52 +94,36 @@ class Module:
         for cname, child in self._children.items():
             yield from child.named_buffers(prefix + cname + ".")
 
-    def get_parameter(self, name: str) -> Tensor:
-        module, leaf = self._resolve(name)
-        return module._params[leaf]
-
-    def set_parameter(self, name: str, value: Tensor) -> None:
-        """Write ``value`` into the parameter's storage, in place: in a model, its vector."""
-        module, leaf = self._resolve(name)
-        arr = module._params[leaf].data
-        if arr.shape != value.shape:
-            raise ShapeError(f"parameter {name}: shape {value.shape} != {arr.shape}")
-        arr.flags.writeable = True  # allowed: it owns its memory, or views a writable array
-        arr[...] = value.data
-        arr.flags.writeable = False
-        parameters_changed()
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        module, leaf = self._resolve(name)
-        old = module._buffers[leaf]
-        value = np.asarray(value, dtype=np.float64)
-        if old.shape != value.shape:
-            raise ShapeError(f"buffer {name}: shape {value.shape} != {old.shape}")
-        module._buffers[leaf] = value
-        parameters_changed()
-
-    def _resolve(self, name: str) -> tuple["Module", str]:
-        module = self
-        parts = name.split(".")
-        for part in parts[:-1]:
-            if part not in module._children:
-                raise KeyError(f"no submodule {part!r} while resolving {name!r}")
-            module = module._children[part]
-        leaf = parts[-1]
-        if leaf not in module._params and leaf not in module._buffers:
-            raise KeyError(f"no parameter or buffer named {name!r}")
-        return module, leaf
-
-    def load_parameters(self, values: dict[str, Tensor]) -> None:
+    def load_parameters(self, values: dict[str, np.ndarray]) -> None:
+        """Write each array into the parameter or buffer of its dotted name,
+        in place, so each keeps its storage: a parameter of a model its
+        slice of the vector, a buffer its array.  Parameters must be finite."""
+        params, buffers = dict(self.named_parameters()), dict(self.named_buffers())
         for name, value in values.items():
-            self.set_parameter(name, value)
+            value = np.asarray(value, dtype=np.float64)
+            if name in params:
+                arr = params[name].data
+                if not np.isfinite(value).all():
+                    raise NumericError(f"parameter {name}: non-finite value")
+            elif name in buffers:
+                arr = buffers[name]
+            else:
+                raise KeyError(f"no parameter or buffer named {name!r}")
+            if arr.shape != value.shape:
+                raise ShapeError(f"{name}: shape {value.shape} != {arr.shape}")
+            writeable = arr.flags.writeable
+            arr.flags.writeable = True  # allowed: it owns its memory, or views a writable array
+            arr[...] = value
+            arr.flags.writeable = writeable
+        parameters_changed()
 
 
 def _drawn(rng: np.random.Generator | None, n_in: int, n_out: int, *lead: int) -> Tensor:
     """A Glorot-uniform weight [*lead, n_in, n_out], whose bound depends on
     ``n_in`` and ``n_out`` alone; or with ``rng`` None a zero placeholder of
-    its shape broadcast from one scalar, so it holds no memory."""
-    if rng is None:  # a read-only scalar, so a write through the view raises
+    its shape broadcast from one scalar, so it holds no memory, and
+    :meth:`Module.load_parameters` raises rather than write through it."""
+    if rng is None:  # a read-only scalar, so its view cannot be made writable
         return T._frozen(np.broadcast_to(T._frozen(np.zeros(())).data, (*lead, n_in, n_out)))
     bound = np.sqrt(6.0 / (n_in + n_out))
     return Tensor(rng.uniform(-bound, bound, size=(*lead, n_in, n_out)))
@@ -180,8 +164,9 @@ class BatchNorm(Module):
         :func:`~graphnvp.tensor.batch_norm`)."""
         p, m = self._params, self.momentum
         out, mean, var = T.batch_norm(x, p["gamma"], p["beta"], self.eps, activation=activation, row=row)
-        self._buffers["running_mean"] = (1 - m) * self._buffers["running_mean"] + m * mean
-        self._buffers["running_var"] = (1 - m) * self._buffers["running_var"] + m * var
+        for running, batch in ((self._buffers["running_mean"], mean), (self._buffers["running_var"], var)):
+            running *= 1 - m
+            running += m * batch
         parameters_changed()
         return out
 

@@ -95,8 +95,8 @@ class Tensor:
     knows it by.
 
     Parameters are the exception: each is a read-only view of its model's
-    vector, which :func:`~graphnvp.train.adam_step` and ``set_parameter``
-    write into in place.
+    vector, which :func:`~graphnvp.train.adam_step` and
+    :meth:`~graphnvp.nets.Module.load_parameters` write into in place.
     """
 
     __slots__ = ("data", "key")

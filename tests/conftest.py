@@ -106,14 +106,13 @@ def randomize_model(model: FlowModel, seed: int, scale: float = 0.3) -> FlowMode
     batch-norm running statistics, giving a non-trivial map for round-trip and
     Jacobian tests."""
     rng = make_rng(seed)
-    model.load_parameters(
-        {name: Tensor(rng.normal(scale=scale, size=p.shape)) for name, p in model.named_parameters()}
-    )
+    values = {name: rng.normal(scale=scale, size=p.shape) for name, p in model.named_parameters()}
     for name, buf in model.named_buffers():
         if name.endswith("running_mean"):
-            model.set_buffer(name, rng.normal(scale=0.2, size=buf.shape))
+            values[name] = rng.normal(scale=0.2, size=buf.shape)
         elif name.endswith("running_var"):
-            model.set_buffer(name, 1.0 + 0.5 * rng.random(buf.shape))
+            values[name] = 1.0 + 0.5 * rng.random(buf.shape)
+    model.load_parameters(values)
     return model
 
 

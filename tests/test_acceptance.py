@@ -129,15 +129,15 @@ def test_criterion_04_gradient_oracle_every_tensor():
 
     worst = 0.0
     for name in names:
-        # A copy: the parameter is a view that set_parameter writes into.
-        p0 = Tensor(model.get_parameter(name).data)
+        # A copy: the parameter is a view that load_parameters writes into.
+        p0 = Tensor(dict(model.named_parameters())[name].data)
 
         def loss_at(t):
-            model.set_parameter(name, t)
+            model.load_parameters({name: t.data})
             return nll_loss(model, batch, make_rng(8))
 
         numeric = finite_difference_gradient(loss_at, p0, 1e-5).data
-        model.set_parameter(name, p0)
+        model.load_parameters({name: p0.data})
         analytic = grads[name].data
         denom = max(np.abs(numeric).max(), np.abs(analytic).max())
         gap = np.abs(analytic - numeric).max()

@@ -11,13 +11,12 @@ from graphnvp.chem import parse_smiles_lite
 from graphnvp.flow import FlowModel, save_checkpoint
 from graphnvp.latent import GridCell, OptimizationStep, write_grid_csv, write_optimization_csv
 from graphnvp.sampling import SampleConfig, SweepRow, generate, write_generated_smiles, write_sweep_csv
-from graphnvp.tensor import Tensor
 from graphnvp.train import EpochRecord, TrainState, save_train_state, write_metrics_csv
 
 
 def _checkpoint(path, version):
     model = FlowModel(TOY_SPEC, TOY_CONFIG, seed=version)
-    model.prior.set_parameter("log_sigma", Tensor(0.1 * version))
+    model.prior.load_parameters({"log_sigma": 0.1 * version})
     save_checkpoint(model, path)
 
 

@@ -261,14 +261,15 @@ def test_numeric_error_names_the_coupling_layer():
     model = FlowModel(TOY_SPEC, config, seed=2)
     _, (adjacency, features) = toy_dequantized()
     z, _ = model.eval_forward(adjacency, features)
-    model.set_buffer("node_5.translate_net.bn0.running_var", -np.ones(6))
+    model.load_parameters({"node_5.translate_net.bn0.running_var": -np.ones(6)})
     for run in (lambda: model.inverse_batch(z), lambda: model.eval_forward(adjacency, features)):
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
             run()
         assert str(err.value) == "node_5: batch_norm produced a non-finite value"
         assert isinstance(err.value.__cause__, NumericError)
-    model.set_buffer("node_5.translate_net.bn0.running_var", np.ones(6))
-    model.set_buffer("adjacency_1.scale_net.bn1.running_var", -np.ones(8))
+    model.load_parameters(
+        {"node_5.translate_net.bn0.running_var": np.ones(6), "adjacency_1.scale_net.bn1.running_var": -np.ones(8)}
+    )
     for run in (lambda: model.inverse_batch(z), lambda: model.eval_forward(adjacency, features)):
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^adjacency_1: batch_norm"):
             run()
@@ -443,7 +444,7 @@ def test_forward_numeric_errors_keep_their_text_and_layer():
         ("node_0.translate_net.bn0.running_var", "node_0: batch_norm produced a non-finite value"),
     ]:
         model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
-        model.set_buffer(name, -np.ones(dict(model.named_buffers())[name].shape))
+        model.load_parameters({name: -np.ones(dict(model.named_buffers())[name].shape)})
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
             model.eval_forward(adjacency, features)
         assert isinstance(err.value.__cause__, NumericError)
@@ -480,9 +481,7 @@ def test_graph_conv_net_numeric_errors_name_graph_conv_or_batch_norm():
         (scaled_overflow, {}, "batch_norm"),
     ]:
         model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
-        model.load_parameters({name: Tensor(value) for name, value in params.items()})
-        for name, value in buffers.items():
-            model.set_buffer(name, value)
+        model.load_parameters(params | buffers)
         expected = f"node_1: {op} produced a non-finite value"
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as forward:
@@ -545,7 +544,7 @@ def test_inverse_numeric_errors_keep_their_text_and_layer():
         ("node_0.translate_net.bn0.running_var", "node_0: batch_norm produced a non-finite value"),
     ]:
         model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
-        model.set_buffer(name, -np.ones(dict(model.named_buffers())[name].shape))
+        model.load_parameters({name: -np.ones(dict(model.named_buffers())[name].shape)})
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
             model.inverse_batch(z)
         assert isinstance(err.value.__cause__, NumericError)
@@ -696,7 +695,7 @@ def test_prior_matches_extended_precision_reference():
 
     mp.dps = 50
     prior = GaussianPrior(6)
-    prior.set_parameter("log_sigma", Tensor(0.3))
+    prior.load_parameters({"log_sigma": 0.3})
     rng = make_rng(11)
     for _ in range(10):
         z = rng.normal(size=6)

@@ -60,22 +60,25 @@ def a_rows_of(adjacency):
 
 
 def randomize_net(net, rng):
+    values = {}
     for name, buf in net.named_buffers():
         if name.endswith("running_mean"):
-            net.set_buffer(name, rng.normal(scale=0.2, size=buf.shape))
+            values[name] = rng.normal(scale=0.2, size=buf.shape)
         elif name.endswith("running_var"):
-            net.set_buffer(name, 1.0 + 0.5 * rng.random(buf.shape))
+            values[name] = 1.0 + 0.5 * rng.random(buf.shape)
     for name, p in net.named_parameters():
-        net.set_parameter(name, Tensor(rng.normal(scale=0.5, size=p.shape)))
+        values[name] = rng.normal(scale=0.5, size=p.shape)
+    net.load_parameters(values)
 
 
 def test_round_equals_explicit_relation_sum():
     """The stacked contraction is sum_r A_r h W_r + h W_self + b."""
     h, adjacency = random_relational_input(seed=1)
     layer = RelGraphRound(4, 6, 3, make_rng(2))
-    layer.set_parameter("bias", Tensor(make_rng(3).normal(size=6)))
-    w_rel = layer.get_parameter("rel_weight").data
-    expected = h @ layer.get_parameter("self_weight").data + layer.get_parameter("bias").data
+    layer.load_parameters({"bias": make_rng(3).normal(size=6)})
+    p = {name: value.data for name, value in layer.named_parameters()}
+    w_rel = p["rel_weight"]
+    expected = h @ p["self_weight"] + p["bias"]
     for r in range(3):
         expected = expected + adjacency[..., r] @ h @ w_rel[r]
     out = layer(Tensor(h), a_rows_of(adjacency)).data
@@ -245,6 +248,7 @@ def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
     weights = Tensor(make_rng(65).normal(size=(3, 2)))
     x = Tensor(h)
     a_rows = a_rows_of(adjacency)
+    params = dict(net.named_parameters())
     for row in (0, 4):
 
         def run(reference):
@@ -255,16 +259,16 @@ def test_training_graph_conv_net_row_norm_equals_full_norm_then_index_axis():
                 if reference:
                     y, stats = x, []
                     for k in range(2):
-                        p = lambda name: net.get_parameter(f"round{k}.{name}")
+                        p = lambda name: params[f"round{k}.{name}"]
                         y = T.graph_conv(y, a_rows, p("rel_weight"), p("self_weight"), p("bias"))
                         bn = net._children[f"bn{k}"]
                         y, *moments = T.batch_norm(
-                            y, bn.get_parameter("gamma"), bn.get_parameter("beta"), bn.eps, activation="tanh"
+                            y, params[f"bn{k}.gamma"], params[f"bn{k}.beta"], bn.eps, activation="tanh"
                         )
                         stats += moments
                     out = net._children["head"](T.index_axis(y, 1, row))
                 else:
-                    before = dict(net.named_buffers())
+                    before = {name: buf.copy() for name, buf in net.named_buffers()}
                     out = net(x, Conditioning(adjacency), row)
                     after = dict(net.named_buffers())
                     # running = 0.9 * running + 0.1 * batch statistic
@@ -323,10 +327,7 @@ def _assert_eval_matches_fresh_copy(model):
     # ``model`` first: building the copy changes the version counter.
     outputs = _eval(model)
     fresh = FlowModel(TOY_SPEC, TOY_CONFIG, seed=99)
-    for name, p in model.named_parameters():
-        fresh.set_parameter(name, Tensor(p.data))
-    for name, buf in model.named_buffers():
-        fresh.set_buffer(name, buf.copy())
+    fresh.load_parameters({name: p.data for name, p in model.named_parameters()} | dict(model.named_buffers()))
     for out, expected in zip(outputs, _eval(fresh)):
         assert out.tobytes() == expected.tobytes()
 
@@ -350,9 +351,10 @@ def test_mlp_eval_holds_no_weight_copy():
     assert nets
     for net in nets:
         *hidden, head = net._eval_layers()
+        params = dict(net.named_parameters())
         for k, (weight, *_) in enumerate(hidden):
-            assert np.shares_memory(weight, net.get_parameter(f"lin{k}.weight").data)
-        assert np.shares_memory(head[0], net.get_parameter("head.weight").data)
+            assert np.shares_memory(weight, params[f"lin{k}.weight"].data)
+        assert np.shares_memory(head[0], params["head.weight"].data)
 
 
 def test_graph_conv_net_eval_folds_only_the_all_node_rounds():
@@ -364,11 +366,12 @@ def test_graph_conv_net_eval_folds_only_the_all_node_rounds():
         net = layer._children["translate_net"]
         *rounds, _ = net._eval_layers()
         assert net.depth == len(rounds) == 2
+        params = dict(net.named_parameters())
         for k, weights in enumerate(rounds):
-            p = {name: net.get_parameter(f"round{k}.{name}").data for name in ("rel_weight", "self_weight")}
+            p = {name: params[f"round{k}.{name}"].data for name in ("rel_weight", "self_weight")}
             shared = [np.shares_memory(weights[i], p[name]) for i, name in enumerate(p)]
             assert shared == [k == 1, k == 1]
-        s, b = net._children["bn1"].eval_affine(net.get_parameter("round1.bias").data)
+        s, b = net._children["bn1"].eval_affine(params["round1.bias"].data)
         assert rounds[1][2].tobytes() == s.tobytes() and rounds[1][3].tobytes() == b.tobytes()
 
 
@@ -411,28 +414,30 @@ def test_large_qm9lite_inverse_batch_peak_stays_bounded():
     assert peak < 12 * 2**20
 
 
-def test_set_parameter_cannot_write_through_an_undrawn_placeholder():
+def test_load_parameters_cannot_write_through_an_undrawn_placeholder():
     """A weight built without a draw broadcasts one scalar, so a write must
     raise instead of storing every element into that one scalar."""
     layer = Linear(3, 4, None)
     with pytest.raises(ValueError, match="WRITEABLE"):
-        layer.set_parameter("weight", Tensor(np.ones((3, 4))))
-    assert not layer.get_parameter("weight").data.any()
+        layer.load_parameters({"weight": np.ones((3, 4))})
+    assert not dict(layer.named_parameters())["weight"].data.any()
 
 
-def test_fold_follows_set_parameter_set_buffer_and_load_parameters():
+def test_fold_follows_each_load_parameters_write():
+    """A weight, a batch-norm parameter, a running statistic, and two
+    parameters at once, each written by name."""
     rng = make_rng(41)
     model = _used_model()
-    model.set_parameter("adjacency_1.scale_net.lin1.weight", Tensor(rng.normal(size=(8, 8))))
+    model.load_parameters({"adjacency_1.scale_net.lin1.weight": rng.normal(size=(8, 8))})
     _assert_eval_matches_fresh_copy(model)
-    model.set_parameter("node_2.translate_net.bn0.gamma", Tensor(1.0 + rng.random(6)))
+    model.load_parameters({"node_2.translate_net.bn0.gamma": 1.0 + rng.random(6)})
     _assert_eval_matches_fresh_copy(model)
-    model.set_buffer("adjacency_2.translate_net.bn0.running_mean", rng.normal(size=8))
+    model.load_parameters({"adjacency_2.translate_net.bn0.running_mean": rng.normal(size=8)})
     _assert_eval_matches_fresh_copy(model)
     model.load_parameters(
         {
-            "node_0.translate_net.round1.self_weight": Tensor(rng.normal(size=(6, 6))),
-            "adjacency_0.translate_net.bn1.beta": Tensor(rng.normal(size=8)),
+            "node_0.translate_net.round1.self_weight": rng.normal(size=(6, 6)),
+            "adjacency_0.translate_net.bn1.beta": rng.normal(size=8),
         }
     )
     _assert_eval_matches_fresh_copy(model)
@@ -442,7 +447,7 @@ def test_fold_follows_training_mode_forward():
     model = _used_model()
     adjacency, features = dequantize(_toy_batch(42), 0.9, make_rng(42))
     name = "adjacency_0.scale_net.bn0.running_mean"
-    before = dict(model.named_buffers())[name]
+    before = dict(model.named_buffers())[name].copy()
     model.forward_batch(adjacency, features)
     assert not np.array_equal(dict(model.named_buffers())[name], before)
     _assert_eval_matches_fresh_copy(model)
@@ -487,8 +492,7 @@ def test_fold_follows_checkpoint_loaded_into_used_model(tmp_path):
     save_train_state(path, TrainState.fresh(source), source)
     loaded, state = load_train_state(path, TOY_SPEC)
     model = _used_model()
-    for name, buf in loaded.named_buffers():
-        model.set_buffer(name, buf)
+    model.load_parameters(dict(loaded.named_buffers()))
     _eval(model)  # fills every fold cache again
     train(model, _toy_batch(44), TrainConfig(epochs=0), resume_state=state)
     _assert_eval_matches_fresh_copy(model)

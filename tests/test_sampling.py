@@ -101,10 +101,8 @@ def test_non_finite_temperatures_rejected(random_toy_model, temperature):
 
 
 def test_sampler_honors_learned_sigma():
-    from graphnvp.tensor import Tensor
-
     prior = GaussianPrior(400)
-    prior.set_parameter("log_sigma", Tensor(np.log(2.0)))
+    prior.load_parameters({"log_sigma": np.log(2.0)})
     draws = sample_latent_batch(prior, 0.5, make_rng(1), 250)
     assert abs(float(np.var(draws)) - 1.0) < 0.02  # (0.5 * 2)^2
 

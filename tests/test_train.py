@@ -84,7 +84,7 @@ def test_nll_sigma_doubling_shifts_loss_by_d_log2_at_origin():
     d = TOY_SPEC.latent_dim
     origin = Tensor(np.zeros((1, d)))
     base = model.prior.log_prob(origin).data[0]
-    model.prior.set_parameter("log_sigma", Tensor(np.log(2.0)))
+    model.prior.load_parameters({"log_sigma": np.log(2.0)})
     doubled = model.prior.log_prob(origin).data[0]
     assert base - doubled == pytest.approx(d * np.log(2.0), abs=1e-9)
 
@@ -104,21 +104,22 @@ def test_nll_gradient_matches_finite_differences():
         "node_1.translate_net.head.bias",
         "prior.log_sigma",
     ]
+    params = dict(model.named_parameters())
     for name in names:
-        p0 = model.get_parameter(name)
+        p0 = params[name]
 
         def loss_at(values):
-            model.set_parameter(name, values if isinstance(values, Tensor) else Tensor(values.data))
+            model.load_parameters({name: values.data})
             out = nll_loss(model, batch, make_rng(9))
             return out
 
         with GradientTape() as tape:
             tape.watch(name, p0)
-            model.set_parameter(name, p0)
+            model.load_parameters({name: p0.data})
             loss = nll_loss(model, batch, make_rng(9))
         analytic = tape.gradients(loss)[name].data
         numeric = finite_difference_gradient(lambda t: loss_at(t), p0, 1e-5).data
-        model.set_parameter(name, p0)
+        model.load_parameters({name: p0.data})
         denom = max(np.abs(numeric).max(), np.abs(analytic).max())
         gap = np.abs(analytic - numeric).max()
         if denom < 1e-6:
@@ -327,8 +328,9 @@ def test_train_resume_matches_uninterrupted(tmp_path):
         resume_state=resumed_state,
     )
 
+    resumed = dict(model_resumed.named_parameters())
     for name, p in model_full.named_parameters():
-        assert np.array_equal(p.data, model_resumed.get_parameter(name).data), name
+        assert np.array_equal(p.data, resumed[name].data), name
     merged = records_half + records_rest
     assert [r.mean_nll for r in merged] == [r.mean_nll for r in records_full]
 
@@ -382,8 +384,9 @@ def test_train_state_round_trip_at_path_without_suffix(tmp_path):
     # Saved again, the state is the same file, generator state included.
     save_train_state(tmp_path / "again", restored, restored_model)
     assert (tmp_path / "again").read_bytes() == path.read_bytes()
+    restored_params = dict(restored_model.named_parameters())
     for name, p in model.named_parameters():
-        assert np.array_equal(restored_model.get_parameter(name).data, p.data), name
+        assert np.array_equal(restored_params[name].data, p.data), name
     for (name, saved), (_, loaded) in zip(
         sorted(model.named_buffers()), sorted(restored_model.named_buffers())
     ):
@@ -588,7 +591,7 @@ def test_qm9lite_train_steps_equal_tape_gradients_then_full_adam_step(qm9_corpus
         full_adam_step(reference, np.concatenate([g.data.ravel() for g in grads.values()]), config)
         lo_param = 0
         for name, p in sorted(model.named_parameters()):
-            model.set_parameter(name, Tensor(reference.params[lo_param : lo_param + p.size].reshape(p.shape)))
+            model.load_parameters({name: reference.params[lo_param : lo_param + p.size].reshape(p.shape)})
             lo_param += p.size
     assert state.step == reference.step == 2
     for got, want in zip(
@@ -608,7 +611,7 @@ def test_non_finite_gradient_names_its_layer_before_updating_it(tmp_path, monkey
 
     def poisoning_nll_loss(*args, **kwargs):
         loss = nll_loss(*args, **kwargs)
-        poisoned = model.get_parameter(name)
+        poisoned = dict(model.named_parameters())[name]
         (rec,) = [r for r in T._ACTIVE.tape.records if poisoned.key in r.inputs]
         vjp = rec.vjp
 
@@ -653,7 +656,6 @@ def test_train_binds_the_state_vector_once_per_call(monkeypatch):
     model = toy_model(seed=3)
     monkeypatch.setattr(FlowModel, "_bind", counting)
     monkeypatch.setattr(Module, "load_parameters", refuse)
-    monkeypatch.setattr(Module, "set_parameter", refuse)
     state, _ = train(model, dataset, TrainConfig(epochs=2, batch_size=4, seed=9))
     assert [(m, v is state.params) for m, v in calls] == [(model, True)] and state.step == 6
     train(model, dataset, TrainConfig(epochs=3, batch_size=4, seed=9), resume_state=state)
@@ -696,8 +698,9 @@ def test_train_resumes_in_memory_state_into_another_model():
     _, records_rest = train(
         model_other, dataset, TrainConfig(epochs=4, batch_size=4, seed=9), resume_state=state
     )
+    other = dict(model_other.named_parameters())
     for name, p in model_full.named_parameters():
-        assert np.array_equal(p.data, model_other.get_parameter(name).data), name
+        assert np.array_equal(p.data, other[name].data), name
     assert [r.mean_nll for r in records_half + records_rest] == [r.mean_nll for r in records_full]
 
 
@@ -791,7 +794,7 @@ def test_loaders_reject_invalid_parameters_and_buffers(tmp_path, entry, value):
     else:
         buffer = dict(model.named_buffers())[name].copy()
         buffer.flat[-1] = value
-        model.set_buffer(name, buffer)
+        model.load_parameters({name: buffer})
     checkpoint, state = tmp_path / "model.gnvp", tmp_path / "state.gnvp"
     save_checkpoint(model, checkpoint)
     save_train_state(state, TrainState.fresh(model), model)
@@ -821,12 +824,12 @@ def _assert_parameters_view_the_vector(model):
     assert TrainState.fresh(model).params is vector
 
 
-def _set_one(model):
+def _load_one(model):
     vector, name = model.vector, "adjacency_1.scale_net.lin0.weight"
-    value = Tensor(make_rng(5).normal(size=model.get_parameter(name).shape))
-    model.set_parameter(name, value)
+    value = make_rng(5).normal(size=dict(model.named_parameters())[name].shape)
+    model.load_parameters({name: value})
     lo, _ = model.layout[name]
-    assert model.vector is vector and np.array_equal(vector[lo : lo + value.size], value.data.reshape(-1))
+    assert model.vector is vector and np.array_equal(vector[lo : lo + value.size], value.reshape(-1))
     return model
 
 
@@ -856,7 +859,7 @@ def _trained(model):
         pytest.param(lambda path: load_checkpoint(path / "model.gnvp", TOY_SPEC), id="load_checkpoint"),
         pytest.param(lambda path: _loaded_state(path / "state.gnvp"), id="load_train_state"),
         pytest.param(lambda path: _trained(toy_model(seed=3)), id="trained"),
-        pytest.param(lambda path: _set_one(toy_model(seed=3)), id="set_parameter"),
+        pytest.param(lambda path: _load_one(toy_model(seed=3)), id="load_one_parameter"),
         pytest.param(lambda path: _load_all(toy_model(seed=3)), id="load_parameters"),
     ],
 )
@@ -880,8 +883,9 @@ def test_train_writes_checkpoints(tmp_path):
     assert (tmp_path / "epoch_0002.gnvp").exists()
     assert (tmp_path / "epoch_0004.gnvp").exists()
     loaded = load_checkpoint(tmp_path / "model.gnvp", TOY_SPEC)
+    params = dict(loaded.named_parameters())
     for name, p in model.named_parameters():
-        assert np.array_equal(p.data, loaded.get_parameter(name).data)
+        assert np.array_equal(p.data, params[name].data)
 
 
 def test_split_dataset_deterministic(qm9_corpus):
