@@ -2,7 +2,7 @@
 
 The accepted grammar covers uppercase atoms (C, N, O, F, S, Cl), default
 single bonds with ``=`` and ``#`` for double/triple, parenthesized branches,
-ring closures with digits 1-9, and ``.`` as a fragment separator for
+ring closures labelled 1-9 then %10-%99, and ``.`` as a fragment separator for
 disconnected structures.  No charges, isotopes, stereo markers, or aromatic
 lowercase; aromatic input must be kekulized beforehand.
 
@@ -24,6 +24,8 @@ from .graphs import DEFAULT_VALENCES, GraphSpec, MolecularGraph, check_graphs, s
 
 _BOND_TEXT = {1: "", 2: "=", 3: "#"}
 _ATOM_TOKENS = ("Cl", "C", "N", "O", "F", "S")  # two-character symbols first
+# Ring-closure labels in numeric order; the writer takes the lowest free one.
+_RING_LABELS = [str(n) for n in range(1, 10)] + [f"%{n}" for n in range(10, 100)]
 
 
 def _valence_limit(symbol: str) -> int:
@@ -153,7 +155,7 @@ def parse_smiles_lite(text: str) -> Molecule:
     prev: int | None = None
     pending: tuple[int, int] | None = None  # (order, offset)
     branch_stack: list[tuple[int, int]] = []  # (atom index, '(' offset)
-    open_rings: dict[str, tuple[int, int | None, int]] = {}  # digit -> (atom, order, offset)
+    open_rings: dict[str, tuple[int, int | None, int]] = {}  # label -> (atom, order, offset)
     dangling_dot: int | None = None
 
     def add_bond(i: int, j: int, order: int, offset: int) -> None:
@@ -189,13 +191,14 @@ def parse_smiles_lite(text: str) -> Molecule:
                 raise SmilesParseError("two bond symbols in a row", i)
             pending = (2 if ch == "=" else 3, i)
             i += 1
-        elif ch.isdigit():
-            if ch == "0":
-                raise SmilesParseError("ring closure digits are 1-9", i)
+        elif ch.isdigit() or ch == "%":
+            label = text[i : i + 3] if ch == "%" else ch
+            if label not in _RING_LABELS:
+                raise SmilesParseError("ring closure digits are 1-9, or %10-%99", i)
             if prev is None:
                 raise SmilesParseError("ring digit without a preceding atom", i)
-            if ch in open_rings:
-                other, opened_order, _ = open_rings.pop(ch)
+            if label in open_rings:
+                other, opened_order, _ = open_rings.pop(label)
                 closing_order = pending[0] if pending is not None else None
                 if (
                     opened_order is not None
@@ -206,9 +209,9 @@ def parse_smiles_lite(text: str) -> Molecule:
                 order = opened_order or closing_order or 1
                 add_bond(other, prev, order, i)
             else:
-                open_rings[ch] = (prev, pending[0] if pending is not None else None, i)
+                open_rings[label] = (prev, pending[0] if pending is not None else None, i)
             pending = None
-            i += 1
+            i += len(label)
         elif ch == ".":
             if pending is not None:
                 raise SmilesParseError("bond symbol with no following atom", pending[1])
@@ -299,10 +302,11 @@ def _serialize(
 
     walk(root)
 
-    # Pass 2: emit text; ring digits allocated at the opening end.
+    # Pass 2: emit text; ring labels, indices into _RING_LABELS, allocated
+    # at the opening end.
     out: list[str] = []
-    digit_for: dict[tuple[int, int], str] = {}
-    free_digits = [str(d) for d in range(1, 10)]
+    label_for: dict[tuple[int, int], int] = {}
+    free_labels = list(range(len(_RING_LABELS)))
     emitted: set[int] = set()
 
     def emit(atom: int) -> None:
@@ -313,19 +317,19 @@ def _serialize(
         for other, order in ring_bonds[atom]:
             edge = (min(atom, other), max(atom, other))
             if other in emitted:
-                closings.append((digit_for[edge], edge))
+                closings.append((label_for[edge], edge))
             else:
                 openings.append((rank[other], edge, order))
-        for digit, edge in sorted(closings):
-            out.append(digit)
-            free_digits.append(digit)
-            free_digits.sort()
+        for label, edge in sorted(closings):
+            out.append(_RING_LABELS[label])
+            free_labels.append(label)
+            free_labels.sort()
         for _, edge, order in sorted(openings):
-            if not free_digits:
-                raise ChemError("more than 9 simultaneously open ring closures")
-            digit = free_digits.pop(0)
-            digit_for[edge] = digit
-            out.append(_BOND_TEXT[order] + digit)
+            if not free_labels:
+                raise ChemError(f"more than {len(_RING_LABELS)} simultaneously open ring closures")
+            label = free_labels.pop(0)
+            label_for[edge] = label
+            out.append(_BOND_TEXT[order] + _RING_LABELS[label])
         kids = children[atom]
         for child, order in kids[:-1]:
             out.append("(" + _BOND_TEXT[order])

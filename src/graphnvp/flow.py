@@ -339,6 +339,8 @@ class FlowModel(Module):
             raise ShapeError(
                 f"batch shapes {adjacency.shape} / {features.shape} do not match the spec"
             )
+        if not len(adjacency):
+            raise ShapeError("a batch of 0 graphs")
 
     def forward_batch(self, adjacency: np.ndarray, features: np.ndarray) -> tuple[Tensor, Tensor]:
         """Training: map dequantized arrays [batch, ...] to (latent [batch, D],
@@ -402,8 +404,8 @@ class FlowModel(Module):
         :meth:`~graphnvp.nets.Conditioning.bonds` view, so the pass's
         scratch dies on return."""
         spec = self.spec
-        if z.ndim != 2 or z.shape[1] != spec.latent_dim:
-            raise ShapeError(f"latent batch shape {z.shape} != (*, {spec.latent_dim})")
+        if z.ndim != 2 or z.shape[1] != spec.latent_dim or not len(z):
+            raise ShapeError(f"latent batch shape {z.shape} is not (batch > 0, {spec.latent_dim})")
         batch = z.shape[0]
         split = spec.num_nodes * spec.num_nodes * spec.num_bond_types
         za = _finite_copy(z[:, :split]).reshape((batch,) + spec.adjacency_shape())

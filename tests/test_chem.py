@@ -16,6 +16,7 @@ from graphnvp.chem import (
 )
 from graphnvp.errors import ChemError, DatasetError, GraphError, SmilesParseError
 from graphnvp.graphs import MolecularGraph, discretize_argmax, qm9lite_spec, zinclite_spec
+from graphnvp.sampling import _training_keys
 from graphnvp.tensor import make_rng
 
 from conftest import TOY_SPEC, permute_nodes
@@ -152,6 +153,8 @@ def test_parse_ring_bond_order_at_either_end():
         ("", "empty", 0),
         ("C.", "separator", 1),
         ("C0CC0", "digits are 1-9", 1),
+        ("CC%1CC%1", "digits are 1-9", 2),
+        ("C%09CC%09", "digits are 1-9", 1),
     ],
 )
 def test_parse_errors_carry_offsets(text, fragment, offset):
@@ -246,6 +249,26 @@ def test_canonical_round_trip_isomorphic():
         m = parse_smiles_lite(text)
         again = parse_smiles_lite(write_smiles_canonical(m))
         assert isomorphic(m, again), text
+
+
+def test_parse_two_digit_ring_labels():
+    assert bonds_as_set(parse_smiles_lite("C%10CC%10")) == bonds_as_set(parse_smiles_lite("C1CC1"))
+    assert bonds_as_set(parse_smiles_lite("C%99=CC=%99")) == bonds_as_set(parse_smiles_lite("C1=CC=1"))
+
+
+# Twelve carbons of four bonds each: some leaves of the canonical search
+# hold more than nine ring closures open at once.
+MANY_RINGS = "C123C45C67C89C11C66C99C48C33C27C36C159"
+
+
+def test_canonical_labels_rings_past_nine():
+    m = parse_smiles_lite(MANY_RINGS)
+    assert check_validity(m).ok
+    reference = write_smiles_canonical(m)
+    assert isomorphic(m, parse_smiles_lite(reference))
+    rng = make_rng(4)
+    for _ in range(5):
+        assert write_smiles_canonical(relabel(m, list(rng.permutation(12)))) == reference
 
 
 def test_canonical_rejects_invalid():
@@ -461,6 +484,13 @@ def test_bundled_qm9lite_corpus():
     # all valid by construction; canonical keys unique
     keys = {write_smiles_canonical(from_graph(g)) for g in graphs}
     assert len(keys) == 256
+
+
+def test_zinclite_dataset_with_many_rings_has_training_keys(tmp_path):
+    path = tmp_path / "rings.smi"
+    path.write_text(MANY_RINGS + "\n")
+    (graph,) = load_dataset(path, zinclite_spec())
+    assert _training_keys([graph]) == {write_smiles_canonical(parse_smiles_lite(MANY_RINGS))}
 
 
 def test_bundled_zinclite_corpus():

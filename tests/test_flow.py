@@ -25,7 +25,7 @@ from conftest import (
 )
 from graphnvp import flow, nets
 from graphnvp import kernels as K
-from graphnvp.errors import CheckpointError, GnvpError, NumericError
+from graphnvp.errors import CheckpointError, GnvpError, NumericError, ShapeError
 from graphnvp.flow import (
     AdjacencyCouplingLayer,
     FlowModel,
@@ -36,6 +36,7 @@ from graphnvp.flow import (
     save_checkpoint,
 )
 from graphnvp.graphs import argmax_adjacency, dequantize, qm9lite_spec
+from graphnvp.sampling import decode
 from graphnvp.tensor import Tensor, make_rng
 from graphnvp.train import TrainState, load_train_state, save_train_state
 
@@ -254,6 +255,23 @@ def test_model_round_trip_random_graphs(random_toy_model):
         a_cont, x_cont = random_toy_model.inverse_batch(z)
         err = max(np.abs(a_cont - adjacency).max(), np.abs(x_cont - features).max())
         assert err < 1e-5
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda model, a, x, z: model.forward_batch(a, x), id="forward_batch"),
+        pytest.param(lambda model, a, x, z: model.eval_forward(a, x), id="eval_forward"),
+        pytest.param(lambda model, a, x, z: model.inverse_batch(z), id="inverse_batch"),
+        pytest.param(lambda model, a, x, z: decode(model, z), id="decode"),
+    ],
+)
+def test_an_empty_batch_is_a_shape_error(run):
+    model = FlowModel(TOY_SPEC, TOY_CONFIG, seed=2)
+    adjacency = np.zeros((0, *TOY_SPEC.adjacency_shape()))
+    features = np.zeros((0, *TOY_SPEC.feature_shape()))
+    with pytest.raises(ShapeError, match="batch"):
+        run(model, adjacency, features, np.zeros((0, TOY_SPEC.latent_dim)))
 
 
 def test_numeric_error_names_the_coupling_layer():

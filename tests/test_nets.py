@@ -453,6 +453,40 @@ def test_fold_follows_training_mode_forward():
     _assert_eval_matches_fresh_copy(model)
 
 
+def test_running_statistics_keep_their_arrays(tmp_path, monkeypatch):
+    """Each running statistic of a loaded model stays the array the
+    checkpoint reader filled through training forwards and loads, and each
+    forward updates it to ``(1 - m) * old + m * batch`` bit for bit."""
+    path = tmp_path / "model.gnvp"
+    source = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=5), seed=6)
+    save_checkpoint(source, path)
+    model = load_checkpoint(path, TOY_SPEC)
+    filled = dict(model.named_buffers())
+    stats, batch_norm = {}, T.batch_norm
+    norms = {id(p): name.removesuffix("gamma") for name, p in model.named_parameters() if name.endswith(".gamma")}
+
+    def recording(x, gamma, *args, **kwargs):
+        out, mean, var = batch_norm(x, gamma, *args, **kwargs)
+        prefix = norms[id(gamma)]
+        assert prefix + "running_mean" not in stats  # one call per batch norm and forward
+        stats[prefix + "running_mean"], stats[prefix + "running_var"] = mean, var
+        return out, mean, var
+
+    monkeypatch.setattr(T, "batch_norm", recording)
+    m = BatchNorm.momentum
+    for seed in (47, 48, 49):
+        old = {name: buf.copy() for name, buf in filled.items()}
+        stats.clear()
+        model.forward_batch(*dequantize(_toy_batch(seed), 0.9, make_rng(seed)))
+        assert stats.keys() == filled.keys()
+        for name, buf in model.named_buffers():
+            assert buf is filled[name], name
+            assert buf.tobytes() == ((1 - m) * old[name] + m * stats[name]).tobytes(), name
+    model.load_parameters(dict(source.named_buffers()))
+    for name, buf in model.named_buffers():
+        assert buf is filled[name] and np.array_equal(buf, dict(source.named_buffers())[name]), name
+
+
 def test_fold_follows_adam_step_inside_train(monkeypatch):
     """Each step's in-place Adam updates run right after an eval filled the
     caches, and the eval follows them once the step is done: at the next
