@@ -324,7 +324,7 @@ def _eval(model, seed=40):
 
 
 def _assert_eval_matches_fresh_copy(model):
-    # ``model`` first: building the copy changes the version counter.
+    # ``model`` first: loading the copy changes the version counter.
     outputs = _eval(model)
     fresh = FlowModel(TOY_SPEC, TOY_CONFIG, seed=99)
     fresh.load_parameters({name: p.data for name, p in model.named_parameters()} | dict(model.named_buffers()))
@@ -504,7 +504,7 @@ def test_fold_follows_adam_step_inside_train(monkeypatch):
         _assert_eval_matches_fresh_copy(model)
         evals.append(outputs)
         steps.append(step)
-        _eval(model)  # refilled after the copy's construction bumped the version
+        _eval(model)  # refilled after the copy's load bumped the version
 
     def checked(state, gradient, config, start):
         assert gradient.size < state.params.size
