@@ -174,7 +174,6 @@ class AdjacencyCouplingLayer(_CouplingLayer):
         s = self._children["scale_net"].eval_array(flat)
         np.tanh(s, out=s)
         s *= self.scale_cap
-        K.check_finite(s, "mul")
         t = self._children["translate_net"].eval_array(flat)
         return s.reshape(batch, n, r), t.reshape(batch, n, r)
 

@@ -176,8 +176,6 @@ class BatchNorm(Module):
         gamma * (running_var + eps) ** -0.5`` and the bias ``b' = (bias -
         running_mean) * s + beta``.  Either may be non-finite."""
         mean, var = self._buffers["running_mean"], self._buffers["running_var"]
-        if not np.isfinite(var).all():
-            raise NumericError("batch_norm produced a non-finite variance")
         s = self._params["gamma"].data * np.power(var + self.eps, -0.5)
         return s, (bias - mean) * s + self._params["beta"].data
 
@@ -185,10 +183,10 @@ class BatchNorm(Module):
         """``layer``'s parameter arrays, in registration order, with this
         module's eval map folded in: each weight is scaled by ``s`` along its
         output (last) axis and the bias becomes ``b'`` (see
-        :meth:`eval_affine`).  A non-finite result raises as batch norm."""
+        :meth:`eval_affine`).  Any of them may be non-finite; eval's one
+        check of the layer's output finds it."""
         s, bias = self.eval_affine(layer._params["bias"].data)
-        folded = [bias if name == "bias" else p.data * s for name, p in layer._params.items()]
-        return tuple(K.check_finite(arr, "batch_norm") for arr in folded)
+        return tuple(bias if name == "bias" else p.data * s for name, p in layer._params.items())
 
 
 class _ConditionerNet(Module):

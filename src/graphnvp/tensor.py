@@ -424,12 +424,12 @@ def log(x: Tensor) -> Tensor:
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = _wrap(np.tanh(x.data), "tanh")
+    out = _frozen(np.tanh(x.data))
     return _record((x,), out, lambda g, needs: (g * (1.0 - out.data * out.data),))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _wrap(np.maximum(x.data, 0.0), "relu")
+    out = _frozen(np.maximum(x.data, 0.0))
     return _record((x,), out, lambda g, needs: (g * (x.data > 0.0),))
 
 
@@ -493,7 +493,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             raise ShapeError(
                 f"concat: shapes {parts[0].shape} and {p.shape} differ off axis {axis}"
             )
-    out = _wrap(np.concatenate([p.data for p in parts], axis=axis), "concat")
+    out = _frozen(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -510,7 +510,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     if not 0 <= start <= stop <= x.shape[axis]:
         raise ShapeError(f"slice: range [{start}, {stop}) invalid for shape {x.shape} axis {axis}")
     idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.ndim))
-    out = _wrap(x.data[idx], "slice")
+    out = _frozen(x.data[idx])
     shape = x.shape
 
     def vjp(g: np.ndarray, needs):
@@ -526,7 +526,7 @@ def index_axis(x: Tensor, axis: int, index: int) -> Tensor:
     (axis,) = _norm_axes(axis, x.ndim, "index")
     if not 0 <= index < x.shape[axis]:
         raise ShapeError(f"index: {index} out of range for shape {x.shape} axis {axis}")
-    out = _wrap(np.take(x.data, index, axis=axis), "index")
+    out = _frozen(np.take(x.data, index, axis=axis))
     shape = x.shape
 
     def vjp(g: np.ndarray, needs):
@@ -553,7 +553,7 @@ def masked_assign(x: Tensor, mask: np.ndarray, y: Tensor) -> Tensor:
         raise ShapeError(
             f"masked_assign: mask shape {mask.shape} does not match trailing axes of {x.shape}"
         )
-    out = _wrap(np.where(keep, x.data, y.data), "masked_assign")
+    out = _frozen(np.where(keep, x.data, y.data))
     sx, sy = x.shape, y.shape
 
     def vjp(g: np.ndarray, needs):
@@ -569,7 +569,7 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view shape {x.shape} as {shape}")
-    out = _wrap(x.data.reshape(shape), "reshape")
+    out = _frozen(x.data.reshape(shape))
     source = x.shape
     return _record((x,), out, lambda g, needs: (g.reshape(source),))
 
@@ -662,5 +662,5 @@ def replace_row(x: Tensor, row: int, value: Tensor) -> Tensor:
         raise ShapeError(f"replace_row: row {row} out of range for shape {x.shape}")
     if value.shape != x.shape[:1] + x.shape[2:]:
         raise ShapeError(f"replace_row: value shape {value.shape} does not fit row of {x.shape}")
-    out = _wrap(K.replace_row(x.data, row, value.data), "replace_row")
+    out = _frozen(K.replace_row(x.data, row, value.data))
     return _record((x, value), out, lambda g, needs: K.replace_row_vjp(g, row, needs))
