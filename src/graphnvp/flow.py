@@ -28,8 +28,7 @@ per pass and gone with it.  Instead of a masked copy, each layer zeroes its
 target slice in the buffer while its conditioner reads it.  Finiteness is
 checked only where a NaN or Inf can first appear, each with the text the
 Tensor op there would raise: the input on entry, every GEMM before its
-activation, the scale-cap product, ``exp``, the row update and the log-det
-sums.
+activation, ``exp``, the row update and the log-det sums.
 """
 from __future__ import annotations
 
@@ -340,6 +339,8 @@ class FlowModel(Module):
             )
         if not len(adjacency):
             raise ShapeError("a batch of 0 graphs")
+        if len(adjacency) != len(features):
+            raise ShapeError(f"adjacency batch {adjacency.shape} and feature batch {features.shape} differ in length")
 
     def forward_batch(self, adjacency: np.ndarray, features: np.ndarray) -> tuple[Tensor, Tensor]:
         """Training: map dequantized arrays [batch, ...] to (latent [batch, D],

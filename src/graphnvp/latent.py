@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
-from .errors import ChemError, GnvpError
+from .errors import ChemError, GnvpError, ShapeError
 from .flow import FlowModel, write_csv
 from .graphs import DEQUANT_NOISE, MolecularGraph, stack_graphs
 from .sampling import decode
@@ -80,8 +80,13 @@ def grid_decode(model: FlowModel, grid: GridSpec) -> list[list[GridCell]]:
     """Decode the (2*extent+1)^2 lattice around the center's latent point.
 
     Each point is decoded exactly once; the (0, 0) cell reproduces the center
-    molecule exactly because the flow is bijective.
+    molecule exactly because the flow is bijective.  An axis that is not
+    of the model's latent shape raises :class:`ShapeError`.
     """
+    dim = model.spec.latent_dim
+    for name, axis in (("axis_u", grid.axis_u), ("axis_v", grid.axis_v)):
+        if axis.shape != (dim,):
+            raise ShapeError(f"grid {name} has shape {axis.shape}, the model's latent vectors ({dim},)")
     center_z = encode_dataset(model, [grid.center])[0]
     offsets = range(-grid.extent, grid.extent + 1)
     pairs = [(i, j) for i in offsets for j in offsets]
@@ -231,8 +236,12 @@ def optimize_along(
 
     Step 0 is the seed molecule itself; each of the ``num_steps`` following
     points is decoded once.  The realized property is reported only for valid
-    decodes.
+    decodes.  Weights that are not of the model's latent shape raise
+    :class:`ShapeError`.
     """
+    dim, shape = model.spec.latent_dim, np.shape(regressor.weights)
+    if shape != (dim,):
+        raise ShapeError(f"regressor weights have shape {shape}, the model's latent vectors ({dim},)")
     if not (np.isfinite(step_size) and step_size > 0):
         raise GnvpError("step_size must be finite and > 0")
     if num_steps < 0:

@@ -97,20 +97,25 @@ class Module:
     def load_parameters(self, values: dict[str, np.ndarray]) -> None:
         """Write each array into the parameter or buffer of its dotted name,
         in place, so each keeps its storage: a parameter of a model its
-        slice of the vector, a buffer its array.  Parameters must be finite."""
+        slice of the vector, a buffer its array.  Every value must be finite
+        and of its target's shape, and each is checked before any is written,
+        so a refused value leaves the module as it was."""
         params, buffers = dict(self.named_parameters()), dict(self.named_buffers())
+        writes = []
         for name, value in values.items():
             value = np.asarray(value, dtype=np.float64)
             if name in params:
-                arr = params[name].data
-                if not np.isfinite(value).all():
-                    raise NumericError(f"parameter {name}: non-finite value")
+                kind, arr = "parameter", params[name].data
             elif name in buffers:
-                arr = buffers[name]
+                kind, arr = "buffer", buffers[name]
             else:
                 raise KeyError(f"no parameter or buffer named {name!r}")
+            if not np.isfinite(value).all():
+                raise NumericError(f"{kind} {name}: non-finite value")
             if arr.shape != value.shape:
                 raise ShapeError(f"{name}: shape {value.shape} != {arr.shape}")
+            writes.append((arr, value))
+        for arr, value in writes:
             writeable = arr.flags.writeable
             arr.flags.writeable = True  # allowed: it owns its memory, or views a writable array
             arr[...] = value

@@ -1,12 +1,16 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Values are immutable; every operation returns a fresh ``Tensor`` and raises
-:class:`~graphnvp.errors.NumericError` if it produces a NaN or Inf.
-Elementwise operations broadcast only over leading (batch) axes: the shorter
-operand must match the trailing axes of the longer one exactly.  Gradients are
-recorded on an explicitly entered :class:`GradientTape`.  Each thread has one
-active-tape slot, so entering a second tape while one is active raises; and a
-tape watches each tensor under one name, so a second ``watch`` of it raises.
+Values are immutable; every operation returns a fresh ``Tensor``.  Ops
+raise :class:`~graphnvp.errors.NumericError` where a NaN or Inf can first
+appear: every op but ``reshape``, ``index_axis``, ``slice_axis``,
+``concat``, ``masked_assign``, ``replace_row``, ``tanh`` and ``relu``, whose
+outputs hold entries of finite inputs or values bounded by them, checks its
+output.  Elementwise operations broadcast only over leading (batch) axes: the
+shorter operand must match the trailing axes of the longer one exactly.
+Gradients are recorded on an explicitly entered :class:`GradientTape`.  Each
+thread has one active-tape slot, so entering a second tape while one is
+active raises; and a tape watches each tensor under one name, so a second
+``watch`` of it raises.
 
 Besides the generic primitives there are four fused ones, each one tape
 record whose forward and vjp are array kernels in :mod:`~graphnvp.kernels`:

@@ -570,6 +570,44 @@ def test_inverse_numeric_errors_keep_their_text_and_layer():
             assert str(err.value) == _oracle_error(model, z) == expected
 
 
+@pytest.mark.parametrize(
+    "name, layer",
+    [
+        ("adjacency_1.translate_net.bn1.running_var", "adjacency_1"),  # an MLP's scaled product
+        ("node_0.translate_net.bn0.running_var", "node_0"),  # an R-GCN round on folded weights
+        ("node_2.translate_net.bn1.running_var", "node_2"),  # the R-GCN's scaled target round
+    ],
+)
+def test_a_nan_running_variance_is_a_non_finite_batch_norm_value(name, layer):
+    """A NaN written straight into a running variance, which
+    :meth:`~graphnvp.nets.Module.load_parameters` refuses, raises in both
+    directions what the unfolded oracles raise: batch norm's non-finite
+    value, named by its coupling layer."""
+    rng = make_rng(55)
+    adjacency, features = dequantize([random_graph(TOY_SPEC, rng) for _ in range(4)], 0.9, rng)
+    z = make_rng(56).normal(size=(4, TOY_SPEC.latent_dim))
+    model = randomize_model(FlowModel(TOY_SPEC, TOY_CONFIG, seed=32), seed=33)
+    dict(model.named_buffers())[name][1] = np.nan
+    nets.parameters_changed()
+    expected = f"{layer}: batch_norm produced a non-finite value"
+    with pytest.raises(NumericError) as forward:
+        model.eval_forward(adjacency, features)
+    assert str(forward.value) == _oracle_forward_error(model, adjacency, features) == expected
+    with pytest.raises(NumericError) as inverse:
+        model.inverse_batch(z)
+    assert str(inverse.value) == _oracle_error(model, z) == expected
+
+
+def test_batches_of_different_lengths_are_a_shape_error():
+    model = FlowModel(TOY_SPEC, TOY_CONFIG, seed=2)
+    rng = make_rng(57)
+    adjacency, features = dequantize([random_graph(TOY_SPEC, rng) for _ in range(4)], 0.9, rng)
+    for run in (model.forward_batch, model.eval_forward):
+        with pytest.raises(ShapeError) as err:
+            run(adjacency[:3], features)
+        assert str(err.value) == "adjacency batch (3, 3, 3, 2) and feature batch (4, 3, 2) differ in length"
+
+
 def test_model_logdet_matches_full_jacobian(random_toy_model):
     model = random_toy_model
     _, (adjacency, features) = toy_dequantized(seed=12)

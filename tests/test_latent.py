@@ -3,7 +3,7 @@ import pytest
 
 from conftest import TOY_SPEC, random_graph, randomize_model
 from graphnvp.chem import check_validity, from_graph, parse_smiles_lite, to_graph, write_smiles_canonical
-from graphnvp.errors import ChemError, GnvpError, GraphError
+from graphnvp.errors import ChemError, GnvpError, GraphError, ShapeError
 from graphnvp.flow import FlowModel, ModelConfig
 from graphnvp.graphs import dequantize, qm9lite_spec
 from graphnvp.latent import (
@@ -228,6 +228,15 @@ def test_grid_decodes_each_point_once(monkeypatch, random_toy_model):
     assert sum(calls) == 9
 
 
+def test_grid_axes_must_have_the_latent_length(random_toy_model):
+    g = toy_training_graphs(1, seed=11)[0]
+    u, v = random_grid_axes(5, make_rng(11))
+    grid = GridSpec(center=g, axis_u=u, axis_v=v, extent=1, step=0.5)
+    with pytest.raises(ShapeError) as err:
+        grid_decode(random_toy_model, grid)
+    assert str(err.value) == f"grid axis_u has shape (5,), the model's latent vectors ({TOY_SPEC.latent_dim},)"
+
+
 def test_grid_csv(tmp_path, random_toy_model):
     g = toy_training_graphs(1, seed=10)[0]
     u, v = random_grid_axes(TOY_SPEC.latent_dim, make_rng(10))
@@ -402,6 +411,14 @@ def test_optimize_rejects_bad_arguments(random_toy_model):
             optimize_along(random_toy_model, regressor, g, num_steps=3, step_size=step_size)
     with pytest.raises(GnvpError):
         optimize_along(random_toy_model, regressor, g, num_steps=-1, step_size=0.5)
+
+
+def test_optimize_weights_must_have_the_latent_length(random_toy_model):
+    g = toy_training_graphs(1, seed=21)[0]
+    regressor = PropertyRegressor("heavy_atom_count", np.ones(5), 0.0, 1.0, False)
+    with pytest.raises(ShapeError) as err:
+        optimize_along(random_toy_model, regressor, g, num_steps=3, step_size=0.5)
+    assert str(err.value) == f"regressor weights have shape (5,), the model's latent vectors ({TOY_SPEC.latent_dim},)"
 
 
 def test_optimization_csv(tmp_path, random_toy_model):

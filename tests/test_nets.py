@@ -20,6 +20,7 @@ from conftest import (
     random_graph,
     randomize_model,
 )
+from graphnvp.errors import NumericError
 from graphnvp.flow import (
     CHECKPOINT_VERSION,
     AdjacencyCouplingLayer,
@@ -421,6 +422,32 @@ def test_load_parameters_cannot_write_through_an_undrawn_placeholder():
     with pytest.raises(ValueError, match="WRITEABLE"):
         layer.load_parameters({"weight": np.ones((3, 4))})
     assert not dict(layer.named_parameters())["weight"].data.any()
+
+
+@pytest.mark.parametrize(
+    "name, value, text",
+    [
+        ("adjacency_1.scale_net.lin0.bias", np.nan, "parameter adjacency_1.scale_net.lin0.bias: non-finite value"),
+        ("node_0.translate_net.bn0.running_var", np.nan, "buffer node_0.translate_net.bn0.running_var: non-finite value"),
+        ("adjacency_0.scale_net.bn1.running_mean", -np.inf, "buffer adjacency_0.scale_net.bn1.running_mean: non-finite value"),
+    ],
+)
+def test_load_parameters_refuses_a_non_finite_value_and_writes_nothing(name, value, text):
+    """A NaN or Inf parameter or buffer value is refused before any value of
+    the call is written, so the model, and its eval, stay as they were."""
+    model = _used_model()
+    outputs = _eval(model)
+    state = {n: p.data for n, p in model.named_parameters()} | dict(model.named_buffers())
+    before = {n: v.copy() for n, v in state.items()}
+    bad = before[name].copy()
+    bad.flat[-1] = value
+    with pytest.raises(NumericError) as err:
+        model.load_parameters({"prior.log_sigma": np.array(0.5), name: bad})
+    assert str(err.value) == text
+    for n, v in state.items():
+        assert v.tobytes() == before[n].tobytes(), n
+    for out, expected in zip(_eval(model), outputs):
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_fold_follows_each_load_parameters_write():
