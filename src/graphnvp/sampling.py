@@ -28,6 +28,11 @@ SWEEP_COLUMNS = ("temp", "validity", "novelty", "uniqueness", "reconstruction", 
 # Seeded repetitions per temperature in :func:`temperature_sweep`.
 SWEEP_RUNS = 5
 
+# A sweep decodes, or reconstructs, consecutive runs together in passes of at
+# most this many items, unless one run alone is larger.  Blocks of 256 or
+# more latents decode to the same bits however a batch is split.
+SWEEP_PASS_ITEMS = 512
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -128,18 +133,33 @@ def reconstruction_rate(
     graph invariant; such a floor lies in [0, 2) and is a valid graph, so
     this is what :func:`requantize` accepts.
     """
-    if not training_set:
-        return 0, 0
-    adjacency, features = dequantize(training_set, DEQUANT_NOISE, rng)
+    return _reconstruction_counts(model, training_set, [rng])[0]
+
+
+def _reconstruction_counts(
+    model: FlowModel,
+    training_set: Sequence[MolecularGraph],
+    rngs: Sequence[np.random.Generator],
+) -> list[tuple[int, int]]:
+    """:func:`reconstruction_rate` for each generator of ``rngs``, in one
+    pass: one dequantized copy of the training set per generator, encoded
+    and decoded as one batch."""
+    batch = len(training_set)
+    if not batch:
+        return [(0, 0)] * len(rngs)
+    copies = [dequantize(training_set, DEQUANT_NOISE, rng) for rng in rngs]
+    adjacency = np.concatenate([a for a, _ in copies])
+    features = np.concatenate([x for _, x in copies])
+    del copies
     a_cont, x_cont = model.inverse_batch(model.eval_forward(adjacency, features)[0])
     a_in, x_in = stack_graphs(training_set)
-    batch = len(training_set)
+    runs = len(rngs)
     hits = (
-        (np.floor(a_cont) == a_in).reshape(batch, -1).all(axis=1)
-        & (np.floor(x_cont) == x_in).reshape(batch, -1).all(axis=1)
+        (np.floor(a_cont).reshape(runs, batch, -1) == a_in.reshape(batch, -1)).all(axis=2)
+        & (np.floor(x_cont).reshape(runs, batch, -1) == x_in.reshape(batch, -1)).all(axis=2)
         & (first_failures(model.spec, a_in, x_in) < 0)
-    )
-    return int(hits.sum()), batch
+    ).sum(axis=1)
+    return [(int(h), batch) for h in hits]
 
 
 def _training_keys(training_set: Sequence[MolecularGraph]) -> set[str]:
@@ -212,6 +232,14 @@ class SweepRow:
     seed_count: int
 
 
+def _sweep_passes(seeds: Sequence[int], run_size: int) -> list[Sequence[int]]:
+    """Split a sweep's seeded runs of ``run_size`` items each into passes of
+    ``min(SWEEP_RUNS, max(1, SWEEP_PASS_ITEMS // run_size))`` runs, so a
+    pass holds at most ``max(run_size, SWEEP_PASS_ITEMS)`` items."""
+    per_pass = min(SWEEP_RUNS, max(1, SWEEP_PASS_ITEMS // max(run_size, 1)))
+    return [seeds[k : k + per_pass] for k in range(0, len(seeds), per_pass)]
+
+
 def temperature_sweep(
     model: FlowModel,
     training_set: Sequence[MolecularGraph],
@@ -224,6 +252,12 @@ def temperature_sweep(
     paired across temperatures.  Rows come back sorted by temperature.  Only
     ``config.num_samples`` and ``config.seed`` are read; ``temps`` sets every
     temperature, and ``config.temperature`` is ignored.
+
+    Each run draws its latents from its own seed, as :func:`generate` does,
+    and its metrics are those :func:`compute_metrics` reports for it.  The
+    runs are decoded, and the seeds' reconstruction copies of the training
+    set encoded and decoded, in passes of several runs at once (see
+    :func:`_sweep_passes`).
     """
     if not temps:
         raise GnvpError("temperature_sweep needs at least one temperature")
@@ -232,22 +266,23 @@ def temperature_sweep(
     train_keys = _training_keys(training_set)
     seeds = [config.seed + k for k in range(SWEEP_RUNS)]
     # Reconstruction depends on the seed alone, not on the temperature.
-    reconstruction = {seed: reconstruction_rate(model, training_set, make_rng(seed)) for seed in seeds}
+    reconstruction = {}
+    for group in _sweep_passes(seeds, len(training_set)):
+        counts = _reconstruction_counts(model, training_set, [make_rng(seed) for seed in group])
+        reconstruction.update(zip(group, counts))
+    n = config.num_samples
     rows = []
     for temp in sorted(temps):
         reports = []
-        for seed in seeds:
-            run_cfg = SampleConfig(num_samples=config.num_samples, temperature=temp, seed=seed)
-            samples = generate(model, run_cfg)
-            reports.append(
-                _metrics_report(
-                    [s.molecule for s in samples if s.valid],
-                    len(samples),
-                    train_keys,
-                    reconstruction[seed],
-                    seed,
+        for group in _sweep_passes(seeds, n):
+            # Each run draws its latents from its own seed, as generate does.
+            latents = np.concatenate([sample_latent_batch(model.prior, temp, make_rng(seed), n) for seed in group])
+            samples = decode(model, latents)
+            for k, seed in enumerate(group):
+                run = samples[k * n : (k + 1) * n]
+                reports.append(
+                    _metrics_report([s.molecule for s in run if s.valid], n, train_keys, reconstruction[seed], seed)
                 )
-            )
         rows.append(
             SweepRow(
                 temp=temp,

@@ -5,11 +5,12 @@ from conftest import TOY_SPEC, random_graph, randomize_model
 from graphnvp.chem import Molecule, parse_smiles_lite, to_graph
 from graphnvp.errors import GnvpError, GraphError
 from graphnvp.flow import FlowModel, GaussianPrior
-from graphnvp.graphs import MolecularGraph, qm9lite_spec, requantize
+from graphnvp.graphs import DEQUANT_NOISE, MolecularGraph, qm9lite_spec, requantize
 from graphnvp.sampling import (
     SWEEP_RUNS,
     SampleConfig,
     SweepRow,
+    _reconstruction_counts,
     compute_metrics,
     generate,
     reconstruction_rate,
@@ -230,6 +231,35 @@ def test_reconstruction_on_corpus_random_qm9_model(qm9_corpus):
     assert (hits, total) == (64, 64)
 
 
+@pytest.mark.parametrize("corpus", ["toy", "qm9"])
+def test_reconstruction_counts_equal_one_rate_per_generator(monkeypatch, random_toy_model, qm9_corpus, corpus):
+    """One pass over five generators counts what five ``reconstruction_rate``
+    calls count.  A planted miss on every graph whose first adjacency entry
+    drew noise below a third of the scale makes the counts differ by
+    generator."""
+    if corpus == "toy":
+        model = random_toy_model
+        rng = make_rng(20)
+        graphs = [random_graph(TOY_SPEC, rng) for _ in range(40)]
+    else:
+        model = randomize_model(FlowModel(qm9lite_spec(), seed=3), seed=13, scale=0.1)
+        graphs = qm9_corpus[:64]
+    original = model.inverse_batch
+
+    def planted(z):
+        a_cont, x_cont = original(z)
+        a_cont = a_cont.copy()
+        a_cont[a_cont[:, 0, 0, 0] % 1.0 < DEQUANT_NOISE / 3, 0, 0, 0] += 1.0
+        return a_cont, x_cont
+
+    monkeypatch.setattr(model, "inverse_batch", planted)
+    seeds = range(4, 4 + SWEEP_RUNS)
+    counts = _reconstruction_counts(model, graphs, [make_rng(seed) for seed in seeds])
+    assert counts == [reconstruction_rate(model, graphs, make_rng(seed)) for seed in seeds]
+    assert all(total == len(graphs) for _, total in counts)
+    assert len({hits for hits, _ in counts}) > 1 and max(hits for hits, _ in counts) < len(graphs)
+
+
 def reconstruction_oracle(graphs, a_cont, x_cont):
     """Hits counted one graph at a time through ``requantize``."""
     hits = 0
@@ -329,46 +359,52 @@ def test_sweep_rows_sorted_and_averaged(tmp_path, random_toy_model):
     assert len(lines) == 4
 
 
-def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_model):
-    """Reconstruction depends on the seed alone, so a sweep makes
-    ``SWEEP_RUNS`` passes; its rows and CSV equal those built from per-pair compute_metrics."""
-    import graphnvp.sampling as sampling
-
-    rng = make_rng(16)
-    train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
-    temps, runs = [0.9, 0.3, 0.6], SWEEP_RUNS
-    config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
-    calls = []
-    original = sampling.reconstruction_rate
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(sampling, "reconstruction_rate", counted)
-    rows = temperature_sweep(random_toy_model, train_graphs, temps, config)
-    assert len(calls) == runs
-    monkeypatch.undo()
-
-    expected = []
+def per_pair_rows(model, train_graphs, temps, num_samples, seed):
+    """Sweep rows built from one ``generate`` and one ``compute_metrics`` per
+    (temperature, seed) pair."""
+    rows = []
     for temp in sorted(temps):
         reports = []
-        for k in range(runs):
-            run_cfg = SampleConfig(num_samples=20, temperature=temp, seed=3 + k)
-            samples = generate(random_toy_model, run_cfg)
-            reports.append(
-                compute_metrics([s.molecule for s in samples], train_graphs, random_toy_model, seed=3 + k)
-            )
-        expected.append(
+        for k in range(SWEEP_RUNS):
+            samples = generate(model, SampleConfig(num_samples=num_samples, temperature=temp, seed=seed + k))
+            reports.append(compute_metrics([s.molecule for s in samples], train_graphs, model, seed=seed + k))
+        rows.append(
             SweepRow(
                 temp=temp,
                 validity=float(np.mean([r.validity for r in reports])),
                 novelty=float(np.mean([r.novelty for r in reports])),
                 uniqueness=float(np.mean([r.uniqueness for r in reports])),
                 reconstruction=float(np.mean([r.reconstruction for r in reports])),
-                seed_count=runs,
+                seed_count=SWEEP_RUNS,
             )
         )
+    return rows
+
+
+def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_model):
+    """Reconstruction depends on the seed alone, so a sweep reconstructs
+    each seed once: one pass covers all ``SWEEP_RUNS`` seeds of a small
+    training set.  Its rows and CSV equal those built from per-pair
+    compute_metrics."""
+    import graphnvp.sampling as sampling
+
+    rng = make_rng(16)
+    train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(8)]
+    temps = [0.9, 0.3, 0.6]
+    config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
+    passes = []
+    original = sampling._reconstruction_counts
+
+    def counted(model, training_set, rngs):
+        passes.append(len(rngs))
+        return original(model, training_set, rngs)
+
+    monkeypatch.setattr(sampling, "_reconstruction_counts", counted)
+    rows = temperature_sweep(random_toy_model, train_graphs, temps, config)
+    assert passes == [SWEEP_RUNS]
+    monkeypatch.undo()
+
+    expected = per_pair_rows(random_toy_model, train_graphs, temps, 20, seed=3)
     assert rows == expected
     assert len({r.validity for r in rows}) > 1  # the rows are not all alike
     write_sweep_csv(rows, tmp_path / "sweep.csv")
@@ -377,9 +413,10 @@ def test_sweep_reconstructs_once_per_seed(tmp_path, monkeypatch, random_toy_mode
 
 
 def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
-    """The sweep's metrics take each sample's valid flag from ``generate``,
+    """The sweep's metrics take each sample's valid flag from ``decode``,
     which builds each decoded batch's molecules in one array pass and checks
-    each molecule's valences once."""
+    each molecule's valences once.  The five runs of 20 at one temperature
+    decode as one batch of 100."""
     import graphnvp.sampling as sampling
 
     rng = make_rng(18)
@@ -399,8 +436,41 @@ def test_sweep_checks_validity_once_per_sample(monkeypatch, random_toy_model):
     monkeypatch.setattr(sampling, "_molecules", counted_batch)
     config = SampleConfig(num_samples=20, temperature=0.5, seed=3)
     temperature_sweep(random_toy_model, train_graphs, [0.9, 0.3, 0.6], config)
-    assert batches == [20] * (3 * SWEEP_RUNS)
+    assert batches == [100] * 3
     assert len(calls) == 3 * SWEEP_RUNS * 20
+
+
+@pytest.mark.parametrize("run_size, passes", [(600, [1] * 5), (200, [2, 2, 1])])
+def test_sweep_passes_hold_at_most_512_items_unless_one_run_is_larger(
+    monkeypatch, random_toy_model, run_size, passes
+):
+    """Runs of 600 samples decode, and 600-graph training sets reconstruct,
+    one per pass; runs of 200 go two to a pass.  The rows equal the
+    per-pair computation either way."""
+    import graphnvp.sampling as sampling
+
+    rng = make_rng(19)
+    train_graphs = [random_training_graph(TOY_SPEC, rng) for _ in range(run_size)]
+    decoded, reconstructed = [], []
+    molecules_original, counts_original = sampling._molecules, sampling._reconstruction_counts
+
+    def counted_batch(spec, adjacency, features):
+        decoded.append(len(features))
+        return molecules_original(spec, adjacency, features)
+
+    def counted_counts(model, training_set, rngs):
+        reconstructed.append(len(rngs))
+        return counts_original(model, training_set, rngs)
+
+    monkeypatch.setattr(sampling, "_molecules", counted_batch)
+    monkeypatch.setattr(sampling, "_reconstruction_counts", counted_counts)
+    config = SampleConfig(num_samples=run_size, temperature=0.5, seed=2)
+    rows = temperature_sweep(random_toy_model, train_graphs, [0.8], config)
+    assert decoded == [run_size * k for k in passes]
+    assert reconstructed == passes
+    monkeypatch.undo()
+
+    assert rows == per_pair_rows(random_toy_model, train_graphs, [0.8], run_size, seed=2)
 
 
 def test_sweep_rejects_empty_or_bad_temps(random_toy_model):
