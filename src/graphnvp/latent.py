@@ -52,6 +52,10 @@ class GridSpec:
         if self.extent < 0 or not (np.isfinite(self.step) and self.step > 0):
             raise GnvpError("grid extent must be >= 0 and step finite and > 0")
         for name, axis in (("axis_u", u), ("axis_v", v)):
+            # Every comparison with a NaN is False, so the checks below
+            # would pass an axis that is not finite.
+            if not np.isfinite(axis).all():
+                raise GnvpError(f"{name} is not finite")
             if abs(np.linalg.norm(axis) - 1.0) > 1e-10:
                 raise GnvpError(f"{name} is not a unit vector")
         if abs(float(u @ v)) > 1e-10:
@@ -237,11 +241,14 @@ def optimize_along(
     Step 0 is the seed molecule itself; each of the ``num_steps`` following
     points is decoded once.  The realized property is reported only for valid
     decodes.  Weights that are not of the model's latent shape raise
-    :class:`ShapeError`.
+    :class:`ShapeError`; weights that are all zero or not finite give no
+    direction and raise :class:`GnvpError`.
     """
     dim, shape = model.spec.latent_dim, np.shape(regressor.weights)
     if shape != (dim,):
         raise ShapeError(f"regressor weights have shape {shape}, the model's latent vectors ({dim},)")
+    if not (np.isfinite(regressor.weights).all() and np.any(regressor.weights)):
+        raise GnvpError("regressor weights must be finite and not all zero")
     if not (np.isfinite(step_size) and step_size > 0):
         raise GnvpError("step_size must be finite and > 0")
     if num_steps < 0:

@@ -176,6 +176,20 @@ def test_grid_spec_validates_axes():
             GridSpec(center=g, axis_u=u, axis_v=v, extent=1, step=step)
 
 
+def test_grid_spec_refuses_an_axis_that_is_not_finite():
+    """An all-NaN axis would pass the unit-norm and orthogonality checks,
+    since every comparison with NaN is False."""
+    g = toy_training_graphs(1, seed=5)[0]
+    u, v = random_grid_axes(TOY_SPEC.latent_dim, make_rng(5))
+    bad_u = np.full_like(u, np.nan)
+    bad_v = v.copy()
+    bad_v[3] = np.inf
+    for axes, name in (((bad_u, v), "axis_u"), ((u, bad_v), "axis_v")):
+        with pytest.raises(GnvpError) as err:
+            GridSpec(center=g, axis_u=axes[0], axis_v=axes[1], extent=1, step=0.5)
+        assert str(err.value) == f"{name} is not finite"
+
+
 def test_grid_one_by_one_is_center(random_toy_model):
     g = toy_training_graphs(1, seed=6)[0]
     u, v = random_grid_axes(TOY_SPEC.latent_dim, make_rng(6))
@@ -419,6 +433,27 @@ def test_optimize_weights_must_have_the_latent_length(random_toy_model):
     with pytest.raises(ShapeError) as err:
         optimize_along(random_toy_model, regressor, g, num_steps=3, step_size=0.5)
     assert str(err.value) == f"regressor weights have shape (5,), the model's latent vectors ({TOY_SPEC.latent_dim},)"
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.zeros(TOY_SPEC.latent_dim), np.full(TOY_SPEC.latent_dim, np.nan)],
+    ids=["all_zero", "nan"],
+)
+def test_optimize_refuses_weights_that_give_no_direction(monkeypatch, random_toy_model, weights):
+    """Weights that are all zero or not finite are refused, naming the
+    weights, before the seed graph is encoded."""
+    import graphnvp.latent as latent
+
+    encoded = []
+    monkeypatch.setattr(latent, "encode_dataset", lambda *args: encoded.append(1))
+    g = toy_training_graphs(1, seed=22)[0]
+    regressor = PropertyRegressor("heavy_atom_count", weights, 0.0, 1.0, False)
+    with pytest.raises(GnvpError) as err:
+        optimize_along(random_toy_model, regressor, g, num_steps=3, step_size=0.5)
+    assert type(err.value) is GnvpError
+    assert str(err.value) == "regressor weights must be finite and not all zero"
+    assert encoded == []
 
 
 def test_optimization_csv(tmp_path, random_toy_model):
