@@ -66,3 +66,23 @@ def test_generate_and_encode_write_the_same_bytes_at_one_and_two_threads(tmp_pat
             written[command, threads] = (out / artifact).read_bytes()
     for command in ("generate", "encode"):
         assert written[command, "1"] == written[command, "2"], command
+
+
+def test_sweep_writes_the_same_bytes_at_one_and_two_threads(tmp_path, qm9_corpus):
+    """From the same checkpoint, ``gnvp sweep --samples 100`` writes a
+    byte-identical ``sweep.csv`` with one BLAS thread and with two.  Its five
+    runs of 100 at each temperature decode as one batch, and its five
+    reconstruction copies of the corpus as two, two and one."""
+    make_golden = _make_golden()
+    _golden_on_this_build(make_golden)
+    checkpoint = tmp_path / "model.gnvp"
+    train(FlowModel(qm9lite_spec(), seed=3), qm9_corpus, TrainConfig(epochs=2, batch_size=64, seed=3), tmp_path)
+    written = {}
+    for threads in ("1", "2"):
+        env = make_golden._env()
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        out = tmp_path / f"sweep_{threads}"
+        argv = ["sweep", "--checkpoint", str(checkpoint), "--out", str(out), "--samples", "100"]
+        subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env, capture_output=True, check=True)
+        written[threads] = (out / "sweep.csv").read_bytes()
+    assert written["1"] == written["2"]
