@@ -150,7 +150,6 @@ def _reconstruction_counts(
     copies = [dequantize(training_set, DEQUANT_NOISE, rng) for rng in rngs]
     adjacency = np.concatenate([a for a, _ in copies])
     features = np.concatenate([x for _, x in copies])
-    del copies
     a_cont, x_cont = model.inverse_batch(model.eval_forward(adjacency, features)[0])
     a_in, x_in = stack_graphs(training_set)
     runs = len(rngs)
@@ -275,7 +274,6 @@ def temperature_sweep(
     for temp in sorted(temps):
         reports = []
         for group in _sweep_passes(seeds, n):
-            # Each run draws its latents from its own seed, as generate does.
             latents = np.concatenate([sample_latent_batch(model.prior, temp, make_rng(seed), n) for seed in group])
             samples = decode(model, latents)
             for k, seed in enumerate(group):
