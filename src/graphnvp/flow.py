@@ -24,8 +24,9 @@ only its target slice of that buffer, in place.  Every pass, training
 included, makes one :class:`~graphnvp.nets.Conditioning` from the discrete
 adjacency and hands it to each node-feature layer: the R-GCN's layout of the
 adjacency, and the scratch its all-node rounds write into, both made once
-per pass and gone with it.  Instead of a masked copy, each layer zeroes its
-target slice in the buffer while its conditioner reads it.  Finiteness is
+per pass and gone with it.  Both modes hide a layer's target slice from its
+conditioner by zeroing it: training with ``replace_row`` and zeros, eval in
+the buffer while the conditioner reads it.  Finiteness is
 checked only where a NaN or Inf can first appear, each with the text the
 Tensor op there would raise: the input on entry, every GEMM before its
 activation, ``exp``, the row update and the log-det sums.
@@ -122,13 +123,10 @@ class _CouplingLayer(Module):
     """Updates slice ``row`` (axis 1) of its input, with a conditioner that
     reads the rest."""
 
-    def __init__(self, spec: GraphSpec, row: int, shape: tuple[int, ...]):
+    def __init__(self, spec: GraphSpec, row: int):
         super().__init__()
         self.spec = spec
         self.row = row
-        self._row_mask = np.zeros(shape)  # 1 on the updated slice
-        self._row_mask[row] = 1.0
-        self._zero = Tensor(0.0)
 
     def _open(self, buf: np.ndarray, *args) -> tuple[np.ndarray, ...]:
         """The start of both eval directions on the finite working buffer
@@ -145,7 +143,7 @@ class AdjacencyCouplingLayer(_CouplingLayer):
     """Affine update of adjacency slice ``row`` given all other slices."""
 
     def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator | None):
-        super().__init__(spec, row, spec.adjacency_shape())
+        super().__init__(spec, row)
         n, r = spec.num_nodes, spec.num_bond_types
         self.scale_cap = config.scale_cap
         for name in ("scale_net", "translate_net"):
@@ -155,7 +153,7 @@ class AdjacencyCouplingLayer(_CouplingLayer):
         """Training: the transformed tensor and the per-sample log-det [batch]."""
         batch = z.shape[0]
         n, r = self.spec.num_nodes, self.spec.num_bond_types
-        flat = T.reshape(T.masked_assign(z, self._row_mask, self._zero), (batch, n * n * r))
+        flat = T.reshape(T.replace_row(z, self.row, Tensor(np.zeros((batch, n, r)))), (batch, n * n * r))
         s = T.mul(T.tanh(self._children["scale_net"](flat)), Tensor(self.scale_cap))
         t = self._children["translate_net"](flat)
         s, t = T.reshape(s, (batch, n, r)), T.reshape(t, (batch, n, r))
@@ -204,7 +202,7 @@ class NodeFeatureCouplingLayer(_CouplingLayer):
     """Additive update of feature row ``row``; log-det is exactly zero."""
 
     def __init__(self, spec: GraphSpec, row: int, config: ModelConfig, rng: np.random.Generator | None):
-        super().__init__(spec, row, spec.feature_shape())
+        super().__init__(spec, row)
         m = spec.num_atom_types
         self.register_child(
             "translate_net",
@@ -220,7 +218,7 @@ class NodeFeatureCouplingLayer(_CouplingLayer):
 
     def forward(self, z: Tensor, conditioning: Conditioning) -> Tensor:
         """Training: the transformed tensor."""
-        masked = T.masked_assign(z, self._row_mask, self._zero)
+        masked = T.replace_row(z, self.row, Tensor(np.zeros((z.shape[0], self.spec.num_atom_types))))
         t = self._children["translate_net"](masked, conditioning, self.row)
         return T.replace_row(z, self.row, T.add(T.index_axis(z, 1, self.row), t))
 

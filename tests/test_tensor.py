@@ -757,9 +757,10 @@ def test_training_graph_round_and_batch_norm_activation_record_once():
 
 
 def test_qm9lite_training_step_tape_length():
-    """Per node-feature layer: masked_assign, two rounds of graph_conv and
-    batch_norm (the last batch norm returns the target row alone), the head,
-    the feature row, add and replace_row (9).  Per adjacency layer: masked_assign, reshape, two MLPs
+    """Per node-feature layer: replace_row zeroing the target row, two rounds
+    of graph_conv and batch_norm (the last batch norm returns the target row
+    alone), the head, the feature row, add and replace_row (9).  Per adjacency
+    layer: replace_row zeroing the target slice, reshape, two MLPs
     of 5 records (linear and batch_norm twice, head), tanh and mul on the
     scale, two reshapes, the row, exp, mul, add, sum_axis, replace_row and
     the log-det add (23).  The first layer of each stack sees a constant
