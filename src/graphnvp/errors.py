@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a count."""
+import numbers
 
 
 class GnvpError(Exception):
@@ -42,3 +43,10 @@ class CheckpointError(GnvpError):
 
 class TrainingError(GnvpError):
     """Training aborted (non-finite loss or inconsistent optimizer state)."""
+
+
+def check_count(value, name: str, low: int, error: type[GnvpError] = GnvpError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``low``.
+    A Python or numpy integer passes; a bool, a float or a string does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")

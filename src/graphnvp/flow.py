@@ -49,7 +49,7 @@ import numpy as np
 
 from . import kernels as K
 from . import tensor as T
-from .errors import CheckpointError, GnvpError, GraphError, NumericError, ShapeError
+from .errors import CheckpointError, GnvpError, GraphError, NumericError, ShapeError, check_count
 from .graphs import GraphSpec, argmax_adjacency
 from .nets import Conditioning, MlpNet, Module, RelationalGraphConvNet, parameters_changed
 from .tensor import Tensor, make_rng
@@ -75,10 +75,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for key in ("adjacency_layers", "node_layers", "gcn_hidden", "gcn_rounds"):
-            if getattr(self, key) < 1:
-                raise GnvpError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if min(self.mlp_hidden, default=1) < 1:
-            raise GnvpError(f"every mlp_hidden width must be >= 1, got {list(self.mlp_hidden)}")
+            check_count(getattr(self, key), key, 1)
+        for k, width in enumerate(self.mlp_hidden):
+            check_count(width, f"mlp_hidden[{k}]", 1)
         if not 0 < self.scale_cap < math.inf:
             raise GnvpError(f"scale_cap must be finite and > 0, got {self.scale_cap}")
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem import Molecule, check_validity, from_graphs, write_smiles_canonical
-from .errors import ChemError, GnvpError, ShapeError
+from .errors import ChemError, GnvpError, ShapeError, check_count
 from .flow import FlowModel, write_csv
 from .graphs import DEQUANT_NOISE, MolecularGraph, stack_graphs
 from .sampling import decode
@@ -49,8 +49,9 @@ class GridSpec:
         v = np.asarray(self.axis_v, dtype=np.float64)
         object.__setattr__(self, "axis_u", u)
         object.__setattr__(self, "axis_v", v)
-        if self.extent < 0 or not (np.isfinite(self.step) and self.step > 0):
-            raise GnvpError("grid extent must be >= 0 and step finite and > 0")
+        check_count(self.extent, "extent", 0)
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise GnvpError(f"step must be finite and > 0, got {self.step!r}")
         for name, axis in (("axis_u", u), ("axis_v", v)):
             # Every comparison with a NaN is False, so the checks below
             # would pass an axis that is not finite.
@@ -251,8 +252,7 @@ def optimize_along(
         raise GnvpError("regressor weights must be finite and not all zero")
     if not (np.isfinite(step_size) and step_size > 0):
         raise GnvpError("step_size must be finite and > 0")
-    if num_steps < 0:
-        raise GnvpError("num_steps must be >= 0")
+    check_count(num_steps, "num_steps", 0)
     direction = regressor.weights / np.linalg.norm(regressor.weights)
     z0 = encode_dataset(model, [seed_graph])[0]
     points = np.stack([z0 + k * step_size * direction for k in range(num_steps + 1)])

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem import Molecule, _molecules, check_validity, from_graphs, write_smiles_canonical
-from .errors import GnvpError
+from .errors import GnvpError, check_count
 from .flow import FlowModel, GaussianPrior, _atomic_open, write_csv
 from .graphs import DEQUANT_NOISE, MolecularGraph, _discretized, dequantize, first_failures, stack_graphs
 from .tensor import make_rng
@@ -41,8 +41,8 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_samples < 1 or self.seed < 0:
-            raise GnvpError("num_samples must be >= 1 and seed >= 0")
+        check_count(self.num_samples, "num_samples", 1)
+        check_count(self.seed, "seed", 0)
         _check_temperature(self.temperature)
 
 

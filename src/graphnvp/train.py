@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, TrainingError
+from .errors import NumericError, TrainingError, check_count
 from .flow import FlowModel, _atomic_open, _read_checkpoint, save_checkpoint
 from .graphs import DEQUANT_NOISE, GraphSpec, MolecularGraph, dequantize
 from .nets import parameters_changed
@@ -39,10 +39,8 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise TrainingError("epochs must be >= 0 and batch_size >= 1")
-        if self.seed < 0 or self.checkpoint_every < 0:
-            raise TrainingError("seed and checkpoint_every must be >= 0")
+        for key, low in (("epochs", 0), ("batch_size", 1), ("seed", 0), ("checkpoint_every", 0)):
+            check_count(getattr(self, key), key, low, TrainingError)
         # A beta of 1 zeroes Adam's bias correction at the first step.
         if not (
             0 < self.adam_alpha < math.inf

@@ -947,8 +947,28 @@ def test_checkpoint_with_malformed_metadata_names_the_key(tmp_path, toy_model, e
     ],
 )
 def test_model_config_refuses_a_count_below_one(field, value):
-    with pytest.raises(GnvpError, match=f"^(every )?{field}"):
+    with pytest.raises(GnvpError, match=f"^{field}"):
         dataclasses.replace(TOY_CONFIG, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("adjacency_layers", 2.5),
+        ("node_layers", True),
+        ("gcn_hidden", 8.0),
+        ("gcn_rounds", np.True_),
+        ("mlp_hidden", (8, 1.5)),
+        ("mlp_hidden", (True,)),
+    ],
+)
+def test_model_config_refuses_a_count_that_is_not_an_integer(field, value):
+    """A float or bool count or width is refused at once, naming the field
+    (and the width's index); a numpy integer is a count."""
+    with pytest.raises(GnvpError, match=rf"^{field}(\[\d\])? must be an integer >= 1, got "):
+        dataclasses.replace(TOY_CONFIG, **{field: value})
+    count = (np.int64(2),) if field == "mlp_hidden" else np.int64(2)
+    assert dataclasses.replace(TOY_CONFIG, **{field: count}).to_dict()[field] in (2, [2])
 
 
 def test_checkpoint_with_an_entry_twice_is_refused(tmp_path, toy_model):

@@ -176,6 +176,21 @@ def test_grid_spec_validates_axes():
             GridSpec(center=g, axis_u=u, axis_v=v, extent=1, step=step)
 
 
+@pytest.mark.parametrize("value", [1.5, True, np.True_, "2"])
+def test_grid_extent_and_optimize_steps_must_be_integers(random_toy_model, value):
+    """A float, bool or string extent or step count is refused at once,
+    naming it; a numpy integer is a count."""
+    g = toy_training_graphs(1, seed=5)[0]
+    u, v = random_grid_axes(TOY_SPEC.latent_dim, make_rng(5))
+    regressor = PropertyRegressor("heavy_atom_count", np.ones(TOY_SPEC.latent_dim), 0.0, 1.0, False)
+    with pytest.raises(GnvpError, match="^extent must be an integer >= 0, got "):
+        GridSpec(center=g, axis_u=u, axis_v=v, extent=value, step=0.5)
+    with pytest.raises(GnvpError, match="^num_steps must be an integer >= 0, got "):
+        optimize_along(random_toy_model, regressor, g, num_steps=value, step_size=0.5)
+    assert [len(row) for row in grid_decode(random_toy_model, GridSpec(g, u, v, extent=np.int64(1), step=0.5))] == [3] * 3
+    assert len(optimize_along(random_toy_model, regressor, g, num_steps=np.int64(2), step_size=0.5)) == 3
+
+
 def test_grid_spec_refuses_an_axis_that_is_not_finite():
     """An all-NaN axis would pass the unit-norm and orthogonality checks,
     since every comparison with NaN is False."""

@@ -85,8 +85,20 @@ def test_sampler_rejects_bad_temperature():
 
 
 def test_sample_config_rejects_a_negative_seed():
-    with pytest.raises(GnvpError, match="seed >= 0"):
+    with pytest.raises(GnvpError, match="^seed must be an integer >= 0, got -1$"):
         SampleConfig(num_samples=10, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_samples", 2.5), ("num_samples", True), ("num_samples", "10"), ("seed", 1.5), ("seed", np.True_)],
+)
+def test_sample_config_refuses_a_count_that_is_not_an_integer(field, value):
+    """A float, bool or string count is refused at once, naming the field;
+    a numpy integer is a count."""
+    with pytest.raises(GnvpError, match=f"^{field} must be an integer >= "):
+        SampleConfig(**{field: value})
+    assert getattr(SampleConfig(**{field: np.int64(3)}), field) == 3
 
 
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])

@@ -252,8 +252,18 @@ def test_adam_slices_equal_one_full_step_bitwise():
 
 @pytest.mark.parametrize("field", ["seed", "checkpoint_every"])
 def test_train_config_rejects_a_negative_seed_or_checkpoint_interval(field):
-    with pytest.raises(TrainingError, match="seed and checkpoint_every must be >= 0"):
+    with pytest.raises(TrainingError, match=f"^{field} must be an integer >= 0, got -1$"):
         TrainConfig(**{field: -1})
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), np.True_])
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "seed", "checkpoint_every"])
+def test_train_config_refuses_a_count_that_is_not_an_integer(field, value):
+    """A float or bool count is refused at once, naming the field; a numpy
+    integer is a count."""
+    with pytest.raises(TrainingError, match=f"^{field} must be an integer >= "):
+        TrainConfig(**{field: value})
+    assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
 
 
 def test_adam_slice_rejects_what_does_not_fit():
