@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="fit a model and write checkpoint + metrics log")
     common(p, dataset=True)
-    p.add_argument("--epochs", type=_count(0), default=None, help="training epochs (default 200)")
+    p.add_argument("--epochs", type=_count(0), default=None, help=f"training epochs (default {TrainConfig.epochs})")
     p.add_argument(
         "--batch-size", type=_count(1), default=None, help="minibatch size (default 256 for qm9lite, 128 for zinclite)"
     )
@@ -251,7 +251,7 @@ def _cmd_train(args) -> int:
     spec = _SPECS[args.spec]()
     seed = _resolve_seed(args, file_values)
     # Defaults, then the config file, then the flags.
-    values = {"epochs": 200, "batch_size": _DEFAULT_BATCH[args.spec], **file_values, "seed": seed}
+    values = {"batch_size": _DEFAULT_BATCH[args.spec], **file_values, "seed": seed}
     values.update((key, getattr(args, key)) for key in ("epochs", "batch_size") if getattr(args, key) is not None)
     try:
         config = TrainConfig(**values)
@@ -355,8 +355,7 @@ def _cmd_sweep(args) -> int:
     if not all(math.isfinite(t) and t > 0 for t in temps):
         raise _UsageError(f"--temps must be finite numbers > 0, got {args.temps!r}")
     seed, model, dataset = _inputs(args)
-    config = SampleConfig(num_samples=args.samples, temperature=max(temps), seed=seed)
-    rows = temperature_sweep(model, dataset, temps, config)
+    rows = temperature_sweep(model, dataset, temps, SampleConfig(num_samples=args.samples, seed=seed))
     out = _out_dir(args)
     write_sweep_csv(rows, out / "sweep.csv")
     print(f"swept {len(temps)} temperatures x {rows[0].seed_count} seeds -> {out / 'sweep.csv'}")
