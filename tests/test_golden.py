@@ -1,9 +1,9 @@
 """The ``gnvp`` workflows reproduce the outputs recorded by
 ``scripts/make_golden.py`` bit for bit: every artifact's sha256, the sha256
 of the raw float64 arrays ``inverse_batch`` and ``encode_dataset`` return,
-and the epoch NLLs.  Generation and encoding also write the same bytes with one BLAS
-thread and with two.  The bits depend on the build, so on any build but the
-recorded one the tests skip and name both."""
+and the epoch NLLs.  Generation, encoding and the sweep also write the same
+bytes with one BLAS thread and with two.  The bits depend on the build, so
+on any build but the recorded one the tests skip and name both."""
 import importlib.util
 import json
 import subprocess
@@ -46,43 +46,30 @@ def test_workflows_reproduce_the_golden_outputs(tmp_path):
     assert got["sha256"] == golden["sha256"]
 
 
-def test_generate_and_encode_write_the_same_bytes_at_one_and_two_threads(tmp_path, qm9_corpus):
+def test_generate_encode_and_sweep_write_the_same_bytes_at_one_and_two_threads(tmp_path, qm9_corpus):
     """From one checkpoint (qm9lite, 2 epochs at seed 3, batch 64), ``gnvp
-    generate --seed 5`` and ``gnvp encode`` run in child processes with
-    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
-    to 1, then to 2, and write byte-identical files."""
+    generate --seed 5``, ``gnvp encode`` and ``gnvp sweep --samples 100`` run
+    in child processes with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+    ``MKL_NUM_THREADS`` set to 1, then to 2, and write byte-identical files.
+    The sweep's five runs of 100 at each temperature decode as one batch, and
+    its five reconstruction copies of the corpus as two, two and one."""
     make_golden = _make_golden()
     _golden_on_this_build(make_golden)
     checkpoint = tmp_path / "model.gnvp"
     train(FlowModel(qm9lite_spec(), seed=3), qm9_corpus, TrainConfig(epochs=2, batch_size=64, seed=3), tmp_path)
+    commands = (
+        ("generate", ["--seed", "5"], "generated.smi"),
+        ("encode", [], "latents.csv"),
+        ("sweep", ["--samples", "100"], "sweep.csv"),
+    )
     written = {}
     for threads in ("1", "2"):
         env = make_golden._env()
         env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
-        for command, args, artifact in (("generate", ["--seed", "5"], "generated.smi"), ("encode", [], "latents.csv")):
+        for command, args, artifact in commands:
             out = tmp_path / f"{command}_{threads}"
             argv = [command, "--checkpoint", str(checkpoint), "--out", str(out), *args]
             subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env, capture_output=True, check=True)
             written[command, threads] = (out / artifact).read_bytes()
-    for command in ("generate", "encode"):
+    for command, _, _ in commands:
         assert written[command, "1"] == written[command, "2"], command
-
-
-def test_sweep_writes_the_same_bytes_at_one_and_two_threads(tmp_path, qm9_corpus):
-    """From the same checkpoint, ``gnvp sweep --samples 100`` writes a
-    byte-identical ``sweep.csv`` with one BLAS thread and with two.  Its five
-    runs of 100 at each temperature decode as one batch, and its five
-    reconstruction copies of the corpus as two, two and one."""
-    make_golden = _make_golden()
-    _golden_on_this_build(make_golden)
-    checkpoint = tmp_path / "model.gnvp"
-    train(FlowModel(qm9lite_spec(), seed=3), qm9_corpus, TrainConfig(epochs=2, batch_size=64, seed=3), tmp_path)
-    written = {}
-    for threads in ("1", "2"):
-        env = make_golden._env()
-        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
-        out = tmp_path / f"sweep_{threads}"
-        argv = ["sweep", "--checkpoint", str(checkpoint), "--out", str(out), "--samples", "100"]
-        subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env, capture_output=True, check=True)
-        written[threads] = (out / "sweep.csv").read_bytes()
-    assert written["1"] == written["2"]
