@@ -46,22 +46,21 @@ def test_workflows_reproduce_the_golden_outputs(tmp_path):
     assert got["sha256"] == golden["sha256"]
 
 
-def test_generate_encode_and_sweep_write_the_same_bytes_at_one_and_two_threads(tmp_path, qm9_corpus):
-    """From one checkpoint (qm9lite, 2 epochs at seed 3, batch 64), ``gnvp
-    generate --seed 5``, ``gnvp encode`` and ``gnvp sweep --samples 100`` run
-    in child processes with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-    ``MKL_NUM_THREADS`` set to 1, then to 2, and write byte-identical files.
-    The sweep's five runs of 100 at each temperature decode as one batch, and
-    its five reconstruction copies of the corpus as two, two and one."""
+@pytest.fixture(scope="module")
+def thread_checkpoint(tmp_path_factory, qm9_corpus):
+    """The checkpoint both thread tests run from (qm9lite, 2 epochs at seed 3,
+    batch 64), trained once for the module."""
+    _golden_on_this_build(_make_golden())
+    out = tmp_path_factory.mktemp("thread_checkpoint")
+    train(FlowModel(qm9lite_spec(), seed=3), qm9_corpus, TrainConfig(epochs=2, batch_size=64, seed=3), out)
+    return out / "model.gnvp"
+
+
+def _written_at_one_and_two_threads(tmp_path, checkpoint, commands) -> dict:
+    """Run each ``(command, args, artifact)`` in a child process with
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
+    to 1, then to 2, and return the artifact's bytes by command and count."""
     make_golden = _make_golden()
-    _golden_on_this_build(make_golden)
-    checkpoint = tmp_path / "model.gnvp"
-    train(FlowModel(qm9lite_spec(), seed=3), qm9_corpus, TrainConfig(epochs=2, batch_size=64, seed=3), tmp_path)
-    commands = (
-        ("generate", ["--seed", "5"], "generated.smi"),
-        ("encode", [], "latents.csv"),
-        ("sweep", ["--samples", "100"], "sweep.csv"),
-    )
     written = {}
     for threads in ("1", "2"):
         env = make_golden._env()
@@ -71,5 +70,22 @@ def test_generate_encode_and_sweep_write_the_same_bytes_at_one_and_two_threads(t
             argv = [command, "--checkpoint", str(checkpoint), "--out", str(out), *args]
             subprocess.run([sys.executable, "-m", "graphnvp.cli", *argv], env=env, capture_output=True, check=True)
             written[command, threads] = (out / artifact).read_bytes()
-    for command, _, _ in commands:
+    return written
+
+
+def test_generate_and_encode_write_the_same_bytes_at_one_and_two_threads(tmp_path, thread_checkpoint):
+    """From the module's checkpoint, ``gnvp generate --seed 5`` and ``gnvp
+    encode`` write byte-identical files with one BLAS thread and with two."""
+    commands = (("generate", ["--seed", "5"], "generated.smi"), ("encode", [], "latents.csv"))
+    written = _written_at_one_and_two_threads(tmp_path, thread_checkpoint, commands)
+    for command in ("generate", "encode"):
         assert written[command, "1"] == written[command, "2"], command
+
+
+def test_sweep_writes_the_same_bytes_at_one_and_two_threads(tmp_path, thread_checkpoint):
+    """From the same checkpoint, ``gnvp sweep --samples 100`` writes a
+    byte-identical ``sweep.csv`` with one BLAS thread and with two.  Its five
+    runs of 100 at each temperature decode as one batch, and its five
+    reconstruction copies of the corpus as two, two and one."""
+    written = _written_at_one_and_two_threads(tmp_path, thread_checkpoint, (("sweep", ["--samples", "100"], "sweep.csv"),))
+    assert written["sweep", "1"] == written["sweep", "2"]
